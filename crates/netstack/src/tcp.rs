@@ -21,12 +21,19 @@
 //!   [`DEFAULT_BACKLOG`]); handshakes completing against a full queue
 //!   are refused with an RST and counted in `backlog_dropped`,
 //! - `stats() -> list`, `set_filter(handle)`,
-//! - `pump() -> int` — the engine: drains the lower netdev, runs the
-//!   retransmission timers against the machine's **virtual clock**, and
-//!   emits whatever segments are due (data within the peer's window,
-//!   pure ACKs, FINs, zero-window probes). Everything is driven by
-//!   explicit `pump` calls, so a whole multi-host exchange is a
-//!   deterministic function of the machine clock and the link seed.
+//! - `pump() -> int` — the engine: drains the lower netdev, then
+//!   services, in ascending id order, exactly the connections that are
+//!   *ready* (an event touched them since their last visit: a segment,
+//!   `connect`, `send`, a `recv` that freed window, `close`, a timer
+//!   knob) or *due* (their next wake-up on the machine's **virtual
+//!   clock** — retransmit, TIME-WAIT expiry, user timeout, keepalive —
+//!   has passed), running the timers and emitting whatever is owed (data
+//!   within the peer's window, pure ACKs, FINs, zero-window probes). A
+//!   connection that is neither would have been a no-op, so a pump costs
+//!   O(active), not O(open), and the segment trace is the one a full
+//!   scan in id order would produce. Everything is driven by explicit
+//!   `pump` calls, so a whole multi-host exchange is a deterministic
+//!   function of the machine clock and the link seed.
 //!
 //! The implementation covers the three-way handshake, sequence/ack
 //! tracking, retransmission with exponential RTO backoff, sliding-window
@@ -73,6 +80,8 @@ pub const KEEPALIVE_PROBES: u32 = 3;
 /// Default cap on established-but-unaccepted connections per listening
 /// port; completions beyond it are refused with an RST.
 pub const DEFAULT_BACKLOG: usize = 64;
+/// First ephemeral port `connect` hands out; the range runs to 65535.
+const EPHEMERAL_BASE: u16 = 49152;
 
 /// Connection states (RFC 793 names).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,6 +169,8 @@ struct Conn {
     /// Why the connection died, for `error(id)`; `None` while healthy
     /// or after a clean close.
     err: Option<&'static str>,
+    /// On the endpoint's ready list, awaiting the next `pump`.
+    queued: bool,
 }
 
 impl Conn {
@@ -196,19 +207,43 @@ impl Conn {
             ka_probes: 0,
             last_rx: 0,
             err: None,
+            queued: false,
         }
     }
 
-    /// Transition to `Closed` with a diagnostic reason. Idempotent: a
-    /// connection that already died keeps its first cause.
-    fn abort(&mut self, reason: &'static str) -> bool {
+    fn tuple(&self) -> (u32, u16, u16) {
+        (self.peer_ip, self.peer_port, self.local_port)
+    }
+
+    /// Data is in flight but the user-timeout stall clock is not yet
+    /// running: the very next `pump_timer` latches it, whatever the time.
+    fn stall_unlatched(&self) -> bool {
+        self.state != State::Closed
+            && self.user_timeout > 0
+            && self.snd_una < self.snd_nxt
+            && self.stalled_since.is_none()
+    }
+
+    /// Earliest clock reading at which `pump_timer` could act with no
+    /// further event: the minimum over exactly the timers it consults.
+    fn next_deadline(&self) -> Option<u64> {
         if self.state == State::Closed {
-            return false;
+            return None;
         }
-        self.state = State::Closed;
-        self.rtx_at = None;
-        self.err = Some(reason);
-        true
+        let mut due = self.rtx_at;
+        let mut fold = |at: u64| due = Some(due.map_or(at, |d| d.min(at)));
+        if self.state == State::TimeWait {
+            fold(self.timewait_at);
+        }
+        // Latched only with the timer enabled and data in flight, and
+        // cleared by whatever ends either.
+        if let Some(since) = self.stalled_since {
+            fold(since.saturating_add(self.user_timeout));
+        }
+        if self.keepalive > 0 && self.state == State::Established && self.snd_una == self.snd_nxt {
+            fold(self.last_rx.max(self.ka_sent_at) + self.keepalive);
+        }
+        due
     }
 
     /// Wire sequence number for stream offset `off`.
@@ -262,6 +297,8 @@ struct TcpStats {
     aborted: u64,
     digest: u64,
     backlog_dropped: u64,
+    /// Connection visits made by `pump` (timer + output pass).
+    serviced: u64,
 }
 
 impl TcpStats {
@@ -285,17 +322,25 @@ struct TcpState {
     ip: u32,
     mac: Mac,
     filter: Option<ObjRef>,
-    /// Keyed by connection id. `pump` sorts the ids before servicing so
-    /// segment emission order is deterministic (replay tests compare
-    /// segment traces bit-for-bit) without paying tree-map lookups on
-    /// every data-path access — with ~1k live connections that cost was
-    /// measurable in `b14_netstack`.
-    conns: HashMap<i64, Conn>,
+    /// Slab indexed by connection id: ids are handed out sequentially
+    /// from 1 and never reused, so every data-path access is one bounds
+    /// check. A closed connection keeps its slot (`state`/`error` still
+    /// answer); only a handshake refused at a full backlog empties one.
+    conns: Vec<Option<Conn>>,
+    /// Ids an event has touched since their last visit (`Conn::queued`
+    /// dedupes). `pump` sorts and drains it, keeping the allocation.
+    ready: Vec<i64>,
+    /// `Conn::next_deadline` of every connection that has one, as of
+    /// its last visit; `pump` pops the prefix that is due.
+    deadlines: Deadlines,
+    /// Test oracle: service every connection on every pump, which is
+    /// what the endpoint did before it became event-driven.
+    #[cfg(test)]
+    scan_all: bool,
     /// (peer ip, peer port, local port) -> connection id.
     demux: HashMap<(u32, u16, u16), i64>,
     /// Listening port -> accept queue.
     listeners: HashMap<u16, Listener>,
-    next_id: i64,
     next_port: u16,
     stats: TcpStats,
 }
@@ -317,6 +362,106 @@ impl Default for Listener {
     }
 }
 
+/// The deadline index: each connection's single next wake-up, as a
+/// binary min-heap of `(deadline, id)`. A `Vec` heap with every id's
+/// position tracked beside it moves or cancels a wake-up in O(log n) and,
+/// unlike a tree's nodes, allocates nothing as timers are armed and
+/// cancelled segment after segment — only when a new id first appears.
+#[derive(Default)]
+struct Deadlines {
+    heap: Vec<(u64, i64)>,
+    /// Heap position by connection id; `ABSENT` for an id with no wake-up.
+    pos: Vec<usize>,
+}
+
+const ABSENT: usize = usize::MAX;
+
+impl Deadlines {
+    /// The earliest `(deadline, id)`.
+    fn first(&self) -> Option<(u64, i64)> {
+        self.heap.first().copied()
+    }
+
+    /// Sets, moves or (with `None`) cancels the wake-up of `id`.
+    fn set(&mut self, id: i64, at: Option<u64>) {
+        let id_ix = id as usize;
+        if self.pos.len() <= id_ix {
+            self.pos.resize(id_ix + 1, ABSENT);
+        }
+        let pos = self.pos[id_ix];
+        match at {
+            Some(at) if pos == ABSENT => {
+                self.heap.push((at, id));
+                self.settle(self.heap.len() - 1);
+            }
+            Some(at) => {
+                self.heap[pos].0 = at;
+                self.settle(pos);
+            }
+            None if pos == ABSENT => {}
+            None => {
+                self.pos[id_ix] = ABSENT;
+                let last = self.heap.pop().expect("pos points into the heap");
+                if pos < self.heap.len() {
+                    self.heap[pos] = last;
+                    self.settle(pos);
+                }
+            }
+        }
+    }
+
+    /// Restores heap order around the entry at `pos`, which may be out
+    /// of place in either direction, and records where entries land.
+    fn settle(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.heap[parent] <= entry {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.heap[child + 1] < self.heap[child] {
+                child += 1;
+            }
+            if entry <= self.heap[child] {
+                break;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        self.place(pos, entry);
+    }
+
+    fn place(&mut self, pos: usize, entry: (u64, i64)) {
+        self.heap[pos] = entry;
+        self.pos[entry.1 as usize] = pos;
+    }
+}
+
+/// The live connection in slab slot `id`. Takes the slab rather than the
+/// endpoint so callers keep `stats`, `demux` and the rest borrowable.
+fn slot(conns: &mut [Option<Conn>], id: i64) -> &mut Conn {
+    conns[id as usize].as_mut().expect("conn exists")
+}
+
+/// Copies `buf[start..start + len]` out of a ring buffer through its two
+/// contiguous halves.
+fn copy_range(buf: &VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    let (front, back) = buf.as_slices();
+    let (end, seam) = (start + len, front.len());
+    out.extend_from_slice(&front[start.min(seam)..end.min(seam)]);
+    out.extend_from_slice(&back[start.saturating_sub(seam)..end.saturating_sub(seam)]);
+    out
+}
+
 /// Deterministic initial sequence number for connection `id`.
 fn isn(id: i64) -> u32 {
     ((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
@@ -328,7 +473,7 @@ impl TcpState {
     }
 
     fn dst_mac(&mut self, id: i64) -> Result<Mac, ObjError> {
-        let conn = self.conns.get(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
         if let Some(mac) = conn.peer_mac {
             return Ok(mac);
         }
@@ -339,7 +484,7 @@ impl TcpState {
             MAC_BROADCAST
         };
         if mac != MAC_BROADCAST {
-            self.conns.get_mut(&id).expect("conn exists").peer_mac = Some(mac);
+            slot(&mut self.conns, id).peer_mac = Some(mac);
         }
         Ok(mac)
     }
@@ -347,7 +492,7 @@ impl TcpState {
     /// Builds and transmits one segment for connection `id`.
     fn emit(&mut self, id: i64, flags: u8, seq: u32, payload: &[u8]) -> Result<(), ObjError> {
         let dst_mac = self.dst_mac(id)?;
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
         let hdr = TcpHeader {
             src_port: conn.local_port,
             dst_port: conn.peer_port,
@@ -391,13 +536,65 @@ impl TcpState {
     }
 
     fn arm_rtx(&mut self, id: i64, now: u64) {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
         conn.rtx_at = Some(now + conn.rto);
+    }
+
+    /// Puts `id` on the ready list: an event has changed something the
+    /// next `pump` must look at.
+    fn mark_ready(&mut self, id: i64) {
+        let conn = slot(&mut self.conns, id);
+        if !conn.queued {
+            conn.queued = true;
+            self.ready.push(id);
+        }
+    }
+
+    /// Every transition to `Closed` ends here: the tuple leaves `demux`,
+    /// so a later SYN on it opens a fresh connection and anything else
+    /// draws an RST. The slab slot stays for `state`/`error`.
+    fn closed(&mut self, id: i64) {
+        let conn = slot(&mut self.conns, id);
+        conn.state = State::Closed;
+        self.demux.remove(&conn.tuple());
+    }
+
+    /// Kills connection `id` with a diagnostic reason. Idempotent: a
+    /// connection that already died keeps its first cause.
+    fn abort(&mut self, id: i64, reason: &'static str) {
+        let conn = slot(&mut self.conns, id);
+        if conn.state != State::Closed {
+            conn.err = Some(reason);
+            self.stats.aborted += 1;
+            self.closed(id);
+        }
+    }
+
+    /// Opens a connection in `state`: the next id (sequential, never
+    /// reused) and its slab slot, the tuple bound in `demux`, and a
+    /// first visit owed so its timers get indexed.
+    fn open(&mut self, peer_ip: u32, peer_port: u16, local_port: u16, state: State) -> i64 {
+        let id = self.conns.len() as i64;
+        let conn = Conn::new(peer_ip, peer_port, local_port, isn(id), state);
+        self.demux.insert(conn.tuple(), id);
+        self.conns.push(Some(conn));
+        self.mark_ready(id);
+        id
+    }
+
+    /// Forgets connection `id` entirely (a handshake refused at a full
+    /// backlog): slab slot, tuple and wake-up all go. A stale entry on
+    /// the ready list is skipped by `pump`.
+    fn drop_conn(&mut self, id: i64) {
+        if let Some(conn) = self.conns[id as usize].take() {
+            self.demux.remove(&conn.tuple());
+            self.deadlines.set(id, None);
+        }
     }
 
     /// Our FIN was acknowledged — advance the close handshake.
     fn on_fin_acked(&mut self, id: i64, now: u64) {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
         conn.fin_acked = true;
         match conn.state {
             State::FinWait1 => conn.state = State::FinWait2,
@@ -405,16 +602,14 @@ impl TcpState {
                 conn.state = State::TimeWait;
                 conn.timewait_at = now + TIME_WAIT_CYCLES;
             }
-            State::LastAck => {
-                conn.state = State::Closed;
-            }
+            State::LastAck => self.closed(id),
             _ => {}
         }
     }
 
     /// The peer's FIN has been consumed in order — advance teardown.
     fn on_peer_fin(&mut self, id: i64, now: u64) {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
         conn.peer_fin_rcvd = true;
         match conn.state {
             State::SynRcvd | State::Established => conn.state = State::CloseWait,
@@ -442,12 +637,16 @@ impl TcpState {
         payload: &[u8],
         now: u64,
     ) -> Result<(), ObjError> {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        self.mark_ready(id);
+        let conn = slot(&mut self.conns, id);
         conn.last_rx = now;
         conn.ka_probes = 0;
         if hdr.flags & tcp_flags::RST != 0 {
-            if conn.abort("reset") {
-                self.stats.aborted += 1;
+            // RFC 1337: an RST does not cut TIME-WAIT short. The peer's
+            // side is closed by then and answers any late duplicate with
+            // one, which must not turn a clean close into an error.
+            if conn.state != State::TimeWait {
+                self.abort(id, "reset");
             }
             return Ok(());
         }
@@ -479,7 +678,6 @@ impl TcpState {
                     return Ok(());
                 }
                 let port = conn.local_port;
-                let key = (conn.peer_ip, conn.peer_port, port);
                 let peer_mac = conn.peer_mac.unwrap_or(MAC_BROADCAST);
                 let peer_ip = conn.peer_ip;
                 let lst = self.listeners.entry(port).or_default();
@@ -488,12 +686,11 @@ impl TcpState {
                     // with an RST so the peer fails fast instead of
                     // sitting established against a stalled acceptor.
                     self.stats.backlog_dropped += 1;
-                    self.conns.remove(&id);
-                    self.demux.remove(&key);
+                    self.drop_conn(id);
                     return self.emit_rst(peer_mac, peer_ip, hdr);
                 }
                 lst.backlog.push_back(id);
-                let conn = self.conns.get_mut(&id).expect("conn exists");
+                let conn = slot(&mut self.conns, id);
                 conn.state = State::Established;
                 conn.peer_wnd_edge = u64::from(hdr.window);
                 conn.rtx_at = None;
@@ -505,7 +702,7 @@ impl TcpState {
             _ => {}
         }
 
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
 
         // A retransmitted SYN/SYN-ACK means our ACK was lost: re-ack.
         if hdr.flags & tcp_flags::SYN != 0 {
@@ -651,17 +848,12 @@ impl TcpState {
                 && hdr.flags & tcp_flags::ACK == 0
                 && self.listeners.contains_key(&hdr.dst_port)
             {
-                let id = self.next_id;
-                self.next_id += 1;
-                let mut conn =
-                    Conn::new(ip.src, hdr.src_port, hdr.dst_port, isn(id), State::SynRcvd);
+                let id = self.open(ip.src, hdr.src_port, hdr.dst_port, State::SynRcvd);
+                let conn = slot(&mut self.conns, id);
                 conn.irs = hdr.seq;
-                conn.rcv_nxt = 0;
                 conn.peer_wnd_edge = u64::from(hdr.window);
                 let src_mac: Mac = frame[6..12].try_into().expect("6 bytes");
                 conn.peer_mac = Some(src_mac);
-                self.conns.insert(id, conn);
-                self.demux.insert(key, id);
                 // SYN-ACK, covered by the retransmit timer.
                 let seq = isn(id);
                 self.emit(id, tcp_flags::SYN | tcp_flags::ACK, seq, &[])?;
@@ -679,9 +871,9 @@ impl TcpState {
     /// Retransmission / TIME-WAIT / user-timeout / keepalive timer pass
     /// for one connection.
     fn pump_timer(&mut self, id: i64, now: u64) -> Result<(), ObjError> {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
         if conn.state == State::TimeWait && now >= conn.timewait_at {
-            conn.state = State::Closed;
+            self.closed(id);
             return Ok(());
         }
         if conn.state == State::Closed {
@@ -693,9 +885,7 @@ impl TcpState {
         if conn.user_timeout > 0 && conn.snd_una < conn.snd_nxt {
             let since = *conn.stalled_since.get_or_insert(now);
             if now.saturating_sub(since) >= conn.user_timeout {
-                if conn.abort("user-timeout") {
-                    self.stats.aborted += 1;
-                }
+                self.abort(id, "user-timeout");
                 return Ok(());
             }
         } else {
@@ -709,9 +899,7 @@ impl TcpState {
             let due = conn.last_rx.max(conn.ka_sent_at) + conn.keepalive;
             if now >= due {
                 if conn.ka_probes >= KEEPALIVE_PROBES {
-                    if conn.abort("keepalive-timeout") {
-                        self.stats.aborted += 1;
-                    }
+                    self.abort(id, "keepalive-timeout");
                     return Ok(());
                 }
                 conn.ka_probes += 1;
@@ -720,7 +908,7 @@ impl TcpState {
                 self.emit(id, tcp_flags::ACK, seq, &[0])?;
             }
         }
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = slot(&mut self.conns, id);
         let Some(due) = conn.rtx_at else {
             return Ok(());
         };
@@ -729,9 +917,7 @@ impl TcpState {
         }
         conn.retries += 1;
         if conn.retries > MAX_RETRIES {
-            if conn.abort("retries-exhausted") {
-                self.stats.aborted += 1;
-            }
+            self.abort(id, "retries-exhausted");
             return Ok(());
         }
         conn.rto = (conn.rto * 2).min(MAX_RTO);
@@ -750,12 +936,12 @@ impl TcpState {
             _ => {
                 // Resend from snd_una: one MSS of data, or the FIN.
                 let (seq, chunk, fin) = {
-                    let conn = self.conns.get_mut(&id).expect("conn exists");
+                    let conn = slot(&mut self.conns, id);
                     let unacked =
                         (conn.snd_nxt - conn.snd_una).min(conn.send_buf.len() as u64) as usize;
                     if unacked > 0 {
                         let take = unacked.min(TCP_MSS);
-                        let chunk: Vec<u8> = conn.send_buf.iter().take(take).copied().collect();
+                        let chunk = copy_range(&conn.send_buf, 0, take);
                         (conn.wire_seq(conn.snd_una), chunk, false)
                     } else if conn.fin_sent && !conn.fin_acked {
                         let end = conn.stream_end.expect("fin implies stream end");
@@ -790,7 +976,7 @@ impl TcpState {
     fn pump_tx(&mut self, id: i64, now: u64) -> Result<i64, ObjError> {
         let mut sent = 0i64;
         loop {
-            let conn = self.conns.get_mut(&id).expect("conn exists");
+            let conn = slot(&mut self.conns, id);
             if matches!(conn.state, State::Closed | State::SynSent | State::SynRcvd) {
                 break;
             }
@@ -808,13 +994,7 @@ impl TcpState {
             if conn.snd_nxt < data_end && usable > 0 && !conn.fin_sent {
                 let start = (conn.snd_nxt - conn.snd_una) as usize;
                 let take = ((data_end - conn.snd_nxt).min(usable) as usize).min(TCP_MSS);
-                let chunk: Vec<u8> = conn
-                    .send_buf
-                    .iter()
-                    .skip(start)
-                    .take(take)
-                    .copied()
-                    .collect();
+                let chunk = copy_range(&conn.send_buf, start, take);
                 let seq = conn.wire_seq(conn.snd_nxt);
                 conn.snd_nxt += take as u64;
                 self.emit(id, tcp_flags::ACK | tcp_flags::PSH, seq, &chunk)?;
@@ -853,25 +1033,94 @@ impl TcpState {
         Ok(sent)
     }
 
+    /// One visit: timer pass, output pass, then re-index the
+    /// connection's next wake-up, which either pass may have moved.
+    fn service(&mut self, id: i64, now: u64) -> Result<i64, ObjError> {
+        self.pump_timer(id, now)?;
+        let sent = self.pump_tx(id, now)?;
+        self.stats.serviced += 1;
+        let conn = slot(&mut self.conns, id);
+        conn.queued = conn.stall_unlatched();
+        if conn.queued {
+            self.ready.push(id);
+        }
+        self.deadlines.set(id, conn.next_deadline());
+        Ok(sent)
+    }
+
     fn pump(&mut self) -> Result<i64, ObjError> {
         let now = self.now();
         let mut handled = self.pump_rx(now)?;
-        // Sorted so timers and transmissions are serviced in id order no
-        // matter what the hash map's iteration order is — determinism of
-        // the segment trace is part of the endpoint's contract.
-        let mut ids: Vec<i64> = self.conns.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.pump_timer(id, now)?;
-            handled += self.pump_tx(id, now)?;
+        #[cfg(test)]
+        {
+            if self.scan_all {
+                for id in 1..self.conns.len() as i64 {
+                    if self.conns[id as usize].is_some() {
+                        self.mark_ready(id);
+                    }
+                }
+            }
         }
-        Ok(handled)
+        while let Some((at, id)) = self.deadlines.first() {
+            if at > now {
+                break;
+            }
+            self.deadlines.set(id, None);
+            self.mark_ready(id);
+        }
+        // Everyone else would have been a no-op: nothing has touched
+        // them and no timer of theirs has run out. Ascending id order is
+        // part of the endpoint's contract — replay tests compare segment
+        // traces bit for bit. A visit may put its own connection back on
+        // the list, behind this pump's batch, for the next pump.
+        let batch = self.ready.len();
+        self.ready[..batch].sort_unstable();
+        let mut done = 0;
+        let result = loop {
+            if done == batch {
+                break Ok(handled);
+            }
+            let id = self.ready[done];
+            if self.conns[id as usize].is_some() {
+                match self.service(id, now) {
+                    Ok(sent) => handled += sent,
+                    Err(e) => break Err(e),
+                }
+            }
+            done += 1;
+        };
+        // A visit that failed, and those behind it, stay ready.
+        self.ready.drain(..done);
+        result
     }
 
     fn conn_mut(&mut self, id: i64) -> Result<&mut Conn, ObjError> {
-        self.conns
-            .get_mut(&id)
+        usize::try_from(id)
+            .ok()
+            .and_then(|i| self.conns.get_mut(i))
+            .and_then(Option::as_mut)
             .ok_or_else(|| ObjError::failed(format!("no such connection {id}")))
+    }
+
+    /// `conn_mut` for the API calls that are events: `id` goes on the
+    /// ready list, so the next `pump` acts on what the caller changes.
+    fn conn_event(&mut self, id: i64) -> Result<&mut Conn, ObjError> {
+        self.conn_mut(id)?;
+        self.mark_ready(id);
+        Ok(slot(&mut self.conns, id))
+    }
+
+    /// The next ephemeral port whose tuple towards `(ip, port)` is not
+    /// held by a live connection.
+    fn ephemeral_port(&mut self, ip: u32, port: u16) -> Result<u16, ObjError> {
+        for _ in EPHEMERAL_BASE..=u16::MAX {
+            let local = self.next_port;
+            self.next_port = local.wrapping_add(1).max(EPHEMERAL_BASE);
+            if !self.demux.contains_key(&(ip, port, local)) {
+                return Ok(local);
+            }
+        }
+        Err(ObjError::failed("no free ephemeral port"))
     }
 }
 
@@ -887,11 +1136,15 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
             ip,
             mac,
             filter: None,
-            conns: HashMap::new(),
+            // Ids start at 1; slot 0 is never occupied.
+            conns: vec![None],
+            ready: Vec::new(),
+            deadlines: Deadlines::default(),
+            #[cfg(test)]
+            scan_all: false,
             demux: HashMap::new(),
             listeners: HashMap::new(),
-            next_id: 1,
-            next_port: 49152,
+            next_port: EPHEMERAL_BASE,
             stats: TcpStats::default(),
         })
         .interface("tcp", |i| {
@@ -913,13 +1166,8 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     let dst_port = u16::try_from(args[1].as_int()?)
                         .map_err(|_| ObjError::failed("port out of range"))?;
                     this.with_state(|s: &mut TcpState| {
-                        let id = s.next_id;
-                        s.next_id += 1;
-                        let local_port = s.next_port;
-                        s.next_port = s.next_port.wrapping_add(1).max(49152);
-                        let conn = Conn::new(dst_ip, dst_port, local_port, isn(id), State::SynSent);
-                        s.conns.insert(id, conn);
-                        s.demux.insert((dst_ip, dst_port, local_port), id);
+                        let local_port = s.ephemeral_port(dst_ip, dst_port)?;
+                        let id = s.open(dst_ip, dst_port, local_port, State::SynSent);
                         let now = s.now();
                         let seq = isn(id);
                         s.emit(id, tcp_flags::SYN, seq, &[])?;
@@ -948,7 +1196,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     let id = args[0].as_int()?;
                     let data = args[1].as_bytes()?.clone();
                     this.with_state(|s: &mut TcpState| {
-                        let conn = s.conn_mut(id)?;
+                        let conn = s.conn_event(id)?;
                         if conn.stream_end.is_some()
                             || !matches!(
                                 conn.state,
@@ -978,10 +1226,12 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     this.with_state(|s: &mut TcpState| {
                         let conn = s.conn_mut(id)?;
                         let take = conn.recv_buf.len().min(max);
-                        let out: Vec<u8> = conn.recv_buf.drain(..take).collect();
+                        let out = copy_range(&conn.recv_buf, 0, take);
+                        conn.recv_buf.drain(..take);
                         if take > 0 {
                             // Freed window: owe the peer an update.
                             conn.ack_pending = true;
+                            s.mark_ready(id);
                         }
                         Ok(Value::Bytes(bytes::Bytes::from(out)))
                     })
@@ -990,7 +1240,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
             .method("close", &[TypeTag::Int], TypeTag::Unit, |this, args| {
                 let id = args[0].as_int()?;
                 this.with_state(|s: &mut TcpState| {
-                    let conn = s.conn_mut(id)?;
+                    let conn = s.conn_event(id)?;
                     if conn.stream_end.is_none() {
                         conn.stream_end = Some(conn.snd_una + conn.send_buf.len() as u64);
                     }
@@ -1018,7 +1268,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     let cycles = u64::try_from(args[1].as_int()?)
                         .map_err(|_| ObjError::failed("timeout must be non-negative"))?;
                     this.with_state(|s: &mut TcpState| {
-                        let conn = s.conn_mut(id)?;
+                        let conn = s.conn_event(id)?;
                         conn.user_timeout = cycles;
                         conn.stalled_since = None;
                         Ok(Value::Unit)
@@ -1035,7 +1285,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         .map_err(|_| ObjError::failed("interval must be non-negative"))?;
                     this.with_state(|s: &mut TcpState| {
                         let now = s.now();
-                        let conn = s.conn_mut(id)?;
+                        let conn = s.conn_event(id)?;
                         conn.keepalive = interval;
                         conn.ka_probes = 0;
                         // Start the idle clock here, not at connection
@@ -1091,6 +1341,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         Value::Int(st.aborted as i64),
                         Value::Int(st.digest as i64),
                         Value::Int(st.backlog_dropped as i64),
+                        Value::Int(st.serviced as i64),
                     ]))
                 })
             })
@@ -1108,11 +1359,15 @@ pub const STAT_RETRANSMITS: usize = 4;
 pub const STAT_ABORTED: usize = 8;
 /// Position of the backlog-overflow counter in the `stats` list.
 pub const STAT_BACKLOG_DROPPED: usize = 10;
+/// Position of the connection-visits counter (`conns_serviced`) in the
+/// `stats` list: how many timer + output passes `pump` has run.
+pub const STAT_SERVICED: usize = 11;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simlink::{make_simlink, LinkConfig};
+    use proptest::prelude::*;
 
     const IP_A: u32 = 0x0A00_0001;
     const IP_B: u32 = 0x0A00_0002;
@@ -1594,5 +1849,544 @@ mod tests {
             Value::Str("closed".into())
         );
         assert!(tcp_stats(&b)[7] > 0, "B sent an RST");
+    }
+
+    fn connect(ep: &ObjRef, port: i64) -> Result<i64, ObjError> {
+        ep.invoke(
+            "tcp",
+            "connect",
+            &[Value::Int(IP_B as i64), Value::Int(port)],
+        )?
+        .as_int()
+    }
+
+    fn send(ep: &ObjRef, id: i64, data: Vec<u8>) {
+        ep.invoke(
+            "tcp",
+            "send",
+            &[Value::Int(id), Value::Bytes(bytes::Bytes::from(data))],
+        )
+        .unwrap();
+    }
+
+    /// A bare ACK from A's side of tuple `(IP_A, src_port) -> (IP_B,
+    /// dst_port)`, put on the wire at A's end of the link.
+    fn inject_stray_ack(end_a: &ObjRef, src_port: u16, dst_port: u16) {
+        let hdr = TcpHeader {
+            src_port,
+            dst_port,
+            seq: 1,
+            ack: 1,
+            flags: tcp_flags::ACK,
+            window: 0,
+        };
+        let frame = wire::build_tcp_frame(MAC_A, MAC_B, IP_A, IP_B, &hdr, &[]);
+        end_a
+            .invoke("netdev", "send", &[Value::Bytes(bytes::Bytes::from(frame))])
+            .unwrap();
+    }
+
+    #[test]
+    fn closed_tuple_answers_strays_with_rst_and_is_free_for_reuse() {
+        let (machine, a, b, end_a, _end_b) = pair_with_link(LinkConfig::perfect(41));
+        let (id_a, id_b) = establish(&machine, &a, &b, 80);
+        a.invoke("tcp", "close", &[Value::Int(id_a)]).unwrap();
+        pump_net(&machine, &[&a, &b], 2);
+        b.invoke("tcp", "close", &[Value::Int(id_b)]).unwrap();
+        pump_net(&machine, &[&a, &b], 3);
+        assert_eq!(conn_state(&a, id_a), "time-wait");
+        assert_eq!(conn_state(&b, id_b), "closed");
+
+        // B's side of the tuple is dead: a stray non-SYN on it is
+        // refused with an RST, not swallowed by the closed connection.
+        let rst_before = tcp_stats(&b)[7];
+        inject_stray_ack(&end_a, EPHEMERAL_BASE, 80);
+        pump_net(&machine, &[&b], 2);
+        assert_eq!(tcp_stats(&b)[7], rst_before + 1, "B refused the stray");
+        // ...and that RST does not turn A's clean close into an error.
+        let heard = tcp_stats(&a)[1];
+        pump_net(&machine, &[&a], 2);
+        assert_eq!(tcp_stats(&a)[1], heard + 1, "the RST reached A");
+        assert_eq!(conn_state(&a, id_a), "time-wait");
+        machine.lock().tick(TIME_WAIT_CYCLES);
+        pump_net(&machine, &[&a, &b], 1);
+        assert_eq!(conn_state(&a, id_a), "closed");
+        assert_eq!(conn_error(&a, id_a), "");
+        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 0);
+
+        // A rebooted client: a fresh endpoint with the same address,
+        // whose ephemeral ports start over, lands on the very tuple the
+        // dead connection held — and must get a new connection.
+        let a2 = make_tcp(machine.clone(), end_a, IP_A, MAC_A);
+        let id_a2 = connect(&a2, 80).unwrap();
+        pump_net(&machine, &[&a2, &b], 4);
+        let id_b2 = b
+            .invoke("tcp", "accept", &[Value::Int(80)])
+            .unwrap()
+            .as_int()
+            .unwrap();
+        assert!(id_b2 > id_b, "the SYN opened a fresh connection on B");
+        assert_eq!(conn_state(&a2, id_a2), "established");
+        assert_eq!(conn_state(&b, id_b2), "established");
+        assert_eq!(conn_state(&b, id_b), "closed", "the old id still answers");
+    }
+
+    #[test]
+    fn ephemeral_port_wrap_skips_live_tuples_and_reports_exhaustion() {
+        let (_machine, a, _b) = pair(LinkConfig::perfect(43));
+        let local_port = |id: i64| {
+            a.with_state(|s: &mut TcpState| Ok(slot(&mut s.conns, id).local_port))
+                .unwrap()
+        };
+        let first = connect(&a, 80).unwrap();
+        assert_eq!(local_port(first), EPHEMERAL_BASE);
+        a.with_state(|s: &mut TcpState| {
+            s.next_port = u16::MAX;
+            Ok(())
+        })
+        .unwrap();
+        let last = connect(&a, 80).unwrap();
+        assert_eq!(local_port(last), u16::MAX);
+        let wrapped = connect(&a, 80).unwrap();
+        assert_eq!(
+            local_port(wrapped),
+            EPHEMERAL_BASE + 1,
+            "the wrap stepped over the live connection on the first port"
+        );
+        assert_eq!(conn_state(&a, first), "syn-sent", "which is untouched");
+        // The same local port towards another destination is a
+        // different tuple, so it is not skipped.
+        a.with_state(|s: &mut TcpState| {
+            s.next_port = EPHEMERAL_BASE;
+            Ok(())
+        })
+        .unwrap();
+        let other = connect(&a, 81).unwrap();
+        assert_eq!(local_port(other), EPHEMERAL_BASE);
+
+        // Take every remaining port towards :80; the next connect has
+        // nowhere to go and says so instead of stealing a tuple.
+        let range = usize::from(u16::MAX - EPHEMERAL_BASE) + 1;
+        for _ in 3..range {
+            connect(&a, 80).unwrap();
+        }
+        let err = connect(&a, 80).unwrap_err();
+        assert!(
+            err.to_string().contains("no free ephemeral port"),
+            "got: {err}"
+        );
+        assert_eq!(conn_state(&a, first), "syn-sent");
+    }
+
+    #[test]
+    fn copy_range_reads_across_the_ring_seam() {
+        // Wrap the ring: fill, drain the front, refill past the seam.
+        let mut ring: VecDeque<u8> = VecDeque::with_capacity(16);
+        ring.extend(0..12u8);
+        ring.drain(..8);
+        ring.extend(12..22u8);
+        let (front, back) = ring.as_slices();
+        assert!(!front.is_empty() && !back.is_empty(), "ring is wrapped");
+        let flat: Vec<u8> = ring.iter().copied().collect();
+        for start in 0..=flat.len() {
+            for len in 0..=flat.len() - start {
+                assert_eq!(copy_range(&ring, start, len), flat[start..start + len]);
+            }
+        }
+    }
+
+    proptest! {
+        /// The deadline heap against a sorted-set model: any sequence
+        /// of arm / move / cancel leaves the same earliest entry, and
+        /// draining pops `(deadline, id)` in ascending order.
+        #[test]
+        fn prop_deadline_index_matches_a_sorted_set(
+            ops in proptest::collection::vec((1i64..24, 0u64..40), 0..200),
+        ) {
+            let mut index = Deadlines::default();
+            let mut model = std::collections::BTreeMap::new();
+            for (id, at) in ops {
+                // `at` 0 cancels; anything else arms or moves.
+                let at = (at > 0).then_some(at);
+                index.set(id, at);
+                match at {
+                    Some(at) => model.insert(id, at),
+                    None => model.remove(&id),
+                };
+                let earliest = model.iter().map(|(&id, &at)| (at, id)).min();
+                prop_assert_eq!(index.first(), earliest);
+            }
+            let mut sorted: Vec<(u64, i64)> = model.iter().map(|(&id, &at)| (at, id)).collect();
+            sorted.sort_unstable();
+            for want in sorted {
+                prop_assert_eq!(index.first(), Some(want));
+                index.set(want.1, None);
+            }
+            prop_assert_eq!(index.first(), None);
+        }
+    }
+
+    /// Two stacks built alike and driven alike; `scan` makes the second
+    /// one the oracle that services every connection on every pump.
+    struct Twin {
+        machine: Arc<Mutex<Machine>>,
+        a: ObjRef,
+        b: ObjRef,
+        end_a: ObjRef,
+    }
+
+    fn twins(cfg: LinkConfig) -> [Twin; 2] {
+        [false, true].map(|scan| {
+            let (machine, a, b, end_a, _) = pair_with_link(cfg);
+            for ep in [&a, &b] {
+                ep.with_state(|s: &mut TcpState| {
+                    s.scan_all = scan;
+                    Ok(())
+                })
+                .unwrap();
+            }
+            Twin {
+                machine,
+                a,
+                b,
+                end_a,
+            }
+        })
+    }
+
+    /// Everything an endpoint shows the outside, bar the visit counter:
+    /// `stats` 0..=10 (digest included), then `state` and `error` of
+    /// every id it has ever handed out.
+    fn observe(ep: &ObjRef) -> (Vec<i64>, Vec<String>) {
+        let ids = ep
+            .with_state(|s: &mut TcpState| Ok(s.conns.len() as i64))
+            .unwrap();
+        let conns = (1..ids)
+            .map(|id| match ep.invoke("tcp", "state", &[Value::Int(id)]) {
+                Ok(state) => format!("{}/{}", state.as_str().unwrap(), conn_error(ep, id)),
+                Err(_) => "dropped".to_string(),
+            })
+            .collect();
+        (tcp_stats(ep)[..STAT_SERVICED].to_vec(), conns)
+    }
+
+    fn serviced(ep: &ObjRef) -> i64 {
+        tcp_stats(ep)[STAT_SERVICED]
+    }
+
+    /// Every interval and clock step the differential test picks is a
+    /// multiple of this (as `BASE_RTO` and `TIME_WAIT_CYCLES` are), so
+    /// pumps keep landing on the very cycle a timer expires and a
+    /// wake-up indexed one cycle late shows.
+    const QUANTUM: i64 = 10_000;
+
+    /// One random step of the differential test, applied to one twin.
+    /// Returns what the call answered, which must match across twins.
+    fn apply(t: &Twin, kind: u8, conn: usize, arg: u16, n_conns: usize) -> String {
+        let id = Value::Int((conn % n_conns) as i64 + 1);
+        let arg64 = i64::from(arg);
+        let tcp = |ep: &ObjRef, method: &str, args: &[Value]| {
+            format!("{:?}", ep.invoke("tcp", method, args))
+        };
+        let payload = || {
+            let data: Vec<u8> = (0..1 + arg % 2500).map(|i| (i ^ arg) as u8).collect();
+            Value::Bytes(bytes::Bytes::from(data))
+        };
+        match kind {
+            0 => tcp(&t.a, "send", &[id, payload()]),
+            1 => tcp(&t.b, "send", &[id, payload()]),
+            2 => tcp(&t.a, "recv", &[id, Value::Int(arg64)]),
+            3 => tcp(&t.b, "recv", &[id, Value::Int(arg64)]),
+            4 => tcp(&t.a, "close", &[id]),
+            5 => tcp(&t.b, "close", &[id]),
+            6 => tcp(
+                &t.a,
+                "set_keepalive",
+                &[id, Value::Int(arg64 % 64 * QUANTUM)],
+            ),
+            7 => tcp(
+                &t.a,
+                "set_user_timeout",
+                &[id, Value::Int(arg64 % 128 * 4 * QUANTUM)],
+            ),
+            8 | 9 => tcp(&t.a, "pump", &[]),
+            10 | 11 => tcp(&t.b, "pump", &[]),
+            // Short ticks stay inside an RTO; long ones cross RTO
+            // backoff, keepalive and TIME-WAIT deadlines.
+            12 => {
+                t.machine.lock().tick(((1 + arg64 % 16) * QUANTUM) as u64);
+                String::new()
+            }
+            _ => {
+                t.machine
+                    .lock()
+                    .tick(((1 + arg64 % 64) * 4 * QUANTUM) as u64);
+                String::new()
+            }
+        }
+    }
+
+    proptest! {
+        /// The event-driven engine against the scan-everything oracle
+        /// over an adversarial link (drop, duplication, reordering,
+        /// corruption, jitter): after every step both stacks show the
+        /// same stats — segment-trace digest included — and the same
+        /// state and error for every connection, so each visit the
+        /// engine skipped was one that would have done nothing.
+        #[test]
+        fn prop_event_driven_pump_matches_full_scan(
+            seed in any::<u64>(),
+            n_conns in 1usize..=6,
+            ops in proptest::collection::vec((0u8..14, 0usize..6, any::<u16>()), 20..160),
+        ) {
+            let mut cfg = LinkConfig::adversarial(seed);
+            cfg.corrupt_permille = 50;
+            let pair = twins(cfg);
+            for t in &pair {
+                t.b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
+                for _ in 0..n_conns {
+                    connect(&t.a, 80).unwrap();
+                }
+                pump_net(&t.machine, &[&t.a, &t.b], 3);
+            }
+            for (step, &(kind, conn, arg)) in ops.iter().enumerate() {
+                let [event, scan] = pair.each_ref().map(|t| apply(t, kind, conn, arg, n_conns));
+                prop_assert_eq!(event, scan, "step {}: call results differ", step);
+                let [event, scan] = pair.each_ref().map(|t| (observe(&t.a), observe(&t.b)));
+                prop_assert_eq!(event, scan, "step {}: endpoints (a, b) diverged", step);
+            }
+            let [event, scan] = pair.each_ref().map(|t| serviced(&t.a) + serviced(&t.b));
+            prop_assert!(event <= scan, "the engine never visits more than the scan");
+        }
+    }
+
+    #[test]
+    fn a_pump_costs_the_active_connections_not_the_open_ones() {
+        const IDLE: usize = 1024;
+        let (machine, a, b) = pair(LinkConfig::perfect(47));
+        b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
+        b.invoke(
+            "tcp",
+            "set_backlog",
+            &[Value::Int(80), Value::Int(IDLE as i64 + 1)],
+        )
+        .unwrap();
+        let ids: Vec<i64> = (0..=IDLE).map(|_| connect(&a, 80).unwrap()).collect();
+        pump_net(&machine, &[&a, &b], 6);
+        for &id in &ids {
+            assert_eq!(conn_state(&a, id), "established");
+        }
+        let active_b = b
+            .invoke("tcp", "accept", &[Value::Int(80)])
+            .unwrap()
+            .as_int()
+            .unwrap();
+        let active_a = ids[0];
+        assert_eq!(active_b, 1, "ids pair up in connect order");
+
+        // Nothing to do: a pump visits nobody, however many are open.
+        for ep in [&a, &b] {
+            let before = serviced(ep);
+            ep.invoke("tcp", "pump", &[]).unwrap();
+            assert_eq!(serviced(ep), before, "an idle pump services nothing");
+        }
+        // One connection echoing: every pump on either side visits it
+        // and nothing else.
+        for round in 0..8 {
+            send(&a, active_a, vec![round; 256]);
+            for _ in 0..6 {
+                for ep in [&a, &b] {
+                    let before = serviced(ep);
+                    ep.invoke("tcp", "pump", &[]).unwrap();
+                    let visits = serviced(ep) - before;
+                    assert!(visits <= 2, "{visits} visits for one active connection");
+                }
+                let heard = b
+                    .invoke("tcp", "recv", &[Value::Int(active_b), Value::Int(4096)])
+                    .unwrap();
+                let heard = heard.as_bytes().unwrap();
+                if !heard.is_empty() {
+                    send(&b, active_b, heard.to_vec());
+                }
+                machine.lock().tick(BASE_RTO / 8);
+            }
+            let echoed = a
+                .invoke("tcp", "recv", &[Value::Int(active_a), Value::Int(4096)])
+                .unwrap();
+            assert_eq!(echoed.as_bytes().unwrap().to_vec(), vec![round; 256]);
+        }
+        assert_eq!(tcp_stats(&a)[STAT_RETRANSMITS], 0);
+    }
+
+    #[test]
+    fn connections_behind_a_failed_visit_stay_ready() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // A's lower netdev refuses to send while the fuse is blown.
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(71));
+        let blown = Arc::new(AtomicBool::new(false));
+        let fuse = ObjectBuilder::new("fuse")
+            .state((end_a, blown.clone()))
+            .interface("netdev", |i| {
+                i.method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
+                    this.with_state(|(inner, blown): &mut (ObjRef, Arc<AtomicBool>)| {
+                        if blown.load(Ordering::Relaxed) {
+                            return Err(ObjError::failed("link down"));
+                        }
+                        inner.invoke("netdev", "send", args)
+                    })
+                })
+                .method("recv", &[], TypeTag::Bytes, |this, _| {
+                    this.with_state(|(inner, _): &mut (ObjRef, Arc<AtomicBool>)| {
+                        inner.invoke("netdev", "recv", &[])
+                    })
+                })
+            })
+            .build();
+        let a = make_tcp(machine.clone(), fuse, IP_A, MAC_A);
+        let b = make_tcp(machine.clone(), end_b, IP_B, MAC_B);
+        b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
+        for _ in 0..3 {
+            connect(&a, 80).unwrap();
+        }
+        pump_net(&machine, &[&a, &b], 4);
+
+        for id in 1..=3 {
+            send(&a, id, vec![id as u8; 100]);
+        }
+        blown.store(true, Ordering::Relaxed);
+        assert!(
+            a.invoke("tcp", "pump", &[]).is_err(),
+            "the first visit fails"
+        );
+        blown.store(false, Ordering::Relaxed);
+        pump_net(&machine, &[&a, &b], 3);
+        // The visit that failed lost its segment; the two queued behind
+        // it were not forgotten.
+        for id in 2..=3 {
+            let heard = b
+                .invoke("tcp", "recv", &[Value::Int(id), Value::Int(4096)])
+                .unwrap();
+            assert_eq!(heard.as_bytes().unwrap().to_vec(), vec![id as u8; 100]);
+        }
+    }
+
+    /// Steps both twins' clocks `steps` times by `tick`, pumping A then
+    /// B each step, and checks the engine's visit count against what
+    /// the pump visibly did: `due` visits on a pump that changed
+    /// anything the endpoint shows (the scan twin must show the same
+    /// change at the same step), none on a pump that did not. Returns
+    /// how many of A's pumps did something.
+    fn step_twins(pair: &[Twin; 2], steps: usize, tick: u64, due: i64) -> usize {
+        let [event, scan] = pair;
+        let mut acted = 0;
+        for step in 0..steps {
+            for (ep, oracle) in [(&event.a, &scan.a), (&event.b, &scan.b)] {
+                let (seen, visits) = (observe(ep), serviced(ep));
+                ep.invoke("tcp", "pump", &[]).unwrap();
+                oracle.invoke("tcp", "pump", &[]).unwrap();
+                assert_eq!(observe(ep), observe(oracle), "step {step}: twins diverged");
+                let changed = observe(ep) != seen;
+                let want = if changed { due } else { 0 };
+                assert_eq!(serviced(ep) - visits, want, "step {step}: visits");
+                acted += usize::from(changed && Arc::ptr_eq(ep, &event.a));
+            }
+            for t in pair {
+                t.machine.lock().tick(tick);
+            }
+        }
+        acted
+    }
+
+    /// Opens `n` connections on both twins and lets every first-visit
+    /// and stall-clock latch drain, so later visits are timers only.
+    fn settled_twins(seed: u64, n: usize) -> [Twin; 2] {
+        let pair = twins(LinkConfig::perfect(seed));
+        for t in &pair {
+            t.b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
+            for _ in 0..n {
+                connect(&t.a, 80).unwrap();
+            }
+            pump_net(&t.machine, &[&t.a, &t.b], 6);
+        }
+        pair
+    }
+
+    #[test]
+    fn keepalive_wakes_exactly_the_due_connections_on_the_scan_s_cycle() {
+        let pair = settled_twins(53, 4);
+        for t in &pair {
+            for id in [2, 4] {
+                t.a.invoke(
+                    "tcp",
+                    "set_keepalive",
+                    &[Value::Int(id), Value::Int(300_000)],
+                )
+                .unwrap();
+            }
+            pump_net(&t.machine, &[&t.a, &t.b], 1);
+        }
+        // Two of four connections probe, in the same pump; the two
+        // replies come back in one pump too.
+        let acted = step_twins(&pair, 40, 50_000, 2);
+        assert!(acted >= 6, "several probe rounds went by, saw {acted}");
+        assert_eq!(conn_state(&pair[0].a, 2), "established");
+    }
+
+    #[test]
+    fn retransmit_timer_wakes_only_the_stalled_connection_on_the_scan_s_cycle() {
+        let pair = settled_twins(59, 3);
+        for t in &pair {
+            set_drop(&t.end_a, 1000);
+            send(&t.a, 2, vec![5; 500]);
+            // First visit transmits, second latches the stall clock.
+            pump_net(&t.machine, &[&t.a, &t.b], 2);
+        }
+        let before = tcp_stats(&pair[0].a)[STAT_RETRANSMITS];
+        let acted = step_twins(&pair, 40, 50_000, 1);
+        let resent = tcp_stats(&pair[0].a)[STAT_RETRANSMITS] - before;
+        assert!(resent >= 2, "backoff fired more than once, saw {resent}");
+        assert_eq!(acted as i64, resent, "A acted exactly when it resent");
+    }
+
+    #[test]
+    fn user_timeout_set_mid_stall_wakes_the_connection_on_the_scan_s_cycle() {
+        let pair = settled_twins(67, 3);
+        for t in &pair {
+            set_drop(&t.end_a, 1000);
+            send(&t.a, 2, vec![6; 500]);
+            pump_net(&t.machine, &[&t.a, &t.b], 2);
+            // Shorter than the RTO, so no retransmit visit covers for
+            // it, and set while the stall clock runs: the knob restarts
+            // the clock at the next pump, which must therefore visit.
+            t.a.invoke(
+                "tcp",
+                "set_user_timeout",
+                &[Value::Int(2), Value::Int(150_000)],
+            )
+            .unwrap();
+            pump_net(&t.machine, &[&t.a, &t.b], 1);
+        }
+        let acted = step_twins(&pair, 12, 50_000, 1);
+        assert_eq!(acted, 2, "one retransmission, then the abort");
+        assert_eq!(conn_state(&pair[0].a, 2), "closed");
+        assert_eq!(conn_error(&pair[0].a, 2), "user-timeout");
+        assert_eq!(tcp_stats(&pair[0].a)[STAT_RETRANSMITS], 1);
+    }
+
+    #[test]
+    fn time_wait_expiry_wakes_the_connection_on_the_scan_s_cycle() {
+        let pair = settled_twins(61, 3);
+        for t in &pair {
+            t.a.invoke("tcp", "close", &[Value::Int(2)]).unwrap();
+            pump_net(&t.machine, &[&t.a, &t.b], 2);
+            t.b.invoke("tcp", "close", &[Value::Int(2)]).unwrap();
+            pump_net(&t.machine, &[&t.a, &t.b], 2);
+            assert_eq!(conn_state(&t.a, 2), "time-wait");
+        }
+        let acted = step_twins(&pair, 30, 50_000, 1);
+        assert_eq!(acted, 1, "one pump, the expiry, did anything");
+        assert_eq!(conn_state(&pair[0].a, 2), "closed");
+        assert_eq!(conn_error(&pair[0].a, 2), "");
     }
 }

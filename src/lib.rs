@@ -23,7 +23,8 @@
 //! | [`cert`] | Certificates, authority, delegation chains, certifier subordinates, escape hatch |
 //! | [`core`] | **The nucleus**: domains, the four services, proxies, repository, loader |
 //! | [`threads`] | Thread package with pop-up threads and the proto-thread fast path |
-//! | [`netstack`] | NIC driver object, UDP/IP stack, packet filters, interposing monitor |
+//! | [`netstack`] | NIC driver, ARP, LPM router, TCP/UDP, filters, monitor |
+//! | [`store`] | Crash-safe store stack: disk driver, retry, write-ahead journal, sharded cache |
 //!
 //! ## Quick start
 //!

@@ -261,3 +261,66 @@ fn arg_frame_inline_push_is_zero_alloc() {
     });
     assert_eq!(allocs, 0, "inline frames must live entirely on the stack");
 }
+
+#[test]
+fn idle_tcp_pump_allocations_do_not_grow_with_open_connections() {
+    // The TCP engine visits only connections an event touched or whose
+    // timer ran out, so a pump with nothing to do costs the same heap
+    // traffic — the lower netdev's empty `recv` and nothing else —
+    // whether the endpoint holds no connection or a thousand idle ones.
+    // A per-pump list of every connection id fails here.
+    use paramecium::machine::Machine;
+    use paramecium::netstack::simlink::{make_simlink, LinkConfig};
+    use paramecium::netstack::tcp::{make_tcp, BASE_RTO};
+    use std::sync::Arc;
+
+    const OPEN: i64 = 1024;
+    let pair = || {
+        let machine = Arc::new(parking_lot::Mutex::new(Machine::new()));
+        let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(5));
+        let a = make_tcp(machine.clone(), end_a, 0x0A00_0001, [2, 0, 0, 0, 0, 0xAA]);
+        let b = make_tcp(machine.clone(), end_b, 0x0A00_0002, [2, 0, 0, 0, 0, 0xBB]);
+        (machine, a, b)
+    };
+    let idle_pump_allocs = |ep: &ObjRef| {
+        ep.invoke("tcp", "pump", &[]).unwrap();
+        count_allocs(|| {
+            for _ in 0..CALLS {
+                ep.invoke("tcp", "pump", &[]).unwrap();
+            }
+        })
+    };
+
+    let (_machine, empty, _peer) = pair();
+    let none_open = idle_pump_allocs(&empty);
+
+    let (machine, a, b) = pair();
+    b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
+    b.invoke("tcp", "set_backlog", &[Value::Int(80), Value::Int(OPEN)])
+        .unwrap();
+    let ids: Vec<i64> = (0..OPEN)
+        .map(|_| {
+            a.invoke("tcp", "connect", &[Value::Int(0x0A00_0002), Value::Int(80)])
+                .unwrap()
+                .as_int()
+                .unwrap()
+        })
+        .collect();
+    for _ in 0..6 {
+        a.invoke("tcp", "pump", &[]).unwrap();
+        b.invoke("tcp", "pump", &[]).unwrap();
+        machine.lock().tick(BASE_RTO / 4);
+    }
+    for id in ids {
+        let state = a.invoke("tcp", "state", &[Value::Int(id)]).unwrap();
+        assert_eq!(state, Value::Str("established".into()));
+    }
+    for (side, ep) in [("client", &a), ("server", &b)] {
+        let many_open = idle_pump_allocs(ep);
+        assert!(
+            many_open <= none_open,
+            "{side}: {many_open} allocs / {CALLS} idle pumps with {OPEN} connections open, \
+             {none_open} with none"
+        );
+    }
+}

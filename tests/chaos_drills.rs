@@ -454,14 +454,25 @@ fn run_drill(seed: u64) -> Report {
         "three connections ride out the storm"
     );
     assert_eq!(outcomes[3].1, "user-timeout", "the doomed one dies cleanly");
+    // A client that aborted no longer owns its tuple, so whatever the
+    // server sends it next (a retransmission, a keepalive probe) draws
+    // an RST: the doomed connection's server side may learn of the death
+    // that way instead of timing out on its own.
+    let mut server_errs = Vec::new();
     for s in &served {
         let err = conn_error(&server, s.id);
         assert!(
-            err.is_empty() || err == "keepalive-timeout" || err == "user-timeout",
+            ["", "keepalive-timeout", "user-timeout", "reset"].contains(&err.as_str()),
             "server conn ended dirty: {err:?}"
         );
+        server_errs.push(err);
         assert_eq!(s.written, s.rx.len() / SECTOR, "all heard data committed");
     }
+    assert_eq!(
+        server_errs.iter().filter(|e| e.is_empty()).count(),
+        3,
+        "the survivors' server sides close cleanly: {server_errs:?}"
+    );
 
     // The recovered store equals the oracle's committed prefix.
     stack.top.invoke("blockdev", "flush", &[]).unwrap();
