@@ -1,7 +1,7 @@
 //! Shared helpers for the Criterion benchmarks.
 //!
-//! Each bench target regenerates one experiment from DESIGN.md §3
-//! (`benches/b1_…` through `b9_…`). Criterion measures host wall-clock of
+//! Each bench target (`benches/b1_…` onwards) times one of the paper's
+//! quantitative claims. Criterion measures host wall-clock of
 //! the real code paths; the deterministic simulated-cycle tables come from
 //! `cargo run --release --example experiments` in the root crate.
 

@@ -26,9 +26,8 @@ use parking_lot::Mutex;
 
 use paramecium_machine::{mmu::Access, trap::Trap, Machine, MachineError};
 use paramecium_obj::{
-    interface::{CallCache, Interface},
-    value::ArgFrame,
-    ObjError, ObjRef, ObjectBuilder, Value,
+    forward::WrapFn, forwarding_interface, value::ArgFrame, Forward, Interface, ObjError, ObjRef,
+    ObjectBuilder, Value,
 };
 
 use crate::{domain::DomainId, events::EventService, memsvc::MemService};
@@ -110,43 +109,29 @@ pub fn make_proxy(
         );
     }
 
-    let shared = Arc::new(CrossCall {
+    let cross = CrossCall {
         ctx: ctx.clone(),
-        target: target.clone(),
         target_domain,
         caller,
         fault_vaddr,
-    });
+    };
 
-    // Each proxy interface entry owns a `CallCache`: the target's `Method`
-    // handle is resolved once and revalidated against the target's export
-    // generation on every crossing, so repeated crossings skip the
-    // interface- and method-table lookups. A re-export on the target makes
-    // the cached handle miss cleanly and re-resolve — it can never call
-    // the superseded implementation.
-    let mut builder =
-        ObjectBuilder::new(format!("proxy<{}>", target.class())).state(shared.clone());
+    // Every interface entry is a forward with the crossing wrapped around
+    // it: the target's method handle is resolved once per entry and
+    // revalidated against the target's export generation on every
+    // crossing, so a re-export on the target can never reach the
+    // superseded implementation.
+    let crossing: WrapFn =
+        Arc::new(move |forward: &Forward<'_>, args: &[Value]| cross.invoke(forward, args));
+    let mut builder = ObjectBuilder::new(format!("proxy<{}>", target.class()));
     for desc in target.descriptors() {
-        let mut iface = Interface::new(desc.interface.clone());
-        for sig in desc.methods {
-            let cc = shared.clone();
-            let iface_name = desc.interface.clone();
-            let method = sig.name.clone();
-            let cache = CallCache::new();
-            iface.insert_method(
-                sig,
-                Arc::new(move |_this: &ObjRef, args: &[Value]| {
-                    cc.invoke(&iface_name, &method, args, &cache)
-                }),
-            );
-        }
-        let cc = shared.clone();
-        let iface_name = desc.interface.clone();
-        let fwd_cache = CallCache::new();
-        iface.set_fallback(Arc::new(move |_this, method, args| {
-            cc.invoke(&iface_name, method, args, &fwd_cache)
-        }));
-        builder = builder.raw_interface(iface);
+        let target = target.clone();
+        builder = builder.raw_interface(forwarding_interface(
+            Interface::new(desc.interface),
+            desc.methods,
+            move |_| Ok(target.clone()),
+            |_| Some(crossing.clone()),
+        ));
     }
     builder.build()
 }
@@ -154,7 +139,6 @@ pub fn make_proxy(
 /// The captured state of one proxy.
 struct CrossCall {
     ctx: ProxyCtx,
-    target: ObjRef,
     target_domain: DomainId,
     caller: DomainId,
     fault_vaddr: u64,
@@ -166,13 +150,7 @@ impl CrossCall {
     }
 
     /// Performs one cross-domain invocation.
-    fn invoke(
-        &self,
-        interface: &str,
-        method: &str,
-        args: &[Value],
-        cache: &CallCache,
-    ) -> Result<Value, ObjError> {
+    fn invoke(&self, forward: &Forward<'_>, args: &[Value]) -> Result<Value, ObjError> {
         // 1. Reference the fault page: a genuine MMU fault in the caller's
         //    context.
         let fault = {
@@ -218,13 +196,7 @@ impl CrossCall {
 
         // 4. Invoke the actual method in the target's domain, through the
         //    proxy entry's pinned method handle when it is still current.
-        let result = cache.invoke(
-            None,
-            || Ok(self.target.clone()),
-            interface,
-            method,
-            sent.as_slice(),
-        );
+        let result = forward.call(sent.as_slice());
 
         // 5. Marshal the result back and return to the caller's context.
         let back = match result {

@@ -28,7 +28,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use paramecium_obj::{ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{
+    delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjectBuilder, TypeTag, Value,
+};
 
 use crate::wire::{
     self, ArpPacket, EthHeader, Ipv4Header, Mac, ARP_OP_REPLY, ARP_OP_REQUEST, ETHERTYPE_ARP,
@@ -146,7 +148,40 @@ impl ArpState {
 /// Builds the ARP layer over `lower`, owning protocol address `ip` with
 /// hardware address `mac`.
 pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
+    let netdev = InterfaceBuilder::new("netdev")
+        .method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
+            let frame = args[0].as_bytes()?.clone();
+            this.with_state(|s: &mut ArpState| {
+                s.send_out(frame)?;
+                Ok(Value::Unit)
+            })
+        })
+        .method("recv", &[], TypeTag::Bytes, |this, _| {
+            // Pull from below until a non-ARP frame (or nothing) shows
+            // up; ARP frames are absorbed into the cache / answered.
+            let lower = this.with_state(|s: &mut ArpState| Ok(s.lower.clone()))?;
+            loop {
+                let frame = lower.invoke("netdev", "recv", &[])?;
+                let bytes = frame.as_bytes()?;
+                if bytes.is_empty() {
+                    return Ok(frame);
+                }
+                let is_arp = matches!(
+                    EthHeader::parse(bytes),
+                    Ok((eth, _)) if eth.ethertype == ETHERTYPE_ARP
+                );
+                if !is_arp {
+                    return Ok(frame);
+                }
+                let payload = bytes.slice(wire::ETH_HLEN..bytes.len());
+                this.with_state(|s: &mut ArpState| s.absorb(&payload))?;
+            }
+        })
+        .finish();
     ObjectBuilder::new("arp")
+        // The rest of `netdev` (`pending`, `stats`, ...) is the lower
+        // device's to answer.
+        .raw_interface(delegate_interface(netdev, lower.clone()))
         .state(ArpState {
             lower,
             ip,
@@ -159,44 +194,6 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
             hits: 0,
             misses: 0,
             pending_dropped: 0,
-        })
-        .interface("netdev", |i| {
-            i.method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
-                let frame = args[0].as_bytes()?.clone();
-                this.with_state(|s: &mut ArpState| {
-                    s.send_out(frame)?;
-                    Ok(Value::Unit)
-                })
-            })
-            .method("recv", &[], TypeTag::Bytes, |this, _| {
-                // Pull from below until a non-ARP frame (or nothing) shows
-                // up; ARP frames are absorbed into the cache / answered.
-                let lower = this.with_state(|s: &mut ArpState| Ok(s.lower.clone()))?;
-                loop {
-                    let frame = lower.invoke("netdev", "recv", &[])?;
-                    let bytes = frame.as_bytes()?;
-                    if bytes.is_empty() {
-                        return Ok(frame);
-                    }
-                    let is_arp = matches!(
-                        EthHeader::parse(bytes),
-                        Ok((eth, _)) if eth.ethertype == ETHERTYPE_ARP
-                    );
-                    if !is_arp {
-                        return Ok(frame);
-                    }
-                    let payload = bytes.slice(wire::ETH_HLEN..bytes.len());
-                    this.with_state(|s: &mut ArpState| s.absorb(&payload))?;
-                }
-            })
-            .method("pending", &[], TypeTag::Int, |this, _| {
-                let lower = this.with_state(|s: &mut ArpState| Ok(s.lower.clone()))?;
-                lower.invoke("netdev", "pending", &[])
-            })
-            .method("stats", &[], TypeTag::List, |this, _| {
-                let lower = this.with_state(|s: &mut ArpState| Ok(s.lower.clone()))?;
-                lower.invoke("netdev", "stats", &[])
-            })
         })
         .interface("arp", |i| {
             i.method("resolve", &[TypeTag::Int], TypeTag::Bytes, |this, args| {

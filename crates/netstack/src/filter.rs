@@ -30,36 +30,12 @@ struct FilterState {
 
 /// Builds a native filter accepting UDP datagrams to `port`.
 pub fn make_native_port_filter(port: u16) -> ObjRef {
-    ObjectBuilder::new("port-filter")
-        .state(FilterState {
-            port,
-            ..FilterState::default()
-        })
-        .interface("filter", |i| {
-            i.method("check", &[TypeTag::Bytes], TypeTag::Bool, |this, args| {
-                let frame = args[0].as_bytes()?.clone();
-                this.with_state(|s: &mut FilterState| {
-                    s.checked += 1;
-                    let ok = matches!(
-                        wire::parse_udp_frame(&frame),
-                        Ok((_, udp, _)) if udp.dst_port == s.port
-                    );
-                    if ok {
-                        s.accepted += 1;
-                    }
-                    Ok(Value::Bool(ok))
-                })
-            })
-            .method("stats", &[], TypeTag::List, |this, _| {
-                this.with_state(|s: &mut FilterState| {
-                    Ok(Value::List(vec![
-                        Value::Int(s.checked as i64),
-                        Value::Int(s.accepted as i64),
-                    ]))
-                })
-            })
-        })
-        .build()
+    make_port_filter("port-filter", port, |frame, port| {
+        matches!(
+            wire::parse_udp_frame(frame),
+            Ok((_, udp, _)) if udp.dst_port == port
+        )
+    })
 }
 
 /// Builds a native filter accepting TCP segments *or* UDP datagrams to
@@ -68,27 +44,43 @@ pub fn make_native_port_filter(port: u16) -> ObjRef {
 /// place), so it is cheap enough to sit in front of a TCP endpoint's
 /// receive path.
 pub fn make_l4_port_filter(port: u16) -> ObjRef {
-    ObjectBuilder::new("l4-port-filter")
+    make_port_filter("l4-port-filter", port, |frame, port| {
+        frame.len() >= DST_PORT_OFF as usize + 2
+            && frame[12..14] == wire::ETHERTYPE_IPV4.to_be_bytes()
+            && matches!(frame[23], wire::IPPROTO_TCP | wire::IPPROTO_UDP)
+            && frame[DST_PORT_OFF as usize..DST_PORT_OFF as usize + 2] == port.to_be_bytes()
+    })
+}
+
+/// The native filter object: counts what it checks and what `accepts`
+/// (a predicate over the frame and the port) lets through.
+fn make_port_filter(
+    class: &str,
+    port: u16,
+    accepts: impl Fn(&[u8], u16) -> bool + Send + Sync + 'static,
+) -> ObjRef {
+    ObjectBuilder::new(class)
         .state(FilterState {
             port,
             ..FilterState::default()
         })
         .interface("filter", |i| {
-            i.method("check", &[TypeTag::Bytes], TypeTag::Bool, |this, args| {
-                let frame = args[0].as_bytes()?.clone();
-                this.with_state(|s: &mut FilterState| {
-                    s.checked += 1;
-                    let ok = frame.len() >= DST_PORT_OFF as usize + 2
-                        && frame[12..14] == wire::ETHERTYPE_IPV4.to_be_bytes()
-                        && matches!(frame[23], wire::IPPROTO_TCP | wire::IPPROTO_UDP)
-                        && frame[DST_PORT_OFF as usize..DST_PORT_OFF as usize + 2]
-                            == s.port.to_be_bytes();
-                    if ok {
-                        s.accepted += 1;
-                    }
-                    Ok(Value::Bool(ok))
-                })
-            })
+            i.method(
+                "check",
+                &[TypeTag::Bytes],
+                TypeTag::Bool,
+                move |this, args| {
+                    let frame = args[0].as_bytes()?.clone();
+                    this.with_state(|s: &mut FilterState| {
+                        s.checked += 1;
+                        let ok = accepts(&frame, s.port);
+                        if ok {
+                            s.accepted += 1;
+                        }
+                        Ok(Value::Bool(ok))
+                    })
+                },
+            )
             .method("stats", &[], TypeTag::List, |this, _| {
                 this.with_state(|s: &mut FilterState| {
                     Ok(Value::List(vec![

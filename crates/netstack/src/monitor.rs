@@ -17,10 +17,7 @@ use std::sync::{
 };
 
 use paramecium_obj::{
-    interface::{CallCache, Interface},
-    interpose::{interposer_target, InterposerBuilder},
-    typeinfo::MethodSig,
-    ObjRef, TypeTag, Value,
+    interface::Interface, interpose::InterposerBuilder, typeinfo::MethodSig, ObjRef, TypeTag, Value,
 };
 
 /// Shared monitor counters.
@@ -96,42 +93,24 @@ pub fn make_network_monitor(target: ObjRef) -> (ObjRef, Arc<NetMonStats>) {
 
     let agent = InterposerBuilder::new(target)
         .class("netmon-agent")
-        .override_method("netdev", "send", {
-            let cache = CallCache::new();
-            move |this, args| {
-                if let Some(Value::Bytes(b)) = args.first() {
-                    bump(&tx_stats.tx_frames, 1);
-                    bump(&tx_stats.tx_bytes, b.len() as u64);
-                    tx_stats.record_size(b.len());
-                }
-                cache.invoke(
-                    Some(this),
-                    || interposer_target(this),
-                    "netdev",
-                    "send",
-                    args,
-                )
+        .override_method("netdev", "send", move |forward, args| {
+            if let Some(Value::Bytes(b)) = args.first() {
+                bump(&tx_stats.tx_frames, 1);
+                bump(&tx_stats.tx_bytes, b.len() as u64);
+                tx_stats.record_size(b.len());
             }
+            forward.call(args)
         })
-        .override_method("netdev", "recv", {
-            let cache = CallCache::new();
-            move |this, args| {
-                let result = cache.invoke(
-                    Some(this),
-                    || interposer_target(this),
-                    "netdev",
-                    "recv",
-                    args,
-                )?;
-                if let Value::Bytes(b) = &result {
-                    if !b.is_empty() {
-                        bump(&rx_stats.rx_frames, 1);
-                        bump(&rx_stats.rx_bytes, b.len() as u64);
-                        rx_stats.record_size(b.len());
-                    }
+        .override_method("netdev", "recv", move |forward, args| {
+            let result = forward.call(args)?;
+            if let Value::Bytes(b) = &result {
+                if !b.is_empty() {
+                    bump(&rx_stats.rx_frames, 1);
+                    bump(&rx_stats.rx_bytes, b.len() as u64);
+                    rx_stats.record_size(b.len());
                 }
-                Ok(result)
             }
+            Ok(result)
         })
         .extra_interface(netmon)
         .build();

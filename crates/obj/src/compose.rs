@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 use crate::{
     builder::ObjectBuilder,
     error::ObjError,
-    interface::{CallCache, Interface},
+    forward::forwarding_interface,
+    interface::Interface,
     object::ObjRef,
     typeinfo::{MethodSig, TypeTag},
     value::Value,
@@ -106,36 +107,19 @@ impl CompositionBuilder {
         let mut builder = ObjectBuilder::new(self.class);
 
         // One forwarding interface per export. The current child instance
-        // backs each call so that `replace` takes effect for existing
-        // clients — this is the late-binding property. Resolution is
-        // cached per hop ([`CallCache`]) and revalidated against the
-        // composition's export generation, which `replace` bumps; the
-        // argument slice is reused, never re-collected.
+        // backs each call so that `replace` (which bumps the composition's
+        // export generation) takes effect for existing clients — this is
+        // the late-binding property.
         for (iface_name, child_name) in &self.state.exports {
             let child = &self.state.children[child_name];
-            let mut iface = Interface::new(iface_name.clone());
-            for desc in child.descriptors() {
-                if desc.interface != *iface_name {
-                    continue;
-                }
-                for sig in desc.methods {
-                    let (i, c, m) = (iface_name.clone(), child_name.clone(), sig.name.clone());
-                    let cache = CallCache::new();
-                    iface.insert_method(
-                        sig,
-                        std::sync::Arc::new(move |this: &ObjRef, args: &[Value]| {
-                            cache.invoke(Some(this), || lookup_child(this, &c), &i, &m, args)
-                        }),
-                    );
-                }
-            }
-            // Fallback covers methods added to the child after composition.
-            let (i, c) = (iface_name.clone(), child_name.clone());
-            let fwd_cache = CallCache::new();
-            iface.set_fallback(std::sync::Arc::new(move |this, method, args| {
-                fwd_cache.invoke(Some(this), || lookup_child(this, &c), &i, method, args)
-            }));
-            builder = builder.raw_interface(iface);
+            let sigs = child.interface(iface_name)?.descriptor().methods;
+            let child_name = child_name.clone();
+            builder = builder.raw_interface(forwarding_interface(
+                Interface::new(iface_name.clone()),
+                sigs,
+                move |this| lookup_child(this, &child_name),
+                |_| None,
+            ));
         }
 
         builder = builder.raw_interface(admin_interface());

@@ -5,14 +5,17 @@
 //! delegate the rest to another object's interface of the same name. Unlike
 //! class inheritance, delegation happens between *instances* at run time.
 
-use crate::{interface::Interface, object::ObjRef};
+use crate::{forward::forwarding_interface, interface::Interface, object::ObjRef};
 
 /// Wires `base` so that any method it does not implement is forwarded to
 /// `target`'s interface of the same name.
 ///
 /// The receiver seen by the delegated method is `target`, so delegated
 /// methods operate on the target's instance data — this is delegation, not
-/// inheritance.
+/// inheritance. Methods the target exports now are installed under the
+/// target's own signatures, so the delegating object describes and
+/// type-checks like the target; methods the target grows later are reached
+/// all the same.
 ///
 /// # Examples
 ///
@@ -38,17 +41,11 @@ use crate::{interface::Interface, object::ObjRef};
 /// assert_eq!(specialised.invoke("io", "read", &[]).unwrap(), Value::Str("base-read".into()));
 /// ```
 pub fn delegate_interface(base: Interface, target: ObjRef) -> Interface {
-    let iface_name = base.name().to_owned();
-    let mut iface = base;
-    // Delegated calls reuse the incoming argument slice and cache the
-    // resolved target method per call site. The target instance is fixed
-    // (no holder generation to track); re-exports on the target itself
-    // invalidate the cached handle via its export generation.
-    let cache = crate::interface::CallCache::new();
-    iface.set_fallback(std::sync::Arc::new(move |_this, method, args| {
-        cache.invoke(None, || Ok(target.clone()), &iface_name, method, args)
-    }));
-    iface
+    let sigs = target
+        .interface(base.name())
+        .map(|i| i.descriptor().methods)
+        .unwrap_or_default();
+    forwarding_interface(base, sigs, move |_| Ok(target.clone()), |_| None)
 }
 
 #[cfg(test)]

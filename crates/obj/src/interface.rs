@@ -64,8 +64,8 @@ impl Method {
 /// A named set of methods with type information.
 ///
 /// Methods are stored behind `Arc` so resolved handles can be cached by the
-/// dispatch fast path (per-object caches, [`CallCache`], cross-domain
-/// proxies) without cloning signatures.
+/// dispatch fast path (per-object caches, the cache behind every
+/// [`Forward`](crate::forward::Forward)) without cloning signatures.
 #[derive(Clone)]
 pub struct Interface {
     name: String,
@@ -224,17 +224,17 @@ impl Interface {
     }
 }
 
-/// A one-slot cache for forwarding a call to another object — the per-hop
-/// "run time inline technique" used by interposers, compositions,
-/// delegation and cross-domain proxies.
+/// A small cache for forwarding a call to another object — the per-hop
+/// "run time inline technique" behind every
+/// [`Forward`](crate::forward::Forward).
 ///
 /// The cached resolution (target handle + method handle) is revalidated on
 /// every call against two export-generation counters
 /// ([`Object::export_generation`](crate::object::Object::export_generation)):
 ///
-/// * the **holder**'s — the wrapper object whose forwarding topology can
-///   change (an interposer being retargeted, a composition child being
-///   replaced); wrappers bump their generation on such changes, and
+/// * the **holder**'s — the forwarding object, whose topology can change
+///   (an interposer being retargeted, a composition child being
+///   replaced); forwarders bump their generation on such changes, and
 /// * the **target**'s — bumped when the target re-exports or revokes an
 ///   interface.
 ///
@@ -244,7 +244,7 @@ impl Interface {
 /// no name-space walk, no state downcast, no method-table lookup, and no
 /// allocation.
 #[derive(Default)]
-pub struct CallCache {
+pub(crate) struct CallCache {
     slot: SnapCell<Vec<CachedCall>>,
 }
 
@@ -264,8 +264,7 @@ struct CachedCall {
 
 impl CallCache {
     /// Creates an empty cache. One `CallCache` serves one forwarding call
-    /// site (a fixed interface; the method may vary, e.g. in a delegation
-    /// fallback).
+    /// site (a fixed interface; the method varies only in a fallback).
     pub fn new() -> Self {
         CallCache::default()
     }
@@ -273,21 +272,20 @@ impl CallCache {
     /// Forwards `interface::method(args)` to the object produced by
     /// `resolve_target`, caching the resolution.
     ///
-    /// `holder` is the wrapper whose generation guards the cached *target*
-    /// (pass `None` when the target can never be rebound, e.g. delegation
-    /// to a fixed instance). `resolve_target` is only run on a cache miss.
-    /// Methods served by a delegation fallback on the target are forwarded
+    /// `holder` is the forwarder whose generation guards the cached
+    /// *target*. `resolve_target` is only run on a cache miss. Methods
+    /// served by a delegation fallback on the target are forwarded
     /// uncached — they have no stable handle to pin.
     #[inline]
     pub fn invoke(
         &self,
-        holder: Option<&ObjRef>,
+        holder: &ObjRef,
         resolve_target: impl FnOnce() -> ObjResult<ObjRef>,
         interface: &str,
         method: &str,
         args: &[Value],
     ) -> ObjResult<Value> {
-        let holder_gen = holder.map_or(0, |h| h.export_generation());
+        let holder_gen = holder.export_generation();
         // Lock-free fast path: one snapshot load plus generation checks.
         // The snapshot stays valid for the duration of the call even if a
         // concurrent miss republishes (see `snapcell`).

@@ -10,12 +10,33 @@
 //! Replacing the handle in the name space is done by the directory service
 //! (`paramecium-core`), which makes all further lookups resolve to the
 //! agent.
+//!
+//! # Writing a layer
+//!
+//! A layer reimplements the methods it cares about and forwards the rest;
+//! it never restates a method it merely passes through — an enumerated
+//! pass-through goes stale the day the interface below grows a method.
+//!
+//! - **Retargetable agent** (monitor, tracer, fault injector — anything
+//!   the directory service may slide in front of a live object): build it
+//!   with [`InterposerBuilder`]. Overrides get a [`Forward`] to the method
+//!   they replace; everything else, on every interface of the target, is
+//!   forwarded, and `interposer.retarget` re-points the lot.
+//! - **Fixed-target stateful layer** (retry, cache, ARP — built over one
+//!   lower object for life, with instance data of its own): declare the
+//!   reimplemented methods on an ordinary interface and hand it to
+//!   [`delegate_interface`](crate::delegate_interface) with the lower
+//!   object.
+//!
+//! Both are [`forwarding_interface`] underneath, as are compositions and
+//! cross-domain proxies.
 
 use std::{collections::BTreeMap, sync::Arc};
 
 use crate::{
     builder::ObjectBuilder,
-    interface::{CallCache, Interface, MethodFn},
+    forward::{forwarding_interface, Forward, WrapFn},
+    interface::Interface,
     object::ObjRef,
     value::Value,
     ObjResult,
@@ -65,7 +86,7 @@ pub const INTERPOSER_IFACE: &str = "interposer";
 pub struct InterposerBuilder {
     target: ObjRef,
     class: String,
-    overrides: BTreeMap<(String, String), MethodFn>,
+    overrides: BTreeMap<(String, String), WrapFn>,
     extra: Vec<Interface>,
     before: Vec<ObserveFn>,
     after: Vec<ObserveFn>,
@@ -93,12 +114,17 @@ impl InterposerBuilder {
 
     /// Reimplements one method of one interface.
     ///
-    /// The receiver passed to `f` is the *interposer*; use
-    /// [`interposer_target`] to reach the wrapped object for
-    /// modify-and-forward implementations.
+    /// `f` receives the [`Forward`] of the method it replaces: call it to
+    /// modify-and-forward (it follows `retarget`), ignore it to answer
+    /// alone; [`Forward::this`] is the *interposer*.
+    ///
+    /// # Panics
+    ///
+    /// [`InterposerBuilder::build`] panics if the target exports no such
+    /// method — an override that can never run is a bug at the call site.
     pub fn override_method<F>(mut self, interface: &str, method: &str, f: F) -> Self
     where
-        F: Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
+        F: Fn(&Forward<'_>, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
     {
         self.overrides
             .insert((interface.to_owned(), method.to_owned()), Arc::new(f));
@@ -125,95 +151,36 @@ impl InterposerBuilder {
     }
 
     /// Builds the agent object.
-    pub fn build(self) -> ObjRef {
+    pub fn build(mut self) -> ObjRef {
         let mut builder = ObjectBuilder::new(self.class).state(InterposerState {
             target: self.target.clone(),
         });
+        let hooks = (!self.before.is_empty() || !self.after.is_empty())
+            .then(|| Arc::new((self.before, self.after)));
 
-        let before = Arc::new(self.before);
-        let after = Arc::new(self.after);
-        let no_hooks = before.is_empty() && after.is_empty();
-
-        for iface_name in self.target.interface_names() {
-            let mut iface = Interface::new(iface_name.clone());
-            // Copy the target's signatures so the agent is indistinguishable
-            // from the original to type-aware clients.
-            for desc in self.target.descriptors() {
-                if desc.interface != iface_name {
-                    continue;
-                }
-                for sig in desc.methods {
-                    let key = (iface_name.clone(), sig.name.clone());
-                    let (i, m) = key.clone();
-                    let body: MethodFn = match self.overrides.get(&key) {
-                        Some(ovr) => ovr.clone(),
-                        None => {
-                            // Forwarding reuses the incoming argument slice
-                            // (no re-collect) and caches the resolved
-                            // target method per hop; `retarget` bumps the
-                            // agent's export generation so the cache
-                            // re-resolves.
-                            let (fi, fm) = (i.clone(), m.clone());
-                            let cache = CallCache::new();
-                            Arc::new(move |this: &ObjRef, args: &[Value]| {
-                                cache.invoke(Some(this), || interposer_target(this), &fi, &fm, args)
-                            })
-                        }
-                    };
-                    // Without hooks the body is installed directly — one
-                    // fewer indirect call and capture block per hop.
-                    let wrapped: MethodFn = if no_hooks {
-                        body
-                    } else {
-                        let (b, a) = (before.clone(), after.clone());
-                        Arc::new(move |this: &ObjRef, args: &[Value]| {
-                            for h in b.iter() {
-                                h(&i, &m, args);
-                            }
-                            let r = body(this, args);
-                            for h in a.iter() {
-                                h(&i, &m, args);
-                            }
-                            r
-                        })
-                    };
-                    iface.insert_method(sig, wrapped);
-                }
-            }
-            // Forward methods unknown at wrap time (one shared cache per
-            // interface; the method name is revalidated on every hit).
-            let fwd_iface = iface_name.clone();
-            let fwd_cache = CallCache::new();
-            if no_hooks {
-                iface.set_fallback(Arc::new(move |this, method, args| {
-                    fwd_cache.invoke(
-                        Some(this),
-                        || interposer_target(this),
-                        &fwd_iface,
-                        method,
-                        args,
-                    )
-                }));
-            } else {
-                let (b, a) = (before.clone(), after.clone());
-                iface.set_fallback(Arc::new(move |this, method, args| {
-                    for h in b.iter() {
-                        h(&fwd_iface, method, args);
+        for desc in self.target.descriptors() {
+            let iface = forwarding_interface(
+                Interface::new(desc.interface.clone()),
+                desc.methods,
+                interposer_target,
+                |method| {
+                    let body = method.and_then(|m| {
+                        self.overrides
+                            .remove(&(desc.interface.clone(), m.to_owned()))
+                    });
+                    match &hooks {
+                        None => body,
+                        Some(hooks) => Some(hooked(hooks.clone(), body)),
                     }
-                    let r = fwd_cache.invoke(
-                        Some(this),
-                        || interposer_target(this),
-                        &fwd_iface,
-                        method,
-                        args,
-                    );
-                    for h in a.iter() {
-                        h(&fwd_iface, method, args);
-                    }
-                    r
-                }));
-            }
+                },
+            );
             builder = builder.raw_interface(iface);
+        }
+        if let Some((interface, method)) = self.overrides.keys().next() {
+            panic!(
+                "override_method(\"{interface}\", \"{method}\"): `{}` exports no such method",
+                self.target.class()
+            );
         }
 
         for iface in self.extra {
@@ -223,6 +190,25 @@ impl InterposerBuilder {
         builder = builder.raw_interface(admin_interface());
         builder.build()
     }
+}
+
+/// Runs the `before` hooks, then `body` (the bare forward when `None`),
+/// then the `after` hooks.
+fn hooked(hooks: Arc<(Vec<ObserveFn>, Vec<ObserveFn>)>, body: Option<WrapFn>) -> WrapFn {
+    Arc::new(move |forward: &Forward<'_>, args: &[Value]| {
+        let (before, after) = &*hooks;
+        for h in before {
+            h(forward.interface(), forward.method(), args);
+        }
+        let r = match &body {
+            Some(body) => body(forward, args),
+            None => forward.call(args),
+        };
+        for h in after {
+            h(forward.interface(), forward.method(), args);
+        }
+        r
+    })
 }
 
 /// Returns the object an interposer currently wraps.
@@ -304,13 +290,22 @@ mod tests {
     fn override_can_modify_and_forward() {
         // Doubles every pushed value, then forwards.
         let agent = InterposerBuilder::new(target())
-            .override_method("svc", "push", |this, args| {
+            .override_method("svc", "push", |forward, args| {
                 let v = args[0].as_int()?;
-                interposer_target(this)?.invoke("svc", "push", &[Value::Int(v * 2)])
+                forward.call(&[Value::Int(v * 2)])
             })
             .build();
         agent.invoke("svc", "push", &[Value::Int(3)]).unwrap();
         assert_eq!(agent.invoke("svc", "sum", &[]).unwrap(), Value::Int(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "override_method(\"svc\", \"psuh\")")]
+    fn override_for_a_method_the_target_lacks_is_refused_at_build() {
+        // Dropping it silently would leave the agent fully transparent.
+        InterposerBuilder::new(target())
+            .override_method("svc", "psuh", |_, _| Ok(Value::Unit))
+            .build();
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod builder;
 pub mod compose;
 pub mod delegate;
 pub mod error;
+pub mod forward;
 pub mod interface;
 pub mod interpose;
 pub mod object;
@@ -56,7 +57,8 @@ pub use builder::{InterfaceBuilder, ObjectBuilder};
 pub use compose::CompositionBuilder;
 pub use delegate::delegate_interface;
 pub use error::ObjError;
-pub use interface::{BoundMethod, CallCache, Interface, Method, MethodFn};
+pub use forward::{forwarding_interface, Forward};
+pub use interface::{BoundMethod, Interface, Method, MethodFn};
 pub use interpose::InterposerBuilder;
 pub use object::{ObjRef, Object, ResolvedMethod};
 pub use trylock::{TryLock, TryLockGuard};

@@ -217,7 +217,7 @@ impl Object {
     /// The current export generation.
     ///
     /// Any cached method handle ([`ResolvedMethod`], a
-    /// [`CallCache`](crate::interface::CallCache) slot, the per-object
+    /// [`Forward`](crate::forward::Forward)'s cache, the per-object
     /// dispatch cache) resolved at an older generation is stale and must
     /// re-resolve before calling.
     #[inline]

@@ -1,7 +1,7 @@
 //! A read-mostly publish cell for the dispatch caches.
 //!
 //! The dispatch fast paths ([`Object::invoke`](crate::object::Object)'s
-//! inline cache and [`CallCache`](crate::interface::CallCache)) read their
+//! inline cache and the per-hop [`Forward`](crate::forward::Forward) cache) read their
 //! cached resolutions on every invocation but rewrite them only when a
 //! resolution goes stale — a control-plane event (interface re-export,
 //! interposer retarget, child replacement). Even an uncontended lock costs

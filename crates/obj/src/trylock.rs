@@ -1,7 +1,7 @@
 //! A minimal try-only lock for the dispatch fast path.
 //!
 //! The dispatch caches ([`Object`](crate::object::Object)'s inline cache
-//! and [`CallCache`](crate::interface::CallCache)) are acquired on every
+//! and the per-hop [`Forward`](crate::forward::Forward) cache) are acquired on every
 //! hot invocation, always via *try*-acquire, and never held across a
 //! blocking operation. A full mutex pays for capabilities those caches
 //! never use (blocking, queueing); this lock is the minimum that preserves

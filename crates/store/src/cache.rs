@@ -64,7 +64,8 @@ use parking_lot::Mutex;
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{
-    ObjError, ObjRef, ObjResult, ObjectBuilder, TryLock, TryLockGuard, TypeTag, Value,
+    delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder, TryLock,
+    TryLockGuard, TypeTag, Value,
 };
 
 use crate::vectored::{
@@ -821,19 +822,6 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
     Ok(Value::Int(dirty.len() as i64))
 }
 
-/// Builds a single-shard block cache of `capacity` sectors over `backing`
-/// (any object exporting `blockdev`).
-#[deprecated(note = "use store::StackBuilder::on(backing).cache(capacity).build()")]
-pub fn make_block_cache(backing: ObjRef, capacity: usize) -> ObjRef {
-    build_sharded_block_cache(backing, capacity, 1)
-}
-
-/// Builds a sharded block cache over `backing`.
-#[deprecated(note = "use store::StackBuilder::on(backing).sharded_cache(capacity, shards).build()")]
-pub fn make_sharded_block_cache(backing: ObjRef, capacity: usize, shards: usize) -> ObjRef {
-    build_sharded_block_cache(backing, capacity, shards)
-}
-
 /// Builds a block cache of `capacity` total sectors over `backing`,
 /// sharded `shards` ways by sector — the implementation behind
 /// [`crate::StackBuilder`]'s cache layer. The shard count is rounded up
@@ -884,23 +872,19 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
         total_sectors: OnceLock::new(),
         txn_sectors: Mutex::new(HashMap::new()),
     });
-    let blockdev_shared = shared.clone();
-    let cache_shared = shared;
-    ObjectBuilder::new("block-cache")
-        .interface("blockdev", move |i| {
-            let s_read = blockdev_shared.clone();
-            let s_write = blockdev_shared.clone();
-            let s_read_many = blockdev_shared.clone();
-            let s_write_many = blockdev_shared.clone();
-            let s_sectors = blockdev_shared.clone();
-            let s_stats = blockdev_shared.clone();
-            let s_bd_flush = blockdev_shared.clone();
-            let s_bd_barrier = blockdev_shared.clone();
-            let s_begin = blockdev_shared.clone();
-            let s_txn_write = blockdev_shared.clone();
-            let s_commit = blockdev_shared.clone();
-            let s_abort = blockdev_shared.clone();
-            i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
+    let blockdev = {
+        let s_read = shared.clone();
+        let s_write = shared.clone();
+        let s_read_many = shared.clone();
+        let s_write_many = shared.clone();
+        let s_bd_flush = shared.clone();
+        let s_bd_barrier = shared.clone();
+        let s_begin = shared.clone();
+        let s_txn_write = shared.clone();
+        let s_commit = shared.clone();
+        let s_abort = shared.clone();
+        InterfaceBuilder::new("blockdev")
+            .method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
                 cache_read(&s_read, args[0].as_int()?)
             })
             .method(
@@ -940,12 +924,6 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                     cache_write_many(&s_write_many, &pairs)
                 },
             )
-            .method("sectors", &[], TypeTag::Int, move |_, _| {
-                s_sectors.backing.invoke("blockdev", "sectors", &[])
-            })
-            .method("stats", &[], TypeTag::List, move |_, _| {
-                s_stats.backing.invoke("blockdev", "stats", &[])
-            })
             .method("flush", &[], TypeTag::Int, move |_, _| {
                 // Own dirty lines first, then the layer below — a
                 // journal checkpoint must find these writes in its log
@@ -1001,12 +979,17 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                 s_abort.txn_sectors.lock().remove(&txn);
                 Ok(out)
             })
-        })
+            .finish()
+    };
+    ObjectBuilder::new("block-cache")
+        // What the cache does not reimplement (`sectors`, `stats`,
+        // `write_limit`, ...) is the backing store's to answer.
+        .raw_interface(delegate_interface(blockdev, shared.backing.clone()))
         .interface("cache", move |i| {
-            let s_stats = cache_shared.clone();
-            let s_shard_stats = cache_shared.clone();
-            let s_shards = cache_shared.clone();
-            let s_flush = cache_shared.clone();
+            let s_stats = shared.clone();
+            let s_shard_stats = shared.clone();
+            let s_shards = shared.clone();
+            let s_flush = shared.clone();
             i.method("stats", &[], TypeTag::List, move |_, _| {
                 let (mut hits, mut misses, mut wb, mut resident) = (0u64, 0u64, 0u64, 0usize);
                 for lock in &s_stats.shards {
@@ -1459,6 +1442,37 @@ mod tests {
         assert_eq!(v.as_bytes().unwrap()[0], 0);
     }
 
+    /// 10 dirty lines over an 8-sector journal (6-sector transaction
+    /// limit) somewhere below `top`: the flush must split into two
+    /// journal transactions instead of failing one oversized one.
+    fn assert_flush_chunks_to_write_limit(top: &ObjRef, journal: &ObjRef, driver: &ObjRef) {
+        assert_eq!(
+            top.invoke("blockdev", "write_limit", &[]).unwrap(),
+            Value::Int(6)
+        );
+        for sec in 0..10i64 {
+            top.invoke(
+                "blockdev",
+                "write",
+                &[Value::Int(sec), sector_of(0x90 + sec as u8)],
+            )
+            .unwrap();
+        }
+        assert_eq!(top.invoke("cache", "flush", &[]).unwrap(), Value::Int(10));
+        let s = journal.invoke("journal", "stats", &[]).unwrap();
+        let s = s.as_list().unwrap();
+        assert_eq!(s[0], Value::Int(2), "two chunked commits");
+        // Nothing left dirty, and a full-stack flush homes everything.
+        assert_eq!(top.invoke("cache", "flush", &[]).unwrap(), Value::Int(0));
+        top.invoke("blockdev", "flush", &[]).unwrap();
+        for sec in 0..10i64 {
+            let v = driver
+                .invoke("blockdev", "read", &[Value::Int(sec)])
+                .unwrap();
+            assert_eq!(v.as_bytes().unwrap()[0], 0x90 + sec as u8);
+        }
+    }
+
     #[test]
     fn flush_chunks_to_the_backing_write_limit() {
         // Regression: flush used to send every dirty line as ONE
@@ -1470,47 +1484,32 @@ mod tests {
         let machine = Arc::new(Mutex::new(Machine::new()));
         let mem = Arc::new(MemService::new(machine));
         let stack = StackBuilder::disk(&mem, KERNEL_DOMAIN)
-            .journal(JournalConfig { log_sectors: 8 }) // 6-sector txn limit
+            .journal(JournalConfig { log_sectors: 8 })
             .cache(16)
             .build()
             .unwrap();
-        let j = stack.journal.as_ref().unwrap();
+        let journal = stack.journal.as_ref().unwrap();
+        assert_flush_chunks_to_write_limit(&stack.top, journal, &stack.driver);
+    }
+
+    #[test]
+    fn write_limit_reaches_the_cache_through_a_layer_that_never_heard_of_it() {
+        // Regression: retry listed the `blockdev` methods it passed
+        // through, `write_limit` was not on the list, so a cache above
+        // retry-over-journal probed "unbounded" and its flush failed on
+        // every attempt. Forwarding "the rest" cannot go stale that way.
+        use crate::{make_retry, mount_journal, JournalConfig, RetryConfig};
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let mem = Arc::new(MemService::new(machine.clone()));
+        let driver = StackBuilder::disk(&mem, KERNEL_DOMAIN).build().unwrap().top;
+        let journal = mount_journal(driver.clone(), JournalConfig { log_sectors: 8 }).unwrap();
+        let retry = make_retry(machine, journal.clone(), RetryConfig::default());
         assert_eq!(
-            j.invoke("blockdev", "write_limit", &[]).unwrap(),
+            retry.invoke("blockdev", "write_limit", &[]).unwrap(),
             Value::Int(6)
         );
-        for sec in 0..10i64 {
-            stack
-                .top
-                .invoke(
-                    "blockdev",
-                    "write",
-                    &[Value::Int(sec), sector_of(0x90 + sec as u8)],
-                )
-                .unwrap();
-        }
-        // 10 dirty lines > the 6-sector limit: the flush must split into
-        // two journal transactions instead of failing one oversized one.
-        assert_eq!(
-            stack.top.invoke("cache", "flush", &[]).unwrap(),
-            Value::Int(10)
-        );
-        let s = j.invoke("journal", "stats", &[]).unwrap();
-        let s = s.as_list().unwrap();
-        assert_eq!(s[0], Value::Int(2), "two chunked commits");
-        // Nothing left dirty, and a full-stack flush homes everything.
-        assert_eq!(
-            stack.top.invoke("cache", "flush", &[]).unwrap(),
-            Value::Int(0)
-        );
-        stack.top.invoke("blockdev", "flush", &[]).unwrap();
-        for sec in 0..10i64 {
-            let v = stack
-                .driver
-                .invoke("blockdev", "read", &[Value::Int(sec)])
-                .unwrap();
-            assert_eq!(v.as_bytes().unwrap()[0], 0x90 + sec as u8);
-        }
+        let cache = StackBuilder::on(retry).cache(16).build().unwrap().top;
+        assert_flush_chunks_to_write_limit(&cache, &journal, &driver);
     }
 
     #[test]

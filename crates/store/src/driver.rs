@@ -350,12 +350,6 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
         .build())
 }
 
-/// Builds the disk driver for `domain`.
-#[deprecated(note = "use store::StackBuilder::disk(mem, domain).build()")]
-pub fn make_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> CoreResult<ObjRef> {
-    build_disk_driver(mem, domain)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

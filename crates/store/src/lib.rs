@@ -31,7 +31,8 @@
 //! # The `blockdev` interface
 //!
 //! Every layer exports the same interface, which is what lets any of
-//! them interpose on any other. The full method set:
+//! them interpose on any other; a layer forwards every method it does
+//! not reimplement to the layer below. The full method set:
 //!
 //! | method | signature | semantics |
 //! |---|---|---|
@@ -40,7 +41,7 @@
 //! | `read_many` | `(sectors: list[int]) -> list[bytes]` | one batched request, results in request order |
 //! | `write_many` | `(pairs: list[[int, bytes]]) -> int` | one batched request; atomic under a journal |
 //! | `sectors` | `() -> int` | client-visible device size |
-//! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one atomic unit (journal only; layers without the method are unbounded) |
+//! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one atomic unit (answered by the journal and forwarded by the layers above it; a stack without a journal has no such method and is unbounded) |
 //! | `stats` | `() -> list` | `[reads, writes]` of the bottom driver |
 //! | `flush` | `() -> int` | push all volatile/logged state to home locations (cache writeback, journal checkpoint); returns sectors homed |
 //! | `barrier` | `() -> unit` | ordering point: everything acknowledged before the call is durable when it returns |
@@ -66,10 +67,3 @@ pub use cache::EVICTION_WRITEBACK_BATCH;
 pub use journal::{mount_journal, JournalConfig};
 pub use retry::{make_retry, RetryConfig};
 pub use stack::{StackBuilder, StoreStack};
-
-// Deprecated constructors, kept as shims for downstream code mid-
-// migration. In-repo call sites all use `StackBuilder`.
-#[allow(deprecated)]
-pub use cache::{make_block_cache, make_sharded_block_cache};
-#[allow(deprecated)]
-pub use driver::make_disk_driver;

@@ -17,10 +17,11 @@
 //!
 //! Only idempotent verbs are retried (`read`/`write`/`read_many`/
 //! `write_many`/`flush`/`barrier` — sector writes are exactly-once at
-//! the device, so re-issuing a failed one is safe). The transaction
-//! verbs pass through untouched: a `commit` that consumed its buffered
-//! writes must not be re-driven blindly; crash-atomic commit is the
-//! journal's job, one layer up.
+//! the device, so re-issuing a failed one is safe). Everything else is
+//! delegated to the lower object untouched — notably the transaction
+//! verbs: a `commit` that consumed its buffered writes must not be
+//! re-driven blindly; crash-atomic commit is the journal's job, one layer
+//! up.
 //!
 //! [`Disk::inject_transient_errors`]: paramecium_machine::dev::disk::Disk::inject_transient_errors
 
@@ -30,9 +31,10 @@ use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use paramecium_machine::{cost::Cycles, Machine};
-use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
-
-use crate::vectored::TXN_WRITE_PARAMS;
+use paramecium_obj::{
+    delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag,
+    Value,
+};
 
 /// Retry policy for the interposer.
 #[derive(Debug, Clone, Copy)]
@@ -133,74 +135,37 @@ impl RetryState {
     }
 }
 
+/// The verbs worth re-issuing, with their `blockdev` signatures. Every
+/// other `blockdev` method is delegated to the lower object untouched.
+const RETRIED: [(&str, &[TypeTag], TypeTag); 6] = [
+    ("read", &[TypeTag::Int], TypeTag::Bytes),
+    ("write", &[TypeTag::Int, TypeTag::Bytes], TypeTag::Unit),
+    ("read_many", &[TypeTag::List], TypeTag::List),
+    ("write_many", &[TypeTag::List], TypeTag::Int),
+    ("flush", &[], TypeTag::Int),
+    ("barrier", &[], TypeTag::Unit),
+];
+
 /// Builds the retry interposer over `lower`. Prefer
 /// [`crate::StackBuilder::retry`], which slots it between driver and
 /// journal.
 pub fn make_retry(machine: Arc<Mutex<Machine>>, lower: ObjRef, cfg: RetryConfig) -> ObjRef {
     assert!(cfg.max_attempts >= 1, "retry needs at least one attempt");
     let rng = StdRng::seed_from_u64(cfg.seed);
+    let mut blockdev = InterfaceBuilder::new("blockdev");
+    for (verb, params, returns) in RETRIED {
+        blockdev = blockdev.method(verb, params, returns, move |this, args| {
+            this.with_state(|s: &mut RetryState| s.drive(verb, args))
+        });
+    }
     ObjectBuilder::new("retry-blockdev")
+        .raw_interface(delegate_interface(blockdev.finish(), lower.clone()))
         .state(RetryState {
             machine,
             lower,
             cfg,
             rng,
             stats: RetryStats::default(),
-        })
-        .interface("blockdev", |i| {
-            i.method("read", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
-                this.with_state(|s: &mut RetryState| s.drive("read", args))
-            })
-            .method(
-                "write",
-                &[TypeTag::Int, TypeTag::Bytes],
-                TypeTag::Unit,
-                |this, args| this.with_state(|s: &mut RetryState| s.drive("write", args)),
-            )
-            .method(
-                "read_many",
-                &[TypeTag::List],
-                TypeTag::List,
-                |this, args| this.with_state(|s: &mut RetryState| s.drive("read_many", args)),
-            )
-            .method(
-                "write_many",
-                &[TypeTag::List],
-                TypeTag::Int,
-                |this, args| this.with_state(|s: &mut RetryState| s.drive("write_many", args)),
-            )
-            .method("flush", &[], TypeTag::Int, |this, args| {
-                this.with_state(|s: &mut RetryState| s.drive("flush", args))
-            })
-            .method("barrier", &[], TypeTag::Unit, |this, args| {
-                this.with_state(|s: &mut RetryState| s.drive("barrier", args))
-            })
-            // Non-retryable passthroughs (see module docs).
-            .method("sectors", &[], TypeTag::Int, |this, args| {
-                this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "sectors", args))
-            })
-            .method("stats", &[], TypeTag::List, |this, args| {
-                this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "stats", args))
-            })
-            .method("begin_txn", &[], TypeTag::Int, |this, args| {
-                this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "begin_txn", args))
-            })
-            .method(
-                "txn_write",
-                TXN_WRITE_PARAMS,
-                TypeTag::Unit,
-                |this, args| {
-                    this.with_state(|s: &mut RetryState| {
-                        s.lower.invoke("blockdev", "txn_write", args)
-                    })
-                },
-            )
-            .method("commit", &[TypeTag::Int], TypeTag::Unit, |this, args| {
-                this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "commit", args))
-            })
-            .method("abort", &[TypeTag::Int], TypeTag::Unit, |this, args| {
-                this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "abort", args))
-            })
         })
         .interface("retry", |i| {
             i.method("stats", &[], TypeTag::List, |this, _| {

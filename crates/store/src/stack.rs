@@ -1,18 +1,15 @@
 //! [`StackBuilder`] — the one way to assemble a store stack.
 //!
-//! The store grew up as three free functions (`make_disk_driver`,
-//! `make_block_cache`, `make_sharded_block_cache`) that callers wired
-//! together by hand. That shape cannot express a third layer cleanly —
-//! every call site would have to learn the journal's mount story — so
-//! the constructors are now a builder over the fixed layering
+//! Wiring the layers together by hand would make every call site learn
+//! the journal's mount story, so the constructors are a builder over
+//! the fixed layering
 //!
 //! ```text
 //! driver  →  retry (optional)  →  journal (optional)  →  cache (optional)
 //! ```
 //!
 //! where every layer exports `blockdev` and each optional layer is one
-//! builder call. The old free functions survive as deprecated one-line
-//! shims.
+//! builder call.
 //!
 //! ```no_run
 //! # use std::sync::Arc;
@@ -216,25 +213,6 @@ mod tests {
             .invoke("blockdev", "read", &[Value::Int(5)])
             .unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 0x3C);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_build_working_stacks() {
-        let mem = mem();
-        let driver = crate::make_disk_driver(&mem, KERNEL_DOMAIN).unwrap();
-        let cache = crate::make_block_cache(driver.clone(), 4);
-        let data = Value::Bytes(Bytes::from(vec![0x77; SECTOR_SIZE]));
-        cache
-            .invoke("blockdev", "write", &[Value::Int(1), data])
-            .unwrap();
-        let v = cache.invoke("blockdev", "read", &[Value::Int(1)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0x77);
-        let sharded = crate::make_sharded_block_cache(driver, 8, 2);
-        assert_eq!(
-            sharded.invoke("cache", "shards", &[]).unwrap(),
-            Value::Int(2)
-        );
     }
 
     #[test]

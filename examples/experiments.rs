@@ -1,8 +1,8 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Prints every experiment table (E1–E9).
 //!
 //! The paper (a HotOS position paper) has no tables or figures, so the
-//! experiment set is derived from its quantitative *claims* — see
-//! DESIGN.md section 3 for the claim-to-experiment mapping. Simulated
+//! experiment set is derived from its quantitative *claims*; each
+//! table's heading names the section of the paper it tests. Simulated
 //! costs are deterministic (same numbers every run); wall-clock rows
 //! (marked `ns`/`µs`) vary with the host and are indicative only.
 //!

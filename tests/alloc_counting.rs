@@ -123,25 +123,50 @@ fn bound_method_call_is_zero_alloc() {
 
 #[test]
 fn interposer_hops_are_zero_alloc_once_warm() {
-    // A 4-deep hook-free chain: every hop forwards through a warmed
-    // `CallCache`. The budget is zero allocations per call *per hop*.
-    let mut obj = counter();
+    // Every forwarded hop goes through a warmed forward cache, whichever
+    // forwarder makes it — a 4-deep hook-free interposer chain, a method
+    // `retry` merely passes through, one `arp` merely passes through. The
+    // budget is zero allocations per call *per hop*.
+    use paramecium::netstack::arp::make_arp;
+    use paramecium::store::{make_retry, RetryConfig};
+
+    let mut chain = counter();
     for _ in 0..4 {
-        obj = InterposerBuilder::new(obj).build();
+        chain = InterposerBuilder::new(chain).build();
     }
-    let args = [Value::Int(1)];
-    for _ in 0..8 {
-        obj.invoke("ctr", "incr", &args).unwrap();
-    }
-    let allocs = count_allocs(|| {
-        for _ in 0..CALLS {
-            obj.invoke("ctr", "incr", &args).unwrap();
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "warmed interposer chain must not touch the heap ({allocs} allocs / {CALLS} calls)"
+    let lower = |iface: &str, method: &str| {
+        ObjectBuilder::new("lower")
+            .interface(iface, |i| {
+                i.method(method, &[], TypeTag::Int, |_, _| Ok(Value::Int(0)))
+            })
+            .build()
+    };
+    let machine = std::sync::Arc::new(parking_lot::Mutex::new(Machine::new()));
+    let retry = make_retry(
+        machine,
+        lower("blockdev", "begin_txn"),
+        RetryConfig::default(),
     );
+    let arp = make_arp(lower("netdev", "pending"), 0x0A00_0001, [2, 0, 0, 0, 0, 1]);
+
+    for (obj, iface, method, args) in [
+        (chain, "ctr", "incr", vec![Value::Int(1)]),
+        (retry, "blockdev", "begin_txn", vec![]),
+        (arp, "netdev", "pending", vec![]),
+    ] {
+        for _ in 0..8 {
+            obj.invoke(iface, method, &args).unwrap();
+        }
+        let allocs = count_allocs(|| {
+            for _ in 0..CALLS {
+                obj.invoke(iface, method, &args).unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "warmed forward of {iface}.{method} must not touch the heap ({allocs} allocs / {CALLS} calls)"
+        );
+    }
 }
 
 #[test]
@@ -174,10 +199,9 @@ fn hooked_interposer_hops_have_bounded_allocations() {
 
 #[test]
 fn delegated_dispatch_has_bounded_allocations() {
-    // Delegated (fallback-served) methods re-resolve the interface on
-    // every call today; the budget pins the status quo so regressions
-    // (e.g. a per-call argument clone) cannot hide. Currently the path
-    // performs zero allocations per call as well.
+    // A delegated method is a forward like any other hop; the budget
+    // pins it so regressions (e.g. a per-call argument clone) cannot
+    // hide: zero allocations per call.
     let base = counter();
     let iface = paramecium::obj::InterfaceBuilder::new("ctr").finish();
     let child = ObjectBuilder::new("child")

@@ -1,9 +1,9 @@
 //! Dispatch conformance suite: fast path ≡ slow path, differentially.
 //!
 //! The invocation stack serves repeated calls from caches — a per-object
-//! inline cache behind `Object::invoke`, per-hop `CallCache`s inside
-//! interposers/compositions/delegation, and pinned method handles inside
-//! cross-domain proxies — all invalidated by export-generation counters.
+//! inline cache behind `Object::invoke` and a per-hop forward cache inside
+//! every interposer, composition, delegation and cross-domain proxy — all
+//! invalidated by export-generation counters.
 //! Because those caches silently touch every call path, this suite pins
 //! their semantics against the cache-free reference
 //! (`Object::invoke_uncached`) for every dispatch flavour: twin objects
@@ -86,25 +86,45 @@ fn assert_conformance(factory: impl Fn() -> ObjRef, script: &[Call]) {
     );
 }
 
+fn counter_interface() -> paramecium::obj::Interface {
+    InterfaceBuilder::new("ctr")
+        .method("incr", &[TypeTag::Int], TypeTag::Int, |this, args| {
+            let by = args[0].as_int()?;
+            this.with_state(|n: &mut i64| {
+                *n += by;
+                Ok(Value::Int(*n))
+            })
+        })
+        .method("get", &[], TypeTag::Int, |this, _| {
+            this.with_state(|n: &mut i64| Ok(Value::Int(*n)))
+        })
+        .method("name", &[], TypeTag::Str, |_, _| {
+            Ok(Value::Str("counter".into()))
+        })
+        .finish()
+}
+
 fn counter() -> ObjRef {
     ObjectBuilder::new("counter")
         .state(0i64)
-        .interface("ctr", |i| {
-            i.method("incr", &[TypeTag::Int], TypeTag::Int, |this, args| {
-                let by = args[0].as_int()?;
-                this.with_state(|n: &mut i64| {
-                    *n += by;
-                    Ok(Value::Int(*n))
-                })
-            })
-            .method("get", &[], TypeTag::Int, |this, _| {
-                this.with_state(|n: &mut i64| Ok(Value::Int(*n)))
-            })
-            .method("name", &[], TypeTag::Str, |_, _| {
-                Ok(Value::Str("counter".into()))
-            })
-        })
+        .raw_interface(counter_interface())
         .build()
+}
+
+/// A child delegating `ctr` to a counter that exports it only *after*
+/// the child was wired, so every delegated call is served by the
+/// child's fallback (delegation installs forwards for what the target
+/// exports at wiring time).
+fn late_bound_child() -> (ObjRef, ObjRef) {
+    let base = ObjectBuilder::new("counter").state(0i64).build();
+    let child = ObjectBuilder::new("child")
+        .raw_interface(delegate_interface(
+            InterfaceBuilder::new("ctr").finish(),
+            base.clone(),
+        ))
+        .build();
+    base.export_interface(counter_interface());
+    (child, base)
 }
 
 /// The standard probe script: state mutation, reads, arity error, type
@@ -221,18 +241,8 @@ fn cached_fallback_resolution_fast_equals_slow_and_invalidates() {
     // the interface-table walk. The cached handler must (a) behave exactly
     // like the slow path while warm, and (b) miss cleanly when the
     // interface is re-exported out from under it.
-    let make = || {
-        let base = counter();
-        let child = ObjectBuilder::new("child")
-            .raw_interface(delegate_interface(
-                InterfaceBuilder::new("ctr").finish(),
-                base.clone(),
-            ))
-            .build();
-        (child, base)
-    };
-    let (fast_obj, _fast_base) = make();
-    let (slow_obj, _slow_base) = make();
+    let (fast_obj, _fast_base) = late_bound_child();
+    let (slow_obj, _slow_base) = late_bound_child();
     // Warm thoroughly: every call below is fallback-served.
     let script = vec![
         ("ctr", "incr", vec![Value::Int(2)]),
@@ -282,13 +292,7 @@ fn cached_fallback_skips_interface_walk_but_keeps_delegation_live() {
     // The pinned fallback still consults the delegation target per call:
     // a re-export on the *target* (not the delegator) must be observed
     // even though the delegator's own cache entry stays fresh.
-    let base = counter();
-    let child = ObjectBuilder::new("child")
-        .raw_interface(delegate_interface(
-            InterfaceBuilder::new("ctr").finish(),
-            base.clone(),
-        ))
-        .build();
+    let (child, base) = late_bound_child();
     for _ in 0..3 {
         child.invoke("ctr", "name", &[]).unwrap();
     }
@@ -338,13 +342,8 @@ fn interposed_chain_fast_equals_slow_with_hooks_and_overrides() {
                 let mut b = InterposerBuilder::new(obj);
                 if layer == 1 {
                     // One layer doubles every increment.
-                    b = b.override_method("ctr", "incr", |this, args| {
-                        let v = args[0].as_int()?;
-                        paramecium::obj::interpose::interposer_target(this)?.invoke(
-                            "ctr",
-                            "incr",
-                            &[Value::Int(v * 2)],
-                        )
+                    b = b.override_method("ctr", "incr", |forward, args| {
+                        forward.call(&[Value::Int(args[0].as_int()? * 2)])
                     });
                 }
                 let h = hooks.clone();
@@ -685,4 +684,218 @@ fn re_export_invalidates_interposer_forward_cache() {
     // Revoking the target interface surfaces cleanly through the agent.
     assert!(target.revoke_interface("ctr"));
     assert!(agent.invoke("ctr", "name", &[]).is_err());
+}
+
+// ------------------------------------------------------------- flavour 9
+
+/// A pure stand-in for the object below a forwarder: every real method
+/// of `iface` under its real signature, answers a function of the
+/// arguments and `tag` alone. `grown` adds a method no layer was written
+/// against.
+fn probe_interface(iface: &'static str, tag: i64, grown: bool) -> paramecium::obj::Interface {
+    use TypeTag::{Bytes, Int, List, Unit};
+    let sector = |v: &Value| Ok(Value::Bytes(vec![v.as_int()? as u8; 512].into()));
+    let int = move |_: &ObjRef, _: &[Value]| Ok(Value::Int(tag));
+    let unit = |_: &ObjRef, _: &[Value]| Ok(Value::Unit);
+    let b = InterfaceBuilder::new(iface);
+    let b = match iface {
+        "netdev" => b
+            .method("send", &[Bytes], Unit, unit)
+            .method("recv", &[], Bytes, |_, _| {
+                Ok(Value::Bytes(Vec::new().into()))
+            })
+            .method("pending", &[], Int, int)
+            .method("stats", &[], List, move |_, _| {
+                Ok(Value::List(vec![Value::Int(tag)]))
+            }),
+        "blockdev" => b
+            .method("read", &[Int], Bytes, move |_, a| sector(&a[0]))
+            .method("write", &[Int, Bytes], Unit, unit)
+            .method("read_many", &[List], List, move |_, a| {
+                Ok(Value::List(
+                    a[0].as_list()?
+                        .iter()
+                        .map(sector)
+                        .collect::<Result<_, _>>()?,
+                ))
+            })
+            .method("write_many", &[List], Int, |_, a| {
+                Ok(Value::Int(a[0].as_list()?.len() as i64))
+            })
+            .method("sectors", &[], Int, |_, _| Ok(Value::Int(64)))
+            .method("write_limit", &[], Int, int)
+            .method("stats", &[], List, move |_, _| {
+                Ok(Value::List(vec![Value::Int(tag), Value::Int(0)]))
+            })
+            .method("flush", &[], Int, |_, _| Ok(Value::Int(0)))
+            .method("barrier", &[], Unit, unit)
+            .method("begin_txn", &[], Int, int)
+            .method("txn_write", &[Int, Int, Bytes], Unit, unit)
+            .method("commit", &[Int], Unit, unit)
+            .method("abort", &[Int], Unit, unit),
+        other => panic!("no probe for `{other}`"),
+    };
+    if grown {
+        b.method("grown", &[], Int, move |_, _| Ok(Value::Int(tag + 1000)))
+    } else {
+        b
+    }
+    .finish()
+}
+
+fn probe(iface: &'static str, tag: i64) -> ObjRef {
+    ObjectBuilder::new("probe")
+        .raw_interface(probe_interface(iface, tag, false))
+        .build()
+}
+
+/// Arguments that satisfy `sig`: sector 1, one sector of data, a
+/// one-element batch.
+fn args_for(sig: &paramecium::obj::MethodSig) -> Vec<Value> {
+    let data = || Value::Bytes(vec![1u8; 512].into());
+    sig.params
+        .iter()
+        .map(|p| match p {
+            TypeTag::Int => Value::Int(1),
+            TypeTag::Bytes => data(),
+            TypeTag::List if sig.name == "write_many" => {
+                Value::List(vec![Value::List(vec![Value::Int(1), data()])])
+            }
+            TypeTag::List => Value::List(vec![Value::Int(1)]),
+            other => panic!("no probe argument of type {other}"),
+        })
+        .collect()
+}
+
+#[test]
+fn every_forwarder_is_transparent_late_bound_and_follows_its_target() {
+    use paramecium::netstack::{arp::make_arp, monitor::make_network_monitor};
+    use paramecium::store::{make_retry, RetryConfig, StackBuilder};
+
+    let world = World::boot();
+    let n = &world.nucleus;
+    let app = n.create_domain("app", KERNEL_DOMAIN, []).unwrap();
+    let machine = n.machine().clone();
+
+    type Build<'a> = Box<dyn Fn(ObjRef) -> ObjRef + 'a>;
+    let table: Vec<(&str, &'static str, Build)> = vec![
+        (
+            "interposer",
+            "blockdev",
+            Box::new(|l| InterposerBuilder::new(l).build()),
+        ),
+        (
+            "hooked interposer",
+            "netdev",
+            Box::new(|l| InterposerBuilder::new(l).before(|_, _, _| {}).build()),
+        ),
+        (
+            "composition",
+            "blockdev",
+            Box::new(|l| {
+                CompositionBuilder::new("comp")
+                    .child("c", l)
+                    .export("blockdev", "c")
+                    .build()
+                    .unwrap()
+            }),
+        ),
+        (
+            "proxy",
+            "blockdev",
+            Box::new(|l| {
+                n.register(KERNEL_DOMAIN, "/svc/probe", l).unwrap();
+                n.bind(app.id, "/svc/probe").unwrap()
+            }),
+        ),
+        (
+            "delegation",
+            "netdev",
+            Box::new(|l| {
+                ObjectBuilder::new("child")
+                    .raw_interface(delegate_interface(
+                        InterfaceBuilder::new("netdev").finish(),
+                        l,
+                    ))
+                    .build()
+            }),
+        ),
+        (
+            "network monitor",
+            "netdev",
+            Box::new(|l| make_network_monitor(l).0),
+        ),
+        (
+            "arp",
+            "netdev",
+            Box::new(|l| make_arp(l, 0x0A00_0001, [2, 0, 0, 0, 0, 1])),
+        ),
+        (
+            "retry",
+            "blockdev",
+            Box::new(|l| make_retry(machine.clone(), l, RetryConfig::default())),
+        ),
+        (
+            "block cache",
+            "blockdev",
+            Box::new(|l| StackBuilder::on(l).cache(16).build().unwrap().top),
+        ),
+    ];
+
+    for (name, iface, build) in &table {
+        let lower = probe(iface, 7);
+        let layer = build(lower.clone());
+
+        // Every method below is a method above, with the same answer.
+        // (Descriptor order is sorted, so `flush` runs before any write
+        // could leave the cache a dirty line of its own to count.)
+        let twin = probe(iface, 7);
+        for sig in twin.interface(iface).unwrap().descriptor().methods {
+            let args = args_for(&sig);
+            for _ in 0..2 {
+                assert_eq!(
+                    canon(&layer.invoke(iface, &sig.name, &args)),
+                    canon(&twin.invoke(iface, &sig.name, &args)),
+                    "{name}: {iface}.{}",
+                    sig.name
+                );
+            }
+        }
+
+        // A method the lower object grows after the layer was built.
+        lower.export_interface(probe_interface(iface, 7, true));
+        assert_eq!(
+            layer.invoke(iface, "grown", &[]).unwrap(),
+            Value::Int(1007),
+            "{name}: method re-exported below after the layer was built"
+        );
+
+        // Re-pointing the layer takes effect on the very next call.
+        let other = Value::Handle(probe(iface, 8));
+        let tagged = if *iface == "netdev" {
+            "pending"
+        } else {
+            "begin_txn"
+        };
+        if layer.has_interface(INTERPOSER_IFACE) {
+            layer
+                .invoke(INTERPOSER_IFACE, "retarget", &[other])
+                .unwrap();
+        } else if layer.has_interface(COMPOSITION_IFACE) {
+            layer
+                .invoke(
+                    COMPOSITION_IFACE,
+                    "replace",
+                    &[Value::Str("c".into()), other],
+                )
+                .unwrap();
+        } else {
+            continue;
+        }
+        assert_eq!(
+            layer.invoke(iface, tagged, &[]).unwrap(),
+            Value::Int(8),
+            "{name}: first call after re-pointing"
+        );
+    }
 }

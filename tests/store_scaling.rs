@@ -21,7 +21,6 @@ use std::sync::{
 use paramecium::core::memsvc::MemService;
 use paramecium::machine::dev::disk::{batch_transfer_cost, SECTOR_SIZE, SECTOR_TRANSFER_COST};
 use paramecium::machine::Machine;
-use paramecium::obj::interpose::interposer_target;
 use paramecium::prelude::*;
 use paramecium::store::vectored::{pairs_arg, sectors_arg};
 use paramecium::store::StackBuilder;
@@ -174,22 +173,17 @@ proptest! {
 
 /// Wraps `driver` in an interposer whose writes fail while `armed`.
 fn failing_backing(driver: ObjRef, armed: Arc<AtomicBool>) -> ObjRef {
-    let a1 = armed.clone();
-    let a2 = armed;
-    InterposerBuilder::new(driver)
-        .override_method("blockdev", "write", move |this, args| {
-            if a1.load(Ordering::Relaxed) {
+    let mut agent = InterposerBuilder::new(driver);
+    for verb in ["write", "write_many"] {
+        let armed = armed.clone();
+        agent = agent.override_method("blockdev", verb, move |forward, args| {
+            if armed.load(Ordering::Relaxed) {
                 return Err(paramecium::obj::ObjError::failed("injected write failure"));
             }
-            interposer_target(this)?.invoke("blockdev", "write", args)
-        })
-        .override_method("blockdev", "write_many", move |this, args| {
-            if a2.load(Ordering::Relaxed) {
-                return Err(paramecium::obj::ObjError::failed("injected write failure"));
-            }
-            interposer_target(this)?.invoke("blockdev", "write_many", args)
-        })
-        .build()
+            forward.call(args)
+        });
+    }
+    agent.build()
 }
 
 #[test]
