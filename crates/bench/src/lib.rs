@@ -22,30 +22,3 @@ pub fn counter_obj() -> ObjRef {
         })
         .build()
 }
-
-/// Builds an echo object (bytes in → bytes out) for marshalling benches.
-pub fn echo_obj() -> ObjRef {
-    ObjectBuilder::new("echo")
-        .interface("echo", |i| {
-            i.method("echo", &[TypeTag::Bytes], TypeTag::Bytes, |_, args| {
-                Ok(args[0].clone())
-            })
-        })
-        .build()
-}
-
-/// A booted world with an echo service registered at `/svc/echo` and one
-/// user domain; returns the world and the user domain id.
-pub fn world_with_echo() -> (World, DomainId) {
-    let world = World::boot();
-    world
-        .nucleus
-        .register(KERNEL_DOMAIN, "/svc/echo", echo_obj())
-        .unwrap();
-    let app = world
-        .nucleus
-        .create_domain("bench-app", KERNEL_DOMAIN, [])
-        .unwrap();
-    let id = app.id;
-    (world, id)
-}

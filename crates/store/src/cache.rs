@@ -13,23 +13,26 @@
 //! sharing is exactly why software verification is not enough (the cache
 //! sees everyone's data) and certification is the paper's answer.
 //!
-//! # Architecture (PR 5)
+//! # What the cache is
 //!
-//! The cache is a sharded pipeline built for the "serve millions" load
-//! profile:
-//!
-//! - **Sharding.** Lines are partitioned `N` ways by sector
+//! - **Sharded.** Lines are partitioned `N` ways by sector
 //!   (`sector % N`). Each shard owns an independent index, LRU list and
 //!   hit/miss/writeback counters; the `cache` interface aggregates them.
 //!   One object still exports `blockdev`, so interposition and
 //!   certification are unchanged.
 //! - **O(1) LRU.** Each shard keeps its lines in a slot arena threaded
 //!   with an index-based intrusive doubly-linked list (no unsafe, no
-//!   per-node allocation): touch, insert and evict are all O(1), where
-//!   the seed implementation paid an O(n) min-scan per eviction.
+//!   per-node allocation): touch, insert and evict are all O(1).
 //! - **Zero-copy hits.** Lines store [`bytes::Bytes`]; a hit returns a
 //!   ref-counted clone of the resident buffer — no 512-byte copies on
-//!   the hot path (the seed copied twice per hit).
+//!   the hot path.
+//! - **One write path.** `write` and `write_many` make their sectors
+//!   resident and dirty; whatever needs room — a write, a batch, a read
+//!   fill — gets it from the one eviction routine, `make_room`. A
+//!   transaction is a buffered batch that `commit` writes *through* in
+//!   one un-split `write_many` (atomic and durable-by-return under a
+//!   journal), refreshing the lines it overlaps: transaction data never
+//!   becomes a cache line, and no resident line outlives a commit stale.
 //! - **Coalesced writeback.** Eviction and `flush` gather dirty lines
 //!   into sector-sorted (elevator-order) batches and issue one
 //!   vectorized `write_many` to the backing store, which charges the
@@ -45,22 +48,22 @@
 //!   and eviction reinserts the victim.
 //! - **Strict capacity.** Eviction happens *before* insertion, so the
 //!   cache never holds more than `capacity` lines, even transiently.
-//! - **Per-shard locking (PR 7).** Each shard sits behind its own spin
-//!   [`TryLock`] instead of the object's exclusive instance state, so
+//! - **Per-shard locking.** Each shard sits behind its own spin
+//!   [`TryLock`] rather than the object's exclusive instance state, so
 //!   concurrent clients on real OS threads (the world pool) proceed in
 //!   parallel on disjoint shards. Uncontended acquisition is one atomic
-//!   swap — the same cost the old `with_state` path paid — and no lock
-//!   is ever held across a backing-store invocation. Multi-shard
-//!   operations lock one shard at a time: under concurrency they are
-//!   atomic per shard, not across the cache (single-client behaviour is
-//!   unchanged).
+//!   swap, and no lock is ever held across a backing-store invocation.
+//!   Every path holds at most one shard lock at a time, except
+//!   `read_many`'s hit pass, which takes all of them in ascending index
+//!   order — so no acquisition cycle can form. Multi-shard operations
+//!   are therefore atomic per shard, not across the cache, under
+//!   concurrency (a single client cannot tell).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{
@@ -68,9 +71,7 @@ use paramecium_obj::{
     TryLockGuard, TypeTag, Value,
 };
 
-use crate::vectored::{
-    pairs_arg, parse_pairs, parse_txn, parse_txn_write, sectors_arg, TXN_WRITE_PARAMS,
-};
+use crate::vectored::{pairs_arg, parse_pairs, sectors_arg, txn_verbs};
 
 /// Multiplicative hasher for sector numbers (Fibonacci mixing). Sector
 /// keys are small trusted integers, so the index doesn't need SipHash's
@@ -292,21 +293,16 @@ impl Shard {
         }
     }
 
-    /// Drops `sector`'s line if it is resident and *clean*. Used when a
-    /// committed transaction rewrites the sector below the cache: the
-    /// resident copy is stale and must not serve another hit. A dirty
-    /// line survives — it holds a direct client write the cache has not
-    /// acknowledged to the backing store yet, and dropping it would lose
-    /// acknowledged data.
-    fn invalidate_clean(&mut self, sector: i64) {
-        if let Some(&idx) = self.map.get(&sector) {
-            if !self.slots[idx as usize].dirty {
-                self.map.remove(&sector);
-                self.unlink(idx);
-                self.free.push(idx);
-                self.slots[idx as usize].data = Bytes::new();
-            }
-        }
+    /// The in-place update: new bytes, a fresh version, MRU position.
+    /// `dirty` for a client write the backing store has not seen; clean
+    /// when the same bytes have just been written through.
+    fn overwrite_line(&mut self, idx: u32, data: &Bytes, dirty: bool) {
+        let version = self.next_version();
+        let line = &mut self.slots[idx as usize];
+        line.data = data.clone();
+        line.dirty = dirty;
+        line.version = version;
+        self.touch(idx);
     }
 }
 
@@ -350,9 +346,6 @@ struct CacheShared {
     /// must never become a dirty line, or it would poison every later
     /// all-or-nothing writeback batch.
     total_sectors: OnceLock<i64>,
-    /// Sectors written by each forwarded open transaction, so a
-    /// successful commit can invalidate the stale resident copies.
-    txn_sectors: Mutex<HashMap<i64, Vec<i64>>>,
 }
 
 impl CacheShared {
@@ -409,121 +402,120 @@ fn write_back_chunked(shared: &CacheShared, batch: &[(i64, Bytes)]) -> ObjResult
     Ok(())
 }
 
-/// Outcome of one locked reservation attempt in [`insert_line`].
-enum Reserve {
-    /// The line is resident (updated in place or inserted).
-    Done,
-    /// The shard was full of dirty lines: `victims` were evicted (removed)
-    /// and must be written back or reinserted; `extras` are still-resident
-    /// dirty lines coalesced into the same batch.
-    NeedWriteback {
-        victims: Vec<(i64, Bytes)>,
-        extras: Vec<(i64, Bytes, u64)>,
-    },
-}
-
-/// One locked reservation attempt for [`insert_line`]: resolves the
-/// sector in place when possible, otherwise evicts and reports what needs
-/// writing back. Never invokes the backing store (the shard lock is held).
-fn reserve_line(sh: &mut Shard, sector: i64, data: &Bytes, dirty: bool, count: bool) -> Reserve {
-    if let Some(&idx) = sh.map.get(&sector) {
-        if count {
-            sh.hits += 1;
+/// The cache's one eviction path. Makes room for `wanted` — distinct
+/// sectors, at most a shard's capacity of them per shard — so that each
+/// can be inserted without its shard exceeding capacity: eviction happens
+/// *before* insertion, never after.
+///
+/// Wanted lines already resident move to the MRU end (they are about to
+/// be rewritten) and cost no room; for the rest the LRU is popped until
+/// they fit. Clean victims just drop. Dirty ones leave through one
+/// sector-sorted batched `write_many`, together with up to
+/// [`EVICTION_WRITEBACK_BATCH`] cold dirty lines of the same shards, which
+/// stay resident and are marked clean by version afterwards. If the
+/// backing write fails the victims are reinserted and the error
+/// surfaces: no acknowledged write is ever dropped. One shard is locked
+/// at a time and never across the backing invocation, so the caller
+/// re-checks for room under its own lock.
+fn make_room(shared: &CacheShared, wanted: &[i64]) -> ObjResult<()> {
+    loop {
+        // `(sector, data, version)`: evicted victims carry no version,
+        // still-resident extras the one their snapshot was taken at.
+        let mut batch: Vec<(i64, Bytes, Option<u64>)> = Vec::new();
+        for (i, lock) in shared.shards.iter().enumerate() {
+            let mut mine = wanted
+                .iter()
+                .filter(|sec| shared.shard_of(**sec) == i)
+                .peekable();
+            if mine.peek().is_none() {
+                continue;
+            }
+            let mut sh = lock.lock();
+            let mut demand = 0;
+            for sec in mine {
+                match sh.map.get(sec).copied() {
+                    Some(idx) => sh.touch(idx),
+                    None => demand += 1,
+                }
+            }
+            let before = batch.len();
+            while sh.len() + demand > sh.capacity {
+                let (vsec, vdata, vdirty) =
+                    sh.pop_lru().expect("over-demand shard has an LRU line");
+                if vdirty {
+                    batch.push((vsec, vdata, None));
+                }
+            }
+            if batch.len() > before {
+                let budget = EVICTION_WRITEBACK_BATCH.saturating_sub(batch.len());
+                batch.extend(
+                    sh.dirty_from_lru(budget)
+                        .into_iter()
+                        .map(|(sec, data, version)| (sec, data, Some(version))),
+                );
+            }
         }
-        if dirty {
-            let version = sh.next_version();
-            let line = &mut sh.slots[idx as usize];
-            line.data = data.clone();
-            line.dirty = true;
-            line.version = version;
+        if batch.is_empty() {
+            return Ok(());
         }
-        sh.touch(idx);
-        return Reserve::Done;
-    }
-    if count {
-        sh.misses += 1;
-    }
-    if sh.len() < sh.capacity {
-        sh.insert(sector, data.clone(), dirty);
-        return Reserve::Done;
-    }
-    // Full: evict-before-insert. Clean victims just drop; dirty ones must
-    // reach the backing store first.
-    let mut victims = Vec::new();
-    while sh.len() >= sh.capacity {
-        let (vsec, vdata, vdirty) = sh.pop_lru().expect("full shard has an LRU line");
-        if vdirty {
-            victims.push((vsec, vdata));
+        batch.sort_unstable_by_key(|(sec, _, _)| *sec);
+        let pairs: Vec<(i64, Bytes)> = batch
+            .iter()
+            .map(|(sec, data, _)| (*sec, data.clone()))
+            .collect();
+        let written = write_back_chunked(shared, &pairs);
+        for (sec, data, version) in batch {
+            let mut sh = shared.shard(sec);
+            if written.is_ok() {
+                sh.writebacks += 1;
+                if let Some(version) = version {
+                    sh.mark_clean_if_unchanged(sec, version);
+                }
+            } else if version.is_none() && !sh.map.contains_key(&sec) && sh.len() < sh.capacity {
+                // Durability: the backing write failed, so the evicted
+                // dirty data goes back into the cache. (The slot its
+                // eviction freed is still free unless a concurrent client
+                // took it.)
+                sh.insert(sec, data, true);
+            }
         }
+        written?;
+        // Loop: re-check in case a concurrent client (or the backing
+        // re-entering the cache) took the room during the writeback.
     }
-    if victims.is_empty() {
-        sh.insert(sector, data.clone(), dirty);
-        return Reserve::Done;
-    }
-    let extras = sh.dirty_from_lru(EVICTION_WRITEBACK_BATCH.saturating_sub(victims.len()));
-    Reserve::NeedWriteback { victims, extras }
 }
 
 /// Makes `sector` resident with `data`.
 ///
-/// With `dirty` the line is (over)written and marked dirty (a client
-/// write); without it the call only *fills* — an already-resident line is
-/// left untouched so a fetch completing late can never clobber newer
-/// client data. `count_stats` records one hit or miss (vectorized paths
-/// and internal retries manage their own accounting).
-///
-/// Eviction happens *before* insertion — the shard never exceeds its
-/// capacity, even transiently — and dirty victims leave through a
-/// sector-sorted batched `write_many` together with up to
-/// [`EVICTION_WRITEBACK_BATCH`] cold dirty lines. If the backing write
-/// fails the victims are reinserted and the error surfaces to the caller:
-/// no acknowledged write is ever dropped. Only the one shard owning
-/// `sector` is ever locked, and never across a backing invocation.
-fn insert_line(
-    shared: &CacheShared,
-    sector: i64,
-    data: &Bytes,
-    dirty: bool,
-    count_stats: bool,
-) -> ObjResult<()> {
-    let mut count = count_stats;
+/// With `dirty` the line is (over)written and marked dirty — a client
+/// write, recorded as one hit or miss; without it the call only *fills*
+/// (the read that fetched the data already recorded its miss) — an
+/// already-resident line is left untouched so a fetch completing late
+/// can never clobber newer client data. Only the one shard owning
+/// `sector` is ever locked, and never across [`make_room`]'s backing
+/// invocation.
+fn insert_line(shared: &CacheShared, sector: i64, data: &Bytes, dirty: bool) -> ObjResult<()> {
+    let mut count = dirty;
     loop {
-        let step = reserve_line(&mut shared.shard(sector), sector, data, dirty, count);
-        count = false;
-        let (victims, extras) = match step {
-            Reserve::Done => return Ok(()),
-            Reserve::NeedWriteback { victims, extras } => (victims, extras),
-        };
-        let mut batch: Vec<(i64, Bytes)> = victims
-            .iter()
-            .cloned()
-            .chain(extras.iter().map(|(sec, d, _)| (*sec, d.clone())))
-            .collect();
-        batch.sort_unstable_by_key(|(sec, _)| *sec);
-        let written = batch.len() as u64;
-        match write_back_chunked(shared, &batch) {
-            Ok(_) => {
-                let mut sh = shared.shard(sector);
-                sh.writebacks += written;
-                for (sec, _, version) in &extras {
-                    sh.mark_clean_if_unchanged(*sec, *version);
+        {
+            let mut sh = shared.shard(sector);
+            if let Some(idx) = sh.map.get(&sector).copied() {
+                sh.hits += u64::from(count);
+                if dirty {
+                    sh.overwrite_line(idx, data, true);
+                } else {
+                    sh.touch(idx);
                 }
-                // Loop around: the shard now has room for the insert.
+                return Ok(());
             }
-            Err(e) => {
-                // Durability: the backing write failed, so the evicted
-                // dirty data goes back into the cache and the caller sees
-                // the error. (The slot freed by the eviction is still
-                // free, so reinsertion cannot overflow.)
-                let mut sh = shared.shard(sector);
-                for (vsec, vdata) in victims {
-                    if !sh.map.contains_key(&vsec) && sh.len() < sh.capacity {
-                        sh.insert(vsec, vdata, true);
-                    }
-                }
-                return Err(e);
+            sh.misses += u64::from(count);
+            count = false;
+            if sh.len() < sh.capacity {
+                sh.insert(sector, data.clone(), dirty);
+                return Ok(());
             }
         }
+        make_room(shared, &[sector])?;
     }
 }
 
@@ -556,7 +548,7 @@ fn cache_read(shared: &CacheShared, sector: i64) -> ObjResult<Value> {
     if data.len() != SECTOR_SIZE {
         return Err(ObjError::failed("backing store returned a short sector"));
     }
-    insert_line(shared, sector, &data, false, false)?;
+    insert_line(shared, sector, &data, false)?;
     Ok(Value::Bytes(data))
 }
 
@@ -620,7 +612,7 @@ fn cache_read_many(shared: &CacheShared, sectors: &[Value]) -> ObjResult<Value> 
             if data.len() != SECTOR_SIZE {
                 return Err(ObjError::failed("backing store returned a short sector"));
             }
-            insert_line(shared, sec, &data, false, false)?;
+            insert_line(shared, sec, &data, false)?;
             by_sector.insert(sec, data);
         }
         for (pos, v) in sectors.iter().enumerate() {
@@ -632,158 +624,55 @@ fn cache_read_many(shared: &CacheShared, sectors: &[Value]) -> ObjResult<Value> 
     Ok(Value::List(results))
 }
 
-/// Applies a validated batch of `(sector, data)` writes with the
-/// driver's no-partial-effects contract: shard space for every batch
-/// sector is reserved (evicting, writing dirty victims back) *before*
-/// any pair is cached, so a failed eviction writeback surfaces with the
-/// cache unchanged; the apply pass then locks each shard once and cannot
-/// fail for a single client. Batches too large for their shards bypass
-/// the cache as one streaming write-through (resident lines are
-/// refreshed in place).
-fn cache_write_many(shared: &CacheShared, pairs: &[(i64, Bytes)]) -> ObjResult<Value> {
-    if pairs.is_empty() {
-        return Ok(Value::Int(0));
+/// Refreshes the resident lines among `pairs` as clean, after the same
+/// bytes were written through to the backing store: the cache never
+/// answers with (or later writes back) what the write-through replaced.
+/// Non-resident sectors stay non-resident.
+fn refresh_clean(shared: &CacheShared, pairs: &[(i64, Bytes)]) {
+    for (sec, data) in pairs {
+        let mut sh = shared.shard(*sec);
+        if let Some(idx) = sh.map.get(sec).copied() {
+            sh.overwrite_line(idx, data, false);
+        }
     }
-    let n = pairs.len() as i64;
+}
+
+/// Applies a validated batch of `(sector, data)` writes with the
+/// driver's no-partial-effects contract: room for every batch sector is
+/// made (evicting, writing dirty victims back) *before* any pair is
+/// cached, so a failed eviction writeback surfaces with the cache
+/// unchanged, and the apply pass cannot fail for a single client (a
+/// concurrent one that takes the room sends it back through
+/// [`make_room`]). Batches too large for their shards bypass the cache as
+/// one streaming write-through.
+fn cache_write_many(shared: &CacheShared, pairs: &[(i64, Bytes)]) -> ObjResult<Value> {
     // Distinct batch sectors per shard decide whether the batch can be
     // fully resident after the apply pass. Capacities are fixed, so this
     // plan needs no locks at all.
     let mut in_batch = SectorSet::default();
-    let mut shard_sectors: Vec<Vec<i64>> = vec![Vec::new(); shared.shards.len()];
+    let mut wanted: Vec<i64> = Vec::with_capacity(pairs.len());
+    let mut per_shard = vec![0usize; shared.shards.len()];
     for (sec, _) in pairs {
         if in_batch.insert(*sec) {
-            shard_sectors[shared.shard_of(*sec)].push(*sec);
+            wanted.push(*sec);
+            per_shard[shared.shard_of(*sec)] += 1;
         }
     }
-    let fits = shard_sectors.iter().all(|s| s.len() <= shared.per_shard);
-    if !fits {
-        // Streaming write-through: one sector-sorted backing write (a
-        // stable sort keeps duplicate-sector order, so last-wins is
-        // preserved — chunks land in order, so it survives the split
-        // too), then refresh any resident lines as clean.
+    if per_shard.iter().any(|&n| n > shared.per_shard) {
+        // One sector-sorted backing write (a stable sort keeps
+        // duplicate-sector order, so last-wins is preserved — chunks
+        // land in order, so it survives the split too).
         let mut batch: Vec<(i64, Bytes)> = pairs.to_vec();
         batch.sort_by_key(|(sec, _)| *sec);
         write_back_chunked(shared, &batch)?;
-        let mut by_shard: Vec<Vec<&(i64, Bytes)>> = vec![Vec::new(); shared.shards.len()];
-        for pair in pairs {
-            by_shard[shared.shard_of(pair.0)].push(pair);
-        }
-        for (i, entries) in by_shard.iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let mut sh = shared.shards[i].lock();
-            for (sec, data) in entries.iter().copied() {
-                if let Some(idx) = sh.map.get(sec).copied() {
-                    let version = sh.next_version();
-                    let line = &mut sh.slots[idx as usize];
-                    line.data = data.clone();
-                    line.dirty = false;
-                    line.version = version;
-                    sh.touch(idx);
-                }
-            }
-        }
-        return Ok(Value::Int(n));
-    }
-    // Reserve: evict until every shard can absorb its batch sectors.
-    // Evicting a batch-resident line just converts it into demand (it is
-    // re-inserted by the apply pass), so progress comes from non-batch
-    // victims; termination holds because each pop removes one line. Each
-    // shard is locked once per pass, never across the backing write.
-    loop {
-        let mut victims: Vec<(i64, Bytes)> = Vec::new();
-        for (i, secs) in shard_sectors.iter().enumerate() {
-            if secs.is_empty() {
-                continue;
-            }
-            let mut sh = shared.shards[i].lock();
-            let mut need = secs.iter().filter(|sec| !sh.map.contains_key(sec)).count();
-            while sh.len() + need > sh.capacity {
-                let (vsec, vdata, vdirty) =
-                    sh.pop_lru().expect("over-demand shard has an LRU line");
-                if in_batch.contains(&vsec) {
-                    need += 1;
-                }
-                if vdirty {
-                    victims.push((vsec, vdata));
-                }
-            }
-        }
-        if victims.is_empty() {
-            break;
-        }
-        let mut batch = victims.clone();
-        batch.sort_unstable_by_key(|(sec, _)| *sec);
-        match write_back_chunked(shared, &batch) {
-            Ok(_) => {
-                for (sec, _) in &victims {
-                    shared.shard(*sec).writebacks += 1;
-                }
-                // Loop re-checks demand in case the backing re-entered
-                // the cache during the writeback.
-            }
-            Err(e) => {
-                // Nothing was applied yet: reinsert the dirty victims and
-                // surface the error — the batch has no partial effects.
-                for (vsec, vdata) in victims {
-                    let mut sh = shared.shard(vsec);
-                    if !sh.map.contains_key(&vsec) && sh.len() < sh.capacity {
-                        sh.insert(vsec, vdata, true);
-                    }
-                }
-                return Err(e);
-            }
+        refresh_clean(shared, pairs);
+    } else {
+        make_room(shared, &wanted)?;
+        for (sec, data) in pairs {
+            insert_line(shared, *sec, data, true)?;
         }
     }
-    // Apply: space is reserved, so for a single client this pass cannot
-    // evict and cannot fail. A concurrent client racing the same shard
-    // could steal reserved space between the passes; the defensive
-    // eviction below keeps `resident ≤ capacity` and writes any displaced
-    // dirty line back afterwards.
-    let mut by_shard: Vec<Vec<&(i64, Bytes)>> = vec![Vec::new(); shared.shards.len()];
-    for pair in pairs {
-        by_shard[shared.shard_of(pair.0)].push(pair);
-    }
-    let mut displaced: Vec<(i64, Bytes)> = Vec::new();
-    for (i, entries) in by_shard.iter().enumerate() {
-        if entries.is_empty() {
-            continue;
-        }
-        let mut sh = shared.shards[i].lock();
-        for (sec, data) in entries.iter().copied() {
-            match sh.map.get(sec).copied() {
-                Some(idx) => {
-                    sh.hits += 1;
-                    let version = sh.next_version();
-                    let line = &mut sh.slots[idx as usize];
-                    line.data = data.clone();
-                    line.dirty = true;
-                    line.version = version;
-                    sh.touch(idx);
-                }
-                None => {
-                    sh.misses += 1;
-                    while sh.len() >= sh.capacity {
-                        let (vsec, vdata, vdirty) =
-                            sh.pop_lru().expect("full shard has an LRU line");
-                        if vdirty {
-                            displaced.push((vsec, vdata));
-                        }
-                    }
-                    sh.insert(*sec, data.clone(), true);
-                }
-            }
-        }
-    }
-    if !displaced.is_empty() {
-        displaced.sort_unstable_by_key(|(sec, _)| *sec);
-        write_back_chunked(shared, &displaced)?;
-        for (sec, _) in &displaced {
-            shared.shard(*sec).writebacks += 1;
-        }
-    }
-    Ok(Value::Int(n))
+    Ok(Value::Int(pairs.len() as i64))
 }
 
 fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
@@ -840,9 +729,9 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
 ///   the cache's own dirty lines *before* forwarding down — the order
 ///   matters: a journal checkpoint below must see these writes in its
 ///   log before it truncates, or "flushed" data would survive only in
-///   cache memory. Transaction verbs are forwarded (transaction data
-///   never becomes cache lines); a successful `commit` invalidates
-///   stale clean resident copies of the written sectors.
+///   cache memory. A `commit` is written through as one batch
+///   (transaction data never becomes cache lines) and refreshes the
+///   resident copies of the sectors it wrote.
 /// - a `cache` interface:
 ///   - `stats() -> [hits, misses, writebacks, resident]` (aggregated),
 ///   - `shard_stats() -> list of per-shard [hits, misses, writebacks, resident]`,
@@ -870,7 +759,6 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
         per_shard,
         write_limit,
         total_sectors: OnceLock::new(),
-        txn_sectors: Mutex::new(HashMap::new()),
     });
     let blockdev = {
         let s_read = shared.clone();
@@ -879,11 +767,9 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
         let s_write_many = shared.clone();
         let s_bd_flush = shared.clone();
         let s_bd_barrier = shared.clone();
-        let s_begin = shared.clone();
-        let s_txn_write = shared.clone();
+        let s_check = shared.clone();
         let s_commit = shared.clone();
-        let s_abort = shared.clone();
-        InterfaceBuilder::new("blockdev")
+        let i = InterfaceBuilder::new("blockdev")
             .method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
                 cache_read(&s_read, args[0].as_int()?)
             })
@@ -900,7 +786,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                         )));
                     }
                     s_write.check_writable_sector(sector)?;
-                    insert_line(&s_write, sector, incoming, true, true)?;
+                    insert_line(&s_write, sector, incoming, true)?;
                     Ok(Value::Unit)
                 },
             )
@@ -941,45 +827,25 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                 // barrier below makes "everything so far" durable.
                 cache_flush(&s_bd_barrier)?;
                 s_bd_barrier.backing.invoke("blockdev", "barrier", &[])
-            })
-            .method("begin_txn", &[], TypeTag::Int, move |_, _| {
-                let v = s_begin.backing.invoke("blockdev", "begin_txn", &[])?;
-                s_begin.txn_sectors.lock().insert(v.as_int()?, Vec::new());
-                Ok(v)
-            })
-            .method(
-                "txn_write",
-                TXN_WRITE_PARAMS,
-                TypeTag::Unit,
-                move |_, args| {
-                    let (txn, sector, _) = parse_txn_write(args)?;
-                    s_txn_write.check_writable_sector(sector)?;
-                    let out = s_txn_write.backing.invoke("blockdev", "txn_write", args)?;
-                    if let Some(secs) = s_txn_write.txn_sectors.lock().get_mut(&txn) {
-                        secs.push(sector);
-                    }
-                    Ok(out)
-                },
-            )
-            .method("commit", &[TypeTag::Int], TypeTag::Unit, move |_, args| {
-                let txn = parse_txn(&args[0])?;
-                let out = s_commit.backing.invoke("blockdev", "commit", args)?;
-                // The commit rewrote these sectors below us: drop stale
-                // clean copies so the next read refetches.
-                if let Some(secs) = s_commit.txn_sectors.lock().remove(&txn) {
-                    for sec in secs {
-                        s_commit.shard(sec).invalidate_clean(sec);
-                    }
-                }
-                Ok(out)
-            })
-            .method("abort", &[TypeTag::Int], TypeTag::Unit, move |_, args| {
-                let txn = parse_txn(&args[0])?;
-                let out = s_abort.backing.invoke("blockdev", "abort", args)?;
-                s_abort.txn_sectors.lock().remove(&txn);
-                Ok(out)
-            })
-            .finish()
+            });
+        // A commit is one *un-split* write-through: atomic and
+        // durable-by-return under a journal, which a writeback chunked to
+        // `write_limit` would not be. Transaction data never becomes a
+        // cache line; lines already resident are refreshed.
+        txn_verbs(
+            i,
+            move |_, sector| s_check.check_writable_sector(sector),
+            move |_, writes| {
+                s_commit.backing.invoke(
+                    "blockdev",
+                    "write_many",
+                    &[pairs_arg(writes.iter().cloned())],
+                )?;
+                refresh_clean(&s_commit, &writes);
+                Ok(())
+            },
+        )
+        .finish()
     };
     ObjectBuilder::new("block-cache")
         // What the cache does not reimplement (`sectors`, `stats`,
@@ -1040,6 +906,7 @@ mod tests {
     use paramecium_core::{domain::KERNEL_DOMAIN, memsvc::MemService};
     use paramecium_machine::dev::disk::SECTOR_TRANSFER_COST;
     use paramecium_machine::Machine;
+    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn setup(capacity: usize) -> (Arc<MemService>, ObjRef, ObjRef) {
@@ -1394,52 +1261,56 @@ mod tests {
     }
 
     #[test]
-    fn forwarded_commit_invalidates_stale_clean_lines() {
+    fn commit_writes_through_and_refreshes_resident_lines() {
         use crate::vectored::{txn_arg, txn_write_args};
-        let (_mem, driver, cache) = setup(8);
-        // Warm a clean line for sector 4 from the driver's zeroes.
-        let v = cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0);
-        // Rewrite sector 4 through a forwarded transaction.
-        let txn = cache
-            .invoke("blockdev", "begin_txn", &[])
-            .unwrap()
-            .as_int()
-            .unwrap();
-        cache
-            .invoke(
-                "blockdev",
-                "txn_write",
-                &txn_write_args(txn, 4, Bytes::from(vec![0x44; SECTOR_SIZE])),
-            )
-            .unwrap();
-        // Before commit: the clean line still serves the old data and
-        // the driver is untouched.
-        let v = cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0);
-        cache.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
-        // After commit: the stale line was invalidated, so the read
-        // refetches the committed data.
-        let v = driver.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0x44);
-        let v = cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0x44);
-        // Aborted transactions change nothing and clean up tracking.
-        let t2 = cache
-            .invoke("blockdev", "begin_txn", &[])
-            .unwrap()
-            .as_int()
-            .unwrap();
-        cache
-            .invoke(
-                "blockdev",
-                "txn_write",
-                &txn_write_args(t2, 5, Bytes::from(vec![0x55; SECTOR_SIZE])),
-            )
-            .unwrap();
-        cache.invoke("blockdev", "abort", &txn_arg(t2)).unwrap();
-        let v = cache.invoke("blockdev", "read", &[Value::Int(5)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0);
+        // Whatever the cache held for sector 4 before the commit — a
+        // dirty line (regression: the stale line kept answering, and the
+        // next flush wrote it over the committed data), a clean line, or
+        // nothing — afterwards the cache and, once flushed, the driver
+        // both answer with the committed bytes, and transaction data
+        // never becomes a cache line of its own.
+        for (before, resident_after) in [("dirty", 1), ("clean", 1), ("absent", 0)] {
+            let (_mem, driver, cache) = setup(8);
+            match before {
+                "dirty" => {
+                    cache
+                        .invoke("blockdev", "write", &[Value::Int(4), sector_of(0x11)])
+                        .unwrap();
+                }
+                "clean" => {
+                    cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
+                }
+                _ => {}
+            }
+            let txn = cache
+                .invoke("blockdev", "begin_txn", &[])
+                .unwrap()
+                .as_int()
+                .unwrap();
+            cache
+                .invoke(
+                    "blockdev",
+                    "txn_write",
+                    &txn_write_args(txn, 4, Bytes::from(vec![0x44; SECTOR_SIZE])),
+                )
+                .unwrap();
+            cache.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
+            assert_eq!(cache_stats(&cache)[3], resident_after, "{before}");
+            let v = cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
+            assert_eq!(
+                v.as_bytes().unwrap()[0],
+                0x44,
+                "{before}: through the cache"
+            );
+            // The commit itself reached the driver, and no stale dirty
+            // line is left to be written over it.
+            assert_eq!(
+                cache.invoke("blockdev", "flush", &[]).unwrap(),
+                Value::Int(0)
+            );
+            let v = driver.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
+            assert_eq!(v.as_bytes().unwrap()[0], 0x44, "{before}: on the driver");
+        }
     }
 
     /// 10 dirty lines over an 8-sector journal (6-sector transaction

@@ -24,7 +24,6 @@
 //! stack speaks the same `blockdev` interface and a journal can be
 //! slotted in (or left out) without changing any client.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -38,7 +37,7 @@ use paramecium_machine::{
 };
 use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{parse_pairs, parse_sectors, parse_txn, parse_txn_write, TXN_WRITE_PARAMS};
+use crate::vectored::{parse_pairs, parse_sectors, txn_verbs};
 
 /// Bytes of a sector that still reach the platter when a power failure
 /// interrupts its transfer: the torn-write model (half the sector).
@@ -49,9 +48,21 @@ struct DriverState {
     machine: Arc<Mutex<Machine>>,
     reads: u64,
     writes: u64,
-    /// Open (volatile) transactions: ordered buffered writes.
-    open_txns: HashMap<i64, Vec<(i64, Bytes)>>,
-    next_txn: i64,
+}
+
+impl DriverState {
+    /// The driver's one write path — `write`, `write_many` and `commit`
+    /// all hand it their batch: refuse on a dead machine, validate every
+    /// sector before anything is charged or written (no partial effects
+    /// for invalid batches), then write.
+    fn apply(&mut self, batch: &[(i64, Bytes)]) -> ObjResult<()> {
+        let mut m = self.machine.lock();
+        check_power(&m)?;
+        check_sectors(&mut m, batch.iter().map(|(sec, _)| *sec))?;
+        charged_batch_write(&mut m, batch)?;
+        self.writes += batch.len() as u64;
+        Ok(())
+    }
 }
 
 /// Converts machine errors, keeping the power-failure case recognisable.
@@ -105,16 +116,14 @@ fn charged_batch_write(m: &mut Machine, batch: &[(i64, Bytes)]) -> ObjResult<()>
     Ok(())
 }
 
-/// Validates every sector of a write batch against the device bounds
-/// before anything is charged or written (no partial effects for invalid
-/// batches).
-fn validate_batch(m: &mut Machine, batch: &[(i64, Bytes)]) -> ObjResult<()> {
+/// Rejects any of `sectors` outside the device bounds.
+fn check_sectors(m: &mut Machine, sectors: impl IntoIterator<Item = i64>) -> ObjResult<()> {
     let total = m
         .device_mut::<Disk>("disk")
         .ok_or_else(|| ObjError::failed("disk device missing"))?
         .sectors() as i64;
-    for (sec, _) in batch {
-        if *sec < 0 || *sec >= total {
+    for sec in sectors {
+        if sec < 0 || sec >= total {
             return Err(ObjError::failed(format!(
                 "sector {sec} out of range (device has {total})"
             )));
@@ -146,10 +155,20 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
             machine: mem.machine().clone(),
             reads: 0,
             writes: 0,
-            open_txns: HashMap::new(),
-            next_txn: 1,
         })
         .interface("blockdev", |i| {
+            // Transaction surface (volatile: see the module docs).
+            let i = txn_verbs(
+                i,
+                |this, sector| {
+                    this.with_state(|s: &mut DriverState| {
+                        let mut m = s.machine.lock();
+                        check_power(&m)?;
+                        check_sectors(&mut m, [sector])
+                    })
+                },
+                |this, writes| this.with_state(|s: &mut DriverState| s.apply(&writes)),
+            );
             i.method("read", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
                 let sector = args[0].as_int()?;
                 if sector < 0 {
@@ -187,14 +206,8 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                         )));
                     }
                     let batch = [(sector, data.clone())];
-                    this.with_state(|s: &mut DriverState| {
-                        let mut m = s.machine.lock();
-                        check_power(&m)?;
-                        validate_batch(&mut m, &batch)?;
-                        charged_batch_write(&mut m, &batch)?;
-                        s.writes += 1;
-                        Ok(Value::Unit)
-                    })
+                    this.with_state(|s: &mut DriverState| s.apply(&batch))?;
+                    Ok(Value::Unit)
                 },
             )
             .method(
@@ -207,17 +220,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                         let mut m = s.machine.lock();
                         check_power(&m)?;
                         // Validate the whole batch before charging.
-                        {
-                            let d = m
-                                .device_mut::<Disk>("disk")
-                                .ok_or_else(|| ObjError::failed("disk device missing"))?;
-                            let total = d.sectors() as i64;
-                            if let Some(bad) = sectors.iter().find(|&&sec| sec >= total) {
-                                return Err(ObjError::failed(format!(
-                                    "sector {bad} out of range (device has {total})"
-                                )));
-                            }
-                        }
+                        check_sectors(&mut m, sectors.iter().copied())?;
                         let mut out = Vec::with_capacity(sectors.len());
                         for (k, &sec) in sectors.iter().enumerate() {
                             let cost = if k == 0 {
@@ -246,14 +249,8 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 TypeTag::Int,
                 |this, args| {
                     let pairs = parse_pairs(&args[0])?;
-                    this.with_state(|s: &mut DriverState| {
-                        let mut m = s.machine.lock();
-                        check_power(&m)?;
-                        validate_batch(&mut m, &pairs)?;
-                        charged_batch_write(&mut m, &pairs)?;
-                        s.writes += pairs.len() as u64;
-                        Ok(Value::Int(pairs.len() as i64))
-                    })
+                    this.with_state(|s: &mut DriverState| s.apply(&pairs))?;
+                    Ok(Value::Int(pairs.len() as i64))
                 },
             )
             .method("sectors", &[], TypeTag::Int, |this, _| {
@@ -287,62 +284,6 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
             .method("barrier", &[], TypeTag::Unit, |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     check_power(&s.machine.lock())?;
-                    Ok(Value::Unit)
-                })
-            })
-            // Transaction surface (volatile: see the module docs).
-            .method("begin_txn", &[], TypeTag::Int, |this, _| {
-                this.with_state(|s: &mut DriverState| {
-                    check_power(&s.machine.lock())?;
-                    let id = s.next_txn;
-                    s.next_txn += 1;
-                    s.open_txns.insert(id, Vec::new());
-                    Ok(Value::Int(id))
-                })
-            })
-            .method(
-                "txn_write",
-                TXN_WRITE_PARAMS,
-                TypeTag::Unit,
-                |this, args| {
-                    let (txn, sector, data) = parse_txn_write(args)?;
-                    this.with_state(|s: &mut DriverState| {
-                        let mut m = s.machine.lock();
-                        check_power(&m)?;
-                        validate_batch(&mut m, std::slice::from_ref(&(sector, data.clone())))?;
-                        drop(m);
-                        s.open_txns
-                            .get_mut(&txn)
-                            .ok_or_else(|| ObjError::failed(format!("no open transaction {txn}")))?
-                            .push((sector, data));
-                        Ok(Value::Unit)
-                    })
-                },
-            )
-            .method("commit", &[TypeTag::Int], TypeTag::Unit, |this, args| {
-                let txn = parse_txn(&args[0])?;
-                this.with_state(|s: &mut DriverState| {
-                    let writes = s
-                        .open_txns
-                        .remove(&txn)
-                        .ok_or_else(|| ObjError::failed(format!("no open transaction {txn}")))?;
-                    if writes.is_empty() {
-                        return Ok(Value::Unit);
-                    }
-                    let mut m = s.machine.lock();
-                    check_power(&m)?;
-                    validate_batch(&mut m, &writes)?;
-                    charged_batch_write(&mut m, &writes)?;
-                    s.writes += writes.len() as u64;
-                    Ok(Value::Unit)
-                })
-            })
-            .method("abort", &[TypeTag::Int], TypeTag::Unit, |this, args| {
-                let txn = parse_txn(&args[0])?;
-                this.with_state(|s: &mut DriverState| {
-                    s.open_txns
-                        .remove(&txn)
-                        .ok_or_else(|| ObjError::failed(format!("no open transaction {txn}")))?;
                     Ok(Value::Unit)
                 })
             })
@@ -467,64 +408,6 @@ mod tests {
             .is_err());
         let stats = driver.invoke("blockdev", "stats", &[]).unwrap();
         assert_eq!(stats.as_list().unwrap()[1], Value::Int(0));
-    }
-
-    #[test]
-    fn volatile_txns_apply_on_commit_and_vanish_on_abort() {
-        use crate::vectored::txn_write_args;
-        let (_, driver) = setup();
-        let txn = driver
-            .invoke("blockdev", "begin_txn", &[])
-            .unwrap()
-            .as_int()
-            .unwrap();
-        for sec in 0..3i64 {
-            driver
-                .invoke(
-                    "blockdev",
-                    "txn_write",
-                    &txn_write_args(txn, sec, Bytes::from(vec![0x42; SECTOR_SIZE])),
-                )
-                .unwrap();
-        }
-        // Nothing visible before commit.
-        let v = driver.invoke("blockdev", "read", &[Value::Int(0)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0);
-        driver
-            .invoke("blockdev", "commit", &[Value::Int(txn)])
-            .unwrap();
-        let v = driver.invoke("blockdev", "read", &[Value::Int(2)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0x42);
-        // Double commit fails; an aborted txn leaves no trace.
-        assert!(driver
-            .invoke("blockdev", "commit", &[Value::Int(txn)])
-            .is_err());
-        let t2 = driver
-            .invoke("blockdev", "begin_txn", &[])
-            .unwrap()
-            .as_int()
-            .unwrap();
-        driver
-            .invoke(
-                "blockdev",
-                "txn_write",
-                &txn_write_args(t2, 5, Bytes::from(vec![0x77; SECTOR_SIZE])),
-            )
-            .unwrap();
-        driver
-            .invoke("blockdev", "abort", &[Value::Int(t2)])
-            .unwrap();
-        let v = driver.invoke("blockdev", "read", &[Value::Int(5)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0);
-        // Flush and barrier are no-ops on the raw driver.
-        assert_eq!(
-            driver.invoke("blockdev", "flush", &[]).unwrap(),
-            Value::Int(0)
-        );
-        assert_eq!(
-            driver.invoke("blockdev", "barrier", &[]).unwrap(),
-            Value::Unit
-        );
     }
 
     #[test]

@@ -65,10 +65,7 @@ use parking_lot::{Condvar, Mutex};
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{
-    pairs_arg, parse_pairs, parse_sectors, parse_txn, parse_txn_write, sectors_arg,
-    TXN_WRITE_PARAMS,
-};
+use crate::vectored::{pairs_arg, parse_pairs, parse_sectors, sectors_arg, txn_verbs};
 
 /// Magic tag of a superblock sector.
 const SB_MAGIC: u64 = 0x504A_5342_4C4B_0001; // "PJSBLK" v1
@@ -182,10 +179,10 @@ fn commit_sector(epoch: u64, txn: u64, payload_sum: u64) -> [u8; SECTOR_SIZE] {
 /// Committed transactions in commit order, as recovered by a log scan.
 type CommittedTxns = Vec<(u64, Vec<(i64, Bytes)>)>;
 
-/// One transaction queued for the next group append.
+/// One transaction queued for the next group append. `seq` orders the
+/// queue and is the transaction id its log records carry.
 struct PendingTxn {
     seq: u64,
-    txn: u64,
     writes: Vec<(i64, Bytes)>,
 }
 
@@ -199,9 +196,6 @@ struct Inner {
     head: i64,
     /// Committed, not-yet-homed payloads (read overlay).
     overlay: HashMap<i64, Bytes>,
-    /// Open client transactions (buffered in memory until commit).
-    open: HashMap<i64, Vec<(i64, Bytes)>>,
-    next_txn: i64,
     /// Group-commit queue and leader token.
     pending: Vec<PendingTxn>,
     flushing: bool,
@@ -275,7 +269,7 @@ impl JournalShared {
                 let ids: Vec<i64> = chunk.iter().map(|(sec, _)| *sec).collect();
                 batch.push((
                     pos,
-                    Bytes::copy_from_slice(&desc_sector(epoch, t.txn, &ids)),
+                    Bytes::copy_from_slice(&desc_sector(epoch, t.seq, &ids)),
                 ));
                 pos += 1;
                 for (_, data) in chunk {
@@ -285,7 +279,7 @@ impl JournalShared {
             }
             batch.push((
                 pos,
-                Bytes::copy_from_slice(&commit_sector(epoch, t.txn, payload_sum)),
+                Bytes::copy_from_slice(&commit_sector(epoch, t.seq, payload_sum)),
             ));
             pos += 1;
         }
@@ -425,11 +419,12 @@ impl JournalShared {
         Ok(homed as i64)
     }
 
-    /// Commits `writes` as one atomic transaction, group-coalescing with
-    /// every other transaction queued while an append was in flight.
-    /// Returns once the commit marker is durable (or delivery of the
-    /// group's failure).
-    fn commit_writes(&self, txn: u64, writes: Vec<(i64, Bytes)>) -> ObjResult<()> {
+    /// The journal's one write path — `write`, `write_many` and `commit`
+    /// all hand it their batch. Commits `writes` as one atomic
+    /// transaction, group-coalescing with every other transaction queued
+    /// while an append was in flight. Returns once the commit marker is
+    /// durable (or delivery of the group's failure).
+    fn commit_writes(&self, writes: Vec<(i64, Bytes)>) -> ObjResult<()> {
         let limit = self.txn_capacity();
         if writes.len() as i64 > limit {
             return Err(ObjError::failed(format!(
@@ -443,7 +438,7 @@ impl JournalShared {
             let mut inner = self.inner.lock();
             let seq = inner.next_seq;
             inner.next_seq += 1;
-            inner.pending.push(PendingTxn { seq, txn, writes });
+            inner.pending.push(PendingTxn { seq, writes });
             seq
         };
         loop {
@@ -593,8 +588,6 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
             epoch: 0,
             head: 0,
             overlay: HashMap::new(),
-            open: HashMap::new(),
-            next_txn: 1,
             pending: Vec::new(),
             flushing: false,
             next_seq: 1,
@@ -653,10 +646,13 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             let s_stats = s.clone();
             let s_flush = s.clone();
             let s_barrier = s.clone();
-            let s_begin = s.clone();
-            let s_txn_write = s.clone();
+            let geo = s.geo;
             let s_commit = s.clone();
-            let s_abort = s.clone();
+            let i = txn_verbs(
+                i,
+                move |_, sector| check_data_sector(&geo, sector),
+                move |_, writes| s_commit.commit_writes(writes),
+            );
             i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
                 let sector = args[0].as_int()?;
                 check_data_sector(&s_read.geo, sector)?;
@@ -684,8 +680,7 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                     // A bare write is an implicit single-write
                     // transaction: journalled, group-committed, durable
                     // by return.
-                    let txn = alloc_txn(&s_write);
-                    s_write.commit_writes(txn, vec![(sector, data.clone())])?;
+                    s_write.commit_writes(vec![(sector, data.clone())])?;
                     Ok(Value::Unit)
                 },
             )
@@ -752,8 +747,7 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                     // One batch = one atomic transaction: after a crash,
                     // either every pair is visible or none is.
                     let n = pairs.len() as i64;
-                    let txn = alloc_txn(&s_write_many);
-                    s_write_many.commit_writes(txn, pairs)?;
+                    s_write_many.commit_writes(pairs)?;
                     Ok(Value::Int(n))
                 },
             )
@@ -780,8 +774,10 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 let below = s_flush.backing.invoke("blockdev", "flush", &[]);
                 let homed = result?;
                 let below = match below {
-                    Ok(v) => v.as_int().unwrap_or(0),
-                    Err(_) => 0, // A bare driver may not implement flush.
+                    Ok(v) => v.as_int()?,
+                    // A minimal backing may have nothing to flush.
+                    Err(ObjError::NoSuchMethod { .. }) => 0,
+                    Err(e) => return Err(e),
                 };
                 Ok(Value::Int(homed + below))
             })
@@ -793,54 +789,6 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 s_barrier.acquire_flush_token();
                 s_barrier.release_flush_token();
                 s_barrier.backing.invoke("blockdev", "barrier", &[])
-            })
-            .method("begin_txn", &[], TypeTag::Int, move |_, _| {
-                let mut inner = s_begin.inner.lock();
-                let id = inner.next_txn;
-                inner.next_txn += 1;
-                inner.open.insert(id, Vec::new());
-                Ok(Value::Int(id))
-            })
-            .method(
-                "txn_write",
-                TXN_WRITE_PARAMS,
-                TypeTag::Unit,
-                move |_, args| {
-                    let (txn, sector, data) = parse_txn_write(args)?;
-                    check_data_sector(&s_txn_write.geo, sector)?;
-                    s_txn_write
-                        .inner
-                        .lock()
-                        .open
-                        .get_mut(&txn)
-                        .ok_or_else(|| ObjError::failed(format!("no open transaction {txn}")))?
-                        .push((sector, data));
-                    Ok(Value::Unit)
-                },
-            )
-            .method("commit", &[TypeTag::Int], TypeTag::Unit, move |_, args| {
-                let txn = parse_txn(&args[0])?;
-                let writes = s_commit
-                    .inner
-                    .lock()
-                    .open
-                    .remove(&txn)
-                    .ok_or_else(|| ObjError::failed(format!("no open transaction {txn}")))?;
-                if writes.is_empty() {
-                    return Ok(Value::Unit);
-                }
-                s_commit.commit_writes(txn as u64, writes)?;
-                Ok(Value::Unit)
-            })
-            .method("abort", &[TypeTag::Int], TypeTag::Unit, move |_, args| {
-                let txn = parse_txn(&args[0])?;
-                s_abort
-                    .inner
-                    .lock()
-                    .open
-                    .remove(&txn)
-                    .ok_or_else(|| ObjError::failed(format!("no open transaction {txn}")))?;
-                Ok(Value::Unit)
             })
         })
         .interface("journal", |i| {
@@ -873,15 +821,6 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             })
         })
         .build()
-}
-
-/// Allocates an internal transaction id for an implicit (bare-write)
-/// transaction.
-fn alloc_txn(s: &JournalShared) -> u64 {
-    let mut inner = s.inner.lock();
-    let id = inner.next_txn;
-    inner.next_txn += 1;
-    id as u64
 }
 
 /// Rejects sectors outside the client-visible data area (negative or
@@ -954,45 +893,45 @@ mod tests {
     }
 
     #[test]
-    fn txn_invisible_until_commit_and_gone_after_abort() {
-        use crate::vectored::{txn_arg, txn_write_args};
-        let (_mem, _driver, j) = setup();
-        let txn = j
-            .invoke("blockdev", "begin_txn", &[])
-            .unwrap()
-            .as_int()
+    fn flush_reports_a_failed_layer_below_but_tolerates_one_without_flush() {
+        use paramecium_obj::{InterfaceBuilder, InterposerBuilder};
+        // A backing whose flush fails (a cache whose writeback failed, a
+        // dead machine): the journal's own checkpoint succeeded, but
+        // "flushed" must not be reported for the stack as a whole.
+        let (_mem, driver, _j) = setup();
+        let failing = InterposerBuilder::new(driver)
+            .override_method("blockdev", "flush", |_, _| {
+                Err(ObjError::failed("injected flush failure"))
+            })
+            .build();
+        let j = mount_journal(failing, JournalConfig::default()).unwrap();
+        j.invoke("blockdev", "write", &[Value::Int(3), sector_of(0xAD)])
             .unwrap();
-        for sec in [7i64, 9] {
-            j.invoke(
-                "blockdev",
-                "txn_write",
-                &txn_write_args(txn, sec, Bytes::from(vec![0x11; SECTOR_SIZE])),
-            )
-            .unwrap();
+        let err = j.invoke("blockdev", "flush", &[]).unwrap_err();
+        assert!(err.to_string().contains("injected flush failure"), "{err}");
+
+        // A backing that exports only what the journal needs and has no
+        // `flush` at all: the journal still answers with its own count.
+        let (_mem, driver, _j) = setup();
+        let mut bare = InterfaceBuilder::new("blockdev");
+        for (verb, params, returns) in [
+            ("read", &[TypeTag::Int][..], TypeTag::Bytes),
+            ("read_many", &[TypeTag::List], TypeTag::List),
+            ("write_many", &[TypeTag::List], TypeTag::Int),
+            ("sectors", &[], TypeTag::Int),
+        ] {
+            let driver = driver.clone();
+            bare = bare.method(verb, params, returns, move |_, args| {
+                driver.invoke("blockdev", verb, args)
+            });
         }
-        let v = j.invoke("blockdev", "read", &[Value::Int(7)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0, "uncommitted data invisible");
-        j.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
-        for sec in [7i64, 9] {
-            let v = j.invoke("blockdev", "read", &[Value::Int(sec)]).unwrap();
-            assert_eq!(v.as_bytes().unwrap()[0], 0x11);
-        }
-        // Abort drops buffered writes entirely.
-        let t2 = j
-            .invoke("blockdev", "begin_txn", &[])
-            .unwrap()
-            .as_int()
+        let bare = ObjectBuilder::new("bare-blockdev")
+            .raw_interface(bare.finish())
+            .build();
+        let j = mount_journal(bare, JournalConfig::default()).unwrap();
+        j.invoke("blockdev", "write", &[Value::Int(3), sector_of(0xAE)])
             .unwrap();
-        j.invoke(
-            "blockdev",
-            "txn_write",
-            &txn_write_args(t2, 20, Bytes::from(vec![0x22; SECTOR_SIZE])),
-        )
-        .unwrap();
-        j.invoke("blockdev", "abort", &txn_arg(t2)).unwrap();
-        let v = j.invoke("blockdev", "read", &[Value::Int(20)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0);
-        assert!(j.invoke("blockdev", "commit", &txn_arg(t2)).is_err());
+        assert_eq!(j.invoke("blockdev", "flush", &[]).unwrap(), Value::Int(1));
     }
 
     #[test]
@@ -1085,7 +1024,6 @@ mod tests {
         let group: Vec<PendingTxn> = (0..3u64)
             .map(|t| PendingTxn {
                 seq: t + 1,
-                txn: t + 1,
                 writes: (0..6i64)
                     .map(|k| {
                         (

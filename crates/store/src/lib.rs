@@ -32,7 +32,9 @@
 //!
 //! Every layer exports the same interface, which is what lets any of
 //! them interpose on any other; a layer forwards every method it does
-//! not reimplement to the layer below. The full method set:
+//! not reimplement to the layer below. Each layer has one write path;
+//! `write`, `write_many` and `commit` are three ways to hand it a batch.
+//! The full method set:
 //!
 //! | method | signature | semantics |
 //! |---|---|---|
@@ -52,7 +54,10 @@
 //!
 //! Only the journal makes `commit` atomic against power failure; the
 //! bare driver's transactions are volatile buffers (atomic against
-//! validation errors only) and the cache forwards the verbs downward.
+//! validation errors only) and the cache commits by write-through: one
+//! un-split `write_many` to the layer below, as atomic as that layer
+//! makes it. Each layer holds at most [`vectored::MAX_OPEN_TXNS`] open
+//! transactions.
 //! Encode/decode the arguments with [`vectored`]'s typed helpers — no
 //! hand-rolled packing at call sites.
 

@@ -8,11 +8,19 @@
 //! (`commit(txn)` / `abort(txn)`). Both sides of the interface (the disk
 //! driver, the journal, the block cache, interposers and tests) build
 //! and parse those values through these helpers so the encoding cannot
-//! drift — no call site hand-rolls argument packing.
+//! drift — no call site hand-rolls argument packing. The transaction
+//! verbs themselves are written here once too ([`txn_verbs`]): a layer
+//! supplies its sector check and its batch write and gets the four
+//! methods.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
+
 use paramecium_machine::dev::disk::SECTOR_SIZE;
-use paramecium_obj::{ObjError, ObjResult, TypeTag, Value};
+use paramecium_obj::{InterfaceBuilder, ObjError, ObjRef, ObjResult, TypeTag, Value};
 
 /// Builds the `read_many` argument from sector numbers.
 pub fn sectors_arg(sectors: impl IntoIterator<Item = i64>) -> Value {
@@ -115,6 +123,95 @@ pub fn parse_txn(v: &Value) -> ObjResult<i64> {
     Ok(txn)
 }
 
+/// Most transactions one layer holds open at once. `begin_txn` refuses
+/// past it, so a client that never commits or aborts cannot grow the
+/// table without bound.
+pub const MAX_OPEN_TXNS: usize = 64;
+
+/// Open transactions of one layer: the handle allocator and each
+/// handle's buffered writes, in `txn_write` order.
+struct TxnTable {
+    next: i64,
+    open: HashMap<i64, Vec<(i64, Bytes)>>,
+}
+
+/// Adds `begin_txn`/`txn_write`/`commit`/`abort` to a layer's `blockdev`
+/// interface. A transaction is a buffered batch: `txn_write` admits a
+/// sector through the layer's `check`, and `commit` hands the whole
+/// batch to `apply` — the function the layer's `write_many` runs — so a
+/// commit is exactly as atomic and as durable as the layer's batch
+/// write. The table's lock is never held across `check` or `apply`
+/// (either may invoke the layer below).
+pub(crate) fn txn_verbs(
+    i: InterfaceBuilder,
+    check: impl Fn(&ObjRef, i64) -> ObjResult<()> + Send + Sync + 'static,
+    apply: impl Fn(&ObjRef, Vec<(i64, Bytes)>) -> ObjResult<()> + Send + Sync + 'static,
+) -> InterfaceBuilder {
+    fn no_txn(txn: i64) -> ObjError {
+        ObjError::failed(format!("no open transaction {txn}"))
+    }
+    let table = Arc::new(Mutex::new(TxnTable {
+        next: 1,
+        open: HashMap::new(),
+    }));
+    let (t_begin, t_write, t_commit, t_abort) =
+        (table.clone(), table.clone(), table.clone(), table);
+    i.method("begin_txn", &[], TypeTag::Int, move |_, _| {
+        let mut t = t_begin.lock();
+        if t.open.len() >= MAX_OPEN_TXNS {
+            return Err(ObjError::failed(format!(
+                "too many open transactions (limit {MAX_OPEN_TXNS}): commit or abort one first"
+            )));
+        }
+        let id = t.next;
+        t.next += 1;
+        t.open.insert(id, Vec::new());
+        Ok(Value::Int(id))
+    })
+    .method(
+        "txn_write",
+        TXN_WRITE_PARAMS,
+        TypeTag::Unit,
+        move |this, args| {
+            let (txn, sector, data) = parse_txn_write(args)?;
+            check(this, sector)?;
+            t_write
+                .lock()
+                .open
+                .get_mut(&txn)
+                .ok_or_else(|| no_txn(txn))?
+                .push((sector, data));
+            Ok(Value::Unit)
+        },
+    )
+    .method(
+        "commit",
+        &[TypeTag::Int],
+        TypeTag::Unit,
+        move |this, args| {
+            let txn = parse_txn(&args[0])?;
+            let writes = t_commit
+                .lock()
+                .open
+                .remove(&txn)
+                .ok_or_else(|| no_txn(txn))?;
+            if !writes.is_empty() {
+                apply(this, writes)?;
+            }
+            Ok(Value::Unit)
+        },
+    )
+    .method("abort", &[TypeTag::Int], TypeTag::Unit, move |_, args| {
+        let txn = parse_txn(&args[0])?;
+        t_abort
+            .lock()
+            .open
+            .remove(&txn)
+            .ok_or_else(|| no_txn(txn))?;
+        Ok(Value::Unit)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,5 +251,24 @@ mod tests {
         assert!(parse_txn_write(&txn_write_args(1, -1, data.clone())).is_err());
         assert!(parse_txn_write(&txn_write_args(1, 0, Bytes::from_static(b"x"))).is_err());
         assert!(parse_txn_write(&args[..2]).is_err());
+    }
+
+    #[test]
+    fn open_transactions_are_bounded() {
+        use paramecium_core::{domain::KERNEL_DOMAIN, memsvc::MemService};
+        use paramecium_machine::Machine;
+        let mem = Arc::new(MemService::new(Arc::new(Mutex::new(Machine::new()))));
+        let dev = crate::StackBuilder::disk(&mem, KERNEL_DOMAIN)
+            .build()
+            .unwrap()
+            .top;
+        let begin = || dev.invoke("blockdev", "begin_txn", &[]);
+        let handles: Vec<Value> = (0..MAX_OPEN_TXNS).map(|_| begin().unwrap()).collect();
+        let err = begin().unwrap_err().to_string();
+        assert!(err.contains(&format!("limit {MAX_OPEN_TXNS}")), "{err}");
+        // Closing any one makes room for exactly one more.
+        dev.invoke("blockdev", "abort", &handles[7..8]).unwrap();
+        begin().unwrap();
+        assert!(begin().is_err());
     }
 }

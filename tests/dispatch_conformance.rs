@@ -778,16 +778,20 @@ fn every_forwarder_is_transparent_late_bound_and_follows_its_target() {
     let machine = n.machine().clone();
 
     type Build<'a> = Box<dyn Fn(ObjRef) -> ObjRef + 'a>;
-    let table: Vec<(&str, &'static str, Build)> = vec![
+    // Last column: methods the layer answers from state of its own, so
+    // the object below never sees them under the same arguments.
+    let table: Vec<(&str, &'static str, Build, &[&str])> = vec![
         (
             "interposer",
             "blockdev",
             Box::new(|l| InterposerBuilder::new(l).build()),
+            &[],
         ),
         (
             "hooked interposer",
             "netdev",
             Box::new(|l| InterposerBuilder::new(l).before(|_, _, _| {}).build()),
+            &[],
         ),
         (
             "composition",
@@ -799,6 +803,7 @@ fn every_forwarder_is_transparent_late_bound_and_follows_its_target() {
                     .build()
                     .unwrap()
             }),
+            &[],
         ),
         (
             "proxy",
@@ -807,6 +812,7 @@ fn every_forwarder_is_transparent_late_bound_and_follows_its_target() {
                 n.register(KERNEL_DOMAIN, "/svc/probe", l).unwrap();
                 n.bind(app.id, "/svc/probe").unwrap()
             }),
+            &[],
         ),
         (
             "delegation",
@@ -819,30 +825,37 @@ fn every_forwarder_is_transparent_late_bound_and_follows_its_target() {
                     ))
                     .build()
             }),
+            &[],
         ),
         (
             "network monitor",
             "netdev",
             Box::new(|l| make_network_monitor(l).0),
+            &[],
         ),
         (
             "arp",
             "netdev",
             Box::new(|l| make_arp(l, 0x0A00_0001, [2, 0, 0, 0, 0, 1])),
+            &[],
         ),
         (
             "retry",
             "blockdev",
             Box::new(|l| make_retry(machine.clone(), l, RetryConfig::default())),
+            &[],
         ),
         (
             "block cache",
             "blockdev",
             Box::new(|l| StackBuilder::on(l).cache(16).build().unwrap().top),
+            // The cache buffers a transaction itself and commits it as
+            // one `write_many`; its handles are not the lower object's.
+            &["begin_txn", "txn_write", "commit", "abort"],
         ),
     ];
 
-    for (name, iface, build) in &table {
+    for (name, iface, build, own) in &table {
         let lower = probe(iface, 7);
         let layer = build(lower.clone());
 
@@ -851,6 +864,9 @@ fn every_forwarder_is_transparent_late_bound_and_follows_its_target() {
         // could leave the cache a dirty line of its own to count.)
         let twin = probe(iface, 7);
         for sig in twin.interface(iface).unwrap().descriptor().methods {
+            if own.contains(&sig.name.as_str()) {
+                continue;
+            }
             let args = args_for(&sig);
             for _ in 0..2 {
                 assert_eq!(

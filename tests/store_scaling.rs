@@ -11,6 +11,8 @@
 //!   costs fewer simulated cycles than per-sector writes.
 //! - Stress: several non-cooperating domains hammer one shared cache
 //!   installed by interposition.
+//! - Transactions: one script over every stack shape — a transaction is
+//!   the same buffered batch whichever layers it passes through.
 
 use proptest::prelude::*;
 use std::sync::{
@@ -22,8 +24,8 @@ use paramecium::core::memsvc::MemService;
 use paramecium::machine::dev::disk::{batch_transfer_cost, SECTOR_SIZE, SECTOR_TRANSFER_COST};
 use paramecium::machine::Machine;
 use paramecium::prelude::*;
-use paramecium::store::vectored::{pairs_arg, sectors_arg};
-use paramecium::store::StackBuilder;
+use paramecium::store::vectored::{pairs_arg, sectors_arg, txn_arg, txn_write_args};
+use paramecium::store::{JournalConfig, RetryConfig, StackBuilder};
 use parking_lot::Mutex;
 
 /// Sector range the tests operate on: small enough that random sequences
@@ -240,30 +242,61 @@ fn failed_flush_loses_no_dirty_data() {
 
 #[test]
 fn failed_eviction_writeback_keeps_victim_and_surfaces_error() {
-    let (_mem, driver) = fresh_driver();
-    let armed = Arc::new(AtomicBool::new(false));
-    let flaky = failing_backing(driver.clone(), armed.clone());
-    let cache = StackBuilder::on(flaky).cache(2).build().unwrap().top;
-    cache
-        .invoke("blockdev", "write", &[Value::Int(0), sector_of(0xAA)])
-        .unwrap();
-    cache
-        .invoke("blockdev", "write", &[Value::Int(1), sector_of(0xBB)])
-        .unwrap();
-    // A third write needs to evict a dirty victim; the backing write
-    // fails, so the client write fails and the victim's data survives.
-    armed.store(true, Ordering::Relaxed);
-    assert!(cache
-        .invoke("blockdev", "write", &[Value::Int(2), sector_of(0xCC)])
-        .is_err());
-    armed.store(false, Ordering::Relaxed);
-    // The original dirty data is intact (flushable), nothing was lost.
-    assert_eq!(cache.invoke("cache", "flush", &[]).unwrap(), Value::Int(2));
-    for (sec, byte) in [(0i64, 0xAAu8), (1, 0xBB)] {
-        let v = driver
-            .invoke("blockdev", "read", &[Value::Int(sec)])
+    // Every way into the cache that can need room goes through the one
+    // eviction path, so each must keep the same promises when the
+    // writeback that makes the room fails.
+    type Entry = fn(&ObjRef) -> Result<Value, paramecium::obj::ObjError>;
+    let entries: [(&str, Entry); 3] = [
+        ("write", |c| {
+            c.invoke("blockdev", "write", &[Value::Int(2), sector_of(0xCC)])
+        }),
+        ("read fill", |c| {
+            c.invoke("blockdev", "read", &[Value::Int(2)])
+        }),
+        ("write_many", |c| {
+            let pairs = [2i64, 3].map(|sec| (sec, bytes::Bytes::from(vec![0xCC; SECTOR_SIZE])));
+            c.invoke("blockdev", "write_many", &[pairs_arg(pairs)])
+        }),
+    ];
+    for (name, enter) in entries {
+        let (_mem, driver) = fresh_driver();
+        let armed = Arc::new(AtomicBool::new(false));
+        let flaky = failing_backing(driver.clone(), armed.clone());
+        let cache = StackBuilder::on(flaky).cache(2).build().unwrap().top;
+        cache
+            .invoke("blockdev", "write", &[Value::Int(0), sector_of(0xAA)])
             .unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], byte);
+        cache
+            .invoke("blockdev", "write", &[Value::Int(1), sector_of(0xBB)])
+            .unwrap();
+        // Room for sector 2 means evicting a dirty victim; the backing
+        // write fails, so the client call fails and the victim survives.
+        armed.store(true, Ordering::Relaxed);
+        let err = enter(&cache).unwrap_err().to_string();
+        assert!(err.contains("injected write failure"), "{name}: {err}");
+        assert!(resident_of(&cache) <= 2, "{name}: over capacity");
+        armed.store(false, Ordering::Relaxed);
+        for (sec, byte) in [(0i64, 0xAAu8), (1, 0xBB)] {
+            let v = cache
+                .invoke("blockdev", "read", &[Value::Int(sec)])
+                .unwrap();
+            assert_eq!(
+                v.as_bytes().unwrap()[0],
+                byte,
+                "{name}: acknowledged write lost"
+            );
+        }
+        // Healed: the same call succeeds, still within capacity, and a
+        // flush leaves the acknowledged data on the disk.
+        enter(&cache).unwrap_or_else(|e| panic!("{name}: retry after heal: {e}"));
+        assert!(resident_of(&cache) <= 2, "{name}: over capacity");
+        cache.invoke("cache", "flush", &[]).unwrap();
+        for (sec, byte) in [(0i64, 0xAAu8), (1, 0xBB)] {
+            let v = driver
+                .invoke("blockdev", "read", &[Value::Int(sec)])
+                .unwrap();
+            assert_eq!(v.as_bytes().unwrap()[0], byte, "{name}");
+        }
     }
 }
 
@@ -384,6 +417,149 @@ fn batched_flush_beats_per_sector_writes_on_invocations_and_cost() {
     );
     // Both strategies leave identical bytes behind.
     assert_eq!(disk_contents(&driver_a)[..], disk_contents(&driver_b)[..]);
+}
+
+#[test]
+fn transactions_behave_identically_on_every_stack() {
+    // A 16-sector log carries at most 14 payload sectors per transaction.
+    let small_log = JournalConfig { log_sectors: 16 };
+    type Shape = fn(StackBuilder, JournalConfig) -> StackBuilder;
+    let shapes: [(&str, Shape); 4] = [
+        ("driver", |b, _| b),
+        ("driver → journal", |b, log| b.journal(log)),
+        ("driver → retry → journal → cache", |b, log| {
+            b.retry(RetryConfig::default()).journal(log).cache(8)
+        }),
+        ("driver → cache", |b, _| b.cache(8)),
+    ];
+    let data = |byte: u8| bytes::Bytes::from(vec![byte; SECTOR_SIZE]);
+    let mut transcripts: Vec<(&str, Vec<String>, Option<String>)> = Vec::new();
+    for (name, shape) in shapes {
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let mem = Arc::new(MemService::new(machine));
+        let stack = shape(StackBuilder::disk(&mem, KERNEL_DOMAIN), small_log)
+            .build()
+            .unwrap();
+        let top = &stack.top;
+        let total = top
+            .invoke("blockdev", "sectors", &[])
+            .unwrap()
+            .as_int()
+            .unwrap();
+        // One line per step: what the client saw, with this stack's
+        // device size (the journal reserves its tail) written as `N`.
+        let mut seen: Vec<String> = Vec::new();
+        let mut say = |step: &str, r: Result<Value, paramecium::obj::ObjError>| {
+            let outcome = match r {
+                Ok(Value::Bytes(b)) => format!("{:#04x}", b[0]),
+                Ok(v) => format!("{v:?}"),
+                Err(e) => format!("error: {e}").replace(&total.to_string(), "N"),
+            };
+            seen.push(format!("{step}: {outcome}"));
+        };
+        let read = |sec: i64| top.invoke("blockdev", "read", &[Value::Int(sec)]);
+        let begin = || top.invoke("blockdev", "begin_txn", &[]);
+        let txn_write = |txn: i64, sec: i64, d: bytes::Bytes| {
+            top.invoke("blockdev", "txn_write", &txn_write_args(txn, sec, d))
+        };
+        let commit = |txn: i64| top.invoke("blockdev", "commit", &txn_arg(txn));
+        let abort = |txn: i64| top.invoke("blockdev", "abort", &txn_arg(txn));
+
+        // Invisible until commit, visible after.
+        say(
+            "write 2",
+            top.invoke("blockdev", "write", &[Value::Int(2), sector_of(0x10)]),
+        );
+        say("begin", begin());
+        say("txn_write 2", txn_write(1, 2, data(0xA2)));
+        say("txn_write 3", txn_write(1, 3, data(0xA3)));
+        say("read 2 before commit", read(2));
+        say("read 3 before commit", read(3));
+        say("commit", commit(1));
+        say("read 2 after commit", read(2));
+        say("read 3 after commit", read(3));
+        // A closed handle is gone, for commit and abort alike.
+        say("commit again", commit(1));
+        say("abort after commit", abort(1));
+        // Abort leaves nothing behind.
+        say("begin", begin());
+        say("txn_write 5", txn_write(2, 5, data(0xB5)));
+        say("abort", abort(2));
+        say("read 5 after abort", read(5));
+        say("commit after abort", commit(2));
+        // Handles nobody was given.
+        say("commit unknown", commit(99));
+        say("abort unknown", abort(99));
+        say("txn_write unknown", txn_write(99, 1, data(1)));
+        say("commit 0", commit(0));
+        say("abort negative", abort(-3));
+        say("txn_write 0", txn_write(0, 1, data(1)));
+        // Bad writes are refused at `txn_write`, not at commit.
+        say("begin", begin());
+        say("txn_write past the end", txn_write(3, total, data(1)));
+        say("txn_write negative", txn_write(3, -1, data(1)));
+        say(
+            "txn_write short",
+            txn_write(3, 1, bytes::Bytes::from_static(b"short")),
+        );
+        say("commit empty", commit(3));
+        say("read 1 after empty commit", read(1));
+        // Nothing volatile is left after a flush; the committed data is
+        // at its home on the disk.
+        top.invoke("blockdev", "flush", &[]).unwrap();
+        say("second flush", top.invoke("blockdev", "flush", &[]));
+        say("barrier", top.invoke("blockdev", "barrier", &[]));
+        say(
+            "driver read 3",
+            stack.driver.invoke("blockdev", "read", &[Value::Int(3)]),
+        );
+
+        // Under a journal a transaction larger than one log record can
+        // carry is rejected whole, wherever in the stack it was begun.
+        let oversized = top
+            .invoke("blockdev", "write_limit", &[])
+            .ok()
+            .map(|limit| {
+                let limit = limit.as_int().unwrap();
+                let txn = begin().unwrap().as_int().unwrap();
+                for sec in 0..=limit {
+                    txn_write(txn, 8 + sec, data(0xEE)).unwrap();
+                }
+                let err = commit(txn).unwrap_err().to_string();
+                for sec in 0..=limit {
+                    let v = read(8 + sec).unwrap();
+                    assert_eq!(v.as_bytes().unwrap()[0], 0, "{name}: sector {sec} leaked");
+                }
+                assert!(commit(txn).is_err(), "{name}: rejected handle is closed");
+                err
+            });
+        transcripts.push((name, seen, oversized));
+    }
+
+    let (_, reference, _) = &transcripts[0];
+    assert_eq!(reference[1], "begin: Int(1)");
+    assert_eq!(reference[4], "read 2 before commit: 0x10");
+    assert_eq!(reference[7], "read 2 after commit: 0xa2");
+    assert_eq!(
+        reference[9],
+        "commit again: error: method failed: no open transaction 1"
+    );
+    assert_eq!(reference.last().unwrap(), "driver read 3: 0xa3");
+    for (name, seen, oversized) in &transcripts {
+        assert_eq!(seen, reference, "{name} differs from the bare driver");
+        let journalled = name.contains("journal");
+        assert_eq!(oversized.is_some(), journalled, "{name}");
+        if journalled {
+            assert_eq!(
+                oversized.as_deref(),
+                Some(
+                    "method failed: transaction of 15 sectors exceeds the 16-sector \
+                     log's 14-sector transaction limit"
+                ),
+                "{name}"
+            );
+        }
+    }
 }
 
 #[test]
