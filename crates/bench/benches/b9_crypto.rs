@@ -16,6 +16,14 @@ fn bench(c: &mut Criterion) {
         });
     }
 
+    // The non-cryptographic neighbour: the integrity sum the journal and
+    // the TCP replay digest pay on every byte.
+    let kib = vec![0xA5u8; 1024];
+    g.throughput(Throughput::Bytes(1024));
+    g.bench_function("sum64_1kib", |b| {
+        b.iter(|| paramecium::obj::sum64::fold(0, std::hint::black_box(&kib)))
+    });
+
     g.sample_size(10);
     for bits in [512u32, 1024] {
         let kp = rsa::generate(&mut StdRng::seed_from_u64(3), bits);

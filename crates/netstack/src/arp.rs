@@ -58,9 +58,9 @@ struct ArpState {
 }
 
 impl ArpState {
-    fn send_lower(&self, frame: Vec<u8>) -> Result<(), ObjError> {
+    fn send_lower(&self, frame: impl Into<bytes::Bytes>) -> Result<(), ObjError> {
         self.lower
-            .invoke("netdev", "send", &[Value::Bytes(bytes::Bytes::from(frame))])?;
+            .invoke("netdev", "send", &[Value::Bytes(frame.into())])?;
         Ok(())
     }
 
@@ -78,7 +78,9 @@ impl ArpState {
             _ => None,
         };
         let Some(dst_ip) = dst_ip else {
-            return self.send_lower(frame.to_vec());
+            // The common case, an already-unicast frame: the buffer the
+            // upper layer built is the one the device gets.
+            return self.send_lower(frame);
         };
         if let Some(mac) = self.cache.get(&dst_ip) {
             // Late cache hit: rewrite to unicast and send now.

@@ -42,15 +42,16 @@
 //! done on unsigned 64-bit *stream offsets* relative to the ISS/IRS, so
 //! 32-bit wire wrap-around cannot corrupt the state machine.
 //!
-//! Every transmitted and received segment is folded into an FNV-1a
-//! digest exposed through `stats`, which is what the determinism tests
-//! compare across replays.
+//! Every transmitted and received frame is folded, whole, into a running
+//! [`sum64`] digest exposed through `stats`, which is what the
+//! determinism tests compare across replays.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 use paramecium_machine::Machine;
-use paramecium_obj::{ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{sum64, ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
 use parking_lot::Mutex;
 
 use crate::arp::resolve_or_broadcast;
@@ -280,10 +281,28 @@ impl Conn {
         let used = self.recv_buf.len();
         RECV_WND.saturating_sub(used).min(usize::from(u16::MAX)) as u16
     }
+
+    /// Header of the segment about to leave with `flags` at `seq`. It
+    /// carries the current ack and window, so no separate ACK is owed.
+    fn header(&mut self, flags: u8, seq: u32) -> TcpHeader {
+        self.ack_pending = false;
+        TcpHeader {
+            src_port: self.local_port,
+            dst_port: self.peer_port,
+            seq,
+            ack: if flags & tcp_flags::ACK != 0 {
+                self.wire_ack()
+            } else {
+                0
+            },
+            flags,
+            window: self.adv_window(),
+        }
+    }
 }
 
-/// Aggregate endpoint counters; `digest` folds every segment on the wire
-/// (both directions) through FNV-1a and is the replay fingerprint.
+/// Aggregate endpoint counters; `digest` folds every frame on the wire
+/// (both directions) through [`sum64`] and is the replay fingerprint.
 #[derive(Default)]
 struct TcpStats {
     segs_tx: u64,
@@ -303,16 +322,7 @@ struct TcpStats {
 
 impl TcpStats {
     fn fold(&mut self, frame: &[u8]) {
-        let mut h = if self.digest == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.digest
-        };
-        for &b in frame {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.digest = h;
+        self.digest = sum64::fold(self.digest, frame);
     }
 }
 
@@ -451,15 +461,15 @@ fn slot(conns: &mut [Option<Conn>], id: i64) -> &mut Conn {
     conns[id as usize].as_mut().expect("conn exists")
 }
 
-/// Copies `buf[start..start + len]` out of a ring buffer through its two
+/// `buf[range]` of a ring buffer, in place: the part in each of its two
 /// contiguous halves.
-fn copy_range(buf: &VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
+fn ring_range(buf: &VecDeque<u8>, range: Range<usize>) -> [&[u8]; 2] {
     let (front, back) = buf.as_slices();
-    let (end, seam) = (start + len, front.len());
-    out.extend_from_slice(&front[start.min(seam)..end.min(seam)]);
-    out.extend_from_slice(&back[start.saturating_sub(seam)..end.saturating_sub(seam)]);
-    out
+    let seam = front.len();
+    [
+        &front[range.start.min(seam)..range.end.min(seam)],
+        &back[range.start.saturating_sub(seam)..range.end.saturating_sub(seam)],
+    ]
 }
 
 /// Deterministic initial sequence number for connection `id`.
@@ -489,27 +499,39 @@ impl TcpState {
         Ok(mac)
     }
 
-    /// Builds and transmits one segment for connection `id`.
+    /// Builds and transmits one segment for connection `id` whose
+    /// payload, if any, comes from outside the send buffer.
     fn emit(&mut self, id: i64, flags: u8, seq: u32, payload: &[u8]) -> Result<(), ObjError> {
         let dst_mac = self.dst_mac(id)?;
         let conn = slot(&mut self.conns, id);
-        let hdr = TcpHeader {
-            src_port: conn.local_port,
-            dst_port: conn.peer_port,
-            seq,
-            ack: if flags & tcp_flags::ACK != 0 {
-                conn.wire_ack()
-            } else {
-                0
-            },
-            flags,
-            window: conn.adv_window(),
-        };
-        let peer_ip = conn.peer_ip;
-        conn.ack_pending = false;
-        let frame = wire::build_tcp_frame(self.mac, dst_mac, self.ip, peer_ip, &hdr, payload);
+        let hdr = conn.header(flags, seq);
+        let frame = wire::build_tcp_frame(self.mac, dst_mac, self.ip, conn.peer_ip, &hdr, payload);
+        self.transmit(frame, payload.len())
+    }
+
+    /// Builds and transmits the data segment carrying `send_buf[range]`
+    /// at `seq`. The frame is assembled straight from the ring's halves.
+    fn emit_data(&mut self, id: i64, seq: u32, range: Range<usize>) -> Result<(), ObjError> {
+        let dst_mac = self.dst_mac(id)?;
+        let conn = slot(&mut self.conns, id);
+        let hdr = conn.header(tcp_flags::ACK | tcp_flags::PSH, seq);
+        let len = range.len();
+        let frame = wire::build_tcp_frame_parts(
+            self.mac,
+            dst_mac,
+            self.ip,
+            conn.peer_ip,
+            &hdr,
+            &ring_range(&conn.send_buf, range),
+        );
+        self.transmit(frame, len)
+    }
+
+    /// Counts, digests and hands down a frame carrying `payload_len`
+    /// bytes of stream data.
+    fn transmit(&mut self, frame: Vec<u8>, payload_len: usize) -> Result<(), ObjError> {
         self.stats.segs_tx += 1;
-        self.stats.bytes_tx += payload.len() as u64;
+        self.stats.bytes_tx += payload_len as u64;
         self.stats.fold(&frame);
         self.lower
             .invoke("netdev", "send", &[Value::Bytes(bytes::Bytes::from(frame))])?;
@@ -527,12 +549,8 @@ impl TcpState {
             window: 0,
         };
         let frame = wire::build_tcp_frame(self.mac, peer_mac, self.ip, peer_ip, &rst, &[]);
-        self.stats.segs_tx += 1;
         self.stats.rst_tx += 1;
-        self.stats.fold(&frame);
-        self.lower
-            .invoke("netdev", "send", &[Value::Bytes(bytes::Bytes::from(frame))])?;
-        Ok(())
+        self.transmit(frame, 0)
     }
 
     fn arm_rtx(&mut self, id: i64, now: u64) {
@@ -935,37 +953,25 @@ impl TcpState {
             }
             _ => {
                 // Resend from snd_una: one MSS of data, or the FIN.
-                let (seq, chunk, fin) = {
-                    let conn = slot(&mut self.conns, id);
-                    let unacked =
-                        (conn.snd_nxt - conn.snd_una).min(conn.send_buf.len() as u64) as usize;
-                    if unacked > 0 {
-                        let take = unacked.min(TCP_MSS);
-                        let chunk = copy_range(&conn.send_buf, 0, take);
-                        (conn.wire_seq(conn.snd_una), chunk, false)
-                    } else if conn.fin_sent && !conn.fin_acked {
-                        let end = conn.stream_end.expect("fin implies stream end");
-                        (conn.wire_seq(end), Vec::new(), true)
-                    } else {
-                        // Zero-window probe: nothing in flight but data
-                        // is queued — push one byte past the edge.
-                        let take = conn.send_buf.len().min(1);
-                        if take == 0 {
-                            conn.rtx_at = None;
-                            return Ok(());
-                        }
-                        let chunk = vec![conn.send_buf[0]];
-                        let seq = conn.wire_seq(conn.snd_una);
-                        conn.snd_nxt = conn.snd_nxt.max(conn.snd_una + 1);
-                        (seq, chunk, false)
-                    }
-                };
-                let flags = if fin {
-                    tcp_flags::FIN | tcp_flags::ACK
+                let unacked =
+                    (conn.snd_nxt - conn.snd_una).min(conn.send_buf.len() as u64) as usize;
+                let take = if unacked > 0 {
+                    unacked.min(TCP_MSS)
+                } else if conn.fin_sent && !conn.fin_acked {
+                    let end = conn.stream_end.expect("fin implies stream end");
+                    let seq = conn.wire_seq(end);
+                    return self.emit(id, tcp_flags::FIN | tcp_flags::ACK, seq, &[]);
+                } else if conn.send_buf.is_empty() {
+                    conn.rtx_at = None;
+                    return Ok(());
                 } else {
-                    tcp_flags::ACK | tcp_flags::PSH
+                    // Zero-window probe: nothing in flight but data is
+                    // queued — push one byte past the edge.
+                    conn.snd_nxt = conn.snd_nxt.max(conn.snd_una + 1);
+                    1
                 };
-                self.emit(id, flags, seq, &chunk)?;
+                let seq = conn.wire_seq(conn.snd_una);
+                self.emit_data(id, seq, 0..take)?;
             }
         }
         Ok(())
@@ -994,10 +1000,9 @@ impl TcpState {
             if conn.snd_nxt < data_end && usable > 0 && !conn.fin_sent {
                 let start = (conn.snd_nxt - conn.snd_una) as usize;
                 let take = ((data_end - conn.snd_nxt).min(usable) as usize).min(TCP_MSS);
-                let chunk = copy_range(&conn.send_buf, start, take);
                 let seq = conn.wire_seq(conn.snd_nxt);
                 conn.snd_nxt += take as u64;
-                self.emit(id, tcp_flags::ACK | tcp_flags::PSH, seq, &chunk)?;
+                self.emit_data(id, seq, start..start + take)?;
                 self.arm_rtx(id, now);
                 sent += 1;
                 continue;
@@ -1226,7 +1231,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     this.with_state(|s: &mut TcpState| {
                         let conn = s.conn_mut(id)?;
                         let take = conn.recv_buf.len().min(max);
-                        let out = copy_range(&conn.recv_buf, 0, take);
+                        let out = ring_range(&conn.recv_buf, 0..take).concat();
                         conn.recv_buf.drain(..take);
                         if take > 0 {
                             // Freed window: owe the peer an update.
@@ -1979,7 +1984,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_range_reads_across_the_ring_seam() {
+    fn ring_range_reads_across_the_ring_seam() {
         // Wrap the ring: fill, drain the front, refill past the seam.
         let mut ring: VecDeque<u8> = VecDeque::with_capacity(16);
         ring.extend(0..12u8);
@@ -1990,7 +1995,8 @@ mod tests {
         let flat: Vec<u8> = ring.iter().copied().collect();
         for start in 0..=flat.len() {
             for len in 0..=flat.len() - start {
-                assert_eq!(copy_range(&ring, start, len), flat[start..start + len]);
+                let range = start..start + len;
+                assert_eq!(ring_range(&ring, range.clone()).concat(), flat[range]);
             }
         }
     }

@@ -61,9 +61,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The 16-bit ones'-complement Internet checksum (RFC 1071).
-pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
+/// The Internet checksum of `data` preceded by 16-bit words that are
+/// not in memory beside it, given as their plain sum.
+fn checksum_after(mut sum: u32, data: &[u8]) -> u16 {
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
         sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
@@ -75,6 +75,11 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
     !(sum as u16)
+}
+
+/// The 16-bit ones'-complement Internet checksum (RFC 1071).
+pub fn internet_checksum(data: &[u8]) -> u16 {
+    checksum_after(0, data)
 }
 
 /// An Ethernet II header.
@@ -104,12 +109,17 @@ impl EthHeader {
         ))
     }
 
-    /// Serialises the header followed by `payload`.
-    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETH_HLEN + payload.len());
+    /// Appends the header to `out`.
+    fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.dst);
         out.extend_from_slice(&self.src);
         out.extend_from_slice(&self.ethertype.to_be_bytes());
+    }
+
+    /// Serialises the header followed by `payload`.
+    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(ETH_HLEN + payload.len());
+        self.put(&mut out);
         out.extend_from_slice(payload);
         out
     }
@@ -161,9 +171,10 @@ impl Ipv4Header {
         Ok((header, &data[IPV4_HLEN..usize::from(total_len)]))
     }
 
-    /// Serialises the header (checksum filled in) followed by `payload`.
-    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
-        let total = (IPV4_HLEN + payload.len()) as u16;
+    /// Appends the header of a `payload_len`-byte payload to `out`,
+    /// total length and checksum filled in.
+    fn put(&self, payload_len: usize, out: &mut Vec<u8>) {
+        let total = (IPV4_HLEN + payload_len) as u16;
         let mut h = [0u8; IPV4_HLEN];
         h[0] = 0x45; // Version 4, IHL 5.
         h[2..4].copy_from_slice(&total.to_be_bytes());
@@ -173,8 +184,13 @@ impl Ipv4Header {
         h[16..20].copy_from_slice(&self.dst.to_be_bytes());
         let csum = internet_checksum(&h);
         h[10..12].copy_from_slice(&csum.to_be_bytes());
-        let mut out = Vec::with_capacity(IPV4_HLEN + payload.len());
         out.extend_from_slice(&h);
+    }
+
+    /// Serialises the header (checksum filled in) followed by `payload`.
+    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(IPV4_HLEN + payload.len());
+        self.put(payload.len(), &mut out);
         out.extend_from_slice(payload);
         out
     }
@@ -212,15 +228,20 @@ impl UdpHeader {
         ))
     }
 
+    /// Appends the header of a `payload_len`-byte datagram to `out`
+    /// (length computed, checksum 0).
+    fn put(src_port: u16, dst_port: u16, payload_len: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&src_port.to_be_bytes());
+        out.extend_from_slice(&dst_port.to_be_bytes());
+        out.extend_from_slice(&((UDP_HLEN + payload_len) as u16).to_be_bytes());
+        out.extend_from_slice(&0u16.to_be_bytes());
+    }
+
     /// Serialises the header (length computed, checksum 0) followed by
     /// `payload`.
     pub fn build(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
-        let len = (UDP_HLEN + payload.len()) as u16;
-        let mut out = Vec::with_capacity(usize::from(len));
-        out.extend_from_slice(&src_port.to_be_bytes());
-        out.extend_from_slice(&dst_port.to_be_bytes());
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(&0u16.to_be_bytes());
+        let mut out = Vec::with_capacity(UDP_HLEN + payload.len());
+        UdpHeader::put(src_port, dst_port, payload.len(), &mut out);
         out.extend_from_slice(payload);
         out
     }
@@ -333,16 +354,16 @@ pub struct TcpHeader {
 }
 
 /// The TCP checksum: over a pseudo-header (src/dst IP, protocol, TCP
-/// length) plus the TCP header and payload (RFC 793).
+/// length) plus the TCP header and payload (RFC 793). The pseudo-header
+/// is summed field by field; the segment is read where it lies.
 fn tcp_checksum(src_ip: u32, dst_ip: u32, segment: &[u8]) -> u16 {
-    let mut pseudo = Vec::with_capacity(12 + segment.len());
-    pseudo.extend_from_slice(&src_ip.to_be_bytes());
-    pseudo.extend_from_slice(&dst_ip.to_be_bytes());
-    pseudo.push(0);
-    pseudo.push(IPPROTO_TCP);
-    pseudo.extend_from_slice(&(segment.len() as u16).to_be_bytes());
-    pseudo.extend_from_slice(segment);
-    internet_checksum(&pseudo)
+    let pseudo = (src_ip >> 16)
+        + (src_ip & 0xFFFF)
+        + (dst_ip >> 16)
+        + (dst_ip & 0xFFFF)
+        + u32::from(IPPROTO_TCP)
+        + u32::from(segment.len() as u16);
+    checksum_after(pseudo, segment)
 }
 
 impl TcpHeader {
@@ -372,9 +393,9 @@ impl TcpHeader {
         ))
     }
 
-    /// Serialises the segment (checksum filled in) followed by `payload`.
-    pub fn build(&self, src_ip: u32, dst_ip: u32, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(TCP_HLEN + payload.len());
+    /// Appends the header to `out` with a zero checksum, which
+    /// [`seal_segment`] fills in once the payload has followed it.
+    fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
@@ -383,15 +404,54 @@ impl TcpHeader {
         out.push(self.flags & 0x1F);
         out.extend_from_slice(&self.window.to_be_bytes());
         out.extend_from_slice(&[0u8; 4]); // Checksum + urgent pointer.
+    }
+
+    /// Serialises the segment (checksum filled in) followed by `payload`.
+    pub fn build(&self, src_ip: u32, dst_ip: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(TCP_HLEN + payload.len());
+        self.put(&mut out);
         out.extend_from_slice(payload);
-        let csum = tcp_checksum(src_ip, dst_ip, &out);
-        out[16..18].copy_from_slice(&csum.to_be_bytes());
+        seal_segment(src_ip, dst_ip, &mut out);
         out
     }
 }
 
+/// Fills in the checksum of `segment`, a TCP header written by
+/// [`TcpHeader::put`] and its payload.
+fn seal_segment(src_ip: u32, dst_ip: u32, segment: &mut [u8]) {
+    let csum = tcp_checksum(src_ip, dst_ip, segment);
+    segment[16..18].copy_from_slice(&csum.to_be_bytes());
+}
+
+/// Starts a frame: a buffer sized for the whole of it, holding the
+/// Ethernet and IPv4 headers of `l4_len` bytes of `proto` to follow.
+fn frame_start(
+    src_mac: Mac,
+    dst_mac: Mac,
+    src_ip: u32,
+    dst_ip: u32,
+    proto: u8,
+    l4_len: usize,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(ETH_HLEN + IPV4_HLEN + l4_len);
+    EthHeader {
+        dst: dst_mac,
+        src: src_mac,
+        ethertype: ETHERTYPE_IPV4,
+    }
+    .put(&mut out);
+    Ipv4Header {
+        src: src_ip,
+        dst: dst_ip,
+        proto,
+        ttl: 64,
+        total_len: 0, // Filled by put.
+    }
+    .put(l4_len, &mut out);
+    out
+}
+
 /// Builds a full Ethernet/IPv4/TCP segment frame.
-#[allow(clippy::too_many_arguments)]
 pub fn build_tcp_frame(
     src_mac: Mac,
     dst_mac: Mac,
@@ -400,34 +460,55 @@ pub fn build_tcp_frame(
     tcp: &TcpHeader,
     payload: &[u8],
 ) -> Vec<u8> {
-    let seg = tcp.build(src_ip, dst_ip, payload);
-    let ip = Ipv4Header {
-        src: src_ip,
-        dst: dst_ip,
-        proto: IPPROTO_TCP,
-        ttl: 64,
-        total_len: 0, // Filled by build.
+    build_tcp_frame_parts(src_mac, dst_mac, src_ip, dst_ip, tcp, &[payload])
+}
+
+/// [`build_tcp_frame`] for a payload that lies in pieces (the halves of
+/// a ring buffer): every byte is written once, into the one buffer the
+/// frame leaves in.
+pub fn build_tcp_frame_parts(
+    src_mac: Mac,
+    dst_mac: Mac,
+    src_ip: u32,
+    dst_ip: u32,
+    tcp: &TcpHeader,
+    payload: &[&[u8]],
+) -> Vec<u8> {
+    let len: usize = payload.iter().map(|part| part.len()).sum();
+    let mut out = frame_start(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        IPPROTO_TCP,
+        TCP_HLEN + len,
+    );
+    tcp.put(&mut out);
+    for part in payload {
+        out.extend_from_slice(part);
     }
-    .build(&seg);
-    EthHeader {
-        dst: dst_mac,
-        src: src_mac,
-        ethertype: ETHERTYPE_IPV4,
+    seal_segment(src_ip, dst_ip, &mut out[ETH_HLEN + IPV4_HLEN..]);
+    out
+}
+
+/// Parses a frame down to its IPv4 payload, which must be `proto`: the
+/// mirror of [`frame_start`].
+fn parse_ip_frame(frame: &[u8], proto: u8) -> Result<(Ipv4Header, &[u8]), WireError> {
+    let (eth, ip_bytes) = EthHeader::parse(frame)?;
+    if eth.ethertype != ETHERTYPE_IPV4 {
+        return Err(WireError::Invalid("ethertype"));
     }
-    .build(&ip)
+    let (ip, l4_bytes) = Ipv4Header::parse(ip_bytes)?;
+    if ip.proto != proto {
+        return Err(WireError::Invalid("ip protocol"));
+    }
+    Ok((ip, l4_bytes))
 }
 
 /// Parses a full frame down to the TCP payload. Returns
 /// `(ip, tcp, payload)`.
 pub fn parse_tcp_frame(frame: &[u8]) -> Result<(Ipv4Header, TcpHeader, &[u8]), WireError> {
-    let (eth, ip_bytes) = EthHeader::parse(frame)?;
-    if eth.ethertype != ETHERTYPE_IPV4 {
-        return Err(WireError::Invalid("ethertype"));
-    }
-    let (ip, tcp_bytes) = Ipv4Header::parse(ip_bytes)?;
-    if ip.proto != IPPROTO_TCP {
-        return Err(WireError::Invalid("ip protocol"));
-    }
+    let (ip, tcp_bytes) = parse_ip_frame(frame, IPPROTO_TCP)?;
     let (tcp, payload) = TcpHeader::parse(tcp_bytes, ip.src, ip.dst)?;
     Ok((ip, tcp, payload))
 }
@@ -444,34 +525,17 @@ pub fn build_udp_frame(
     dst_port: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let udp = UdpHeader::build(src_port, dst_port, payload);
-    let ip = Ipv4Header {
-        src: src_ip,
-        dst: dst_ip,
-        proto: IPPROTO_UDP,
-        ttl: 64,
-        total_len: 0, // Filled by build.
-    }
-    .build(&udp);
-    EthHeader {
-        dst: dst_mac,
-        src: src_mac,
-        ethertype: ETHERTYPE_IPV4,
-    }
-    .build(&ip)
+    let l4_len = UDP_HLEN + payload.len();
+    let mut out = frame_start(src_mac, dst_mac, src_ip, dst_ip, IPPROTO_UDP, l4_len);
+    UdpHeader::put(src_port, dst_port, payload.len(), &mut out);
+    out.extend_from_slice(payload);
+    out
 }
 
 /// Parses a full frame down to the UDP payload. Returns
 /// `(ip, udp, payload)`.
 pub fn parse_udp_frame(frame: &[u8]) -> Result<(Ipv4Header, UdpHeader, &[u8]), WireError> {
-    let (eth, ip_bytes) = EthHeader::parse(frame)?;
-    if eth.ethertype != ETHERTYPE_IPV4 {
-        return Err(WireError::Invalid("ethertype"));
-    }
-    let (ip, udp_bytes) = Ipv4Header::parse(ip_bytes)?;
-    if ip.proto != IPPROTO_UDP {
-        return Err(WireError::Invalid("ip protocol"));
-    }
+    let (ip, udp_bytes) = parse_ip_frame(frame, IPPROTO_UDP)?;
     let (udp, payload) = UdpHeader::parse(udp_bytes)?;
     Ok((ip, udp, payload))
 }
@@ -605,7 +669,73 @@ mod tests {
         );
     }
 
+    /// The construction `build_tcp_frame` replaced, kept as its oracle:
+    /// each layer serialises its header in front of a copy of the layer
+    /// above.
+    fn layered_tcp_frame(src_ip: u32, dst_ip: u32, hdr: &TcpHeader, payload: &[u8]) -> Vec<u8> {
+        let seg = hdr.build(src_ip, dst_ip, payload);
+        let ip = Ipv4Header {
+            src: src_ip,
+            dst: dst_ip,
+            proto: IPPROTO_TCP,
+            ttl: 64,
+            total_len: 0,
+        }
+        .build(&seg);
+        EthHeader {
+            dst: MAC_B,
+            src: MAC_A,
+            ethertype: ETHERTYPE_IPV4,
+        }
+        .build(&ip)
+    }
+
+    /// The TCP checksum as it used to be computed: pseudo-header and
+    /// segment copied into one buffer, summed as plain data.
+    fn pseudo_copy_checksum(src_ip: u32, dst_ip: u32, segment: &[u8]) -> u16 {
+        let mut pseudo = Vec::with_capacity(12 + segment.len());
+        pseudo.extend_from_slice(&src_ip.to_be_bytes());
+        pseudo.extend_from_slice(&dst_ip.to_be_bytes());
+        pseudo.push(0);
+        pseudo.push(IPPROTO_TCP);
+        pseudo.extend_from_slice(&(segment.len() as u16).to_be_bytes());
+        pseudo.extend_from_slice(segment);
+        internet_checksum(&pseudo)
+    }
+
     proptest! {
+        #[test]
+        fn prop_single_pass_tcp_frame_equals_layered_construction(
+            payload in proptest::collection::vec(any::<u8>(), 0..=1460),
+            src_port in any::<u16>(),
+            dst_port in any::<u16>(),
+            seq in any::<u32>(),
+            ack in any::<u32>(),
+            flags in any::<u8>(),
+            window in any::<u16>(),
+            src_ip in any::<u32>(),
+            dst_ip in any::<u32>(),
+        ) {
+            let hdr = TcpHeader { src_port, dst_port, seq, ack, flags, window };
+            let layered = layered_tcp_frame(src_ip, dst_ip, &hdr, &payload);
+            prop_assert_eq!(&build_tcp_frame(MAC_A, MAC_B, src_ip, dst_ip, &hdr, &payload), &layered);
+            // A payload handed over as the two halves of a ring, for
+            // every place the seam can fall (odd offsets included).
+            for seam in 0..=payload.len() {
+                let halves = [&payload[..seam], &payload[seam..]];
+                let frame = build_tcp_frame_parts(MAC_A, MAC_B, src_ip, dst_ip, &hdr, &halves);
+                prop_assert_eq!(&frame, &layered, "seam at {}", seam);
+            }
+            // The field-summed checksum is the pseudo-header-copy one.
+            let mut segment = layered[ETH_HLEN + IPV4_HLEN..].to_vec();
+            prop_assert_eq!(pseudo_copy_checksum(src_ip, dst_ip, &segment), 0);
+            prop_assert_eq!(tcp_checksum(src_ip, dst_ip, &segment), 0);
+            let stored = u16::from_be_bytes([segment[16], segment[17]]);
+            segment[16..18].fill(0);
+            prop_assert_eq!(pseudo_copy_checksum(src_ip, dst_ip, &segment), stored);
+            prop_assert_eq!(tcp_checksum(src_ip, dst_ip, &segment), stored);
+        }
+
         #[test]
         fn prop_roundtrip_arbitrary_payloads(
             payload in proptest::collection::vec(any::<u8>(), 0..1400),

@@ -49,6 +49,7 @@ pub mod interface;
 pub mod interpose;
 pub mod object;
 pub(crate) mod snapcell;
+pub mod sum64;
 pub mod trylock;
 pub mod typeinfo;
 pub mod value;

@@ -19,11 +19,14 @@
 //! | data sectors ... | SB0 | SB1 | log[0] | log[1] | ... | log[L-1] |
 //! ```
 //!
-//! Every log record is tagged with the current *epoch* and checksummed
-//! (FNV-1a 64). A transaction is journalled as one or more *descriptor*
+//! Every log record is tagged with the current *epoch* and checksummed:
+//! its last 8 bytes are the [`sum64`] of the 504 before them (record
+//! format v2; v1 used byte-serial FNV-1a 64, and its magics no longer
+//! validate). A transaction is journalled as one or more *descriptor*
 //! sectors (home sector ids), each followed by its raw payload sectors,
 //! and ends with a *commit marker* carrying a checksum over all of the
-//! transaction's payload bytes. The marker is the last sector of the
+//! transaction's payload bytes — the same sum, streamed through the
+//! payload sectors in log order. The marker is the last sector of the
 //! transaction in log order, so a torn or missing sector anywhere in the
 //! record leaves the transaction uncommitted — the recovery scan stops
 //! at the first sector that fails validation (wrong magic, wrong epoch,
@@ -63,16 +66,16 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
-use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
 use crate::vectored::{pairs_arg, parse_pairs, parse_sectors, sectors_arg, txn_verbs};
 
 /// Magic tag of a superblock sector.
-const SB_MAGIC: u64 = 0x504A_5342_4C4B_0001; // "PJSBLK" v1
+const SB_MAGIC: u64 = 0x504A_5342_4C4B_0002; // "PJSBLK" v2
 /// Magic tag of a transaction descriptor sector.
-const DESC_MAGIC: u64 = 0x504A_4445_5343_0001; // "PJDESC" v1
+const DESC_MAGIC: u64 = 0x504A_4445_5343_0002; // "PJDESC" v2
 /// Magic tag of a commit marker sector.
-const COMMIT_MAGIC: u64 = 0x504A_434D_5431_0001; // "PJCMT" v1
+const COMMIT_MAGIC: u64 = 0x504A_434D_5431_0002; // "PJCMT" v2
 
 /// Home sector ids one descriptor sector can carry:
 /// (payload area 504 − 32 bytes of header) / 8 bytes per id.
@@ -110,15 +113,10 @@ impl Geometry {
     }
 }
 
-/// FNV-1a 64 over `data`, seeded so an all-zero sector never validates.
-fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in *chunk {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+/// The checksum a commit marker carries: the transaction's payload
+/// sectors, in log order, streamed through one running sum.
+fn payload_sum(writes: &[(i64, Bytes)]) -> u64 {
+    writes.iter().fold(0, |h, (_, data)| sum64::fold(h, data))
 }
 
 fn put_u64(buf: &mut [u8], off: usize, v: u64) {
@@ -130,16 +128,18 @@ fn get_u64(buf: &[u8], off: usize) -> u64 {
 }
 
 /// Seals a record sector: checksum over the first 504 bytes goes into
-/// the last 8.
+/// the last 8. The sum of 504 zero bytes is not zero, so an all-zero
+/// sector never validates.
 fn seal(mut buf: [u8; SECTOR_SIZE]) -> [u8; SECTOR_SIZE] {
-    let sum = fnv1a(&[&buf[..SECTOR_SIZE - 8]]);
+    let sum = sum64::fold(0, &buf[..SECTOR_SIZE - 8]);
     put_u64(&mut buf, SECTOR_SIZE - 8, sum);
     buf
 }
 
 /// Validates a sealed record sector's trailing checksum.
 fn sealed_ok(buf: &[u8]) -> bool {
-    buf.len() == SECTOR_SIZE && get_u64(buf, SECTOR_SIZE - 8) == fnv1a(&[&buf[..SECTOR_SIZE - 8]])
+    buf.len() == SECTOR_SIZE
+        && get_u64(buf, SECTOR_SIZE - 8) == sum64::fold(0, &buf[..SECTOR_SIZE - 8])
 }
 
 fn sb_sector(epoch: u64) -> [u8; SECTOR_SIZE] {
@@ -259,12 +259,6 @@ impl JournalShared {
         let mut batch = Vec::new();
         let mut pos = self.geo.log_start + head;
         for t in txns {
-            let payload_sum = fnv1a(
-                &t.writes
-                    .iter()
-                    .map(|(_, data)| data.as_ref())
-                    .collect::<Vec<_>>(),
-            );
             for chunk in t.writes.chunks(DESC_CAPACITY) {
                 let ids: Vec<i64> = chunk.iter().map(|(sec, _)| *sec).collect();
                 batch.push((
@@ -279,7 +273,7 @@ impl JournalShared {
             }
             batch.push((
                 pos,
-                Bytes::copy_from_slice(&commit_sector(epoch, t.seq, payload_sum)),
+                Bytes::copy_from_slice(&commit_sector(epoch, t.seq, payload_sum(&t.writes))),
             ));
             pos += 1;
         }
@@ -328,13 +322,7 @@ impl JournalShared {
                 COMMIT_MAGIC => {
                     let txn = get_u64(&head, 16);
                     let writes = open.remove(&txn).unwrap_or_default();
-                    let sum = fnv1a(
-                        &writes
-                            .iter()
-                            .map(|(_, data)| data.as_ref())
-                            .collect::<Vec<_>>(),
-                    );
-                    if sum != get_u64(&head, 24) {
+                    if payload_sum(&writes) != get_u64(&head, 24) {
                         break;
                     }
                     committed.push((txn, writes));

@@ -28,7 +28,7 @@
 //!   arrived. Drills call it from the same place they pump the network,
 //!   so fault application interleaves identically across runs.
 //! - The audit log records `(planned time, applied time, description)`
-//!   per event and folds into an FNV-1a digest; two runs of the same
+//!   per event and folds into a `sum64` digest; two runs of the same
 //!   drill must produce equal digests, and a different plan seed must
 //!   not (see `tests/chaos_drills.rs`).
 //! - An **unarmed** controller's `poll` is a handful of instructions
@@ -63,7 +63,7 @@ use crate::core::{domain::DomainId, memsvc::MemService, CoreResult};
 use crate::machine::dev::disk::Disk;
 use crate::machine::dev::nic::Nic;
 use crate::machine::Machine;
-use crate::obj::{ObjError, ObjRef, Value};
+use crate::obj::{sum64, ObjError, ObjRef, Value};
 use crate::store::{JournalConfig, RetryConfig, StackBuilder, StoreStack};
 
 /// One typed fault. Link and router targets are the handles returned
@@ -213,18 +213,6 @@ impl ChaosPlan {
     }
 }
 
-/// FNV-1a over `bytes`, continuing from `h` (0 starts a fresh digest).
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    if h == 0 {
-        h = 0xcbf2_9ce4_8422_2325;
-    }
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Applies an armed [`ChaosPlan`] to registered targets as the virtual
 /// clock advances. See the [module docs](self) for the contract.
 pub struct ChaosController {
@@ -296,7 +284,7 @@ impl ChaosController {
             self.next += 1;
             let desc = self.apply(&ev.fault)?;
             let entry = format!("t={now} plan={at} {desc}", at = ev.at);
-            self.digest = fnv(self.digest, entry.as_bytes());
+            self.digest = sum64::fold(self.digest, entry.as_bytes());
             self.audit.push(entry);
             fired += 1;
         }
@@ -308,7 +296,7 @@ impl ChaosController {
         &self.audit
     }
 
-    /// FNV-1a digest of the audit log — the drill's replay fingerprint.
+    /// [`sum64`] digest of the audit log — the drill's replay fingerprint.
     pub fn audit_digest(&self) -> u64 {
         self.digest
     }

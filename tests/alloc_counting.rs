@@ -348,3 +348,89 @@ fn idle_tcp_pump_allocations_do_not_grow_with_open_connections() {
         );
     }
 }
+
+#[test]
+fn data_segment_is_built_once_on_its_way_to_the_link() {
+    // A data segment's bytes move once: out of the send ring into the
+    // frame buffer, headers written around them in place. On the way
+    // down `tcp → arp → simlink` that is the frame buffer, the `Bytes`
+    // it leaves in, and nothing per layer after that — ARP hands an
+    // already-unicast frame through untouched. A builder that stacks
+    // header + copy per protocol layer, or an ARP `to_vec`, fails here;
+    // so does a checksum that copies the segment behind a pseudo-header.
+    use paramecium::machine::Machine;
+    use paramecium::netstack::arp::make_arp;
+    use paramecium::netstack::simlink::{make_simlink, LinkConfig};
+    use paramecium::netstack::tcp::{make_tcp, BASE_RTO, TCP_MSS};
+    use paramecium::netstack::wire;
+    use std::sync::Arc;
+
+    const IP_A: u32 = 0x0A00_0001;
+    const IP_B: u32 = 0x0A00_0002;
+    const MAC_A: [u8; 6] = [2, 0, 0, 0, 0, 0xAA];
+    const MAC_B: [u8; 6] = [2, 0, 0, 0, 0, 0xBB];
+
+    let machine = Arc::new(parking_lot::Mutex::new(Machine::new()));
+    let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(5));
+    let arp_b = make_arp(end_b, IP_B, MAC_B);
+    let a = make_tcp(machine.clone(), make_arp(end_a, IP_A, MAC_A), IP_A, MAC_A);
+    let b = make_tcp(machine.clone(), arp_b.clone(), IP_B, MAC_B);
+    let settle = || {
+        for _ in 0..6 {
+            a.invoke("tcp", "pump", &[]).unwrap();
+            b.invoke("tcp", "pump", &[]).unwrap();
+            machine.lock().tick(BASE_RTO / 4);
+        }
+    };
+
+    b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
+    let id = a
+        .invoke("tcp", "connect", &[Value::Int(IP_B as i64), Value::Int(80)])
+        .unwrap();
+    settle();
+    let accepted = b.invoke("tcp", "accept", &[Value::Int(80)]).unwrap();
+    assert!(accepted.as_int().unwrap() > 0, "handshake completes");
+
+    let chunk = [id, Value::Bytes(bytes::Bytes::from(vec![0x5A; TCP_MSS]))];
+    let drain = [accepted, Value::Int(1 << 20)];
+    // One pump of `a` with a full segment queued, the peer quiet.
+    let emit_allocs = || {
+        a.invoke("tcp", "send", &chunk).unwrap();
+        count_allocs(|| {
+            a.invoke("tcp", "pump", &[]).unwrap();
+        })
+    };
+    // Warm: ARP bindings learned, rings and link queues at capacity.
+    for _ in 0..8 {
+        emit_allocs();
+        settle();
+        b.invoke("tcp", "recv", &drain).unwrap();
+        settle();
+    }
+    let idle = count_allocs(|| {
+        a.invoke("tcp", "pump", &[]).unwrap();
+    });
+    for round in 0..4 {
+        let emitting = emit_allocs();
+        assert!(
+            emitting <= idle + 3,
+            "round {round}: sending one {TCP_MSS} B segment cost {} allocations \
+             on top of an idle pump's {idle}",
+            emitting - idle
+        );
+        settle();
+        b.invoke("tcp", "recv", &drain).unwrap();
+        settle();
+    }
+
+    // And the receiving codec reads the frame where it lies.
+    emit_allocs();
+    machine.lock().tick(BASE_RTO / 4);
+    let frame = arp_b.invoke("netdev", "recv", &[]).unwrap();
+    let frame = frame.as_bytes().unwrap();
+    let parse_allocs = count_allocs(|| {
+        let (_, _, payload) = wire::parse_tcp_frame(frame).unwrap();
+        assert_eq!(payload.len(), TCP_MSS);
+    });
+    assert_eq!(parse_allocs, 0, "parsing a segment must not copy it");
+}

@@ -35,7 +35,7 @@ use paramecium::machine::Machine;
 use paramecium::netstack::route::{make_router, RouteIf};
 use paramecium::netstack::simlink::{make_simlink, LinkConfig};
 use paramecium::netstack::tcp::make_tcp;
-use paramecium::obj::{ObjRef, Value};
+use paramecium::obj::{sum64, ObjRef, Value};
 use paramecium::store::{JournalConfig, RetryConfig, StackBuilder, StoreStack};
 
 const SERVER_IP: u32 = 0x0A00_0001; // 10.0.0.1 (router if0, server TCP)
@@ -63,17 +63,6 @@ const SERVER_KEEPALIVE: i64 = 500_000;
 /// The doomed client connection's user timeout — fires mid-partition.
 const SHORT_UTO: i64 = 700_000;
 const MAX_ROUNDS: usize = 1_000;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    if h == 0 {
-        h = 0xcbf2_9ce4_8422_2325;
-    }
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn tcp_int(obj: &ObjRef, method: &str, args: &[Value]) -> i64 {
     obj.invoke("tcp", method, args).unwrap().as_int().unwrap()
@@ -487,8 +476,8 @@ fn run_drill(seed: u64) -> Report {
             expect.as_slice(),
             "sector {sec} lost or corrupted across the power cut"
         );
-        store_digest = fnv(store_digest, &sec.to_le_bytes());
-        store_digest = fnv(store_digest, expect);
+        store_digest = sum64::fold(store_digest, &sec.to_le_bytes());
+        store_digest = sum64::fold(store_digest, expect);
     }
     assert!(
         oracle.len() >= 3 * (PAYLOAD / SECTOR),

@@ -12,7 +12,7 @@
 //!
 //! Determinism rides along: the whole exchange is a pure function of the
 //! machine clock and the seeds, so replaying a session must reproduce
-//! bit-identical endpoint stats — including the FNV digest folded over
+//! bit-identical endpoint stats — including the `sum64` digest folded over
 //! every transmitted and received segment (the segment trace).
 //!
 //! [`simlink`]: paramecium::netstack::simlink

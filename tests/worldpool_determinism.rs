@@ -11,6 +11,7 @@
 //! bit-identical across all three runs.
 
 use paramecium::machine::dev::disk::SECTOR_SIZE;
+use paramecium::obj::sum64;
 use paramecium::pool::WorldPool;
 use paramecium::prelude::*;
 use paramecium::store::StackBuilder;
@@ -52,19 +53,14 @@ fn sector_bytes(tag: u64) -> Value {
     Value::Bytes(bytes::Bytes::from(buf))
 }
 
-/// FNV-1a over the hot sector range, read back through the cache after a
+/// `sum64` over the hot sector range, read back through the cache after a
 /// flush — pins the store contents without dumping 24 KiB per world.
 fn store_digest(cache: &ObjRef) -> u64 {
     cache.invoke("cache", "flush", &[]).unwrap();
     let sectors = Value::List((0..HOT_SECTORS).map(Value::Int).collect());
     let data = cache.invoke("blockdev", "read_many", &[sectors]).unwrap();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in data.as_list().unwrap() {
-        for &b in v.as_bytes().unwrap().iter() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    let read = data.as_list().unwrap().iter();
+    read.fold(0, |h, v| sum64::fold(h, v.as_bytes().unwrap()))
 }
 
 /// Boots an 8-world pool, runs the mixed workload on `threads` OS
