@@ -9,7 +9,7 @@
 //! before signing. A certifier can also *decline* — the signal the policy
 //! layer's escape hatch reacts to.
 
-use paramecium_sfi::{bytecode::Program, interp::Interp, verifier};
+use paramecium_sfi::{bytecode::Program, verifier, ElidedInterp, ElidedProgram};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{
@@ -307,8 +307,9 @@ impl Certifier for TestTeamCertifier {
         };
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut effort = 0u64;
+        let lowered = ElidedProgram::lower(&program);
         for run in 0..self.test_runs {
-            let mut interp = Interp::new(&program);
+            let mut interp = ElidedInterp::new(&lowered);
             // Randomise the input registers and data segment.
             for r in 1..4u8 {
                 interp.set_reg(paramecium_sfi::Reg::new(r), rng.gen());

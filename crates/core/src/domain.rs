@@ -3,6 +3,7 @@
 //! A protection domain *is* an MMU context plus a name-space view. The
 //! nucleus's four services all use the domain as their unit of granularity.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -47,7 +48,7 @@ pub struct Domain {
     /// overrides; inherited from the creating domain).
     pub namespace: Arc<NameSpace>,
     /// Instance paths of components loaded into this domain.
-    pub loaded: RwLock<Vec<String>>,
+    pub loaded: RwLock<BTreeSet<String>>,
 }
 
 impl Domain {
@@ -57,18 +58,23 @@ impl Domain {
             id,
             name: name.into(),
             namespace,
-            loaded: RwLock::new(Vec::new()),
+            loaded: RwLock::new(BTreeSet::new()),
         })
     }
 
-    /// Records that a component instance was loaded here.
+    /// Records that a component instance was loaded here. A path loaded
+    /// again (after an unregister) is recorded once: a kernel that cycles
+    /// extensions through the same paths must not grow by a string a load.
     pub fn note_loaded(&self, path: &str) {
-        self.loaded.write().push(path.to_owned());
+        let mut loaded = self.loaded.write();
+        if !loaded.contains(path) {
+            loaded.insert(path.to_owned());
+        }
     }
 
-    /// Instance paths loaded into this domain.
+    /// Instance paths loaded into this domain, in path order.
     pub fn loaded_paths(&self) -> Vec<String> {
-        self.loaded.read().clone()
+        self.loaded.read().iter().cloned().collect()
     }
 }
 
@@ -98,6 +104,7 @@ mod tests {
         let d = Domain::new(DomainId(1), "app", NameSpace::root());
         d.note_loaded("/app/fft");
         d.note_loaded("/app/alloc");
-        assert_eq!(d.loaded_paths(), vec!["/app/fft", "/app/alloc"]);
+        d.note_loaded("/app/fft");
+        assert_eq!(d.loaded_paths(), vec!["/app/alloc", "/app/fft"]);
     }
 }

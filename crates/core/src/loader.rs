@@ -23,8 +23,8 @@ use paramecium_machine::{
 use paramecium_obj::{ObjRef, ObjectBuilder, TypeTag, Value};
 use paramecium_sfi::{
     analysis,
-    bytecode::Program,
-    interp::{ElidedProgram, ExecOutcome, Interp, InterpError},
+    bytecode::{Program, NUM_REGS},
+    interp::ElidedProgram,
     sandbox::sandbox_rewrite,
 };
 
@@ -44,8 +44,10 @@ pub enum Placement {
 pub enum Protection {
     /// Hardware: it lives in its own MMU context; stray accesses fault.
     Hardware,
-    /// A valid certificate was checked at load time; the component runs
-    /// native with **zero** run-time checks — the Paramecium way.
+    /// A valid certificate was checked at load time — the Paramecium way.
+    /// Trust came from the signature, so the load runs no abstract
+    /// interpretation: the program is lowered once, as is, and the
+    /// simulation-level bounds checks stay only as the trap path.
     CertifiedNative,
     /// Statically verified at load time; runs with only its own compiler-
     /// emitted guards — the SPIN way.
@@ -123,39 +125,14 @@ pub struct LoadReport {
 
 /// Instance state of a loaded bytecode component object.
 struct BcState {
-    program: Program,
-    /// For [`Protection::Verified`] components: the proof-elided stream.
-    /// The facts the verifier demanded are exactly the checks the fast
-    /// interpreter drops — this is where "verifying at load-time obviates
-    /// the need for run time fault checks" becomes cycles.
-    elided: Option<ElidedProgram>,
+    /// The program as lowered at load: every regime runs the one executor.
+    program: ElidedProgram,
+    /// Its data segment, allocated at load and reused by every run.
+    data: Vec<u8>,
     machine: Arc<Mutex<Machine>>,
     protection: Protection,
     step_budget: u64,
     last_steps: u64,
-}
-
-impl BcState {
-    /// Executes the component over `data` with `r1` set, through the
-    /// proof-elided interpreter when one was compiled and the checked
-    /// interpreter otherwise.
-    fn execute(&self, data: &[u8], r1: u64) -> Result<ExecOutcome, InterpError> {
-        let n = data.len().min(self.program.data_len as usize);
-        match &self.elided {
-            Some(elided) => {
-                let mut interp = paramecium_sfi::ElidedInterp::new(elided);
-                interp.load_data(0, &data[..n]);
-                interp.set_reg(paramecium_sfi::Reg::new(1), r1);
-                interp.run(self.step_budget)
-            }
-            None => {
-                let mut interp = Interp::new(&self.program);
-                interp.load_data(0, &data[..n]);
-                interp.set_reg(paramecium_sfi::Reg::new(1), r1);
-                interp.run(self.step_budget)
-            }
-        }
-    }
 }
 
 /// Cost charged per interpreted VM step, in simulated cycles.
@@ -175,16 +152,10 @@ pub fn make_bytecode_object(
     machine: Arc<Mutex<Machine>>,
     step_budget: u64,
 ) -> ObjRef {
-    // Verified components earned a proof map at load time; spend it now by
-    // compiling the check-elided stream they will execute through.
-    let elided = (protection == Protection::Verified)
-        .then(|| analysis::analyze(&program).ok())
-        .flatten()
-        .map(|a| ElidedProgram::compile(&program, &a));
     ObjectBuilder::new(class)
         .state(BcState {
-            program,
-            elided,
+            program: ElidedProgram::lower(&program),
+            data: vec![0; program.data_len as usize],
             machine,
             protection,
             step_budget,
@@ -199,8 +170,15 @@ pub fn make_bytecode_object(
                     let data = args[0].as_bytes()?.clone();
                     let r1 = args[1].as_int()?;
                     this.with_state(|s: &mut BcState| {
+                        // A run is: copy the frame in, zero the rest, go.
+                        let n = data.len().min(s.data.len());
+                        s.data[..n].copy_from_slice(&data[..n]);
+                        s.data[n..].fill(0);
+                        let mut regs = [0; NUM_REGS];
+                        regs[1] = r1 as u64;
                         let out = s
-                            .execute(&data, r1 as u64)
+                            .program
+                            .run(&mut regs, &mut s.data, s.step_budget)
                             .map_err(|e| paramecium_obj::ObjError::failed(e.to_string()))?;
                         s.last_steps = out.steps;
                         s.machine.lock().charge(out.steps * VM_STEP_COST);
@@ -360,39 +338,34 @@ mod tests {
     }
 
     #[test]
-    fn verified_component_runs_through_the_elided_path() {
-        // Same observable result as the checked interpreter, under the
-        // Verified protection string.
-        let m = machine();
-        let program = workloads::checksum_loop_verified(64, 1);
-        let obj = make_bytecode_object(
-            "csum_v",
-            program.clone(),
-            Protection::Verified,
-            m.clone(),
-            1 << 20,
-        );
+    fn every_regime_matches_the_oracle_through_the_object() {
+        // Same result and the same step count as the checked interpreter —
+        // the virtual charge rides on `steps` — whatever the regime.
         let data: Vec<u8> = (0..64u8).collect();
-        let mut oracle = Interp::new(&program);
-        oracle.load_data(0, &data);
-        let expected = oracle.run(1 << 20).unwrap();
+        let verified = workloads::checksum_loop_verified(64, 1);
+        let (sandboxed, _) = sandbox_rewrite(&workloads::checksum_loop(64, 1));
+        for (program, protection) in [
+            (&verified, Protection::Verified),
+            (&verified, Protection::CertifiedNative),
+            (&sandboxed, Protection::Sandboxed),
+        ] {
+            let mut oracle = paramecium_sfi::Interp::new(program);
+            oracle.load_data(0, &data);
+            let expected = oracle.run(1 << 20).unwrap();
 
-        let r = obj
-            .invoke(
-                "component",
-                "run",
-                &[Value::Bytes(bytes::Bytes::from(data)), Value::Int(0)],
-            )
-            .unwrap();
-        assert_eq!(r, Value::Int(expected.result as i64));
-        // Step accounting is preserved exactly — the elided interpreter
-        // does less work but reports the same simulated cost.
-        let steps = obj.invoke("component", "steps", &[]).unwrap();
-        assert_eq!(steps.as_int().unwrap() as u64, expected.steps);
-        assert_eq!(
-            obj.invoke("component", "protection", &[]).unwrap(),
-            Value::Str("Verified".into())
-        );
+            let obj = make_bytecode_object("csum", program.clone(), protection, machine(), 1 << 20);
+            let frame = Value::Bytes(bytes::Bytes::from(data.clone()));
+            let r = obj
+                .invoke("component", "run", &[frame, Value::Int(0)])
+                .unwrap();
+            assert_eq!(r, Value::Int(expected.result as i64));
+            let steps = obj.invoke("component", "steps", &[]).unwrap();
+            assert_eq!(steps.as_int().unwrap() as u64, expected.steps);
+            assert_eq!(
+                obj.invoke("component", "protection", &[]).unwrap(),
+                Value::Str(format!("{protection:?}"))
+            );
+        }
     }
 
     #[test]

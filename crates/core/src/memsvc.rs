@@ -234,6 +234,8 @@ impl MemService {
         self.fault_handlers
             .write()
             .retain(|(d, _), _| *d != domain.0);
+        // Context ids are never reused, so neither is this cursor.
+        self.next_vaddr.lock().remove(&domain.0);
         Ok(())
     }
 
@@ -562,6 +564,17 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(svc.read(user, 0x7000, &mut buf).is_err());
         assert_eq!(*hits.lock(), 1, "handler ran once, no retry loop");
+    }
+
+    #[test]
+    fn destroyed_domain_leaves_nothing_behind() {
+        let (svc, user) = svc();
+        svc.alloc(user, 2, Perms::RW).unwrap();
+        svc.reserve_vaddr(user, 1);
+        svc.destroy_domain(user).unwrap();
+        assert!(svc.next_vaddr.lock().is_empty());
+        assert!(svc.frame_refs.lock().is_empty());
+        assert!(svc.fault_handlers.read().is_empty());
     }
 
     #[test]

@@ -336,11 +336,14 @@ impl Nucleus {
         let image = kind.image().to_vec();
         let t0 = self.now();
 
-        let (domain, protection, obj) = match options.placement {
+        // Each placement decides the domain, the regime and what is left to
+        // instantiate; bytecode of every regime is then lowered in one place.
+        let (domain, protection, body) = match options.placement {
             Placement::Kernel => match kind {
                 ComponentKind::Native { factory, .. } => {
                     self.certsvc.validate_for(&image, Right::RunKernel)?;
-                    (KERNEL_DOMAIN, Protection::CertifiedNative, factory()?)
+                    let body = Body::Native(factory()?);
+                    (KERNEL_DOMAIN, Protection::CertifiedNative, body)
                 }
                 ComponentKind::Bytecode { image: bc } => {
                     let program = Program::decode(&bc)
@@ -354,28 +357,14 @@ impl Nucleus {
                     } else {
                         None
                     };
-                    if options.force_sandbox {
+                    let (program, protection) = if options.force_sandbox {
                         let (rewritten, stats) = paramecium_sfi::sandbox::sandbox_rewrite(&program);
                         self.machine
                             .lock()
                             .charge((stats.original_len + stats.rewritten_len) as Cycles * 2);
-                        let obj = make_bytecode_object(
-                            component,
-                            rewritten,
-                            Protection::Sandboxed,
-                            self.machine.clone(),
-                            self.step_budget,
-                        );
-                        (KERNEL_DOMAIN, Protection::Sandboxed, obj)
+                        (rewritten, Protection::Sandboxed)
                     } else if matches!(cert_check, Some(Ok(_))) {
-                        let obj = make_bytecode_object(
-                            component,
-                            program,
-                            Protection::CertifiedNative,
-                            self.machine.clone(),
-                            self.step_budget,
-                        );
-                        (KERNEL_DOMAIN, Protection::CertifiedNative, obj)
+                        (program, Protection::CertifiedNative)
                     } else if !options.allow_software_protection && self.online.read().is_none() {
                         // Strict: report the precise certificate problem.
                         return Err(match cert_check {
@@ -392,29 +381,16 @@ impl Nucleus {
                             self.online.read().as_ref().expect("set").chain.clone(),
                         );
                         self.certsvc.validate_for(&bc, Right::RunKernel)?;
-                        let obj = make_bytecode_object(
-                            component,
-                            program,
-                            Protection::CertifiedNative,
-                            self.machine.clone(),
-                            self.step_budget,
-                        );
-                        (KERNEL_DOMAIN, Protection::CertifiedNative, obj)
+                        (program, Protection::CertifiedNative)
                     } else if options.allow_software_protection {
                         let cost_model = self.machine.lock().cost.clone();
                         let (program, protection, cost) = soften(program, &cost_model);
                         self.machine.lock().charge(cost);
-                        let obj = make_bytecode_object(
-                            component,
-                            program,
-                            protection,
-                            self.machine.clone(),
-                            self.step_budget,
-                        );
-                        (KERNEL_DOMAIN, protection, obj)
+                        (program, protection)
                     } else {
                         return Err(CoreError::Cert(paramecium_cert::CertError::NotCertified));
-                    }
+                    };
+                    (KERNEL_DOMAIN, protection, Body::Bytecode(program))
                 }
             },
             Placement::Domain(d) => {
@@ -424,22 +400,26 @@ impl Nucleus {
                 if options.require_user_cert {
                     self.certsvc.validate_for(&image, Right::RunUser)?;
                 }
-                let obj = match kind {
-                    ComponentKind::Native { factory, .. } => factory()?,
+                let body = match kind {
+                    ComponentKind::Native { factory, .. } => Body::Native(factory()?),
                     ComponentKind::Bytecode { image: bc } => {
                         let program = Program::decode(&bc)
                             .map_err(|e| CoreError::Policy(format!("bad image: {e}")))?;
-                        make_bytecode_object(
-                            component,
-                            program,
-                            Protection::Hardware,
-                            self.machine.clone(),
-                            self.step_budget,
-                        )
+                        Body::Bytecode(program)
                     }
                 };
-                (d, Protection::Hardware, obj)
+                (d, Protection::Hardware, body)
             }
+        };
+        let obj = match body {
+            Body::Native(obj) => obj,
+            Body::Bytecode(program) => make_bytecode_object(
+                component,
+                program,
+                protection,
+                self.machine.clone(),
+                self.step_budget,
+            ),
         };
 
         self.register(domain, &options.register_as, obj)?;
@@ -453,6 +433,14 @@ impl Nucleus {
             load_cycles: self.now() - t0,
         })
     }
+}
+
+/// What a placement decision in [`Nucleus::load`] leaves to instantiate.
+enum Body {
+    /// A native component, already constructed by its factory.
+    Native(ObjRef),
+    /// A bytecode program, rewritten if it was sandboxed.
+    Bytecode(Program),
 }
 
 /// Wraps the event service as an object (introspection interface).

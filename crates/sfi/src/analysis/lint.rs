@@ -1,6 +1,6 @@
 //! Bytecode diagnostics on top of the analysis.
 //!
-//! The same CFG and proof map that power check elision double as an audit
+//! The same CFG and proof map that decide verification double as an audit
 //! surface (the VMI observation from PAPERS.md: analysis artifacts are
 //! also diagnostics). The lint pass reports:
 //!

@@ -16,9 +16,9 @@
 //!    in-range, branches proven one-sided, instructions proven
 //!    unreachable or proven to always trap.
 //!
-//! The [`crate::verifier`] turns missing proofs into load-time rejection;
-//! [`crate::interp::ElidedProgram`] turns present proofs into elided
-//! run-time checks; [`lint`] turns the same facts into diagnostics.
+//! The [`crate::verifier`] turns missing proofs into load-time rejection
+//! and [`lint`] turns the same facts into diagnostics. The executor does
+//! not consume them: [`crate::lower`] keeps every run-time check.
 
 pub mod cfg;
 pub mod domain;
@@ -225,10 +225,13 @@ fn classify_access(base: AbsVal, off: i32, size: u64, data_len: u64) -> MemVerdi
     } else {
         let m = off.unsigned_abs() as u64;
         if base.lo >= m {
-            // No member wraps below zero.
-            if base.hi - m + size <= data_len {
+            // No member wraps below zero; an access whose end overflows
+            // the address space traps like any other out-of-bounds one.
+            let hi_end = (base.hi - m).checked_add(size);
+            let lo_end = (base.lo - m).checked_add(size);
+            if hi_end.is_some_and(|end| end <= data_len) {
                 MemVerdict::Safe
-            } else if base.lo - m + size > data_len {
+            } else if lo_end.is_none_or(|end| end > data_len) {
                 MemVerdict::AlwaysTraps
             } else {
                 MemVerdict::Unknown
@@ -631,6 +634,19 @@ mod tests {
         // The wild store: pc 2 in wild_writer.
         assert!(a.proofs.at(2).has(Facts::ALWAYS_TRAPS));
         assert!(!a.proofs.at(2).has(Facts::MEM_SAFE));
+        assert!(a.verdict(&p).is_err());
+    }
+
+    #[test]
+    fn access_whose_end_wraps_the_address_space_is_not_proven() {
+        // `base - 1 + 8` overflows u64: in a release build the sum used to
+        // wrap to 6, inside the segment, and earn the load a MEM_SAFE.
+        let mut asm = Asm::new(16);
+        asm.li(r(1), -1).ld(r(0), r(1), -1).halt();
+        let p = asm.finish().unwrap();
+        let a = analyze(&p).unwrap();
+        assert!(a.proofs.at(1).has(Facts::ALWAYS_TRAPS));
+        assert!(!a.proofs.at(1).has(Facts::MEM_SAFE));
         assert!(a.verdict(&p).is_err());
     }
 

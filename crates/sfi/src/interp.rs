@@ -7,19 +7,22 @@
 //! comparison is *when* and *at what cost* each scheme guarantees that a
 //! component cannot reach the fault path at all.
 //!
-//! Two execution engines share the instruction semantics:
+//! There is one oracle and one executor:
 //!
 //! - [`Interp`] — the fully-checked oracle: fuel, fetch, bounds and jump
-//!   validation on every single step. Kept byte-for-byte stable; every
-//!   other engine is judged against it.
-//! - [`ElidedInterp`] — runs an [`ElidedProgram`], compiled from the
-//!   [`crate::analysis::ProofMap`]: statically-discharged checks are gone,
-//!   fuel is accounted per basic-block run instead of per instruction, and
-//!   power-of-two masks are strength-reduced from `%` to `&`. The
-//!   conformance suite holds it bit-for-bit equal to the oracle.
+//!   validation on every single step. Kept byte-for-byte stable; it runs
+//!   nothing but tests and benches, which judge the executor against it.
+//! - [`ElidedInterp`] — what every loaded component runs: a single `match`
+//!   loop over an [`ElidedProgram`], the flat pre-decoded op array that
+//!   [`crate::lower`] builds once at load. It keeps every check the oracle
+//!   makes — what it sheds is the per-step decode, fetch and fuel tests —
+//!   so it serves every protection regime, and the conformance suite holds
+//!   it bit-for-bit equal to the oracle.
 
-use crate::analysis::{Analysis, Facts};
 use crate::bytecode::{Insn, Program, Reg, NUM_REGS};
+use crate::lower::Op;
+
+pub use crate::lower::ElidedProgram;
 
 /// Execution errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -259,629 +262,78 @@ fn check_jump(pc: u32, target: u64, code_len: u64) -> Result<u32, InterpError> {
     }
 }
 
-/// One instruction of the proof-elided stream. `Proven` variants carry no
-/// run-time check: the corresponding fact was discharged at load time.
-/// Register indices are pre-masked to `< NUM_REGS` so the hot loop can
-/// index the register file branch-free.
-#[derive(Clone, Copy, Debug)]
-enum FastOp {
-    Li {
-        rd: u8,
-        imm: u64,
-    },
-    Mov {
-        rd: u8,
-        rs: u8,
-    },
-    Add {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    Sub {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    Mul {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    DivuProven {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    DivuChecked {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    And {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    Or {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    Xor {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    Shl {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    Shr {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-    },
-    LdProven {
-        rd: u8,
-        base: u8,
-        off: i32,
-    },
-    LdChecked {
-        rd: u8,
-        base: u8,
-        off: i32,
-    },
-    LdBProven {
-        rd: u8,
-        base: u8,
-        off: i32,
-    },
-    LdBChecked {
-        rd: u8,
-        base: u8,
-        off: i32,
-    },
-    StProven {
-        rs: u8,
-        base: u8,
-        off: i32,
-    },
-    StChecked {
-        rs: u8,
-        base: u8,
-        off: i32,
-    },
-    StBProven {
-        rs: u8,
-        base: u8,
-        off: i32,
-    },
-    StBChecked {
-        rs: u8,
-        base: u8,
-        off: i32,
-    },
-    Beq {
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-    Bne {
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-    Bltu {
-        rs1: u8,
-        rs2: u8,
-        target: u32,
-    },
-    Jmp {
-        target: u32,
-    },
-    JrProven {
-        rs: u8,
-    },
-    JrChecked {
-        rs: u8,
-    },
-    MaskDataPow2 {
-        r: u8,
-        mask: u64,
-    },
-    MaskDataMod {
-        r: u8,
-    },
-    MaskDataZero {
-        r: u8,
-    },
-    MaskCodePow2 {
-        r: u8,
-        mask: u64,
-    },
-    MaskCodeMod {
-        r: u8,
-    },
-    Halt,
-    // Fused forms of the SFI guard idiom, emitted only into the
-    // block-level fused stream (never the raw 1:1 stream). Each covers
-    // the `mov` / `mask_data` / proven-access sequence whose check the
-    // proof map discharged: with the bounds check gone, the pair (or
-    // triple) collapses into one dispatch. All require a power-of-two
-    // data segment (the mask is an `and`) and a MEM_SAFE access.
-    /// `mov rd, rs; mask_data rd` — covers 2 instructions, 1 guard.
-    MovMaskData {
-        rd: u8,
-        rs: u8,
-        mask: u64,
-    },
-    /// `mask_data r; st/stb src, r, off` — 2 instructions, 1 guard.
-    MaskStB {
-        src: u8,
-        r: u8,
-        mask: u64,
-        off: i32,
-    },
-    MaskSt {
-        src: u8,
-        r: u8,
-        mask: u64,
-        off: i32,
-    },
-    /// `mask_data r; ld/ldb rd, r, off` — 2 instructions, 1 guard.
-    MaskLdB {
-        rd: u8,
-        r: u8,
-        mask: u64,
-        off: i32,
-    },
-    MaskLd {
-        rd: u8,
-        r: u8,
-        mask: u64,
-        off: i32,
-    },
-    /// `mov rd, rs; mask_data rd; st/stb src, rd, off` — 3 instructions.
-    MovMaskStB {
-        src: u8,
-        rd: u8,
-        rs: u8,
-        mask: u64,
-        off: i32,
-    },
-    MovMaskSt {
-        src: u8,
-        rd: u8,
-        rs: u8,
-        mask: u64,
-        off: i32,
-    },
-    /// `mov rd, rs; mask_data rd; ld/ldb ld_rd, rd, off` — 3 instructions.
-    MovMaskLdB {
-        ld_rd: u8,
-        rd: u8,
-        rs: u8,
-        mask: u64,
-        off: i32,
-    },
-    MovMaskLd {
-        ld_rd: u8,
-        rd: u8,
-        rs: u8,
-        mask: u64,
-        off: i32,
-    },
-    /// `shr sd, rs1, rs2; mov rd, sd; mask_data rd; stb/ldb ·, rd, off` —
-    /// the full probe idiom (extract a hash byte, bound it, access): 4
-    /// instructions, 1 guard.
-    ShrMovMaskStB {
-        src: u8,
-        sd: u8,
-        rs1: u8,
-        rs2: u8,
-        rd: u8,
-        mask: u64,
-        off: i32,
-    },
-    ShrMovMaskLdB {
-        ld_rd: u8,
-        sd: u8,
-        rs1: u8,
-        rs2: u8,
-        rd: u8,
-        mask: u64,
-        off: i32,
-    },
-}
-
-/// One element of a block's fused stream: a [`FastOp`] plus the raw
-/// instruction span it covers, so step accounting and error payloads stay
-/// bit-identical to the oracle.
-#[derive(Clone, Copy, Debug)]
-struct FusedOp {
-    op: FastOp,
-    /// Raw pc of the first covered instruction.
-    pc: u32,
-    /// How many raw instructions this element covers (1–3).
-    width: u8,
-}
-
-/// Greedy peephole over one basic block's raw ops: collapses the guard
-/// idiom where the mask strength-reduced to an `and` and the access is
-/// proven. Entry mid-pattern is impossible — fusion never crosses a block
-/// boundary and control only enters blocks at their first instruction.
-fn fuse(window: &[FastOp]) -> (FastOp, u8) {
-    match *window {
-        [FastOp::Shr { rd: sd, rs1, rs2 }, FastOp::Mov { rd, rs }, FastOp::MaskDataPow2 { r, mask }, FastOp::StBProven { rs: src, base, off }, ..]
-            if rs == sd && r == rd && base == rd =>
-        {
-            (
-                FastOp::ShrMovMaskStB {
-                    src,
-                    sd,
-                    rs1,
-                    rs2,
-                    rd,
-                    mask,
-                    off,
-                },
-                4,
-            )
-        }
-        [FastOp::Shr { rd: sd, rs1, rs2 }, FastOp::Mov { rd, rs }, FastOp::MaskDataPow2 { r, mask }, FastOp::LdBProven {
-            rd: ld_rd,
-            base,
-            off,
-        }, ..]
-            if rs == sd && r == rd && base == rd =>
-        {
-            (
-                FastOp::ShrMovMaskLdB {
-                    ld_rd,
-                    sd,
-                    rs1,
-                    rs2,
-                    rd,
-                    mask,
-                    off,
-                },
-                4,
-            )
-        }
-        [FastOp::Mov { rd, rs }, FastOp::MaskDataPow2 { r, mask }, FastOp::StBProven { rs: src, base, off }, ..]
-            if r == rd && base == rd =>
-        {
-            (
-                FastOp::MovMaskStB {
-                    src,
-                    rd,
-                    rs,
-                    mask,
-                    off,
-                },
-                3,
-            )
-        }
-        [FastOp::Mov { rd, rs }, FastOp::MaskDataPow2 { r, mask }, FastOp::StProven { rs: src, base, off }, ..]
-            if r == rd && base == rd =>
-        {
-            (
-                FastOp::MovMaskSt {
-                    src,
-                    rd,
-                    rs,
-                    mask,
-                    off,
-                },
-                3,
-            )
-        }
-        [FastOp::Mov { rd, rs }, FastOp::MaskDataPow2 { r, mask }, FastOp::LdBProven {
-            rd: ld_rd,
-            base,
-            off,
-        }, ..]
-            if r == rd && base == rd =>
-        {
-            (
-                FastOp::MovMaskLdB {
-                    ld_rd,
-                    rd,
-                    rs,
-                    mask,
-                    off,
-                },
-                3,
-            )
-        }
-        [FastOp::Mov { rd, rs }, FastOp::MaskDataPow2 { r, mask }, FastOp::LdProven {
-            rd: ld_rd,
-            base,
-            off,
-        }, ..]
-            if r == rd && base == rd =>
-        {
-            (
-                FastOp::MovMaskLd {
-                    ld_rd,
-                    rd,
-                    rs,
-                    mask,
-                    off,
-                },
-                3,
-            )
-        }
-        [FastOp::MaskDataPow2 { r, mask }, FastOp::StBProven { rs: src, base, off }, ..]
-            if base == r =>
-        {
-            (FastOp::MaskStB { src, r, mask, off }, 2)
-        }
-        [FastOp::MaskDataPow2 { r, mask }, FastOp::StProven { rs: src, base, off }, ..]
-            if base == r =>
-        {
-            (FastOp::MaskSt { src, r, mask, off }, 2)
-        }
-        [FastOp::MaskDataPow2 { r, mask }, FastOp::LdBProven { rd, base, off }, ..]
-            if base == r =>
-        {
-            (FastOp::MaskLdB { rd, r, mask, off }, 2)
-        }
-        [FastOp::MaskDataPow2 { r, mask }, FastOp::LdProven { rd, base, off }, ..] if base == r => {
-            (FastOp::MaskLd { rd, r, mask, off }, 2)
-        }
-        [FastOp::Mov { rd, rs }, FastOp::MaskDataPow2 { r, mask }, ..] if r == rd => {
-            (FastOp::MovMaskData { rd, rs, mask }, 2)
-        }
-        [op, ..] => (op, 1),
-        [] => unreachable!("fuse called on an empty window"),
-    }
-}
-
-/// A program compiled against its [`Analysis`]: the elided instruction
-/// stream plus per-pc straight-run lengths for block-batched fuel.
-#[derive(Clone, Debug)]
-pub struct ElidedProgram {
-    /// The raw elided stream, 1:1 with program pcs — executed in the
-    /// fuel-tail path where per-instruction accounting is needed.
-    ops: Vec<FastOp>,
-    /// `run_len[pc]`: instructions from `pc` to the end of its basic
-    /// block — the span executable without control transfer, so fuel is
-    /// checked once per span instead of once per instruction.
-    run_len: Vec<u32>,
-    /// Concatenated per-block fused streams (the common full-block path).
-    fused: Vec<FusedOp>,
-    /// `fused_span[pc]` for a block-start `pc`: `(start, len)` of that
-    /// block's slice of `fused`. Control only ever enters a block at its
-    /// start, so other indices are never consulted.
-    fused_span: Vec<(u32, u32)>,
-    data_len: u32,
-}
-
-impl ElidedProgram {
-    /// Compiles `program` against its proof map. Static branch targets
-    /// must have been validated (an [`Analysis`] exists only for programs
-    /// that passed that check), so direct branches carry no run-time
-    /// validation; every other check is elided exactly where the map
-    /// carries the corresponding fact and kept otherwise — including on
-    /// unreachable instructions, where the checked form is the safe
-    /// default.
-    pub fn compile(program: &Program, analysis: &Analysis) -> ElidedProgram {
-        assert_eq!(
-            program.code.len(),
-            analysis.proofs.len(),
-            "analysis does not match program"
-        );
-        let n = program.code.len();
-        let data_len = program.data_len;
-        let code_len = n as u64;
-        let m = |r: Reg| r.0 & (NUM_REGS as u8 - 1);
-        let mut ops = Vec::with_capacity(n);
-        for (pc, insn) in program.code.iter().enumerate() {
-            let f = analysis.proofs.at(pc as u32);
-            ops.push(match *insn {
-                Insn::Li { rd, imm } => FastOp::Li {
-                    rd: m(rd),
-                    imm: imm as u64,
-                },
-                Insn::Mov { rd, rs } => FastOp::Mov {
-                    rd: m(rd),
-                    rs: m(rs),
-                },
-                Insn::Add { rd, rs1, rs2 } => FastOp::Add {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Sub { rd, rs1, rs2 } => FastOp::Sub {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Mul { rd, rs1, rs2 } => FastOp::Mul {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Divu { rd, rs1, rs2 } => {
-                    let (rd, rs1, rs2) = (m(rd), m(rs1), m(rs2));
-                    if f.has(Facts::DIV_NONZERO) {
-                        FastOp::DivuProven { rd, rs1, rs2 }
-                    } else {
-                        FastOp::DivuChecked { rd, rs1, rs2 }
-                    }
-                }
-                Insn::And { rd, rs1, rs2 } => FastOp::And {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Or { rd, rs1, rs2 } => FastOp::Or {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Xor { rd, rs1, rs2 } => FastOp::Xor {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Shl { rd, rs1, rs2 } => FastOp::Shl {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Shr { rd, rs1, rs2 } => FastOp::Shr {
-                    rd: m(rd),
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                },
-                Insn::Ld { rd, base, off } => {
-                    let (rd, base) = (m(rd), m(base));
-                    if f.has(Facts::MEM_SAFE) {
-                        FastOp::LdProven { rd, base, off }
-                    } else {
-                        FastOp::LdChecked { rd, base, off }
-                    }
-                }
-                Insn::LdB { rd, base, off } => {
-                    let (rd, base) = (m(rd), m(base));
-                    if f.has(Facts::MEM_SAFE) {
-                        FastOp::LdBProven { rd, base, off }
-                    } else {
-                        FastOp::LdBChecked { rd, base, off }
-                    }
-                }
-                Insn::St { rs, base, off } => {
-                    let (rs, base) = (m(rs), m(base));
-                    if f.has(Facts::MEM_SAFE) {
-                        FastOp::StProven { rs, base, off }
-                    } else {
-                        FastOp::StChecked { rs, base, off }
-                    }
-                }
-                Insn::StB { rs, base, off } => {
-                    let (rs, base) = (m(rs), m(base));
-                    if f.has(Facts::MEM_SAFE) {
-                        FastOp::StBProven { rs, base, off }
-                    } else {
-                        FastOp::StBChecked { rs, base, off }
-                    }
-                }
-                Insn::Beq { rs1, rs2, target } => FastOp::Beq {
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                    target,
-                },
-                Insn::Bne { rs1, rs2, target } => FastOp::Bne {
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                    target,
-                },
-                Insn::Bltu { rs1, rs2, target } => FastOp::Bltu {
-                    rs1: m(rs1),
-                    rs2: m(rs2),
-                    target,
-                },
-                Insn::Jmp { target } => FastOp::Jmp { target },
-                Insn::Jr { rs } => {
-                    let rs = m(rs);
-                    if f.has(Facts::JUMP_SAFE) {
-                        FastOp::JrProven { rs }
-                    } else {
-                        FastOp::JrChecked { rs }
-                    }
-                }
-                Insn::MaskData { r } => {
-                    let r = m(r);
-                    if data_len == 0 {
-                        FastOp::MaskDataZero { r }
-                    } else if data_len.is_power_of_two() {
-                        FastOp::MaskDataPow2 {
-                            r,
-                            mask: u64::from(data_len) - 1,
-                        }
-                    } else {
-                        FastOp::MaskDataMod { r }
-                    }
-                }
-                Insn::MaskCode { r } => {
-                    let r = m(r);
-                    // `code_len >= 1` here: we are compiling an instruction.
-                    if code_len.is_power_of_two() {
-                        FastOp::MaskCodePow2 {
-                            r,
-                            mask: code_len - 1,
-                        }
-                    } else {
-                        FastOp::MaskCodeMod { r }
-                    }
-                }
-                Insn::Halt => FastOp::Halt,
-            });
-        }
-        let mut run_len = vec![1u32; n];
-        let mut fused = Vec::with_capacity(n);
-        let mut fused_span = vec![(0u32, 0u32); n];
-        for block in &analysis.cfg.blocks {
-            for pc in block.start..block.end {
-                run_len[pc as usize] = block.end - pc;
-            }
-            let fstart = fused.len() as u32;
-            let mut i = block.start as usize;
-            while i < block.end as usize {
-                let (op, width) = fuse(&ops[i..block.end as usize]);
-                fused.push(FusedOp {
-                    op,
-                    pc: i as u32,
-                    width,
-                });
-                i += width as usize;
-            }
-            fused_span[block.start as usize] = (fstart, fused.len() as u32 - fstart);
-        }
-        ElidedProgram {
-            ops,
-            run_len,
-            fused,
-            fused_span,
-            data_len,
-        }
-    }
-
-    /// How many instructions carry at least one elided check — the
-    /// measurable payoff of the proof map.
-    pub fn elided_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| {
-                matches!(
-                    op,
-                    FastOp::LdProven { .. }
-                        | FastOp::LdBProven { .. }
-                        | FastOp::StProven { .. }
-                        | FastOp::StBProven { .. }
-                        | FastOp::DivuProven { .. }
-                        | FastOp::JrProven { .. }
-                )
-            })
-            .count()
-    }
-}
-
-/// An interpreter over an [`ElidedProgram`]: same observable semantics as
-/// [`Interp`], minus the statically-discharged work.
-pub struct ElidedInterp<'p> {
-    prog: &'p ElidedProgram,
+/// A lowered program with an execution context of its own: register file
+/// and data segment, allocated once.
+pub struct ElidedInterp<'a> {
+    prog: &'a ElidedProgram,
     regs: [u64; NUM_REGS],
     data: Vec<u8>,
 }
 
-impl<'p> ElidedInterp<'p> {
-    /// Creates an interpreter with a zeroed data segment.
-    pub fn new(prog: &'p ElidedProgram) -> Self {
+/// Register-file index of an operand. Lowering pre-masked it; masking again
+/// is what lets the compiler drop the bounds check.
+#[inline(always)]
+fn ix(r: u8) -> usize {
+    (r & (NUM_REGS as u8 - 1)) as usize
+}
+
+/// Data-segment (or jump-table) index of a 64-bit machine value: one that
+/// does not fit `usize` maps to `usize::MAX`, which is never in bounds.
+#[inline(always)]
+fn seg(v: u64) -> usize {
+    usize::try_from(v).unwrap_or(usize::MAX)
+}
+
+/// Applies an access's address mode — `t = regs[rs] & mask; regs[rb] = t` —
+/// and returns the effective address `t + off`.
+#[inline(always)]
+fn address(r: &mut [u64; NUM_REGS], rb: u8, rs: u8, off: i32, mask: u64) -> u64 {
+    let t = r[ix(rs)] & mask;
+    r[ix(rb)] = t;
+    effective(t, off)
+}
+
+/// Loads a byte or (`WIDE`) a word through an address mode; `Err` is the
+/// faulting address.
+#[inline(always)]
+fn load<const WIDE: bool>(
+    r: &mut [u64; NUM_REGS],
+    data: &[u8],
+    (rb, rs, off, mask): (u8, u8, i32, u64),
+) -> Result<u64, u64> {
+    let addr = address(r, rb, rs, off, mask);
+    let (a, n) = (seg(addr), if WIDE { 8 } else { 1 });
+    let bytes = a
+        .checked_add(n)
+        .and_then(|end| data.get(a..end))
+        .ok_or(addr)?;
+    let mut word = [0; 8];
+    word[..n].copy_from_slice(bytes);
+    Ok(u64::from_le_bytes(word))
+}
+
+/// Stores the low byte or (`WIDE`) all of `regs[x]` through an address
+/// mode; `Err` is the faulting address.
+#[inline(always)]
+fn store<const WIDE: bool>(
+    r: &mut [u64; NUM_REGS],
+    data: &mut [u8],
+    x: u8,
+    (rb, rs, off, mask): (u8, u8, i32, u64),
+) -> Result<(), u64> {
+    let addr = address(r, rb, rs, off, mask);
+    let (a, n) = (seg(addr), if WIDE { 8 } else { 1 });
+    let bytes = a
+        .checked_add(n)
+        .and_then(|end| data.get_mut(a..end))
+        .ok_or(addr)?;
+    bytes.copy_from_slice(&r[ix(x)].to_le_bytes()[..n]);
+    Ok(())
+}
+
+impl<'a> ElidedInterp<'a> {
+    /// Creates a context for `prog` with a zeroed data segment.
+    pub fn new(prog: &'a ElidedProgram) -> Self {
         ElidedInterp {
             prog,
             regs: [0; NUM_REGS],
@@ -913,291 +365,203 @@ impl<'p> ElidedInterp<'p> {
         &self.regs
     }
 
-    /// Runs until `Halt`, error, or `max_steps`. Observable behaviour —
-    /// result, step and guard counts, error variant and payload, final
-    /// registers and memory — is identical to [`Interp::run`] on the
-    /// program the [`ElidedProgram`] was compiled from.
+    /// Runs until `Halt`, error, or `max_steps`; see [`ElidedProgram::run`].
     pub fn run(&mut self, max_steps: u64) -> Result<ExecOutcome, InterpError> {
-        let prog = self.prog;
-        let code_len = prog.ops.len() as u64;
-        let data_len = self.data.len() as u64;
-        let regs = &mut self.regs;
-        let data = &mut self.data;
-        let mut pc: u32 = 0;
-        let mut steps: u64 = 0;
-        let mut guard_steps: u64 = 0;
-
-        macro_rules! rg {
-            ($r:expr) => {
-                regs[($r & (NUM_REGS as u8 - 1)) as usize]
-            };
-        }
-
-        // One op's arms, shared between the fused full-block path and the
-        // raw fuel-tail path. `$cur` is the raw pc for error payloads and
-        // `$consumed` the raw step count a control transfer at this op
-        // accounts for; `$label` is the dispatch loop to re-enter.
-        macro_rules! exec {
-            ($op:expr, $cur:expr, $consumed:expr, $label:lifetime) => {
-                match $op {
-                    FastOp::Li { rd, imm } => rg!(rd) = imm,
-                    FastOp::Mov { rd, rs } => rg!(rd) = rg!(rs),
-                    FastOp::Add { rd, rs1, rs2 } => rg!(rd) = rg!(rs1).wrapping_add(rg!(rs2)),
-                    FastOp::Sub { rd, rs1, rs2 } => rg!(rd) = rg!(rs1).wrapping_sub(rg!(rs2)),
-                    FastOp::Mul { rd, rs1, rs2 } => rg!(rd) = rg!(rs1).wrapping_mul(rg!(rs2)),
-                    FastOp::DivuProven { rd, rs1, rs2 } => {
-                        // Divisor proven nonzero; `max(1)` keeps the
-                        // expression branch-free without UB and folds away
-                        // under the proof.
-                        rg!(rd) = rg!(rs1) / rg!(rs2).max(1)
-                    }
-                    FastOp::DivuChecked { rd, rs1, rs2 } => {
-                        let d = rg!(rs2);
-                        if d == 0 {
-                            return Err(InterpError::DivideByZero { pc: $cur });
-                        }
-                        rg!(rd) = rg!(rs1) / d;
-                    }
-                    FastOp::And { rd, rs1, rs2 } => rg!(rd) = rg!(rs1) & rg!(rs2),
-                    FastOp::Or { rd, rs1, rs2 } => rg!(rd) = rg!(rs1) | rg!(rs2),
-                    FastOp::Xor { rd, rs1, rs2 } => rg!(rd) = rg!(rs1) ^ rg!(rs2),
-                    FastOp::Shl { rd, rs1, rs2 } => rg!(rd) = rg!(rs1) << (rg!(rs2) & 63),
-                    FastOp::Shr { rd, rs1, rs2 } => rg!(rd) = rg!(rs1) >> (rg!(rs2) & 63),
-                    FastOp::LdProven { rd, base, off } => {
-                        let a = effective(rg!(base), off) as usize;
-                        rg!(rd) = u64::from_le_bytes(data[a..a + 8].try_into().expect("8 bytes"));
-                    }
-                    FastOp::LdChecked { rd, base, off } => {
-                        let addr = effective(rg!(base), off);
-                        if addr.checked_add(8).is_none() || addr + 8 > data_len {
-                            return Err(InterpError::Fault { pc: $cur, addr });
-                        }
-                        let a = addr as usize;
-                        rg!(rd) = u64::from_le_bytes(data[a..a + 8].try_into().expect("8 bytes"));
-                    }
-                    FastOp::LdBProven { rd, base, off } => {
-                        rg!(rd) = u64::from(data[effective(rg!(base), off) as usize]);
-                    }
-                    FastOp::LdBChecked { rd, base, off } => {
-                        let addr = effective(rg!(base), off);
-                        if addr >= data_len {
-                            return Err(InterpError::Fault { pc: $cur, addr });
-                        }
-                        rg!(rd) = u64::from(data[addr as usize]);
-                    }
-                    FastOp::StProven { rs, base, off } => {
-                        let a = effective(rg!(base), off) as usize;
-                        let v = rg!(rs).to_le_bytes();
-                        data[a..a + 8].copy_from_slice(&v);
-                    }
-                    FastOp::StChecked { rs, base, off } => {
-                        let addr = effective(rg!(base), off);
-                        if addr.checked_add(8).is_none() || addr + 8 > data_len {
-                            return Err(InterpError::Fault { pc: $cur, addr });
-                        }
-                        let a = addr as usize;
-                        let v = rg!(rs).to_le_bytes();
-                        data[a..a + 8].copy_from_slice(&v);
-                    }
-                    FastOp::StBProven { rs, base, off } => {
-                        let v = rg!(rs) as u8;
-                        data[effective(rg!(base), off) as usize] = v;
-                    }
-                    FastOp::StBChecked { rs, base, off } => {
-                        let addr = effective(rg!(base), off);
-                        if addr >= data_len {
-                            return Err(InterpError::Fault { pc: $cur, addr });
-                        }
-                        let v = rg!(rs) as u8;
-                        data[addr as usize] = v;
-                    }
-                    FastOp::Beq { rs1, rs2, target } => {
-                        if rg!(rs1) == rg!(rs2) {
-                            steps += $consumed;
-                            pc = target;
-                            continue $label;
-                        }
-                    }
-                    FastOp::Bne { rs1, rs2, target } => {
-                        if rg!(rs1) != rg!(rs2) {
-                            steps += $consumed;
-                            pc = target;
-                            continue $label;
-                        }
-                    }
-                    FastOp::Bltu { rs1, rs2, target } => {
-                        if rg!(rs1) < rg!(rs2) {
-                            steps += $consumed;
-                            pc = target;
-                            continue $label;
-                        }
-                    }
-                    FastOp::Jmp { target } => {
-                        steps += $consumed;
-                        pc = target;
-                        continue $label;
-                    }
-                    FastOp::JrProven { rs } => {
-                        steps += $consumed;
-                        pc = rg!(rs) as u32;
-                        continue $label;
-                    }
-                    FastOp::JrChecked { rs } => {
-                        let target = rg!(rs);
-                        if target >= code_len {
-                            return Err(InterpError::BadJump { pc: $cur, target });
-                        }
-                        steps += $consumed;
-                        pc = target as u32;
-                        continue $label;
-                    }
-                    FastOp::MaskDataPow2 { r, mask } => {
-                        guard_steps += 1;
-                        rg!(r) &= mask;
-                    }
-                    FastOp::MaskDataMod { r } => {
-                        guard_steps += 1;
-                        rg!(r) %= data_len;
-                    }
-                    FastOp::MaskDataZero { r } => {
-                        guard_steps += 1;
-                        rg!(r) = 0;
-                    }
-                    FastOp::MaskCodePow2 { r, mask } => {
-                        guard_steps += 1;
-                        rg!(r) &= mask;
-                    }
-                    FastOp::MaskCodeMod { r } => {
-                        guard_steps += 1;
-                        rg!(r) %= code_len;
-                    }
-                    FastOp::Halt => {
-                        return Ok(ExecOutcome {
-                            result: regs[0],
-                            steps: steps + $consumed,
-                            guard_steps,
-                        });
-                    }
-                    FastOp::MovMaskData { rd, rs, mask } => {
-                        guard_steps += 1;
-                        rg!(rd) = rg!(rs) & mask;
-                    }
-                    FastOp::MaskStB { src, r, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(r) & mask;
-                        rg!(r) = t;
-                        data[effective(t, off) as usize] = rg!(src) as u8;
-                    }
-                    FastOp::MaskSt { src, r, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(r) & mask;
-                        rg!(r) = t;
-                        let a = effective(t, off) as usize;
-                        let v = rg!(src).to_le_bytes();
-                        data[a..a + 8].copy_from_slice(&v);
-                    }
-                    FastOp::MaskLdB { rd, r, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(r) & mask;
-                        rg!(r) = t;
-                        rg!(rd) = u64::from(data[effective(t, off) as usize]);
-                    }
-                    FastOp::MaskLd { rd, r, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(r) & mask;
-                        rg!(r) = t;
-                        let a = effective(t, off) as usize;
-                        rg!(rd) =
-                            u64::from_le_bytes(data[a..a + 8].try_into().expect("8 bytes"));
-                    }
-                    FastOp::MovMaskStB { src, rd, rs, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(rs) & mask;
-                        rg!(rd) = t;
-                        data[effective(t, off) as usize] = rg!(src) as u8;
-                    }
-                    FastOp::MovMaskSt { src, rd, rs, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(rs) & mask;
-                        rg!(rd) = t;
-                        let a = effective(t, off) as usize;
-                        let v = rg!(src).to_le_bytes();
-                        data[a..a + 8].copy_from_slice(&v);
-                    }
-                    FastOp::MovMaskLdB { ld_rd, rd, rs, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(rs) & mask;
-                        rg!(rd) = t;
-                        rg!(ld_rd) = u64::from(data[effective(t, off) as usize]);
-                    }
-                    FastOp::MovMaskLd { ld_rd, rd, rs, mask, off } => {
-                        guard_steps += 1;
-                        let t = rg!(rs) & mask;
-                        rg!(rd) = t;
-                        let a = effective(t, off) as usize;
-                        rg!(ld_rd) =
-                            u64::from_le_bytes(data[a..a + 8].try_into().expect("8 bytes"));
-                    }
-                    FastOp::ShrMovMaskStB { src, sd, rs1, rs2, rd, mask, off } => {
-                        guard_steps += 1;
-                        let s = rg!(rs1) >> (rg!(rs2) & 63);
-                        rg!(sd) = s;
-                        let t = s & mask;
-                        rg!(rd) = t;
-                        data[effective(t, off) as usize] = rg!(src) as u8;
-                    }
-                    FastOp::ShrMovMaskLdB { ld_rd, sd, rs1, rs2, rd, mask, off } => {
-                        guard_steps += 1;
-                        let s = rg!(rs1) >> (rg!(rs2) & 63);
-                        rg!(sd) = s;
-                        let t = s & mask;
-                        rg!(rd) = t;
-                        rg!(ld_rd) = u64::from(data[effective(t, off) as usize]);
-                    }
-                }
-            };
-        }
-
-        'outer: loop {
-            if u64::from(pc) >= code_len {
-                // Fell off the end. The oracle checks fuel before fetch.
-                return Err(if steps >= max_steps {
-                    InterpError::OutOfSteps
-                } else {
-                    InterpError::BadJump {
-                        pc,
-                        target: u64::from(pc),
-                    }
-                });
-            }
-            let run = u64::from(prog.run_len[pc as usize]);
-            if max_steps - steps >= run {
-                // Common case: fuel covers the whole block. Dispatch the
-                // fused stream — one dispatch per fused element, one
-                // fuel/step update per block.
-                let (fs, fl) = prog.fused_span[pc as usize];
-                let fblock = &prog.fused[fs as usize..(fs + fl) as usize];
-                let mut done: u64 = 0;
-                for f in fblock {
-                    exec!(f.op, f.pc, done + 1, 'outer);
-                    done += u64::from(f.width);
-                }
-                steps += run;
-                pc += run as u32;
-            } else {
-                // Fuel tail: raw per-instruction execution, so exhaustion
-                // lands exactly at the oracle's step boundary.
-                let limit = (max_steps - steps) as usize;
-                let ops = &prog.ops[pc as usize..pc as usize + run as usize];
-                for (i, op) in ops.iter().take(limit).enumerate() {
-                    exec!(*op, pc + i as u32, i as u64 + 1, 'outer);
-                }
-                // Exhausted mid-block; errors carry no step counts, so
-                // the tally needs no final update.
-                return Err(InterpError::OutOfSteps);
-            }
-        }
+        self.prog.run(&mut self.regs, &mut self.data, max_steps)
     }
+}
+
+impl ElidedProgram {
+    /// The executor: one `match` loop over the lowered ops, from the first
+    /// block, over the caller's register file and data segment (which must
+    /// be `data_len` bytes) until `Halt`, error, or `max_steps`. Observable
+    /// behaviour — result, step and guard counts, error variant and
+    /// payload, final registers and memory — is identical to
+    /// [`Interp::run`] on the program this was lowered from.
+    pub fn run(
+        &self,
+        regs: &mut [u64; NUM_REGS],
+        data: &mut [u8],
+        max_steps: u64,
+    ) -> Result<ExecOutcome, InterpError> {
+        assert_eq!(
+            data.len(),
+            self.data_len as usize,
+            "not this program's segment"
+        );
+        let ops = self.ops.as_slice();
+        // The register file stays in a local for the run, where the compiler
+        // can see nothing else aliases it.
+        let mut r = *regs;
+        // The ops still ahead of the one being executed; its own index is
+        // recovered from this only when a trap needs to report a pc.
+        let mut rest = ops;
+        let index = |rest: &[Op]| ops.len() - rest.len() - 1;
+        // Fuel counts down; `steps` is what has been spent.
+        let mut left = max_steps;
+        let mut guard_steps: u64 = 0;
+        let outcome = loop {
+            let here = rest;
+            let Some((op, next)) = here.split_first() else {
+                unreachable!("every lowered path ends in a halt, a trap or a jump");
+            };
+            rest = next;
+            match *op {
+                Op::Block { .. } => rest = enter(ops, here, &mut left, &mut guard_steps),
+                Op::Tick => {
+                    if left == 0 {
+                        break Err(InterpError::OutOfSteps);
+                    }
+                    left -= 1;
+                }
+                Op::Li(rd, imm) => r[ix(rd)] = imm,
+                Op::Mov(rd, rs) => r[ix(rd)] = r[ix(rs)],
+                Op::Add(rd, a, b) => r[ix(rd)] = r[ix(a)].wrapping_add(r[ix(b)]),
+                Op::Sub(rd, a, b) => r[ix(rd)] = r[ix(a)].wrapping_sub(r[ix(b)]),
+                Op::Mul(rd, a, b) => r[ix(rd)] = r[ix(a)].wrapping_mul(r[ix(b)]),
+                Op::And(rd, a, b) => r[ix(rd)] = r[ix(a)] & r[ix(b)],
+                Op::Or(rd, a, b) => r[ix(rd)] = r[ix(a)] | r[ix(b)],
+                Op::Xor(rd, a, b) => r[ix(rd)] = r[ix(a)] ^ r[ix(b)],
+                Op::Shl(rd, a, b) => r[ix(rd)] = r[ix(a)] << (r[ix(b)] & 63),
+                Op::Shr(rd, a, b) => r[ix(rd)] = r[ix(a)] >> (r[ix(b)] & 63),
+                Op::Divu(rd, a, b) => {
+                    let d = r[ix(b)];
+                    if d == 0 {
+                        break Err(self.divide_by_zero(index(rest)));
+                    }
+                    r[ix(rd)] = r[ix(a)] / d;
+                }
+                Op::AndI(x, k) => r[ix(x)] &= k,
+                Op::RemI(x, k) => r[ix(x)] %= k,
+                Op::AddI(rd, rs, s, k) => {
+                    r[ix(s)] = k;
+                    r[ix(rd)] = r[ix(rs)].wrapping_add(k);
+                }
+                Op::AddIBltu {
+                    rd,
+                    rs,
+                    s,
+                    a,
+                    b,
+                    k,
+                    target,
+                } => {
+                    r[ix(s)] = u64::from(k);
+                    r[ix(rd)] = r[ix(rs)].wrapping_add(u64::from(k));
+                    if r[ix(a)] < r[ix(b)] {
+                        rest = enter(ops, &ops[target as usize..], &mut left, &mut guard_steps);
+                    }
+                }
+                Op::Ld(x, rb, rs, off, mask) => {
+                    match load::<true>(&mut r, data, (rb, rs, off, mask)) {
+                        Ok(v) => r[ix(x)] = v,
+                        Err(addr) => break Err(self.fault(index(rest), addr)),
+                    }
+                }
+                Op::LdB(x, rb, rs, off, mask) => {
+                    match load::<false>(&mut r, data, (rb, rs, off, mask)) {
+                        Ok(v) => r[ix(x)] = v,
+                        Err(addr) => break Err(self.fault(index(rest), addr)),
+                    }
+                }
+                Op::LdAdd(xa, rb, rs, off, mask) => {
+                    match load::<true>(&mut r, data, (rb, rs, off, mask)) {
+                        Ok(v) => accumulate(&mut r, xa, v),
+                        Err(addr) => break Err(self.fault(index(rest), addr)),
+                    }
+                }
+                Op::LdBAdd(xa, rb, rs, off, mask) => {
+                    match load::<false>(&mut r, data, (rb, rs, off, mask)) {
+                        Ok(v) => accumulate(&mut r, xa, v),
+                        Err(addr) => break Err(self.fault(index(rest), addr)),
+                    }
+                }
+                Op::St(x, rb, rs, off, mask) => {
+                    if let Err(addr) = store::<true>(&mut r, data, x, (rb, rs, off, mask)) {
+                        break Err(self.fault(index(rest), addr));
+                    }
+                }
+                Op::StB(x, rb, rs, off, mask) => {
+                    if let Err(addr) = store::<false>(&mut r, data, x, (rb, rs, off, mask)) {
+                        break Err(self.fault(index(rest), addr));
+                    }
+                }
+                Op::Beq(a, b, target) => {
+                    if r[ix(a)] == r[ix(b)] {
+                        rest = enter(ops, &ops[target as usize..], &mut left, &mut guard_steps);
+                    }
+                }
+                Op::Bne(a, b, target) => {
+                    if r[ix(a)] != r[ix(b)] {
+                        rest = enter(ops, &ops[target as usize..], &mut left, &mut guard_steps);
+                    }
+                }
+                Op::Bltu(a, b, target) => {
+                    if r[ix(a)] < r[ix(b)] {
+                        rest = enter(ops, &ops[target as usize..], &mut left, &mut guard_steps);
+                    }
+                }
+                Op::Jmp(target) => {
+                    rest = enter(ops, &ops[target as usize..], &mut left, &mut guard_steps)
+                }
+                Op::Jr(rs) => match self.entry.get(seg(r[ix(rs)])) {
+                    Some(&header) => {
+                        rest = enter(ops, &ops[header as usize..], &mut left, &mut guard_steps)
+                    }
+                    None => break Err(self.bad_jump(index(rest), r[ix(rs)])),
+                },
+                Op::Halt => {
+                    break Ok(ExecOutcome {
+                        result: r[0],
+                        steps: max_steps - left,
+                        guard_steps,
+                    });
+                }
+                Op::BadJump(pc, target) => {
+                    let target = u64::from(target);
+                    break Err(InterpError::BadJump { pc, target });
+                }
+                // Like the oracle, check fuel before fetching past the end.
+                Op::OffEnd if left == 0 => break Err(InterpError::OutOfSteps),
+                Op::OffEnd => break Err(self.bad_jump(index(rest), self.entry.len() as u64)),
+            }
+        };
+        *regs = r;
+        outcome
+    }
+}
+
+/// Enters `block`, a suffix of `ops` that starts at a block header: charges
+/// the block's pre-summed fuel and guard steps and returns what follows the
+/// header — or, when fuel is short of the whole block, the block's fuel
+/// tail. A suffix that starts at a non-header (the trap a bad static target
+/// lowered to) is returned as is, to be dispatched.
+///
+/// Every control transfer calls this rather than dispatching the header:
+/// one dispatch fewer per loop iteration, and a taken branch compiles to a
+/// predicted branch instead of a select the next fetch must wait for.
+#[inline(always)]
+fn enter<'a>(ops: &'a [Op], block: &'a [Op], left: &mut u64, guard_steps: &mut u64) -> &'a [Op] {
+    let [Op::Block { fuel, guards, tail }, body @ ..] = block else {
+        return block;
+    };
+    match left.checked_sub(u64::from(*fuel)) {
+        Some(rest) => {
+            *left = rest;
+            *guard_steps += u64::from(*guards);
+            body
+        }
+        None => &ops[*tail as usize..],
+    }
+}
+
+/// The tail of a fused load-and-accumulate: `regs[x] = v; regs[acc] +=
+/// regs[x]`, with `x` and `acc` packed into `xa`. In program order, so
+/// `x == acc` doubles the loaded value as it does in the oracle.
+#[inline(always)]
+fn accumulate(r: &mut [u64; NUM_REGS], xa: u8, v: u64) {
+    r[ix(xa)] = v;
+    r[ix(xa >> 4)] = r[ix(xa >> 4)].wrapping_add(r[ix(xa)]);
 }
 
 #[cfg(test)]

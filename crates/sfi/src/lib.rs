@@ -11,8 +11,10 @@
 //! - [`bytecode`] — a small register-machine instruction set; a component's
 //!   *image* is its encoded program, which is what certificates digest,
 //! - [`asm`] — a tiny assembler for building programs with labels,
-//! - [`interp`] — the interpreter, with deterministic step/cycle accounting,
-//!   plus the proof-elided fast interpreter described below,
+//! - [`interp`] — the checked oracle, with deterministic step/cycle
+//!   accounting, and the one executor every loaded component runs,
+//! - [`lower`] — the load-time lowering of a program into the flat
+//!   pre-decoded op array that executor runs,
 //! - [`sandbox`] — Wahbe-style software fault isolation: rewrites a program
 //!   so every memory access and indirect jump is masked into the sandbox
 //!   segment (run-time overhead on every access),
@@ -26,7 +28,7 @@
 //! - [`workloads`] — parameterised benchmark programs (checksum loops,
 //!   memory-walking kernels) shared by tests and benches.
 //!
-//! # The verify → analyze → prove → elide pipeline
+//! # The verify → analyze → prove → lower pipeline
 //!
 //! The software-protection claim the paper makes — "verifying a
 //! certificate at load-time obviates the need for run time fault checks" —
@@ -45,27 +47,37 @@
 //!    [`analysis::ProofMap`]: per instruction, whether the load/store is
 //!    in-bounds, the divisor nonzero, the jump target in-range, a branch
 //!    one-sided, or the instruction unreachable.
-//! 4. **elide**: [`interp::ElidedProgram::compile`] consumes the proof map
-//!    and emits a parallel instruction stream in which every discharged
-//!    check is *gone* — unchecked loads and stores, unvalidated proven
-//!    jumps, strength-reduced masks, and block-batched fuel accounting.
-//!    [`interp::ElidedInterp`] executes that stream; the fully-checked
-//!    [`Interp`] is kept verbatim as the differential oracle, and the
-//!    conformance suite holds them bit-for-bit equal on registers, memory,
-//!    traps and fuel.
+//! 4. **lower**: [`interp::ElidedProgram::lower`] turns the program, once,
+//!    at load, into a flat array of 16-byte pre-decoded ops — per-block
+//!    fuel pre-summed into a header, static branch targets resolved,
+//!    power-of-two masks reduced to `and`, the workloads' hot sequences
+//!    fused into superinstructions — and that array is run by a single
+//!    `match` loop. One lowering, one executor, for every protection
+//!    regime: it needs no analysis (so *certified*, *sandboxed* and
+//!    hardware-isolated components get it too) and it keeps every check
+//!    the oracle makes as the op's trap path, so the proof map is not
+//!    trusted at run time; what it sheds is the per-step decode, fetch and
+//!    fuel tests. The fully-checked [`Interp`] is kept verbatim as the
+//!    differential oracle — it executes no loaded component — and the
+//!    conformance suite holds the lowering bit-for-bit equal to it on
+//!    registers, memory, traps and fuel, and fails any proof-map fact that
+//!    sits on a pc where the oracle traps (the gate a facts-driven opcode
+//!    would have to pass before one is added).
 //!
 //! [`analysis::lint`] reuses stages 2–3 for diagnostics instead of speed:
 //! unreachable code, dead stores, always-trapping instructions, and
 //! unguarded-indirect-jump explanations with register provenance.
 //!
 //! Certified-native execution (the Paramecium path) runs the *original*
-//! program with no checks at all: the trust was established by signature at
-//! load time.
+//! program, lowered as is with no analysis at all: the trust was
+//! established by signature at load time, and the simulation-level bounds
+//! checks remain only as the path a trap would take.
 
 pub mod analysis;
 pub mod asm;
 pub mod bytecode;
 pub mod interp;
+pub mod lower;
 pub mod sandbox;
 pub mod verifier;
 pub mod workloads;

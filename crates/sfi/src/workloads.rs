@@ -167,9 +167,8 @@ pub fn header_parse_verified() -> Program {
 /// each probe masked into the 256-byte filter and written. This is the
 /// guard-dense extreme of the SFI spectrum — eight mask-plus-store pairs
 /// per hash, so nearly half the dynamic instructions are run-time checks
-/// the analysis can discharge. The `mov/mask_data/stb` triple (and the
-/// `shr/mov/mask_data/stb` probe quad) is exactly the guard idiom the
-/// elided engine compiles to a single operation.
+/// the analysis can discharge. The `mov/mask_data/stb` triple is exactly
+/// the guard idiom the lowering fuses into a single op.
 pub fn bloom_insert_verified(iterations: u32) -> Program {
     let mut a = Asm::new(256);
     a.li(r(2), 0x9E37_79B9_7F4A_7C15u64 as i64); // Hash state.

@@ -24,7 +24,7 @@ use paramecium::netstack::{
     install_driver, make_network_monitor, make_udp_stack, wire,
 };
 use paramecium::prelude::*;
-use paramecium::sfi::{interp::Interp, sandbox::sandbox_rewrite, verifier, workloads};
+use paramecium::sfi::{sandbox::sandbox_rewrite, verifier, workloads, ElidedInterp, ElidedProgram};
 use paramecium::threads::popup::PopupFactory;
 use paramecium::threads::Semaphore;
 use rand::{rngs::StdRng, SeedableRng};
@@ -317,6 +317,13 @@ fn e3_crossdomain() {
 
 // ---------------------------------------------------------------- E4 ---
 
+/// VM steps `program` takes to `Halt` (its run-time cost in cycles).
+fn vm_steps(program: &paramecium::sfi::Program) -> u64 {
+    let lowered = ElidedProgram::lower(program);
+    let out = ElidedInterp::new(&lowered).run(u64::MAX);
+    out.expect("workload halts").steps
+}
+
 fn e4_certification_vs_software() {
     println!("## E4 — load-time certification vs run-time software protection (paper §4, §5)\n");
     println!("One component (byte checksum over 1 KiB), same job under each regime.");
@@ -332,19 +339,19 @@ fn e4_certification_vs_software() {
         let raw = workloads::checksum_loop(1024, iters);
         let (sandboxed, stats) = sandbox_rewrite(&raw);
         let sfi_load = (stats.original_len + stats.rewritten_len) as u64 * 2;
-        let sfi_run = Interp::new(&sandboxed).run(u64::MAX).unwrap().steps;
+        let sfi_run = vm_steps(&sandboxed);
         let sfi_total = sfi_load + sfi_run;
 
         // Verified: verify once, compiler-emitted guards only.
         let verified = workloads::checksum_loop_verified(1024, iters);
         let vreport = verifier::verify(&verified).unwrap();
         let ver_load = vreport.evaluations * 4;
-        let ver_run = Interp::new(&verified).run(u64::MAX).unwrap().steps;
+        let ver_run = vm_steps(&verified);
         let ver_total = ver_load + ver_run;
 
         // Certified: one RSA verification + digest, then native.
         let cert_load = sig_cost + digest_cost(raw.encode().len());
-        let cert_run = Interp::new(&raw).run(u64::MAX).unwrap().steps;
+        let cert_run = vm_steps(&raw);
         let cert_total = cert_load + cert_run;
 
         let winner = [
@@ -362,16 +369,10 @@ fn e4_certification_vs_software() {
     println!("\nSteady-state run cost only (load amortised away), 100 iterations:\n");
     println!("| regime | VM steps | overhead vs native |");
     println!("|---|---|---|");
-    let native = Interp::new(&workloads::checksum_loop(1024, 100))
-        .run(u64::MAX)
-        .unwrap()
-        .steps;
+    let native = vm_steps(&workloads::checksum_loop(1024, 100));
     let (sb, _) = sandbox_rewrite(&workloads::checksum_loop(1024, 100));
-    let sfi = Interp::new(&sb).run(u64::MAX).unwrap().steps;
-    let ver = Interp::new(&workloads::checksum_loop_verified(1024, 100))
-        .run(u64::MAX)
-        .unwrap()
-        .steps;
+    let sfi = vm_steps(&sb);
+    let ver = vm_steps(&workloads::checksum_loop_verified(1024, 100));
     println!("| Certified native | {native} | 1.00x |");
     println!(
         "| Verified (compiler guards) | {ver} | {:.2}x |",

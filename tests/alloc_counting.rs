@@ -350,6 +350,94 @@ fn idle_tcp_pump_allocations_do_not_grow_with_open_connections() {
 }
 
 #[test]
+fn loaded_bytecode_component_runs_without_allocating() {
+    // A loaded component owns its lowered program, register file and data
+    // segment from load time on; a run copies the frame in and goes. Under
+    // every software regime that is zero allocations per warmed
+    // `component.run` — an engine that clones its code or builds a fresh
+    // data segment per run fails here — and the step count the virtual
+    // charge rides on is still the checked oracle's.
+    use paramecium::netstack::filter::adapt_bytecode_filter;
+    use paramecium::sfi::{sandbox_rewrite, workloads, Interp};
+
+    let world = World::boot();
+    let n = &world.nucleus;
+    let certified = workloads::checksum_loop_verified(256, 1);
+    // A different image: a certificate covers every copy of the bytes.
+    let verifiable = workloads::checksum_loop_verified(256, 2);
+    let raw = workloads::checksum_loop(256, 1);
+    let (rewritten, _) = sandbox_rewrite(&raw);
+    let frame: Vec<u8> = (0..=255).collect();
+    let args = [
+        Value::Bytes(bytes::Bytes::from(frame.clone())),
+        Value::Int(0),
+    ];
+
+    for (name, program, oracle, certify, want) in [
+        (
+            "cert",
+            &certified,
+            &certified,
+            true,
+            Protection::CertifiedNative,
+        ),
+        (
+            "soft-v",
+            &verifiable,
+            &verifiable,
+            false,
+            Protection::Verified,
+        ),
+        ("soft-s", &raw, &rewritten, false, Protection::Sandboxed),
+    ] {
+        n.repository.add_bytecode(name, program);
+        if certify {
+            world.certify_by_root(name, &[Right::RunKernel]).unwrap();
+        }
+        let path = format!("/kernel/{name}");
+        let report = n.load(name, &LoadOptions::kernel(path.as_str())).unwrap();
+        assert_eq!(report.protection, want);
+        let component = n.bind(KERNEL_DOMAIN, &path).unwrap();
+
+        let mut checked = Interp::new(oracle);
+        checked.load_data(0, &frame);
+        let expected = checked.run(1 << 20).unwrap();
+
+        for _ in 0..8 {
+            component.invoke("component", "run", &args).unwrap();
+        }
+        let allocs = count_allocs(|| {
+            for _ in 0..CALLS {
+                let sum = component.invoke("component", "run", &args).unwrap();
+                assert_eq!(sum, Value::Int(expected.result as i64));
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{want:?}: {allocs} allocations in {CALLS} warmed component.run calls"
+        );
+        let steps = component.invoke("component", "steps", &[]).unwrap();
+        assert_eq!(steps, Value::Int(expected.steps as i64), "{want:?}");
+
+        // The packet-filter path: the adapter in front of the component
+        // adds its own dispatch and nothing on the heap.
+        let filter = adapt_bytecode_filter(component);
+        for _ in 0..8 {
+            filter.invoke("filter", "check", &args[..1]).unwrap();
+        }
+        let allocs = count_allocs(|| {
+            for _ in 0..CALLS {
+                filter.invoke("filter", "check", &args[..1]).unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{want:?}: {allocs} allocations in {CALLS} warmed filter.check calls"
+        );
+    }
+}
+
+#[test]
 fn data_segment_is_built_once_on_its_way_to_the_link() {
     // A data segment's bytes move once: out of the send ring into the
     // frame buffer, headers written around them in place. On the way

@@ -32,37 +32,41 @@ fn prepare(world: &World, name: &str, verifiable: bool, cert: CertState) {
 
 #[test]
 fn kernel_placement_matrix() {
-    // (verifiable, cert, strict, expected)
-    let cases: &[(bool, CertState, bool, Option<Protection>)] = &[
+    use Protection::{CertifiedNative, Sandboxed, Verified};
+    // (verifiable, cert, strict, expected regime and `load_cycles`). The
+    // cycles are pinned: a load charges for validation, analysis and
+    // rewriting — once each — and never for lowering.
+    type Loaded = Option<(Protection, u64)>;
+    let cases: &[(bool, CertState, bool, Loaded)] = &[
         // Certified for kernel: always native, strict or not.
         (
             true,
             CertState::Kernel,
             true,
-            Some(Protection::CertifiedNative),
+            Some((CertifiedNative, 100_363)),
         ),
         (
             false,
             CertState::Kernel,
             true,
-            Some(Protection::CertifiedNative),
+            Some((CertifiedNative, 100_348)),
         ),
         (
             false,
             CertState::Kernel,
             false,
-            Some(Protection::CertifiedNative),
+            Some((CertifiedNative, 100_348)),
         ),
         // Uncertified, permissive: software protection by verifiability.
-        (true, CertState::None, false, Some(Protection::Verified)),
-        (false, CertState::None, false, Some(Protection::Sandboxed)),
+        (true, CertState::None, false, Some((Verified, 2_948))),
+        (false, CertState::None, false, Some((Sandboxed, 2_474))),
         // Uncertified, strict: refused.
         (true, CertState::None, true, None),
         (false, CertState::None, true, None),
         // User-only certificate never helps kernel placement.
         (true, CertState::UserOnly, true, None),
         // …but permissive mode still softens it in.
-        (true, CertState::UserOnly, false, Some(Protection::Verified)),
+        (true, CertState::UserOnly, false, Some((Verified, 103_311))),
     ];
     for (i, (verifiable, cert, strict, expected)) in cases.iter().enumerate() {
         let world = World::boot();
@@ -73,14 +77,11 @@ fn kernel_placement_matrix() {
             opts = opts.strict();
         }
         let got = world.nucleus.load(&name, &opts);
-        match expected {
-            Some(p) => assert_eq!(
-                got.as_ref().map(|r| r.protection).ok(),
-                Some(*p),
-                "case {i}: {verifiable} {cert:?} strict={strict} -> {got:?}"
-            ),
-            None => assert!(got.is_err(), "case {i} should be refused, got {got:?}"),
-        }
+        assert_eq!(
+            got.as_ref().map(|r| (r.protection, r.load_cycles)).ok(),
+            *expected,
+            "case {i}: {verifiable} {cert:?} strict={strict} -> {got:?}"
+        );
     }
 }
 
@@ -95,15 +96,17 @@ fn forced_sandbox_overrides_everything() {
         .load("c", &LoadOptions::kernel("/kernel/c").sandboxed())
         .unwrap();
     assert_eq!(report.protection, Protection::Sandboxed);
+    assert_eq!(report.load_cycles, 66);
 }
 
 #[test]
 fn user_placement_matrix() {
-    for (i, (cert, require_cert, ok)) in [
-        (CertState::None, false, true),
-        (CertState::None, true, false),
-        (CertState::UserOnly, true, true),
-        (CertState::Kernel, true, true),
+    // (cert, require_user_cert, expected `load_cycles` or refusal).
+    for (i, (cert, require_cert, expected)) in [
+        (CertState::None, false, Some(0)),
+        (CertState::None, true, None),
+        (CertState::UserOnly, true, Some(100_348)),
+        (CertState::Kernel, true, Some(100_348)),
     ]
     .iter()
     .enumerate()
@@ -118,11 +121,11 @@ fn user_placement_matrix() {
         let mut opts = LoadOptions::user(app.id, format!("/app/{name}"));
         opts.require_user_cert = *require_cert;
         let got = world.nucleus.load(&name, &opts);
-        if *ok {
-            assert_eq!(got.unwrap().protection, Protection::Hardware, "case {i}");
-        } else {
-            assert!(got.is_err(), "case {i}");
-        }
+        assert_eq!(
+            got.as_ref().map(|r| (r.protection, r.load_cycles)).ok(),
+            expected.map(|cycles| (Protection::Hardware, cycles)),
+            "case {i}: {cert:?} require_user_cert={require_cert} -> {got:?}"
+        );
     }
 }
 
