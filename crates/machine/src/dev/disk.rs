@@ -127,17 +127,17 @@ impl Disk {
         self.data.len() / SECTOR_SIZE
     }
 
-    /// Reads one sector (driver side; the driver charges transfer cost).
-    pub fn read_sector(&mut self, idx: u64) -> MachineResult<[u8; SECTOR_SIZE]> {
+    /// Reads one sector where it lies on the platter (driver side; the
+    /// driver charges transfer cost and makes the one copy out).
+    pub fn read_sector(&mut self, idx: u64) -> MachineResult<&[u8; SECTOR_SIZE]> {
         self.fault_check()?;
         let start = (idx as usize)
             .checked_mul(SECTOR_SIZE)
             .filter(|s| s + SECTOR_SIZE <= self.data.len())
             .ok_or_else(|| MachineError::Device(format!("disk: sector {idx} out of range")))?;
         self.reads += 1;
-        let mut out = [0u8; SECTOR_SIZE];
-        out.copy_from_slice(&self.data[start..start + SECTOR_SIZE]);
-        Ok(out)
+        let sector = &self.data[start..start + SECTOR_SIZE];
+        Ok(sector.try_into().expect("a whole sector"))
     }
 
     /// Writes one sector.
@@ -169,35 +169,6 @@ impl Disk {
             .filter(|s| s + SECTOR_SIZE <= self.data.len())
             .ok_or_else(|| MachineError::Device(format!("disk: sector {idx} out of range")))?;
         self.data[start..start + prefix].copy_from_slice(&buf[..prefix]);
-        Ok(())
-    }
-
-    /// Reads a batch of sectors in one request (driver side; the driver
-    /// charges the amortised [`batch_transfer_cost`]). The whole batch is
-    /// validated before any sector is read, so a bad index fails the
-    /// request without partial effects.
-    pub fn read_sectors(&mut self, idxs: &[u64]) -> MachineResult<Vec<[u8; SECTOR_SIZE]>> {
-        let sectors = self.sectors() as u64;
-        if let Some(bad) = idxs.iter().find(|&&i| i >= sectors) {
-            return Err(MachineError::Device(format!(
-                "disk: sector {bad} out of range"
-            )));
-        }
-        idxs.iter().map(|&i| self.read_sector(i)).collect()
-    }
-
-    /// Writes a batch of `(sector, data)` pairs in one request. Validated
-    /// up front like [`Disk::read_sectors`]: a bad index writes nothing.
-    pub fn write_sectors(&mut self, batch: &[(u64, [u8; SECTOR_SIZE])]) -> MachineResult<()> {
-        let sectors = self.sectors() as u64;
-        if let Some((bad, _)) = batch.iter().find(|&&(i, _)| i >= sectors) {
-            return Err(MachineError::Device(format!(
-                "disk: sector {bad} out of range"
-            )));
-        }
-        for (i, buf) in batch {
-            self.write_sector(*i, buf)?;
-        }
         Ok(())
     }
 
@@ -252,8 +223,8 @@ mod tests {
         buf[0] = 0xAA;
         buf[511] = 0x55;
         d.write_sector(3, &buf).unwrap();
-        assert_eq!(d.read_sector(3).unwrap(), buf);
-        assert_eq!(d.read_sector(2).unwrap(), [0u8; SECTOR_SIZE]);
+        assert_eq!(d.read_sector(3).unwrap(), &buf);
+        assert_eq!(d.read_sector(2).unwrap(), &[0u8; SECTOR_SIZE]);
         assert_eq!((d.read_count(), d.write_count()), (2, 1));
     }
 
@@ -262,26 +233,6 @@ mod tests {
         let mut d = Disk::new(4);
         assert!(d.read_sector(4).is_err());
         assert!(d.write_sector(u64::MAX, &[0u8; SECTOR_SIZE]).is_err());
-    }
-
-    #[test]
-    fn batched_ops_roundtrip_and_validate_up_front() {
-        let mut d = Disk::new(8);
-        let mk = |b: u8| {
-            let mut s = [0u8; SECTOR_SIZE];
-            s[0] = b;
-            s
-        };
-        d.write_sectors(&[(1, mk(0x11)), (5, mk(0x55))]).unwrap();
-        let out = d.read_sectors(&[5, 1]).unwrap();
-        assert_eq!(out[0][0], 0x55);
-        assert_eq!(out[1][0], 0x11);
-        // A bad index anywhere in the batch fails without partial effects.
-        let writes_before = d.write_count();
-        assert!(d.write_sectors(&[(0, mk(1)), (8, mk(2))]).is_err());
-        assert_eq!(d.write_count(), writes_before);
-        assert!(d.read_sectors(&[0, 99]).is_err());
-        assert_eq!(d.read_sector(0).unwrap(), [0u8; SECTOR_SIZE]);
     }
 
     #[test]

@@ -25,20 +25,11 @@ pub const DEFAULT_TLB_ENTRIES: usize = 64;
 /// Default disk size in sectors (4 MiB).
 pub const DEFAULT_DISK_SECTORS: usize = 8192;
 
-/// The simulated machine.
-pub struct Machine {
-    /// The cost model in force.
-    pub cost: CostModel,
+/// The cycle counter and the crash-injection state every charge steps —
+/// the part of the machine a driver needs next to its device, so
+/// [`Machine::device_and_meter`] can lend out both at once.
+pub struct ChargeMeter {
     counter: CycleCounter,
-    /// Physical memory.
-    pub phys: PhysMem,
-    /// The MMU (contexts, page tables, TLB).
-    pub mmu: Mmu,
-    /// The interrupt controller.
-    pub irq: IrqController,
-    /// The I/O-space allocator.
-    pub io: IoSpace,
-    devices: BTreeMap<String, Box<dyn Device>>,
     /// Total cost-model charge events so far (crash-injection harnesses
     /// enumerate these to place a fault at every step of an op sequence).
     charge_events: u64,
@@ -49,47 +40,8 @@ pub struct Machine {
     crashed: bool,
 }
 
-impl Machine {
-    /// Builds a machine with default sizing, the default cost model, and
-    /// the standard devices (timer, NIC, console).
-    pub fn new() -> Self {
-        Self::with_config(CostModel::default(), DEFAULT_FRAMES, DEFAULT_TLB_ENTRIES)
-    }
-
-    /// Builds a machine with explicit cost model and sizing.
-    pub fn with_config(cost: CostModel, frames: usize, tlb_entries: usize) -> Self {
-        let mut m = Machine {
-            cost,
-            counter: CycleCounter::new(),
-            phys: PhysMem::new(frames),
-            mmu: Mmu::new(tlb_entries),
-            irq: IrqController::new(),
-            io: IoSpace::new(),
-            devices: BTreeMap::new(),
-            charge_events: 0,
-            crash_in: None,
-            crashed: false,
-        };
-        m.register_device(Box::new(Timer::new()));
-        m.register_device(Box::new(Nic::new()));
-        m.register_device(Box::new(Console::new()));
-        m.register_device(Box::new(Disk::new(DEFAULT_DISK_SECTORS)));
-        m
-    }
-
-    /// Current simulated time in cycles.
-    pub fn now(&self) -> Cycles {
-        self.counter.now()
-    }
-
-    /// Charges `cycles` of work.
-    ///
-    /// Every charge is one *cost-model step*: the granularity at which an
-    /// armed crash ([`Machine::arm_crash_after`]) can fire. Drivers that
-    /// perform multi-part operations (e.g. a batched disk write) charge
-    /// each part separately and consult [`Machine::crashed`] between
-    /// parts, so an injected power failure lands *inside* the operation
-    /// with only a prefix of its effects applied.
+impl ChargeMeter {
+    /// Charges `cycles` of work: [`Machine::charge`] itself.
     pub fn charge(&mut self, cycles: Cycles) {
         self.charge_events += 1;
         if let Some(n) = self.crash_in {
@@ -103,36 +55,8 @@ impl Machine {
         self.counter.charge(cycles);
     }
 
-    /// Total cost-model charge events so far. Crash-injection harnesses
-    /// run an op sequence once to count its steps, then re-run it with
-    /// [`Machine::arm_crash_after`] at every step in `1..=charge_events`.
-    pub fn charge_events(&self) -> u64 {
-        self.charge_events
-    }
-
-    /// Arms a simulated power failure that fires on the `events`-th
-    /// subsequent charge (1 = the very next charge event). Any previously
-    /// armed crash is replaced.
-    pub fn arm_crash_after(&mut self, events: u64) {
-        assert!(events > 0, "crash must be armed at a future charge event");
-        self.crash_in = Some(events);
-        self.crashed = false;
-    }
-
-    /// Disarms a pending injected crash without clearing a crash that
-    /// already fired.
-    pub fn disarm_crash(&mut self) {
-        self.crash_in = None;
-    }
-
-    /// Whether the injected power failure has fired. Once set, drivers
-    /// refuse all further device work until [`Machine::reboot`].
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// Fails with [`MachineError::PowerFailure`] when the machine has
-    /// crashed — the guard every driver entry point runs first.
+    /// crashed: [`Machine::check_power`] itself.
     pub fn check_power(&self) -> MachineResult<()> {
         if self.crashed {
             Err(MachineError::PowerFailure)
@@ -140,21 +64,119 @@ impl Machine {
             Ok(())
         }
     }
+}
+
+/// The simulated machine.
+pub struct Machine {
+    /// The cost model in force.
+    pub cost: CostModel,
+    meter: ChargeMeter,
+    /// Physical memory.
+    pub phys: PhysMem,
+    /// The MMU (contexts, page tables, TLB).
+    pub mmu: Mmu,
+    /// The interrupt controller.
+    pub irq: IrqController,
+    /// The I/O-space allocator.
+    pub io: IoSpace,
+    devices: BTreeMap<String, Box<dyn Device>>,
+}
+
+impl Machine {
+    /// Builds a machine with default sizing, the default cost model, and
+    /// the standard devices (timer, NIC, console).
+    pub fn new() -> Self {
+        Self::with_config(CostModel::default(), DEFAULT_FRAMES, DEFAULT_TLB_ENTRIES)
+    }
+
+    /// Builds a machine with explicit cost model and sizing.
+    pub fn with_config(cost: CostModel, frames: usize, tlb_entries: usize) -> Self {
+        let mut m = Machine {
+            cost,
+            meter: ChargeMeter {
+                counter: CycleCounter::new(),
+                charge_events: 0,
+                crash_in: None,
+                crashed: false,
+            },
+            phys: PhysMem::new(frames),
+            mmu: Mmu::new(tlb_entries),
+            irq: IrqController::new(),
+            io: IoSpace::new(),
+            devices: BTreeMap::new(),
+        };
+        m.register_device(Box::new(Timer::new()));
+        m.register_device(Box::new(Nic::new()));
+        m.register_device(Box::new(Console::new()));
+        m.register_device(Box::new(Disk::new(DEFAULT_DISK_SECTORS)));
+        m
+    }
+
+    /// Current simulated time in cycles.
+    pub fn now(&self) -> Cycles {
+        self.meter.counter.now()
+    }
+
+    /// Charges `cycles` of work.
+    ///
+    /// Every charge is one *cost-model step*: the granularity at which an
+    /// armed crash ([`Machine::arm_crash_after`]) can fire. Drivers that
+    /// perform multi-part operations (e.g. a batched disk write) charge
+    /// each part separately and consult [`Machine::crashed`] between
+    /// parts, so an injected power failure lands *inside* the operation
+    /// with only a prefix of its effects applied.
+    pub fn charge(&mut self, cycles: Cycles) {
+        self.meter.charge(cycles);
+    }
+
+    /// Total cost-model charge events so far. Crash-injection harnesses
+    /// run an op sequence once to count its steps, then re-run it with
+    /// [`Machine::arm_crash_after`] at every step in `1..=charge_events`.
+    pub fn charge_events(&self) -> u64 {
+        self.meter.charge_events
+    }
+
+    /// Arms a simulated power failure that fires on the `events`-th
+    /// subsequent charge (1 = the very next charge event). Any previously
+    /// armed crash is replaced.
+    pub fn arm_crash_after(&mut self, events: u64) {
+        assert!(events > 0, "crash must be armed at a future charge event");
+        self.meter.crash_in = Some(events);
+        self.meter.crashed = false;
+    }
+
+    /// Disarms a pending injected crash without clearing a crash that
+    /// already fired.
+    pub fn disarm_crash(&mut self) {
+        self.meter.crash_in = None;
+    }
+
+    /// Whether the injected power failure has fired. Once set, drivers
+    /// refuse all further device work until [`Machine::reboot`].
+    pub fn crashed(&self) -> bool {
+        self.meter.crashed
+    }
+
+    /// Fails with [`MachineError::PowerFailure`] when the machine has
+    /// crashed — the guard every driver entry point runs first.
+    pub fn check_power(&self) -> MachineResult<()> {
+        self.meter.check_power()
+    }
 
     /// Clears a fired (or armed) crash, simulating a power cycle. Device
     /// state persists — that is the point: the disk keeps whatever
     /// sectors reached it, and remounting a journalled store over the
     /// rebooted machine must recover exactly the committed prefix.
     pub fn reboot(&mut self) {
-        self.crashed = false;
-        self.crash_in = None;
+        self.meter.crashed = false;
+        self.meter.crash_in = None;
     }
 
     /// Advances time by `cycles` and lets every device observe the new
     /// time (raising interrupts as needed).
     pub fn tick(&mut self, cycles: Cycles) {
-        self.counter.charge(cycles);
-        let now = self.counter.now();
+        self.meter.counter.charge(cycles);
+        let now = self.now();
         for dev in self.devices.values_mut() {
             dev.tick(now, &mut self.irq);
         }
@@ -167,7 +189,18 @@ impl Machine {
 
     /// Host-side typed access to a device (e.g. to inject NIC frames).
     pub fn device_mut<T: 'static>(&mut self, name: &str) -> Option<&mut T> {
-        self.devices.get_mut(name)?.as_any_mut().downcast_mut::<T>()
+        Some(self.device_and_meter(name)?.0)
+    }
+
+    /// A device and the charge meter in one split borrow: a driver finds
+    /// its device once per request and then charges (and consults the
+    /// crash state) between the parts of a multi-part operation.
+    pub fn device_and_meter<T: 'static>(
+        &mut self,
+        name: &str,
+    ) -> Option<(&mut T, &mut ChargeMeter)> {
+        let dev = self.devices.get_mut(name)?.as_any_mut().downcast_mut()?;
+        Some((dev, &mut self.meter))
     }
 
     /// Reads a device register, charging the I/O access cost.
@@ -373,6 +406,29 @@ mod tests {
                 .unwrap()[0],
             7
         );
+    }
+
+    #[test]
+    fn split_borrow_charges_exactly_like_the_machine() {
+        // The same charges through `Machine::charge` and through the
+        // meter lent out next to a device: same event count, same time,
+        // and an armed crash fires on the same step.
+        let (mut whole, mut split) = (Machine::new(), Machine::new());
+        whole.arm_crash_after(3);
+        split.arm_crash_after(3);
+        for step in 1..=5u64 {
+            whole.charge(10 * step);
+            let (_disk, meter) = split.device_and_meter::<Disk>("disk").unwrap();
+            meter.charge(10 * step);
+            assert_eq!(meter.check_power(), whole.check_power());
+            assert_eq!(
+                (split.now(), split.charge_events(), split.crashed()),
+                (whole.now(), whole.charge_events(), step >= 3)
+            );
+            assert_eq!(whole.crashed(), step >= 3);
+        }
+        assert!(split.device_and_meter::<Nic>("disk").is_none());
+        assert!(split.device_and_meter::<Disk>("ghost").is_none());
     }
 
     #[test]

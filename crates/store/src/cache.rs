@@ -59,8 +59,6 @@
 //!   are therefore atomic per shard, not across the cache, under
 //!   concurrency (a single client cannot tell).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -71,41 +69,7 @@ use paramecium_obj::{
     TryLockGuard, TypeTag, Value,
 };
 
-use crate::vectored::{pairs_arg, parse_pairs, sectors_arg, txn_verbs};
-
-/// Multiplicative hasher for sector numbers (Fibonacci mixing). Sector
-/// keys are small trusted integers, so the index doesn't need SipHash's
-/// flooding resistance — and on the warmed hit path the default hasher
-/// costs more than the rest of the lookup combined.
-#[derive(Default)]
-struct SectorHasher(u64);
-
-impl Hasher for SectorHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-}
-
-type SectorMap<V> = HashMap<i64, V, BuildHasherDefault<SectorHasher>>;
-type SectorSet = std::collections::HashSet<i64, BuildHasherDefault<SectorHasher>>;
+use crate::vectored::{pairs_arg, sectors_arg, txn_verbs, view_pairs, Pairs, SectorMap};
 
 /// Sentinel for "no slot" in the intrusive LRU list.
 const NIL: u32 = u32::MAX;
@@ -256,31 +220,26 @@ impl Shard {
         Some((line.sector, std::mem::take(&mut line.data), line.dirty))
     }
 
-    /// Snapshots up to `max` dirty lines starting from the LRU end,
-    /// without clearing their dirty bits (that happens only after the
-    /// backing write succeeds, version-checked).
-    fn dirty_from_lru(&self, max: usize) -> Vec<(i64, Bytes, u64)> {
-        let mut out = Vec::new();
+    /// Snapshots dirty lines starting from the LRU end into `out` until
+    /// it holds `max`, without clearing their dirty bits (that happens
+    /// only after the backing write succeeds, version-checked).
+    fn dirty_from_lru(&self, max: usize, out: &mut Vec<(i64, Bytes, Option<u64>)>) {
         let mut idx = self.tail;
         while idx != NIL && out.len() < max {
             let l = &self.slots[idx as usize];
             if l.dirty {
-                out.push((l.sector, l.data.clone(), l.version));
+                out.push((l.sector, l.data.clone(), Some(l.version)));
             }
             idx = self.links[idx as usize].0;
         }
-        out
     }
 
     /// Snapshots every dirty line in the shard (for `flush`).
-    fn all_dirty(&self) -> Vec<(i64, Bytes, u64)> {
-        self.map
-            .values()
-            .filter_map(|&idx| {
-                let l = &self.slots[idx as usize];
-                l.dirty.then(|| (l.sector, l.data.clone(), l.version))
-            })
-            .collect()
+    fn all_dirty(&self) -> impl Iterator<Item = (i64, Bytes, u64)> + '_ {
+        self.map.values().filter_map(|&idx| {
+            let l = &self.slots[idx as usize];
+            l.dirty.then(|| (l.sector, l.data.clone(), l.version))
+        })
     }
 
     /// Clears the dirty bit of `sector` if still resident at `version`.
@@ -386,18 +345,22 @@ impl CacheShared {
     }
 }
 
-/// Writes an internal writeback `batch` (sector-sorted by the caller)
-/// to the backing store, split into sub-batches no larger than the
-/// backing's atomic-write limit (see `CacheShared::write_limit`).
-/// Writeback needs every sector durable, not one atomic unit, so the
-/// split never weakens a guarantee — client-visible atomicity comes
-/// from the transaction verbs, which bypass this path entirely. Against
-/// an unbounded backing this is exactly one `write_many`.
-fn write_back_chunked(shared: &CacheShared, batch: &[(i64, Bytes)]) -> ObjResult<()> {
-    for chunk in batch.chunks(shared.write_limit) {
-        shared
-            .backing
-            .invoke("blockdev", "write_many", &[pairs_arg(chunk.to_vec())])?;
+/// Writes an internal writeback `batch` (sector-sorted by the caller,
+/// borrowed from wherever the lines live) to the backing store, split
+/// into sub-batches no larger than the backing's atomic-write limit (see
+/// `CacheShared::write_limit`). Writeback needs every sector durable,
+/// not one atomic unit, so the split never weakens a guarantee —
+/// client-visible atomicity comes from the transaction verbs, which
+/// bypass this path entirely. Against an unbounded backing this is
+/// exactly one `write_many`.
+fn write_back_chunked<'a>(
+    shared: &CacheShared,
+    batch: impl ExactSizeIterator<Item = (i64, &'a Bytes)>,
+) -> ObjResult<()> {
+    let mut batch = batch.map(|(sec, data)| (sec, data.clone()));
+    while batch.len() > 0 {
+        let chunk = pairs_arg(batch.by_ref().take(shared.write_limit));
+        shared.backing.invoke("blockdev", "write_many", &[chunk])?;
     }
     Ok(())
 }
@@ -417,15 +380,15 @@ fn write_back_chunked(shared: &CacheShared, batch: &[(i64, Bytes)]) -> ObjResult
 /// surfaces: no acknowledged write is ever dropped. One shard is locked
 /// at a time and never across the backing invocation, so the caller
 /// re-checks for room under its own lock.
-fn make_room(shared: &CacheShared, wanted: &[i64]) -> ObjResult<()> {
+fn make_room(shared: &CacheShared, wanted: impl Iterator<Item = i64> + Clone) -> ObjResult<()> {
     loop {
         // `(sector, data, version)`: evicted victims carry no version,
         // still-resident extras the one their snapshot was taken at.
         let mut batch: Vec<(i64, Bytes, Option<u64>)> = Vec::new();
         for (i, lock) in shared.shards.iter().enumerate() {
             let mut mine = wanted
-                .iter()
-                .filter(|sec| shared.shard_of(**sec) == i)
+                .clone()
+                .filter(|sec| shared.shard_of(*sec) == i)
                 .peekable();
             if mine.peek().is_none() {
                 continue;
@@ -433,7 +396,7 @@ fn make_room(shared: &CacheShared, wanted: &[i64]) -> ObjResult<()> {
             let mut sh = lock.lock();
             let mut demand = 0;
             for sec in mine {
-                match sh.map.get(sec).copied() {
+                match sh.map.get(&sec).copied() {
                     Some(idx) => sh.touch(idx),
                     None => demand += 1,
                 }
@@ -447,23 +410,14 @@ fn make_room(shared: &CacheShared, wanted: &[i64]) -> ObjResult<()> {
                 }
             }
             if batch.len() > before {
-                let budget = EVICTION_WRITEBACK_BATCH.saturating_sub(batch.len());
-                batch.extend(
-                    sh.dirty_from_lru(budget)
-                        .into_iter()
-                        .map(|(sec, data, version)| (sec, data, Some(version))),
-                );
+                sh.dirty_from_lru(EVICTION_WRITEBACK_BATCH, &mut batch);
             }
         }
         if batch.is_empty() {
             return Ok(());
         }
         batch.sort_unstable_by_key(|(sec, _, _)| *sec);
-        let pairs: Vec<(i64, Bytes)> = batch
-            .iter()
-            .map(|(sec, data, _)| (*sec, data.clone()))
-            .collect();
-        let written = write_back_chunked(shared, &pairs);
+        let written = write_back_chunked(shared, batch.iter().map(|(sec, data, _)| (*sec, data)));
         for (sec, data, version) in batch {
             let mut sh = shared.shard(sec);
             if written.is_ok() {
@@ -515,7 +469,7 @@ fn insert_line(shared: &CacheShared, sector: i64, data: &Bytes, dirty: bool) -> 
                 return Ok(());
             }
         }
-        make_room(shared, &[sector])?;
+        make_room(shared, std::iter::once(sector))?;
     }
 }
 
@@ -606,7 +560,8 @@ fn cache_read_many(shared: &CacheShared, sectors: &[Value]) -> ObjResult<Value> 
         if list.len() != missing.len() {
             return Err(ObjError::failed("backing read_many returned a short batch"));
         }
-        let mut by_sector: HashMap<i64, Bytes> = HashMap::with_capacity(missing.len());
+        let mut by_sector = SectorMap::default();
+        by_sector.reserve(missing.len());
         for (&sec, v) in missing.iter().zip(list.iter()) {
             let data = v.as_bytes()?.clone();
             if data.len() != SECTOR_SIZE {
@@ -628,10 +583,10 @@ fn cache_read_many(shared: &CacheShared, sectors: &[Value]) -> ObjResult<Value> 
 /// bytes were written through to the backing store: the cache never
 /// answers with (or later writes back) what the write-through replaced.
 /// Non-resident sectors stay non-resident.
-fn refresh_clean(shared: &CacheShared, pairs: &[(i64, Bytes)]) {
+fn refresh_clean<'a>(shared: &CacheShared, pairs: impl Iterator<Item = (i64, &'a Bytes)>) {
     for (sec, data) in pairs {
-        let mut sh = shared.shard(*sec);
-        if let Some(idx) = sh.map.get(sec).copied() {
+        let mut sh = shared.shard(sec);
+        if let Some(idx) = sh.map.get(&sec).copied() {
             sh.overwrite_line(idx, data, false);
         }
     }
@@ -645,31 +600,31 @@ fn refresh_clean(shared: &CacheShared, pairs: &[(i64, Bytes)]) {
 /// concurrent one that takes the room sends it back through
 /// [`make_room`]). Batches too large for their shards bypass the cache as
 /// one streaming write-through.
-fn cache_write_many(shared: &CacheShared, pairs: &[(i64, Bytes)]) -> ObjResult<Value> {
+fn cache_write_many(shared: &CacheShared, pairs: Pairs<'_>) -> ObjResult<Value> {
     // Distinct batch sectors per shard decide whether the batch can be
     // fully resident after the apply pass. Capacities are fixed, so this
-    // plan needs no locks at all.
-    let mut in_batch = SectorSet::default();
-    let mut wanted: Vec<i64> = Vec::with_capacity(pairs.len());
-    let mut per_shard = vec![0usize; shared.shards.len()];
-    for (sec, _) in pairs {
-        if in_batch.insert(*sec) {
-            wanted.push(*sec);
-            per_shard[shared.shard_of(*sec)] += 1;
-        }
-    }
-    if per_shard.iter().any(|&n| n > shared.per_shard) {
+    // plan needs no locks at all — and no hash set: sort by sector, keep
+    // each sector's first position, sort back into batch order.
+    let mut wanted: Vec<(i64, usize)> = pairs.iter().map(|(sec, _)| sec).zip(0..).collect();
+    wanted.sort_unstable();
+    wanted.dedup_by_key(|(sec, _)| *sec);
+    wanted.sort_unstable_by_key(|&(_, pos)| pos);
+    let wanted = wanted.iter().map(|&(sec, _)| sec);
+    let mine = |i| wanted.clone().filter(move |sec| shared.shard_of(*sec) == i);
+    if wanted.len() > shared.per_shard
+        && (0..shared.shards.len()).any(|i| mine(i).count() > shared.per_shard)
+    {
         // One sector-sorted backing write (a stable sort keeps
         // duplicate-sector order, so last-wins is preserved — chunks
         // land in order, so it survives the split too).
-        let mut batch: Vec<(i64, Bytes)> = pairs.to_vec();
+        let mut batch: Vec<(i64, &Bytes)> = pairs.iter().collect();
         batch.sort_by_key(|(sec, _)| *sec);
-        write_back_chunked(shared, &batch)?;
-        refresh_clean(shared, pairs);
+        write_back_chunked(shared, batch.into_iter())?;
+        refresh_clean(shared, pairs.iter());
     } else {
-        make_room(shared, &wanted)?;
-        for (sec, data) in pairs {
-            insert_line(shared, *sec, data, true)?;
+        make_room(shared, wanted)?;
+        for (sec, data) in pairs.iter() {
+            insert_line(shared, sec, data, true)?;
         }
     }
     Ok(Value::Int(pairs.len() as i64))
@@ -693,13 +648,7 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
     // for the retry.
     dirty.sort_unstable_by_key(|(sec, _, _)| *sec);
     for chunk in dirty.chunks(shared.write_limit) {
-        let batch: Vec<(i64, Bytes)> = chunk
-            .iter()
-            .map(|(sec, data, _)| (*sec, data.clone()))
-            .collect();
-        shared
-            .backing
-            .invoke("blockdev", "write_many", &[pairs_arg(batch)])?;
+        write_back_chunked(shared, chunk.iter().map(|(sec, data, _)| (*sec, data)))?;
         for (sec, _, version) in chunk {
             // Clean bits only now that the write succeeded, attributing
             // the writeback to the shard that owned the line.
@@ -801,13 +750,13 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                 &[TypeTag::List],
                 TypeTag::Int,
                 move |_, args| {
-                    let pairs = parse_pairs(&args[0])?;
+                    let pairs = view_pairs(&args[0])?;
                     // Validate the whole batch before caching any of it,
                     // matching the driver's no-partial-effects contract.
-                    for (sector, _) in &pairs {
-                        s_write_many.check_writable_sector(*sector)?;
+                    for (sector, _) in pairs.iter() {
+                        s_write_many.check_writable_sector(sector)?;
                     }
-                    cache_write_many(&s_write_many, &pairs)
+                    cache_write_many(&s_write_many, pairs)
                 },
             )
             .method("flush", &[], TypeTag::Int, move |_, _| {
@@ -841,7 +790,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                     "write_many",
                     &[pairs_arg(writes.iter().cloned())],
                 )?;
-                refresh_clean(&s_commit, &writes);
+                refresh_clean(&s_commit, writes.iter().map(|(sec, data)| (*sec, data)));
                 Ok(())
             },
         )

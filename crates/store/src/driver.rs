@@ -33,11 +33,12 @@ use paramecium_core::{domain::DomainId, memsvc::MemService, CoreResult};
 use paramecium_machine::{
     dev::disk::{Disk, SECTOR_SIZE, SECTOR_STREAM_COST, SECTOR_TRANSFER_COST},
     io::IoSharing,
-    Machine,
+    machine::ChargeMeter,
+    Machine, MachineError,
 };
 use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{parse_pairs, parse_sectors, txn_verbs};
+use crate::vectored::{parse_sectors, txn_verbs, view_pairs};
 
 /// Bytes of a sector that still reach the platter when a power failure
 /// interrupts its transfer: the torn-write model (half the sector).
@@ -52,76 +53,77 @@ struct DriverState {
 
 impl DriverState {
     /// The driver's one write path — `write`, `write_many` and `commit`
-    /// all hand it their batch: refuse on a dead machine, validate every
-    /// sector before anything is charged or written (no partial effects
-    /// for invalid batches), then write.
-    fn apply(&mut self, batch: &[(i64, Bytes)]) -> ObjResult<()> {
+    /// all hand it their batch, borrowed: refuse on a dead machine,
+    /// validate every sector before anything is charged or written (no
+    /// partial effects for invalid batches), then write, charging the
+    /// amortised batch cost one sector at a time (request setup for the
+    /// first, streaming rate for the rest) and checking for an injected
+    /// power failure between charges. On a crash the in-flight sector is
+    /// torn ([`TORN_WRITE_PREFIX`] bytes land) and the error surfaces;
+    /// earlier sectors of the batch are fully durable.
+    fn apply<'a>(
+        &mut self,
+        batch: impl ExactSizeIterator<Item = (i64, &'a Bytes)> + Clone,
+    ) -> ObjResult<()> {
         let mut m = self.machine.lock();
-        check_power(&m)?;
-        check_sectors(&mut m, batch.iter().map(|(sec, _)| *sec))?;
-        charged_batch_write(&mut m, batch)?;
-        self.writes += batch.len() as u64;
+        let (disk, meter) = powered_disk(&mut m)?;
+        check_sectors(disk, batch.clone().map(|(sec, _)| sec))?;
+        let sectors = batch.len() as u64;
+        for (k, (sec, data)) in batch.enumerate() {
+            charge_transfer(disk, meter, k);
+            let data = data[..].try_into().expect("one validated sector");
+            if meter.check_power().is_err() {
+                // Power died during this sector's transfer: only a prefix
+                // reaches the platter.
+                disk.write_sector_prefix(sec as u64, data, TORN_WRITE_PREFIX)
+                    .map_err(dev_err)?;
+                return Err(dev_err(MachineError::PowerFailure));
+            }
+            disk.write_sector(sec as u64, data).map_err(dev_err)?;
+        }
+        self.writes += sectors;
         Ok(())
     }
 }
 
 /// Converts machine errors, keeping the power-failure case recognisable.
-fn dev_err(e: paramecium_machine::MachineError) -> ObjError {
+fn dev_err(e: MachineError) -> ObjError {
     ObjError::failed(e.to_string())
 }
 
-/// Fails (without charging) when the machine has lost power.
-fn check_power(m: &Machine) -> ObjResult<()> {
-    m.check_power().map_err(dev_err)
+/// The disk and the charge meter in one borrow of the machine — found
+/// once per request, not per sector. Fails (without charging) when the
+/// machine has lost power.
+fn powered_disk(m: &mut Machine) -> ObjResult<(&mut Disk, &mut ChargeMeter)> {
+    m.check_power().map_err(dev_err)?;
+    m.device_and_meter("disk")
+        .ok_or_else(|| ObjError::failed("disk device missing"))
 }
 
-/// Extra cycles the next sector transfer costs under an injected latency
-/// spike ([`Disk::inject_latency`]); 0 in normal operation.
-fn op_latency(m: &mut Machine) -> paramecium_machine::cost::Cycles {
-    m.device_mut::<Disk>("disk")
-        .map_or(0, |d| d.take_op_latency())
+/// Charges the `k`-th sector transfer of a request — setup for the
+/// first, streaming rate for the rest — plus whatever an injected
+/// latency spike ([`Disk::inject_latency`]) adds.
+fn charge_transfer(disk: &mut Disk, meter: &mut ChargeMeter, k: usize) {
+    let cost = if k == 0 {
+        SECTOR_TRANSFER_COST
+    } else {
+        SECTOR_STREAM_COST
+    };
+    meter.charge(cost + disk.take_op_latency());
 }
 
-/// Writes `batch` to the disk, charging the amortised batch cost one
-/// sector at a time (request setup for the first, streaming rate for the
-/// rest) and checking for an injected power failure between charges. On a
-/// crash the in-flight sector is torn ([`TORN_WRITE_PREFIX`] bytes land)
-/// and the error surfaces; earlier sectors of the batch are fully
-/// durable. The caller validates the batch up front, so the only failure
-/// mode here is power loss.
-fn charged_batch_write(m: &mut Machine, batch: &[(i64, Bytes)]) -> ObjResult<()> {
-    for (k, (sec, data)) in batch.iter().enumerate() {
-        let cost = if k == 0 {
-            SECTOR_TRANSFER_COST
-        } else {
-            SECTOR_STREAM_COST
-        };
-        let extra = op_latency(m);
-        m.charge(cost + extra);
-        let mut buf = [0u8; SECTOR_SIZE];
-        buf.copy_from_slice(data);
-        let crashed = m.crashed();
-        let disk = m
-            .device_mut::<Disk>("disk")
-            .ok_or_else(|| ObjError::failed("disk device missing"))?;
-        if crashed {
-            // Power died during this sector's transfer: only a prefix
-            // reaches the platter.
-            disk.write_sector_prefix(*sec as u64, &buf, TORN_WRITE_PREFIX)
-                .map_err(dev_err)?;
-            return Err(dev_err(paramecium_machine::MachineError::PowerFailure));
-        }
-        disk.write_sector(*sec as u64, &buf).map_err(dev_err)?;
-    }
-    Ok(())
+/// Charges and performs the `k`-th sector read of a request: the sector
+/// goes from the platter to its `Bytes` in one copy.
+fn charged_read(disk: &mut Disk, meter: &mut ChargeMeter, k: usize, sec: i64) -> ObjResult<Value> {
+    charge_transfer(disk, meter, k);
+    meter.check_power().map_err(dev_err)?;
+    let data = disk.read_sector(sec as u64).map_err(dev_err)?;
+    Ok(Value::Bytes(Bytes::copy_from_slice(data)))
 }
 
 /// Rejects any of `sectors` outside the device bounds.
-fn check_sectors(m: &mut Machine, sectors: impl IntoIterator<Item = i64>) -> ObjResult<()> {
-    let total = m
-        .device_mut::<Disk>("disk")
-        .ok_or_else(|| ObjError::failed("disk device missing"))?
-        .sectors() as i64;
+fn check_sectors(disk: &Disk, sectors: impl IntoIterator<Item = i64>) -> ObjResult<()> {
+    let total = disk.sectors() as i64;
     for sec in sectors {
         if sec < 0 || sec >= total {
             return Err(ObjError::failed(format!(
@@ -162,12 +164,13 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 i,
                 |this, sector| {
                     this.with_state(|s: &mut DriverState| {
-                        let mut m = s.machine.lock();
-                        check_power(&m)?;
-                        check_sectors(&mut m, [sector])
+                        check_sectors(powered_disk(&mut s.machine.lock())?.0, [sector])
                     })
                 },
-                |this, writes| this.with_state(|s: &mut DriverState| s.apply(&writes)),
+                |this, writes| {
+                    let batch = writes.iter().map(|(sec, data)| (*sec, data));
+                    this.with_state(|s: &mut DriverState| s.apply(batch))
+                },
             );
             i.method("read", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
                 let sector = args[0].as_int()?;
@@ -176,17 +179,10 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 }
                 this.with_state(|s: &mut DriverState| {
                     let mut m = s.machine.lock();
-                    check_power(&m)?;
-                    let extra = op_latency(&mut m);
-                    m.charge(SECTOR_TRANSFER_COST + extra);
-                    check_power(&m)?;
-                    let data = m
-                        .device_mut::<Disk>("disk")
-                        .ok_or_else(|| ObjError::failed("disk device missing"))?
-                        .read_sector(sector as u64)
-                        .map_err(dev_err)?;
+                    let (disk, meter) = powered_disk(&mut m)?;
+                    let data = charged_read(disk, meter, 0, sector)?;
                     s.reads += 1;
-                    Ok(Value::Bytes(Bytes::copy_from_slice(&data)))
+                    Ok(data)
                 })
             })
             .method(
@@ -205,8 +201,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                             data.len()
                         )));
                     }
-                    let batch = [(sector, data.clone())];
-                    this.with_state(|s: &mut DriverState| s.apply(&batch))?;
+                    this.with_state(|s: &mut DriverState| s.apply([(sector, data)].into_iter()))?;
                     Ok(Value::Unit)
                 },
             )
@@ -218,25 +213,12 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                     let sectors = parse_sectors(&args[0])?;
                     this.with_state(|s: &mut DriverState| {
                         let mut m = s.machine.lock();
-                        check_power(&m)?;
+                        let (disk, meter) = powered_disk(&mut m)?;
                         // Validate the whole batch before charging.
-                        check_sectors(&mut m, sectors.iter().copied())?;
+                        check_sectors(disk, sectors.iter().copied())?;
                         let mut out = Vec::with_capacity(sectors.len());
                         for (k, &sec) in sectors.iter().enumerate() {
-                            let cost = if k == 0 {
-                                SECTOR_TRANSFER_COST
-                            } else {
-                                SECTOR_STREAM_COST
-                            };
-                            let extra = op_latency(&mut m);
-                            m.charge(cost + extra);
-                            check_power(&m)?;
-                            let data = m
-                                .device_mut::<Disk>("disk")
-                                .ok_or_else(|| ObjError::failed("disk device missing"))?
-                                .read_sector(sec as u64)
-                                .map_err(dev_err)?;
-                            out.push(Value::Bytes(Bytes::copy_from_slice(&data)));
+                            out.push(charged_read(disk, meter, k, sec)?);
                         }
                         s.reads += sectors.len() as u64;
                         Ok(Value::List(out))
@@ -248,19 +230,15 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 &[TypeTag::List],
                 TypeTag::Int,
                 |this, args| {
-                    let pairs = parse_pairs(&args[0])?;
-                    this.with_state(|s: &mut DriverState| s.apply(&pairs))?;
+                    let pairs = view_pairs(&args[0])?;
+                    this.with_state(|s: &mut DriverState| s.apply(pairs.iter()))?;
                     Ok(Value::Int(pairs.len() as i64))
                 },
             )
             .method("sectors", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut DriverState| {
-                    let mut m = s.machine.lock();
-                    check_power(&m)?;
-                    let d = m
-                        .device_mut::<Disk>("disk")
-                        .ok_or_else(|| ObjError::failed("disk device missing"))?;
-                    Ok(Value::Int(d.sectors() as i64))
+                    let sectors = powered_disk(&mut s.machine.lock())?.0.sectors();
+                    Ok(Value::Int(sectors as i64))
                 })
             })
             .method("stats", &[], TypeTag::List, |this, _| {
@@ -277,13 +255,13 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
             // the machine is alive.
             .method("flush", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut DriverState| {
-                    check_power(&s.machine.lock())?;
+                    s.machine.lock().check_power().map_err(dev_err)?;
                     Ok(Value::Int(0))
                 })
             })
             .method("barrier", &[], TypeTag::Unit, |this, _| {
                 this.with_state(|s: &mut DriverState| {
-                    check_power(&s.machine.lock())?;
+                    s.machine.lock().check_power().map_err(dev_err)?;
                     Ok(Value::Unit)
                 })
             })

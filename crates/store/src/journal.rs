@@ -63,12 +63,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{pairs_arg, parse_pairs, parse_sectors, sectors_arg, txn_verbs};
+use crate::vectored::{pairs_arg, parse_pairs, parse_sectors, sectors_arg, txn_verbs, SectorMap};
 
 /// Magic tag of a superblock sector.
 const SB_MAGIC: u64 = 0x504A_5342_4C4B_0002; // "PJSBLK" v2
@@ -154,15 +154,15 @@ fn parse_sb(buf: &[u8]) -> Option<u64> {
     (sealed_ok(buf) && get_u64(buf, 0) == SB_MAGIC).then(|| get_u64(buf, 8))
 }
 
-fn desc_sector(epoch: u64, txn: u64, sectors: &[i64]) -> [u8; SECTOR_SIZE] {
-    debug_assert!(sectors.len() <= DESC_CAPACITY);
+fn desc_sector(epoch: u64, txn: u64, chunk: &[(i64, Bytes)]) -> [u8; SECTOR_SIZE] {
+    debug_assert!(chunk.len() <= DESC_CAPACITY);
     let mut buf = [0u8; SECTOR_SIZE];
     put_u64(&mut buf, 0, DESC_MAGIC);
     put_u64(&mut buf, 8, epoch);
     put_u64(&mut buf, 16, txn);
-    put_u64(&mut buf, 24, sectors.len() as u64);
-    for (k, &sec) in sectors.iter().enumerate() {
-        put_u64(&mut buf, 32 + 8 * k, sec as u64);
+    put_u64(&mut buf, 24, chunk.len() as u64);
+    for (k, (sec, _)) in chunk.iter().enumerate() {
+        put_u64(&mut buf, 32 + 8 * k, *sec as u64);
     }
     seal(buf)
 }
@@ -195,10 +195,14 @@ struct Inner {
     /// Next free log slot, relative to `log_start`.
     head: i64,
     /// Committed, not-yet-homed payloads (read overlay).
-    overlay: HashMap<i64, Bytes>,
+    overlay: SectorMap<Bytes>,
     /// Group-commit queue and leader token.
     pending: Vec<PendingTxn>,
     flushing: bool,
+    /// Threads blocked on the condvar. Whoever changes what they wait
+    /// for wakes them only when there is one: an uncontended commit
+    /// makes no futex call.
+    waiters: usize,
     next_seq: u64,
     durable_seq: u64,
     /// Commit outcomes for riders whose group append failed.
@@ -226,10 +230,28 @@ impl JournalShared {
         Ok(v.as_bytes()?.clone())
     }
 
-    fn write_backing(&self, batch: Vec<(i64, Bytes)>) -> ObjResult<()> {
+    fn write_backing(&self, batch: impl IntoIterator<Item = (i64, Bytes)>) -> ObjResult<()> {
         self.backing
             .invoke("blockdev", "write_many", &[pairs_arg(batch)])?;
         Ok(())
+    }
+
+    /// Blocks on the condvar, counted in `waiters` for [`Self::wake`].
+    fn wait(&self, inner: &mut MutexGuard<'_, Inner>) {
+        inner.waiters += 1;
+        self.cv.wait(inner);
+        inner.waiters -= 1;
+    }
+
+    /// Releases the lock and wakes whoever is waiting — decided under
+    /// the lock, so a thread about to wait has either been counted or
+    /// will see the new state before it blocks.
+    fn wake(&self, inner: MutexGuard<'_, Inner>) {
+        let waiting = inner.waiters > 0;
+        drop(inner);
+        if waiting {
+            self.cv.notify_all();
+        }
     }
 
     /// Log slots a transaction of `n` writes occupies: one descriptor
@@ -250,33 +272,30 @@ impl JournalShared {
         n
     }
 
-    /// Serialises `txns` into log sectors starting at `head`, returning
-    /// the absolute `(sector, data)` batch. Each transaction ends with
-    /// its own commit marker, so a crash part-way through the batch
-    /// leaves every fully-appended transaction committed and the one at
-    /// the crash point invisible.
-    fn encode_group(&self, epoch: u64, head: i64, txns: &[PendingTxn]) -> Vec<(i64, Bytes)> {
-        let mut batch = Vec::new();
-        let mut pos = self.geo.log_start + head;
+    /// Serialises `txns` into their `slots` log sectors starting at
+    /// `head`, returning the absolute `(sector, data)` batch. Each
+    /// transaction ends with its own commit marker, so a crash part-way
+    /// through the batch leaves every fully-appended transaction
+    /// committed and the one at the crash point invisible.
+    fn encode_group(
+        &self,
+        epoch: u64,
+        head: i64,
+        slots: i64,
+        txns: &[PendingTxn],
+    ) -> Vec<(i64, Bytes)> {
+        let mut batch = Vec::with_capacity(slots as usize);
+        let start = self.geo.log_start + head;
+        let mut put = |data| batch.push((start + batch.len() as i64, data));
         for t in txns {
             for chunk in t.writes.chunks(DESC_CAPACITY) {
-                let ids: Vec<i64> = chunk.iter().map(|(sec, _)| *sec).collect();
-                batch.push((
-                    pos,
-                    Bytes::copy_from_slice(&desc_sector(epoch, t.seq, &ids)),
-                ));
-                pos += 1;
-                for (_, data) in chunk {
-                    batch.push((pos, data.clone()));
-                    pos += 1;
-                }
+                put(Bytes::copy_from_slice(&desc_sector(epoch, t.seq, chunk)));
+                chunk.iter().for_each(|(_, data)| put(data.clone()));
             }
-            batch.push((
-                pos,
-                Bytes::copy_from_slice(&commit_sector(epoch, t.seq, payload_sum(&t.writes))),
-            ));
-            pos += 1;
+            let sum = payload_sum(&t.writes);
+            put(Bytes::copy_from_slice(&commit_sector(epoch, t.seq, sum)));
         }
+        debug_assert_eq!(batch.len() as i64, slots);
         batch
     }
 
@@ -334,59 +353,50 @@ impl JournalShared {
         Ok((committed, pos))
     }
 
-    /// Homes `writes` (last-writer-wins per sector, elevator order) and
-    /// then truncates the log by bumping the epoch in the inactive
-    /// superblock copy. The order is the checkpoint's whole correctness
-    /// argument: until the new superblock is durable, the old epoch's
-    /// records still validate and a remount replays them.
-    fn home_and_truncate(&self, epoch: u64, writes: &[(i64, Bytes)]) -> ObjResult<u64> {
-        let mut last: HashMap<i64, &Bytes> = HashMap::new();
-        for (sec, data) in writes {
-            last.insert(*sec, data);
-        }
-        let mut batch: Vec<(i64, Bytes)> =
-            last.into_iter().map(|(sec, d)| (sec, d.clone())).collect();
+    /// Homes `batch` — one payload per sector, as an overlay holds them
+    /// — in elevator order and then truncates the log by bumping the
+    /// epoch in the inactive superblock copy. The order is the
+    /// checkpoint's whole correctness argument: until the new superblock
+    /// is durable, the old epoch's records still validate and a remount
+    /// replays them.
+    fn home_and_truncate(&self, epoch: u64, mut batch: Vec<(i64, Bytes)>) -> ObjResult<i64> {
         batch.sort_unstable_by_key(|(sec, _)| *sec);
-        let homed = batch.len() as u64;
+        let homed = batch.len() as i64;
         if !batch.is_empty() {
             self.write_backing(batch)?;
         }
         // Home writes are durable; only now may the records stop
         // validating.
         let next = epoch + 1;
-        self.write_backing(vec![(
-            self.geo.sb(next),
-            Bytes::copy_from_slice(&sb_sector(next)),
-        )])?;
+        self.write_backing([(self.geo.sb(next), Bytes::copy_from_slice(&sb_sector(next)))])?;
         Ok(homed)
     }
 
     /// Becomes the append/checkpoint owner, waiting out any current one.
     fn acquire_flush_token(&self) {
         let mut inner = self.inner.lock();
-        self.cv.wait_while(&mut inner, |i| i.flushing);
+        while inner.flushing {
+            self.wait(&mut inner);
+        }
         inner.flushing = true;
     }
 
     fn release_flush_token(&self) {
-        self.inner.lock().flushing = false;
-        self.cv.notify_all();
+        let mut inner = self.inner.lock();
+        inner.flushing = false;
+        self.wake(inner);
     }
 
     /// Full checkpoint: homes the overlay, truncates the log. The caller
     /// holds the flush token (no appends in flight), so the overlay
     /// snapshot is the complete committed state.
     fn checkpoint_locked_out(&self) -> ObjResult<i64> {
-        let (epoch, writes) = {
+        let (epoch, batch) = {
             let inner = self.inner.lock();
-            let writes: Vec<(i64, Bytes)> = inner
-                .overlay
-                .iter()
-                .map(|(sec, d)| (*sec, d.clone()))
-                .collect();
-            (inner.epoch, writes)
+            let snapshot = inner.overlay.iter().map(|(sec, d)| (*sec, d.clone()));
+            (inner.epoch, snapshot.collect::<Vec<_>>())
         };
-        if writes.is_empty() {
+        if batch.is_empty() {
             // Nothing committed since the last checkpoint, so there is
             // nothing to home and no epoch to retire. The overlay is
             // only ever empty right after a reset (mount, checkpoint),
@@ -398,13 +408,13 @@ impl JournalShared {
             inner.head = 0;
             return Ok(0);
         }
-        let homed = self.home_and_truncate(epoch, &writes)?;
+        let homed = self.home_and_truncate(epoch, batch)?;
         let mut inner = self.inner.lock();
         inner.epoch += 1;
         inner.head = 0;
         inner.overlay.clear();
         inner.checkpoints += 1;
-        Ok(homed as i64)
+        Ok(homed)
     }
 
     /// The journal's one write path — `write`, `write_many` and `commit`
@@ -438,12 +448,12 @@ impl JournalShared {
                 };
             }
             if inner.flushing {
-                self.cv.wait(&mut inner);
+                self.wait(&mut inner);
                 continue;
             }
             // Become the leader: drain the whole queue into one append.
             inner.flushing = true;
-            let group: Vec<PendingTxn> = std::mem::take(&mut inner.pending);
+            let mut group: Vec<PendingTxn> = std::mem::take(&mut inner.pending);
             drop(inner);
             let result = self.append_group(&group);
             let mut inner = self.inner.lock();
@@ -468,8 +478,13 @@ impl JournalShared {
             }
             inner.durable_seq = inner.durable_seq.max(top_seq);
             inner.flushing = false;
-            drop(inner);
-            self.cv.notify_all();
+            if inner.pending.capacity() == 0 {
+                // Nobody queued meanwhile: the next commit's push finds
+                // this round's queue, emptied, instead of allocating one.
+                group.clear();
+                inner.pending = group;
+            }
+            self.wake(inner);
             // Loop back to pick up our own outcome.
         }
     }
@@ -518,10 +533,9 @@ impl JournalShared {
                 head = inner.head;
                 continue;
             }
-            let batch = self.encode_group(epoch, head, &group[i..j]);
-            records += batch.len() as u64;
+            records += need as u64;
             appends += 1;
-            self.write_backing(batch)?;
+            self.write_backing(self.encode_group(epoch, head, need, &group[i..j]))?;
             head += need;
             let mut inner = self.inner.lock();
             inner.head = head;
@@ -575,9 +589,10 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
         inner: Mutex::new(Inner {
             epoch: 0,
             head: 0,
-            overlay: HashMap::new(),
+            overlay: SectorMap::default(),
             pending: Vec::new(),
             flushing: false,
+            waiters: 0,
             next_seq: 1,
             durable_seq: 0,
             failed: HashMap::new(),
@@ -597,7 +612,7 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
     let epoch = match sb0.into_iter().chain(sb1).max() {
         Some(e) => e,
         None => {
-            shared.write_backing(vec![(geo.sb(1), Bytes::copy_from_slice(&sb_sector(1)))])?;
+            shared.write_backing([(geo.sb(1), Bytes::copy_from_slice(&sb_sector(1)))])?;
             1
         }
     };
@@ -609,8 +624,9 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
     let epoch = if committed.is_empty() {
         epoch
     } else {
-        let writes: Vec<(i64, Bytes)> = committed.into_iter().flat_map(|(_, w)| w).collect();
-        shared.home_and_truncate(epoch, &writes)?;
+        let writes = committed.into_iter().flat_map(|(_, w)| w);
+        let overlay: SectorMap<Bytes> = writes.collect();
+        shared.home_and_truncate(epoch, overlay.into_iter().collect())?;
         epoch + 1
     };
     {

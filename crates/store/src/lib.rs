@@ -41,7 +41,7 @@
 //! | `read` | `(sector: int) -> bytes` | one 512-byte sector |
 //! | `write` | `(sector: int, data: bytes) -> unit` | one sector; durable-by-return under a journal |
 //! | `read_many` | `(sectors: list[int]) -> list[bytes]` | one batched request, results in request order |
-//! | `write_many` | `(pairs: list[[int, bytes]]) -> int` | one batched request; atomic under a journal |
+//! | `write_many` | `(pairs: list[int, bytes, int, bytes, …]) -> int` | one batched request, one flat list, validated whole before any of it is applied; atomic under a journal |
 //! | `sectors` | `() -> int` | client-visible device size |
 //! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one atomic unit (answered by the journal and forwarded by the layers above it; a stack without a journal has no such method and is unbounded) |
 //! | `stats` | `() -> list` | `[reads, writes]` of the bottom driver |
@@ -59,7 +59,9 @@
 //! makes it. Each layer holds at most [`vectored::MAX_OPEN_TXNS`] open
 //! transactions.
 //! Encode/decode the arguments with [`vectored`]'s typed helpers — no
-//! hand-rolled packing at call sites.
+//! hand-rolled packing at call sites. A layer reads a `write_many` batch
+//! in place ([`vectored::view_pairs`]): the list a client built is the
+//! list the driver copies to the platter from.
 
 pub mod cache;
 pub mod driver;

@@ -2,18 +2,26 @@
 //! operations.
 //!
 //! `read_many` takes a list of sector numbers and returns a list of
-//! sector payloads in request order; `write_many` takes a list of
-//! `[sector, data]` pairs. The transaction verbs use a typed triple
-//! (`txn_write(txn, sector, data)`) and a bare transaction handle
+//! sector payloads in request order; `write_many` takes one flat list,
+//! `[sector, data, sector, data, …]`. The transaction verbs use a typed
+//! triple (`txn_write(txn, sector, data)`) and a bare transaction handle
 //! (`commit(txn)` / `abort(txn)`). Both sides of the interface (the disk
 //! driver, the journal, the block cache, interposers and tests) build
 //! and parse those values through these helpers so the encoding cannot
-//! drift — no call site hand-rolls argument packing. The transaction
-//! verbs themselves are written here once too ([`txn_verbs`]): a layer
+//! drift — no call site hand-rolls argument packing, and this is the
+//! only module that knows the wire form. The transaction verbs
+//! themselves are written here once too ([`txn_verbs`]): a layer
 //! supplies its sector check and its batch write and gets the four
 //! methods.
+//!
+//! A write batch crosses several objects on its way to the platter, so
+//! a layer reads it in place: [`view_pairs`] validates the whole list
+//! once and lends out `(sector, &data)` pairs, with no intermediate
+//! vector and no reference-count traffic. [`parse_pairs`] is for the one
+//! layer that keeps the batch (the journal's commit queue).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -43,39 +51,108 @@ pub fn parse_sectors(v: &Value) -> ObjResult<Vec<i64>> {
 
 /// Builds the `write_many` argument from `(sector, data)` pairs.
 pub fn pairs_arg(pairs: impl IntoIterator<Item = (i64, Bytes)>) -> Value {
-    Value::List(
-        pairs
-            .into_iter()
-            .map(|(sec, data)| Value::List(vec![Value::Int(sec), Value::Bytes(data)]))
-            .collect(),
-    )
+    let pairs = pairs.into_iter();
+    let mut flat = Vec::with_capacity(2 * pairs.size_hint().0);
+    for (sec, data) in pairs {
+        flat.push(Value::Int(sec));
+        flat.push(Value::Bytes(data));
+    }
+    Value::List(flat)
 }
 
-/// Parses the `write_many` argument, rejecting negative sectors and
-/// payloads that are not exactly one sector.
-pub fn parse_pairs(v: &Value) -> ObjResult<Vec<(i64, Bytes)>> {
-    v.as_list()?
-        .iter()
-        .map(|pair| {
-            let p = pair.as_list()?;
-            if p.len() != 2 {
-                return Err(ObjError::failed("write_many expects [sector, data] pairs"));
-            }
-            let sec = p[0].as_int()?;
-            if sec < 0 {
-                return Err(ObjError::failed("negative sector"));
-            }
-            let data = p[1].as_bytes()?;
-            if data.len() != SECTOR_SIZE {
-                return Err(ObjError::failed(format!(
-                    "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
-                    data.len()
-                )));
-            }
-            Ok((sec, data.clone()))
-        })
-        .collect()
+/// A validated `write_many` argument, read where it lies.
+#[derive(Clone, Copy)]
+pub struct Pairs<'a>(&'a [Value]);
+
+/// Validates the `write_many` argument — the whole batch, before the
+/// caller applies any of it — rejecting a list that is not sector/data
+/// pairs, negative sectors and payloads that are not exactly one sector.
+pub fn view_pairs(v: &Value) -> ObjResult<Pairs<'_>> {
+    let flat = v.as_list()?;
+    if flat.len() % 2 != 0 {
+        return Err(ObjError::failed("write_many expects sector, data pairs"));
+    }
+    for pair in flat.chunks_exact(2) {
+        check_write(pair[0].as_int()?, pair[1].as_bytes()?)?;
+    }
+    Ok(Pairs(flat))
 }
+
+/// What every write must satisfy before a layer looks at it: a sector
+/// number that is not negative and a payload of exactly one sector.
+fn check_write(sector: i64, data: &Bytes) -> ObjResult<()> {
+    if sector < 0 {
+        return Err(ObjError::failed("negative sector"));
+    }
+    if data.len() != SECTOR_SIZE {
+        return Err(ObjError::failed(format!(
+            "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
+            data.len()
+        )));
+    }
+    Ok(())
+}
+
+impl<'a> Pairs<'a> {
+    /// Pairs in the batch.
+    pub fn len(&self) -> usize {
+        self.0.len() / 2
+    }
+
+    /// Whether the batch holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The pairs in batch order, borrowed from the argument.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (i64, &'a Bytes)> + Clone {
+        self.0.chunks_exact(2).map(|pair| match pair {
+            [Value::Int(sec), Value::Bytes(data)] => (*sec, data),
+            _ => unreachable!("view_pairs checked every pair"),
+        })
+    }
+}
+
+/// Parses the `write_many` argument into a batch the caller owns, with
+/// [`view_pairs`]' validation.
+pub fn parse_pairs(v: &Value) -> ObjResult<Vec<(i64, Bytes)>> {
+    let pairs = view_pairs(v)?.iter();
+    Ok(pairs.map(|(sec, data)| (sec, data.clone())).collect())
+}
+
+/// Multiplicative hasher for sector numbers (Fibonacci mixing). Sector
+/// keys are small trusted integers, so a sector-keyed map doesn't need
+/// SipHash's flooding resistance — and on the cache's warmed hit path
+/// the default hasher costs more than the rest of the lookup combined.
+#[derive(Default)]
+pub(crate) struct SectorHasher(u64);
+
+impl Hasher for SectorHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    #[inline]
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 ^= self.0 >> 29;
+    }
+}
+
+/// Every sector-keyed map in the crate.
+pub(crate) type SectorMap<V> = HashMap<i64, V, BuildHasherDefault<SectorHasher>>;
 
 /// Parameter signature of `txn_write(txn, sector, data)`, shared by
 /// every layer that implements the method so the signatures cannot
@@ -94,17 +171,8 @@ pub fn parse_txn_write(args: &[Value]) -> ObjResult<(i64, i64, Bytes)> {
         return Err(ObjError::failed("txn_write expects (txn, sector, data)"));
     }
     let txn = parse_txn(&args[0])?;
-    let sector = args[1].as_int()?;
-    if sector < 0 {
-        return Err(ObjError::failed("negative sector"));
-    }
-    let data = args[2].as_bytes()?;
-    if data.len() != SECTOR_SIZE {
-        return Err(ObjError::failed(format!(
-            "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
-            data.len()
-        )));
-    }
+    let (sector, data) = (args[1].as_int()?, args[2].as_bytes()?);
+    check_write(sector, data)?;
     Ok((txn, sector, data.clone()))
 }
 
@@ -228,10 +296,14 @@ mod tests {
     fn pairs_roundtrip_and_validate() {
         let data = Bytes::from(vec![7u8; SECTOR_SIZE]);
         let v = pairs_arg([(5, data.clone())]);
+        // One flat list on the wire; the view lends what the parse copies.
+        assert_eq!(v.as_list().unwrap().len(), 2);
         let parsed = parse_pairs(&v).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, 5);
-        assert_eq!(parsed[0].1, data);
+        assert_eq!(parsed, vec![(5, data.clone())]);
+        let view = view_pairs(&v).unwrap();
+        assert_eq!((view.len(), view.is_empty()), (1, false));
+        assert_eq!(view.iter().collect::<Vec<_>>(), vec![(5, &data)]);
+        assert!(view_pairs(&pairs_arg([])).unwrap().is_empty());
         // Short payload, negative sector and malformed pairs all fail.
         assert!(parse_pairs(&pairs_arg([(0, Bytes::from_static(b"short"))])).is_err());
         assert!(parse_pairs(&pairs_arg([(-2, data.clone())])).is_err());

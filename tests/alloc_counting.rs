@@ -522,3 +522,137 @@ fn data_segment_is_built_once_on_its_way_to_the_link() {
     });
     assert_eq!(parse_allocs, 0, "parsing a segment must not copy it");
 }
+
+#[test]
+fn idle_recv_says_nothing_without_allocating() {
+    // "No frame" is an empty `Bytes`, and an empty `Bytes` is one shared
+    // buffer, not a fresh one per call: an idle `recv` costs no heap
+    // traffic through `arp → simlink`, nor through a router polling two
+    // such interfaces.
+    use paramecium::netstack::arp::make_arp;
+    use paramecium::netstack::route::{make_router, RouteIf};
+    use paramecium::netstack::simlink::{make_simlink, LinkConfig};
+
+    let machine = std::sync::Arc::new(parking_lot::Mutex::new(Machine::new()));
+    let iface = |n: u8| {
+        let (near, _far) = make_simlink(machine.clone(), LinkConfig::perfect(5));
+        let (ip, mac) = (0x0A00_0001 + u32::from(n), [2, 0, 0, 0, 0, n]);
+        (make_arp(near, ip, mac), ip, mac)
+    };
+    let (arp, ..) = iface(1);
+    let router = make_router(
+        [2, 3]
+            .map(|n| {
+                let (dev, ip, mac) = iface(n);
+                RouteIf { dev, ip, mac }
+            })
+            .into(),
+    );
+    for (name, dev) in [("arp → simlink", arp), ("router", router)] {
+        for _ in 0..8 {
+            dev.invoke("netdev", "recv", &[]).unwrap();
+        }
+        let allocs = count_allocs(|| {
+            for _ in 0..CALLS {
+                let frame = dev.invoke("netdev", "recv", &[]).unwrap();
+                assert!(frame.as_bytes().unwrap().is_empty());
+            }
+        });
+        assert_eq!(allocs, 0, "{name}: {allocs} allocs / {CALLS} idle recvs");
+    }
+}
+
+#[test]
+fn store_write_path_meets_its_allocation_budgets() {
+    // A write batch is one flat list that every layer borrows: what is
+    // left on the heap per call is what ownership really needs — the
+    // journal's queued copy of the batch, its record sectors, the one
+    // list each crossing carries. Budgets are allocations inside the
+    // stack (arguments are built outside the counted region), warmed,
+    // one above what each measures (5, 5, 4 and 8). Before the borrowed
+    // batch the same four measured 22, 10, 72 and 16.
+    use paramecium::core::memsvc::MemService;
+    use paramecium::machine::dev::disk::SECTOR_SIZE;
+    use paramecium::store::vectored::pairs_arg;
+    use paramecium::store::{JournalConfig, RetryConfig, StackBuilder};
+    use std::sync::Arc;
+
+    let sector = |fill: u8| bytes::Bytes::from(vec![fill; SECTOR_SIZE]);
+    let journalled = || {
+        let machine = Arc::new(parking_lot::Mutex::new(Machine::new()));
+        let mem = Arc::new(MemService::new(machine));
+        StackBuilder::disk(&mem, KERNEL_DOMAIN)
+            .retry(RetryConfig::default())
+            .journal(JournalConfig::default())
+    };
+
+    // driver → retry → journal.
+    let top = journalled().build().unwrap().top;
+    let batch = |round: u8| [pairs_arg((0..8).map(|sec| (sec, sector(round))))];
+    let single = |round: u8| [Value::Int(9), Value::Bytes(sector(round))];
+    // Warm past the first inline checkpoint, so the overlay map, the
+    // commit queue and every dispatch cache have reached their size.
+    for round in 0..16 {
+        top.invoke("blockdev", "write_many", &batch(round)).unwrap();
+        top.invoke("blockdev", "write", &single(round)).unwrap();
+    }
+    top.invoke("blockdev", "flush", &[]).unwrap();
+
+    let args = batch(0x21);
+    let write_many = count_allocs(|| {
+        top.invoke("blockdev", "write_many", &args).unwrap();
+    });
+    assert!(
+        write_many <= 6,
+        "8-sector write_many: {write_many} allocations"
+    );
+    let args = single(0x22);
+    let write = count_allocs(|| {
+        top.invoke("blockdev", "write", &args).unwrap();
+    });
+    assert!(write <= 6, "single-sector write: {write} allocations");
+
+    // A checkpoint of 56 overlay sectors (seven 8-sector transactions:
+    // 70 of the log's 126 slots, so none was checkpointed inline).
+    top.invoke("blockdev", "flush", &[]).unwrap();
+    for t in 0..7 {
+        let pairs = (0..8).map(|k| (100 + 8 * t + k, sector(0x23)));
+        top.invoke("blockdev", "write_many", &[pairs_arg(pairs)])
+            .unwrap();
+    }
+    let mut homed = Value::Unit;
+    let flush = count_allocs(|| {
+        homed = top.invoke("blockdev", "flush", &[]).unwrap();
+    });
+    assert_eq!(homed, Value::Int(56));
+    assert!(flush <= 5, "56-sector checkpoint: {flush} allocations");
+
+    // cache → journal: a full one-shard cache of clean lines but one,
+    // the dirty line coldest; the next miss evicts exactly it.
+    let top = journalled().cache(8).build().unwrap().top;
+    for round in 0..4u8 {
+        for sec in 0..32 {
+            let args = [Value::Int(sec), Value::Bytes(sector(round))];
+            top.invoke("blockdev", "write", &args).unwrap();
+        }
+    }
+    top.invoke("blockdev", "flush", &[]).unwrap();
+    top.invoke(
+        "blockdev",
+        "write",
+        &[Value::Int(40), Value::Bytes(sector(0x24))],
+    )
+    .unwrap();
+    for sec in 41..48 {
+        top.invoke("blockdev", "read", &[Value::Int(sec)]).unwrap();
+    }
+    let stats = |top: &ObjRef| top.invoke("cache", "stats", &[]).unwrap();
+    let writebacks = |v: &Value| v.as_list().unwrap()[2].as_int().unwrap();
+    let before = writebacks(&stats(&top));
+    let args = [Value::Int(48)];
+    let evict = count_allocs(|| {
+        top.invoke("blockdev", "read", &args).unwrap();
+    });
+    assert_eq!(writebacks(&stats(&top)), before + 1, "one dirty eviction");
+    assert!(evict <= 9, "one-line dirty eviction: {evict} allocations");
+}

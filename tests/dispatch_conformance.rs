@@ -18,6 +18,7 @@ use paramecium::obj::{
     ObjError,
 };
 use paramecium::prelude::*;
+use paramecium::store::vectored::{pairs_arg, view_pairs};
 use std::sync::{
     atomic::{AtomicU64, Ordering},
     Arc,
@@ -720,7 +721,7 @@ fn probe_interface(iface: &'static str, tag: i64, grown: bool) -> paramecium::ob
                 ))
             })
             .method("write_many", &[List], Int, |_, a| {
-                Ok(Value::Int(a[0].as_list()?.len() as i64))
+                Ok(Value::Int(view_pairs(&a[0])?.len() as i64))
             })
             .method("sectors", &[], Int, |_, _| Ok(Value::Int(64)))
             .method("write_limit", &[], Int, int)
@@ -758,9 +759,7 @@ fn args_for(sig: &paramecium::obj::MethodSig) -> Vec<Value> {
         .map(|p| match p {
             TypeTag::Int => Value::Int(1),
             TypeTag::Bytes => data(),
-            TypeTag::List if sig.name == "write_many" => {
-                Value::List(vec![Value::List(vec![Value::Int(1), data()])])
-            }
+            TypeTag::List if sig.name == "write_many" => pairs_arg([(1, vec![1u8; 512].into())]),
             TypeTag::List => Value::List(vec![Value::Int(1)]),
             other => panic!("no probe argument of type {other}"),
         })

@@ -12,7 +12,12 @@
 //! - `committed_prefix_holds_at_every_crash_point`: a seeded random
 //!   operation sequence is replayed with a crash injected at *every*
 //!   charge step, remounted, and compared differentially against an
-//!   in-memory oracle.
+//!   in-memory oracle. The sweep itself is pinned: its charge-step
+//!   count and the outcome at every step are part of the store's
+//!   contract, so a change to how a layer batches or charges shows here.
+//! - `on_disk_format_is_pinned`: the raw disk image a fixed script
+//!   leaves behind, summed — the journal's record format and the order
+//!   and content of every home write.
 //! - `recovery_is_idempotent_even_when_recovery_crashes`: mount-time
 //!   replay is itself crashed at progressively later points until it
 //!   completes; replaying twice must equal replaying once.
@@ -34,7 +39,8 @@ use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use paramecium::core::memsvc::MemService;
-use paramecium::machine::dev::disk::SECTOR_SIZE;
+use paramecium::machine::dev::disk::{Disk, SECTOR_SIZE};
+use paramecium::obj::sum64;
 use paramecium::prelude::*;
 use paramecium::store::vectored::{pairs_arg, sectors_arg, txn_arg, txn_write_args};
 use paramecium::store::{JournalConfig, StackBuilder};
@@ -191,9 +197,19 @@ fn matches_oracle(state: &[Bytes], oracle: &[u8]) -> bool {
         .all(|(got, &val)| got.as_ref() == vec![val; SECTOR_SIZE].as_slice())
 }
 
+/// The sweep's shape per seed: how many charge steps the clean run
+/// costs, and the [`sum64`] of `(acked, in-flight op applied?)` over
+/// every crash step. Taken at PR 16; a layer that charges, batches or
+/// orders its writes differently moves one of them.
+const SWEEP_PINS: [(u64, u64); 3] = [
+    (47, 0x27D8_3BE5_DECA_F3CE),
+    (53, 0xCCC4_E543_09DB_CEF6),
+    (49, 0x2A7F_36DB_4C30_116C),
+];
+
 #[test]
 fn committed_prefix_holds_at_every_crash_point() {
-    for seed in [1u64, 2, 3] {
+    for (seed, pin) in [1u64, 2, 3].into_iter().zip(SWEEP_PINS) {
         let ops = gen_ops(seed);
 
         // Clean run: count the charge events the sequence costs. Every
@@ -205,6 +221,7 @@ fn committed_prefix_holds_at_every_crash_point() {
         let steps = mem.machine().lock().charge_events() - c0;
         assert!(steps > 20, "sequence too cheap to be interesting: {steps}");
 
+        let mut outcomes = 0u64;
         for k in 1..=steps {
             let (mem, stack) = fresh();
             mem.machine().lock().arm_crash_after(k);
@@ -235,16 +252,89 @@ fn committed_prefix_holds_at_every_crash_point() {
             }
             let mut with = without.clone();
             apply(&mut with, &ops[inflight.unwrap()]);
+            let applied = !matches_oracle(&state, &without);
             assert!(
-                matches_oracle(&state, &without) || matches_oracle(&state, &with),
+                !applied || matches_oracle(&state, &with),
                 "seed {seed}, crash at step {k}/{steps}: state after recovery \
                  matches neither acked-prefix nor acked-prefix+in-flight \
                  (acked {acked} of {} ops: {:?})",
                 ops.len(),
                 ops[..=inflight.unwrap()].last()
             );
+            outcomes = sum64::fold(outcomes, &[acked as u8, applied as u8]);
         }
+        assert_eq!(
+            (steps, outcomes),
+            pin,
+            "seed {seed}: the sweep's step count or per-step outcomes moved"
+        );
     }
+}
+
+#[test]
+fn on_disk_format_is_pinned() {
+    // Single writes, an 8-sector batch, a 100-sector transaction that
+    // does not fit behind them (so the log checkpoints inline), more
+    // single writes, and no final flush: the image holds homed sectors,
+    // both superblock copies, a live log tail and a retired epoch's
+    // records under it.
+    let machine = Arc::new(Mutex::new(Machine::new()));
+    let mem = Arc::new(MemService::new(machine));
+    let stack = StackBuilder::disk(&mem, KERNEL_DOMAIN)
+        .journal(JournalConfig::default())
+        .build()
+        .unwrap();
+    let top = &stack.top;
+    let payload = |sec: i64, round: u8| {
+        let fill: Vec<u8> = (0..SECTOR_SIZE)
+            .map(|k| (k as u8).wrapping_mul(31) ^ sec as u8 ^ round)
+            .collect();
+        Bytes::from(fill)
+    };
+    let single = |sec: i64, round: u8| {
+        top.invoke(
+            "blockdev",
+            "write",
+            &[Value::Int(sec), Value::Bytes(payload(sec, round))],
+        )
+        .unwrap();
+    };
+    for sec in [7, 3, 7, 4000, 12] {
+        single(sec, 1);
+    }
+    let batch = [40, 41, 9, 3, 42, 43, 44, 8000].map(|sec| (sec, payload(sec, 2)));
+    top.invoke("blockdev", "write_many", &[pairs_arg(batch)])
+        .unwrap();
+    let txn = top.invoke("blockdev", "begin_txn", &[]).unwrap();
+    let txn = txn.as_int().unwrap();
+    for k in 0..100i64 {
+        // Descending, with sector 7 written twice: last writer wins.
+        let sec = if k == 60 { 7 } else { 1000 - 3 * k };
+        top.invoke(
+            "blockdev",
+            "txn_write",
+            &txn_write_args(txn, sec, payload(sec, 3)),
+        )
+        .unwrap();
+    }
+    top.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
+    for sec in [12, 5, 1000] {
+        single(sec, 4);
+    }
+    let s = jstats(stack.journal.as_ref().unwrap());
+    assert_eq!((s[0], s[3]), (10, 1), "ten commits, one inline checkpoint");
+
+    let mut m = mem.machine().lock();
+    let disk = m.device_mut::<Disk>("disk").unwrap();
+    let image = (0..disk.sectors() as u64).fold(0, |h, sec| {
+        sum64::fold(h, &disk.read_sector(sec).unwrap()[..])
+    });
+    // Taken at PR 16 (record format v2), before the write path was
+    // rebuilt around the borrowed batch.
+    assert_eq!(
+        image, 0x5C3B_2BC9_3137_8DDD,
+        "the raw disk image after the scripted sequence changed"
+    );
 }
 
 #[test]
