@@ -8,13 +8,24 @@
 //! `recv`, replies and gratuitous announcements populate the cache, and
 //! everything else passes through untouched.
 //!
+//! The data path is the burst pair of [`crate::burst`]: `send_many`
+//! classifies a burst in one pass and hands one with nothing to resolve
+//! down as the caller's own list; `recv_many(max)` pulls from below until
+//! it holds `max` non-ARP frames or the device runs dry, absorbing ARP
+//! frames on the way and answering them in one burst per frame absorbed.
+//! An absorb that fails (the lower refuses the reply) loses no frame
+//! pulled with it: they stay here, are served first by the next call and
+//! count in `netdev pending`.
+//!
 //! Outbound IPv4 frames addressed to the link-broadcast MAC — the
 //! signature of an upper layer that could not resolve its next hop —
 //! are **parked** per destination IP rather than flooded: the layer
 //! drives resolution itself and releases the queue rewritten to the
 //! learned unicast MAC when the reply lands. Each per-IP queue is
 //! bounded at [`ARP_PENDING_MAX`] frames, dropping the oldest beyond
-//! that, so an unresolvable peer costs bounded memory.
+//! that, so an unresolvable peer costs bounded memory. So does a flood
+//! of senders: the cache keeps the `ARP_CACHE_MAX` most recently learnt
+//! bindings (a static `insert` is never evicted).
 //!
 //! The `arp` interface:
 //! - `resolve(ip: int) -> bytes` — 6-byte MAC on a cache hit; on a miss
@@ -24,7 +35,7 @@
 //! - `insert(ip: int, mac: bytes) -> unit` — static entry,
 //! - `announce() -> unit` — gratuitous ARP for our own address,
 //! - `stats() -> list [requests_tx, replies_tx, replies_rx, hits, misses,
-//!   entries, pending, pending_dropped]`.
+//!   entries, pending, pending_dropped, evicted]`.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -32,6 +43,7 @@ use paramecium_obj::{
     delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjectBuilder, TypeTag, Value,
 };
 
+use crate::burst::{self, netdev_methods, Drain};
 use crate::wire::{
     self, ArpPacket, EthHeader, Ipv4Header, Mac, ARP_OP_REPLY, ARP_OP_REQUEST, ETHERTYPE_ARP,
     ETHERTYPE_IPV4, MAC_BROADCAST,
@@ -41,52 +53,80 @@ use crate::wire::{
 /// admit a newer one beyond this.
 pub const ARP_PENDING_MAX: usize = 16;
 
+/// Cap on bindings learnt from the wire; the oldest-learnt is evicted to
+/// admit a newer one beyond this.
+const ARP_CACHE_MAX: usize = 256;
+
 /// ARP layer state.
 struct ArpState {
     lower: ObjRef,
     ip: u32,
     mac: Mac,
     cache: HashMap<u32, Mac>,
+    /// The learnt (not `insert`ed) IPs in `cache`, oldest first.
+    learnt: VecDeque<u32>,
     /// Outbound frames awaiting resolution, keyed by destination IP.
     pending: HashMap<u32, VecDeque<bytes::Bytes>>,
+    /// Inbound frames pulled from `lower` and not yet passed up.
+    rx: Drain,
     requests_tx: u64,
     replies_tx: u64,
     replies_rx: u64,
     hits: u64,
     misses: u64,
     pending_dropped: u64,
+    evicted: u64,
+}
+
+/// The IPv4 destination of a frame going out link-broadcast, which must
+/// resolve before the frame leaves. Anything else — unicast, non-IP,
+/// genuine broadcast IP traffic, which is meant to flood — is `None`.
+fn unresolved_dst(frame: &[u8]) -> Option<u32> {
+    match EthHeader::parse(frame) {
+        Ok((eth, payload)) if eth.ethertype == ETHERTYPE_IPV4 && eth.dst == MAC_BROADCAST => {
+            match Ipv4Header::parse(payload) {
+                Ok((ip, _)) if ip.dst != u32::MAX => Some(ip.dst),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+fn is_arp(frame: &[u8]) -> bool {
+    matches!(EthHeader::parse(frame), Ok((eth, _)) if eth.ethertype == ETHERTYPE_ARP)
+}
+
+/// `frame` readdressed to `mac`.
+fn unicast(frame: &[u8], mac: &Mac) -> Value {
+    let mut out = frame.to_vec();
+    out[0..6].copy_from_slice(mac);
+    Value::Bytes(out.into())
 }
 
 impl ArpState {
-    fn send_lower(&self, frame: impl Into<bytes::Bytes>) -> Result<(), ObjError> {
-        self.lower
-            .invoke("netdev", "send", &[Value::Bytes(frame.into())])?;
-        Ok(())
+    /// An ARP request for `target_ip`, counted as sent.
+    fn request(&mut self, target_ip: u32) -> Value {
+        self.requests_tx += 1;
+        let req = ArpPacket {
+            op: ARP_OP_REQUEST,
+            sender_mac: self.mac,
+            sender_ip: self.ip,
+            target_mac: [0; 6],
+            target_ip,
+        };
+        Value::Bytes(req.to_frame(self.mac, MAC_BROADCAST).into())
     }
 
-    /// Outbound frame: IPv4 going out link-broadcast is parked until
-    /// its destination resolves; everything else passes straight down.
-    fn send_out(&mut self, frame: bytes::Bytes) -> Result<(), ObjError> {
-        let dst_ip = match EthHeader::parse(&frame) {
-            Ok((eth, payload)) if eth.ethertype == ETHERTYPE_IPV4 && eth.dst == MAC_BROADCAST => {
-                match Ipv4Header::parse(payload) {
-                    // Genuine broadcast IP traffic is meant to flood.
-                    Ok((ip, _)) if ip.dst != u32::MAX => Some(ip.dst),
-                    _ => None,
-                }
-            }
-            _ => None,
-        };
-        let Some(dst_ip) = dst_ip else {
-            // The common case, an already-unicast frame: the buffer the
-            // upper layer built is the one the device gets.
-            return self.send_lower(frame);
+    /// One outbound frame of a burst with something to resolve, in its
+    /// place in `out`: as it is, readdressed on a late cache hit, or
+    /// parked behind the request that drives its resolution.
+    fn classify(&mut self, frame: &bytes::Bytes, out: &mut Vec<Value>) {
+        let Some(dst_ip) = unresolved_dst(frame) else {
+            return out.push(Value::Bytes(frame.clone()));
         };
         if let Some(mac) = self.cache.get(&dst_ip) {
-            // Late cache hit: rewrite to unicast and send now.
-            let mut out = frame.to_vec();
-            out[0..6].copy_from_slice(mac);
-            return self.send_lower(out);
+            return out.push(unicast(frame, mac));
         }
         let queue = self.pending.entry(dst_ip).or_default();
         if queue.len() >= ARP_PENDING_MAX {
@@ -94,39 +134,41 @@ impl ArpState {
             self.pending_dropped += 1;
         }
         let first = queue.is_empty();
-        queue.push_back(frame);
+        queue.push_back(frame.clone());
         if first {
-            // Drive resolution for a queue that just became non-empty.
-            let req = ArpPacket {
-                op: ARP_OP_REQUEST,
-                sender_mac: self.mac,
-                sender_ip: self.ip,
-                target_mac: [0; 6],
-                target_ip: dst_ip,
-            }
-            .to_frame(self.mac, wire::MAC_BROADCAST);
-            self.send_lower(req)?;
-            self.requests_tx += 1;
+            let req = self.request(dst_ip);
+            out.push(req);
         }
-        Ok(())
     }
 
-    /// Handles an inbound ARP payload. Returns `true` if it was consumed.
-    fn absorb(&mut self, payload: &[u8]) -> Result<bool, ObjError> {
+    /// Records a binding heard on the wire, evicting the oldest-learnt
+    /// beyond the cap.
+    fn learn(&mut self, ip: u32, mac: Mac) {
+        if self.cache.insert(ip, mac).is_none() {
+            self.learnt.push_back(ip);
+        }
+        if self.learnt.len() > ARP_CACHE_MAX {
+            let oldest = self.learnt.pop_front().expect("over the cap");
+            self.cache.remove(&oldest);
+            self.evicted += 1;
+        }
+    }
+
+    /// Absorbs an inbound ARP payload: what it asks for leaves as one
+    /// burst.
+    fn absorb(&mut self, payload: &[u8]) -> Result<(), ObjError> {
+        // Malformed ARP is consumed (there is nowhere to deliver it).
         let Ok(pkt) = ArpPacket::parse(payload) else {
-            // Malformed ARP is consumed (counted nowhere to deliver it).
-            return Ok(true);
+            return Ok(());
         };
         // Every valid ARP packet teaches us the sender's binding —
         // and releases any frames parked on it, rewritten to unicast.
-        self.cache.insert(pkt.sender_ip, pkt.sender_mac);
-        if let Some(queue) = self.pending.remove(&pkt.sender_ip) {
-            for frame in queue {
-                let mut frame = frame.to_vec();
-                frame[0..6].copy_from_slice(&pkt.sender_mac);
-                self.send_lower(frame)?;
-            }
-        }
+        self.learn(pkt.sender_ip, pkt.sender_mac);
+        let parked = self.pending.remove(&pkt.sender_ip).unwrap_or_default();
+        let mut out: Vec<Value> = parked
+            .iter()
+            .map(|frame| unicast(frame, &pkt.sender_mac))
+            .collect();
         match pkt.op {
             ARP_OP_REQUEST if pkt.target_ip == self.ip => {
                 let reply = ArpPacket {
@@ -135,67 +177,88 @@ impl ArpState {
                     sender_ip: self.ip,
                     target_mac: pkt.sender_mac,
                     target_ip: pkt.sender_ip,
-                }
-                .to_frame(self.mac, pkt.sender_mac);
-                self.send_lower(reply)?;
+                };
+                out.push(Value::Bytes(
+                    reply.to_frame(self.mac, pkt.sender_mac).into(),
+                ));
                 self.replies_tx += 1;
             }
             ARP_OP_REPLY => self.replies_rx += 1,
             _ => {}
         }
-        Ok(true)
+        burst::send_many(&self.lower, &mut out)
     }
 }
 
 /// Builds the ARP layer over `lower`, owning protocol address `ip` with
 /// hardware address `mac`.
 pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
-    let netdev = InterfaceBuilder::new("netdev")
-        .method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
-            let frame = args[0].as_bytes()?.clone();
+    let netdev = netdev_methods(
+        InterfaceBuilder::new("netdev"),
+        |this, tx| {
             this.with_state(|s: &mut ArpState| {
-                s.send_out(frame)?;
-                Ok(Value::Unit)
+                // The common case, a burst already all unicast: the list
+                // the upper layer built is the one the device gets.
+                if tx.frames().all(|f| unresolved_dst(f).is_none()) {
+                    return tx.forward(&s.lower);
+                }
+                let mut out = Vec::new();
+                tx.frames().for_each(|f| s.classify(f, &mut out));
+                burst::send_many(&s.lower, &mut out)
             })
-        })
-        .method("recv", &[], TypeTag::Bytes, |this, _| {
-            // Pull from below until a non-ARP frame (or nothing) shows
-            // up; ARP frames are absorbed into the cache / answered.
-            let lower = this.with_state(|s: &mut ArpState| Ok(s.lower.clone()))?;
-            loop {
-                let frame = lower.invoke("netdev", "recv", &[])?;
-                let bytes = frame.as_bytes()?;
-                if bytes.is_empty() {
-                    return Ok(frame);
+        },
+        |this, max, out| {
+            this.with_state(|s: &mut ArpState| {
+                s.rx.begin();
+                while out.len() < max {
+                    let held = s.rx.peek(&s.lower, max - out.len())?;
+                    // The common case, a burst with no ARP in it: the
+                    // list the device built is the one the upper gets.
+                    let whole = out.is_empty() && !held.is_empty() && held.len() <= max;
+                    if whole && held.iter().all(|f| f.as_bytes().is_ok_and(|f| !is_arp(f))) {
+                        *out = s.rx.take();
+                        continue;
+                    }
+                    let Some(frame) = s.rx.next(&s.lower, 0)? else {
+                        break;
+                    };
+                    if !is_arp(&frame) {
+                        out.push(Value::Bytes(frame));
+                    } else if let Err(e) = s.absorb(&frame[wire::ETH_HLEN..]) {
+                        s.rx.unread(out);
+                        return Err(e);
+                    }
                 }
-                let is_arp = matches!(
-                    EthHeader::parse(bytes),
-                    Ok((eth, _)) if eth.ethertype == ETHERTYPE_ARP
-                );
-                if !is_arp {
-                    return Ok(frame);
-                }
-                let payload = bytes.slice(wire::ETH_HLEN..bytes.len());
-                this.with_state(|s: &mut ArpState| s.absorb(&payload))?;
-            }
+                Ok(())
+            })
+        },
+    )
+    .method("pending", &[], TypeTag::Int, |this, _| {
+        this.with_state(|s: &mut ArpState| {
+            let below = s.lower.invoke("netdev", "pending", &[])?.as_int()?;
+            Ok(Value::Int(below + s.rx.held() as i64))
         })
-        .finish();
+    })
+    .finish();
     ObjectBuilder::new("arp")
-        // The rest of `netdev` (`pending`, `stats`, ...) is the lower
-        // device's to answer.
+        // The rest of `netdev` (`stats`, ...) is the lower device's to
+        // answer.
         .raw_interface(delegate_interface(netdev, lower.clone()))
         .state(ArpState {
             lower,
             ip,
             mac,
             cache: HashMap::new(),
+            learnt: VecDeque::new(),
             pending: HashMap::new(),
+            rx: Drain::default(),
             requests_tx: 0,
             replies_tx: 0,
             replies_rx: 0,
             hits: 0,
             misses: 0,
             pending_dropped: 0,
+            evicted: 0,
         })
         .interface("arp", |i| {
             i.method("resolve", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
@@ -206,16 +269,8 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
                         return Ok(Value::Bytes(bytes::Bytes::copy_from_slice(mac)));
                     }
                     s.misses += 1;
-                    let req = ArpPacket {
-                        op: ARP_OP_REQUEST,
-                        sender_mac: s.mac,
-                        sender_ip: s.ip,
-                        target_mac: [0; 6],
-                        target_ip: ip,
-                    }
-                    .to_frame(s.mac, wire::MAC_BROADCAST);
-                    s.send_lower(req)?;
-                    s.requests_tx += 1;
+                    let req = s.request(ip);
+                    s.lower.invoke("netdev", "send", &[req])?;
                     Ok(Value::Bytes(bytes::Bytes::new()))
                 })
             })
@@ -241,22 +296,17 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
                         .map_err(|_| ObjError::failed("mac must be 6 bytes"))?;
                     this.with_state(|s: &mut ArpState| {
                         s.cache.insert(ip, mac);
+                        // Static from here on, even if it was learnt.
+                        s.learnt.retain(|&l| l != ip);
                         Ok(Value::Unit)
                     })
                 },
             )
             .method("announce", &[], TypeTag::Unit, |this, _| {
                 this.with_state(|s: &mut ArpState| {
-                    let gratuitous = ArpPacket {
-                        op: ARP_OP_REQUEST,
-                        sender_mac: s.mac,
-                        sender_ip: s.ip,
-                        target_mac: [0; 6],
-                        target_ip: s.ip,
-                    }
-                    .to_frame(s.mac, wire::MAC_BROADCAST);
-                    s.send_lower(gratuitous)?;
-                    s.requests_tx += 1;
+                    // Gratuitous: a request for our own address.
+                    let gratuitous = s.request(s.ip);
+                    s.lower.invoke("netdev", "send", &[gratuitous])?;
                     Ok(Value::Unit)
                 })
             })
@@ -271,6 +321,7 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
                         Value::Int(s.cache.len() as i64),
                         Value::Int(s.pending.values().map(VecDeque::len).sum::<usize>() as i64),
                         Value::Int(s.pending_dropped as i64),
+                        Value::Int(s.evicted as i64),
                     ]))
                 })
             })
@@ -471,5 +522,120 @@ mod tests {
             resolve_or_broadcast(&a, 0x0909_0909).unwrap(),
             wire::MAC_BROADCAST
         );
+    }
+
+    #[test]
+    fn a_flood_of_spoofed_senders_stays_at_the_cap_and_a_live_peer_still_resolves() {
+        let (machine, a, b) = two_hosts();
+        // A gateway configured by hand, then B learnt the ordinary way.
+        let gw_ip = 0x0A00_00FE;
+        let gw = Value::Bytes(bytes::Bytes::copy_from_slice(&[2, 0, 0, 0, 0, 0xFE]));
+        a.invoke("arp", "insert", &[Value::Int(i64::from(gw_ip)), gw])
+            .unwrap();
+        assert!(resolve(&a, IP_B).is_empty());
+        machine.lock().tick(10);
+        pump(&b);
+        machine.lock().tick(10);
+        pump(&a);
+        assert_eq!(resolve(&a, IP_B), MAC_B.to_vec());
+
+        // Gratuitous ARP from four times the cap of made-up senders.
+        let flood = 4 * ARP_CACHE_MAX as u32;
+        let spoofed: Vec<Value> = (0..flood)
+            .map(|n| {
+                let mac = [6, 0, 0, 0, (n >> 8) as u8, n as u8];
+                let pkt = ArpPacket {
+                    op: ARP_OP_REQUEST,
+                    sender_mac: mac,
+                    sender_ip: 0x0B00_0000 + n,
+                    target_mac: [0; 6],
+                    target_ip: 0x0B00_0000 + n,
+                };
+                Value::Bytes(pkt.to_frame(mac, wire::MAC_BROADCAST).into())
+            })
+            .collect();
+        b.with_state(|s: &mut ArpState| {
+            s.lower
+                .invoke("netdev", "send_many", &[Value::List(spoofed)])
+        })
+        .unwrap();
+        machine.lock().tick(10);
+        pump(&a);
+        let s = arp_stats(&a);
+        assert_eq!(
+            s[5],
+            ARP_CACHE_MAX as i64 + 1,
+            "learnt entries capped, static one kept"
+        );
+        assert_eq!(
+            s[8],
+            i64::from(flood) + 1 - ARP_CACHE_MAX as i64,
+            "evictions counted"
+        );
+        let lookup = |ip: u32| {
+            a.invoke("arp", "lookup", &[Value::Int(i64::from(ip))])
+                .unwrap()
+        };
+        assert!(
+            !lookup(gw_ip).as_bytes().unwrap().is_empty(),
+            "static entry survives"
+        );
+        // B was flushed out with the rest of the old entries — and comes
+        // back with one request, because it is really there.
+        assert!(resolve(&a, IP_B).is_empty());
+        machine.lock().tick(10);
+        pump(&b);
+        machine.lock().tick(10);
+        pump(&a);
+        assert_eq!(resolve(&a, IP_B), MAC_B.to_vec());
+        assert_eq!(
+            arp_stats(&a)[5],
+            ARP_CACHE_MAX as i64 + 1,
+            "still at the cap"
+        );
+    }
+
+    #[test]
+    fn a_reply_the_lower_refuses_loses_no_frame_pulled_with_the_request() {
+        use crate::burst::fakes::{fuse, Blown};
+        use std::sync::atomic::Ordering;
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let (la, lb) = make_simlink(machine.clone(), LinkConfig::perfect(3));
+        let blown = Arc::new(Blown::default());
+        let b = make_arp(fuse(lb, blown.clone()), IP_B, MAC_B);
+        // On the wire towards B: data, an ARP request for B, more data.
+        let data = |tag: &[u8]| wire::build_udp_frame(MAC_A, MAC_B, IP_A, IP_B, 1, 2, tag);
+        let request = ArpPacket {
+            op: ARP_OP_REQUEST,
+            sender_mac: MAC_A,
+            sender_ip: IP_A,
+            target_mac: [0; 6],
+            target_ip: IP_B,
+        }
+        .to_frame(MAC_A, wire::MAC_BROADCAST);
+        for frame in [data(b"one"), request, data(b"two")] {
+            la.invoke("netdev", "send", &[Value::Bytes(frame.into())])
+                .unwrap();
+        }
+        machine.lock().tick(10);
+        blown.tx.store(true, Ordering::Relaxed);
+        let pulled = b.invoke("netdev", "recv_many", &[Value::Int(8)]);
+        assert!(pulled.is_err(), "the reply could not leave");
+        let pending = b.invoke("netdev", "pending", &[]).unwrap();
+        assert_eq!(pending, Value::Int(2), "both data frames are still owed");
+        // The request itself is spent, as a scalar `recv` would have
+        // spent it; the frames around it come out next, in order.
+        let got = b.invoke("netdev", "recv_many", &[Value::Int(8)]).unwrap();
+        let tails: Vec<&[u8]> = got
+            .as_list()
+            .unwrap()
+            .iter()
+            .map(|f| {
+                let f = f.as_bytes().unwrap();
+                &f[f.len() - 3..]
+            })
+            .collect();
+        assert_eq!(tails, [b"one", b"two"]);
+        assert_eq!(b.invoke("netdev", "pending", &[]).unwrap(), Value::Int(0));
     }
 }

@@ -6,8 +6,10 @@
 //! privately and on-device buffers to be shared by other contexts" — and
 //! exports the `netdev` interface:
 //!
-//! - `send(frame: bytes) -> unit`
-//! - `recv() -> bytes` (empty when nothing is pending)
+//! - `send_many(frames: list) -> unit`, `recv_many(max: int) -> list`
+//!   and the scalar calls derived from them (see [`crate::burst`]):
+//!   `send(frame: bytes) -> unit`, `recv() -> bytes` (empty when nothing
+//!   is pending)
 //! - `pending() -> int`
 //! - `stats() -> list [rx_frames, tx_frames, rx_bytes, tx_bytes, dropped]`
 //!
@@ -25,6 +27,8 @@ use paramecium_machine::{
     Machine,
 };
 use paramecium_obj::{ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
+
+use crate::burst::netdev_methods;
 
 /// Driver instance state.
 struct DriverState {
@@ -101,49 +105,55 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
     Ok(ObjectBuilder::new("nic-driver")
         .state(state)
         .interface("netdev", |i| {
-            i.method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
-                // Refcounted view: no copy of the frame body on this path
-                // (the copy *cost* below still models the DMA transfer).
-                let frame = args[0].as_bytes()?.clone();
-                this.with_state(|s: &mut DriverState| {
-                    s.check_claim()?;
-                    let mut m = s.machine.lock();
-                    // Programmed I/O: register write plus the copy into the
-                    // device buffer.
-                    let cost = m.cost.io_access + m.cost.copy_cost(frame.len());
-                    m.charge(cost);
-                    let len = frame.len();
-                    m.device_mut::<Nic>(&s.nic)
-                        .ok_or_else(|| ObjError::failed("nic device missing"))?
-                        .tx(frame)
-                        .map_err(|e| ObjError::failed(e.to_string()))?;
-                    s.tx_frames += 1;
-                    s.tx_bytes += len as u64;
-                    Ok(Value::Unit)
-                })
-            })
-            .method("recv", &[], TypeTag::Bytes, |this, _| {
-                this.with_state(|s: &mut DriverState| {
-                    s.check_claim()?;
-                    let mut m = s.machine.lock();
-                    let cost = m.cost.io_access;
-                    m.charge(cost);
-                    match m
-                        .device_mut::<Nic>(&s.nic)
-                        .ok_or_else(|| ObjError::failed("nic device missing"))?
-                        .rx_take()
-                    {
-                        Some(frame) => {
+            // Per frame a burst charges what the scalar call charges:
+            // one I/O access per take attempt, the copy per frame moved.
+            netdev_methods(
+                i,
+                |this, tx| {
+                    this.with_state(|s: &mut DriverState| {
+                        s.check_claim()?;
+                        let mut m = s.machine.lock();
+                        // Refcounted views: no copy of a frame body here
+                        // (the copy *cost* still models the DMA transfer).
+                        for frame in tx.frames() {
+                            // Programmed I/O: register write plus the copy
+                            // into the device buffer.
+                            let cost = m.cost.io_access + m.cost.copy_cost(frame.len());
+                            m.charge(cost);
+                            m.device_mut::<Nic>(&s.nic)
+                                .ok_or_else(|| ObjError::failed("nic device missing"))?
+                                .tx(frame.clone())
+                                .map_err(|e| ObjError::failed(e.to_string()))?;
+                            s.tx_frames += 1;
+                            s.tx_bytes += frame.len() as u64;
+                        }
+                        Ok(())
+                    })
+                },
+                |this, max, out| {
+                    this.with_state(|s: &mut DriverState| {
+                        s.check_claim()?;
+                        let mut m = s.machine.lock();
+                        while out.len() < max {
+                            let cost = m.cost.io_access;
+                            m.charge(cost);
+                            let Some(frame) = m
+                                .device_mut::<Nic>(&s.nic)
+                                .ok_or_else(|| ObjError::failed("nic device missing"))?
+                                .rx_take()
+                            else {
+                                break;
+                            };
                             let cost = m.cost.copy_cost(frame.len());
                             m.charge(cost);
                             s.rx_frames += 1;
                             s.rx_bytes += frame.len() as u64;
-                            Ok(Value::Bytes(frame))
+                            out.push(Value::Bytes(frame));
                         }
-                        None => Ok(Value::Bytes(bytes::Bytes::new())),
-                    }
-                })
-            })
+                        Ok(())
+                    })
+                },
+            )
             .method("pending", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     s.check_claim()?;

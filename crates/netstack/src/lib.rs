@@ -6,12 +6,33 @@
 //! "software verification of the component cannot easily reveal packet
 //! snooping". This crate provides that scenario as a *stack of
 //! interchangeable objects*: every layer both consumes and exports the
-//! two-method `netdev` interface (`send(bytes)`, `recv() -> bytes`), so
-//! any layer can be slid between any other two — including across
-//! protection domains — without either side knowing.
+//! `netdev` interface, so any layer can be slid between any other two —
+//! including across protection domains — without either side knowing.
+//!
+//! | `netdev` method | |
+//! |---|---|
+//! | `send_many(frames: list) -> unit` | the transmit primitive: a burst of frames, in order |
+//! | `recv_many(max: int) -> list` | the receive primitive: up to `max` frames, short when the device ran dry |
+//! | `send(frame: bytes) -> unit` | derived: `send_many([frame])` |
+//! | `recv() -> bytes` | derived: `recv_many(1)`, empty when nothing is pending |
+//! | `pending() -> int`, `stats() -> list` | per provider |
+//!
+//! A frame crosses five objects between the TCP pump and the wire, so it
+//! travels in bursts and each exporter writes the burst pair only
+//! ([`burst`] derives the scalar calls). The contract: **a burst of n is
+//! observably n scalar calls in the same order** — frames handed down and
+//! up, every counter, every link RNG draw, every cycle charged
+//! (`tests/burst_equivalence.rs`). Two stated exceptions: a layer that
+//! found a member or device dry does not poll it again within the burst,
+//! and the segments TCP emits *while receiving* (SYN-ACK, RST) leave
+//! with the pump's one burst, after — not between — the ARP layer's own
+//! replies of that pump.
 //!
 //! Bottom to top:
 //!
+//! - [`burst`] — `netdev_methods` (the four data-path methods from one
+//!   transmit and one receive body) and `Drain` (pulling from a lower
+//!   `netdev` in bursts without losing frames to a mid-burst error).
 //! - [`wire`] — pure codecs: Ethernet, ARP, IPv4, UDP and TCP headers,
 //!   the Internet checksum and the TCP pseudo-header checksum. Every
 //!   parser is total (malformed input returns `None`, never panics) and
@@ -47,6 +68,7 @@
 //! test (`tests/alloc_counting.rs`).
 
 pub mod arp;
+pub mod burst;
 pub mod driver;
 pub mod filter;
 pub mod monitor;

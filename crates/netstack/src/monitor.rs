@@ -20,6 +20,8 @@ use paramecium_obj::{
     interface::Interface, interpose::InterposerBuilder, typeinfo::MethodSig, ObjRef, TypeTag, Value,
 };
 
+use crate::burst;
+
 /// Shared monitor counters.
 #[derive(Debug, Default)]
 pub struct NetMonStats {
@@ -45,7 +47,10 @@ fn bump(counter: &AtomicU64, by: u64) {
 }
 
 impl NetMonStats {
-    fn record_size(&self, len: usize) {
+    /// Counts one frame of `len` bytes into a direction's counters.
+    fn note(&self, frames: &AtomicU64, bytes: &AtomicU64, len: usize) {
+        bump(frames, 1);
+        bump(bytes, len as u64);
         let idx = match len {
             0..=127 => 0,
             128..=511 => 1,
@@ -54,20 +59,25 @@ impl NetMonStats {
         };
         bump(&self.size_buckets[idx], 1);
     }
+
+    /// Counts what a `send` or `send_many` carries, frame by frame.
+    fn note_tx(&self, sent: &Value) {
+        burst::frames(sent).for_each(|f| self.note(&self.tx_frames, &self.tx_bytes, f.len()));
+    }
+
+    /// Counts what a `recv` or `recv_many` answered; the empty frame of
+    /// an idle `recv` is not one.
+    fn note_rx(&self, got: &Value) {
+        burst::frames(got)
+            .filter(|f| !f.is_empty())
+            .for_each(|f| self.note(&self.rx_frames, &self.rx_bytes, f.len()));
+    }
 }
 
 /// Builds a monitoring agent around a `netdev` object. Returns the agent
 /// and its shared counters.
 pub fn make_network_monitor(target: ObjRef) -> (ObjRef, Arc<NetMonStats>) {
     let stats = Arc::new(NetMonStats::default());
-
-    // Outbound: `send` is overridden to observe its arguments, then
-    // forward. An override (rather than a `before` hook) keeps the hook
-    // wrapper off every other method's hot path — `recv` forwards through
-    // a bare cached hop.
-    let tx_stats = stats.clone();
-    // Inbound: `recv` must be overridden (the frame is in the *result*).
-    let rx_stats = stats.clone();
 
     // The extra `netmon` interface (the superset part).
     let mon_stats = stats.clone();
@@ -91,29 +101,32 @@ pub fn make_network_monitor(target: ObjRef) -> (ObjRef, Arc<NetMonStats>) {
         }),
     );
 
-    let agent = InterposerBuilder::new(target)
-        .class("netmon-agent")
-        .override_method("netdev", "send", move |forward, args| {
-            if let Some(Value::Bytes(b)) = args.first() {
-                bump(&tx_stats.tx_frames, 1);
-                bump(&tx_stats.tx_bytes, b.len() as u64);
-                tx_stats.record_size(b.len());
+    // Both forms of each direction count through the same function, so
+    // traffic is seen whether a client speaks bursts or single frames.
+    // Outbound, the arguments the target accepted are observed (a burst
+    // it turns away whole moved no frame); inbound the frames are in the
+    // *result*. Overrides (rather than hooks) keep the
+    // hook wrapper off every other method's hot path.
+    let mut agent = InterposerBuilder::new(target).class("netmon-agent");
+    for method in ["send", "send_many"] {
+        let tx_stats = stats.clone();
+        agent = agent.override_method("netdev", method, move |forward, args| {
+            let sent = forward.call(args)?;
+            if let Some(out) = args.first() {
+                tx_stats.note_tx(out);
             }
-            forward.call(args)
-        })
-        .override_method("netdev", "recv", move |forward, args| {
+            Ok(sent)
+        });
+    }
+    for method in ["recv", "recv_many"] {
+        let rx_stats = stats.clone();
+        agent = agent.override_method("netdev", method, move |forward, args| {
             let result = forward.call(args)?;
-            if let Value::Bytes(b) = &result {
-                if !b.is_empty() {
-                    bump(&rx_stats.rx_frames, 1);
-                    bump(&rx_stats.rx_bytes, b.len() as u64);
-                    rx_stats.record_size(b.len());
-                }
-            }
+            rx_stats.note_rx(&result);
             Ok(result)
-        })
-        .extra_interface(netmon)
-        .build();
+        });
+    }
+    let agent = agent.extra_interface(netmon).build();
 
     (agent, stats)
 }
@@ -157,6 +170,26 @@ mod tests {
         // Histogram: 64→b0, 100→b0, 600→b2.
         assert_eq!(stats.size_buckets[0].load(Ordering::Relaxed), 2);
         assert_eq!(stats.size_buckets[2].load(Ordering::Relaxed), 1);
+
+        // The same traffic as bursts — what TCP speaks — counts the same,
+        // frame by frame.
+        inject(&mem, 100);
+        inject(&mem, 600);
+        let got = agent.invoke("netdev", "recv_many", &[Value::Int(8)]);
+        assert_eq!(got.unwrap().as_list().unwrap().len(), 2);
+        let idle = agent.invoke("netdev", "recv_many", &[Value::Int(8)]);
+        assert!(idle.unwrap().as_list().unwrap().is_empty());
+        let burst = [64, 1200].map(|len| Value::Bytes(bytes::Bytes::from(vec![0u8; len])));
+        agent
+            .invoke("netdev", "send_many", &[Value::List(burst.into())])
+            .unwrap();
+        assert_eq!(stats.rx_frames.load(Ordering::Relaxed), 4);
+        assert_eq!(stats.rx_bytes.load(Ordering::Relaxed), 1400);
+        assert_eq!(stats.tx_frames.load(Ordering::Relaxed), 3);
+        assert_eq!(stats.tx_bytes.load(Ordering::Relaxed), 64 + 64 + 1200);
+        assert_eq!(stats.size_buckets[0].load(Ordering::Relaxed), 4);
+        assert_eq!(stats.size_buckets[2].load(Ordering::Relaxed), 2);
+        assert_eq!(stats.size_buckets[3].load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -195,5 +228,21 @@ mod tests {
         outer.invoke("netdev", "recv", &[]).unwrap();
         assert_eq!(inner_stats.rx_frames.load(Ordering::Relaxed), 1);
         assert_eq!(outer_stats.rx_frames.load(Ordering::Relaxed), 1);
+        // A burst crosses both agents as one call and is counted by each.
+        for _ in 0..3 {
+            inject(&mem, 200);
+        }
+        outer
+            .invoke("netdev", "recv_many", &[Value::Int(8)])
+            .unwrap();
+        let burst = vec![Value::Bytes(bytes::Bytes::from(vec![0u8; 90])); 2];
+        outer
+            .invoke("netdev", "send_many", &[Value::List(burst)])
+            .unwrap();
+        for stats in [&inner_stats, &outer_stats] {
+            assert_eq!(stats.rx_frames.load(Ordering::Relaxed), 4);
+            assert_eq!(stats.tx_frames.load(Ordering::Relaxed), 2);
+            assert_eq!(stats.tx_bytes.load(Ordering::Relaxed), 180);
+        }
     }
 }

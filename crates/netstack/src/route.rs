@@ -6,9 +6,15 @@
 //! link endpoint) plus that interface's IP/MAC — and exports:
 //!
 //! - the plain `netdev` interface, so a protocol object (UDP/TCP stack)
-//!   layers on the router exactly as it layers on a single driver:
-//!   `send` picks the egress interface by longest-prefix match on the
-//!   IPv4 destination, `recv` drains the member devices round-robin;
+//!   layers on the router exactly as it layers on a single driver. The
+//!   data path is the burst pair of [`crate::burst`]: `send_many` picks
+//!   each frame's egress interface by longest-prefix match on the IPv4
+//!   destination and hands every interface its frames as one burst;
+//!   `recv_many` merges the members' bursts in the order round-robin
+//!   `recv` calls would have visited them, asking each member for no
+//!   more than its fair share of the room left, so nothing is held
+//!   between calls (a member found dry is not polled again within the
+//!   burst — the one thing n scalar calls would have done differently);
 //! - a `route` interface for the table itself:
 //!   - `add_route(prefix: int, len: int, ifindex: int) -> unit`,
 //!   - `del_route(prefix: int, len: int) -> unit` — runtime removal (the
@@ -37,6 +43,7 @@ use std::collections::VecDeque;
 
 use paramecium_obj::{ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
 
+use crate::burst::{self, netdev_methods, Drain};
 use crate::wire::{self, EthHeader, Ipv4Header, Mac, ETHERTYPE_IPV4};
 
 /// One router interface: a netdev plus its L2/L3 identity.
@@ -87,17 +94,6 @@ struct IfHealth {
     dead: bool,
 }
 
-/// Outcome of a liveness-aware route lookup.
-enum AliveLookup {
-    /// Usable entry; `failed_over` when a better-matching route was
-    /// skipped because its interface is dead.
-    Via { entry: usize, failed_over: bool },
-    /// Routes match but every matching interface is dead.
-    AllDead,
-    /// Nothing matches.
-    NoRoute,
-}
-
 /// Router state.
 struct RouterState {
     ifs: Vec<RouteIf>,
@@ -105,8 +101,14 @@ struct RouterState {
     table: Vec<RouteEntry>,
     /// Per-interface dead-gateway detection state (parallel to `ifs`).
     health: Vec<IfHealth>,
+    /// Frames pulled from each member and not yet passed on (parallel to
+    /// `ifs`): empty between calls unless one failed mid-burst.
+    rx: Vec<Drain>,
+    /// Frames routed to each member, leaving as one burst at the end of
+    /// the call (parallel to `ifs`); the buffers are kept.
+    tx: Vec<Vec<Value>>,
     /// Frames addressed to one of our own IPs, surfaced through `recv`.
-    local: VecDeque<bytes::Bytes>,
+    local: VecDeque<Value>,
     /// Round-robin cursor for `recv`.
     next_if: usize,
     forwarded: u64,
@@ -127,31 +129,6 @@ impl RouterState {
         self.table.iter().position(|r| r.matches(ip))
     }
 
-    /// Longest-prefix match that skips dead interfaces: the best route
-    /// whose lower driver is alive wins, so a dead gateway fails over to
-    /// the next matching (typically shorter-prefix) route.
-    fn lookup_alive(&self, ip: u32) -> AliveLookup {
-        let mut dead_match = false;
-        for (idx, r) in self.table.iter().enumerate() {
-            if !r.matches(ip) {
-                continue;
-            }
-            if self.health[r.ifindex].dead {
-                dead_match = true;
-                continue;
-            }
-            return AliveLookup::Via {
-                entry: idx,
-                failed_over: dead_match,
-            };
-        }
-        if dead_match {
-            AliveLookup::AllDead
-        } else {
-            AliveLookup::NoRoute
-        }
-    }
-
     fn note_tx(&mut self, ifindex: usize) {
         self.health[ifindex].tx_win += 1;
     }
@@ -168,89 +145,122 @@ impl RouterState {
         self.ifs.iter().any(|i| i.ip == ip)
     }
 
-    /// Routes one egress frame: LPM on the IPv4 destination, charge the
-    /// route's counters, send out the chosen interface.
-    fn route_out(&mut self, frame: &bytes::Bytes) -> Result<bool, ObjError> {
-        let dst = match parse_ipv4_dst(frame) {
-            Some(dst) => dst,
-            None => {
-                self.malformed += 1;
-                return Ok(false);
+    /// The egress decision, for `netdev` sends and transit alike: the
+    /// longest-prefix match that skips dead interfaces — the best route
+    /// whose lower driver is alive wins, so a dead gateway fails over to
+    /// the next matching (typically shorter-prefix) route — counted.
+    /// Returns the route entry to charge.
+    fn egress(&mut self, dst: u32) -> Option<usize> {
+        let mut dead_match = false;
+        for (entry, r) in self.table.iter().enumerate() {
+            if !r.matches(dst) {
+                continue;
             }
-        };
-        match self.lookup_alive(dst) {
-            AliveLookup::Via { entry, failed_over } => {
-                if failed_over {
-                    self.failover += 1;
-                }
-                let e = &mut self.table[entry];
-                e.packets += 1;
-                e.bytes += frame.len() as u64;
-                let ifindex = e.ifindex;
-                self.note_tx(ifindex);
-                self.ifs[ifindex]
-                    .dev
-                    .invoke("netdev", "send", &[Value::Bytes(frame.clone())])?;
-                Ok(true)
+            if self.health[r.ifindex].dead {
+                dead_match = true;
+                continue;
             }
-            AliveLookup::AllDead => {
-                self.unreachable += 1;
-                Ok(false)
-            }
-            AliveLookup::NoRoute => {
-                self.no_route += 1;
-                Ok(false)
-            }
+            // A better-matching route was skipped: its interface is dead.
+            self.failover += u64::from(dead_match);
+            return Some(entry);
         }
+        if dead_match {
+            // Routes match but every matching interface is dead.
+            self.unreachable += 1;
+        } else {
+            self.no_route += 1;
+        }
+        None
     }
 
-    /// Transit path for one inbound frame on interface `rx_if`.
-    fn forward_one(&mut self, rx_if: usize, frame: bytes::Bytes) -> Result<bool, ObjError> {
+    /// Charges route `entry` for `frame` and queues it on the route's
+    /// interface; it leaves with that interface's burst (`flush`).
+    fn enqueue(&mut self, entry: usize, frame: bytes::Bytes) {
+        let e = &mut self.table[entry];
+        e.packets += 1;
+        e.bytes += frame.len() as u64;
+        let ifindex = e.ifindex;
+        self.note_tx(ifindex);
+        self.tx[ifindex].push(Value::Bytes(frame));
+    }
+
+    /// Hands every interface the frames queued on it as one burst. A
+    /// burst an interface refuses is dropped and reported — best-effort,
+    /// as an IP hop is — and the others still leave.
+    fn flush(&mut self) -> Result<(), ObjError> {
+        let mut sent = Ok(());
+        for (rif, queue) in self.ifs.iter().zip(&mut self.tx) {
+            sent = sent.and(burst::send_many(&rif.dev, queue));
+            queue.clear();
+        }
+        sent
+    }
+
+    /// `netdev recv_many`: local frames first, then the members in the
+    /// order round-robin `recv` calls would have visited them. A member
+    /// is asked for no more than its fair share of the room left, so
+    /// every frame pulled is passed up and nothing is held in between.
+    fn recv_many(&mut self, max: usize, out: &mut Vec<Value>) -> Result<(), ObjError> {
+        let local = self.local.len().min(max);
+        out.extend(self.local.drain(..local));
+        self.rx.iter_mut().for_each(Drain::begin);
+        // Where the scalar cursor would rest: past the last member that
+        // gave a frame, however many dry ones were polled after it.
+        let mut resume = self.next_if;
+        while out.len() < max {
+            let live = self.rx.iter().filter(|m| !m.is_dry()).count();
+            if live == 0 {
+                break;
+            }
+            let idx = self.next_if;
+            self.next_if = (idx + 1) % self.ifs.len();
+            let share = (max - out.len()).div_ceil(live);
+            if let Some(frame) = self.rx[idx].next(&self.ifs[idx].dev, share)? {
+                self.note_rx(idx);
+                out.reserve(1 + self.rx[idx].held());
+                out.push(Value::Bytes(frame));
+                resume = self.next_if;
+            }
+        }
+        self.next_if = resume;
+        Ok(())
+    }
+
+    /// Transit path for one inbound frame on interface `rx_if`. Returns
+    /// whether it was queued to leave on another interface.
+    fn forward_one(&mut self, rx_if: usize, frame: bytes::Bytes) -> bool {
         let Ok((eth, ip_bytes)) = EthHeader::parse(&frame) else {
             self.malformed += 1;
-            return Ok(false);
+            return false;
         };
         if eth.ethertype != ETHERTYPE_IPV4 {
             // Non-IP (e.g. ARP handled by a layer below) — deliver locally.
-            self.local.push_back(frame);
+            self.local.push_back(Value::Bytes(frame));
             self.delivered_local += 1;
-            return Ok(false);
+            return false;
         }
         let Ok((ip, _)) = Ipv4Header::parse(ip_bytes) else {
             self.malformed += 1;
-            return Ok(false);
+            return false;
         };
         if self.is_local(ip.dst) {
-            self.local.push_back(frame);
+            self.local.push_back(Value::Bytes(frame));
             self.delivered_local += 1;
-            return Ok(false);
+            return false;
         }
-        let entry_idx = match self.lookup_alive(ip.dst) {
-            AliveLookup::Via { entry, failed_over } => {
-                if failed_over {
-                    self.failover += 1;
-                }
-                entry
-            }
-            AliveLookup::AllDead => {
-                self.unreachable += 1;
-                return Ok(false);
-            }
-            AliveLookup::NoRoute => {
-                self.no_route += 1;
-                return Ok(false);
-            }
+        let Some(entry) = self.egress(ip.dst) else {
+            return false;
         };
-        let out_if = self.table[entry_idx].ifindex;
+        let out_if = self.table[entry].ifindex;
         if out_if == rx_if {
             // Routed back where it came from: count it as no-route rather
             // than ping-ponging on the same wire.
             self.no_route += 1;
-            return Ok(false);
+            return false;
         }
         if ip.ttl <= 1 {
             self.ttl_expired += 1;
-            return Ok(false);
+            return false;
         }
         // Rewrite: TTL-1, fresh IP checksum, our egress MAC as source.
         let mut out = frame.to_vec();
@@ -261,15 +271,22 @@ impl RouterState {
         out[wire::ETH_HLEN + 10..wire::ETH_HLEN + 12].copy_from_slice(&csum.to_be_bytes());
         out[0..6].copy_from_slice(&wire::MAC_BROADCAST); // Next hop resolves L2.
         out[6..12].copy_from_slice(&self.ifs[out_if].mac);
-        let entry = &mut self.table[entry_idx];
-        entry.packets += 1;
-        entry.bytes += out.len() as u64;
-        self.note_tx(out_if);
-        self.ifs[out_if]
-            .dev
-            .invoke("netdev", "send", &[Value::Bytes(bytes::Bytes::from(out))])?;
+        self.enqueue(entry, out.into());
         self.forwarded += 1;
-        Ok(true)
+        true
+    }
+
+    /// `route forward`: works through everything every member has.
+    fn forward(&mut self) -> Result<i64, ObjError> {
+        let mut moved = 0;
+        for rx_if in 0..self.ifs.len() {
+            self.rx[rx_if].begin();
+            while let Some(frame) = self.rx[rx_if].next(&self.ifs[rx_if].dev, usize::MAX)? {
+                self.note_rx(rx_if);
+                moved += i64::from(self.forward_one(rx_if, frame));
+            }
+        }
+        Ok(moved)
     }
 }
 
@@ -291,11 +308,15 @@ fn parse_ipv4_dst(frame: &[u8]) -> Option<u32> {
 pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
     assert!(!ifs.is_empty(), "router needs at least one interface");
     let health = ifs.iter().map(|_| IfHealth::default()).collect();
+    let rx = ifs.iter().map(|_| Drain::default()).collect();
+    let tx = ifs.iter().map(|_| Vec::new()).collect();
     ObjectBuilder::new("router")
         .state(RouterState {
             ifs,
             table: Vec::new(),
             health,
+            rx,
+            tx,
             local: VecDeque::new(),
             next_if: 0,
             forwarded: 0,
@@ -308,35 +329,40 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
             dead_marks: 0,
         })
         .interface("netdev", |i| {
-            i.method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
-                let frame = args[0].as_bytes()?.clone();
-                this.with_state(|s: &mut RouterState| {
-                    s.route_out(&frame)?;
-                    Ok(Value::Unit)
-                })
-            })
-            .method("recv", &[], TypeTag::Bytes, |this, _| {
-                this.with_state(|s: &mut RouterState| {
-                    if let Some(frame) = s.local.pop_front() {
-                        return Ok(Value::Bytes(frame));
-                    }
-                    // Round-robin over members, one full cycle.
-                    for _ in 0..s.ifs.len() {
-                        let idx = s.next_if;
-                        s.next_if = (s.next_if + 1) % s.ifs.len();
-                        let frame = s.ifs[idx].dev.invoke("netdev", "recv", &[])?;
-                        if !frame.as_bytes()?.is_empty() {
-                            s.note_rx(idx);
-                            return Ok(frame);
+            netdev_methods(
+                i,
+                // One LPM per frame, one `send_many` per egress interface.
+                |this, tx| {
+                    this.with_state(|s: &mut RouterState| {
+                        for frame in tx.frames() {
+                            match parse_ipv4_dst(frame) {
+                                Some(dst) => {
+                                    if let Some(entry) = s.egress(dst) {
+                                        s.enqueue(entry, frame.clone());
+                                    }
+                                }
+                                None => s.malformed += 1,
+                            }
                         }
-                    }
-                    Ok(Value::Bytes(bytes::Bytes::new()))
-                })
-            })
+                        s.flush()
+                    })
+                },
+                |this, max, out| {
+                    this.with_state(|s: &mut RouterState| {
+                        let pulled = s.recv_many(max, out);
+                        if pulled.is_err() {
+                            // Served first by the next call, in order.
+                            out.drain(..).rev().for_each(|f| s.local.push_front(f));
+                        }
+                        pulled
+                    })
+                },
+            )
             .method("pending", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut RouterState| {
                     let mut total = s.local.len() as i64;
-                    for rif in &s.ifs {
+                    for (rif, held) in s.ifs.iter().zip(&s.rx) {
+                        total += held.held() as i64;
                         total += rif.dev.invoke("netdev", "pending", &[])?.as_int()?;
                     }
                     Ok(Value::Int(total))
@@ -443,21 +469,10 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
             })
             .method("forward", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut RouterState| {
-                    let mut moved = 0i64;
-                    for rx_if in 0..s.ifs.len() {
-                        loop {
-                            let frame = s.ifs[rx_if].dev.invoke("netdev", "recv", &[])?;
-                            let frame = frame.as_bytes()?.clone();
-                            if frame.is_empty() {
-                                break;
-                            }
-                            s.note_rx(rx_if);
-                            if s.forward_one(rx_if, frame)? {
-                                moved += 1;
-                            }
-                        }
-                    }
-                    Ok(Value::Int(moved))
+                    // What was routed before a member failed still leaves.
+                    let moved = s.forward();
+                    let flushed = s.flush();
+                    Ok(Value::Int(moved.and_then(|m| flushed.map(|()| m))?))
                 })
             })
             .method("stats", &[], TypeTag::List, |this, _| {
@@ -910,5 +925,51 @@ mod tests {
             .unwrap();
         assert_eq!(net0[3], Value::Int(2), "packets");
         assert_eq!(net0[4], Value::Int(2 * len), "bytes");
+    }
+
+    #[test]
+    fn a_member_that_fails_mid_burst_loses_no_frame_already_pulled() {
+        use crate::burst::fakes::{fuse, Blown};
+        use std::sync::atomic::Ordering;
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let (near0, far0) = make_simlink(machine.clone(), LinkConfig::perfect(1));
+        let (near1, far1) = make_simlink(machine.clone(), LinkConfig::perfect(2));
+        let blown = Arc::new(Blown::default());
+        let router = make_router(vec![
+            RouteIf {
+                dev: near0,
+                ip: IF0_IP,
+                mac: [2, 0, 0, 0, 0, 0x10],
+            },
+            RouteIf {
+                dev: fuse(near1, blown.clone()),
+                ip: IF1_IP,
+                mac: [2, 0, 0, 0, 0, 0x11],
+            },
+        ]);
+        let frame =
+            |tag: u8| wire::build_udp_frame([9; 6], [8; 6], NET0_HOST, IF0_IP, 1, 2, &[tag]);
+        for tag in [1, 2, 3] {
+            send_via(&far0, frame(tag));
+        }
+        send_via(&far1, frame(9));
+        machine.lock().tick(10);
+        // if0 gives its first frame, then if1's turn fails.
+        blown.rx.store(true, Ordering::Relaxed);
+        assert!(router
+            .invoke("netdev", "recv_many", &[Value::Int(8)])
+            .is_err());
+        let pending = router.invoke("netdev", "pending", &[]).unwrap();
+        assert_eq!(
+            pending,
+            Value::Int(4),
+            "held frames count with the devices'"
+        );
+        blown.rx.store(false, Ordering::Relaxed);
+        let tags: Vec<u8> = drain(&router).iter().map(|f| f[f.len() - 1]).collect();
+        assert_eq!(tags.len(), 4, "nothing lost");
+        assert_eq!(tags[0], 1, "what had been pulled comes first");
+        let if0: Vec<u8> = tags.iter().copied().filter(|&t| t != 9).collect();
+        assert_eq!(if0, [1, 2, 3], "each member's frames stay in order");
     }
 }

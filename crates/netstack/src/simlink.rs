@@ -8,16 +8,19 @@
 //! the object that turns it into an adversarial test fixture.
 //!
 //! Every impairment — drop, duplication, reordering, corruption, delay —
-//! is a pure function of the link's seed and the (deterministic) order of
-//! `send` calls, and all delays are expressed in the machine's virtual
-//! clock, so a property test that replays the same seed observes
-//! bit-identical behaviour down to each corrupted byte.
+//! is a pure function of the link's seed and the (deterministic) order
+//! frames are sent in, and all delays are expressed in the machine's
+//! virtual clock, so a property test that replays the same seed observes
+//! bit-identical behaviour down to each corrupted byte. A `send_many`
+//! burst meets the RNG frame by frame in burst order, so it draws what
+//! the same frames sent one `send` at a time would (see [`crate::burst`]
+//! for the `netdev` method table and the equivalence contract).
 //!
 //! Reordering falls out of randomized per-frame delays; the explicit
 //! `reorder_permille` knob additionally holds a frame back long enough
 //! that later traffic overtakes it even at a fixed base delay.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -25,6 +28,8 @@ use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 use paramecium_machine::Machine;
 use paramecium_obj::{ObjRef, ObjectBuilder, TypeTag, Value};
+
+use crate::burst::netdev_methods;
 
 /// Impairment knobs, all in permille (so 100 = 10 %).
 #[derive(Clone, Copy, Debug)]
@@ -170,16 +175,16 @@ pub struct LinkStats {
     pub corrupted: u64,
 }
 
-/// One direction of the wire: frames in flight keyed by delivery time.
+/// One direction of the wire: frames in flight ordered by delivery time.
 /// Each direction owns its impairment config, so drills can impair (or
 /// cut) one direction while the other keeps flowing.
 struct Direction {
     cfg: LinkConfig,
     rng: StdRng,
-    /// `(deliver_at, tiebreak) -> frame`; the tiebreak keeps equal-time
-    /// frames in insertion order.
-    in_flight: BTreeMap<(u64, u64), bytes::Bytes>,
-    next_tiebreak: u64,
+    /// `(deliver_at, frame)`, sorted by time, equal times in the order
+    /// they were sent: an in-order wire pushes at the back and pops at
+    /// the front.
+    in_flight: VecDeque<(u64, bytes::Bytes)>,
     stats: LinkStats,
 }
 
@@ -188,8 +193,7 @@ impl Direction {
         Direction {
             cfg,
             rng: StdRng::seed_from_u64(seed),
-            in_flight: BTreeMap::new(),
-            next_tiebreak: 0,
+            in_flight: VecDeque::new(),
             stats: LinkStats::default(),
         }
     }
@@ -203,9 +207,8 @@ impl Direction {
     }
 
     fn enqueue(&mut self, deliver_at: u64, frame: bytes::Bytes) {
-        let tb = self.next_tiebreak;
-        self.next_tiebreak += 1;
-        self.in_flight.insert((deliver_at, tb), frame);
+        let at = self.in_flight.partition_point(|e| e.0 <= deliver_at);
+        self.in_flight.insert(at, (deliver_at, frame));
     }
 
     fn transmit(&mut self, now: u64, frame: bytes::Bytes) {
@@ -251,14 +254,15 @@ impl Direction {
     }
 
     fn deliverable(&self, now: u64) -> usize {
-        self.in_flight.range(..=(now, u64::MAX)).count()
+        self.in_flight.partition_point(|e| e.0 <= now)
     }
 
     fn receive(&mut self, now: u64) -> Option<bytes::Bytes> {
-        let key = *self.in_flight.range(..=(now, u64::MAX)).next()?.0;
-        let frame = self.in_flight.remove(&key).expect("key just observed");
+        if self.in_flight.front()?.0 > now {
+            return None;
+        }
         self.stats.delivered += 1;
-        Some(frame)
+        self.in_flight.pop_front().map(|(_, frame)| frame)
     }
 }
 
@@ -303,26 +307,34 @@ fn make_endpoint(
             tx_dir,
         })
         .interface("netdev", |i| {
-            i.method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
-                let frame = args[0].as_bytes()?.clone();
-                this.with_state(|s: &mut EndpointState| {
-                    let now = s.now();
-                    let mut core = s.core.lock();
-                    core.dirs[s.tx_dir].transmit(now, frame);
-                    Ok(Value::Unit)
-                })
-            })
-            .method("recv", &[], TypeTag::Bytes, |this, _| {
-                this.with_state(|s: &mut EndpointState| {
-                    let now = s.now();
-                    let mut core = s.core.lock();
-                    let rx_dir = 1 - s.tx_dir;
-                    match core.dirs[rx_dir].receive(now) {
-                        Some(frame) => Ok(Value::Bytes(frame)),
-                        None => Ok(Value::Bytes(bytes::Bytes::new())),
-                    }
-                })
-            })
+            // One state lock, one clock read and one link lock per
+            // burst; each frame meets the wire's RNG in burst order.
+            netdev_methods(
+                i,
+                |this, tx| {
+                    this.with_state(|s: &mut EndpointState| {
+                        let now = s.now();
+                        let mut core = s.core.lock();
+                        let dir = &mut core.dirs[s.tx_dir];
+                        tx.frames().for_each(|f| dir.transmit(now, f.clone()));
+                        Ok(())
+                    })
+                },
+                |this, max, out| {
+                    this.with_state(|s: &mut EndpointState| {
+                        let now = s.now();
+                        let mut core = s.core.lock();
+                        let dir = &mut core.dirs[1 - s.tx_dir];
+                        out.reserve(dir.deliverable(now).min(max));
+                        out.extend(
+                            std::iter::from_fn(|| dir.receive(now))
+                                .take(max)
+                                .map(Value::Bytes),
+                        );
+                        Ok(())
+                    })
+                },
+            )
             .method("pending", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut EndpointState| {
                     let now = s.now();
@@ -591,5 +603,41 @@ mod tests {
         sorted.sort();
         assert_eq!(sorted, sent, "nothing lost or duplicated");
         assert_ne!(got, sent, "delivery order must differ from send order");
+    }
+
+    proptest::proptest! {
+        /// The deque wire against the map it replaced: frames keyed by
+        /// `(deliver_at, arrival number)`, under delays that put new
+        /// frames anywhere in the queue and readers that take some of
+        /// what is due, all of it, or find nothing.
+        #[test]
+        fn prop_deque_wire_matches_a_map_keyed_by_time_then_arrival(
+            ops in proptest::collection::vec((0u8..3, 0u64..40), 0..200),
+        ) {
+            use std::collections::BTreeMap;
+            let mut wire = Direction::new(LinkConfig::perfect(1), 1);
+            let mut model: BTreeMap<(u64, u64), bytes::Bytes> = BTreeMap::new();
+            let (mut now, mut arrivals) = (0u64, 0u64);
+            for (op, arg) in ops {
+                match op {
+                    0 => {
+                        let frame = bytes::Bytes::from(arrivals.to_be_bytes().to_vec());
+                        wire.enqueue(now + arg, frame.clone());
+                        model.insert((now + arg, arrivals), frame);
+                        arrivals += 1;
+                    }
+                    1 => now += arg,
+                    _ => {
+                        for _ in 0..arg {
+                            let due = model.range(..=(now, u64::MAX)).next().map(|(&k, _)| k);
+                            let want = due.map(|k| model.remove(&k).expect("key just seen"));
+                            proptest::prop_assert_eq!(wire.receive(now), want);
+                        }
+                    }
+                }
+                let due = model.range(..=(now, u64::MAX)).count();
+                proptest::prop_assert_eq!(wire.deliverable(now), due);
+            }
+        }
     }
 }

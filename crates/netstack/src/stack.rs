@@ -19,6 +19,7 @@ use std::collections::{HashMap, VecDeque};
 
 use paramecium_obj::{ObjRef, ObjectBuilder, TypeTag, Value};
 
+use crate::burst::Drain;
 use crate::wire;
 
 /// Queued datagram. The payload is a zero-copy view into the received
@@ -32,6 +33,9 @@ struct Datagram {
 /// Stack instance state.
 struct StackState {
     netdev: ObjRef,
+    /// Frames pulled from `netdev` a burst at a time; any a failed `pump`
+    /// did not get to are the next one's first.
+    rx: Drain,
     mac: wire::Mac,
     ip: u32,
     ports: HashMap<u16, VecDeque<Datagram>>,
@@ -47,6 +51,7 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
     ObjectBuilder::new("udp-stack")
         .state(StackState {
             netdev,
+            rx: Drain::default(),
             mac,
             ip,
             ports: HashMap::new(),
@@ -103,32 +108,23 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                 })
             })
             .method("pump", &[], TypeTag::Int, |this, _| {
-                let (netdev, filter) =
-                    this.with_state(|s: &mut StackState| Ok((s.netdev.clone(), s.filter.clone())))?;
-                let mut processed = 0i64;
-                loop {
-                    let frame = netdev.invoke("netdev", "recv", &[])?;
-                    let frame = frame.as_bytes()?.clone();
-                    if frame.is_empty() {
-                        break;
-                    }
-                    processed += 1;
-                    // The filter sees the raw frame first (it may be a
-                    // cross-domain proxy — that crossing is the
-                    // experiment).
-                    if let Some(f) = &filter {
-                        let ok = f
-                            .invoke("filter", "check", &[Value::Bytes(frame.clone())])?
-                            .as_bool()?;
-                        if !ok {
-                            this.with_state(|s: &mut StackState| {
+                this.with_state(|s: &mut StackState| {
+                    let mut processed = 0i64;
+                    s.rx.begin();
+                    while let Some(frame) = s.rx.next(&s.netdev, usize::MAX)? {
+                        processed += 1;
+                        // The filter sees the raw frame first (it may be a
+                        // cross-domain proxy — that crossing is the
+                        // experiment).
+                        if let Some(f) = &s.filter {
+                            let ok = f
+                                .invoke("filter", "check", &[Value::Bytes(frame.clone())])?
+                                .as_bool()?;
+                            if !ok {
                                 s.filtered += 1;
-                                Ok(())
-                            })?;
-                            continue;
+                                continue;
+                            }
                         }
-                    }
-                    this.with_state(|s: &mut StackState| {
                         match wire::parse_udp_frame(&frame) {
                             Ok((ip, udp, payload)) => match s.ports.get_mut(&udp.dst_port) {
                                 Some(q) => {
@@ -144,10 +140,9 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                             },
                             Err(_) => s.malformed += 1,
                         }
-                        Ok(())
-                    })?;
-                }
-                Ok(Value::Int(processed))
+                    }
+                    Ok(Value::Int(processed))
+                })
             })
             .method("recv_from", &[TypeTag::Int], TypeTag::List, |this, args| {
                 let port = args[0].as_int()? as u16;

@@ -21,8 +21,9 @@
 //!   [`DEFAULT_BACKLOG`]); handshakes completing against a full queue
 //!   are refused with an RST and counted in `backlog_dropped`,
 //! - `stats() -> list`, `set_filter(handle)`,
-//! - `pump() -> int` — the engine: drains the lower netdev, then
-//!   services, in ascending id order, exactly the connections that are
+//! - `pump() -> int` — the engine: drains the lower netdev a burst at a
+//!   time (`recv_many` until one comes back short), then services, in
+//!   ascending id order, exactly the connections that are
 //!   *ready* (an event touched them since their last visit: a segment,
 //!   `connect`, `send`, a `recv` that freed window, `close`, a timer
 //!   knob) or *due* (their next wake-up on the machine's **virtual
@@ -31,7 +32,10 @@
 //!   within the peer's window, pure ACKs, FINs, zero-window probes). A
 //!   connection that is neither would have been a no-op, so a pump costs
 //!   O(active), not O(open), and the segment trace is the one a full
-//!   scan in id order would produce. Everything is driven by explicit
+//!   scan in id order would produce. Segments are not handed down one
+//!   by one: every one built during the pump — counted and digested as
+//!   it is built — joins an output queue that leaves as a single
+//!   `send_many` when the pump ends. Everything is driven by explicit
 //!   `pump` calls, so a whole multi-host exchange is a deterministic
 //!   function of the machine clock and the link seed.
 //!
@@ -55,6 +59,7 @@ use paramecium_obj::{sum64, ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
 use parking_lot::Mutex;
 
 use crate::arp::resolve_or_broadcast;
+use crate::burst::{self, Drain};
 use crate::wire::{self, tcp_flags, Mac, TcpHeader, MAC_BROADCAST};
 
 /// Maximum segment payload.
@@ -83,6 +88,9 @@ pub const KEEPALIVE_PROBES: u32 = 3;
 pub const DEFAULT_BACKLOG: usize = 64;
 /// First ephemeral port `connect` hands out; the range runs to 65535.
 const EPHEMERAL_BASE: u16 = 49152;
+/// Segments kept for a lower `netdev` that refused them; the oldest are
+/// dropped (and counted in `tx_dropped`) beyond this.
+const TX_QUEUE_MAX: usize = 256;
 
 /// Connection states (RFC 793 names).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -318,6 +326,8 @@ struct TcpStats {
     backlog_dropped: u64,
     /// Connection visits made by `pump` (timer + output pass).
     serviced: u64,
+    /// Segments dropped from a full output queue the lower kept refusing.
+    tx_dropped: u64,
 }
 
 impl TcpStats {
@@ -332,6 +342,14 @@ struct TcpState {
     ip: u32,
     mac: Mac,
     filter: Option<ObjRef>,
+    /// Frames pulled from `lower` a burst at a time; any a failed `pump`
+    /// did not get to are the next one's first.
+    rx: Drain,
+    /// Output queue: every segment built since the last hand-down, which
+    /// leaves as one `send_many` when `pump` (or `connect`) ends. A burst
+    /// the lower refuses stays, so no segment is lost to a lower that
+    /// says no.
+    txq: Vec<Value>,
     /// Slab indexed by connection id: ids are handed out sequentially
     /// from 1 and never reused, so every data-path access is one bounds
     /// check. A closed connection keeps its slot (`state`/`error` still
@@ -506,7 +524,8 @@ impl TcpState {
         let conn = slot(&mut self.conns, id);
         let hdr = conn.header(flags, seq);
         let frame = wire::build_tcp_frame(self.mac, dst_mac, self.ip, conn.peer_ip, &hdr, payload);
-        self.transmit(frame, payload.len())
+        self.transmit(frame, payload.len());
+        Ok(())
     }
 
     /// Builds and transmits the data segment carrying `send_buf[range]`
@@ -524,22 +543,32 @@ impl TcpState {
             &hdr,
             &ring_range(&conn.send_buf, range),
         );
-        self.transmit(frame, len)
-    }
-
-    /// Counts, digests and hands down a frame carrying `payload_len`
-    /// bytes of stream data.
-    fn transmit(&mut self, frame: Vec<u8>, payload_len: usize) -> Result<(), ObjError> {
-        self.stats.segs_tx += 1;
-        self.stats.bytes_tx += payload_len as u64;
-        self.stats.fold(&frame);
-        self.lower
-            .invoke("netdev", "send", &[Value::Bytes(bytes::Bytes::from(frame))])?;
+        self.transmit(frame, len);
         Ok(())
     }
 
+    /// Counts, digests and queues a frame carrying `payload_len` bytes
+    /// of stream data.
+    fn transmit(&mut self, frame: Vec<u8>, payload_len: usize) {
+        self.stats.segs_tx += 1;
+        self.stats.bytes_tx += payload_len as u64;
+        self.stats.fold(&frame);
+        self.txq.push(Value::Bytes(frame.into()));
+    }
+
+    /// Hands the output queue down as one burst. A refused burst stays
+    /// queued, trimmed to its newest `TX_QUEUE_MAX`, and goes out ahead
+    /// of whatever the next pump emits.
+    fn flush(&mut self) -> Result<(), ObjError> {
+        let sent = burst::send_many(&self.lower, &mut self.txq);
+        let over = self.txq.len().saturating_sub(TX_QUEUE_MAX);
+        self.txq.drain(..over);
+        self.stats.tx_dropped += over as u64;
+        sent
+    }
+
     /// Sends an RST in reply to a stray segment.
-    fn emit_rst(&mut self, peer_mac: Mac, peer_ip: u32, hdr: &TcpHeader) -> Result<(), ObjError> {
+    fn emit_rst(&mut self, peer_mac: Mac, peer_ip: u32, hdr: &TcpHeader) {
         let rst = TcpHeader {
             src_port: hdr.dst_port,
             dst_port: hdr.src_port,
@@ -550,7 +579,7 @@ impl TcpState {
         };
         let frame = wire::build_tcp_frame(self.mac, peer_mac, self.ip, peer_ip, &rst, &[]);
         self.stats.rst_tx += 1;
-        self.transmit(frame, 0)
+        self.transmit(frame, 0);
     }
 
     fn arm_rtx(&mut self, id: i64, now: u64) {
@@ -705,7 +734,8 @@ impl TcpState {
                     // sitting established against a stalled acceptor.
                     self.stats.backlog_dropped += 1;
                     self.drop_conn(id);
-                    return self.emit_rst(peer_mac, peer_ip, hdr);
+                    self.emit_rst(peer_mac, peer_ip, hdr);
+                    return Ok(());
                 }
                 lst.backlog.push_back(id);
                 let conn = slot(&mut self.conns, id);
@@ -825,65 +855,52 @@ impl TcpState {
         Ok(())
     }
 
-    /// Drains the lower netdev, demultiplexes, counts malformed traffic.
-    /// Returns frames consumed.
-    fn pump_rx(&mut self, now: u64) -> Result<i64, ObjError> {
-        let mut handled = 0i64;
-        loop {
-            let frame = self.lower.invoke("netdev", "recv", &[])?;
-            let frame = frame.as_bytes()?.clone();
-            if frame.is_empty() {
-                break;
-            }
-            handled += 1;
-            if let Some(f) = &self.filter {
-                let ok = f
-                    .invoke("filter", "check", &[Value::Bytes(frame.clone())])?
-                    .as_bool()?;
-                if !ok {
-                    self.stats.filtered += 1;
-                    continue;
-                }
-            }
-            let parsed = wire::parse_tcp_frame(&frame);
-            let Ok((ip, hdr, payload)) = parsed else {
-                self.stats.malformed += 1;
-                continue;
-            };
-            if ip.dst != self.ip {
-                self.stats.malformed += 1;
-                continue;
-            }
-            self.stats.segs_rx += 1;
-            self.stats.fold(&frame);
-            let key = (ip.src, hdr.src_port, hdr.dst_port);
-            if let Some(&id) = self.demux.get(&key) {
-                self.segment_in(id, &hdr, payload, now)?;
-                continue;
-            }
-            // No connection: a SYN to a listening port opens one.
-            if hdr.flags & tcp_flags::SYN != 0
-                && hdr.flags & tcp_flags::ACK == 0
-                && self.listeners.contains_key(&hdr.dst_port)
-            {
-                let id = self.open(ip.src, hdr.src_port, hdr.dst_port, State::SynRcvd);
-                let conn = slot(&mut self.conns, id);
-                conn.irs = hdr.seq;
-                conn.peer_wnd_edge = u64::from(hdr.window);
-                let src_mac: Mac = frame[6..12].try_into().expect("6 bytes");
-                conn.peer_mac = Some(src_mac);
-                // SYN-ACK, covered by the retransmit timer.
-                let seq = isn(id);
-                self.emit(id, tcp_flags::SYN | tcp_flags::ACK, seq, &[])?;
-                self.arm_rtx(id, now);
-                continue;
-            }
-            if hdr.flags & tcp_flags::RST == 0 {
-                let src_mac: Mac = frame[6..12].try_into().expect("6 bytes");
-                self.emit_rst(src_mac, ip.src, &hdr)?;
+    /// One inbound frame: filtered, demultiplexed, or counted malformed.
+    fn frame_in(&mut self, frame: bytes::Bytes, now: u64) -> Result<(), ObjError> {
+        if let Some(f) = &self.filter {
+            let ok = f
+                .invoke("filter", "check", &[Value::Bytes(frame.clone())])?
+                .as_bool()?;
+            if !ok {
+                self.stats.filtered += 1;
+                return Ok(());
             }
         }
-        Ok(handled)
+        let (ip, hdr, payload) = match wire::parse_tcp_frame(&frame) {
+            Ok(parsed) if parsed.0.dst == self.ip => parsed,
+            _ => {
+                self.stats.malformed += 1;
+                return Ok(());
+            }
+        };
+        self.stats.segs_rx += 1;
+        self.stats.fold(&frame);
+        let key = (ip.src, hdr.src_port, hdr.dst_port);
+        if let Some(&id) = self.demux.get(&key) {
+            return self.segment_in(id, &hdr, payload, now);
+        }
+        // No connection: a SYN to a listening port opens one.
+        if hdr.flags & tcp_flags::SYN != 0
+            && hdr.flags & tcp_flags::ACK == 0
+            && self.listeners.contains_key(&hdr.dst_port)
+        {
+            let id = self.open(ip.src, hdr.src_port, hdr.dst_port, State::SynRcvd);
+            let conn = slot(&mut self.conns, id);
+            conn.irs = hdr.seq;
+            conn.peer_wnd_edge = u64::from(hdr.window);
+            let src_mac: Mac = frame[6..12].try_into().expect("6 bytes");
+            conn.peer_mac = Some(src_mac);
+            // SYN-ACK, covered by the retransmit timer.
+            let seq = isn(id);
+            self.emit(id, tcp_flags::SYN | tcp_flags::ACK, seq, &[])?;
+            self.arm_rtx(id, now);
+            return Ok(());
+        }
+        if hdr.flags & tcp_flags::RST == 0 {
+            let src_mac: Mac = frame[6..12].try_into().expect("6 bytes");
+            self.emit_rst(src_mac, ip.src, &hdr);
+        }
+        Ok(())
     }
 
     /// Retransmission / TIME-WAIT / user-timeout / keepalive timer pass
@@ -1055,7 +1072,13 @@ impl TcpState {
 
     fn pump(&mut self) -> Result<i64, ObjError> {
         let now = self.now();
-        let mut handled = self.pump_rx(now)?;
+        // Drain the lower netdev, a burst at a time.
+        let mut handled = 0i64;
+        self.rx.begin();
+        while let Some(frame) = self.rx.next(&self.lower, usize::MAX)? {
+            handled += 1;
+            self.frame_in(frame, now)?;
+        }
         #[cfg(test)]
         {
             if self.scan_all {
@@ -1141,6 +1164,8 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
             ip,
             mac,
             filter: None,
+            rx: Drain::default(),
+            txq: Vec::new(),
             // Ids start at 1; slot 0 is never occupied.
             conns: vec![None],
             ready: Vec::new(),
@@ -1177,6 +1202,11 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         let seq = isn(id);
                         s.emit(id, tcp_flags::SYN, seq, &[])?;
                         s.arm_rtx(id, now);
+                        // A SYN the lower refuses stays queued for the
+                        // next pump to hand down, or to report: the
+                        // connection exists either way, so the caller
+                        // gets its id.
+                        let _ = s.flush();
                         Ok(Value::Int(id))
                     })
                 },
@@ -1317,7 +1347,12 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 },
             )
             .method("pump", &[], TypeTag::Int, |this, _| {
-                this.with_state(|s: &mut TcpState| Ok(Value::Int(s.pump()?)))
+                this.with_state(|s: &mut TcpState| {
+                    // Whatever was emitted leaves, also past a failed visit.
+                    let handled = s.pump();
+                    let flushed = s.flush();
+                    Ok(Value::Int(handled.and_then(|n| flushed.map(|()| n))?))
+                })
             })
             .method(
                 "set_filter",
@@ -1347,6 +1382,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         Value::Int(st.digest as i64),
                         Value::Int(st.backlog_dropped as i64),
                         Value::Int(st.serviced as i64),
+                        Value::Int(st.tx_dropped as i64),
                     ]))
                 })
             })
@@ -1371,8 +1407,10 @@ pub const STAT_SERVICED: usize = 11;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::burst::fakes::{fuse, Blown};
     use crate::simlink::{make_simlink, LinkConfig};
     use proptest::prelude::*;
+    use std::sync::atomic::Ordering;
 
     const IP_A: u32 = 0x0A00_0001;
     const IP_B: u32 = 0x0A00_0002;
@@ -2224,33 +2262,26 @@ mod tests {
         assert_eq!(tcp_stats(&a)[STAT_RETRANSMITS], 0);
     }
 
+    /// A pair whose A side sits on a fuse: `(machine, a, b, blown, end_a)`.
+    fn fused_pair(seed: u64) -> (Arc<Mutex<Machine>>, ObjRef, ObjRef, Arc<Blown>, ObjRef) {
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(seed));
+        let blown = Arc::new(Blown::default());
+        let lower = fuse(end_a.clone(), blown.clone());
+        let a = make_tcp(machine.clone(), lower, IP_A, MAC_A);
+        let b = make_tcp(machine.clone(), end_b, IP_B, MAC_B);
+        (machine, a, b, blown, end_a)
+    }
+
+    fn link_sent(end: &ObjRef) -> i64 {
+        let stats = end.invoke("netdev", "stats", &[]).unwrap();
+        stats.as_list().unwrap()[0].as_int().unwrap()
+    }
+
     #[test]
     fn connections_behind_a_failed_visit_stay_ready() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         // A's lower netdev refuses to send while the fuse is blown.
-        let machine = Arc::new(Mutex::new(Machine::new()));
-        let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(71));
-        let blown = Arc::new(AtomicBool::new(false));
-        let fuse = ObjectBuilder::new("fuse")
-            .state((end_a, blown.clone()))
-            .interface("netdev", |i| {
-                i.method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
-                    this.with_state(|(inner, blown): &mut (ObjRef, Arc<AtomicBool>)| {
-                        if blown.load(Ordering::Relaxed) {
-                            return Err(ObjError::failed("link down"));
-                        }
-                        inner.invoke("netdev", "send", args)
-                    })
-                })
-                .method("recv", &[], TypeTag::Bytes, |this, _| {
-                    this.with_state(|(inner, _): &mut (ObjRef, Arc<AtomicBool>)| {
-                        inner.invoke("netdev", "recv", &[])
-                    })
-                })
-            })
-            .build();
-        let a = make_tcp(machine.clone(), fuse, IP_A, MAC_A);
-        let b = make_tcp(machine.clone(), end_b, IP_B, MAC_B);
+        let (machine, a, b, blown, end_a) = fused_pair(71);
         b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
         for _ in 0..3 {
             connect(&a, 80).unwrap();
@@ -2260,21 +2291,84 @@ mod tests {
         for id in 1..=3 {
             send(&a, id, vec![id as u8; 100]);
         }
-        blown.store(true, Ordering::Relaxed);
+        blown.tx.store(true, Ordering::Relaxed);
         assert!(
             a.invoke("tcp", "pump", &[]).is_err(),
-            "the first visit fails"
+            "the refusal is reported"
         );
-        blown.store(false, Ordering::Relaxed);
+        blown.tx.store(false, Ordering::Relaxed);
         pump_net(&machine, &[&a, &b], 3);
-        // The visit that failed lost its segment; the two queued behind
-        // it were not forgotten.
-        for id in 2..=3 {
+        // Nothing the pump emitted was lost to the refusal — not the
+        // segments behind the first one, and not the first one either:
+        // the whole burst stayed queued and left with the next pump.
+        for id in 1..=3 {
             let heard = b
                 .invoke("tcp", "recv", &[Value::Int(id), Value::Int(4096)])
                 .unwrap();
             assert_eq!(heard.as_bytes().unwrap().to_vec(), vec![id as u8; 100]);
         }
+        assert_eq!(tcp_stats(&a)[STAT_RETRANSMITS], 0, "no timer had to help");
+        assert_eq!(
+            link_sent(&end_a),
+            tcp_stats(&a)[0],
+            "every segment reached the wire exactly once"
+        );
+        assert_eq!(tcp_stats(&a)[12], 0, "nothing dropped from the queue");
+    }
+
+    #[test]
+    fn a_lower_that_keeps_refusing_costs_a_bounded_queue() {
+        let (_machine, a, _b, blown, end_a) = fused_pair(73);
+        blown.tx.store(true, Ordering::Relaxed);
+        // Each `connect` emits a SYN and tries to hand the queue down.
+        for _ in 0..TX_QUEUE_MAX + 5 {
+            connect(&a, 80).expect("the connection exists, its SYN queued");
+        }
+        assert_eq!(tcp_stats(&a)[12], 5, "oldest dropped beyond the bound");
+        assert_eq!(link_sent(&end_a), 0);
+        assert!(a.invoke("tcp", "pump", &[]).is_err(), "still refused");
+        blown.tx.store(false, Ordering::Relaxed);
+        a.invoke("tcp", "pump", &[]).unwrap();
+        assert_eq!(link_sent(&end_a), TX_QUEUE_MAX as i64, "the rest left");
+        assert_eq!(tcp_stats(&a)[12], 5);
+        a.invoke("tcp", "pump", &[]).unwrap();
+        assert_eq!(link_sent(&end_a), TX_QUEUE_MAX as i64, "exactly once");
+    }
+
+    #[test]
+    fn a_filter_that_fails_mid_burst_loses_no_frame_behind_it() {
+        let (machine, _a, b, end_a, end_b) = pair_with_link(LinkConfig::perfect(79));
+        // A filter that fails on its second call and passes the rest.
+        let failing = ObjectBuilder::new("flaky-filter")
+            .state(0u32)
+            .interface("filter", |i| {
+                i.method("check", &[TypeTag::Bytes], TypeTag::Bool, |this, _| {
+                    this.with_state(|calls: &mut u32| {
+                        *calls += 1;
+                        match *calls {
+                            2 => Err(ObjError::failed("filter crashed")),
+                            _ => Ok(Value::Bool(true)),
+                        }
+                    })
+                })
+            })
+            .build();
+        b.invoke("tcp", "set_filter", &[Value::Handle(failing)])
+            .unwrap();
+        // Three strays arrive as one burst; each would draw an RST.
+        for port in [1000, 1001, 1002] {
+            inject_stray_ack(&end_a, port, 80);
+        }
+        machine.lock().tick(10);
+        assert!(b.invoke("tcp", "pump", &[]).is_err(), "the second check");
+        assert_eq!(tcp_stats(&b)[7], 1, "the first frame was answered");
+        let pending = end_b.invoke("netdev", "pending", &[]).unwrap();
+        assert_eq!(pending, Value::Int(0), "all three had been pulled");
+        // The frame the filter died on is gone, as it always was; the one
+        // behind it is the next pump's first.
+        b.invoke("tcp", "pump", &[]).unwrap();
+        assert_eq!(tcp_stats(&b)[7], 2, "the third frame was not lost");
+        assert_eq!(tcp_stats(&b)[1], 2, "two segments heard in all");
     }
 
     /// Steps both twins' clocks `steps` times by `tick`, pumping A then

@@ -442,10 +442,14 @@ fn data_segment_is_built_once_on_its_way_to_the_link() {
     // A data segment's bytes move once: out of the send ring into the
     // frame buffer, headers written around them in place. On the way
     // down `tcp → arp → simlink` that is the frame buffer, the `Bytes`
-    // it leaves in, and nothing per layer after that — ARP hands an
-    // already-unicast frame through untouched. A builder that stacks
-    // header + copy per protocol layer, or an ARP `to_vec`, fails here;
-    // so does a checksum that copies the segment behind a pseudo-header.
+    // it leaves in, and nothing per layer after that: the segments of a
+    // pump leave as one burst in the endpoint's own (kept) output queue,
+    // ARP hands an already-unicast burst through as that very list, and
+    // the link's deque keeps its buffer. So an idle pump allocates
+    // nothing and one that emits k full segments at most 2k + 1. A
+    // builder that stacks header + copy per protocol layer, an ARP
+    // `to_vec`, a fresh list per burst per layer, or a checksum that
+    // copies the segment behind a pseudo-header fails here.
     use paramecium::machine::Machine;
     use paramecium::netstack::arp::make_arp;
     use paramecium::netstack::simlink::{make_simlink, LinkConfig};
@@ -479,18 +483,18 @@ fn data_segment_is_built_once_on_its_way_to_the_link() {
     let accepted = b.invoke("tcp", "accept", &[Value::Int(80)]).unwrap();
     assert!(accepted.as_int().unwrap() > 0, "handshake completes");
 
-    let chunk = [id, Value::Bytes(bytes::Bytes::from(vec![0x5A; TCP_MSS]))];
     let drain = [accepted, Value::Int(1 << 20)];
-    // One pump of `a` with a full segment queued, the peer quiet.
-    let emit_allocs = || {
-        a.invoke("tcp", "send", &chunk).unwrap();
+    // One pump of `a` with `k` full segments queued, the peer quiet.
+    let emit_allocs = |k: usize| {
+        let chunk = Value::Bytes(bytes::Bytes::from(vec![0x5A; k * TCP_MSS]));
+        a.invoke("tcp", "send", &[id.clone(), chunk]).unwrap();
         count_allocs(|| {
             a.invoke("tcp", "pump", &[]).unwrap();
         })
     };
-    // Warm: ARP bindings learned, rings and link queues at capacity.
+    // Warm: ARP bindings learned, rings, queues and the link at capacity.
     for _ in 0..8 {
-        emit_allocs();
+        emit_allocs(4);
         settle();
         b.invoke("tcp", "recv", &drain).unwrap();
         settle();
@@ -498,13 +502,12 @@ fn data_segment_is_built_once_on_its_way_to_the_link() {
     let idle = count_allocs(|| {
         a.invoke("tcp", "pump", &[]).unwrap();
     });
-    for round in 0..4 {
-        let emitting = emit_allocs();
+    assert_eq!(idle, 0, "an idle pump must not touch the heap");
+    for k in [1, 4, 1, 4] {
+        let emitting = emit_allocs(k) as usize;
         assert!(
-            emitting <= idle + 3,
-            "round {round}: sending one {TCP_MSS} B segment cost {} allocations \
-             on top of an idle pump's {idle}",
-            emitting - idle
+            emitting <= 2 * k + 1,
+            "sending {k} segments of {TCP_MSS} B cost {emitting} allocations"
         );
         settle();
         b.invoke("tcp", "recv", &drain).unwrap();
@@ -512,7 +515,7 @@ fn data_segment_is_built_once_on_its_way_to_the_link() {
     }
 
     // And the receiving codec reads the frame where it lies.
-    emit_allocs();
+    emit_allocs(1);
     machine.lock().tick(BASE_RTO / 4);
     let frame = arp_b.invoke("netdev", "recv", &[]).unwrap();
     let frame = frame.as_bytes().unwrap();

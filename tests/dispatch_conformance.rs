@@ -705,6 +705,10 @@ fn probe_interface(iface: &'static str, tag: i64, grown: bool) -> paramecium::ob
             .method("recv", &[], Bytes, |_, _| {
                 Ok(Value::Bytes(Vec::new().into()))
             })
+            .method("send_many", &[List], Unit, unit)
+            .method("recv_many", &[Int], List, |_, _| {
+                Ok(Value::List(Vec::new()))
+            })
             .method("pending", &[], Int, int)
             .method("stats", &[], List, move |_, _| {
                 Ok(Value::List(vec![Value::Int(tag)]))
@@ -760,6 +764,7 @@ fn args_for(sig: &paramecium::obj::MethodSig) -> Vec<Value> {
             TypeTag::Int => Value::Int(1),
             TypeTag::Bytes => data(),
             TypeTag::List if sig.name == "write_many" => pairs_arg([(1, vec![1u8; 512].into())]),
+            TypeTag::List if sig.name == "send_many" => Value::List(vec![data()]),
             TypeTag::List => Value::List(vec![Value::Int(1)]),
             other => panic!("no probe argument of type {other}"),
         })
