@@ -1,10 +1,9 @@
-//! E10 — the shared block cache under load: hit latency, miss+writeback
-//! throughput, batched vs per-sector flush, and a multi-client
-//! interposition mix.
-//!
-//! Benchmark ids are stable across the PR 5 store rework so
-//! `--baseline bench-records/BENCH_b10_store_seed.json` prints the
-//! before/after deltas directly.
+//! E10 — what the request-path ledger cannot see of the block cache: the
+//! sharding ablation (1 shard vs 8, on the hit path and on the
+//! miss+writeback path — the ledger only ever runs the sharded cache),
+//! vectorized warm reads, and a multi-client interposition mix. The write
+//! hit, the flush and the per-sector-write reference are the ledger's
+//! (`store_hot` / `store_churn`; mapping in `bench-records/README.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use paramecium::machine::dev::disk::SECTOR_SIZE;
@@ -53,20 +52,6 @@ fn bench(c: &mut Criterion) {
         b.iter_with_large_drop(|| {
             cache
                 .invoke("blockdev", "read", &[Value::Int(std::hint::black_box(3))])
-                .unwrap()
-        })
-    });
-
-    // Warmed write hit (dirty in place).
-    let payload = sector_of(9);
-    g.bench_function("hit_write", |b| {
-        b.iter(|| {
-            cache
-                .invoke(
-                    "blockdev",
-                    "write",
-                    &[Value::Int(3), std::hint::black_box(payload.clone())],
-                )
                 .unwrap()
         })
     });
@@ -156,34 +141,6 @@ fn bench(c: &mut Criterion) {
             for sec in 0..128i64 {
                 cache
                     .invoke("blockdev", "write", &[Value::Int(sec), sector_of(flip)])
-                    .unwrap();
-            }
-        })
-    });
-
-    // Flush of 256 dirty sectors: one sector-sorted vectorized writeback.
-    let cache = fresh_sharded(512, 8);
-    g.throughput(Throughput::Elements(256));
-    g.bench_function("flush_256_dirty", |b| {
-        b.iter(|| {
-            for sec in 0..256i64 {
-                cache
-                    .invoke("blockdev", "write", &[Value::Int(sec), sector_of(5)])
-                    .unwrap();
-            }
-            cache.invoke("cache", "flush", &[]).unwrap()
-        })
-    });
-
-    // Reference: the same 256 sectors as individual driver writes — what
-    // the seed flush effectively did, one full-price invocation each.
-    let driver = fresh_driver();
-    g.throughput(Throughput::Elements(256));
-    g.bench_function("per_sector_writes_256", |b| {
-        b.iter(|| {
-            for sec in 0..256i64 {
-                driver
-                    .invoke("blockdev", "write", &[Value::Int(sec), sector_of(5)])
                     .unwrap();
             }
         })

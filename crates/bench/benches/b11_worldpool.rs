@@ -8,8 +8,7 @@
 //! of one shared cache, so per-shard locking lets them proceed fully in
 //! parallel — aggregate ops/sec should scale with cores up to W. On a
 //! single-vCPU host the rows still measure the same metric, but the
-//! scaling shows only where the hardware has cores to offer (see
-//! bench-records/README.md).
+//! scaling shows only where the hardware has cores to offer.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use paramecium::machine::dev::disk::SECTOR_SIZE;

@@ -12,9 +12,8 @@
 //! verified load runs first — the paper's core trade, a bounded load-time
 //! check against a per-step run-time tax.
 //!
-//! Benchmark ids are stable so
-//! `--baseline bench-records/BENCH_b12_sfi.json` prints before/after
-//! deltas directly, and `--gate 15` turns them into a CI regression gate.
+//! Benchmark ids are stable so `--baseline <BENCH_b12_sfi.json made from
+//! the parent in this session>` prints before/after deltas directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paramecium::sfi::analysis;

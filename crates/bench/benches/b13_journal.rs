@@ -1,14 +1,10 @@
-//! E13 — the write-ahead journal (PR 8): append latency, group-commit
-//! coalescing under concurrent committers, and recovery-scan throughput.
+//! E13 — what the request-path ledger cannot see of the write-ahead
+//! journal: group-commit coalescing under concurrent committers (the ledger
+//! is single-threaded) and recovery-scan throughput (it never remounts).
+//! Append latency is the ledger's (`store_churn`: `store.write_p50_ns`,
+//! `store.journal.self_ns_per_op`).
 //!
 //! Rows:
-//! - `append_write`: one bare write through the journal = one implicit
-//!   transaction appended (descriptor + payload + commit marker),
-//!   durable by return. Steady state: inline checkpoints when the log
-//!   fills are part of the measured cost.
-//! - `append_write_many_8`: eight sectors in one atomic transaction
-//!   (one descriptor + 8 payloads + one commit marker) — the per-sector
-//!   amortisation of the record format and the driver's batch pricing.
 //! - `group_commit_4x16`: four OS threads each committing 16 writes to
 //!   one shared journal. The leader/rider protocol folds concurrent
 //!   commits into shared group appends; the observed batching factor
@@ -21,7 +17,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use paramecium::machine::dev::disk::SECTOR_SIZE;
 use paramecium::prelude::*;
-use paramecium::store::vectored::pairs_arg;
 use paramecium::store::{JournalConfig, StackBuilder, StoreStack};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -51,39 +46,6 @@ fn jstats(j: &ObjRef) -> Vec<i64> {
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e13_journal");
-
-    // Append latency: one durable-by-return write (3 log records).
-    let stack = fresh_journalled(JournalConfig::default());
-    let top = stack.top.clone();
-    let payload = sector_of(0x5A);
-    g.bench_function("append_write", |b| {
-        b.iter(|| {
-            top.invoke(
-                "blockdev",
-                "write",
-                &[Value::Int(7), std::hint::black_box(payload.clone())],
-            )
-            .unwrap()
-        })
-    });
-
-    // Amortised append: 8 sectors, one transaction, one group append.
-    let stack = fresh_journalled(JournalConfig::default());
-    let top = stack.top.clone();
-    let batch: Vec<(i64, bytes::Bytes)> = (0..8i64)
-        .map(|sec| (sec, bytes::Bytes::from(vec![0x3C; SECTOR_SIZE])))
-        .collect();
-    g.throughput(Throughput::Elements(8));
-    g.bench_function("append_write_many_8", |b| {
-        b.iter(|| {
-            top.invoke(
-                "blockdev",
-                "write_many",
-                &[std::hint::black_box(pairs_arg(batch.clone()))],
-            )
-            .unwrap()
-        })
-    });
 
     // Concurrent committers: 4 threads × 16 writes through one journal.
     // Riders queue while the leader's append is in flight, so the group

@@ -14,8 +14,7 @@
 //! - `echo_round_hooked`: the identical round with an unarmed `poll()`
 //!   where a drill loop would put it. The delta against
 //!   `echo_round_bare` is the real-world price of leaving chaos wired
-//!   in, and it should be lost in the noise (±15% gate, see
-//!   bench-records/README.md).
+//!   in, and it should be lost in the host's run-to-run noise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paramecium::chaos::{ChaosController, ChaosPlan, Fault};

@@ -60,11 +60,6 @@ impl IrqController {
         self.masked &= !(1 << line);
     }
 
-    /// True if `line` is masked.
-    pub fn is_masked(&self, line: u32) -> bool {
-        self.masked & (1 << line) != 0
-    }
-
     /// The highest-priority (lowest-numbered) deliverable line, if any,
     /// without acknowledging it.
     pub fn peek(&self) -> Option<u32> {

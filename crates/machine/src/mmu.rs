@@ -33,12 +33,8 @@ impl Perms {
     pub const W: Perms = Perms(2);
     /// Read + write.
     pub const RW: Perms = Perms(3);
-    /// Execute only.
-    pub const X: Perms = Perms(4);
     /// Read + execute (text pages).
     pub const RX: Perms = Perms(5);
-    /// Read + write + execute.
-    pub const RWX: Perms = Perms(7);
 
     /// True if `access` is allowed under these permissions.
     pub fn allows(self, access: Access) -> bool {
@@ -293,11 +289,6 @@ impl Mmu {
             paddr: u64::from(entry.frame.0) * PAGE_SIZE as u64 + offset,
             tlb_hit: false,
         })
-    }
-
-    /// Number of pages mapped in `ctx`.
-    pub fn mapped_pages(&self, ctx: ContextId) -> usize {
-        self.contexts.get(&ctx.0).map_or(0, BTreeMap::len)
     }
 }
 

@@ -28,11 +28,6 @@ impl PhysMem {
         }
     }
 
-    /// Total number of frames.
-    pub fn total_frames(&self) -> usize {
-        self.used.len()
-    }
-
     /// Number of currently allocated frames.
     pub fn allocated_frames(&self) -> usize {
         self.allocated

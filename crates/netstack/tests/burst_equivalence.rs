@@ -9,6 +9,9 @@
 //! every step both must have handed up and down the same frames and show
 //! the same `stats` at every layer — down to the link's
 //! `dropped/duplicated/reordered/corrupted`, i.e. the RNG stream.
+//!
+//! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
+//! deque arithmetic and iterator fusion are optimisation-sensitive.
 
 use std::sync::Arc;
 

@@ -11,6 +11,9 @@
 //! 3. **Checksum integrity end-to-end**: a frame whose IP or TCP
 //!    checksum no longer verifies is counted `malformed` by the protocol
 //!    objects and never reaches the application.
+//!
+//! Profiles: debug and release, the profiles of the TCP paths these codecs
+//! feed (overflow checks in one, optimised arithmetic in the other).
 
 use paramecium_netstack::tcp::{make_tcp, STAT_MALFORMED};
 use paramecium_netstack::testkit::{self, test_driver, MY_IP, MY_MAC, PEER_IP, PEER_MAC};

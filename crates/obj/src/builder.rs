@@ -3,7 +3,7 @@
 use std::any::Any;
 
 use crate::{
-    interface::{Interface, MethodFn},
+    interface::Interface,
     object::{ObjRef, Object},
     typeinfo::{MethodSig, TypeTag},
     value::Value,
@@ -109,12 +109,6 @@ impl InterfaceBuilder {
             MethodSig::variadic(name, TypeTag::Any),
             std::sync::Arc::new(f),
         );
-        self
-    }
-
-    /// Adds a pre-built method.
-    pub fn raw_method(mut self, sig: MethodSig, imp: MethodFn) -> Self {
-        self.iface.insert_method(sig, imp);
         self
     }
 

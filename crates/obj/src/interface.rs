@@ -12,7 +12,7 @@ use crate::{
     error::ObjError,
     object::{ObjRef, ResolvedMethod},
     snapcell::SnapCell,
-    typeinfo::{InterfaceDescriptor, MethodSig, TypeTag},
+    typeinfo::{InterfaceDescriptor, MethodSig},
     value::Value,
     ObjResult,
 };
@@ -139,11 +139,6 @@ impl Interface {
     /// Number of directly implemented methods.
     pub fn method_count(&self) -> usize {
         self.methods.len()
-    }
-
-    /// Names of all directly implemented methods, sorted.
-    pub fn method_names(&self) -> Vec<String> {
-        self.methods.keys().cloned().collect()
     }
 
     /// Flattens this interface into serialisable type information.
@@ -360,15 +355,10 @@ where
     Arc::new(f)
 }
 
-/// Convenience constructor for a variadic forwarding signature.
-pub fn forward_sig(name: &str) -> MethodSig {
-    MethodSig::variadic(name, TypeTag::Any)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ObjectBuilder;
+    use crate::{ObjectBuilder, TypeTag};
 
     fn dummy() -> ObjRef {
         ObjectBuilder::new("dummy").build()

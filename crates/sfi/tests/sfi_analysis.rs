@@ -16,6 +16,10 @@
 //! consult: a `MEM_SAFE`, `DIV_NONZERO` or `JUMP_SAFE` fact on a pc at which
 //! the oracle traps is a verifier bug, whether or not the final states
 //! happen to agree — the gate any future facts-driven opcode must pass.
+//!
+//! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
+//! the lowered executor's wrapping arithmetic and casts are
+//! optimisation-sensitive (`classify_access` wrapped only in release).
 
 use paramecium_sfi::analysis::{self, Analysis, Facts};
 use paramecium_sfi::bytecode::{Insn, Program, Reg};

@@ -38,7 +38,7 @@
 //!   vectorized `write_many` to the backing store, which charges the
 //!   amortised batch transfer cost — instead of one full-price object
 //!   invocation per sector. An eviction opportunistically takes up to
-//!   [`EVICTION_WRITEBACK_BATCH`] dirty lines from the cold end of the
+//!   `EVICTION_WRITEBACK_BATCH` dirty lines from the cold end of the
 //!   LRU with it, so write-heavy scans retire their writeback debt in
 //!   bursts.
 //! - **Durability.** Dirty lines are marked clean only *after* the
@@ -77,7 +77,7 @@ const NIL: u32 = u32::MAX;
 /// Most dirty lines one eviction writeback will coalesce (the victim plus
 /// opportunistic extras from the cold end of the LRU list). Bounded so a
 /// single miss never turns into an unbounded flush.
-pub const EVICTION_WRITEBACK_BATCH: usize = 8;
+const EVICTION_WRITEBACK_BATCH: usize = 8;
 
 /// One cache line. LRU threading lives in the shard's parallel `links`
 /// array so the hot touch path only writes the compact link table, not

@@ -70,7 +70,6 @@ pub mod retry;
 pub mod stack;
 pub mod vectored;
 
-pub use cache::EVICTION_WRITEBACK_BATCH;
 pub use journal::{mount_journal, JournalConfig};
 pub use retry::{make_retry, RetryConfig};
 pub use stack::{StackBuilder, StoreStack};

@@ -168,11 +168,6 @@ impl CrossBus {
     pub fn worlds(&self) -> usize {
         self.inboxes.len()
     }
-
-    /// True if no world has undelivered messages (exact at a barrier).
-    pub fn is_quiescent(&self) -> bool {
-        self.inboxes.iter().all(Mailbox::is_empty)
-    }
 }
 
 /// Per-endpoint statistics.

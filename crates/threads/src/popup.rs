@@ -64,7 +64,7 @@ pub type PopupFactory = Arc<dyn Fn(&Trap) -> ThreadBody + Send + Sync>;
 pub struct PopupEngine {
     scheduler: Scheduler,
     machine: Arc<Mutex<Machine>>,
-    mode: Mutex<PopupMode>,
+    mode: PopupMode,
     fast_path: AtomicU64,
     promotions: AtomicU64,
     eager: AtomicU64,
@@ -77,16 +77,11 @@ impl PopupEngine {
         Arc::new(PopupEngine {
             scheduler,
             machine,
-            mode: Mutex::new(mode),
+            mode,
             fast_path: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             eager: AtomicU64::new(0),
         })
-    }
-
-    /// Switches modes (for the ablation experiment).
-    pub fn set_mode(&self, mode: PopupMode) {
-        *self.mode.lock() = mode;
     }
 
     /// Registers this engine for `vector` with the event service: events
@@ -108,9 +103,9 @@ impl PopupEngine {
         Ok(())
     }
 
-    /// Handles one event according to the current mode.
+    /// Handles one event according to the engine's mode.
     pub fn handle(&self, trap: &Trap, factory: &PopupFactory) {
-        match *self.mode.lock() {
+        match self.mode {
             PopupMode::Proto => self.handle_proto(trap, factory),
             PopupMode::Eager => self.handle_eager(trap, factory),
         }

@@ -1,17 +1,19 @@
-//! Prints every experiment table (E1–E9).
+//! Prints every simulated-cycle experiment table.
 //!
 //! The paper (a HotOS position paper) has no tables or figures, so the
 //! experiment set is derived from its quantitative *claims*; each
-//! table's heading names the section of the paper it tests. Simulated
-//! costs are deterministic (same numbers every run); wall-clock rows
-//! (marked `ns`/`µs`) vary with the host and are indicative only.
+//! table's heading names the section of the paper it tests. Every number
+//! is a count of the machine's virtual cycles, VM steps or events, so two
+//! runs print the same bytes (CI compares them). Host-clock figures are
+//! not printed here: dispatch, interposition and crypto timings are the
+//! criterion targets `b1`/`b6`/`b9` and the ledger's `obj.*`/`crypto.*`
+//! probes (`bench-records/README.md`), which is why there is no E2 or E9.
 //!
 //! ```text
 //! cargo run --release --example experiments
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use paramecium::cert::{
     AdminCertifier, Authority, CertificationPolicy, CertifyMethod, CompilerCertifier,
@@ -33,111 +35,19 @@ fn main() {
     println!("# Paramecium experiment tables\n");
     println!("(regenerate with `cargo run --release --example experiments`)\n");
     e1_invocation();
-    e2_namespace();
     e3_crossdomain();
     e4_certification_vs_software();
     e5_popup();
     e6_interpose();
     e7_placement();
     e8_delegation();
-    e9_crypto();
-}
-
-/// Iterations used for wall-clock micro-measurements.
-const WALL_ITERS: u32 = if cfg!(debug_assertions) {
-    20_000
-} else {
-    400_000
-};
-
-fn wall_ns(mut f: impl FnMut()) -> f64 {
-    // Warm up, then measure.
-    for _ in 0..WALL_ITERS / 10 {
-        f();
-    }
-    let t0 = Instant::now();
-    for _ in 0..WALL_ITERS {
-        f();
-    }
-    t0.elapsed().as_nanos() as f64 / f64::from(WALL_ITERS)
-}
-
-fn counter_obj() -> ObjRef {
-    ObjectBuilder::new("counter")
-        .state(0i64)
-        .interface("ctr", |i| {
-            i.method("incr", &[TypeTag::Int], TypeTag::Int, |this, args| {
-                let by = args[0].as_int()?;
-                this.with_state(|n: &mut i64| {
-                    *n += by;
-                    Ok(Value::Int(*n))
-                })
-            })
-        })
-        .build()
 }
 
 // ---------------------------------------------------------------- E1 ---
 
 fn e1_invocation() {
     println!("## E1 — method invocation overhead (paper §2)\n");
-    println!("Real dispatch cost of the object model (host wall-clock):\n");
-    println!("| call path | ns/call |");
-    println!("|---|---|");
-
-    // Baseline: a direct Rust call doing the same state update.
-    let state = std::cell::Cell::new(0i64);
-    let direct = wall_ns(|| {
-        state.set(state.get() + 1);
-    });
-    println!("| direct Rust statement | {direct:.1} |");
-
-    let obj = counter_obj();
-    let args = [Value::Int(1)];
-    let iface = wall_ns(|| {
-        obj.invoke("ctr", "incr", &args).unwrap();
-    });
-    println!("| interface method (`invoke`) | {iface:.1} |");
-
-    // The paper's "run time inline techniques": pre-resolved dispatch.
-    let bound = obj
-        .interface("ctr")
-        .unwrap()
-        .bind_method(&obj, "incr")
-        .unwrap();
-    let bound_ns = wall_ns(|| {
-        bound.call(&args).unwrap();
-    });
-    println!("| bound method (inline fast path) | {bound_ns:.1} |");
-    let unchecked_ns = wall_ns(|| {
-        bound.call_unchecked_types(&args).unwrap();
-    });
-    println!("| bound method, unchecked types | {unchecked_ns:.1} |");
-
-    let delegated = {
-        let base = counter_obj();
-        let iface = paramecium::obj::InterfaceBuilder::new("ctr").finish();
-        ObjectBuilder::new("child")
-            .raw_interface(paramecium::obj::delegate_interface(iface, base))
-            .build()
-    };
-    let dele = wall_ns(|| {
-        delegated.invoke("ctr", "incr", &args).unwrap();
-    });
-    println!("| delegated method (1 hop) | {dele:.1} |");
-
-    for hops in [1usize, 2, 4, 8] {
-        let mut wrapped = counter_obj();
-        for _ in 0..hops {
-            wrapped = InterposerBuilder::new(wrapped).build();
-        }
-        let ns = wall_ns(|| {
-            wrapped.invoke("ctr", "incr", &args).unwrap();
-        });
-        println!("| {hops} stacked interposer(s) | {ns:.1} |");
-    }
-
-    println!("\nModelled overhead vs component grain size (simulated cycles;");
+    println!("Modelled overhead vs component grain size (simulated cycles;");
     println!(
         "dispatch = indirect call, {} cycles):\n",
         CostModel::default().indirect_call
@@ -149,60 +59,6 @@ fn e1_invocation() {
         let overhead =
             100.0 * (model.indirect_call - model.call) as f64 / (model.call + work) as f64;
         println!("| {work} | {overhead:.2}% |");
-    }
-    println!();
-}
-
-// ---------------------------------------------------------------- E2 ---
-
-fn e2_namespace() {
-    use paramecium::core::directory::{NameSpace, NsEntry};
-    use paramecium::core::domain::KERNEL_DOMAIN;
-
-    println!("## E2 — name-space operations (paper §2, §3)\n");
-    println!(
-        "| namespace size | lookup (local) ns | lookup after 8-deep inherit ns | override hit ns |"
-    );
-    println!("|---|---|---|---|");
-    for size in [10usize, 100, 1_000, 10_000] {
-        let root = NameSpace::root();
-        for i in 0..size {
-            root.register(
-                &format!("/svc/dir{}/obj{i}", i % 16),
-                NsEntry {
-                    obj: ObjectBuilder::new("x").build(),
-                    home: KERNEL_DOMAIN,
-                },
-            )
-            .unwrap();
-        }
-        let probe = format!("/svc/dir{}/obj{}", (size / 2) % 16, size / 2);
-        let local = wall_ns(|| {
-            root.lookup(&probe).unwrap();
-        });
-
-        let mut deep = root.clone();
-        for _ in 0..8 {
-            deep = NameSpace::child_of(&deep, []);
-        }
-        let inherited = wall_ns(|| {
-            deep.lookup(&probe).unwrap();
-        });
-
-        let over = NameSpace::child_of(
-            &root,
-            [(
-                probe.clone(),
-                NsEntry {
-                    obj: ObjectBuilder::new("o").build(),
-                    home: KERNEL_DOMAIN,
-                },
-            )],
-        );
-        let override_hit = wall_ns(|| {
-            over.lookup(&probe).unwrap();
-        });
-        println!("| {size} | {local:.1} | {inherited:.1} | {override_hit:.1} |");
     }
     println!();
 }
@@ -520,9 +376,9 @@ fn e5_popup() {
 fn e6_interpose() {
     println!("## E6 — interposing monitor overhead (paper §2)\n");
     println!("Receive path through /shared/network with stacked monitors.");
-    println!("1000 × 512-byte frames. Simulated cycles/frame (+ host ns/frame).\n");
-    println!("| monitors | cycles/frame | ns/frame |");
-    println!("|---|---|---|");
+    println!("1000 × 512-byte frames. Simulated cycles/frame.\n");
+    println!("| monitors | cycles/frame |");
+    println!("|---|---|");
 
     for monitors in 0..=4usize {
         let world = World::boot();
@@ -537,14 +393,7 @@ fn e6_interpose() {
         let dev = n.bind(KERNEL_DOMAIN, "/shared/network").unwrap();
         let frames = 1000u64;
         let machine = n.machine().clone();
-        {
-            let mut m = machine.lock();
-            let nic = m.device_mut::<Nic>("nic").unwrap();
-            // Keep the ring from overflowing by batching below.
-            let _ = nic;
-        }
         let t0 = n.now();
-        let wall0 = Instant::now();
         let mut received = 0u64;
         while received < frames {
             {
@@ -562,8 +411,7 @@ fn e6_interpose() {
             }
         }
         let cyc = (n.now() - t0) / frames;
-        let ns = wall0.elapsed().as_nanos() as f64 / frames as f64;
-        println!("| {monitors} | {cyc} | {ns:.0} |");
+        println!("| {monitors} | {cyc} |");
     }
     println!();
 }
@@ -763,45 +611,6 @@ fn e8_delegation() {
     ) {
         Err(e) => println!("| malicious | 3 | refused | — ({e}) |"),
         Ok(_) => unreachable!(),
-    }
-    println!();
-}
-
-// ---------------------------------------------------------------- E9 ---
-
-fn e9_crypto() {
-    println!("## E9 — crypto substrate (supports E4/E8 absolute costs)\n");
-    println!("| primitive | host performance |");
-    println!("|---|---|");
-
-    let data = vec![0xA5u8; 1 << 20];
-    let t0 = Instant::now();
-    let reps = if cfg!(debug_assertions) { 4 } else { 64 };
-    for _ in 0..reps {
-        std::hint::black_box(paramecium::crypto::sha256(&data));
-    }
-    let mbps = (reps as f64) / t0.elapsed().as_secs_f64();
-    println!("| SHA-256 | {mbps:.0} MiB/s |");
-
-    for bits in [512u32, 1024] {
-        let kp = paramecium::crypto::rsa::generate(&mut StdRng::seed_from_u64(3), bits);
-        let digest = paramecium::crypto::sha256(b"component");
-        let reps = if cfg!(debug_assertions) { 5 } else { 50 };
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(paramecium::crypto::rsa::sign(&kp.private, &digest).unwrap());
-        }
-        let sign_ms = t0.elapsed().as_secs_f64() * 1000.0 / reps as f64;
-        let sig = paramecium::crypto::rsa::sign(&kp.private, &digest).unwrap();
-        let reps_v = reps * 20;
-        let t0 = Instant::now();
-        for _ in 0..reps_v {
-            paramecium::crypto::rsa::verify(&kp.public, &digest, &sig).unwrap();
-            std::hint::black_box(());
-        }
-        let verify_us = t0.elapsed().as_secs_f64() * 1e6 / reps_v as f64;
-        println!("| RSA-{bits} sign | {sign_ms:.2} ms/op |");
-        println!("| RSA-{bits} verify (e=65537) | {verify_us:.0} µs/op |");
     }
     println!();
 }

@@ -449,7 +449,6 @@ pub struct Supervisor {
     domain: DomainId,
     retry: RetryConfig,
     journal: JournalConfig,
-    cache: Option<(usize, usize)>,
     reboots: u64,
 }
 
@@ -467,15 +466,8 @@ impl Supervisor {
             domain,
             retry,
             journal,
-            cache: None,
             reboots: 0,
         }
-    }
-
-    /// Also rebuild a sharded cache on top after recovery.
-    pub fn with_cache(mut self, capacity: usize, shards: usize) -> Supervisor {
-        self.cache = Some((capacity, shards));
-        self
     }
 
     /// If the machine is down, bring it back: clear disk fault windows,
@@ -493,13 +485,10 @@ impl Supervisor {
             }
             m.reboot();
         }
-        let mut builder = StackBuilder::disk(&self.mem, self.domain)
+        let stack = StackBuilder::disk(&self.mem, self.domain)
             .retry(self.retry)
-            .journal(self.journal);
-        if let Some((capacity, shards)) = self.cache {
-            builder = builder.sharded_cache(capacity, shards);
-        }
-        let stack = builder.build()?;
+            .journal(self.journal)
+            .build()?;
         self.reboots += 1;
         Ok(Some(stack))
     }

@@ -23,8 +23,17 @@
 //! | [`cert`] | Certificates, authority, delegation chains, certifier subordinates, escape hatch |
 //! | [`core`] | **The nucleus**: domains, the four services, proxies, repository, loader |
 //! | [`threads`] | Thread package with pop-up threads and the proto-thread fast path |
-//! | [`netstack`] | NIC driver, ARP, LPM router, TCP/UDP, filters, monitor |
+//! | [`netstack`] | NIC driver and the seeded lossy `simlink`, ARP, LPM router, TCP/UDP, filters, monitor; every layer exports `netdev`, whose burst pair is the primitive (`netstack::burst` derives the scalar calls) |
 //! | [`store`] | Crash-safe store stack: disk driver, retry, write-ahead journal, sharded cache |
+//! | [`harness`], [`pool`], [`chaos`] | This crate's own modules: `World` (machine + nucleus + authority), `WorldPool` (many worlds over OS threads, cross-world active messages), `ChaosPlan`/`ChaosController`/`Supervisor` (seeded fault schedules and reboot-and-remount recovery) |
+//!
+//! Outside the workspace, `benchmark/` is a package of its own: the
+//! request-path ledger behind `BENCHMARK.json`. What gates what: *green* is
+//! `cargo build --release && cargo test -q`, which is every workspace
+//! member (`default-members`); *fast* is the ledger, parent against change
+//! in alternating pairs. The criterion targets under `crates/bench` are
+//! instruments for what the ledger cannot see, not a gate
+//! (`bench-records/README.md`; `scripts/reproduce.sh` regenerates it).
 //!
 //! ## Quick start
 //!

@@ -192,11 +192,6 @@ impl WorldPool {
         &self.worlds
     }
 
-    /// Mutable access to one world (between runs).
-    pub fn world_mut(&mut self, id: usize) -> &mut PoolWorld {
-        &mut self.worlds[id]
-    }
-
     /// The shared bus.
     pub fn bus(&self) -> &Arc<CrossBus> {
         &self.bus

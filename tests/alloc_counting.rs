@@ -11,6 +11,10 @@
 //! hooks never allocate): the default test harness runs `#[test]`s on
 //! parallel threads, and a process-global counter would pick up sibling
 //! tests' setup allocations and flake.
+//!
+//! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
+//! iterator size hints and inlining decide several of the store write
+//! path's budgets.
 
 use paramecium::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};

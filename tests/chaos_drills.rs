@@ -20,6 +20,9 @@
 //!   reboot) reads back intact from the remounted stack.
 //! - **Replay is bit-identical**: the same seed reproduces the same
 //!   audit log, digests, stats and outcomes; a different seed diverges.
+//!
+//! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
+//! the retransmission backoff arithmetic is optimisation-sensitive.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -12,6 +12,9 @@
 //! path is actually exercised), the other through the uncached slow path;
 //! the transcripts must be identical, including errors and per-object
 //! invocation accounting.
+//!
+//! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
+//! inline caches and lock-free snapshots are optimisation-sensitive.
 
 use paramecium::obj::{
     compose::COMPOSITION_IFACE, delegate_interface, interpose::INTERPOSER_IFACE, InterfaceBuilder,

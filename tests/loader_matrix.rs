@@ -1,6 +1,7 @@
 //! Integration: the complete loader decision matrix — component kind ×
 //! placement × certification state × options — asserting the protection
-//! regime (or refusal) for every combination.
+//! regime (or refusal) for every combination. Each row also pins its
+//! `load_cycles`: the loader's charges must not move unannounced.
 
 use paramecium::prelude::*;
 use paramecium::sfi::workloads;

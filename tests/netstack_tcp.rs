@@ -15,6 +15,9 @@
 //! bit-identical endpoint stats — including the `sum64` digest folded over
 //! every transmitted and received segment (the segment trace).
 //!
+//! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
+//! the retransmission timing paths exercise optimised arithmetic.
+//!
 //! [`simlink`]: paramecium::netstack::simlink
 
 use paramecium::machine::Machine;

@@ -31,6 +31,9 @@
 //! - `group_commit_coalesces_concurrent_commits`: concurrent committers
 //!   over a slow backing store land in measurably fewer group appends
 //!   than transactions.
+//!
+//! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
+//! group commit's leader/rider protocol is timing-sensitive.
 
 use std::sync::Arc;
 

@@ -13,6 +13,10 @@
 //!   installed by interposition.
 //! - Transactions: one script over every stack shape — a transaction is
 //!   the same buffered batch whichever layers it passes through.
+//!
+//! Profiles: the cache invariants (evict-before-insert, clean only after
+//! the write) are `debug_assert`-checked, so the debug run (tier-1) is the
+//! one with teeth.
 
 use proptest::prelude::*;
 use std::sync::{

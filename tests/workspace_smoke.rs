@@ -2,6 +2,7 @@
 //! `obj` at once. Boots a world, certifies a single `sfi::workloads`
 //! component, loads it into both the kernel domain and a user domain, and
 //! invokes it locally and across the domain boundary (through a proxy).
+//! Also pins the wiring of the workspace itself: tier-1 runs every member.
 
 use paramecium::prelude::*;
 
@@ -57,4 +58,24 @@ fn certified_component_loads_into_kernel_and_user_domains() {
     assert_eq!(user_sum, Value::Int(64));
     let regime = user_obj.invoke("component", "protection", &[]).unwrap();
     assert_eq!(regime, Value::Str("Hardware".into()));
+}
+
+/// Tier-1 (`cargo test -q`) runs `default-members`: they must stay every
+/// workspace member, or tier-1 silently stops running most of the tests.
+#[test]
+fn tier1_is_the_whole_workspace() {
+    let out = std::process::Command::new(env!("CARGO"))
+        .args(["metadata", "--offline", "--no-deps", "--format-version=1"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("cargo metadata runs");
+    let json = String::from_utf8(out.stdout).expect("cargo metadata prints UTF-8");
+    let list = |key: &str| {
+        let at = json.find(&format!("\"{key}\":[")).expect(key) + key.len() + 4;
+        let end = at + json[at..].find(']').expect("array closes");
+        let mut ids: Vec<&str> = json[at..end].split(',').collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(list("workspace_default_members"), list("workspace_members"));
 }

@@ -9,6 +9,9 @@
 //! (virtual clock, RNG stream position, cache statistics, flushed store
 //! contents, received-message log, cross-endpoint counters) must be
 //! bit-identical across all three runs.
+//!
+//! Profiles: real OS threads — some reorderings are reachable only under
+//! optimisation, so CI's release workspace step matters as much as tier-1.
 
 use paramecium::machine::dev::disk::SECTOR_SIZE;
 use paramecium::obj::sum64;
