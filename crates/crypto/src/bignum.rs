@@ -19,7 +19,9 @@
 //! representatives yields `abR mod n` using only single-limb
 //! multiply-adds and one shift — no multi-limb division per step. That
 //! turns each modular multiplication from a `2k`-by-`k` Knuth division
-//! into `2k² + k` limb multiplies, a large constant-factor win.
+//! into `2k² + k` limb multiplies, a large constant-factor win. There is
+//! one CIOS body (`cios`); at the limb counts RSA meets it is compiled
+//! for a constant `k`, scratch on the stack (`Montgomery::mul_into`).
 //!
 //! Exponentiation uses a fixed 4-bit window for large exponents: 16
 //! precomputed powers, then 4 squarings + at most 1 table multiply per
@@ -590,40 +592,43 @@ impl Montgomery {
     /// exponents use plain square-and-multiply, for which the table
     /// precomputation would not pay for itself.
     pub fn pow_elem(&self, base: &MontElem, exp: &Ubig) -> MontElem {
+        let k = self.k;
         let bits = exp.bit_len();
-        // Two reusable buffers (result + CIOS scratch) serve the whole
-        // exponentiation: hundreds of multiplies, zero per-step allocation.
-        let mut out = vec![0u64; self.k];
-        let mut scratch = vec![0u64; self.k + 2];
+        // Two buffers swapped after every multiply serve the whole
+        // exponentiation: hundreds of multiplies, no per-step allocation.
+        let mut out = vec![0u64; k];
         if bits <= 64 {
             let mut acc = self.one.clone();
             for i in (0..bits).rev() {
-                self.mul_into(&acc, None, &mut scratch, &mut out);
+                self.mul_into(&acc, None, &mut out);
                 std::mem::swap(&mut acc, &mut out);
                 if exp.bit(i) {
-                    self.mul_into(&acc, Some(&base.limbs), &mut scratch, &mut out);
+                    self.mul_into(&acc, Some(&base.limbs), &mut out);
                     std::mem::swap(&mut acc, &mut out);
                 }
             }
             return MontElem { limbs: acc };
         }
         const WINDOW: u32 = 4;
-        let mut table = Vec::with_capacity(1 << WINDOW);
-        table.push(self.one.clone());
+        // `base⁰ … base¹⁵`, `k` limbs each, in one allocation.
+        let mut table = vec![0u64; k << WINDOW];
+        table[..k].copy_from_slice(&self.one);
         for i in 1..1usize << WINDOW {
-            table.push(self.mul_limbs(&table[i - 1], &base.limbs));
+            let (done, rest) = table.split_at_mut(i * k);
+            self.mul_into(&done[(i - 1) * k..], Some(&base.limbs), &mut rest[..k]);
         }
+        let entry = |d: usize| &table[d * k..(d + 1) * k];
         let nwin = bits.div_ceil(WINDOW);
         let top = exp.bits_at((nwin - 1) * WINDOW, WINDOW) as usize;
-        let mut acc = table[top].clone();
+        let mut acc = entry(top).to_vec();
         for w in (0..nwin - 1).rev() {
             for _ in 0..WINDOW {
-                self.mul_into(&acc, None, &mut scratch, &mut out);
+                self.mul_into(&acc, None, &mut out);
                 std::mem::swap(&mut acc, &mut out);
             }
             let d = exp.bits_at(w * WINDOW, WINDOW) as usize;
             if d != 0 {
-                self.mul_into(&acc, Some(&table[d]), &mut scratch, &mut out);
+                self.mul_into(&acc, Some(entry(d)), &mut out);
                 std::mem::swap(&mut acc, &mut out);
             }
         }
@@ -633,66 +638,101 @@ impl Montgomery {
     /// Allocating convenience wrapper around [`Montgomery::mul_into`].
     fn mul_limbs(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         let mut out = vec![0u64; self.k];
-        let mut scratch = vec![0u64; self.k + 2];
-        self.mul_into(a, Some(b), &mut scratch, &mut out);
+        self.mul_into(a, Some(b), &mut out);
         out
     }
 
-    /// CIOS (coarsely integrated operand scanning) Montgomery product:
-    /// writes `a · b · R⁻¹ mod n` into `out` for `k`-limb operands below
-    /// `n`, using `t` (length `k + 2`) as scratch. `b = None` squares `a`
-    /// (callers cannot alias `a` with `out` under the borrow rules, so the
-    /// common squaring step is spelled this way).
-    fn mul_into(&self, a: &[u64], b: Option<&[u64]>, t: &mut [u64], out: &mut [u64]) {
-        let k = self.k;
+    /// Montgomery product: writes `a · b · R⁻¹ mod n` into `out` for
+    /// `k`-limb operands below `n`. `b = None` squares `a` (callers cannot
+    /// alias `a` with `out` under the borrow rules, so the common squaring
+    /// step is spelled this way).
+    ///
+    /// The widths RSA meets — 4, 8 and 16 limbs: the moduli and CRT halves
+    /// of 512-, 1024- and 2048-bit keys — run [`cios`] on slices narrowed
+    /// to a constant length with the scratch on the stack, which lets the
+    /// compiler unroll it and drop every bounds check; any other width runs
+    /// the same body over the lengths it finds.
+    fn mul_into(&self, a: &[u64], b: Option<&[u64]>, out: &mut [u64]) {
         let b = b.unwrap_or(a);
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        debug_assert_eq!(t.len(), k + 2);
-        debug_assert_eq!(out.len(), k);
-        t.fill(0);
-        for &ai in a {
-            // t += a[i] · b
-            let ai = u128::from(ai);
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let v = ai * u128::from(b[j]) + u128::from(t[j]) + carry;
-                t[j] = v as u64;
-                carry = v >> 64;
-            }
-            let v = u128::from(t[k]) + carry;
-            t[k] = v as u64;
-            t[k + 1] = (v >> 64) as u64;
-            // t += m · n with m chosen so t becomes divisible by 2⁶⁴,
-            // then shift one limb right (fused into the same pass).
-            let m = u128::from(t[0].wrapping_mul(self.n0_inv));
-            let v = m * u128::from(self.n[0]) + u128::from(t[0]);
-            let mut carry = v >> 64;
-            for j in 1..k {
-                let v = m * u128::from(self.n[j]) + u128::from(t[j]) + carry;
-                t[j - 1] = v as u64;
-                carry = v >> 64;
-            }
-            let v = u128::from(t[k]) + carry;
-            t[k - 1] = v as u64;
-            t[k] = t[k + 1] + (v >> 64) as u64;
-            t[k + 1] = 0;
+        let (n, n0_inv) = (&self.n[..], self.n0_inv);
+        macro_rules! at_width {
+            ($k:literal) => {
+                cios(
+                    &a[..$k],
+                    &b[..$k],
+                    &n[..$k],
+                    n0_inv,
+                    &mut [0u64; $k + 2],
+                    &mut out[..$k],
+                )
+            };
         }
-        // Inputs below n keep the CIOS result below 2n, so one conditional
-        // subtraction canonicalises it.
-        let needs_sub = t[k] != 0 || !limbs_lt(&t[..k], &self.n);
-        if needs_sub {
-            let mut borrow = 0u64;
-            for (tj, &nj) in t.iter_mut().zip(&self.n) {
-                let (d1, b1) = tj.overflowing_sub(nj);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                *tj = d2;
-                borrow = u64::from(b1) | u64::from(b2);
-            }
-            debug_assert_eq!(borrow, t[k], "Montgomery result not below 2n");
+        match self.k {
+            4 => at_width!(4),
+            8 => at_width!(8),
+            16 => at_width!(16),
+            k => match [0u64; STACK_SCRATCH].get_mut(..k + 2) {
+                Some(t) => cios(a, b, n, n0_inv, t, out),
+                None => cios(a, b, n, n0_inv, &mut vec![0u64; k + 2], out),
+            },
         }
-        out.copy_from_slice(&t[..k]);
     }
+}
+
+/// Scratch limbs [`Montgomery::mul_into`] keeps on the stack at a width it
+/// has no constant for: enough for a 2048-bit modulus (32 limbs + 2).
+const STACK_SCRATCH: usize = 34;
+
+/// CIOS (coarsely integrated operand scanning) Montgomery product: writes
+/// `a · b · R⁻¹ mod n` into `out` for operands below `n`, all of `n`'s
+/// length `k`, using the zeroed `t` (length `k + 2`) as scratch. The one
+/// multiply body: inlined into each width [`Montgomery::mul_into`]
+/// dispatches, it is compiled once per constant `k` and once for any `k`.
+#[inline(always)]
+fn cios(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, t: &mut [u64], out: &mut [u64]) {
+    let k = n.len();
+    assert!(a.len() == k && b.len() == k && out.len() == k && t.len() == k + 2);
+    for &ai in a {
+        // t += a[i] · b
+        let ai = u128::from(ai);
+        let mut carry: u128 = 0;
+        for j in 0..k {
+            let v = ai * u128::from(b[j]) + u128::from(t[j]) + carry;
+            t[j] = v as u64;
+            carry = v >> 64;
+        }
+        let v = u128::from(t[k]) + carry;
+        t[k] = v as u64;
+        t[k + 1] = (v >> 64) as u64;
+        // t += m · n with m chosen so t becomes divisible by 2⁶⁴,
+        // then shift one limb right (fused into the same pass).
+        let m = u128::from(t[0].wrapping_mul(n0_inv));
+        let v = m * u128::from(n[0]) + u128::from(t[0]);
+        let mut carry = v >> 64;
+        for j in 1..k {
+            let v = m * u128::from(n[j]) + u128::from(t[j]) + carry;
+            t[j - 1] = v as u64;
+            carry = v >> 64;
+        }
+        let v = u128::from(t[k]) + carry;
+        t[k - 1] = v as u64;
+        t[k] = t[k + 1] + (v >> 64) as u64;
+        t[k + 1] = 0;
+    }
+    // Inputs below n keep the CIOS result below 2n, so one conditional
+    // subtraction canonicalises it.
+    let needs_sub = t[k] != 0 || !limbs_lt(&t[..k], n);
+    if needs_sub {
+        let mut borrow = 0u64;
+        for (tj, &nj) in t.iter_mut().zip(n) {
+            let (d1, b1) = tj.overflowing_sub(nj);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            *tj = d2;
+            borrow = u64::from(b1) | u64::from(b2);
+        }
+        debug_assert_eq!(borrow, t[k], "Montgomery result not below 2n");
+    }
+    out.copy_from_slice(&t[..k]);
 }
 
 /// Clones `v`'s limbs zero-extended to exactly `k` limbs.
@@ -1103,6 +1143,62 @@ mod tests {
         let x = mont.to_mont(&Ubig::from(123_456u64));
         assert_eq!(mont.mul(&x, &mont.one()), x);
         assert_eq!(mont.from_mont(&mont.one()), Ubig::one());
+    }
+
+    /// Moduli of 1 to 17 limbs: the widths `mul_into` has a constant for
+    /// (4, 8, 16), their neighbours, and the run-time-width body between.
+    const WIDTHS: std::ops::RangeInclusive<usize> = 1..=17;
+
+    #[test]
+    fn modpow_matches_schoolbook_at_every_width() {
+        let mut rng = proptest::TestRng::seed(0x0b16_0b16);
+        let mut limbs = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_u64()).collect() };
+        for k in WIDTHS {
+            for _ in 0..4 {
+                let mut m = limbs(k);
+                m[0] |= 1; // Odd: the Montgomery path.
+                m[k - 1] |= 1 << 63; // Exactly k limbs.
+                let m = Ubig::from_limbs(m);
+                let base = Ubig::from_limbs(limbs(k + 1));
+                // One short exponent (square-and-multiply), one windowed.
+                for exp in [limbs(1), limbs(2)] {
+                    let exp = Ubig::from_limbs(exp);
+                    assert_eq!(
+                        base.modpow(&exp, &m),
+                        base.modpow_schoolbook(&exp, &m),
+                        "{k} limbs: {base}^{exp} mod {m}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn final_subtraction_with_the_carry_limb_set_at_every_width() {
+        // n = R − c and a = n − 1: the largest operands there are under the
+        // largest moduli there are, so the unreduced product overflows `k`
+        // limbs into the carry limb and must still come back below n.
+        for k in WIDTHS {
+            for c in [1u64, 3, 12_345] {
+                let r = Ubig::one().shl_bits(64 * k as u32);
+                let n = r.sub(&Ubig::from(c));
+                let a = n.sub(&Ubig::one());
+                // What CIOS holds before its conditional subtraction:
+                // T = (a² + M·n) / R with M = −a²·n⁻¹ mod R.
+                let sq = a.mul(&a);
+                let n_inv = n.modinv(&r).expect("n is odd");
+                let m = r.sub(&sq.mul(&n_inv).rem(&r)).rem(&r);
+                let t = sq.add(&m.mul(&n)).shr_bits(64 * k as u32);
+                assert!(t >= r, "{k} limbs, c = {c}: the carry limb stays clear");
+
+                let mont = Montgomery::new(&n).expect("odd modulus > 1");
+                let a = MontElem {
+                    limbs: pad_limbs(&a, k),
+                };
+                let got = mont.mul(&a, &a);
+                assert_eq!(Ubig::from_limbs(got.limbs), t.sub(&n), "{k} limbs, c = {c}");
+            }
+        }
     }
 
     #[test]

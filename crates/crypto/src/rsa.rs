@@ -302,6 +302,9 @@ mod tests {
 
         /// CRT signatures must be bit-identical to the plain `m^d mod n`
         /// exponentiation across keys and messages, and verify cleanly.
+        /// Both sides run Montgomery multiplies at a constant width (4-limb
+        /// primes, 8-limb modulus), so the division-per-step oracle checks
+        /// the pair of them.
         #[test]
         fn prop_crt_signature_matches_plain_modpow(
             seed in 1u64..5,
@@ -316,6 +319,7 @@ mod tests {
             let m = Ubig::from_bytes_be(&pad_digest(&digest, modulus_len).unwrap());
             let plain = m.modpow(&kp.private.d, &kp.private.n);
             prop_assert_eq!(&sig, &plain.to_bytes_be_padded(modulus_len).unwrap());
+            prop_assert_eq!(&plain, &m.modpow_schoolbook(&kp.private.d, &kp.private.n));
             prop_assert!(verify(&kp.public, &digest, &sig).is_ok());
         }
     }

@@ -204,7 +204,7 @@ pub fn adapt_bytecode_filter(component: ObjRef) -> ObjRef {
 mod tests {
     use super::*;
     use crate::testkit::udp_frame_to;
-    use paramecium_sfi::{interp::Interp, verifier};
+    use paramecium_sfi::{analysis, interp::Interp, verifier};
 
     fn frame_to(port: u16) -> Vec<u8> {
         udp_frame_to(port, b"payload")
@@ -267,6 +267,20 @@ mod tests {
         let mut i = Interp::new(&p);
         i.load_data(0, &frame_to(80));
         assert_eq!(i.run(10_000).unwrap().result, 0);
+    }
+
+    /// The loader analyses a filter on every softened load; neither may
+    /// come near the `TooComplex` budget, and the straight-line port filter
+    /// is three block visits.
+    #[test]
+    fn filter_programs_converge_within_a_quarter_of_their_budget() {
+        let [port, _] = [udp_port_filter_program(7), checksumming_filter_program(7)].map(|p| {
+            let report = analysis::analyze(&p).expect("converges").report;
+            let budget = analysis::default_budget(&p);
+            assert!(report.evaluations <= budget / 4, "{report:?} of {budget}");
+            report
+        });
+        assert_eq!((port.iterations, port.evaluations), (3, 22));
     }
 
     #[test]

@@ -79,15 +79,7 @@ impl AbsVal {
     #[must_use]
     pub fn normalize(mut self) -> AbsVal {
         // Bits above the range's most significant bit are zero.
-        if self.hi < u64::MAX {
-            let width = 64 - self.hi.leading_zeros();
-            let mask = if width == 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            };
-            self.zeros |= !mask;
-        }
+        self.zeros |= !low_mask(64 - self.hi.leading_zeros());
         // Bits bound the range.
         self.lo = self.lo.max(self.ones);
         self.hi = self.hi.min(!self.zeros);
@@ -125,13 +117,27 @@ impl AbsVal {
 
     /// Widening: jump to a coarse bound so loop fixpoints terminate fast.
     ///
-    /// The bits component is a finite lattice (at most 64 drops per side)
-    /// and needs no widening; the interval is widened to the nearest of a
-    /// few `thresholds` (the analysis passes the segment bounds, so masked
-    /// values stay provably in-segment across back edges).
+    /// The interval is widened to the nearest of a few `thresholds` (the
+    /// analysis passes the segment bounds, so masked values stay provably
+    /// in-segment across back edges). The bits are widened with it: the
+    /// bits lattice is finite, but an accumulator sheds its known-zero
+    /// high bits one per trip round the loop (up to 64 trips per side), and
+    /// [`AbsVal::normalize`] clamps the widened `hi` back to whatever bits
+    /// are still known. So when the join loses a known bit, every known bit
+    /// at or above the lowest one lost goes too, and `normalize` re-derives
+    /// those the widened `hi` implies. Bits below the moving ones — the
+    /// alignment of a strided pointer — survive.
     #[must_use]
     pub fn widen(self, next: AbsVal, thresholds: &[u64]) -> AbsVal {
         let joined = self.join(next);
+        let lost = (self.zeros & !joined.zeros) | (self.ones & !joined.ones);
+        let stable = low_mask(lost.trailing_zeros());
+        self.widen_interval(joined, thresholds, stable)
+    }
+
+    /// The interval half of [`AbsVal::widen`]; known bits outside `stable`
+    /// are dropped.
+    fn widen_interval(self, joined: AbsVal, thresholds: &[u64], stable: u64) -> AbsVal {
         let lo = if joined.lo < self.lo { 0 } else { self.lo };
         let hi = if joined.hi > self.hi {
             thresholds
@@ -146,10 +152,19 @@ impl AbsVal {
         AbsVal {
             lo,
             hi,
-            zeros: joined.zeros,
-            ones: joined.ones,
+            zeros: joined.zeros & stable,
+            ones: joined.ones & stable,
         }
         .normalize()
+    }
+
+    /// The widening this analysis used to have: bits pass through the join
+    /// unwidened. Slower to converge and at least as precise — the
+    /// reference the precision oracle compares [`AbsVal::widen`] against.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn widen_bits_passing(self, next: AbsVal, thresholds: &[u64]) -> AbsVal {
+        self.widen_interval(self.join(next), thresholds, u64::MAX)
     }
 
     // ----- transfer functions (must over-approximate the interpreter) ----
@@ -276,6 +291,11 @@ impl AbsVal {
             None => AbsVal::range(0, self.hi),
         }
     }
+}
+
+/// Every bit below bit `n` (`n <= 64`).
+fn low_mask(n: u32) -> u64 {
+    1u64.checked_shl(n).map_or(u64::MAX, |bit| bit - 1)
 }
 
 /// Smallest all-ones value `>= x` (the tight power-of-two envelope used to

@@ -8,8 +8,11 @@
 //! 1. [`cfg::Cfg::build`] — basic blocks, successor/predecessor edges,
 //!    reachability;
 //! 2. a worklist fixpoint over [`domain::AbsVal`] states (intervals +
-//!    known bits per register, widened at loop heads so back edges
-//!    converge in a handful of visits);
+//!    known bits per register). Both views are widened at loop heads
+//!    ([`domain::AbsVal::widen`]), so a loop costs a few visits per nesting
+//!    level rather than one per bit of its widest accumulator: every
+//!    program in the tree converges in under a quarter of the
+//!    `TooComplex` budget, which the `convergence` test pins;
 //! 3. a final facts pass producing the [`ProofMap`]: for each reachable
 //!    instruction, which run-time checks are statically discharged —
 //!    loads/stores proven in-bounds, divisors proven nonzero, jumps proven
@@ -21,6 +24,8 @@
 //! not consume them: [`crate::lower`] keeps every run-time check.
 
 pub mod cfg;
+#[cfg(test)]
+mod convergence;
 pub mod domain;
 pub mod lint;
 
@@ -52,24 +57,13 @@ impl AbsState {
         }
     }
 
-    fn join(&self, other: &AbsState) -> AbsState {
+    /// Merges `other` into `self` register by register: `merge_val` is
+    /// the value lattice's join or widening; definition sites join.
+    fn merge(&self, other: &AbsState, merge_val: impl Fn(AbsVal, AbsVal) -> AbsVal) -> AbsState {
         let mut out = *self;
         for i in 0..NUM_REGS {
-            out.regs[i] = self.regs[i].join(other.regs[i]);
+            out.regs[i] = merge_val(self.regs[i], other.regs[i]);
             out.defs[i] = if self.defs[i] == other.defs[i] {
-                self.defs[i]
-            } else {
-                DEF_MANY
-            };
-        }
-        out
-    }
-
-    fn widen(&self, next: &AbsState, thresholds: &[u64]) -> AbsState {
-        let mut out = *self;
-        for i in 0..NUM_REGS {
-            out.regs[i] = self.regs[i].widen(next.regs[i], thresholds);
-            out.defs[i] = if self.defs[i] == next.defs[i] {
                 self.defs[i]
             } else {
                 DEF_MANY
@@ -246,6 +240,17 @@ fn classify_access(base: AbsVal, off: i32, size: u64, data_len: u64) -> MemVerdi
     }
 }
 
+/// The static target of a branch or jump.
+fn static_target(insn: &Insn) -> Option<u32> {
+    match *insn {
+        Insn::Beq { target, .. }
+        | Insn::Bne { target, .. }
+        | Insn::Bltu { target, .. }
+        | Insn::Jmp { target } => Some(target),
+        _ => None,
+    }
+}
+
 /// Statically decides a conditional branch, if the state allows.
 fn decide_branch(insn: &Insn, state: &AbsState) -> Option<bool> {
     let (a, b, kind) = match *insn {
@@ -416,26 +421,34 @@ fn facts_for(insn: &Insn, state: &AbsState, data_len: u64, code_len: u64) -> Fac
 /// map. Fails only on structural problems (out-of-range static branch
 /// targets) or a blown iteration budget.
 pub fn analyze(program: &Program) -> Result<Analysis, VerifyError> {
-    let budget = (program.code.len() as u64 + 1) * 64;
-    analyze_with_budget(program, budget)
+    analyze_with_budget(program, default_budget(program))
+}
+
+/// The evaluation budget [`analyze`] allows `program` before it gives up
+/// with [`VerifyError::TooComplex`].
+pub fn default_budget(program: &Program) -> u64 {
+    (program.code.len() as u64 + 1) * 64
 }
 
 /// [`analyze`] with an explicit evaluation budget (exposed for tests).
 pub fn analyze_with_budget(program: &Program, budget: u64) -> Result<Analysis, VerifyError> {
+    analyze_widening(program, budget, AbsVal::widen)
+}
+
+/// The analysis over a given widening operator: [`AbsVal::widen`], or the
+/// reference it is tested against.
+fn analyze_widening(
+    program: &Program,
+    budget: u64,
+    widen: impl Fn(AbsVal, AbsVal, &[u64]) -> AbsVal,
+) -> Result<Analysis, VerifyError> {
     let code = &program.code;
     let code_len = code.len() as u32;
     let data_len = u64::from(program.data_len);
 
     // Pass 0: static branch targets.
     for (pc, insn) in code.iter().enumerate() {
-        let target = match insn {
-            Insn::Beq { target, .. }
-            | Insn::Bne { target, .. }
-            | Insn::Bltu { target, .. }
-            | Insn::Jmp { target } => Some(*target),
-            _ => None,
-        };
-        if let Some(t) = target {
+        if let Some(t) = static_target(insn) {
             if t >= code_len {
                 return Err(VerifyError::BadBranchTarget {
                     pc: pc as u32,
@@ -460,7 +473,8 @@ pub fn analyze_with_budget(program: &Program, budget: u64) -> Result<Analysis, V
 
     // Widening thresholds: the segment bounds, so a masked value stays
     // provably in-segment across a back edge instead of blowing to MAX.
-    let mut thresholds: Vec<u64> = vec![
+    // `widen` takes the least one that fits, in any order.
+    let thresholds = [
         data_len.saturating_sub(8),
         data_len.saturating_sub(1),
         data_len,
@@ -469,8 +483,6 @@ pub fn analyze_with_budget(program: &Program, budget: u64) -> Result<Analysis, V
         255,
         u64::MAX,
     ];
-    thresholds.sort_unstable();
-    thresholds.dedup();
 
     let nb = cfg.blocks.len();
     let mut entry: Vec<Option<AbsState>> = vec![None; nb];
@@ -499,41 +511,27 @@ pub fn analyze_with_budget(program: &Program, budget: u64) -> Result<Analysis, V
             transfer(insn, pc, &mut state, data_len, u64::from(code_len));
         }
 
-        // Propagate along live edges.
-        let last = &code[(block.end - 1) as usize];
-        let mut targets: Vec<u32> = Vec::new();
-        match (last, decided) {
-            (Insn::Halt, _) => {}
-            (Insn::Beq { target, .. }, Some(true))
-            | (Insn::Bne { target, .. }, Some(true))
-            | (Insn::Bltu { target, .. }, Some(true)) => targets.push(*target),
-            (Insn::Beq { .. }, Some(false))
-            | (Insn::Bne { .. }, Some(false))
-            | (Insn::Bltu { .. }, Some(false)) => targets.push(block.end),
-            _ => {
-                for &s in &block.succs {
-                    targets.push(cfg.blocks[s as usize].start);
-                }
-                // Fall-through edge for non-control instructions at block
-                // ends is already in succs; nothing else to add.
+        // Propagate along live edges: all of them, or the one a decided
+        // branch takes (none if that is one past the end of the program: a
+        // contained run-time trap).
+        let taken: Option<u32>;
+        let live: &[u32] = match (static_target(&code[(block.end - 1) as usize]), decided) {
+            (Some(target), Some(jumps)) => {
+                let next = if jumps { target } else { block.end };
+                taken = cfg.block_of.get(next as usize).copied();
+                debug_assert!(taken.is_none_or(|tb| cfg.blocks[tb as usize].start == next));
+                taken.as_slice()
             }
-        }
-        for t in targets {
-            if t >= code_len {
-                continue; // Falling off the end: a contained run-time trap.
-            }
-            let tb = cfg.block_of[t as usize] as usize;
-            debug_assert_eq!(cfg.blocks[tb].start, t, "edges land on block leaders");
+            _ => &block.succs,
+        };
+        for &tb in live {
+            let tb = tb as usize;
             let merged = match &entry[tb] {
                 None => state,
-                Some(old) => {
-                    let widen = cfg.is_loop_head(tb as u32) && join_count[tb] >= 2;
-                    if widen {
-                        old.widen(&state, &thresholds)
-                    } else {
-                        old.join(&state)
-                    }
+                Some(old) if cfg.is_loop_head(tb as u32) && join_count[tb] >= 2 => {
+                    old.merge(&state, |a, b| widen(a, b, &thresholds))
                 }
+                Some(old) => old.merge(&state, AbsVal::join),
             };
             if entry[tb].as_ref() != Some(&merged) {
                 entry[tb] = Some(merged);

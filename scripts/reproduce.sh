@@ -54,8 +54,8 @@ ledger_table() {
     ledger_table "end to end, untraced (the gated metrics)" "" '.'
     ledger_table "per-layer self time, ns per op, traced (the tracer inflates rows of many short calls)" \
         trace_ '\.self_ns_per_op$'
-    ledger_table "owners of deleted rows, and the tracer's cost (traced run and its probes)" trace_ \
-        '^store\.((read|write)_p50_ns|flush_us|cache\.(evictions_per_kop|writeback_batch_mean)|driver\.requests_per_op)$|^(obj\.(dispatch|interpose_hop)_ns|core\.bind_ns|crypto\.|alloc\.count_per_op|bench\.trace_overhead_ratio)'
+    ledger_table "owners of deleted rows, the load path, and the tracer's cost (traced run and its probes)" trace_ \
+        '^store\.((read|write)_p50_ns|flush_us|cache\.(evictions_per_kop|writeback_batch_mean)|driver\.requests_per_op)$|^(obj\.(dispatch|interpose_hop)_ns|core\.(bind_ns|load_(certified|softened)_us)|crypto\.|cert\.validate_us|sfi\.analyze_us|alloc\.count_per_op|bench\.trace_overhead_ratio)'
     jq -rs '"| criterion id | median ns per iteration | fastest sample |", "|---|---|---|",
         (.[].benchmarks[] | "| `\(.id)` | \(.mean_ns) | \(.min_ns) |")' "$out"/BENCH_*.json
 } >"$out/tables.md"
