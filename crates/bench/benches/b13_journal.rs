@@ -91,37 +91,12 @@ fn bench(c: &mut Criterion) {
     let machine = Arc::new(Mutex::new(paramecium::machine::Machine::new()));
     let mem = Arc::new(paramecium::core::memsvc::MemService::new(machine));
     let driver = StackBuilder::disk(&mem, KERNEL_DOMAIN).build().unwrap().top;
-    let slow = {
-        let i_read = driver.clone();
-        let i_read_many = driver.clone();
-        let i_write_many = driver.clone();
-        let i_sectors = driver.clone();
-        ObjectBuilder::new("slow-disk")
-            .interface("blockdev", |i| {
-                i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
-                    i_read.invoke("blockdev", "read", args)
-                })
-                .method(
-                    "read_many",
-                    &[TypeTag::List],
-                    TypeTag::List,
-                    move |_, args| i_read_many.invoke("blockdev", "read_many", args),
-                )
-                .method(
-                    "write_many",
-                    &[TypeTag::List],
-                    TypeTag::Int,
-                    move |_, args| {
-                        std::thread::sleep(std::time::Duration::from_millis(3));
-                        i_write_many.invoke("blockdev", "write_many", args)
-                    },
-                )
-                .method("sectors", &[], TypeTag::Int, move |_, _| {
-                    i_sectors.invoke("blockdev", "sectors", &[])
-                })
-            })
-            .build()
-    };
+    let slow = InterposerBuilder::new(driver)
+        .override_method("blockdev", "write_many", |forward, args| {
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            forward.call(args)
+        })
+        .build();
     let stack = StackBuilder::on(slow)
         .journal(JournalConfig::default())
         .build()

@@ -112,14 +112,18 @@ impl Certifier for AdminCertifier {
 /// certified" (section 5).
 pub struct CompilerCertifier {
     authority: Authority,
+    analysis_eval: u64,
     effort: std::sync::atomic::AtomicU64,
 }
 
 impl CompilerCertifier {
-    /// Creates the compiler certifier.
-    pub fn new(authority: Authority) -> Self {
+    /// Creates the compiler certifier. `analysis_eval` prices one verifier
+    /// evaluation: pass the machine's `CostModel::analysis_eval`, so that
+    /// certifying costs what the loader charges for the same analysis.
+    pub fn new(authority: Authority, analysis_eval: u64) -> Self {
         CompilerCertifier {
             authority,
+            analysis_eval,
             effort: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -145,8 +149,9 @@ impl Certifier for CompilerCertifier {
         };
         match verifier::verify(&program) {
             Ok(report) => {
+                let effort = report.evaluations * self.analysis_eval;
                 self.effort
-                    .store(report.evaluations * 4, std::sync::atomic::Ordering::Relaxed);
+                    .store(effort, std::sync::atomic::Ordering::Relaxed);
                 match self.authority.certify(
                     component,
                     image,
@@ -368,13 +373,17 @@ mod tests {
 
     #[test]
     fn compiler_certifies_verifiable_code_only() {
-        let compiler = CompilerCertifier::new(authority("m3c", 2));
+        let compiler = CompilerCertifier::new(authority("m3c", 2), 4);
         let good = workloads::checksum_loop_verified(64, 1).encode();
         assert!(matches!(
             compiler.try_certify("good", &good, &[Right::RunKernel]),
             CertifyOutcome::Certified(_)
         ));
-        assert!(compiler.last_effort() > 0);
+        // Effort is the verifier's evaluations at the price it was given.
+        let evaluations = verifier::verify(&Program::decode(&good).unwrap())
+            .unwrap()
+            .evaluations;
+        assert_eq!(compiler.last_effort(), 4 * evaluations);
         let bad = workloads::wild_writer().encode();
         assert!(matches!(
             compiler.try_certify("bad", &bad, &[Right::RunKernel]),
@@ -420,7 +429,7 @@ mod tests {
 
     #[test]
     fn certificates_verify_against_certifier_key() {
-        let compiler = CompilerCertifier::new(authority("m3c", 6));
+        let compiler = CompilerCertifier::new(authority("m3c", 6), 4);
         let image = workloads::alu_loop(3).encode();
         if let CertifyOutcome::Certified(c) = compiler.try_certify("alu", &image, &[Right::RunUser])
         {

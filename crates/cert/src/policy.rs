@@ -140,7 +140,7 @@ mod tests {
         let root = authority("root", 1);
         let policy = CertificationPolicy::standard(
             &root,
-            CompilerCertifier::new(authority("compiler", 2)),
+            CompilerCertifier::new(authority("compiler", 2), 4),
             ProverCertifier::new(authority("prover", 3), 2_000),
             AdminCertifier::new(authority("admin", 4), admin_images),
             vec![Right::RunKernel, Right::RunUser, Right::DeviceAccess],

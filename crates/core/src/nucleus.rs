@@ -681,7 +681,10 @@ mod tests {
             )
             .unwrap()];
         n.enable_online_certification(
-            Box::new(paramecium_cert::CompilerCertifier::new(online_authority)),
+            Box::new(paramecium_cert::CompilerCertifier::new(
+                online_authority,
+                n.machine().lock().cost.analysis_eval,
+            )),
             chain,
         );
 

@@ -26,13 +26,15 @@
 //! - **Zero-copy hits.** Lines store [`bytes::Bytes`]; a hit returns a
 //!   ref-counted clone of the resident buffer — no 512-byte copies on
 //!   the hot path.
-//! - **One write path.** `write` and `write_many` make their sectors
-//!   resident and dirty; whatever needs room — a write, a batch, a read
-//!   fill — gets it from the one eviction routine, `make_room`. A
-//!   transaction is a buffered batch that `commit` writes *through* in
-//!   one un-split `write_many` (atomic and durable-by-return under a
-//!   journal), refreshing the lines it overlaps: transaction data never
-//!   becomes a cache line, and no resident line outlives a commit stale.
+//! - **One read path, one write path.** `read` and `read_many` are one
+//!   body, as are `write` and `write_many` (a scalar call is a burst of
+//!   one); writes make their sectors resident and dirty, and whatever
+//!   needs room — a write, a batch, a read fill — gets it from the one
+//!   eviction routine, `make_room`. A transaction is a buffered batch
+//!   that `commit` writes *through* in one un-split `write_many` (atomic
+//!   and durable-by-return under a journal), refreshing the lines it
+//!   overlaps: transaction data never becomes a cache line, and no
+//!   resident line outlives a commit stale.
 //! - **Coalesced writeback.** Eviction and `flush` gather dirty lines
 //!   into sector-sorted (elevator-order) batches and issue one
 //!   vectorized `write_many` to the backing store, which charges the
@@ -53,11 +55,11 @@
 //!   concurrent clients on real OS threads (the world pool) proceed in
 //!   parallel on disjoint shards. Uncontended acquisition is one atomic
 //!   swap, and no lock is ever held across a backing-store invocation.
-//!   Every path holds at most one shard lock at a time, except
-//!   `read_many`'s hit pass, which takes all of them in ascending index
-//!   order — so no acquisition cycle can form. Multi-shard operations
-//!   are therefore atomic per shard, not across the cache, under
-//!   concurrency (a single client cannot tell).
+//!   Every path holds at most one shard lock at a time — a burst visits
+//!   its shards one after another, in ascending index order — so no
+//!   acquisition cycle can form. Multi-shard operations are therefore
+//!   atomic per shard, not across the cache, under concurrency (a single
+//!   client cannot tell).
 
 use std::sync::{Arc, OnceLock};
 
@@ -70,7 +72,7 @@ use paramecium_obj::{
 };
 
 use crate::vectored::{
-    check_write, pairs_arg, sectors_arg, txn_verbs, view_pairs, Pairs, SectorMap,
+    blockdev_methods, pairs_arg, sectors_arg, txn_verbs, Pairs, Reads, SectorMap,
 };
 
 /// Sentinel for "no slot" in the intrusive LRU list.
@@ -278,11 +280,9 @@ impl Shard {
 /// insert, dirty lines cleaned only after a version-checked successful
 /// backing write, failed batches reinsert their victims. The one semantic
 /// narrowing under *concurrent* clients: multi-shard operations are
-/// atomic per shard rather than across the whole cache — `write_many`,
-/// `flush` and `stats` lock one shard at a time, and `read_many`'s hit
-/// pass takes every shard's lock up front in ascending order but drops
-/// them all before its miss fetch; single-client behaviour is
-/// bit-identical to the old global-lock design.
+/// atomic per shard rather than across the whole cache — every path
+/// locks one shard at a time; single-client behaviour is bit-identical
+/// to the old global-lock design.
 struct CacheShared {
     backing: ObjRef,
     /// Always a power-of-two length so routing is a mask, not a divide.
@@ -314,6 +314,22 @@ impl CacheShared {
     #[inline]
     fn shard_of(&self, sector: i64) -> usize {
         (sector as u64 & self.shard_mask) as usize
+    }
+
+    /// The shards owning any of `sectors`, in ascending index order: the
+    /// one sweep of every path that touches more than one sector, which
+    /// locks each shard in turn and never two at once.
+    fn shards_of<'a>(
+        &'a self,
+        sectors: impl Iterator<Item = i64> + Clone + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let mut after = None;
+        std::iter::from_fn(move || {
+            let owners = sectors.clone().map(|sec| self.shard_of(sec));
+            let next = owners.filter(|&i| after.is_none_or(|a| i > a)).min()?;
+            after = Some(next);
+            Some(next)
+        })
     }
 
     /// Locks the shard owning `sector`.
@@ -388,17 +404,10 @@ fn make_room(shared: &CacheShared, wanted: impl Iterator<Item = i64> + Clone) ->
         // `(sector, data, version)`: evicted victims carry no version,
         // still-resident extras the one their snapshot was taken at.
         let mut batch: Vec<(i64, Bytes, Option<u64>)> = Vec::new();
-        for (i, lock) in shared.shards.iter().enumerate() {
-            let mut mine = wanted
-                .clone()
-                .filter(|sec| shared.shard_of(*sec) == i)
-                .peekable();
-            if mine.peek().is_none() {
-                continue;
-            }
-            let mut sh = lock.lock();
+        for i in shared.shards_of(wanted.clone()) {
+            let mut sh = shared.shards[i].lock();
             let mut demand = 0;
-            for sec in mine {
+            for sec in wanted.clone().filter(|sec| shared.shard_of(*sec) == i) {
                 match sh.map.get(&sec).copied() {
                     Some(idx) => sh.touch(idx),
                     None => demand += 1,
@@ -476,106 +485,96 @@ fn insert_line(shared: &CacheShared, sector: i64, data: &Bytes, dirty: bool) -> 
     }
 }
 
-fn cache_read(shared: &CacheShared, sector: i64) -> ObjResult<Value> {
-    // Fast path: a hit returns a ref-counted clone of the resident
-    // buffer — no byte copy, one O(1) LRU touch, one shard lock.
-    let hit = {
-        let mut sh = shared.shard(sector);
-        match sh.map.get(&sector).copied() {
-            Some(idx) => {
-                sh.hits += 1;
-                sh.touch(idx);
-                Some(sh.slots[idx as usize].data.clone())
+/// The cache's one read path. Hits resolve to a zero-copy clone of the
+/// resident buffer, one shard at a time in ascending index order — the
+/// sweep [`make_room`] uses — so a burst is atomic per shard and no path
+/// ever holds two shard locks. Misses are [`fetch_misses`]' to answer.
+#[inline(always)]
+fn cache_read_many(shared: &CacheShared, reads: Reads<'_>, out: &mut [Value]) -> ObjResult<()> {
+    for i in shared.shards_of(reads.sectors()) {
+        let mut sh = shared.shards[i].lock();
+        for (sec, slot) in reads.sectors().zip(out.iter_mut()) {
+            if shared.shard_of(sec) != i {
+                continue;
             }
-            None => {
-                sh.misses += 1;
-                None
+            match sh.map.get(&sec).copied() {
+                Some(idx) => {
+                    sh.hits += 1;
+                    sh.touch(idx);
+                    answer(slot, sh.slots[idx as usize].data.clone());
+                }
+                None => sh.misses += 1,
             }
         }
-    };
-    if let Some(data) = hit {
-        return Ok(Value::Bytes(data));
     }
-    // Miss: fetch with no lock held (the backing store may itself be an
-    // object graph).
-    let fetched = shared
-        .backing
-        .invoke("blockdev", "read", &[Value::Int(sector)])?;
-    let data = fetched.as_bytes()?.clone();
+    if out.iter().any(|slot| matches!(slot, Value::Unit)) {
+        return fetch_misses(shared, reads, out);
+    }
+    Ok(())
+}
+
+/// Fetches a read's misses (its `Unit` slots) from below, with no lock
+/// held, in one elevator-ordered request: the caller's own, when it
+/// missed whole and already is in that order (as a scalar miss always
+/// is), else a list of the distinct missed sectors, sorted. What arrives
+/// is filled in as clean lines. Out of line, so that the hit sweep
+/// inlines.
+#[inline(never)]
+fn fetch_misses(shared: &CacheShared, reads: Reads<'_>, out: &mut [Value]) -> ObjResult<()> {
+    let missed_whole = out.iter().all(|slot| matches!(slot, Value::Unit));
+    let ascending = reads
+        .sectors()
+        .zip(reads.sectors().skip(1))
+        .all(|(a, b)| a < b);
+    if missed_whole && ascending {
+        reads.forward(&shared.backing, out)?;
+        return reads
+            .sectors()
+            .zip(out.iter())
+            .try_for_each(|(sec, data)| fill_line(shared, sec, data));
+    }
+    let misses = reads.sectors().zip(out.iter());
+    let misses = misses.filter(|(_, slot)| matches!(slot, Value::Unit));
+    let mut missing: Vec<i64> = misses.map(|(sec, _)| sec).collect();
+    missing.sort_unstable();
+    missing.dedup();
+    let got = shared.backing.invoke(
+        "blockdev",
+        "read_many",
+        &[sectors_arg(missing.iter().copied())],
+    )?;
+    let got = got.as_list()?;
+    if got.len() != missing.len() {
+        return Err(ObjError::failed("backing read_many returned a short batch"));
+    }
+    for (&sec, data) in missing.iter().zip(got) {
+        fill_line(shared, sec, data)?;
+    }
+    for (sec, slot) in reads.sectors().zip(out.iter_mut()) {
+        if matches!(slot, Value::Unit) {
+            *slot = got[missing.binary_search(&sec).expect("every miss fetched")].clone();
+        }
+    }
+    Ok(())
+}
+
+/// Answers an unanswered (`Unit`) slot with `data`. A `Unit` has nothing
+/// to drop, and skipping `Value`'s drop glue (recursive, so never
+/// inlined) keeps a call off the hit path.
+fn answer(slot: &mut Value, data: Bytes) {
+    if let unanswered @ Value::Unit = std::mem::replace(slot, Value::Bytes(data)) {
+        std::mem::forget(unanswered);
+    }
+}
+
+/// Makes a sector fetched from below resident as a clean line, refusing
+/// a payload that is not exactly one sector.
+fn fill_line(shared: &CacheShared, sector: i64, data: &Value) -> ObjResult<()> {
+    let data = data.as_bytes()?;
     if data.len() != SECTOR_SIZE {
         return Err(ObjError::failed("backing store returned a short sector"));
     }
-    insert_line(shared, sector, &data, false)?;
-    Ok(Value::Bytes(data))
-}
-
-fn cache_read_many(shared: &CacheShared, sectors: &[Value]) -> ObjResult<Value> {
-    // One pass under every shard's lock builds the result list in place:
-    // hits resolve to a zero-copy clone immediately, misses leave a `Unit`
-    // placeholder for the one backing fetch after the locks are dropped.
-    let mut results: Vec<Value> = Vec::with_capacity(sectors.len());
-    let mut missing: Vec<i64> = Vec::new();
-    {
-        // Take every shard guard up front, in ascending index order —
-        // the one multi-lock site in the cache, and every other path
-        // holds at most one shard at a time, so no acquisition cycle can
-        // form. This keeps the hit pass identical to the single-lock
-        // original (one pass, no per-sector lock traffic, no grouping
-        // allocations): the whole batch pays `nshards` uncontended
-        // atomic swaps, not one per sector. Guards drop before the miss
-        // path runs, so no shard lock is held across a backing
-        // invocation.
-        let mut guards: Vec<TryLockGuard<'_, Shard>> =
-            shared.shards.iter().map(|s| s.lock()).collect();
-        for v in sectors {
-            let sec = v.as_int()?;
-            let sh = &mut guards[shared.shard_of(sec)];
-            match sh.map.get(&sec).copied() {
-                Some(slot) => {
-                    sh.hits += 1;
-                    sh.touch(slot);
-                    results.push(Value::Bytes(sh.slots[slot as usize].data.clone()));
-                }
-                None => {
-                    sh.misses += 1;
-                    missing.push(sec);
-                    results.push(Value::Unit);
-                }
-            }
-        }
-    }
-    if !missing.is_empty() {
-        // One vectorized backing fetch for all misses, in elevator order.
-        // (Negative sectors land here too and are rejected by the
-        // backing driver's own validation.)
-        missing.sort_unstable();
-        missing.dedup();
-        let fetched = shared.backing.invoke(
-            "blockdev",
-            "read_many",
-            &[sectors_arg(missing.iter().copied())],
-        )?;
-        let list = fetched.as_list()?;
-        if list.len() != missing.len() {
-            return Err(ObjError::failed("backing read_many returned a short batch"));
-        }
-        let mut by_sector = SectorMap::default();
-        by_sector.reserve(missing.len());
-        for (&sec, v) in missing.iter().zip(list.iter()) {
-            let data = v.as_bytes()?.clone();
-            if data.len() != SECTOR_SIZE {
-                return Err(ObjError::failed("backing store returned a short sector"));
-            }
-            insert_line(shared, sec, &data, false)?;
-            by_sector.insert(sec, data);
-        }
-        for (pos, v) in sectors.iter().enumerate() {
-            if matches!(results[pos], Value::Unit) {
-                results[pos] = Value::Bytes(by_sector[&v.as_int()?].clone());
-            }
-        }
-    }
-    Ok(Value::List(results))
+    insert_line(shared, sector, data, false)
 }
 
 /// Refreshes the resident lines among `pairs` as clean, after the same
@@ -591,15 +590,20 @@ fn refresh_clean<'a>(shared: &CacheShared, pairs: impl Iterator<Item = (i64, &'a
     }
 }
 
-/// Applies a validated batch of `(sector, data)` writes with the
-/// driver's no-partial-effects contract: room for every batch sector is
-/// made (evicting, writing dirty victims back) *before* any pair is
-/// cached, so a failed eviction writeback surfaces with the cache
-/// unchanged, and the apply pass cannot fail for a single client (a
-/// concurrent one that takes the room sends it back through
-/// [`make_room`]). Batches too large for their shards bypass the cache as
-/// one streaming write-through.
-fn cache_write_many(shared: &CacheShared, pairs: Pairs<'_>) -> ObjResult<Value> {
+/// The cache's one write path: applies a validated batch of `(sector,
+/// data)` writes with the driver's no-partial-effects contract. Room for
+/// every batch sector is made (evicting, writing dirty victims back)
+/// *before* any pair is cached, so a failed eviction writeback surfaces
+/// with the cache unchanged, and the apply pass cannot fail for a single
+/// client (a concurrent one that takes the room sends it back through
+/// [`make_room`]); a single pair is that one line's [`insert_line`].
+/// Batches too large for their shards bypass the cache as one streaming
+/// write-through.
+fn cache_write_many(shared: &CacheShared, pairs: Pairs<'_>) -> ObjResult<()> {
+    if let (1, Some((sec, data))) = (pairs.len(), pairs.iter().next()) {
+        // One pair needs no plan: its line makes its own room.
+        return insert_line(shared, sec, data, true);
+    }
     // Distinct batch sectors per shard decide whether the batch can be
     // fully resident after the apply pass. Capacities are fixed, so this
     // plan needs no locks at all — and no hash set: sort by sector, keep
@@ -626,7 +630,7 @@ fn cache_write_many(shared: &CacheShared, pairs: Pairs<'_>) -> ObjResult<Value> 
             insert_line(shared, sec, data, true)?;
         }
     }
-    Ok(Value::Int(pairs.len() as i64))
+    Ok(())
 }
 
 fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
@@ -711,67 +715,42 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
     let blockdev = {
         let s_read = shared.clone();
         let s_write = shared.clone();
-        let s_read_many = shared.clone();
-        let s_write_many = shared.clone();
         let s_bd_flush = shared.clone();
         let s_bd_barrier = shared.clone();
         let s_check = shared.clone();
         let s_commit = shared.clone();
-        let i = InterfaceBuilder::new("blockdev")
-            .method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
-                cache_read(&s_read, args[0].as_int()?)
-            })
-            .method(
-                "write",
-                &[TypeTag::Int, TypeTag::Bytes],
-                TypeTag::Unit,
-                move |_, args| {
-                    let sector = args[0].as_int()?;
-                    let incoming = args[1].as_bytes()?;
-                    check_write(sector, incoming)?;
+        let i = blockdev_methods(
+            InterfaceBuilder::new("blockdev"),
+            // Inlined with its hit sweep: a scalar hit stays one call deep.
+            #[inline(always)]
+            move |_, reads, out| cache_read_many(&s_read, reads, out),
+            move |_, pairs| {
+                // Validate the whole batch before caching any of it,
+                // matching the driver's no-partial-effects contract.
+                for (sector, _) in pairs.iter() {
                     s_write.check_writable_sector(sector)?;
-                    insert_line(&s_write, sector, incoming, true)?;
-                    Ok(Value::Unit)
-                },
-            )
-            .method(
-                "read_many",
-                &[TypeTag::List],
-                TypeTag::List,
-                move |_, args| cache_read_many(&s_read_many, args[0].as_list()?),
-            )
-            .method(
-                "write_many",
-                &[TypeTag::List],
-                TypeTag::Int,
-                move |_, args| {
-                    let pairs = view_pairs(&args[0])?;
-                    // Validate the whole batch before caching any of it,
-                    // matching the driver's no-partial-effects contract.
-                    for (sector, _) in pairs.iter() {
-                        s_write_many.check_writable_sector(sector)?;
-                    }
-                    cache_write_many(&s_write_many, pairs)
-                },
-            )
-            .method("flush", &[], TypeTag::Int, move |_, _| {
-                // Own dirty lines first, then the layer below — a
-                // journal checkpoint must find these writes in its log
-                // before it truncates (see the builder docs).
-                let own = cache_flush(&s_bd_flush)?.as_int()?;
-                let below = s_bd_flush
-                    .backing
-                    .invoke("blockdev", "flush", &[])?
-                    .as_int()?;
-                Ok(Value::Int(own + below))
-            })
-            .method("barrier", &[], TypeTag::Unit, move |_, _| {
-                // Same ordering as flush: acknowledged writes living as
-                // dirty lines must reach the backing store before the
-                // barrier below makes "everything so far" durable.
-                cache_flush(&s_bd_barrier)?;
-                s_bd_barrier.backing.invoke("blockdev", "barrier", &[])
-            });
+                }
+                cache_write_many(&s_write, pairs)
+            },
+        )
+        .method("flush", &[], TypeTag::Int, move |_, _| {
+            // Own dirty lines first, then the layer below — a
+            // journal checkpoint must find these writes in its log
+            // before it truncates (see the builder docs).
+            let own = cache_flush(&s_bd_flush)?.as_int()?;
+            let below = s_bd_flush
+                .backing
+                .invoke("blockdev", "flush", &[])?
+                .as_int()?;
+            Ok(Value::Int(own + below))
+        })
+        .method("barrier", &[], TypeTag::Unit, move |_, _| {
+            // Same ordering as flush: acknowledged writes living as
+            // dirty lines must reach the backing store before the
+            // barrier below makes "everything so far" durable.
+            cache_flush(&s_bd_barrier)?;
+            s_bd_barrier.backing.invoke("blockdev", "barrier", &[])
+        });
         // A commit is one *un-split* write-through: atomic and
         // durable-by-return under a journal, which a writeback chunked to
         // `write_limit` would not be. Transaction data never becomes a

@@ -1,22 +1,22 @@
 //! The disk driver object — the bottom layer of the store stack.
 //!
 //! Exports the full `blockdev` interface (the canonical method list
-//! lives in the [crate docs](crate)): single-sector `read`/`write`, the
-//! vectorized `read_many`/`write_many`, `sectors`/`stats`, and the
-//! durability/transaction surface `flush`/`barrier`/`begin_txn`/
-//! `txn_write`/`commit`/`abort`.
+//! lives in the [crate docs](crate)): the vectorized `read_many`/
+//! `write_many` and the single-sector `read`/`write` derived from them,
+//! `sectors`/`stats`, and the durability/transaction surface `flush`/
+//! `barrier`/`begin_txn`/`txn_write`/`commit`/`abort`.
 //!
-//! Single-sector operations charge the full sector transfer cost — the
-//! latency the shared cache exists to hide. The vectorized operations
-//! charge the amortised
+//! Every data-path request — a scalar call is a burst of one — charges
+//! the amortised
 //! [`batch_transfer_cost`](paramecium_machine::dev::disk::batch_transfer_cost):
-//! one request setup, then the streaming rate per additional sector — but
-//! charge it *per sector* (setup on the first, streaming on the rest), so
+//! the full sector transfer cost for a burst's first sector (the request
+//! setup, and the latency the shared cache exists to hide), then the
+//! streaming rate per additional sector. It is charged *per sector*, so
 //! an injected power failure ([`Machine::arm_crash_after`]) can land
-//! between any two sectors of a batch. A crash mid-batch leaves the batch's prefix fully
-//! written and the in-flight sector *torn* (half new, half old bytes) —
-//! exactly the failure surface the `store::journal` layer's checksummed
-//! records exist to survive.
+//! between any two sectors of a batch. A crash mid-batch leaves the
+//! batch's prefix fully written and the in-flight sector *torn* (half
+//! new, half old bytes) — exactly the failure surface the
+//! `store::journal` layer's checksummed records exist to survive.
 //!
 //! The driver's transaction verbs are **volatile**: `commit` applies the
 //! buffered writes as one batch, atomic against validation errors but
@@ -39,7 +39,7 @@ use paramecium_machine::{
 };
 use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{check_write, parse_sectors, txn_verbs, view_pairs};
+use crate::vectored::{blockdev_methods, txn_verbs};
 
 /// Bytes of a sector that still reach the platter when a power failure
 /// interrupts its transfer: the torn-write model (half the sector).
@@ -113,15 +113,6 @@ fn charge_transfer(disk: &mut Disk, meter: &mut ChargeMeter, k: usize) {
     meter.charge(cost + disk.take_op_latency());
 }
 
-/// Charges and performs the `k`-th sector read of a request: the sector
-/// goes from the platter to its `Bytes` in one copy.
-fn charged_read(disk: &mut Disk, meter: &mut ChargeMeter, k: usize, sec: i64) -> ObjResult<Value> {
-    charge_transfer(disk, meter, k);
-    meter.check_power().map_err(dev_err)?;
-    let data = disk.read_sector(sec as u64).map_err(dev_err)?;
-    Ok(Value::Bytes(Bytes::copy_from_slice(data)))
-}
-
 /// Rejects any of `sectors` outside the device bounds.
 fn check_sectors(disk: &Disk, sectors: impl IntoIterator<Item = i64>) -> ObjResult<()> {
     let total = disk.sectors() as i64;
@@ -173,62 +164,27 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                     this.with_state(|s: &mut DriverState| s.apply(batch))
                 },
             );
-            i.method("read", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
-                let sector = args[0].as_int()?;
-                if sector < 0 {
-                    return Err(ObjError::failed("negative sector"));
-                }
-                this.with_state(|s: &mut DriverState| {
-                    let mut m = s.machine.lock();
-                    let (disk, meter) = powered_disk(&mut m)?;
-                    let data = charged_read(disk, meter, 0, sector)?;
-                    s.reads += 1;
-                    Ok(data)
-                })
-            })
-            .method(
-                "write",
-                &[TypeTag::Int, TypeTag::Bytes],
-                TypeTag::Unit,
-                |this, args| {
-                    let sector = args[0].as_int()?;
-                    let data = args[1].as_bytes()?;
-                    check_write(sector, data)?;
-                    this.with_state(|s: &mut DriverState| s.apply([(sector, data)].into_iter()))?;
-                    Ok(Value::Unit)
-                },
-            )
-            .method(
-                "read_many",
-                &[TypeTag::List],
-                TypeTag::List,
-                |this, args| {
-                    let sectors = parse_sectors(&args[0])?;
+            let i = blockdev_methods(
+                i,
+                |this, reads, out| {
                     this.with_state(|s: &mut DriverState| {
                         let mut m = s.machine.lock();
                         let (disk, meter) = powered_disk(&mut m)?;
-                        // Validate the whole batch before charging.
-                        check_sectors(disk, sectors.iter().copied())?;
-                        let mut out = Vec::with_capacity(sectors.len());
-                        for (k, &sec) in sectors.iter().enumerate() {
-                            out.push(charged_read(disk, meter, k, sec)?);
+                        // Validate the whole request before charging.
+                        check_sectors(disk, reads.sectors())?;
+                        for (k, (sec, slot)) in reads.sectors().zip(out.iter_mut()).enumerate() {
+                            charge_transfer(disk, meter, k);
+                            meter.check_power().map_err(dev_err)?;
+                            let data = disk.read_sector(sec as u64).map_err(dev_err)?;
+                            *slot = Value::Bytes(Bytes::copy_from_slice(data));
                         }
-                        s.reads += sectors.len() as u64;
-                        Ok(Value::List(out))
+                        s.reads += out.len() as u64;
+                        Ok(())
                     })
                 },
-            )
-            .method(
-                "write_many",
-                &[TypeTag::List],
-                TypeTag::Int,
-                |this, args| {
-                    let pairs = view_pairs(&args[0])?;
-                    this.with_state(|s: &mut DriverState| s.apply(pairs.iter()))?;
-                    Ok(Value::Int(pairs.len() as i64))
-                },
-            )
-            .method("sectors", &[], TypeTag::Int, |this, _| {
+                |this, pairs| this.with_state(|s: &mut DriverState| s.apply(pairs.iter())),
+            );
+            i.method("sectors", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     let sectors = powered_disk(&mut s.machine.lock())?.0.sectors();
                     Ok(Value::Int(sectors as i64))

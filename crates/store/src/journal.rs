@@ -68,9 +68,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{
-    check_write, pairs_arg, parse_pairs, parse_sectors, sectors_arg, txn_verbs, SectorMap,
-};
+use crate::vectored::{blockdev_methods, fill, pairs_arg, sectors_arg, txn_verbs, SectorMap};
 
 /// Magic tag of a superblock sector.
 const SB_MAGIC: u64 = 0x504A_5342_4C4B_0002; // "PJSBLK" v2
@@ -645,8 +643,6 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
         .interface("blockdev", |i| {
             let s_read = s.clone();
             let s_write = s.clone();
-            let s_read_many = s.clone();
-            let s_write_many = s.clone();
             let s_sectors = s.clone();
             let s_limit = s.clone();
             let s_stats = s.clone();
@@ -659,100 +655,54 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 move |_, sector| check_data_sector(&geo, sector),
                 move |_, writes| s_commit.commit_writes(writes),
             );
-            i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
-                let sector = args[0].as_int()?;
-                check_data_sector(&s_read.geo, sector)?;
-                if let Some(data) = s_read.inner.lock().overlay.get(&sector) {
-                    return Ok(Value::Bytes(data.clone()));
-                }
-                s_read
-                    .backing
-                    .invoke("blockdev", "read", &[Value::Int(sector)])
-            })
-            .method(
-                "write",
-                &[TypeTag::Int, TypeTag::Bytes],
-                TypeTag::Unit,
-                move |_, args| {
-                    let sector = args[0].as_int()?;
-                    let data = args[1].as_bytes()?;
-                    check_write(sector, data)?;
-                    check_data_sector(&s_write.geo, sector)?;
-                    // A bare write is an implicit single-write
-                    // transaction: journalled, group-committed, durable
-                    // by return.
-                    s_write.commit_writes(vec![(sector, data.clone())])?;
-                    Ok(Value::Unit)
-                },
-            )
-            .method(
-                "read_many",
-                &[TypeTag::List],
-                TypeTag::List,
-                move |_, args| {
-                    let sectors = parse_sectors(&args[0])?;
-                    for &sec in &sectors {
-                        check_data_sector(&s_read_many.geo, sec)?;
+            let i = blockdev_methods(
+                i,
+                move |_, reads, out| {
+                    for sec in reads.sectors() {
+                        check_data_sector(&geo, sec)?;
                     }
-                    // Serve overlay hits locally, batch the rest below.
-                    let overlay_hits: Vec<Option<Bytes>> = {
-                        let inner = s_read_many.inner.lock();
-                        sectors
-                            .iter()
-                            .map(|sec| inner.overlay.get(sec).cloned())
-                            .collect()
-                    };
-                    let missing: Vec<i64> = sectors
+                    // Serve overlay hits in place; what misses comes from
+                    // below in one request.
+                    let inner = s_read.inner.lock();
+                    for (sec, slot) in reads.sectors().zip(out.iter_mut()) {
+                        if let Some(data) = inner.overlay.get(&sec) {
+                            *slot = Value::Bytes(data.clone());
+                        }
+                    }
+                    drop(inner);
+                    let missed = out
                         .iter()
-                        .zip(&overlay_hits)
-                        .filter_map(|(&sec, hit)| hit.is_none().then_some(sec))
-                        .collect();
-                    let mut fetched = if missing.is_empty() {
-                        Vec::new()
-                    } else {
-                        s_read_many
-                            .backing
-                            .invoke(
-                                "blockdev",
-                                "read_many",
-                                &[sectors_arg(missing.iter().copied())],
-                            )?
-                            .as_list()?
-                            .to_vec()
-                    };
-                    let mut next = fetched.drain(..);
-                    let out: Vec<Value> = overlay_hits
-                        .into_iter()
-                        .map(|hit| match hit {
-                            Some(data) => Ok(Value::Bytes(data)),
-                            None => next.next().ok_or_else(|| {
-                                ObjError::failed("backing read_many returned a short batch")
-                            }),
-                        })
-                        .collect::<ObjResult<_>>()?;
-                    Ok(Value::List(out))
+                        .filter(|slot| matches!(slot, Value::Unit))
+                        .count();
+                    if missed == 0 {
+                        return Ok(());
+                    }
+                    if missed == out.len() {
+                        return reads.forward(&s_read.backing, out);
+                    }
+                    let misses = reads.sectors().zip(out.iter());
+                    let misses = misses.filter(|(_, slot)| matches!(slot, Value::Unit));
+                    let misses = sectors_arg(misses.map(|(sec, _)| sec));
+                    fill(
+                        out,
+                        s_read.backing.invoke("blockdev", "read_many", &[misses])?,
+                    )
                 },
-            )
-            .method(
-                "write_many",
-                &[TypeTag::List],
-                TypeTag::Int,
-                move |_, args| {
-                    let pairs = parse_pairs(&args[0])?;
-                    for (sec, _) in &pairs {
-                        check_data_sector(&s_write_many.geo, *sec)?;
+                move |_, pairs| {
+                    for (sec, _) in pairs.iter() {
+                        check_data_sector(&geo, sec)?;
                     }
                     if pairs.is_empty() {
-                        return Ok(Value::Int(0));
+                        return Ok(());
                     }
-                    // One batch = one atomic transaction: after a crash,
-                    // either every pair is visible or none is.
-                    let n = pairs.len() as i64;
-                    s_write_many.commit_writes(pairs)?;
-                    Ok(Value::Int(n))
+                    // One batch — a bare write is a batch of one — is one
+                    // atomic transaction: journalled, group-committed,
+                    // durable by return. After a crash, either every pair
+                    // is visible or none is.
+                    s_write.commit_writes(pairs.to_vec())
                 },
-            )
-            .method("sectors", &[], TypeTag::Int, move |_, _| {
+            );
+            i.method("sectors", &[], TypeTag::Int, move |_, _| {
                 Ok(Value::Int(s_sectors.geo.data_sectors))
             })
             .method("write_limit", &[], TypeTag::Int, move |_, _| {

@@ -32,16 +32,16 @@
 //!
 //! Every layer exports the same interface, which is what lets any of
 //! them interpose on any other; a layer forwards every method it does
-//! not reimplement to the layer below. Each layer has one write path;
-//! `write`, `write_many` and `commit` are three ways to hand it a batch.
-//! The full method set:
+//! not reimplement to the layer below. Each layer has one read path and
+//! one write path; `write`, `write_many` and `commit` are three ways to
+//! hand it a batch. The full method set:
 //!
 //! | method | signature | semantics |
 //! |---|---|---|
-//! | `read` | `(sector: int) -> bytes` | one 512-byte sector |
-//! | `write` | `(sector: int, data: bytes) -> unit` | one sector; durable-by-return under a journal |
 //! | `read_many` | `(sectors: list[int]) -> list[bytes]` | one batched request, results in request order |
-//! | `write_many` | `(pairs: list[int, bytes, int, bytes, …]) -> int` | one batched request, one flat list, validated whole before any of it is applied; atomic under a journal |
+//! | `write_many` | `(pairs: list[int, bytes, int, bytes, …]) -> int` | one batched request, one flat list; atomic under a journal |
+//! | `read` | `(sector: int) -> bytes` | derived: `read_many` of one sector |
+//! | `write` | `(sector: int, data: bytes) -> unit` | derived: `write_many` of one pair; durable-by-return under a journal |
 //! | `sectors` | `() -> int` | client-visible device size |
 //! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one atomic unit (answered by the journal and forwarded by the layers above it; a stack without a journal has no such method and is unbounded) |
 //! | `stats` | `() -> list` | `[reads, writes]` of the bottom driver |
@@ -51,6 +51,12 @@
 //! | `txn_write` | `(txn: int, sector: int, data: bytes) -> unit` | buffer one write into an open transaction |
 //! | `commit` | `(txn: int) -> unit` | apply the transaction atomically (crash-atomic under a journal) |
 //! | `abort` | `(txn: int) -> unit` | drop an open transaction without effects |
+//!
+//! A layer writes one read body and one write body, and
+//! `vectored::blockdev_methods` derives all four data-path methods from
+//! them. The contract: **a scalar call is observably a burst of one** —
+//! the same answer or error, charges and stats — and a malformed burst
+//! is rejected whole, before any of it is applied.
 //!
 //! Only the journal makes `commit` atomic against power failure; the
 //! bare driver's transactions are volatile buffers (atomic against

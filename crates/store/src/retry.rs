@@ -15,13 +15,15 @@
 //!   loss would only burn the crash budget; retrying a bad address would
 //!   never succeed.
 //!
-//! Only idempotent verbs are retried (`read`/`write`/`read_many`/
-//! `write_many`/`flush`/`barrier` — sector writes are exactly-once at
-//! the device, so re-issuing a failed one is safe). Everything else is
-//! delegated to the lower object untouched — notably the transaction
-//! verbs: a `commit` that consumed its buffered writes must not be
-//! re-driven blindly; crash-atomic commit is the journal's job, one layer
-//! up.
+//! Only idempotent verbs are retried: `read_many`, `write_many`, `flush`,
+//! `barrier`, and the scalar `read` and `write` too, because a layer
+//! above forwards a call it has nothing to change in as it arrived (a
+//! journal read that misses its overlay reaches retry as `read`). Sector
+//! writes are exactly-once at the device, so re-issuing a failed one is
+//! safe. Everything else is delegated to the lower object untouched —
+//! notably the transaction verbs: a `commit` that consumed its buffered
+//! writes must not be re-driven blindly; crash-atomic commit is the
+//! journal's job, one layer up.
 //!
 //! [`Disk::inject_transient_errors`]: paramecium_machine::dev::disk::Disk::inject_transient_errors
 
@@ -35,6 +37,8 @@ use paramecium_obj::{
     delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag,
     Value,
 };
+
+use crate::vectored::DATA_PATH;
 
 /// Retry policy for the interposer.
 #[derive(Debug, Clone, Copy)]
@@ -135,25 +139,20 @@ impl RetryState {
     }
 }
 
-/// The verbs worth re-issuing, with their `blockdev` signatures. Every
-/// other `blockdev` method is delegated to the lower object untouched.
-const RETRIED: [(&str, &[TypeTag], TypeTag); 6] = [
-    ("read", &[TypeTag::Int], TypeTag::Bytes),
-    ("write", &[TypeTag::Int, TypeTag::Bytes], TypeTag::Unit),
-    ("read_many", &[TypeTag::List], TypeTag::List),
-    ("write_many", &[TypeTag::List], TypeTag::Int),
-    ("flush", &[], TypeTag::Int),
-    ("barrier", &[], TypeTag::Unit),
-];
-
 /// Builds the retry interposer over `lower`. Prefer
 /// [`crate::StackBuilder::retry`], which slots it between driver and
 /// journal.
 pub fn make_retry(machine: Arc<Mutex<Machine>>, lower: ObjRef, cfg: RetryConfig) -> ObjRef {
     assert!(cfg.max_attempts >= 1, "retry needs at least one attempt");
     let rng = StdRng::seed_from_u64(cfg.seed);
+    // The verbs worth re-issuing; every other `blockdev` method is
+    // delegated to the lower object untouched.
+    let durability: [(_, &[TypeTag], _); 2] = [
+        ("flush", &[], TypeTag::Int),
+        ("barrier", &[], TypeTag::Unit),
+    ];
     let mut blockdev = InterfaceBuilder::new("blockdev");
-    for (verb, params, returns) in RETRIED {
+    for (verb, params, returns) in DATA_PATH.into_iter().chain(durability) {
         blockdev = blockdev.method(verb, params, returns, move |this, args| {
             this.with_state(|s: &mut RetryState| s.drive(verb, args))
         });

@@ -1,5 +1,5 @@
 //! Wire helpers for the vectorized and transactional `blockdev`
-//! operations.
+//! operations, and the data path built from them.
 //!
 //! `read_many` takes a list of sector numbers and returns a list of
 //! sector payloads in request order; `write_many` takes one flat list,
@@ -9,16 +9,17 @@
 //! driver, the journal, the block cache, interposers and tests) build
 //! and parse those values through these helpers so the encoding cannot
 //! drift — no call site hand-rolls argument packing, and this is the
-//! only module that knows the wire form. The transaction verbs
-//! themselves are written here once too (`txn_verbs`): a layer
-//! supplies its sector check and its batch write and gets the four
-//! methods.
+//! only module that knows the wire form.
+//!
+//! The verbs are written here once too: `blockdev_methods` makes the
+//! data path from a layer's read body and write body, and `txn_verbs`
+//! the transaction verbs from its sector check and batch write.
 //!
 //! A write batch crosses several objects on its way to the platter, so
 //! a layer reads it in place: [`view_pairs`] validates the whole list
 //! once and lends out `(sector, &data)` pairs, with no intermediate
-//! vector and no reference-count traffic. [`parse_pairs`] is for the one
-//! layer that keeps the batch (the journal's commit queue).
+//! vector and no reference-count traffic; [`Pairs::to_vec`] is for a
+//! caller that keeps the batch.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -30,23 +31,125 @@ use parking_lot::Mutex;
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{InterfaceBuilder, ObjError, ObjRef, ObjResult, TypeTag, Value};
 
+/// The `blockdev` data path — `read`, `read_many`, `write`, `write_many`
+/// — with the signatures [`blockdev_methods`] installs.
+pub(crate) const DATA_PATH: [(&str, &[TypeTag], TypeTag); 4] = [
+    ("read", &[TypeTag::Int], TypeTag::Bytes),
+    ("read_many", &[TypeTag::List], TypeTag::List),
+    ("write", &[TypeTag::Int, TypeTag::Bytes], TypeTag::Unit),
+    ("write_many", &[TypeTag::List], TypeTag::Int),
+];
+
 /// Builds the `read_many` argument from sector numbers.
 pub fn sectors_arg(sectors: impl IntoIterator<Item = i64>) -> Value {
     Value::List(sectors.into_iter().map(Value::Int).collect())
 }
 
-/// Parses the `read_many` argument, rejecting negative sectors.
-pub fn parse_sectors(v: &Value) -> ObjResult<Vec<i64>> {
-    v.as_list()?
-        .iter()
-        .map(|s| {
-            let sec = s.as_int()?;
-            if sec < 0 {
-                return Err(ObjError::failed("negative sector"));
-            }
-            Ok(sec)
+/// What one read call asks for: `read`'s sector or `read_many`'s list,
+/// checked by [`blockdev_methods`] to hold sectors that are not negative.
+pub(crate) struct Reads<'a> {
+    method: &'static str,
+    args: &'a [Value],
+    sectors: &'a [Value],
+}
+
+impl<'a> Reads<'a> {
+    /// The sectors in request order, read where the caller holds them.
+    pub(crate) fn sectors(&self) -> impl ExactSizeIterator<Item = i64> + Clone + 'a {
+        self.sectors.iter().map(|s| match s {
+            Value::Int(sec) => *sec,
+            _ => unreachable!("blockdev_methods checked every sector"),
         })
-        .collect()
+    }
+
+    /// Hands the caller's own call to `lower` as it arrived and moves the
+    /// answer into `out`: a layer with nothing to change in a request
+    /// adds no list of its own.
+    pub(crate) fn forward(&self, lower: &ObjRef, out: &mut [Value]) -> ObjResult<()> {
+        match (lower.invoke("blockdev", self.method, self.args)?, out) {
+            (one @ Value::Bytes(_), [slot]) => {
+                *slot = one;
+                Ok(())
+            }
+            (got, out) => fill(out, got),
+        }
+    }
+}
+
+/// Moves the list a lower layer answered into the slots of `out` still
+/// empty (`Unit`), in order — all of them for a forwarded request, the
+/// misses for one a layer served in part.
+pub(crate) fn fill(out: &mut [Value], got: Value) -> ObjResult<()> {
+    let Value::List(got) = got else {
+        return Err(ObjError::type_mismatch(TypeTag::List, got.tag()));
+    };
+    let empty = |slot: &&mut Value| matches!(slot, Value::Unit);
+    if out.iter_mut().filter(empty).count() != got.len() {
+        return Err(ObjError::failed("backing read_many returned a short batch"));
+    }
+    out.iter_mut()
+        .filter(empty)
+        .zip(got)
+        .for_each(|(slot, v)| *slot = v);
+    Ok(())
+}
+
+/// Adds the data path ([`DATA_PATH`]) to a layer's `blockdev` interface
+/// from one body per direction: `read` fills one `Unit` slot per
+/// requested sector with its payload, `write` applies a batch. `read(s)`
+/// is the read body over one sector and one slot on the stack, `write(s,
+/// d)` the write body over its own arguments, already a one-pair flat
+/// list — so a scalar call is observably a burst of one. A malformed
+/// burst is rejected whole, before the body sees any of it.
+pub(crate) fn blockdev_methods<R, W>(mut i: InterfaceBuilder, read: R, write: W) -> InterfaceBuilder
+where
+    R: Fn(&ObjRef, Reads<'_>, &mut [Value]) -> ObjResult<()> + Clone + Send + Sync + 'static,
+    W: Fn(&ObjRef, Pairs<'_>) -> ObjResult<()> + Clone + Send + Sync + 'static,
+{
+    let [read_one, read_many, write_one, write_many] = DATA_PATH;
+    for (method, params, returns) in [read_one, read_many] {
+        let read = read.clone();
+        i = i.method(method, params, returns, move |this, args| {
+            let sectors = match &args[0] {
+                Value::List(list) => list.as_slice(),
+                _ => args,
+            };
+            for s in sectors {
+                match s {
+                    Value::Int(sec) if *sec >= 0 => {}
+                    Value::Int(_) => return Err(ObjError::failed("negative sector")),
+                    other => return Err(ObjError::type_mismatch(TypeTag::Int, other.tag())),
+                }
+            }
+            let reads = Reads {
+                method,
+                args,
+                sectors,
+            };
+            if let [Value::Int(_)] = args {
+                let mut one = Value::Unit;
+                read(this, reads, std::slice::from_mut(&mut one))?;
+                return Ok(one);
+            }
+            let mut out = vec![Value::Unit; sectors.len()];
+            read(this, reads, &mut out)?;
+            Ok(Value::List(out))
+        });
+    }
+    for (method, params, returns) in [write_one, write_many] {
+        let write = write.clone();
+        i = i.method(method, params, returns, move |this, args| {
+            let [flat] = args else {
+                check_write(args[0].as_int()?, args[1].as_bytes()?)?;
+                write(this, Pairs(args))?;
+                return Ok(Value::Unit);
+            };
+            let pairs = view_pairs(flat)?;
+            write(this, pairs)?;
+            Ok(Value::Int(pairs.len() as i64))
+        });
+    }
+    i
 }
 
 /// Builds the `write_many` argument from `(sector, data)` pairs.
@@ -111,13 +214,11 @@ impl<'a> Pairs<'a> {
             _ => unreachable!("view_pairs checked every pair"),
         })
     }
-}
 
-/// Parses the `write_many` argument into a batch the caller owns, with
-/// [`view_pairs`]' validation.
-pub fn parse_pairs(v: &Value) -> ObjResult<Vec<(i64, Bytes)>> {
-    let pairs = view_pairs(v)?.iter();
-    Ok(pairs.map(|(sec, data)| (sec, data.clone())).collect())
+    /// The batch as one the caller owns.
+    pub fn to_vec(&self) -> Vec<(i64, Bytes)> {
+        self.iter().map(|(sec, data)| (sec, data.clone())).collect()
+    }
 }
 
 /// Multiplicative hasher for sector numbers (Fibonacci mixing). Sector
@@ -165,7 +266,7 @@ pub fn txn_write_args(txn: i64, sector: i64, data: Bytes) -> [Value; 3] {
 }
 
 /// Parses the `txn_write` arguments, validating the sector number and
-/// payload size exactly like [`parse_pairs`] does for `write_many`.
+/// payload size exactly like [`view_pairs`] does for `write_many`.
 pub fn parse_txn_write(args: &[Value]) -> ObjResult<(i64, i64, Bytes)> {
     if args.len() != 3 {
         return Err(ObjError::failed("txn_write expects (txn, sector, data)"));
@@ -286,29 +387,56 @@ mod tests {
 
     #[test]
     fn sectors_roundtrip() {
-        let v = sectors_arg([3, 0, 7]);
-        assert_eq!(parse_sectors(&v).unwrap(), vec![3, 0, 7]);
-        assert!(parse_sectors(&sectors_arg([-1])).is_err());
-        assert!(parse_sectors(&Value::Int(1)).is_err());
+        use paramecium_obj::ObjectBuilder;
+        // A layer whose read body answers each sector with its number.
+        let numbers = blockdev_methods(
+            InterfaceBuilder::new("blockdev"),
+            |_, reads, out| {
+                for (sec, slot) in reads.sectors().zip(out) {
+                    *slot = Value::Bytes(Bytes::from(vec![sec as u8]));
+                }
+                Ok(())
+            },
+            |_, _| Ok(()),
+        );
+        let dev = ObjectBuilder::new("numbers")
+            .raw_interface(numbers.finish())
+            .build();
+        let read = |method, arg| dev.invoke("blockdev", method, &[arg]);
+        let answer = |sec: u8| Value::Bytes(Bytes::from(vec![sec]));
+        let got = read("read_many", sectors_arg([3, 0, 7])).unwrap();
+        assert_eq!(got, Value::List(vec![answer(3), answer(0), answer(7)]));
+        assert_eq!(read("read", Value::Int(5)).unwrap(), answer(5));
+        // Negative sectors and non-sectors are refused, anywhere in a burst.
+        assert!(read("read", Value::Int(-1)).is_err());
+        assert!(read("read_many", sectors_arg([0, -1])).is_err());
+        assert!(read("read_many", Value::List(vec![Value::Unit])).is_err());
+        // Answers land in the empty slots, in order, and must be exactly
+        // as many as those slots.
+        let mut out = [Value::Int(9), Value::Unit, Value::Unit];
+        fill(&mut out, Value::List(vec![Value::Int(1), Value::Int(2)])).unwrap();
+        assert_eq!(out, [Value::Int(9), Value::Int(1), Value::Int(2)]);
+        assert!(fill(&mut [Value::Unit], sectors_arg([])).is_err());
+        assert!(fill(&mut [Value::Unit], sectors_arg([1, 2])).is_err());
+        assert!(fill(&mut [Value::Unit], Value::Int(1)).is_err());
     }
 
     #[test]
     fn pairs_roundtrip_and_validate() {
         let data = Bytes::from(vec![7u8; SECTOR_SIZE]);
         let v = pairs_arg([(5, data.clone())]);
-        // One flat list on the wire; the view lends what the parse copies.
+        // One flat list on the wire; the view lends what `to_vec` copies.
         assert_eq!(v.as_list().unwrap().len(), 2);
-        let parsed = parse_pairs(&v).unwrap();
-        assert_eq!(parsed, vec![(5, data.clone())]);
         let view = view_pairs(&v).unwrap();
+        assert_eq!(view.to_vec(), vec![(5, data.clone())]);
         assert_eq!((view.len(), view.is_empty()), (1, false));
         assert_eq!(view.iter().collect::<Vec<_>>(), vec![(5, &data)]);
         assert!(view_pairs(&pairs_arg([])).unwrap().is_empty());
         // Short payload, negative sector and malformed pairs all fail.
-        assert!(parse_pairs(&pairs_arg([(0, Bytes::from_static(b"short"))])).is_err());
-        assert!(parse_pairs(&pairs_arg([(-2, data.clone())])).is_err());
-        assert!(parse_pairs(&Value::List(vec![Value::Int(1)])).is_err());
-        assert!(parse_pairs(&Value::List(vec![Value::List(vec![Value::Int(1)])])).is_err());
+        assert!(view_pairs(&pairs_arg([(0, Bytes::from_static(b"short"))])).is_err());
+        assert!(view_pairs(&pairs_arg([(-2, data.clone())])).is_err());
+        assert!(view_pairs(&Value::List(vec![Value::Int(1)])).is_err());
+        assert!(view_pairs(&Value::List(vec![Value::List(vec![Value::Int(1)])])).is_err());
     }
 
     #[test]

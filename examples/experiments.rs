@@ -201,7 +201,7 @@ fn e4_certification_vs_software() {
         // Verified: verify once, compiler-emitted guards only.
         let verified = workloads::checksum_loop_verified(1024, iters);
         let vreport = verifier::verify(&verified).unwrap();
-        let ver_load = vreport.evaluations * 4;
+        let ver_load = vreport.evaluations * CostModel::default().analysis_eval;
         let ver_run = vm_steps(&verified);
         let ver_total = ver_load + ver_run;
 
@@ -589,7 +589,10 @@ fn e8_delegation() {
     let honest_raw = workloads::checksum_loop(64, 8).encode();
     let policy = CertificationPolicy::standard(
         &root,
-        CompilerCertifier::new(Authority::new("compiler", &mut rng, 512)),
+        CompilerCertifier::new(
+            Authority::new("compiler", &mut rng, 512),
+            CostModel::default().analysis_eval,
+        ),
         ProverCertifier::new(Authority::new("prover", &mut rng, 512), 2_000),
         AdminCertifier::new(Authority::new("admin", &mut rng, 512), &[&honest_raw]),
         vec![Right::RunKernel, Right::RunUser],

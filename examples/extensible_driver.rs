@@ -50,7 +50,10 @@ fn main() {
     let admin_authority = Authority::new("sysadmin", &mut rng, 512);
     let policy = CertificationPolicy::standard(
         &world.root,
-        CompilerCertifier::new(Authority::new("m3c", &mut rng, 512)),
+        CompilerCertifier::new(
+            Authority::new("m3c", &mut rng, 512),
+            CostModel::default().analysis_eval,
+        ),
         ProverCertifier::new(Authority::new("prover", &mut rng, 512), 500),
         AdminCertifier::new(admin_authority, &[&image]),
         vec![Right::RunUser, Right::RunKernel],

@@ -89,6 +89,8 @@ impl World {
     }
 
     fn assemble(cost: CostModel, auth: &HarnessAuthorities) -> World {
+        // Certifying prices the verifier's work as loading does.
+        let compiler = CompilerCertifier::new(auth.compiler.clone(), cost.analysis_eval);
         let machine = Arc::new(parking_lot::Mutex::new(Machine::with_config(
             cost,
             paramecium_machine::machine::DEFAULT_FRAMES,
@@ -99,7 +101,7 @@ impl World {
             Nucleus::boot_on(machine, root.public().clone()).expect("nucleus boot cannot fail");
         let policy = CertificationPolicy::standard(
             &root,
-            CompilerCertifier::new(auth.compiler.clone()),
+            compiler,
             ProverCertifier::new(auth.prover.clone(), 50_000),
             AdminCertifier::new(auth.admin.clone(), &[]),
             vec![

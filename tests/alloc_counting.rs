@@ -630,7 +630,8 @@ fn store_write_path_meets_its_allocation_budgets() {
     // list each crossing carries. Budgets are allocations inside the
     // stack (arguments are built outside the counted region), warmed,
     // one above what each measures (5, 5, 4 and 8). Before the borrowed
-    // batch the same four measured 22, 10, 72 and 16.
+    // batch the same four measured 22, 10, 72 and 16. The read side and
+    // the cache's own write are pinned exactly.
     use paramecium::core::memsvc::MemService;
     use paramecium::machine::dev::disk::SECTOR_SIZE;
     use paramecium::store::vectored::pairs_arg;
@@ -647,7 +648,8 @@ fn store_write_path_meets_its_allocation_budgets() {
     };
 
     // driver → retry → journal.
-    let top = journalled().build().unwrap().top;
+    let stack = journalled().build().unwrap();
+    let top = stack.top;
     let batch = |round: u8| [pairs_arg((0..8).map(|sec| (sec, sector(round))))];
     let single = |round: u8| [Value::Int(9), Value::Bytes(sector(round))];
     // Warm past the first inline checkpoint, so the overlay map, the
@@ -687,6 +689,25 @@ fn store_write_path_meets_its_allocation_budgets() {
     assert_eq!(homed, Value::Int(56));
     assert!(flush <= 5, "56-sector checkpoint: {flush} allocations");
 
+    // The read side, pinned at what it measures: a sector read from the
+    // platter is the one `Bytes` it lands in, and a read answered from
+    // memory (the journal's overlay, a cache line) allocates nothing.
+    let read_allocs = |dev: &ObjRef, sector: i64| {
+        let args = [Value::Int(sector)];
+        dev.invoke("blockdev", "read", &args).unwrap();
+        count_allocs(|| {
+            dev.invoke("blockdev", "read", &args).unwrap();
+        })
+    };
+    top.invoke("blockdev", "write", &single(0x25)).unwrap();
+    assert_eq!(read_allocs(&top, 9), 0, "journal read from the overlay");
+    assert_eq!(
+        read_allocs(&top, 200),
+        1,
+        "journal read that misses the overlay"
+    );
+    assert_eq!(read_allocs(&stack.driver, 200), 1, "driver read");
+
     // cache → journal: a full one-shard cache of clean lines but one,
     // the dirty line coldest; the next miss evicts exactly it.
     let top = journalled().cache(8).build().unwrap().top;
@@ -715,4 +736,24 @@ fn store_write_path_meets_its_allocation_budgets() {
     });
     assert_eq!(writebacks(&stats(&top)), before + 1, "one dirty eviction");
     assert!(evict <= 9, "one-line dirty eviction: {evict} allocations");
+
+    // Lines 41..=48 are resident and clean. A hit and a write to a
+    // resident line stay in the cache; a miss whose victim is clean
+    // costs only the sector fetched from below.
+    let hits = |v: &Value| v.as_list().unwrap()[0].as_int().unwrap();
+    let before = hits(&stats(&top));
+    assert_eq!(read_allocs(&top, 48), 0, "cache read hit");
+    assert_eq!(hits(&stats(&top)), before + 2);
+    let args = [Value::Int(48), Value::Bytes(sector(0x26))];
+    let write = count_allocs(|| {
+        top.invoke("blockdev", "write", &args).unwrap();
+    });
+    assert_eq!(write, 0, "cache write to a resident line");
+    let before = writebacks(&stats(&top));
+    let args = [Value::Int(49)];
+    let miss = count_allocs(|| {
+        top.invoke("blockdev", "read", &args).unwrap();
+    });
+    assert_eq!(writebacks(&stats(&top)), before, "the victim was clean");
+    assert_eq!(miss, 1, "cache read miss");
 }

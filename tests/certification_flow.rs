@@ -47,7 +47,10 @@ fn escape_hatch_orders_subordinates_by_preference() {
     let honest_raw = workloads::table_fill(64, 2).encode();
     let policy = CertificationPolicy::standard(
         &root,
-        CompilerCertifier::new(Authority::new("compiler", &mut rng, 512)),
+        CompilerCertifier::new(
+            Authority::new("compiler", &mut rng, 512),
+            CostModel::default().analysis_eval,
+        ),
         ProverCertifier::new(Authority::new("prover", &mut rng, 512), 1_000),
         AdminCertifier::new(Authority::new("admin", &mut rng, 512), &[&honest_raw]),
         vec![Right::RunKernel],

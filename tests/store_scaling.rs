@@ -3,7 +3,9 @@
 //! - Differential property test: any operation sequence through the
 //!   cache, followed by a final flush, leaves the backing disk
 //!   byte-identical to running the same sequence against the raw driver —
-//!   across shard counts {1, 4, 8} and several capacities.
+//!   across shard counts {1, 4, 8} and several capacities. A twin of the
+//!   cache stack takes every scalar op as a burst of one and must keep
+//!   the same history: answers, errors, clock, charges and stats.
 //! - Durability: a failed backing write must never lose dirty data
 //!   (lines are marked clean only after the write succeeds).
 //! - Strict capacity: eviction happens before insertion.
@@ -57,20 +59,28 @@ fn resident_of(cache: &ObjRef) -> i64 {
         .unwrap()
 }
 
-/// One abstract storage operation.
+/// A sector no device here has: reads and writes of it must fail.
+const PAST_THE_END: i64 = 1 << 40;
+
+/// One abstract storage operation. A scalar op's sector is sometimes
+/// negative or past the end, and its payload sometimes short, so every
+/// way a layer refuses a request is exercised too.
 #[derive(Clone, Debug)]
 enum StoreOp {
     Read(i64),
-    Write(i64, u8),
+    /// Sector, fill byte, payload length.
+    Write(i64, u8, usize),
     ReadMany(Vec<i64>),
     WriteMany(Vec<(i64, u8)>),
     Flush,
 }
 
 fn store_op() -> impl Strategy<Value = StoreOp> {
+    let sector = || (-1..=RANGE).prop_map(|s| if s == RANGE { PAST_THE_END } else { s });
+    let len = (0usize..8).prop_map(|k| if k == 0 { 5 } else { SECTOR_SIZE });
     prop_oneof![
-        (0..RANGE).prop_map(StoreOp::Read),
-        (0..RANGE, 0u8..=255).prop_map(|(s, b)| StoreOp::Write(s, b)),
+        sector().prop_map(StoreOp::Read),
+        (sector(), 0u8..=255, len).prop_map(|(s, b, n)| StoreOp::Write(s, b, n)),
         proptest::collection::vec(0..RANGE, 1..6).prop_map(StoreOp::ReadMany),
         proptest::collection::vec((0..RANGE, 0u8..=255), 1..6).prop_map(StoreOp::WriteMany),
         (0u8..1).prop_map(|_| StoreOp::Flush),
@@ -78,49 +88,58 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
 }
 
 /// Applies `op` to any blockdev-speaking object, returning the read
-/// payloads (first byte of each sector) so cache and raw driver can be
-/// compared call by call, not just at the end.
-fn apply(dev: &ObjRef, op: &StoreOp, is_cache: bool) -> Vec<u8> {
-    match op {
-        StoreOp::Read(sec) => {
-            let v = dev.invoke("blockdev", "read", &[Value::Int(*sec)]).unwrap();
-            vec![v.as_bytes().unwrap()[0]]
-        }
-        StoreOp::Write(sec, byte) => {
-            dev.invoke("blockdev", "write", &[Value::Int(*sec), sector_of(*byte)])
-                .unwrap();
-            Vec::new()
-        }
-        StoreOp::ReadMany(secs) => {
-            let v = dev
-                .invoke(
-                    "blockdev",
-                    "read_many",
-                    &[sectors_arg(secs.iter().copied())],
-                )
-                .unwrap();
-            v.as_list()
-                .unwrap()
-                .iter()
-                .map(|b| b.as_bytes().unwrap()[0])
-                .collect()
-        }
-        StoreOp::WriteMany(pairs) => {
-            let arg = pairs_arg(
-                pairs
-                    .iter()
-                    .map(|(sec, byte)| (*sec, bytes::Bytes::from(vec![*byte; SECTOR_SIZE]))),
-            );
-            dev.invoke("blockdev", "write_many", &[arg]).unwrap();
-            Vec::new()
-        }
-        StoreOp::Flush => {
-            if is_cache {
-                dev.invoke("cache", "flush", &[]).unwrap();
+/// payloads (first byte of each sector) or the error text, so cache and
+/// raw driver can be compared call by call, not just at the end. With
+/// `burst`, a scalar op goes in as a burst of one: `read_many` of one
+/// sector, `write_many` of one pair.
+fn apply(dev: &ObjRef, op: &StoreOp, is_cache: bool, burst: bool) -> Result<Vec<u8>, String> {
+    let blockdev = |method, args| ("blockdev", method, args);
+    let (iface, method, args) = match op {
+        StoreOp::Read(sec) if burst => blockdev("read_many", vec![sectors_arg([*sec])]),
+        StoreOp::Read(sec) => blockdev("read", vec![Value::Int(*sec)]),
+        StoreOp::Write(sec, byte, len) => {
+            let data = bytes::Bytes::from(vec![*byte; *len]);
+            match burst {
+                true => blockdev("write_many", vec![pairs_arg([(*sec, data)])]),
+                false => blockdev("write", vec![Value::Int(*sec), Value::Bytes(data)]),
             }
-            Vec::new()
         }
+        StoreOp::ReadMany(secs) => blockdev("read_many", vec![sectors_arg(secs.iter().copied())]),
+        StoreOp::WriteMany(pairs) => {
+            let data = |byte: u8| bytes::Bytes::from(vec![byte; SECTOR_SIZE]);
+            let pairs = pairs.iter().map(|&(sec, byte)| (sec, data(byte)));
+            blockdev("write_many", vec![pairs_arg(pairs)])
+        }
+        StoreOp::Flush if is_cache => ("cache", "flush", Vec::new()),
+        StoreOp::Flush => return Ok(Vec::new()),
+    };
+    // Reads answer sectors; everything else answers a count or nothing.
+    let first_bytes = |v: Value| match v {
+        Value::List(l) => l.iter().map(|b| b.as_bytes().unwrap()[0]).collect(),
+        Value::Bytes(b) => vec![b[0]],
+        _ => Vec::new(),
+    };
+    dev.invoke(iface, method, &args)
+        .map(first_bytes)
+        .map_err(|e| e.to_string())
+}
+
+/// What a scalar call and its burst of one must leave identical: the
+/// machine's clock and charge count, and every `stats` list of a
+/// `driver → cache` stack.
+fn history(mem: &MemService, driver: &ObjRef, cache: &ObjRef) -> Vec<Value> {
+    let m = mem.machine().lock();
+    let clock = [m.now(), m.charge_events()].map(|n| Value::Int(n as i64));
+    drop(m);
+    let mut seen = clock.to_vec();
+    for (obj, iface, method) in [
+        (driver, "blockdev", "stats"),
+        (cache, "cache", "stats"),
+        (cache, "cache", "shard_stats"),
+    ] {
+        seen.push(obj.invoke(iface, method, &[]).unwrap());
     }
+    seen
 }
 
 fn disk_contents(driver: &ObjRef) -> Vec<u8> {
@@ -136,28 +155,43 @@ fn disk_contents(driver: &ObjRef) -> Vec<u8> {
 
 proptest! {
     /// The cache is transparent: every read returns what the raw driver
-    /// would have returned, and after a final flush the backing disk is
-    /// byte-identical to the driver-only run — for shard counts 1, 4 and
-    /// 8 and capacities from thrashing-small to ample.
+    /// would have returned, every refusal says what the driver says, and
+    /// after a final flush the backing disk is byte-identical to the
+    /// driver-only run — for shard counts 1, 4 and 8 and capacities from
+    /// thrashing-small to ample. A twin of the cache stack gets every
+    /// scalar op as a burst of one and must leave the same history: the
+    /// same answer or error, clock, charges and stats after every op.
     #[test]
     fn cache_is_differentially_transparent(
         ops in proptest::collection::vec(store_op(), 0..60),
         capacity in 2usize..40,
     ) {
         for shards in [1usize, 4, 8] {
-            let (_mem_c, backing) = fresh_driver();
-            let cache = StackBuilder::on(backing.clone())
-                .sharded_cache(capacity, shards)
-                .build()
-                .unwrap()
-                .top;
+            let cache_over = |driver: &ObjRef| {
+                StackBuilder::on(driver.clone())
+                    .sharded_cache(capacity, shards)
+                    .build()
+                    .unwrap()
+                    .top
+            };
+            let (mem_c, backing) = fresh_driver();
+            let cache = cache_over(&backing);
+            let (mem_t, twin_backing) = fresh_driver();
+            let twin = cache_over(&twin_backing);
             let (_mem_r, raw) = fresh_driver();
             for op in &ops {
-                let through_cache = apply(&cache, op, true);
-                let through_raw = apply(&raw, op, false);
+                let through_cache = apply(&cache, op, true, false);
+                let through_raw = apply(&raw, op, false, false);
                 prop_assert_eq!(
                     &through_cache, &through_raw,
                     "read divergence (shards={}, capacity={}, op={:?})", shards, capacity, op
+                );
+                let through_twin = apply(&twin, op, true, true);
+                prop_assert_eq!(&through_twin, &through_cache, "burst of one: {:?}", op);
+                prop_assert_eq!(
+                    history(&mem_t, &twin_backing, &twin),
+                    history(&mem_c, &backing, &cache),
+                    "burst of one left another history: {:?}", op
                 );
                 // Strict capacity invariant after every operation.
                 let resident = resident_of(&cache);
