@@ -3,6 +3,19 @@
 //! Synchronous (polled) on purpose: the interesting costs for the
 //! shared-cache experiments are the per-sector transfer latencies, which
 //! drivers charge through the cost model when they issue operations.
+//!
+//! The platter keeps what it is handed. It is a sparse table of shared
+//! sector buffers: a write stores the caller's [`Bytes`] as it is, and a
+//! read hands that same buffer back (a reference-count bump, no copy and
+//! no allocation). A sector's buffer is one object from the client to the
+//! platter, so the disk holds no copy of its own beside the ones the
+//! block cache and the journal's overlay already share. The table is
+//! allocated in chunks of 64 sectors, each on its first write, and a
+//! sector never written reads as one shared zero sector.
+
+use std::sync::OnceLock;
+
+use bytes::Bytes;
 
 use crate::{cost::Cycles, irq::IrqController, MachineError, MachineResult};
 
@@ -40,9 +53,39 @@ pub mod regs {
     pub const WRITES: u64 = 0x8;
 }
 
+/// Sectors per chunk of the platter's table. An untouched chunk costs one
+/// empty pointer: a flat slot per sector would cost every `Machine` a
+/// quarter MiB whether or not its disk is ever written.
+const CHUNK_SECTORS: usize = 64;
+
+/// One chunk of the platter: a slot per sector, empty until written.
+type Chunk = [Option<Bytes>; CHUNK_SECTORS];
+
+/// What every sector never written holds: one zero sector, shared by
+/// every disk.
+fn zero_sector() -> Bytes {
+    static ZERO: OnceLock<Bytes> = OnceLock::new();
+    ZERO.get_or_init(|| Bytes::from(vec![0; SECTOR_SIZE]))
+        .clone()
+}
+
+/// Refuses a sector write whose buffer is not exactly one sector.
+fn check_len(buf: &[u8]) -> MachineResult<()> {
+    if buf.len() != SECTOR_SIZE {
+        return Err(MachineError::Device(format!(
+            "disk: a sector write takes {SECTOR_SIZE} bytes, got {}",
+            buf.len()
+        )));
+    }
+    Ok(())
+}
+
 /// The disk device.
 pub struct Disk {
-    data: Vec<u8>,
+    sectors: usize,
+    /// The platter: chunk `c` holds sectors `c * CHUNK_SECTORS ..`, and
+    /// is `None` until one of them is written.
+    chunks: Vec<Option<Box<Chunk>>>,
     reads: u64,
     writes: u64,
     /// Injected fault window: the next N sector transfers fail with a
@@ -60,7 +103,8 @@ impl Disk {
     /// Creates a zeroed disk with `sectors` sectors.
     pub fn new(sectors: usize) -> Self {
         Disk {
-            data: vec![0; sectors * SECTOR_SIZE],
+            sectors,
+            chunks: vec![None; sectors.div_ceil(CHUNK_SECTORS)],
             reads: 0,
             writes: 0,
             transient_errors: 0,
@@ -124,51 +168,83 @@ impl Disk {
 
     /// Number of sectors.
     pub fn sectors(&self) -> usize {
-        self.data.len() / SECTOR_SIZE
+        self.sectors
     }
 
-    /// Reads one sector where it lies on the platter (driver side; the
-    /// driver charges transfer cost and makes the one copy out).
-    pub fn read_sector(&mut self, idx: u64) -> MachineResult<&[u8; SECTOR_SIZE]> {
+    /// Sector `idx`'s index into the platter, checked against the bounds.
+    fn locate(&self, idx: u64) -> MachineResult<usize> {
+        usize::try_from(idx)
+            .ok()
+            .filter(|&i| i < self.sectors)
+            .ok_or_else(|| MachineError::Device(format!("disk: sector {idx} out of range")))
+    }
+
+    /// What sector `i` holds: the buffer last written there, or the
+    /// shared zero sector.
+    fn stored(&self, i: usize) -> Bytes {
+        self.chunks[i / CHUNK_SECTORS]
+            .as_ref()
+            .and_then(|chunk| chunk[i % CHUNK_SECTORS].clone())
+            .unwrap_or_else(zero_sector)
+    }
+
+    /// Sector `i`'s slot, allocating its chunk on the chunk's first write.
+    fn slot(&mut self, i: usize) -> &mut Option<Bytes> {
+        let chunk = self.chunks[i / CHUNK_SECTORS]
+            .get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
+        &mut chunk[i % CHUNK_SECTORS]
+    }
+
+    /// Reads one sector (driver side; the driver charges transfer cost).
+    /// The answer is the buffer the sector was last written with, shared:
+    /// no copy and no allocation.
+    pub fn read_sector(&mut self, idx: u64) -> MachineResult<Bytes> {
         self.fault_check()?;
-        let start = (idx as usize)
-            .checked_mul(SECTOR_SIZE)
-            .filter(|s| s + SECTOR_SIZE <= self.data.len())
-            .ok_or_else(|| MachineError::Device(format!("disk: sector {idx} out of range")))?;
+        let i = self.locate(idx)?;
         self.reads += 1;
-        let sector = &self.data[start..start + SECTOR_SIZE];
-        Ok(sector.try_into().expect("a whole sector"))
+        Ok(self.stored(i))
     }
 
-    /// Writes one sector.
-    pub fn write_sector(&mut self, idx: u64, buf: &[u8; SECTOR_SIZE]) -> MachineResult<()> {
+    /// Writes one sector by keeping `data` itself, which must be exactly
+    /// [`SECTOR_SIZE`] bytes. A `Bytes` view pins its whole backing
+    /// buffer: a sector written as a 512-byte slice of a larger request
+    /// keeps all of that request alive until every sector holding a
+    /// slice of it is overwritten. So the disk's memory is bounded not by
+    /// `sectors × SECTOR_SIZE` but by `sectors ×` the largest buffer a
+    /// writer slices a sector from. The writers today keep that small:
+    /// the store journal slices a commit group's record headers from one
+    /// buffer of that group's headers, at most the log's length, and the
+    /// benchmark's clients write one-sector buffers or (`bulk`) 512-byte
+    /// slices of a 4 KiB request. A writer that slices sectors out of
+    /// something larger, a whole received frame say, should copy them.
+    pub fn write_sector(&mut self, idx: u64, data: Bytes) -> MachineResult<()> {
         self.fault_check()?;
-        let start = (idx as usize)
-            .checked_mul(SECTOR_SIZE)
-            .filter(|s| s + SECTOR_SIZE <= self.data.len())
-            .ok_or_else(|| MachineError::Device(format!("disk: sector {idx} out of range")))?;
+        let i = self.locate(idx)?;
+        check_len(&data)?;
         self.writes += 1;
-        self.data[start..start + SECTOR_SIZE].copy_from_slice(buf);
+        *self.slot(i) = Some(data);
         Ok(())
     }
 
-    /// Writes only the first `prefix` bytes of a sector, leaving the rest
-    /// as it was — the *torn write* a power failure leaves behind when it
-    /// interrupts a sector transfer mid-stream. Only crash injection uses
-    /// this; a torn sector is exactly what journal checksums exist to
-    /// detect and reject at recovery.
+    /// Writes only the first `prefix` bytes of `buf` (one sector) over a
+    /// sector, leaving the rest as it was — the *torn write* a power
+    /// failure leaves behind when it interrupts a sector transfer
+    /// mid-stream. The torn sector is a new buffer, built here: this is
+    /// the only path that copies, and only crash injection takes it. A
+    /// torn sector is exactly what journal checksums exist to detect and
+    /// reject at recovery.
     pub fn write_sector_prefix(
         &mut self,
         idx: u64,
-        buf: &[u8; SECTOR_SIZE],
+        buf: &[u8],
         prefix: usize,
     ) -> MachineResult<()> {
+        let i = self.locate(idx)?;
+        check_len(buf)?;
         let prefix = prefix.min(SECTOR_SIZE);
-        let start = (idx as usize)
-            .checked_mul(SECTOR_SIZE)
-            .filter(|s| s + SECTOR_SIZE <= self.data.len())
-            .ok_or_else(|| MachineError::Device(format!("disk: sector {idx} out of range")))?;
-        self.data[start..start + prefix].copy_from_slice(&buf[..prefix]);
+        let mut torn = self.stored(i).to_vec();
+        torn[..prefix].copy_from_slice(&buf[..prefix]);
+        *self.slot(i) = Some(Bytes::from(torn));
         Ok(())
     }
 
@@ -216,35 +292,85 @@ impl Device for Disk {
 mod tests {
     use super::*;
 
+    fn sector_of(byte: u8) -> Bytes {
+        Bytes::from(vec![byte; SECTOR_SIZE])
+    }
+
+    fn chunks_allocated(d: &Disk) -> usize {
+        d.chunks.iter().flatten().count()
+    }
+
     #[test]
     fn sector_roundtrip() {
+        // A read hands back the written buffer itself, not a copy of it.
         let mut d = Disk::new(8);
-        let mut buf = [0u8; SECTOR_SIZE];
-        buf[0] = 0xAA;
-        buf[511] = 0x55;
-        d.write_sector(3, &buf).unwrap();
-        assert_eq!(d.read_sector(3).unwrap(), &buf);
-        assert_eq!(d.read_sector(2).unwrap(), &[0u8; SECTOR_SIZE]);
-        assert_eq!((d.read_count(), d.write_count()), (2, 1));
+        let buf = sector_of(0xAA);
+        d.write_sector(3, buf.clone()).unwrap();
+        let got = d.read_sector(3).unwrap();
+        assert_eq!(got, buf);
+        assert_eq!(got.as_ptr(), buf.as_ptr());
+        assert_eq!((d.read_count(), d.write_count()), (1, 1));
+    }
+
+    #[test]
+    fn unwritten_sectors_read_zero_without_allocating_a_chunk() {
+        let mut d = Disk::new(256);
+        let zero = d.read_sector(200).unwrap();
+        assert_eq!(zero, vec![0u8; SECTOR_SIZE]);
+        assert_eq!(chunks_allocated(&d), 0);
+        // Every unwritten sector, on every disk, is the same buffer.
+        let other = Disk::new(4).read_sector(1).unwrap();
+        assert_eq!(other.as_ptr(), zero.as_ptr());
+        // A write allocates its own chunk and no other; its neighbours
+        // in that chunk still read zero.
+        d.write_sector(70, sector_of(1)).unwrap();
+        assert_eq!(chunks_allocated(&d), 1);
+        assert!(d.chunks[70 / CHUNK_SECTORS].is_some());
+        assert_eq!(d.read_sector(71).unwrap().as_ptr(), zero.as_ptr());
+    }
+
+    #[test]
+    fn wrong_length_write_is_refused() {
+        let mut d = Disk::new(4);
+        for len in [0, SECTOR_SIZE - 1, SECTOR_SIZE + 1] {
+            let e = d.write_sector(0, Bytes::from(vec![1; len])).unwrap_err();
+            assert!(matches!(e, MachineError::Device(_)), "{e}");
+            assert!(d.write_sector_prefix(0, &vec![1; len], 8).is_err());
+        }
+        assert_eq!(d.write_count(), 0);
+        assert_eq!(chunks_allocated(&d), 0);
     }
 
     #[test]
     fn out_of_range_rejected() {
         let mut d = Disk::new(4);
         assert!(d.read_sector(4).is_err());
-        assert!(d.write_sector(u64::MAX, &[0u8; SECTOR_SIZE]).is_err());
+        assert!(d.read_sector(u64::MAX).is_err());
+        assert!(d.write_sector(4, sector_of(0)).is_err());
+        assert!(d.write_sector(u64::MAX, sector_of(0)).is_err());
+        assert!(d.write_sector_prefix(4, &sector_of(0), 1).is_err());
+        assert_eq!((d.read_count(), d.write_count()), (0, 0));
     }
 
     #[test]
     fn torn_write_leaves_a_mixed_sector() {
+        // Over a written sector: new bytes, then the old ones. The torn
+        // sector is a new buffer; the one written before is untouched.
         let mut d = Disk::new(4);
-        d.write_sector(2, &[0xAAu8; SECTOR_SIZE]).unwrap();
-        d.write_sector_prefix(2, &[0xBBu8; SECTOR_SIZE], 100)
-            .unwrap();
+        let old = sector_of(0xAA);
+        d.write_sector(2, old.clone()).unwrap();
+        d.write_sector_prefix(2, &sector_of(0xBB), 100).unwrap();
         let s = d.read_sector(2).unwrap();
         assert!(s[..100].iter().all(|&b| b == 0xBB));
         assert!(s[100..].iter().all(|&b| b == 0xAA));
-        assert!(d.write_sector_prefix(4, &[0u8; SECTOR_SIZE], 1).is_err());
+        assert!(old.iter().all(|&b| b == 0xAA));
+        // Over an unwritten sector: new bytes, then zeros.
+        d.write_sector_prefix(3, &sector_of(0xCC), 100).unwrap();
+        let s = d.read_sector(3).unwrap();
+        assert!(s[..100].iter().all(|&b| b == 0xCC));
+        assert!(s[100..].iter().all(|&b| b == 0));
+        // A torn write is not a completed one.
+        assert_eq!(d.write_count(), 1);
     }
 
     #[test]
@@ -264,13 +390,13 @@ mod tests {
         d.inject_transient_errors(2);
         let e = d.read_sector(0).unwrap_err();
         assert!(e.to_string().contains("transient"), "{e}");
-        assert!(d.write_sector(0, &[0u8; SECTOR_SIZE]).is_err());
+        assert!(d.write_sector(0, sector_of(0)).is_err());
         // Window exhausted: back to normal.
         d.read_sector(0).unwrap();
         assert_eq!(d.transient_fired(), 2);
         // Torn crash writes bypass the transient window entirely.
         d.inject_transient_errors(1);
-        d.write_sector_prefix(1, &[0xCC; SECTOR_SIZE], 8).unwrap();
+        d.write_sector_prefix(1, &sector_of(0xCC), 8).unwrap();
         // Latency spikes decay per consumed op, and clear_faults drops
         // everything armed.
         d.inject_latency(5_000, 2);

@@ -395,7 +395,7 @@ mod tests {
         // Reboot clears the failure; device state (the disk) persists.
         m.device_mut::<crate::dev::Disk>("disk")
             .unwrap()
-            .write_sector(0, &[7u8; crate::dev::disk::SECTOR_SIZE])
+            .write_sector(0, vec![7u8; crate::dev::disk::SECTOR_SIZE].into())
             .unwrap();
         m.reboot();
         assert!(m.check_power().is_ok());

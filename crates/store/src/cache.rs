@@ -418,6 +418,13 @@ fn make_room(shared: &CacheShared, wanted: impl Iterator<Item = i64> + Clone) ->
                 let (vsec, vdata, vdirty) =
                     sh.pop_lru().expect("over-demand shard has an LRU line");
                 if vdirty {
+                    // Cold dirty lines top the batch up to
+                    // `EVICTION_WRITEBACK_BATCH`: room for that many in
+                    // one allocation, at the first victim, rather than
+                    // one per doubling.
+                    if batch.is_empty() {
+                        batch.reserve(EVICTION_WRITEBACK_BATCH);
+                    }
                     batch.push((vsec, vdata, None));
                 }
             }

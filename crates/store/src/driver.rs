@@ -18,6 +18,12 @@
 //! new, half old bytes) — exactly the failure surface the
 //! `store::journal` layer's checksummed records exist to survive.
 //!
+//! The driver moves no bytes. A write hands the platter each sector's
+//! buffer to keep (a reference-count bump), and a read answers with the
+//! platter's own buffer: a sector is one `Bytes` from the client to the
+//! [`Disk`] and back. Only a torn write, on the crash path, builds a new
+//! buffer.
+//!
 //! The driver's transaction verbs are **volatile**: `commit` applies the
 //! buffered writes as one batch, atomic against validation errors but
 //! *not* against power failure. Crash-atomic commit is the journal
@@ -56,7 +62,8 @@ impl DriverState {
     /// The driver's one write path — `write`, `write_many` and `commit`
     /// all hand it their batch, borrowed: refuse on a dead machine,
     /// validate every sector before anything is charged or written (no
-    /// partial effects for invalid batches), then write, charging the
+    /// partial effects for invalid batches), then store each sector's
+    /// buffer on the platter, charging the
     /// amortised batch cost one sector at a time (request setup for the
     /// first, streaming rate for the rest) and checking for an injected
     /// power failure between charges. On a crash the in-flight sector is
@@ -72,7 +79,6 @@ impl DriverState {
         let sectors = batch.len() as u64;
         for (k, (sec, data)) in batch.enumerate() {
             charge_transfer(disk, meter, k);
-            let data = data[..].try_into().expect("one validated sector");
             if meter.check_power().is_err() {
                 // Power died during this sector's transfer: only a prefix
                 // reaches the platter.
@@ -80,7 +86,8 @@ impl DriverState {
                     .map_err(dev_err)?;
                 return Err(dev_err(MachineError::PowerFailure));
             }
-            disk.write_sector(sec as u64, data).map_err(dev_err)?;
+            disk.write_sector(sec as u64, data.clone())
+                .map_err(dev_err)?;
         }
         self.writes += sectors;
         Ok(())
@@ -175,8 +182,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                         for (k, (sec, slot)) in reads.sectors().zip(out.iter_mut()).enumerate() {
                             charge_transfer(disk, meter, k);
                             meter.check_power().map_err(dev_err)?;
-                            let data = disk.read_sector(sec as u64).map_err(dev_err)?;
-                            *slot = Value::Bytes(Bytes::copy_from_slice(data));
+                            *slot = Value::Bytes(disk.read_sector(sec as u64).map_err(dev_err)?);
                         }
                         s.reads += out.len() as u64;
                         Ok(())

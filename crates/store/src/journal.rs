@@ -62,7 +62,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
@@ -127,13 +127,12 @@ fn get_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().expect("8-byte slice"))
 }
 
-/// Seals a record sector: checksum over the first 504 bytes goes into
-/// the last 8. The sum of 504 zero bytes is not zero, so an all-zero
-/// sector never validates.
-fn seal(mut buf: [u8; SECTOR_SIZE]) -> [u8; SECTOR_SIZE] {
+/// Seals a record sector in place: checksum over the first 504 bytes
+/// goes into the last 8. The sum of 504 zero bytes is not zero, so an
+/// all-zero sector never validates.
+fn seal(buf: &mut [u8]) {
     let sum = sum64::fold(0, &buf[..SECTOR_SIZE - 8]);
-    put_u64(&mut buf, SECTOR_SIZE - 8, sum);
-    buf
+    put_u64(buf, SECTOR_SIZE - 8, sum);
 }
 
 /// Validates a sealed record sector's trailing checksum.
@@ -142,11 +141,12 @@ fn sealed_ok(buf: &[u8]) -> bool {
         && get_u64(buf, SECTOR_SIZE - 8) == sum64::fold(0, &buf[..SECTOR_SIZE - 8])
 }
 
-fn sb_sector(epoch: u64) -> [u8; SECTOR_SIZE] {
-    let mut buf = [0u8; SECTOR_SIZE];
+fn sb_sector(epoch: u64) -> Bytes {
+    let mut buf = BytesMut::zeroed(SECTOR_SIZE);
     put_u64(&mut buf, 0, SB_MAGIC);
     put_u64(&mut buf, 8, epoch);
-    seal(buf)
+    seal(&mut buf);
+    buf.freeze()
 }
 
 /// Parses a superblock copy, returning its epoch if valid.
@@ -154,26 +154,26 @@ fn parse_sb(buf: &[u8]) -> Option<u64> {
     (sealed_ok(buf) && get_u64(buf, 0) == SB_MAGIC).then(|| get_u64(buf, 8))
 }
 
-fn desc_sector(epoch: u64, txn: u64, chunk: &[(i64, Bytes)]) -> [u8; SECTOR_SIZE] {
+/// Encodes a descriptor into `buf`, one zeroed sector.
+fn desc_sector(buf: &mut [u8], epoch: u64, txn: u64, chunk: &[(i64, Bytes)]) {
     debug_assert!(chunk.len() <= DESC_CAPACITY);
-    let mut buf = [0u8; SECTOR_SIZE];
-    put_u64(&mut buf, 0, DESC_MAGIC);
-    put_u64(&mut buf, 8, epoch);
-    put_u64(&mut buf, 16, txn);
-    put_u64(&mut buf, 24, chunk.len() as u64);
+    put_u64(buf, 0, DESC_MAGIC);
+    put_u64(buf, 8, epoch);
+    put_u64(buf, 16, txn);
+    put_u64(buf, 24, chunk.len() as u64);
     for (k, (sec, _)) in chunk.iter().enumerate() {
-        put_u64(&mut buf, 32 + 8 * k, *sec as u64);
+        put_u64(buf, 32 + 8 * k, *sec as u64);
     }
-    seal(buf)
+    seal(buf);
 }
 
-fn commit_sector(epoch: u64, txn: u64, payload_sum: u64) -> [u8; SECTOR_SIZE] {
-    let mut buf = [0u8; SECTOR_SIZE];
-    put_u64(&mut buf, 0, COMMIT_MAGIC);
-    put_u64(&mut buf, 8, epoch);
-    put_u64(&mut buf, 16, txn);
-    put_u64(&mut buf, 24, payload_sum);
-    seal(buf)
+/// Encodes a commit marker into `buf`, one zeroed sector.
+fn commit_sector(buf: &mut [u8], epoch: u64, txn: u64, payload_sum: u64) {
+    put_u64(buf, 0, COMMIT_MAGIC);
+    put_u64(buf, 8, epoch);
+    put_u64(buf, 16, txn);
+    put_u64(buf, 24, payload_sum);
+    seal(buf);
 }
 
 /// Committed transactions in commit order, as recovered by a log scan.
@@ -230,9 +230,9 @@ impl JournalShared {
         Ok(v.as_bytes()?.clone())
     }
 
-    fn write_backing(&self, batch: impl IntoIterator<Item = (i64, Bytes)>) -> ObjResult<()> {
-        self.backing
-            .invoke("blockdev", "write_many", &[pairs_arg(batch)])?;
+    /// Writes one `write_many` argument (a flat [`pairs_arg`] list) below.
+    fn write_backing(&self, flat: Value) -> ObjResult<()> {
+        self.backing.invoke("blockdev", "write_many", &[flat])?;
         Ok(())
     }
 
@@ -273,30 +273,44 @@ impl JournalShared {
     }
 
     /// Serialises `txns` into their `slots` log sectors starting at
-    /// `head`, returning the absolute `(sector, data)` batch. Each
-    /// transaction ends with its own commit marker, so a crash part-way
-    /// through the batch leaves every fully-appended transaction
-    /// committed and the one at the crash point invisible.
-    fn encode_group(
-        &self,
-        epoch: u64,
-        head: i64,
-        slots: i64,
-        txns: &[PendingTxn],
-    ) -> Vec<(i64, Bytes)> {
-        let mut batch = Vec::with_capacity(slots as usize);
-        let start = self.geo.log_start + head;
-        let mut put = |data| batch.push((start + batch.len() as i64, data));
+    /// `head`, returning the absolute batch as the `write_many` argument
+    /// itself. Each transaction ends with its own commit marker, so a
+    /// crash part-way through the batch leaves every fully-appended
+    /// transaction committed and the one at the crash point invisible.
+    ///
+    /// The payloads go down as the clients' own buffers. The record
+    /// headers (descriptors and commit markers) of the whole group are
+    /// encoded into one buffer and go down as one-sector slices of it, so
+    /// a group costs two allocations, headers and list, however many
+    /// transactions it holds.
+    fn encode_group(&self, epoch: u64, head: i64, slots: i64, txns: &[PendingTxn]) -> Value {
+        let payloads: usize = txns.iter().map(|t| t.writes.len()).sum();
+        let mut headers = BytesMut::zeroed((slots as usize - payloads) * SECTOR_SIZE);
+        let mut blank = headers.chunks_exact_mut(SECTOR_SIZE);
         for t in txns {
             for chunk in t.writes.chunks(DESC_CAPACITY) {
-                put(Bytes::copy_from_slice(&desc_sector(epoch, t.seq, chunk)));
-                chunk.iter().for_each(|(_, data)| put(data.clone()));
+                desc_sector(blank.next().expect("counted"), epoch, t.seq, chunk);
             }
             let sum = payload_sum(&t.writes);
-            put(Bytes::copy_from_slice(&commit_sector(epoch, t.seq, sum)));
+            commit_sector(blank.next().expect("counted"), epoch, t.seq, sum);
         }
-        debug_assert_eq!(batch.len() as i64, slots);
-        batch
+        let headers = headers.freeze();
+        let mut header = (0..).map(|k| headers.slice(k * SECTOR_SIZE..(k + 1) * SECTOR_SIZE));
+        let mut flat = Vec::with_capacity(2 * slots as usize);
+        let mut sector = self.geo.log_start + head;
+        let mut put = |data| {
+            flat.extend([Value::Int(sector), Value::Bytes(data)]);
+            sector += 1;
+        };
+        for t in txns {
+            for chunk in t.writes.chunks(DESC_CAPACITY) {
+                put(header.next().expect("encoded"));
+                chunk.iter().for_each(|(_, data)| put(data.clone()));
+            }
+            put(header.next().expect("encoded"));
+        }
+        debug_assert_eq!(flat.len() as i64, 2 * slots);
+        Value::List(flat)
     }
 
     /// Scans the log and returns the committed transactions in commit
@@ -363,12 +377,12 @@ impl JournalShared {
         batch.sort_unstable_by_key(|(sec, _)| *sec);
         let homed = batch.len() as i64;
         if !batch.is_empty() {
-            self.write_backing(batch)?;
+            self.write_backing(pairs_arg(batch))?;
         }
         // Home writes are durable; only now may the records stop
         // validating.
         let next = epoch + 1;
-        self.write_backing([(self.geo.sb(next), Bytes::copy_from_slice(&sb_sector(next)))])?;
+        self.write_backing(pairs_arg([(self.geo.sb(next), sb_sector(next))]))?;
         Ok(homed)
     }
 
@@ -612,7 +626,7 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
     let epoch = match sb0.into_iter().chain(sb1).max() {
         Some(e) => e,
         None => {
-            shared.write_backing([(geo.sb(1), Bytes::copy_from_slice(&sb_sector(1)))])?;
+            shared.write_backing(pairs_arg([(geo.sb(1), sb_sector(1))]))?;
             1
         }
     };

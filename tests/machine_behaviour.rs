@@ -115,9 +115,9 @@ fn disk_contents_survive_across_driver_instances() {
         let machine = n.machine().clone();
         let mut m = machine.lock();
         let d = m.device_mut::<Disk>("disk").unwrap();
-        let mut sector = [0u8; SECTOR_SIZE];
+        let mut sector = vec![0u8; SECTOR_SIZE];
         sector[..4].copy_from_slice(b"BOOT");
-        d.write_sector(0, &sector).unwrap();
+        d.write_sector(0, sector.into()).unwrap();
     }
     let driver = paramecium::store::StackBuilder::disk(&n.mem, KERNEL_DOMAIN)
         .build()
