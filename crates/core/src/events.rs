@@ -27,6 +27,7 @@ pub type EventCallback = Arc<dyn Fn(&Trap) + Send + Sync>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CallbackId(u64);
 
+#[derive(Clone)]
 struct Registration {
     id: CallbackId,
     domain: DomainId,
@@ -44,7 +45,10 @@ pub struct EventStats {
 
 /// The processor event service.
 pub struct EventService {
-    vectors: Vec<RwLock<Vec<Registration>>>,
+    /// Per vector, its registrations in order. Registering or unregistering
+    /// replaces the list; a delivery holds the one it found, so delivering
+    /// allocates nothing and a call-back may re-enter the service.
+    vectors: Vec<RwLock<Arc<[Registration]>>>,
     stats: Vec<Mutex<EventStats>>,
     next_id: Mutex<u64>,
 }
@@ -52,8 +56,11 @@ pub struct EventService {
 impl EventService {
     /// Creates the service with all vectors empty.
     pub fn new() -> Self {
+        let empty: Arc<[Registration]> = Arc::new([]);
         EventService {
-            vectors: (0..NUM_VECTORS).map(|_| RwLock::new(Vec::new())).collect(),
+            vectors: (0..NUM_VECTORS)
+                .map(|_| RwLock::new(empty.clone()))
+                .collect(),
             stats: (0..NUM_VECTORS)
                 .map(|_| Mutex::new(EventStats::default()))
                 .collect(),
@@ -75,11 +82,13 @@ impl EventService {
         let mut next = self.next_id.lock();
         let id = CallbackId(*next);
         *next += 1;
-        slot.write().push(Registration {
+        let mut regs = slot.write();
+        let added = Registration {
             id,
             domain,
             callback,
-        });
+        };
+        *regs = regs.iter().cloned().chain([added]).collect();
         Ok(id)
     }
 
@@ -89,7 +98,7 @@ impl EventService {
             Some(slot) => {
                 let mut regs = slot.write();
                 let before = regs.len();
-                regs.retain(|r| r.id != id);
+                *regs = regs.iter().filter(|r| r.id != id).cloned().collect();
                 regs.len() != before
             }
             None => false,
@@ -113,14 +122,10 @@ impl EventService {
         let Some(slot) = self.vectors.get(vector) else {
             return 0;
         };
-        // Snapshot under the lock, run outside it: call-backs may
+        // Take the list under the lock, run it outside: call-backs may
         // re-enter the event service (e.g. a fault handler making a
         // nested cross-domain call).
-        let regs: Vec<(DomainId, EventCallback)> = slot
-            .read()
-            .iter()
-            .map(|r| (r.domain, r.callback.clone()))
-            .collect();
+        let regs = slot.read().clone();
 
         {
             let mut m = machine.lock();
@@ -135,13 +140,13 @@ impl EventService {
         }
 
         let mut ran = 0;
-        for (domain, cb) in regs {
+        for reg in regs.iter() {
             {
                 let mut m = machine.lock();
                 // Dispatching into a non-current context pays the switch.
-                let _ = m.switch_context(domain.context());
+                let _ = m.switch_context(reg.domain.context());
             }
-            cb(trap);
+            (reg.callback)(trap);
             ran += 1;
         }
 

@@ -7,14 +7,19 @@
 //! reach kernel services through exactly the same bind-and-proxy mechanism
 //! as any other cross-domain object — there is no separate syscall layer.
 
-use std::{collections::BTreeMap, sync::Arc};
+use std::{
+    collections::BTreeMap,
+    sync::{Arc, Weak},
+};
 
 use parking_lot::{Mutex, RwLock};
 
 use paramecium_cert::{certificate::Right, store::CertStore};
 use paramecium_crypto::keys::PublicKey;
 use paramecium_machine::{cost::Cycles, trap::TrapKind, Machine};
-use paramecium_obj::{compose::CompositionBuilder, ObjRef, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{
+    compose::CompositionBuilder, ObjError, ObjRef, ObjectBuilder, TypeTag, Value,
+};
 use paramecium_sfi::bytecode::Program;
 
 use crate::{
@@ -489,25 +494,42 @@ fn memory_object(mem: &Arc<MemService>) -> ObjRef {
 }
 
 /// Wraps the directory service (root name space) as an object.
+///
+/// The object is registered in the very name space it serves, so it holds
+/// that name space weakly: a strong handle would keep a dropped world alive.
+/// Called once its world is gone, it answers [`ObjError::Binding`].
 fn directory_object(ns: &Arc<NameSpace>) -> ObjRef {
-    let n1 = ns.clone();
-    let n2 = ns.clone();
+    let n1 = Arc::downgrade(ns);
+    let n2 = n1.clone();
     ObjectBuilder::new("nucleus-directory")
         .interface("directory", |i| {
             i.method("list", &[TypeTag::Str], TypeTag::List, move |_, args| {
                 let prefix = args[0].as_str()?;
                 Ok(Value::List(
-                    n1.list(prefix).into_iter().map(Value::Str).collect(),
+                    live(&n1)?
+                        .list(prefix)
+                        .into_iter()
+                        .map(Value::Str)
+                        .collect(),
                 ))
             })
             .method(
                 "registered",
                 &[TypeTag::Str],
                 TypeTag::Bool,
-                move |_, args| Ok(Value::Bool(n2.lookup(args[0].as_str()?).is_ok())),
+                move |_, args| {
+                    let path = args[0].as_str()?;
+                    Ok(Value::Bool(live(&n2)?.lookup(path).is_ok()))
+                },
             )
         })
         .build()
+}
+
+/// The name space a directory object serves, while its world lives.
+fn live(ns: &Weak<NameSpace>) -> Result<Arc<NameSpace>, ObjError> {
+    ns.upgrade()
+        .ok_or_else(|| ObjError::Binding("the directory's name space is gone".into()))
 }
 
 /// Wraps the certification service as an object.

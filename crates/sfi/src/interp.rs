@@ -17,7 +17,11 @@
 //!   [`crate::lower`] builds once at load. It keeps every check the oracle
 //!   makes — what it sheds is the per-step decode, fetch and fuel tests —
 //!   so it serves every protection regime, and the conformance suite holds
-//!   it bit-for-bit equal to the oracle.
+//!   it bit-for-bit equal to the oracle. A counted loop (a checksum's
+//!   inner loop) sheds the per-iteration dispatch too: once the whole trip
+//!   is shown to stay in the segment and under the mask, the trip's loads
+//!   are one slice reduction with the pointer and accumulator in host
+//!   registers, and its fuel and guards one charge.
 
 use crate::bytecode::{Insn, Program, Reg, NUM_REGS};
 use crate::lower::Op;
@@ -414,6 +418,15 @@ impl ElidedProgram {
                     }
                     left -= 1;
                 }
+                Op::CountedLoop => {
+                    if let Some((next, steps, guards)) =
+                        counted_loop(ops, index(rest), &mut r, data, left)
+                    {
+                        rest = next;
+                        left -= steps;
+                        guard_steps += guards;
+                    }
+                }
                 Op::Li(rd, imm) => r[ix(rd)] = imm,
                 Op::Mov(rd, rs) => r[ix(rd)] = r[ix(rs)],
                 Op::Add(rd, a, b) => r[ix(rd)] = r[ix(a)].wrapping_add(r[ix(b)]),
@@ -553,6 +566,88 @@ fn enter<'a>(ops: &'a [Op], block: &'a [Op], left: &mut u64, guard_steps: &mut u
         }
         None => &ops[*tail as usize..],
     }
+}
+
+/// Runs the rest of a counted loop's trip in one step, from its marker at
+/// `ops[at]` (the header before it has charged the first iteration), with
+/// `left` fuel in hand. Returns where execution goes on and the steps and
+/// guard steps to charge. `None` — some iteration might trap, the mask
+/// might move a pointer, or the arithmetic would overflow — leaves the
+/// registers as they were for the loop's own two ops to run.
+///
+/// The step takes `n` iterations: the whole trip, or as many as the fuel
+/// pays for. It leaves the registers as the `n`th iteration does, charges
+/// the `n - 1` iterations after the first, and goes on after the back
+/// edge, or at the block's fuel tail when fuel cut the trip short. The
+/// charges come back by value so the executor's fuel stays in a register.
+#[inline(never)]
+fn counted_loop<'a>(
+    ops: &'a [Op],
+    at: usize,
+    r: &mut [u64; NUM_REGS],
+    data: &[u8],
+    left: u64,
+) -> Option<(&'a [Op], u64, u64)> {
+    let [Op::Block { fuel, guards, tail }, Op::CountedLoop, access, Op::AddIBltu { rd: p, s, b, k, .. }, ..] =
+        &ops[at - 1..]
+    else {
+        return None;
+    };
+    let (width, xa, rb, off, mask) = match *access {
+        Op::LdBAdd(xa, rb, _, off, mask) => (1, xa, rb, off, mask),
+        Op::LdAdd(xa, rb, _, off, mask) => (8, xa, rb, off, mask),
+        _ => return None,
+    };
+    let (p0, bound, k) = (r[ix(*p)], r[ix(*b)], u64::from(*k));
+    // The trip ends at the first increment that reaches the bound; with a
+    // zero stride, one that starts below it never ends.
+    let trip = if p0 < bound {
+        (bound - p0 - 1).checked_div(k)? + 1
+    } else {
+        1
+    };
+    let n = trip.min(left.checked_div(u64::from(*fuel))?.checked_add(1)?);
+    let last = (n - 1).checked_mul(k)?.checked_add(p0)?;
+    let next = last.checked_add(k)?;
+    // A mask is all ones below a power of two, so it leaves every pointer
+    // of the trip as it is exactly when it leaves the last one.
+    if last > mask {
+        return None;
+    }
+    let from = p0.checked_add_signed(i64::from(off))?;
+    let to = last
+        .checked_add_signed(i64::from(off))?
+        .checked_add(width)?;
+    let span = data.get(seg(from)..seg(to))?;
+    // A trip of one may have a zero stride.
+    let step = usize::try_from(k.max(1)).ok()?;
+    let word = |w: &[u8]| {
+        let mut le = [0; 8];
+        le[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(le)
+    };
+    let sum = match (width, step) {
+        // Unit-stride bytes on their own: that sum vectorises.
+        (1, 1) => span.iter().map(|&v| u64::from(v)).sum(),
+        (1, _) => span.iter().step_by(step).map(|&v| u64::from(v)).sum(),
+        _ => {
+            let words = span.windows(8).step_by(step).map(word);
+            words.fold(0, u64::wrapping_add)
+        }
+    };
+
+    r[ix(rb)] = last;
+    r[ix(xa)] = word(&span[span.len() - width as usize..]);
+    r[ix(xa >> 4)] = r[ix(xa >> 4)].wrapping_add(sum);
+    r[ix(*s)] = k;
+    r[ix(*p)] = next;
+    let next = if n == trip {
+        &ops[at + 3..]
+    } else {
+        &ops[*tail as usize..]
+    };
+    let more = n - 1;
+    Some((next, more * u64::from(*fuel), more * u64::from(*guards)))
 }
 
 /// The tail of a fused load-and-accumulate: `regs[x] = v; regs[acc] +=

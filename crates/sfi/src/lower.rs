@@ -13,6 +13,13 @@
 //! than its block needs, so `OutOfSteps` lands on the oracle's exact step —
 //! mid-superinstruction included.
 //!
+//! A block that is one counted loop — its fused body exactly a
+//! load-and-accumulate and the `AddIBltu` back to its own start, over
+//! registers that do not alias — gets an `Op::CountedLoop` marker between
+//! its header and its body. The executor may then run the rest of a trip in
+//! one step, once it has checked the whole trip cannot trap; otherwise it
+//! dispatches the two ops behind the marker as any other block's.
+//!
 //! Lowering needs no abstract interpretation and drops no check: every
 //! bounds, divisor and jump test the oracle makes is kept as the op's trap
 //! path, so a wrong proof can cost nothing here. The cycles come from
@@ -45,6 +52,11 @@ pub(crate) enum Op {
     },
     /// Fuel tail: spend one step of the remaining budget or stop.
     Tick,
+    /// Sits between a counted loop's header and its two ops, which it reads
+    /// (see [`counted_loop`] for the shape and the no-alias rule): the
+    /// executor runs the rest of the trip here when that provably cannot
+    /// trap, and falls through to the two ops when it might.
+    CountedLoop,
     Li(u8, u64),
     Mov(u8, u8),
     Add(u8, u8, u8),
@@ -154,11 +166,16 @@ impl ElidedProgram {
                 tail: 0,
             };
             out.push(header, block.start);
+            let body = out.ops.len();
             let mut pc = block.start;
             while pc < block.end {
                 let (op, width, trap) = fused(program, pc, block.end);
                 out.push(op, pc + trap);
                 pc += width;
+            }
+            if counted_loop(&out.ops[body..], block.start) {
+                out.ops.insert(body, Op::CountedLoop);
+                out.trap_pc.insert(body, block.start);
             }
         }
         let blocks_end = out.ops.len();
@@ -303,7 +320,9 @@ fn one(program: &Program, pc: u32) -> Op {
 /// The table is what the workloads execute: a memory access behind a
 /// power-of-two `mask_data` of its base, optionally behind the `mov`
 /// that fed the mask; a load followed by `add acc, acc, loaded`;
-/// `li s, k; add rd, rs, s`; and that followed by `bltu`.
+/// `li s, k; add rd, rs, s`; and that followed by `bltu`. A block whose
+/// body fuses to exactly the last two, looping to itself, is a counted
+/// loop when [`counted_loop`] finds its registers apart.
 fn fused(program: &Program, pc: u32, end: u32) -> (Op, u32, u32) {
     let code = &program.code[pc as usize..end as usize];
     let data_len = u64::from(program.data_len);
@@ -360,4 +379,136 @@ fn fused(program: &Program, pc: u32, end: u32) -> (Op, u32, u32) {
         }
     }
     (one(program, pc), 1, 0)
+}
+
+/// Whether the fused `body` of the block starting at `start` is a counted
+/// loop: exactly `[LdBAdd | LdAdd, AddIBltu]` with the back edge to
+/// `start`, and no aliasing the whole-trip step would have to replay.
+///
+/// - The pointer is the access's source, the increment's destination and
+///   source, and the compare's left operand.
+/// - The bound, the accumulator, the loaded register and the scratch are
+///   distinct from each other and from the pointer.
+/// - The access's base is the pointer itself (a sandboxed `mask_data` of
+///   it) or distinct from all of them.
+fn counted_loop(body: &[Op], start: u32) -> bool {
+    let [Op::LdBAdd(xa, rb, p, ..) | Op::LdAdd(xa, rb, p, ..), Op::AddIBltu {
+        rd,
+        rs,
+        s,
+        a,
+        b,
+        target,
+        ..
+    }] = *body
+    else {
+        return false;
+    };
+    let apart = [p, b, xa >> 4, xa & 0xF, s];
+    let distinct = (1..apart.len()).all(|i| !apart[..i].contains(&apart[i]));
+    target == start && (rd, rs, a) == (p, p, p) && distinct && (rb == p || !apart.contains(&rb))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{sandbox::sandbox_rewrite, workloads};
+
+    fn markers(program: &Program) -> usize {
+        let lowered = ElidedProgram::lower(program);
+        lowered
+            .ops
+            .iter()
+            .filter(|op| matches!(op, Op::CountedLoop))
+            .count()
+    }
+
+    /// `jmp 1; mov base, src; mask_data base; ldb x, base, 0; add acc, acc,
+    /// x; li s, 1; add rd, rs, s; bltu a, b, target; halt`, its registers
+    /// given as `[src, base, x, acc, s, rd, rs, a, b]`.
+    fn inner_loop(regs: [u8; 9], target: u32) -> Program {
+        let [src, base, x, acc, s, rd, rs, a, b] = regs.map(Reg);
+        let code = vec![
+            Insn::Jmp { target: 1 },
+            Insn::Mov { rd: base, rs: src },
+            Insn::MaskData { r: base },
+            Insn::LdB {
+                rd: x,
+                base,
+                off: 0,
+            },
+            Insn::Add {
+                rd: acc,
+                rs1: acc,
+                rs2: x,
+            },
+            Insn::Li { rd: s, imm: 1 },
+            Insn::Add {
+                rd,
+                rs1: rs,
+                rs2: s,
+            },
+            Insn::Bltu {
+                rs1: a,
+                rs2: b,
+                target,
+            },
+            Insn::Halt,
+        ];
+        Program::new(code, 256)
+    }
+
+    /// The verified checksum's registers: pointer 1, base 6, loaded 5,
+    /// accumulator 0, scratch 15, bound 2.
+    const APART: [u8; 9] = [1, 6, 5, 0, 15, 1, 1, 1, 2];
+
+    #[test]
+    fn both_checksum_loops_are_marked() {
+        assert_eq!(markers(&workloads::checksum_loop_verified(256, 1)), 1);
+        let (sandboxed, _) = sandbox_rewrite(&workloads::checksum_loop(256, 1));
+        assert_eq!(markers(&sandboxed), 1);
+        assert_eq!(markers(&inner_loop(APART, 1)), 1);
+        // The base may be the pointer itself.
+        let mut through_pointer = APART;
+        through_pointer[1] = 1;
+        assert_eq!(markers(&inner_loop(through_pointer, 1)), 1);
+    }
+
+    #[test]
+    fn aliasing_loops_and_foreign_back_edges_are_not_marked() {
+        assert_eq!(
+            markers(&inner_loop(APART, 0)),
+            0,
+            "back edge to another block"
+        );
+        let folds = [
+            // Each pointer role on another register.
+            (0, 3),
+            (5, 3),
+            (6, 3),
+            (7, 3),
+            // Bound, accumulator, loaded register and scratch on the pointer.
+            (8, 1),
+            (3, 1),
+            (2, 1),
+            (4, 1),
+            // Those four on each other.
+            (3, 5),
+            (3, 15),
+            (2, 15),
+            (8, 0),
+            (8, 5),
+            (8, 15),
+            // The base on any of them.
+            (1, 2),
+            (1, 5),
+            (1, 0),
+            (1, 15),
+        ];
+        for (role, reg) in folds {
+            let mut regs = APART;
+            regs[role] = reg;
+            assert_eq!(markers(&inner_loop(regs, 1)), 0, "{regs:?}");
+        }
+    }
 }

@@ -567,6 +567,80 @@ fn aliasing_program(b: &[u8]) -> Program {
     Program::new(code, data_len)
 }
 
+/// A self-looping counted block behind the two `li`s that set its pointer
+/// and bound: `[mask_data | mov; mask_data]? ld|ldb; add acc; li s, k;
+/// add p, p, s; bltu p, b, start`.
+///
+/// Its six registers are a shuffle of a pool of six, half the time with one
+/// role folded onto another, so some loops qualify for the executor's
+/// whole-trip step and the rest break each part of its no-alias rule.
+/// Strides reach `2³² − 1` and offsets run `−8..16`; starts lie inside the
+/// segment, just above its mask (where a negative offset reaches back in)
+/// and near `u64::MAX`; bounds lie below the start, inside the segment and
+/// past it, where the trip faults midway.
+fn counted_loop_program(b: &[u8]) -> Program {
+    let mut pool = [0u8, 1, 2, 3, 4, 5];
+    for i in (1..pool.len()).rev() {
+        pool.swap(i, usize::from(b[i]) % (i + 1));
+    }
+    if b[6].is_multiple_of(2) {
+        pool[usize::from(b[7]) % 6] = pool[usize::from(b[8]) % 6];
+    }
+    let [p, bound, acc, x, s, base] = pool.map(Reg);
+    // The sandboxed shape reads through the pointer itself.
+    let base = if b[9].is_multiple_of(3) { p } else { base };
+    let data_len = [8u32, 16, 64, 256, 100][usize::from(b[10]) % 5];
+    let len = u64::from(data_len);
+    let k = [1, 2, 8, 255, (1 << 32) - 1][usize::from(b[11]) % 5];
+    let off = i32::from(b[12] % 24) - 8;
+    let (near, far) = (u64::from(b[13]), u64::from(b[14]));
+    let start = [near % len, len + near % 16, u64::MAX - near][usize::from(b[15]) % 3];
+    let end = [start.saturating_sub(far), far % len, len + far][usize::from(b[16]) % 3];
+
+    let mut code = vec![
+        Insn::Li {
+            rd: p,
+            imm: start as i64,
+        },
+        Insn::Li {
+            rd: bound,
+            imm: end as i64,
+        },
+    ];
+    let top = code.len() as u32;
+    match b[17] % 3 {
+        0 => {}
+        1 => code.push(Insn::MaskData { r: base }),
+        _ => code.extend([Insn::Mov { rd: base, rs: p }, Insn::MaskData { r: base }]),
+    }
+    code.push(if b[18].is_multiple_of(2) {
+        Insn::LdB { rd: x, base, off }
+    } else {
+        Insn::Ld { rd: x, base, off }
+    });
+    let (rs1, rs2) = if b[19].is_multiple_of(2) {
+        (acc, x)
+    } else {
+        (x, acc)
+    };
+    code.extend([
+        Insn::Add { rd: acc, rs1, rs2 },
+        Insn::Li { rd: s, imm: k },
+        Insn::Add {
+            rd: p,
+            rs1: p,
+            rs2: s,
+        },
+        Insn::Bltu {
+            rs1: p,
+            rs2: bound,
+            target: top,
+        },
+        Insn::Halt,
+    ]);
+    Program::new(code, data_len)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -581,6 +655,19 @@ proptest! {
         let data: Vec<u8> = (0..program.data_len).map(|i| (i as u8).wrapping_mul(37)).collect();
         let subject = Subject::new(&program);
         let _ = subject.check_all_fuels(&data, r1, 400, 48);
+    }
+
+    /// Counted loops, run a whole trip at a time where that cannot trap and
+    /// an iteration at a time where it might, at every fuel that cuts a trip.
+    #[test]
+    fn counted_loops_agree(
+        spec in proptest::collection::vec(any::<u8>(), 20..=20),
+        r1 in any::<u64>(),
+    ) {
+        let program = counted_loop_program(&spec);
+        let data: Vec<u8> = (0..program.data_len).map(|i| (i as u8).wrapping_mul(37)).collect();
+        let subject = Subject::new(&program);
+        let _ = subject.check_all_fuels(&data, r1, 1 << 12, 48);
     }
 }
 

@@ -275,14 +275,13 @@ fn zero_copy_frame_path_is_alloc_free_once_warm() {
 }
 
 #[test]
-fn flat_args_proxy_crossing_allocates_at_most_once() {
+fn flat_args_proxy_crossing_is_zero_alloc() {
     // `kernel_ext`'s crossing: `run(bytes[256], int) -> int` on a sandboxed
     // component, through a proxy from a user domain. Values are immutable,
     // so a frame with no handle crosses as the caller's own slice and the
-    // result as the callee's own value; what is left on the heap is the
-    // event service's per-delivery snapshot of its call-backs (ROADMAP
-    // 7(a)). Re-encoding every flat argument and result through a byte
-    // buffer, as crossings did before PR 25, measured 5.
+    // result as the callee's own value, and the event service hands each
+    // delivery the call-back list it already holds. A crossing that
+    // re-encodes its arguments, or copies the call-back list, fails here.
     use paramecium::sfi::workloads;
 
     let world = World::boot();
@@ -308,8 +307,8 @@ fn flat_args_proxy_crossing_allocates_at_most_once() {
         }
     });
     assert_eq!(n.proxy_stats().crossings() - crossings, CALLS);
-    assert!(
-        allocs <= CALLS,
+    assert_eq!(
+        allocs, 0,
         "{allocs} allocations in {CALLS} warmed crossings"
     );
 }

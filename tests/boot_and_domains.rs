@@ -186,3 +186,43 @@ fn simulated_time_is_deterministic_across_runs() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn a_dropped_world_is_freed() {
+    use paramecium::obj::ObjError;
+    use paramecium::sfi::workloads;
+    use std::sync::Arc;
+
+    let world = World::boot();
+    let n = &world.nucleus;
+    // A life's worth of state first: a sandboxed kernel component, a user
+    // domain, and a crossing through the proxy it binds.
+    n.repository
+        .add_bytecode("soft", &workloads::checksum_loop(64, 1));
+    n.load("soft", &LoadOptions::kernel("/kernel/soft"))
+        .unwrap();
+    let app = n.create_domain("app", KERNEL_DOMAIN, []).unwrap().id;
+    let soft = n.bind(app, "/kernel/soft").unwrap();
+    let frame = Value::Bytes(bytes::Bytes::from(vec![1u8; 64]));
+    let sum = soft.invoke("component", "run", &[frame, Value::Int(0)]);
+    assert_eq!(sum.unwrap(), Value::Int(64));
+    drop(soft);
+
+    let directory = n.bind(KERNEL_DOMAIN, "/nucleus/directory").unwrap();
+    let (nucleus, machine) = (Arc::downgrade(n), Arc::downgrade(n.machine()));
+    drop(world);
+    assert!(
+        nucleus.upgrade().is_none(),
+        "the nucleus outlived its world"
+    );
+    assert!(
+        machine.upgrade().is_none(),
+        "the machine outlived its world"
+    );
+
+    // The directory object outlived the name space it serves.
+    let err = directory
+        .invoke("directory", "list", &[Value::Str("/".into())])
+        .unwrap_err();
+    assert!(matches!(err, ObjError::Binding(_)), "{err}");
+}
