@@ -17,6 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use paramecium::machine::dev::disk::SECTOR_SIZE;
 use paramecium::prelude::*;
+use paramecium::store::journal::JournalStats;
 use paramecium::store::{JournalConfig, StackBuilder, StoreStack};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -34,14 +35,8 @@ fn fresh_journalled(cfg: JournalConfig) -> StoreStack {
         .unwrap()
 }
 
-fn jstats(j: &ObjRef) -> Vec<i64> {
-    j.invoke("journal", "stats", &[])
-        .unwrap()
-        .as_list()
-        .unwrap()
-        .iter()
-        .map(|v| v.as_int().unwrap())
-        .collect()
+fn jstats(j: &ObjRef) -> JournalStats {
+    JournalStats::from_value(&j.invoke("journal", "stats", &[]).unwrap()).unwrap()
 }
 
 fn bench(c: &mut Criterion) {
@@ -73,12 +68,12 @@ fn bench(c: &mut Criterion) {
         })
     });
     let s = jstats(stack.journal.as_ref().unwrap());
-    if s[0] > 0 {
+    if s.commits > 0 {
         eprintln!(
             "group_commit_4x16: {} commits in {} group appends (batching factor {:.2})",
-            s[0],
-            s[1],
-            s[0] as f64 / s[1].max(1) as f64
+            s.commits,
+            s.group_appends,
+            s.commits as f64 / s.group_appends.max(1) as f64
         );
     }
 
@@ -123,12 +118,12 @@ fn bench(c: &mut Criterion) {
         })
     });
     let s = jstats(stack.journal.as_ref().unwrap());
-    if s[0] > 0 {
+    if s.commits > 0 {
         eprintln!(
             "group_commit_4x16_slow3ms: {} commits in {} group appends (batching factor {:.2})",
-            s[0],
-            s[1],
-            s[0] as f64 / s[1].max(1) as f64
+            s.commits,
+            s.group_appends,
+            s.commits as f64 / s.group_appends.max(1) as f64
         );
     }
 

@@ -32,6 +32,26 @@ pub const DEFAULT_SIG_CHECK_COST: Cycles = 100_000;
 /// per byte on simple hardware).
 pub const DIGEST_COST_PER_BYTE_NUM: Cycles = 3;
 
+paramecium_obj::counters! {
+    /// The `certification stats` block: a [`StoreStats`], field for field
+    /// (declared here so the cert crate needs no `paramecium-obj`).
+    pub struct CertStats {
+        pub full_validations: u64,
+        pub cache_hits: u64,
+        pub signature_checks: u64,
+    }
+}
+
+impl From<StoreStats> for CertStats {
+    fn from(s: StoreStats) -> Self {
+        CertStats {
+            full_validations: s.full_validations,
+            cache_hits: s.cache_hits,
+            signature_checks: s.signature_checks,
+        }
+    }
+}
+
 /// The certification service.
 pub struct CertService {
     machine: Arc<Mutex<Machine>>,

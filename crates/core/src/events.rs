@@ -34,13 +34,14 @@ struct Registration {
     callback: EventCallback,
 }
 
-/// Per-vector dispatch statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventStats {
-    /// Events delivered on this vector.
-    pub delivered: u64,
-    /// Events with no registered call-back (dropped).
-    pub unhandled: u64,
+paramecium_obj::counters! {
+    /// Per-vector dispatch statistics: the `events stats` block.
+    pub struct EventStats {
+        /// Events delivered on this vector.
+        pub delivered: u64,
+        /// Events with no registered call-back (dropped).
+        pub unhandled: u64,
+    }
 }
 
 /// The processor event service.

@@ -26,17 +26,18 @@ pub type FaultHandler = Arc<dyn Fn(&Fault) + Send + Sync>;
 /// component text the loader maps).
 const USER_VADDR_BASE: u64 = 0x0010_0000;
 
-/// Allocation statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Pages allocated (exclusive + shared).
-    pub pages_allocated: u64,
-    /// Pages shared into additional domains.
-    pub pages_shared: u64,
-    /// Faults routed to a registered handler.
-    pub faults_handled: u64,
-    /// Faults with no handler.
-    pub faults_unhandled: u64,
+paramecium_obj::counters! {
+    /// Allocation statistics: the `memory stats` block.
+    pub struct MemStats {
+        /// Pages allocated (exclusive + shared).
+        pub pages_allocated: u64,
+        /// Pages shared into additional domains.
+        pub pages_shared: u64,
+        /// Faults routed to a registered handler.
+        pub faults_handled: u64,
+        /// Faults with no handler.
+        pub faults_unhandled: u64,
+    }
 }
 
 /// The memory service.

@@ -23,7 +23,7 @@ use paramecium_obj::{
 use paramecium_sfi::bytecode::Program;
 
 use crate::{
-    certsvc::CertService,
+    certsvc::{CertService, CertStats},
     directory::{NameSpace, NsEntry},
     domain::{Domain, DomainId, KERNEL_DOMAIN},
     events::EventService,
@@ -456,11 +456,7 @@ fn events_object(events: &Arc<EventService>) -> ObjRef {
         .interface("events", |i| {
             i.method("stats", &[TypeTag::Int], TypeTag::List, move |_, args| {
                 let v = args[0].as_int()? as u32;
-                let s = e1.stats(v);
-                Ok(Value::List(vec![
-                    Value::Int(s.delivered as i64),
-                    Value::Int(s.unhandled as i64),
-                ]))
+                Ok(e1.stats(v).to_value())
             })
             .method(
                 "callbacks",
@@ -481,13 +477,7 @@ fn memory_object(mem: &Arc<MemService>) -> ObjRef {
     ObjectBuilder::new("nucleus-memory")
         .interface("memory", |i| {
             i.method("stats", &[], TypeTag::List, move |_, _| {
-                let s = m.stats();
-                Ok(Value::List(vec![
-                    Value::Int(s.pages_allocated as i64),
-                    Value::Int(s.pages_shared as i64),
-                    Value::Int(s.faults_handled as i64),
-                    Value::Int(s.faults_unhandled as i64),
-                ]))
+                Ok(m.stats().to_value())
             })
         })
         .build()
@@ -545,12 +535,7 @@ fn cert_object(certsvc: &Arc<CertService>) -> ObjRef {
                 move |_, args| Ok(Value::Bool(c1.is_certified(args[0].as_bytes()?))),
             )
             .method("stats", &[], TypeTag::List, move |_, _| {
-                let s = c2.stats();
-                Ok(Value::List(vec![
-                    Value::Int(s.full_validations as i64),
-                    Value::Int(s.cache_hits as i64),
-                    Value::Int(s.signature_checks as i64),
-                ]))
+                Ok(CertStats::from(c2.stats()).to_value())
             })
         })
         .build()

@@ -34,13 +34,12 @@
 //! - `lookup(ip: int) -> bytes` — cache-only probe, no traffic,
 //! - `insert(ip: int, mac: bytes) -> unit` — static entry,
 //! - `announce() -> unit` — gratuitous ARP for our own address,
-//! - `stats() -> list [requests_tx, replies_tx, replies_rx, hits, misses,
-//!   entries, pending, pending_dropped, evicted]`.
+//! - `stats() -> list`: an [`ArpStats`] block.
 
 use std::collections::{HashMap, VecDeque};
 
 use paramecium_obj::{
-    delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjectBuilder, TypeTag, Value,
+    counters, delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjectBuilder, TypeTag, Value,
 };
 
 use crate::burst::{self, netdev_methods, Drain};
@@ -69,13 +68,24 @@ struct ArpState {
     pending: HashMap<u32, VecDeque<bytes::Bytes>>,
     /// Inbound frames pulled from `lower` and not yet passed up.
     rx: Drain,
-    requests_tx: u64,
-    replies_tx: u64,
-    replies_rx: u64,
-    hits: u64,
-    misses: u64,
-    pending_dropped: u64,
-    evicted: u64,
+    stats: ArpStats,
+}
+
+counters! {
+    /// The `arp stats` of an ARP layer.
+    pub struct ArpStats {
+        pub requests_tx: u64,
+        pub replies_tx: u64,
+        pub replies_rx: u64,
+        pub hits: u64,
+        pub misses: u64,
+        /// Bindings cached now (a gauge `stats` fills in).
+        pub entries: u64,
+        /// Frames parked awaiting resolution now (a gauge).
+        pub pending: u64,
+        pub pending_dropped: u64,
+        pub evicted: u64,
+    }
 }
 
 /// The IPv4 destination of a frame going out link-broadcast, which must
@@ -107,7 +117,7 @@ fn unicast(frame: &[u8], mac: &Mac) -> Value {
 impl ArpState {
     /// An ARP request for `target_ip`, counted as sent.
     fn request(&mut self, target_ip: u32) -> Value {
-        self.requests_tx += 1;
+        self.stats.requests_tx += 1;
         let req = ArpPacket {
             op: ARP_OP_REQUEST,
             sender_mac: self.mac,
@@ -131,7 +141,7 @@ impl ArpState {
         let queue = self.pending.entry(dst_ip).or_default();
         if queue.len() >= ARP_PENDING_MAX {
             queue.pop_front();
-            self.pending_dropped += 1;
+            self.stats.pending_dropped += 1;
         }
         let first = queue.is_empty();
         queue.push_back(frame.clone());
@@ -150,7 +160,7 @@ impl ArpState {
         if self.learnt.len() > ARP_CACHE_MAX {
             let oldest = self.learnt.pop_front().expect("over the cap");
             self.cache.remove(&oldest);
-            self.evicted += 1;
+            self.stats.evicted += 1;
         }
     }
 
@@ -181,9 +191,9 @@ impl ArpState {
                 out.push(Value::Bytes(
                     reply.to_frame(self.mac, pkt.sender_mac).into(),
                 ));
-                self.replies_tx += 1;
+                self.stats.replies_tx += 1;
             }
-            ARP_OP_REPLY => self.replies_rx += 1,
+            ARP_OP_REPLY => self.stats.replies_rx += 1,
             _ => {}
         }
         burst::send_many(&self.lower, &mut out)
@@ -252,23 +262,17 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
             learnt: VecDeque::new(),
             pending: HashMap::new(),
             rx: Drain::default(),
-            requests_tx: 0,
-            replies_tx: 0,
-            replies_rx: 0,
-            hits: 0,
-            misses: 0,
-            pending_dropped: 0,
-            evicted: 0,
+            stats: ArpStats::default(),
         })
         .interface("arp", |i| {
             i.method("resolve", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
                 let ip = args[0].as_int()? as u32;
                 this.with_state(|s: &mut ArpState| {
                     if let Some(mac) = s.cache.get(&ip) {
-                        s.hits += 1;
+                        s.stats.hits += 1;
                         return Ok(Value::Bytes(bytes::Bytes::copy_from_slice(mac)));
                     }
-                    s.misses += 1;
+                    s.stats.misses += 1;
                     let req = s.request(ip);
                     s.lower.invoke("netdev", "send", &[req])?;
                     Ok(Value::Bytes(bytes::Bytes::new()))
@@ -312,17 +316,9 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
             })
             .method("stats", &[], TypeTag::List, |this, _| {
                 this.with_state(|s: &mut ArpState| {
-                    Ok(Value::List(vec![
-                        Value::Int(s.requests_tx as i64),
-                        Value::Int(s.replies_tx as i64),
-                        Value::Int(s.replies_rx as i64),
-                        Value::Int(s.hits as i64),
-                        Value::Int(s.misses as i64),
-                        Value::Int(s.cache.len() as i64),
-                        Value::Int(s.pending.values().map(VecDeque::len).sum::<usize>() as i64),
-                        Value::Int(s.pending_dropped as i64),
-                        Value::Int(s.evicted as i64),
-                    ]))
+                    s.stats.entries = s.cache.len() as u64;
+                    s.stats.pending = s.pending.values().map(VecDeque::len).sum::<usize>() as u64;
+                    Ok(s.stats.to_value())
                 })
             })
         })
@@ -392,12 +388,11 @@ mod tests {
         assert_eq!(resolve(&a, IP_B), MAC_B.to_vec());
         // B learned A's binding from the request itself.
         assert_eq!(resolve(&b, IP_A), MAC_A.to_vec());
-        let stats = a.invoke("arp", "stats", &[]).unwrap();
-        let s = stats.as_list().unwrap().to_vec();
-        assert_eq!(s[0], Value::Int(1)); // one request sent
-        assert_eq!(s[2], Value::Int(1)); // one reply received
-        assert_eq!(s[3], Value::Int(1)); // one later hit (on A)
-        assert_eq!(s[4], Value::Int(1)); // one initial miss
+        let s = arp_stats(&a);
+        assert_eq!(s.requests_tx, 1);
+        assert_eq!(s.replies_rx, 1);
+        assert_eq!(s.hits, 1, "one later hit (on A)");
+        assert_eq!(s.misses, 1, "one initial miss");
     }
 
     #[test]
@@ -423,18 +418,11 @@ mod tests {
         pump(&b);
         // B resolved A without any request of its own.
         assert_eq!(resolve(&b, IP_A), MAC_A.to_vec());
-        let s = b.invoke("arp", "stats", &[]).unwrap();
-        assert_eq!(s.as_list().unwrap()[0], Value::Int(0), "no request sent");
+        assert_eq!(arp_stats(&b).requests_tx, 0, "no request sent");
     }
 
-    fn arp_stats(host: &ObjRef) -> Vec<i64> {
-        host.invoke("arp", "stats", &[])
-            .unwrap()
-            .as_list()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_int().unwrap())
-            .collect()
+    fn arp_stats(host: &ObjRef) -> ArpStats {
+        ArpStats::from_value(&host.invoke("arp", "stats", &[]).unwrap()).unwrap()
     }
 
     #[test]
@@ -444,12 +432,12 @@ mod tests {
         let frame = wire::build_udp_frame(MAC_A, wire::MAC_BROADCAST, IP_A, IP_B, 1, 2, b"held");
         a.invoke("netdev", "send", &[Value::Bytes(bytes::Bytes::from(frame))])
             .unwrap();
-        assert_eq!(arp_stats(&a)[6], 1, "frame parked awaiting resolution");
+        assert_eq!(arp_stats(&a).pending, 1, "frame parked awaiting resolution");
         machine.lock().tick(10);
         pump(&b); // B absorbs the request and replies; no data yet.
         machine.lock().tick(10);
         pump(&a); // A absorbs the reply and releases the parked frame.
-        assert_eq!(arp_stats(&a)[6], 0, "queue drained on learn");
+        assert_eq!(arp_stats(&a).pending, 0, "queue drained on learn");
         machine.lock().tick(10);
         let got = b.invoke("netdev", "recv", &[]).unwrap();
         let got = got.as_bytes().unwrap();
@@ -466,9 +454,9 @@ mod tests {
                 .unwrap();
         }
         let s = arp_stats(&a);
-        assert_eq!(s[6], ARP_PENDING_MAX as i64, "queue capped");
-        assert_eq!(s[7], 3, "overflow counted as dropped");
-        assert_eq!(s[0], 1, "one request per unresolved destination");
+        assert_eq!(s.pending, ARP_PENDING_MAX as u64, "queue capped");
+        assert_eq!(s.pending_dropped, 3, "overflow counted as dropped");
+        assert_eq!(s.requests_tx, 1, "one request per unresolved destination");
         // Resolution releases the survivors — the oldest three are gone.
         machine.lock().tick(10);
         pump(&b);
@@ -563,13 +551,13 @@ mod tests {
         pump(&a);
         let s = arp_stats(&a);
         assert_eq!(
-            s[5],
-            ARP_CACHE_MAX as i64 + 1,
+            s.entries,
+            ARP_CACHE_MAX as u64 + 1,
             "learnt entries capped, static one kept"
         );
         assert_eq!(
-            s[8],
-            i64::from(flood) + 1 - ARP_CACHE_MAX as i64,
+            s.evicted,
+            u64::from(flood) + 1 - ARP_CACHE_MAX as u64,
             "evictions counted"
         );
         let lookup = |ip: u32| {
@@ -589,8 +577,8 @@ mod tests {
         pump(&a);
         assert_eq!(resolve(&a, IP_B), MAC_B.to_vec());
         assert_eq!(
-            arp_stats(&a)[5],
-            ARP_CACHE_MAX as i64 + 1,
+            arp_stats(&a).entries,
+            ARP_CACHE_MAX as u64 + 1,
             "still at the cap"
         );
     }

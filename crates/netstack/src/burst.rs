@@ -231,7 +231,7 @@ pub(crate) mod fakes {
 mod tests {
     use super::fakes::{fuse, Blown};
     use super::*;
-    use crate::simlink::{make_simlink, LinkConfig};
+    use crate::simlink::{make_simlink, LinkConfig, LinkStats};
     use paramecium_machine::Machine;
     use std::sync::atomic::Ordering;
 
@@ -247,7 +247,11 @@ mod tests {
         assert!(a.invoke("netdev", "send_many", &[mixed]).is_err());
         assert!(b.invoke("netdev", "recv_many", &[Value::Int(-1)]).is_err());
         let stats = a.invoke("netdev", "stats", &[]).unwrap();
-        assert_eq!(stats.as_list().unwrap()[0], Value::Int(0), "nothing sent");
+        assert_eq!(
+            LinkStats::from_value(&stats).unwrap().sent,
+            0,
+            "nothing sent"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   `send(frame: bytes) -> unit`, `recv() -> bytes` (empty when nothing
 //!   is pending)
 //! - `pending() -> int`
-//! - `stats() -> list [rx_frames, tx_frames, rx_bytes, tx_bytes, dropped]`
+//! - `stats() -> list`: a [`NicStats`] block
 //!
 //! Registered as `/shared/network`, it is the object the paper's
 //! interposing-agent example wraps.
@@ -39,10 +39,19 @@ struct DriverState {
     regs: IoRegionId,
     #[allow(dead_code)] // Held to model the shared buffer claim.
     buffers: IoRegionId,
-    rx_frames: u64,
-    tx_frames: u64,
-    rx_bytes: u64,
-    tx_bytes: u64,
+    stats: NicStats,
+}
+
+paramecium_obj::counters! {
+    /// The `netdev stats` of a NIC driver.
+    pub struct NicStats {
+        pub rx_frames: u64,
+        pub tx_frames: u64,
+        pub rx_bytes: u64,
+        pub tx_bytes: u64,
+        /// The NIC's `RX_DROPPED` register, read at `stats`.
+        pub dropped: u64,
+    }
 }
 
 impl DriverState {
@@ -96,10 +105,7 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
         nic: nic.to_string(),
         regs,
         buffers,
-        rx_frames: 0,
-        tx_frames: 0,
-        rx_bytes: 0,
-        tx_bytes: 0,
+        stats: NicStats::default(),
     };
 
     Ok(ObjectBuilder::new("nic-driver")
@@ -124,8 +130,8 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
                                 .ok_or_else(|| ObjError::failed("nic device missing"))?
                                 .tx(frame.clone())
                                 .map_err(|e| ObjError::failed(e.to_string()))?;
-                            s.tx_frames += 1;
-                            s.tx_bytes += frame.len() as u64;
+                            s.stats.tx_frames += 1;
+                            s.stats.tx_bytes += frame.len() as u64;
                         }
                         Ok(())
                     })
@@ -146,8 +152,8 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
                             };
                             let cost = m.cost.copy_cost(frame.len());
                             m.charge(cost);
-                            s.rx_frames += 1;
-                            s.rx_bytes += frame.len() as u64;
+                            s.stats.rx_frames += 1;
+                            s.stats.rx_bytes += frame.len() as u64;
                             out.push(Value::Bytes(frame));
                         }
                         Ok(())
@@ -166,18 +172,9 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
             })
             .method("stats", &[], TypeTag::List, |this, _| {
                 this.with_state(|s: &mut DriverState| {
-                    let dropped = {
-                        let mut m = s.machine.lock();
-                        m.io_read(&s.nic, nic::regs::RX_DROPPED)
-                            .map_err(|e| ObjError::failed(e.to_string()))?
-                    };
-                    Ok(Value::List(vec![
-                        Value::Int(s.rx_frames as i64),
-                        Value::Int(s.tx_frames as i64),
-                        Value::Int(s.rx_bytes as i64),
-                        Value::Int(s.tx_bytes as i64),
-                        Value::Int(i64::from(dropped)),
-                    ]))
+                    let dropped = s.machine.lock().io_read(&s.nic, nic::regs::RX_DROPPED);
+                    s.stats.dropped = dropped.map_err(|e| ObjError::failed(e.to_string()))?.into();
+                    Ok(s.stats.to_value())
                 })
             })
         })
@@ -250,11 +247,15 @@ mod tests {
             )
             .unwrap();
         let stats = driver.invoke("netdev", "stats", &[]).unwrap();
-        let s = stats.as_list().unwrap();
-        assert_eq!(s[0], Value::Int(1)); // rx frames
-        assert_eq!(s[1], Value::Int(1)); // tx frames
-        assert_eq!(s[2], Value::Int(100)); // rx bytes
-        assert_eq!(s[3], Value::Int(60)); // tx bytes
+        let s = NicStats::from_value(&stats).unwrap();
+        let want = NicStats {
+            rx_frames: 1,
+            tx_frames: 1,
+            rx_bytes: 100,
+            tx_bytes: 60,
+            dropped: 0,
+        };
+        assert_eq!(s, want);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! those application components. All export the `filter` interface:
 //!
 //! - `check(frame: bytes) -> bool` — should this frame be delivered?
-//! - `stats() -> list [checked, accepted]`
+//! - `stats() -> list`: a [`FilterStats`] block (a native filter) or an
+//!   [`AdapterStats`] block (an adapted bytecode component).
 //!
 //! Three flavours:
 //! - a **native** filter (Rust, part of the toolbox),
@@ -15,17 +16,29 @@
 //!   sign — and an adapter wrapping any loaded bytecode component object
 //!   into the `filter` interface.
 
-use paramecium_obj::{ObjRef, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{counters, ObjRef, ObjectBuilder, TypeTag, Value};
 use paramecium_sfi::{asm::Asm, bytecode::Program, Reg};
 
 use crate::wire;
 
-/// Filter statistics.
+counters! {
+    /// The `filter stats` of a native filter.
+    pub struct FilterStats {
+        pub checked: u64,
+        pub accepted: u64,
+    }
+
+    /// The `filter stats` of an adapted bytecode component.
+    pub struct AdapterStats {
+        /// Steps the component's last run took (its `component steps`).
+        pub steps: u64,
+    }
+}
+
 #[derive(Default)]
 struct FilterState {
     port: u16,
-    checked: u64,
-    accepted: u64,
+    stats: FilterStats,
 }
 
 /// Builds a native filter accepting UDP datagrams to `port`.
@@ -72,22 +85,15 @@ fn make_port_filter(
                 move |this, args| {
                     let frame = args[0].as_bytes()?.clone();
                     this.with_state(|s: &mut FilterState| {
-                        s.checked += 1;
+                        s.stats.checked += 1;
                         let ok = accepts(&frame, s.port);
-                        if ok {
-                            s.accepted += 1;
-                        }
+                        s.stats.accepted += u64::from(ok);
                         Ok(Value::Bool(ok))
                     })
                 },
             )
             .method("stats", &[], TypeTag::List, |this, _| {
-                this.with_state(|s: &mut FilterState| {
-                    Ok(Value::List(vec![
-                        Value::Int(s.checked as i64),
-                        Value::Int(s.accepted as i64),
-                    ]))
-                })
+                this.with_state(|s: &mut FilterState| Ok(s.stats.to_value()))
             })
         })
         .build()
@@ -193,8 +199,8 @@ pub fn adapt_bytecode_filter(component: ObjRef) -> ObjRef {
             })
             .method("stats", &[], TypeTag::List, |this, _| {
                 let component = this.with_state(|c: &mut ObjRef| Ok(c.clone()))?;
-                let steps = component.invoke("component", "steps", &[])?;
-                Ok(Value::List(vec![steps]))
+                let steps = component.invoke("component", "steps", &[])?.as_int()? as u64;
+                Ok(AdapterStats { steps }.to_value())
             })
         })
         .build()
@@ -230,7 +236,11 @@ mod tests {
         assert_eq!(yes, Value::Bool(true));
         assert_eq!(no, Value::Bool(false));
         let stats = f.invoke("filter", "stats", &[]).unwrap();
-        assert_eq!(stats, Value::List(vec![Value::Int(2), Value::Int(1)]));
+        let want = FilterStats {
+            checked: 2,
+            accepted: 1,
+        };
+        assert_eq!(FilterStats::from_value(&stats).unwrap(), want);
     }
 
     #[test]

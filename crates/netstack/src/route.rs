@@ -30,9 +30,8 @@
 //!     IP checksum recomputed, Ethernet rewritten); frames addressed to
 //!     one of the router's own IPs queue for local `recv`. Returns frames
 //!     moved,
-//!   - `stats() -> list [forwarded, local, no_route, ttl_expired,
-//!     malformed, failover, unreachable, dead_marks]`,
-//!   - `route_stats() -> list of [prefix, len, ifindex, packets, bytes]`.
+//!   - `stats() -> list`: a [`RouterStats`] block,
+//!   - `route_stats() -> list`: one [`RouteRow`] per table entry.
 //!
 //! Frames a `netdev send` cannot route (no matching prefix) are counted
 //! and dropped rather than erroring: the router models a best-effort IP
@@ -41,7 +40,7 @@
 
 use std::collections::VecDeque;
 
-use paramecium_obj::{ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{counters, ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
 
 use crate::burst::{self, netdev_methods, Drain};
 use crate::wire::{self, EthHeader, Ipv4Header, Mac, ETHERTYPE_IPV4};
@@ -111,17 +110,34 @@ struct RouterState {
     local: VecDeque<Value>,
     /// Round-robin cursor for `recv`.
     next_if: usize,
-    forwarded: u64,
-    delivered_local: u64,
-    no_route: u64,
-    ttl_expired: u64,
-    malformed: u64,
-    /// Frames routed around a dead interface to a worse-matching route.
-    failover: u64,
-    /// Frames dropped because every matching route's interface was dead.
-    unreachable: u64,
-    /// Times an interface was marked dead.
-    dead_marks: u64,
+    stats: RouterStats,
+}
+
+counters! {
+    /// The `route stats` of a router.
+    pub struct RouterStats {
+        pub forwarded: u64,
+        pub delivered_local: u64,
+        /// Frames no route matched, or routed back where they came in.
+        pub no_route: u64,
+        pub ttl_expired: u64,
+        pub malformed: u64,
+        /// Frames routed around a dead interface to a worse-matching route.
+        pub failover: u64,
+        /// Frames dropped because every matching route's interface was dead.
+        pub unreachable: u64,
+        /// Times an interface was marked dead.
+        pub dead_marks: u64,
+    }
+
+    /// One row of `route route_stats`: a table entry and its traffic.
+    pub struct RouteRow {
+        pub prefix: u64,
+        pub len: u64,
+        pub ifindex: u64,
+        pub packets: u64,
+        pub bytes: u64,
+    }
 }
 
 impl RouterState {
@@ -161,14 +177,14 @@ impl RouterState {
                 continue;
             }
             // A better-matching route was skipped: its interface is dead.
-            self.failover += u64::from(dead_match);
+            self.stats.failover += u64::from(dead_match);
             return Some(entry);
         }
         if dead_match {
             // Routes match but every matching interface is dead.
-            self.unreachable += 1;
+            self.stats.unreachable += 1;
         } else {
-            self.no_route += 1;
+            self.stats.no_route += 1;
         }
         None
     }
@@ -230,22 +246,22 @@ impl RouterState {
     /// whether it was queued to leave on another interface.
     fn forward_one(&mut self, rx_if: usize, frame: bytes::Bytes) -> bool {
         let Ok((eth, ip_bytes)) = EthHeader::parse(&frame) else {
-            self.malformed += 1;
+            self.stats.malformed += 1;
             return false;
         };
         if eth.ethertype != ETHERTYPE_IPV4 {
             // Non-IP (e.g. ARP handled by a layer below) — deliver locally.
             self.local.push_back(Value::Bytes(frame));
-            self.delivered_local += 1;
+            self.stats.delivered_local += 1;
             return false;
         }
         let Ok((ip, _)) = Ipv4Header::parse(ip_bytes) else {
-            self.malformed += 1;
+            self.stats.malformed += 1;
             return false;
         };
         if self.is_local(ip.dst) {
             self.local.push_back(Value::Bytes(frame));
-            self.delivered_local += 1;
+            self.stats.delivered_local += 1;
             return false;
         }
         let Some(entry) = self.egress(ip.dst) else {
@@ -255,11 +271,11 @@ impl RouterState {
         if out_if == rx_if {
             // Routed back where it came from: count it as no-route rather
             // than ping-ponging on the same wire.
-            self.no_route += 1;
+            self.stats.no_route += 1;
             return false;
         }
         if ip.ttl <= 1 {
-            self.ttl_expired += 1;
+            self.stats.ttl_expired += 1;
             return false;
         }
         // Rewrite: TTL-1, fresh IP checksum, our egress MAC as source.
@@ -272,7 +288,7 @@ impl RouterState {
         out[0..6].copy_from_slice(&wire::MAC_BROADCAST); // Next hop resolves L2.
         out[6..12].copy_from_slice(&self.ifs[out_if].mac);
         self.enqueue(entry, out.into());
-        self.forwarded += 1;
+        self.stats.forwarded += 1;
         true
     }
 
@@ -319,14 +335,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
             tx,
             local: VecDeque::new(),
             next_if: 0,
-            forwarded: 0,
-            delivered_local: 0,
-            no_route: 0,
-            ttl_expired: 0,
-            malformed: 0,
-            failover: 0,
-            unreachable: 0,
-            dead_marks: 0,
+            stats: RouterStats::default(),
         })
         .interface("netdev", |i| {
             netdev_methods(
@@ -341,7 +350,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                                         s.enqueue(entry, frame.clone());
                                     }
                                 }
-                                None => s.malformed += 1,
+                                None => s.stats.malformed += 1,
                             }
                         }
                         s.flush()
@@ -369,18 +378,16 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                 })
             })
             .method("stats", &[], TypeTag::List, |this, _| {
-                // Aggregate member stats element-wise (they share the
-                // driver's [rx, tx, rx_bytes, tx_bytes, dropped] shape).
+                // Aggregate member stats element-wise: members of one
+                // kind share a shape (a NIC driver's is `NicStats`).
                 this.with_state(|s: &mut RouterState| {
                     let mut agg: Vec<i64> = Vec::new();
                     for rif in &s.ifs {
                         let stats = rif.dev.invoke("netdev", "stats", &[])?;
                         for (i, v) in stats.as_list()?.iter().enumerate() {
-                            let n = v.as_int().unwrap_or(0);
-                            if i < agg.len() {
-                                agg[i] += n;
-                            } else {
-                                agg.push(n);
+                            match (v.as_int()?, agg.get_mut(i)) {
+                                (n, Some(sum)) => *sum += n,
+                                (n, None) => agg.push(n),
                             }
                         }
                     }
@@ -476,18 +483,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                 })
             })
             .method("stats", &[], TypeTag::List, |this, _| {
-                this.with_state(|s: &mut RouterState| {
-                    Ok(Value::List(vec![
-                        Value::Int(s.forwarded as i64),
-                        Value::Int(s.delivered_local as i64),
-                        Value::Int(s.no_route as i64),
-                        Value::Int(s.ttl_expired as i64),
-                        Value::Int(s.malformed as i64),
-                        Value::Int(s.failover as i64),
-                        Value::Int(s.unreachable as i64),
-                        Value::Int(s.dead_marks as i64),
-                    ]))
-                })
+                this.with_state(|s: &mut RouterState| Ok(s.stats.to_value()))
             })
             // Closes one dead-gateway probe window (see [`IfHealth`]):
             // an interface that transmitted all window without receiving
@@ -511,7 +507,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                         h.rx_win = 0;
                         dead += i64::from(h.dead);
                     }
-                    s.dead_marks += marks;
+                    s.stats.dead_marks += marks;
                     Ok(Value::Int(dead))
                 })
             })
@@ -538,7 +534,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                             h.misses = 0;
                         } else if !h.dead {
                             h.dead = true;
-                            s.dead_marks += 1;
+                            s.stats.dead_marks += 1;
                         }
                         Ok(Value::Unit)
                     })
@@ -564,20 +560,17 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
             })
             .method("route_stats", &[], TypeTag::List, |this, _| {
                 this.with_state(|s: &mut RouterState| {
-                    Ok(Value::List(
-                        s.table
-                            .iter()
-                            .map(|r| {
-                                Value::List(vec![
-                                    Value::Int(i64::from(r.prefix)),
-                                    Value::Int(i64::from(r.len)),
-                                    Value::Int(r.ifindex as i64),
-                                    Value::Int(r.packets as i64),
-                                    Value::Int(r.bytes as i64),
-                                ])
-                            })
-                            .collect(),
-                    ))
+                    let rows = s.table.iter().map(|r| {
+                        RouteRow {
+                            prefix: r.prefix.into(),
+                            len: r.len.into(),
+                            ifindex: r.ifindex as u64,
+                            packets: r.packets,
+                            bytes: r.bytes,
+                        }
+                        .to_value()
+                    });
+                    Ok(Value::List(rows.collect()))
                 })
             })
         })
@@ -631,6 +624,10 @@ mod tests {
         add(0x0A00_0000, 24, 0); // 10.0.0.0/24 -> if0
         add(0x0A01_0000, 24, 1); // 10.1.0.0/24 -> if1
         (machine, router, far0, far1)
+    }
+
+    fn router_stats(router: &ObjRef) -> RouterStats {
+        RouterStats::from_value(&router.invoke("route", "stats", &[]).unwrap()).unwrap()
     }
 
     fn send_via(dev: &ObjRef, frame: Vec<u8>) {
@@ -718,8 +715,7 @@ mod tests {
         assert_eq!(udp.dst_port, 2222);
         assert_eq!(payload, b"across");
         assert_eq!(&out[0][6..12], &[2, 0, 0, 0, 0, 0x11], "egress MAC");
-        let rstats = router.invoke("route", "stats", &[]).unwrap();
-        assert_eq!(rstats.as_list().unwrap()[0], Value::Int(1), "forwarded");
+        assert_eq!(router_stats(&router).forwarded, 1);
     }
 
     #[test]
@@ -743,8 +739,7 @@ mod tests {
         machine.lock().tick(10);
         router.invoke("route", "forward", &[]).unwrap();
         assert_eq!(drain(&router), vec![frame]);
-        let rstats = router.invoke("route", "stats", &[]).unwrap();
-        assert_eq!(rstats.as_list().unwrap()[1], Value::Int(1), "local");
+        assert_eq!(router_stats(&router).delivered_local, 1);
     }
 
     #[test]
@@ -772,10 +767,8 @@ mod tests {
         );
         machine.lock().tick(10);
         assert!(drain(&far1).is_empty());
-        let rstats = router.invoke("route", "stats", &[]).unwrap();
-        let s = rstats.as_list().unwrap().to_vec();
-        assert_eq!(s[2], Value::Int(1), "no_route");
-        assert_eq!(s[3], Value::Int(1), "ttl_expired");
+        let s = router_stats(&router);
+        assert_eq!((s.no_route, s.ttl_expired), (1, 1));
     }
 
     #[test]
@@ -847,10 +840,9 @@ mod tests {
         machine.lock().tick(10);
         assert!(drain(&far0).is_empty(), "if0 skipped while dead");
         assert_eq!(drain(&far1).len(), 1, "failed over to if1");
-        let s = router.invoke("route", "stats", &[]).unwrap();
-        let s = s.as_list().unwrap().to_vec();
-        assert_eq!(s[5], Value::Int(1), "failover counted");
-        assert_eq!(s[7], Value::Int(1), "one dead mark");
+        let s = router_stats(&router);
+        assert_eq!(s.failover, 1, "failover counted");
+        assert_eq!(s.dead_marks, 1, "one dead mark");
         // A frame arriving on if0 is proof of life: instant heal.
         let inbound = wire::build_udp_frame(
             [9; 6],
@@ -887,10 +879,9 @@ mod tests {
         send_via(&router, f); // Must return cleanly, not panic.
         machine.lock().tick(10);
         assert!(drain(&far0).is_empty() && drain(&far1).is_empty());
-        let s = router.invoke("route", "stats", &[]).unwrap();
-        let s = s.as_list().unwrap().to_vec();
-        assert_eq!(s[6], Value::Int(1), "unreachable counted");
-        assert_eq!(s[2], Value::Int(0), "distinct from no_route");
+        let s = router_stats(&router);
+        assert_eq!(s.unreachable, 1, "unreachable counted");
+        assert_eq!(s.no_route, 0, "distinct from no_route");
         let health = router.invoke("route", "if_health", &[]).unwrap();
         for row in health.as_list().unwrap() {
             assert_eq!(row.as_list().unwrap()[1], Value::Int(1), "marked dead");
@@ -909,22 +900,18 @@ mod tests {
     fn per_route_stats_account_traffic() {
         let (_m, router, _f0, _f1) = gateway();
         let f = wire::build_udp_frame([9; 6], [8; 6], IF0_IP, NET0_HOST, 1, 2, b"x");
-        let len = f.len() as i64;
+        let len = f.len() as u64;
         send_via(&router, f.clone());
         send_via(&router, f);
         let rs = router.invoke("route", "route_stats", &[]).unwrap();
-        let rows: Vec<Vec<Value>> = rs
+        let net0 = rs
             .as_list()
             .unwrap()
             .iter()
-            .map(|r| r.as_list().unwrap().to_vec())
-            .collect();
-        let net0 = rows
-            .iter()
-            .find(|r| r[0] == Value::Int(0x0A00_0000))
+            .map(|r| RouteRow::from_value(r).unwrap())
+            .find(|r| r.prefix == 0x0A00_0000)
             .unwrap();
-        assert_eq!(net0[3], Value::Int(2), "packets");
-        assert_eq!(net0[4], Value::Int(2 * len), "bytes");
+        assert_eq!((net0.packets, net0.bytes), (2, 2 * len));
     }
 
     #[test]
@@ -971,5 +958,32 @@ mod tests {
         assert_eq!(tags[0], 1, "what had been pulled comes first");
         let if0: Vec<u8> = tags.iter().copied().filter(|&t| t != 9).collect();
         assert_eq!(if0, [1, 2, 3], "each member's frames stay in order");
+    }
+
+    #[test]
+    fn a_member_stats_entry_that_is_not_an_int_fails_the_aggregate() {
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let (near0, _far0) = make_simlink(machine, LinkConfig::perfect(1));
+        let liar = ObjectBuilder::new("liar")
+            .interface("netdev", |i| {
+                i.method("stats", &[], TypeTag::List, |_, _| {
+                    Ok(Value::List(vec![Value::Str("lots".into())]))
+                })
+            })
+            .build();
+        let router = make_router(vec![
+            RouteIf {
+                dev: near0,
+                ip: IF0_IP,
+                mac: [2, 0, 0, 0, 0, 0x10],
+            },
+            RouteIf {
+                dev: liar,
+                ip: IF1_IP,
+                mac: [2, 0, 0, 0, 0, 0x11],
+            },
+        ]);
+        let err = router.invoke("netdev", "stats", &[]).unwrap_err();
+        assert!(matches!(err, ObjError::TypeMismatch { .. }), "{err}");
     }
 }

@@ -157,22 +157,23 @@ impl LinkConfig {
     }
 }
 
-/// Per-direction counters, readable via `netdev stats` on the *sending*
-/// endpoint of the direction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Frames accepted by `send`.
-    pub sent: u64,
-    /// Frames handed to the receiver by `recv`.
-    pub delivered: u64,
-    /// Frames the wire dropped.
-    pub dropped: u64,
-    /// Extra copies the wire created.
-    pub duplicated: u64,
-    /// Frames held back behind later traffic.
-    pub reordered: u64,
-    /// Frames with a flipped byte.
-    pub corrupted: u64,
+paramecium_obj::counters! {
+    /// Per-direction counters, readable via `netdev stats` on the *sending*
+    /// endpoint of the direction.
+    pub struct LinkStats {
+        /// Frames accepted by `send`.
+        pub sent: u64,
+        /// Frames handed to the receiver by `recv`.
+        pub delivered: u64,
+        /// Frames the wire dropped.
+        pub dropped: u64,
+        /// Extra copies the wire created.
+        pub duplicated: u64,
+        /// Frames held back behind later traffic.
+        pub reordered: u64,
+        /// Frames with a flipped byte.
+        pub corrupted: u64,
+    }
 }
 
 /// One direction of the wire: frames in flight ordered by delivery time.
@@ -284,17 +285,6 @@ impl EndpointState {
     }
 }
 
-fn stats_value(s: &LinkStats) -> Value {
-    Value::List(vec![
-        Value::Int(s.sent as i64),
-        Value::Int(s.delivered as i64),
-        Value::Int(s.dropped as i64),
-        Value::Int(s.duplicated as i64),
-        Value::Int(s.reordered as i64),
-        Value::Int(s.corrupted as i64),
-    ])
-}
-
 fn make_endpoint(
     core: Arc<Mutex<LinkCore>>,
     machine: Arc<Mutex<Machine>>,
@@ -345,7 +335,7 @@ fn make_endpoint(
             .method("stats", &[], TypeTag::List, |this, _| {
                 this.with_state(|s: &mut EndpointState| {
                     let core = s.core.lock();
-                    Ok(stats_value(&core.dirs[s.tx_dir].stats))
+                    Ok(core.dirs[s.tx_dir].stats.to_value())
                 })
             })
         })
@@ -467,18 +457,8 @@ mod tests {
                 }
                 got.push(f);
             }
-            let stats = {
-                let core_stats = a.invoke("netdev", "stats", &[]).unwrap();
-                let l = core_stats.as_list().unwrap().to_vec();
-                LinkStats {
-                    sent: l[0].as_int().unwrap() as u64,
-                    delivered: l[1].as_int().unwrap() as u64,
-                    dropped: l[2].as_int().unwrap() as u64,
-                    duplicated: l[3].as_int().unwrap() as u64,
-                    reordered: l[4].as_int().unwrap() as u64,
-                    corrupted: l[5].as_int().unwrap() as u64,
-                }
-            };
+            let stats = a.invoke("netdev", "stats", &[]).unwrap();
+            let stats = LinkStats::from_value(&stats).unwrap();
             (got, stats)
         };
         let (got1, stats1) = run(42);
@@ -550,7 +530,7 @@ mod tests {
         assert_eq!(recv(&b), vec![2]);
         // The partition was counted as drops on the sender's stats.
         let stats = a.invoke("netdev", "stats", &[]).unwrap();
-        assert_eq!(stats.as_list().unwrap()[2], Value::Int(1));
+        assert_eq!(LinkStats::from_value(&stats).unwrap().dropped, 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   (empty list when the queue is empty),
 //! - `set_filter(filter: handle) -> unit` — install a packet filter
 //!   (possibly a cross-domain proxy: that is experiment E7),
-//! - `stats() -> list [delivered, no_listener, filtered, malformed]`.
+//! - `stats() -> list`: a [`UdpStats`] block.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -40,10 +40,17 @@ struct StackState {
     ip: u32,
     ports: HashMap<u16, VecDeque<Datagram>>,
     filter: Option<ObjRef>,
-    delivered: u64,
-    no_listener: u64,
-    filtered: u64,
-    malformed: u64,
+    stats: UdpStats,
+}
+
+paramecium_obj::counters! {
+    /// The `udp stats` of a stack.
+    pub struct UdpStats {
+        pub delivered: u64,
+        pub no_listener: u64,
+        pub filtered: u64,
+        pub malformed: u64,
+    }
 }
 
 /// Builds a UDP stack bound to `netdev`, with local address `ip`/`mac`.
@@ -56,10 +63,7 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
             ip,
             ports: HashMap::new(),
             filter: None,
-            delivered: 0,
-            no_listener: 0,
-            filtered: 0,
-            malformed: 0,
+            stats: UdpStats::default(),
         })
         .interface("udp", |i| {
             i.method("bind", &[TypeTag::Int], TypeTag::Unit, |this, args| {
@@ -121,7 +125,7 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                                 .invoke("filter", "check", &[Value::Bytes(frame.clone())])?
                                 .as_bool()?;
                             if !ok {
-                                s.filtered += 1;
+                                s.stats.filtered += 1;
                                 continue;
                             }
                         }
@@ -134,11 +138,11 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                                         src_port: udp.src_port,
                                         payload: frame.slice(off..off + payload.len()),
                                     });
-                                    s.delivered += 1;
+                                    s.stats.delivered += 1;
                                 }
-                                None => s.no_listener += 1,
+                                None => s.stats.no_listener += 1,
                             },
-                            Err(_) => s.malformed += 1,
+                            Err(_) => s.stats.malformed += 1,
                         }
                     }
                     Ok(Value::Int(processed))
@@ -158,14 +162,7 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                 })
             })
             .method("stats", &[], TypeTag::List, |this, _| {
-                this.with_state(|s: &mut StackState| {
-                    Ok(Value::List(vec![
-                        Value::Int(s.delivered as i64),
-                        Value::Int(s.no_listener as i64),
-                        Value::Int(s.filtered as i64),
-                        Value::Int(s.malformed as i64),
-                    ]))
-                })
+                this.with_state(|s: &mut StackState| Ok(s.stats.to_value()))
             })
         })
         .build()
@@ -219,7 +216,7 @@ mod tests {
         inject_udp(&mem, 9999, b"nobody-home");
         stack.invoke("udp", "pump", &[]).unwrap();
         let stats = stack.invoke("udp", "stats", &[]).unwrap();
-        assert_eq!(stats.as_list().unwrap()[1], Value::Int(1));
+        assert_eq!(UdpStats::from_value(&stats).unwrap().no_listener, 1);
     }
 
     #[test]
@@ -230,9 +227,8 @@ mod tests {
         inject_udp(&mem, 53, b"good");
         stack.invoke("udp", "pump", &[]).unwrap();
         let stats = stack.invoke("udp", "stats", &[]).unwrap();
-        let s = stats.as_list().unwrap();
-        assert_eq!(s[0], Value::Int(1)); // delivered
-        assert_eq!(s[3], Value::Int(1)); // malformed
+        let s = UdpStats::from_value(&stats).unwrap();
+        assert_eq!((s.delivered, s.malformed), (1, 1));
     }
 
     #[test]
@@ -248,15 +244,15 @@ mod tests {
         inject_udp(&mem, 80, b"drop");
         stack.invoke("udp", "pump", &[]).unwrap();
         let stats = stack.invoke("udp", "stats", &[]).unwrap();
-        let s = stats.as_list().unwrap();
-        assert_eq!(s[0], Value::Int(1)); // delivered (port 53)
-        assert_eq!(s[2], Value::Int(1)); // filtered (port 80)
-                                         // clear_filter lets everything through again.
+        let s = UdpStats::from_value(&stats).unwrap();
+        assert_eq!(s.delivered, 1, "port 53");
+        assert_eq!(s.filtered, 1, "port 80");
+        // clear_filter lets everything through again.
         stack.invoke("udp", "clear_filter", &[]).unwrap();
         inject_udp(&mem, 80, b"now-passes");
         stack.invoke("udp", "pump", &[]).unwrap();
         let stats = stack.invoke("udp", "stats", &[]).unwrap();
-        assert_eq!(stats.as_list().unwrap()[0], Value::Int(2));
+        assert_eq!(UdpStats::from_value(&stats).unwrap().delivered, 2);
     }
 
     #[test]

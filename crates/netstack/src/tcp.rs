@@ -20,7 +20,7 @@
 //! - `set_backlog(port: int, n: int)` — cap the accept queue (default
 //!   [`DEFAULT_BACKLOG`]); handshakes completing against a full queue
 //!   are refused with an RST and counted in `backlog_dropped`,
-//! - `stats() -> list`, `set_filter(handle)`,
+//! - `stats() -> list` (a [`TcpStats`] block), `set_filter(handle)`,
 //! - `pump() -> int` — the engine: drains the lower netdev a burst at a
 //!   time (`recv_many` until one comes back short), then services, in
 //!   ascending id order, exactly the connections that are
@@ -309,30 +309,26 @@ impl Conn {
     }
 }
 
-/// Aggregate endpoint counters; `digest` folds every frame on the wire
-/// (both directions) through [`sum64`] and is the replay fingerprint.
-#[derive(Default)]
-struct TcpStats {
-    segs_tx: u64,
-    segs_rx: u64,
-    bytes_tx: u64,
-    bytes_rx: u64,
-    retransmits: u64,
-    malformed: u64,
-    filtered: u64,
-    rst_tx: u64,
-    aborted: u64,
-    digest: u64,
-    backlog_dropped: u64,
-    /// Connection visits made by `pump` (timer + output pass).
-    serviced: u64,
-    /// Segments dropped from a full output queue the lower kept refusing.
-    tx_dropped: u64,
-}
-
-impl TcpStats {
-    fn fold(&mut self, frame: &[u8]) {
-        self.digest = sum64::fold(self.digest, frame);
+paramecium_obj::counters! {
+    /// The `tcp stats` of an endpoint.
+    pub struct TcpStats {
+        pub segs_tx: u64,
+        pub segs_rx: u64,
+        pub bytes_tx: u64,
+        /// Payload bytes heard, duplicates included.
+        pub bytes_rx: u64,
+        pub retransmits: u64,
+        pub malformed: u64,
+        pub filtered: u64,
+        pub rst_tx: u64,
+        pub aborted: u64,
+        /// Every frame on the wire, both ways, through [`sum64`].
+        pub digest: u64,
+        pub backlog_dropped: u64,
+        /// Connection visits made by `pump` (timer + output pass).
+        pub serviced: u64,
+        /// Segments dropped from a full output queue.
+        pub tx_dropped: u64,
     }
 }
 
@@ -552,7 +548,7 @@ impl TcpState {
     fn transmit(&mut self, frame: Vec<u8>, payload_len: usize) {
         self.stats.segs_tx += 1;
         self.stats.bytes_tx += payload_len as u64;
-        self.stats.fold(&frame);
+        self.stats.digest = sum64::fold(self.stats.digest, &frame);
         self.txq.push(Value::Bytes(frame.into()));
     }
 
@@ -874,7 +870,7 @@ impl TcpState {
             }
         };
         self.stats.segs_rx += 1;
-        self.stats.fold(&frame);
+        self.stats.digest = sum64::fold(self.stats.digest, &frame);
         let key = (ip.src, hdr.src_port, hdr.dst_port);
         if let Some(&id) = self.demux.get(&key) {
             return self.segment_in(id, &hdr, payload, now);
@@ -1367,42 +1363,18 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 },
             )
             .method("stats", &[], TypeTag::List, |this, _| {
-                this.with_state(|s: &mut TcpState| {
-                    let st = &s.stats;
-                    Ok(Value::List(vec![
-                        Value::Int(st.segs_tx as i64),
-                        Value::Int(st.segs_rx as i64),
-                        Value::Int(st.bytes_tx as i64),
-                        Value::Int(st.bytes_rx as i64),
-                        Value::Int(st.retransmits as i64),
-                        Value::Int(st.malformed as i64),
-                        Value::Int(st.filtered as i64),
-                        Value::Int(st.rst_tx as i64),
-                        Value::Int(st.aborted as i64),
-                        Value::Int(st.digest as i64),
-                        Value::Int(st.backlog_dropped as i64),
-                        Value::Int(st.serviced as i64),
-                        Value::Int(st.tx_dropped as i64),
-                    ]))
-                })
+                this.with_state(|s: &mut TcpState| Ok(s.stats.to_value()))
             })
         })
         .build()
 }
 
-/// Position of the digest in the `stats` list (for tests).
+/// Position of [`TcpStats::digest`] in the `stats` list.
 pub const STAT_DIGEST: usize = 9;
-/// Position of the malformed counter in the `stats` list.
+/// Position of [`TcpStats::malformed`] in the `stats` list.
 pub const STAT_MALFORMED: usize = 5;
-/// Position of the retransmit counter in the `stats` list.
+/// Position of [`TcpStats::retransmits`] in the `stats` list.
 pub const STAT_RETRANSMITS: usize = 4;
-/// Position of the aborted-connections counter in the `stats` list.
-pub const STAT_ABORTED: usize = 8;
-/// Position of the backlog-overflow counter in the `stats` list.
-pub const STAT_BACKLOG_DROPPED: usize = 10;
-/// Position of the connection-visits counter (`conns_serviced`) in the
-/// `stats` list: how many timer + output passes `pump` has run.
-pub const STAT_SERVICED: usize = 11;
 
 #[cfg(test)]
 mod tests {
@@ -1488,14 +1460,8 @@ mod tests {
         }
     }
 
-    fn tcp_stats(ep: &ObjRef) -> Vec<i64> {
-        ep.invoke("tcp", "stats", &[])
-            .unwrap()
-            .as_list()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_int().unwrap())
-            .collect()
+    fn tcp_stats(ep: &ObjRef) -> TcpStats {
+        TcpStats::from_value(&ep.invoke("tcp", "stats", &[]).unwrap()).unwrap()
     }
 
     #[test]
@@ -1598,14 +1564,14 @@ mod tests {
         }
         assert_eq!(got, msg, "stream is exact despite loss/dup/reorder");
         assert!(
-            tcp_stats(&a)[STAT_RETRANSMITS] > 0,
+            tcp_stats(&a).retransmits > 0,
             "loss actually exercised the retransmit path"
         );
     }
 
     #[test]
     fn same_seed_yields_identical_digest() {
-        let run = |seed: u64| -> (Vec<i64>, Vec<i64>) {
+        let run = |seed: u64| -> (TcpStats, TcpStats) {
             let mut cfg = LinkConfig::perfect(seed);
             cfg.drop_permille = 120;
             cfg.reorder_permille = 80;
@@ -1628,8 +1594,8 @@ mod tests {
         };
         assert_eq!(run(99), run(99), "replay is bit-identical");
         assert_ne!(
-            run(99).0[STAT_DIGEST],
-            run(100).0[STAT_DIGEST],
+            run(99).0.digest,
+            run(100).0.digest,
             "different seed takes a different trace"
         );
     }
@@ -1677,7 +1643,7 @@ mod tests {
             }
         }
         assert_eq!(got, msg, "corruption never corrupts the stream");
-        let malformed: i64 = tcp_stats(&a)[STAT_MALFORMED] + tcp_stats(&b)[STAT_MALFORMED];
+        let malformed = tcp_stats(&a).malformed + tcp_stats(&b).malformed;
         assert!(
             malformed > 0,
             "corrupted frames were counted, not delivered"
@@ -1700,7 +1666,7 @@ mod tests {
             .collect();
         pump_net(&machine, &[&a, &b], 6);
         assert_eq!(
-            tcp_stats(&b)[STAT_BACKLOG_DROPPED],
+            tcp_stats(&b).backlog_dropped,
             2,
             "completions past the cap were shed"
         );
@@ -1760,16 +1726,16 @@ mod tests {
         }
         assert_eq!(conn_state(&a, id_a), "closed");
         assert_eq!(conn_error(&a, id_a), "user-timeout");
-        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 1);
+        assert_eq!(tcp_stats(&a).aborted, 1);
         assert!(
-            tcp_stats(&a)[STAT_RETRANSMITS] > 0,
+            tcp_stats(&a).retransmits > 0,
             "the stall was a real retransmit stall, not instant death"
         );
         // Further pumps must not re-abort, and healing the link must
         // not resurrect the dead connection.
         set_drop(&end_a, 0);
         pump_net(&machine, &[&a, &b], 6);
-        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 1);
+        assert_eq!(tcp_stats(&a).aborted, 1);
         assert_eq!(conn_state(&a, id_a), "closed");
         assert_eq!(conn_error(&a, id_a), "user-timeout");
     }
@@ -1800,7 +1766,7 @@ mod tests {
         }
         assert_eq!(conn_state(&a, id_a), "closed");
         assert_eq!(conn_error(&a, id_a), "keepalive-timeout");
-        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 1);
+        assert_eq!(tcp_stats(&a).aborted, 1);
     }
 
     #[test]
@@ -1834,11 +1800,11 @@ mod tests {
         }
         assert_eq!(conn_state(&a, id_a), "closed");
         assert_eq!(conn_error(&a, id_a), "user-timeout");
-        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 1);
+        assert_eq!(tcp_stats(&a).aborted, 1);
         // The id stays valid — state/error remain callable and extra
         // timer passes neither re-abort nor panic.
         pump_net(&machine, &[&a, &b], 6);
-        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 1);
+        assert_eq!(tcp_stats(&a).aborted, 1);
         assert_eq!(conn_state(&a, id_a), "closed");
         // Healing the link does not resurrect the dead connection.
         set_drop(&end_a, 0);
@@ -1874,7 +1840,7 @@ mod tests {
             "",
             "expiry is a clean close, not an abort"
         );
-        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 0);
+        assert_eq!(tcp_stats(&a).aborted, 0);
     }
 
     #[test]
@@ -1891,7 +1857,7 @@ mod tests {
             a.invoke("tcp", "state", &[Value::Int(id)]).unwrap(),
             Value::Str("closed".into())
         );
-        assert!(tcp_stats(&b)[7] > 0, "B sent an RST");
+        assert!(tcp_stats(&b).rst_tx > 0, "B sent an RST");
     }
 
     fn connect(ep: &ObjRef, port: i64) -> Result<i64, ObjError> {
@@ -1942,20 +1908,20 @@ mod tests {
 
         // B's side of the tuple is dead: a stray non-SYN on it is
         // refused with an RST, not swallowed by the closed connection.
-        let rst_before = tcp_stats(&b)[7];
+        let rst_before = tcp_stats(&b).rst_tx;
         inject_stray_ack(&end_a, EPHEMERAL_BASE, 80);
         pump_net(&machine, &[&b], 2);
-        assert_eq!(tcp_stats(&b)[7], rst_before + 1, "B refused the stray");
+        assert_eq!(tcp_stats(&b).rst_tx, rst_before + 1, "B refused the stray");
         // ...and that RST does not turn A's clean close into an error.
-        let heard = tcp_stats(&a)[1];
+        let heard = tcp_stats(&a).segs_rx;
         pump_net(&machine, &[&a], 2);
-        assert_eq!(tcp_stats(&a)[1], heard + 1, "the RST reached A");
+        assert_eq!(tcp_stats(&a).segs_rx, heard + 1, "the RST reached A");
         assert_eq!(conn_state(&a, id_a), "time-wait");
         machine.lock().tick(TIME_WAIT_CYCLES);
         pump_net(&machine, &[&a, &b], 1);
         assert_eq!(conn_state(&a, id_a), "closed");
         assert_eq!(conn_error(&a, id_a), "");
-        assert_eq!(tcp_stats(&a)[STAT_ABORTED], 0);
+        assert_eq!(tcp_stats(&a).aborted, 0);
 
         // A rebooted client: a fresh endpoint with the same address,
         // whose ephemeral ports start over, lands on the very tuple the
@@ -2098,10 +2064,10 @@ mod tests {
         })
     }
 
-    /// Everything an endpoint shows the outside, bar the visit counter:
-    /// `stats` 0..=10 (digest included), then `state` and `error` of
-    /// every id it has ever handed out.
-    fn observe(ep: &ObjRef) -> (Vec<i64>, Vec<String>) {
+    /// Everything an endpoint shows the outside, bar the visit counter
+    /// and the output-queue drops: its `stats` (digest included), then
+    /// `state` and `error` of every id it has ever handed out.
+    fn observe(ep: &ObjRef) -> (TcpStats, Vec<String>) {
         let ids = ep
             .with_state(|s: &mut TcpState| Ok(s.conns.len() as i64))
             .unwrap();
@@ -2111,11 +2077,16 @@ mod tests {
                 Err(_) => "dropped".to_string(),
             })
             .collect();
-        (tcp_stats(ep)[..STAT_SERVICED].to_vec(), conns)
+        let stats = TcpStats {
+            serviced: 0,
+            tx_dropped: 0,
+            ..tcp_stats(ep)
+        };
+        (stats, conns)
     }
 
     fn serviced(ep: &ObjRef) -> i64 {
-        tcp_stats(ep)[STAT_SERVICED]
+        tcp_stats(ep).serviced as i64
     }
 
     /// Every interval and clock step the differential test picks is a
@@ -2259,7 +2230,7 @@ mod tests {
                 .unwrap();
             assert_eq!(echoed.as_bytes().unwrap().to_vec(), vec![round; 256]);
         }
-        assert_eq!(tcp_stats(&a)[STAT_RETRANSMITS], 0);
+        assert_eq!(tcp_stats(&a).retransmits, 0);
     }
 
     /// A pair whose A side sits on a fuse: `(machine, a, b, blown, end_a)`.
@@ -2273,9 +2244,9 @@ mod tests {
         (machine, a, b, blown, end_a)
     }
 
-    fn link_sent(end: &ObjRef) -> i64 {
+    fn link_sent(end: &ObjRef) -> u64 {
         let stats = end.invoke("netdev", "stats", &[]).unwrap();
-        stats.as_list().unwrap()[0].as_int().unwrap()
+        crate::simlink::LinkStats::from_value(&stats).unwrap().sent
     }
 
     #[test]
@@ -2307,13 +2278,17 @@ mod tests {
                 .unwrap();
             assert_eq!(heard.as_bytes().unwrap().to_vec(), vec![id as u8; 100]);
         }
-        assert_eq!(tcp_stats(&a)[STAT_RETRANSMITS], 0, "no timer had to help");
+        assert_eq!(tcp_stats(&a).retransmits, 0, "no timer had to help");
         assert_eq!(
             link_sent(&end_a),
-            tcp_stats(&a)[0],
+            tcp_stats(&a).segs_tx,
             "every segment reached the wire exactly once"
         );
-        assert_eq!(tcp_stats(&a)[12], 0, "nothing dropped from the queue");
+        assert_eq!(
+            tcp_stats(&a).tx_dropped,
+            0,
+            "nothing dropped from the queue"
+        );
     }
 
     #[test]
@@ -2324,15 +2299,19 @@ mod tests {
         for _ in 0..TX_QUEUE_MAX + 5 {
             connect(&a, 80).expect("the connection exists, its SYN queued");
         }
-        assert_eq!(tcp_stats(&a)[12], 5, "oldest dropped beyond the bound");
+        assert_eq!(
+            tcp_stats(&a).tx_dropped,
+            5,
+            "oldest dropped beyond the bound"
+        );
         assert_eq!(link_sent(&end_a), 0);
         assert!(a.invoke("tcp", "pump", &[]).is_err(), "still refused");
         blown.tx.store(false, Ordering::Relaxed);
         a.invoke("tcp", "pump", &[]).unwrap();
-        assert_eq!(link_sent(&end_a), TX_QUEUE_MAX as i64, "the rest left");
-        assert_eq!(tcp_stats(&a)[12], 5);
+        assert_eq!(link_sent(&end_a), TX_QUEUE_MAX as u64, "the rest left");
+        assert_eq!(tcp_stats(&a).tx_dropped, 5);
         a.invoke("tcp", "pump", &[]).unwrap();
-        assert_eq!(link_sent(&end_a), TX_QUEUE_MAX as i64, "exactly once");
+        assert_eq!(link_sent(&end_a), TX_QUEUE_MAX as u64, "exactly once");
     }
 
     #[test]
@@ -2361,14 +2340,14 @@ mod tests {
         }
         machine.lock().tick(10);
         assert!(b.invoke("tcp", "pump", &[]).is_err(), "the second check");
-        assert_eq!(tcp_stats(&b)[7], 1, "the first frame was answered");
+        assert_eq!(tcp_stats(&b).rst_tx, 1, "the first frame was answered");
         let pending = end_b.invoke("netdev", "pending", &[]).unwrap();
         assert_eq!(pending, Value::Int(0), "all three had been pulled");
         // The frame the filter died on is gone, as it always was; the one
         // behind it is the next pump's first.
         b.invoke("tcp", "pump", &[]).unwrap();
-        assert_eq!(tcp_stats(&b)[7], 2, "the third frame was not lost");
-        assert_eq!(tcp_stats(&b)[1], 2, "two segments heard in all");
+        assert_eq!(tcp_stats(&b).rst_tx, 2, "the third frame was not lost");
+        assert_eq!(tcp_stats(&b).segs_rx, 2, "two segments heard in all");
     }
 
     /// Steps both twins' clocks `steps` times by `tick`, pumping A then
@@ -2442,11 +2421,11 @@ mod tests {
             // First visit transmits, second latches the stall clock.
             pump_net(&t.machine, &[&t.a, &t.b], 2);
         }
-        let before = tcp_stats(&pair[0].a)[STAT_RETRANSMITS];
+        let before = tcp_stats(&pair[0].a).retransmits;
         let acted = step_twins(&pair, 40, 50_000, 1);
-        let resent = tcp_stats(&pair[0].a)[STAT_RETRANSMITS] - before;
+        let resent = tcp_stats(&pair[0].a).retransmits - before;
         assert!(resent >= 2, "backoff fired more than once, saw {resent}");
-        assert_eq!(acted as i64, resent, "A acted exactly when it resent");
+        assert_eq!(acted as u64, resent, "A acted exactly when it resent");
     }
 
     #[test]
@@ -2471,7 +2450,7 @@ mod tests {
         assert_eq!(acted, 2, "one retransmission, then the abort");
         assert_eq!(conn_state(&pair[0].a, 2), "closed");
         assert_eq!(conn_error(&pair[0].a, 2), "user-timeout");
-        assert_eq!(tcp_stats(&pair[0].a)[STAT_RETRANSMITS], 1);
+        assert_eq!(tcp_stats(&pair[0].a).retransmits, 1);
     }
 
     #[test]

@@ -42,6 +42,7 @@
 
 pub mod builder;
 pub mod compose;
+pub mod counters;
 pub mod delegate;
 pub mod error;
 pub mod forward;

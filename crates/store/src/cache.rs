@@ -67,8 +67,8 @@ use bytes::Bytes;
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{
-    delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder, TryLock,
-    TryLockGuard, TypeTag, Value,
+    counters, delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder,
+    TryLock, TryLockGuard, TypeTag, Value,
 };
 
 use crate::vectored::{
@@ -120,9 +120,18 @@ struct Shard {
     /// sector gets a fresh version, so an in-flight writeback snapshot
     /// can never mistake new data for the bytes it wrote.
     version_clock: u64,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
+    stats: CacheStats,
+}
+
+counters! {
+    /// The `cache stats` of a block cache, or a row of its `shard_stats`.
+    pub struct CacheStats {
+        pub hits: u64,
+        pub misses: u64,
+        pub writebacks: u64,
+        /// Lines resident now (a gauge `shard_rows` fills in).
+        pub resident: u64,
+    }
 }
 
 impl Shard {
@@ -136,9 +145,7 @@ impl Shard {
             tail: NIL,
             capacity: capacity.max(1),
             version_clock: 0,
-            hits: 0,
-            misses: 0,
-            writebacks: 0,
+            stats: CacheStats::default(),
         }
     }
 
@@ -311,6 +318,15 @@ struct CacheShared {
 }
 
 impl CacheShared {
+    /// Each shard's counters, in shard order, one lock at a time.
+    fn shard_rows(&self) -> impl Iterator<Item = CacheStats> + '_ {
+        self.shards.iter().map(|lock| {
+            let mut sh = lock.lock();
+            sh.stats.resident = sh.len() as u64;
+            sh.stats
+        })
+    }
+
     #[inline]
     fn shard_of(&self, sector: i64) -> usize {
         (sector as u64 & self.shard_mask) as usize
@@ -440,7 +456,7 @@ fn make_room(shared: &CacheShared, wanted: impl Iterator<Item = i64> + Clone) ->
         for (sec, data, version) in batch {
             let mut sh = shared.shard(sec);
             if written.is_ok() {
-                sh.writebacks += 1;
+                sh.stats.writebacks += 1;
                 if let Some(version) = version {
                     sh.mark_clean_if_unchanged(sec, version);
                 }
@@ -473,7 +489,7 @@ fn insert_line(shared: &CacheShared, sector: i64, data: &Bytes, dirty: bool) -> 
         {
             let mut sh = shared.shard(sector);
             if let Some(idx) = sh.map.get(&sector).copied() {
-                sh.hits += u64::from(count);
+                sh.stats.hits += u64::from(count);
                 if dirty {
                     sh.overwrite_line(idx, data, true);
                 } else {
@@ -481,7 +497,7 @@ fn insert_line(shared: &CacheShared, sector: i64, data: &Bytes, dirty: bool) -> 
                 }
                 return Ok(());
             }
-            sh.misses += u64::from(count);
+            sh.stats.misses += u64::from(count);
             count = false;
             if sh.len() < sh.capacity {
                 sh.insert(sector, data.clone(), dirty);
@@ -506,11 +522,11 @@ fn cache_read_many(shared: &CacheShared, reads: Reads<'_>, out: &mut [Value]) ->
             }
             match sh.map.get(&sec).copied() {
                 Some(idx) => {
-                    sh.hits += 1;
+                    sh.stats.hits += 1;
                     sh.touch(idx);
                     answer(slot, sh.slots[idx as usize].data.clone());
                 }
-                None => sh.misses += 1,
+                None => sh.stats.misses += 1,
             }
         }
     }
@@ -664,7 +680,7 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
             // the writeback to the shard that owned the line.
             let mut sh = shared.shard(*sec);
             sh.mark_clean_if_unchanged(*sec, *version);
-            sh.writebacks += 1;
+            sh.stats.writebacks += 1;
         }
     }
     Ok(Value::Int(dirty.len() as i64))
@@ -692,8 +708,8 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
 ///   (transaction data never becomes cache lines) and refreshes the
 ///   resident copies of the sectors it wrote.
 /// - a `cache` interface:
-///   - `stats() -> [hits, misses, writebacks, resident]` (aggregated),
-///   - `shard_stats() -> list of per-shard [hits, misses, writebacks, resident]`,
+///   - `stats() -> list`: a [`CacheStats`] block, the `merge` of the rows of
+///   - `shard_stats() -> list`: one [`CacheStats`] per shard,
 ///   - `shards() -> int`,
 ///   - `flush() -> int` (write-backs performed, batched in elevator order).
 pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards: usize) -> ObjRef {
@@ -787,37 +803,13 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
             let s_shards = shared.clone();
             let s_flush = shared.clone();
             i.method("stats", &[], TypeTag::List, move |_, _| {
-                let (mut hits, mut misses, mut wb, mut resident) = (0u64, 0u64, 0u64, 0usize);
-                for lock in &s_stats.shards {
-                    let sh = lock.lock();
-                    hits += sh.hits;
-                    misses += sh.misses;
-                    wb += sh.writebacks;
-                    resident += sh.len();
-                }
-                Ok(Value::List(vec![
-                    Value::Int(hits as i64),
-                    Value::Int(misses as i64),
-                    Value::Int(wb as i64),
-                    Value::Int(resident as i64),
-                ]))
+                let mut total = CacheStats::default();
+                s_stats.shard_rows().for_each(|row| total.merge(&row));
+                Ok(total.to_value())
             })
             .method("shard_stats", &[], TypeTag::List, move |_, _| {
-                Ok(Value::List(
-                    s_shard_stats
-                        .shards
-                        .iter()
-                        .map(|lock| {
-                            let sh = lock.lock();
-                            Value::List(vec![
-                                Value::Int(sh.hits as i64),
-                                Value::Int(sh.misses as i64),
-                                Value::Int(sh.writebacks as i64),
-                                Value::Int(sh.len() as i64),
-                            ])
-                        })
-                        .collect(),
-                ))
+                let rows = s_shard_stats.shard_rows().map(|row| row.to_value());
+                Ok(Value::List(rows.collect()))
             })
             .method("shards", &[], TypeTag::Int, move |_, _| {
                 Ok(Value::Int(s_shards.shards.len() as i64))
@@ -832,6 +824,8 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::DriverStats;
+    use crate::journal::JournalStats;
     use crate::StackBuilder;
     use paramecium_core::{domain::KERNEL_DOMAIN, memsvc::MemService};
     use paramecium_machine::dev::disk::SECTOR_TRANSFER_COST;
@@ -857,15 +851,13 @@ mod tests {
         Value::Bytes(bytes::Bytes::from(vec![byte; SECTOR_SIZE]))
     }
 
-    fn cache_stats(cache: &ObjRef) -> Vec<i64> {
-        cache
-            .invoke("cache", "stats", &[])
-            .unwrap()
-            .as_list()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_int().unwrap())
-            .collect()
+    fn cache_stats(cache: &ObjRef) -> CacheStats {
+        CacheStats::from_value(&cache.invoke("cache", "stats", &[]).unwrap()).unwrap()
+    }
+
+    fn driver_writes(driver: &ObjRef) -> u64 {
+        let stats = driver.invoke("blockdev", "stats", &[]).unwrap();
+        DriverStats::from_value(&stats).unwrap().writes
     }
 
     #[test]
@@ -883,8 +875,8 @@ mod tests {
         // Ten hot reads cost less than one disk transfer.
         assert!(mem.machine().lock().now() - t0 < SECTOR_TRANSFER_COST);
         let s = cache_stats(&cache);
-        assert_eq!(s[0], 10); // 10 read hits.
-        assert_eq!(s[1], 1); // The initial write-allocate miss.
+        assert_eq!(s.hits, 10);
+        assert_eq!(s.misses, 1, "the initial write-allocate miss");
     }
 
     #[test]
@@ -900,15 +892,13 @@ mod tests {
                 .unwrap();
         }
         // Nothing on disk yet: write-back cache.
-        let dstats = driver.invoke("blockdev", "stats", &[]).unwrap();
-        assert_eq!(dstats.as_list().unwrap()[1], Value::Int(0));
+        assert_eq!(driver_writes(&driver), 0);
         // Third write evicts the LRU line (sector 0) to disk. The eviction
         // coalesces the other dirty line (sector 1) into the same batch.
         cache
             .invoke("blockdev", "write", &[Value::Int(2), sector_of(2)])
             .unwrap();
-        let dstats = driver.invoke("blockdev", "stats", &[]).unwrap();
-        assert_eq!(dstats.as_list().unwrap()[1], Value::Int(2));
+        assert_eq!(driver_writes(&driver), 2);
         // And the evicted data is really there.
         let v = driver.invoke("blockdev", "read", &[Value::Int(0)]).unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 0);
@@ -936,10 +926,10 @@ mod tests {
         let before = cache_stats(&cache);
         cache.invoke("blockdev", "read", &[Value::Int(0)]).unwrap();
         let after_hit = cache_stats(&cache);
-        assert_eq!(after_hit[0], before[0] + 1);
+        assert_eq!(after_hit.hits, before.hits + 1);
         cache.invoke("blockdev", "read", &[Value::Int(1)]).unwrap();
         let after_miss = cache_stats(&cache);
-        assert_eq!(after_miss[1], after_hit[1] + 1);
+        assert_eq!(after_miss.misses, after_hit.misses + 1);
     }
 
     #[test]
@@ -1008,8 +998,7 @@ mod tests {
         // Now it hits.
         cache.invoke("blockdev", "read", &[Value::Int(7)]).unwrap();
         let s = cache_stats(&cache);
-        assert_eq!(s[0], 1);
-        assert_eq!(s[1], 1);
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -1027,7 +1016,7 @@ mod tests {
                             &[Value::Int(sec), sector_of(round as u8)],
                         )
                         .unwrap();
-                    let resident = cache_stats(&cache)[3];
+                    let resident = cache_stats(&cache).resident;
                     assert!(
                         resident <= 8,
                         "resident {resident} exceeds capacity 8 (shards={shards})"
@@ -1055,12 +1044,12 @@ mod tests {
         let per_shard = per_shard.as_list().unwrap();
         assert_eq!(per_shard.len(), 4);
         for sh in per_shard {
-            let sh = sh.as_list().unwrap();
-            assert_eq!(sh[3], Value::Int(2), "each shard holds 2 lines");
+            let sh = CacheStats::from_value(sh).unwrap();
+            assert_eq!(sh.resident, 2, "each shard holds 2 lines");
         }
         let s = cache_stats(&cache);
-        assert_eq!(s[1], 8, "aggregated misses");
-        assert_eq!(s[3], 8, "aggregated resident");
+        assert_eq!(s.misses, 8, "aggregated misses");
+        assert_eq!(s.resident, 8, "aggregated resident");
         // Hits land in the right shard and still aggregate.
         for sec in 0..8i64 {
             let v = cache
@@ -1068,7 +1057,7 @@ mod tests {
                 .unwrap();
             assert_eq!(v.as_bytes().unwrap()[0], sec as u8);
         }
-        assert_eq!(cache_stats(&cache)[0], 8);
+        assert_eq!(cache_stats(&cache).hits, 8);
     }
 
     #[test]
@@ -1120,8 +1109,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, Value::Int(5));
         // Write-back: nothing on disk until flush.
-        let dstats = driver.invoke("blockdev", "stats", &[]).unwrap();
-        assert_eq!(dstats.as_list().unwrap()[1], Value::Int(0));
+        assert_eq!(driver_writes(&driver), 0);
         cache.invoke("cache", "flush", &[]).unwrap();
         for sec in 0..5i64 {
             let v = driver
@@ -1157,7 +1145,7 @@ mod tests {
                 &[pairs_arg([(0, good.clone()), (total, good)])]
             )
             .is_err());
-        assert_eq!(cache_stats(&cache)[3], 0, "nothing resident");
+        assert_eq!(cache_stats(&cache).resident, 0, "nothing resident");
         // The cache still works: a valid write and flush succeed.
         cache
             .invoke("blockdev", "write", &[Value::Int(0), sector_of(3)])
@@ -1225,7 +1213,7 @@ mod tests {
                 )
                 .unwrap();
             cache.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
-            assert_eq!(cache_stats(&cache)[3], resident_after, "{before}");
+            assert_eq!(cache_stats(&cache).resident, resident_after, "{before}");
             let v = cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
             assert_eq!(
                 v.as_bytes().unwrap()[0],
@@ -1261,8 +1249,8 @@ mod tests {
         }
         assert_eq!(top.invoke("cache", "flush", &[]).unwrap(), Value::Int(10));
         let s = journal.invoke("journal", "stats", &[]).unwrap();
-        let s = s.as_list().unwrap();
-        assert_eq!(s[0], Value::Int(2), "two chunked commits");
+        let s = JournalStats::from_value(&s).unwrap();
+        assert_eq!(s.commits, 2, "two chunked commits");
         // Nothing left dirty, and a full-stack flush homes everything.
         assert_eq!(top.invoke("cache", "flush", &[]).unwrap(), Value::Int(0));
         top.invoke("blockdev", "flush", &[]).unwrap();
@@ -1333,10 +1321,9 @@ mod tests {
             1,
             "victim + coalesced extras must share one backing call"
         );
-        let dstats = driver.invoke("blockdev", "stats", &[]).unwrap();
         assert_eq!(
-            dstats.as_list().unwrap()[1],
-            Value::Int(4),
+            driver_writes(&driver),
+            4,
             "all four dirty lines written in the batch"
         );
         // The survivors are clean now: flush has nothing left but the

@@ -43,7 +43,7 @@ use paramecium_machine::{
     machine::ChargeMeter,
     Machine, MachineError,
 };
-use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{counters, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
 use crate::vectored::{blockdev_methods, txn_verbs};
 
@@ -54,8 +54,15 @@ const TORN_WRITE_PREFIX: usize = SECTOR_SIZE / 2;
 /// Driver instance state.
 struct DriverState {
     machine: Arc<Mutex<Machine>>,
-    reads: u64,
-    writes: u64,
+    stats: DriverStats,
+}
+
+counters! {
+    /// The driver's `blockdev stats`, in sectors; every layer forwards it.
+    pub struct DriverStats {
+        pub reads: u64,
+        pub writes: u64,
+    }
 }
 
 impl DriverState {
@@ -89,7 +96,7 @@ impl DriverState {
             disk.write_sector(sec as u64, data.clone())
                 .map_err(dev_err)?;
         }
-        self.writes += sectors;
+        self.stats.writes += sectors;
         Ok(())
     }
 }
@@ -154,8 +161,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
     Ok(ObjectBuilder::new("disk-driver")
         .state(DriverState {
             machine: mem.machine().clone(),
-            reads: 0,
-            writes: 0,
+            stats: DriverStats::default(),
         })
         .interface("blockdev", |i| {
             // Transaction surface (volatile: see the module docs).
@@ -184,7 +190,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                             meter.check_power().map_err(dev_err)?;
                             *slot = Value::Bytes(disk.read_sector(sec as u64).map_err(dev_err)?);
                         }
-                        s.reads += out.len() as u64;
+                        s.stats.reads += out.len() as u64;
                         Ok(())
                     })
                 },
@@ -197,12 +203,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 })
             })
             .method("stats", &[], TypeTag::List, |this, _| {
-                this.with_state(|s: &mut DriverState| {
-                    Ok(Value::List(vec![
-                        Value::Int(s.reads as i64),
-                        Value::Int(s.writes as i64),
-                    ]))
-                })
+                this.with_state(|s: &mut DriverState| Ok(s.stats.to_value()))
             })
             // Durability surface. The raw driver has no volatile write
             // state of its own (every acked write reached the platter),
@@ -253,7 +254,11 @@ mod tests {
         assert_eq!(data.as_bytes().unwrap()[0], 0xAB);
         assert!(mem.machine().lock().now() - t0 >= 2 * SECTOR_TRANSFER_COST);
         let stats = driver.invoke("blockdev", "stats", &[]).unwrap();
-        assert_eq!(stats, Value::List(vec![Value::Int(1), Value::Int(1)]));
+        let want = DriverStats {
+            reads: 1,
+            writes: 1,
+        };
+        assert_eq!(DriverStats::from_value(&stats).unwrap(), want);
     }
 
     #[test]
@@ -315,7 +320,11 @@ mod tests {
         }
         // One batched call counts every sector in the stats.
         let stats = driver.invoke("blockdev", "stats", &[]).unwrap();
-        assert_eq!(stats, Value::List(vec![Value::Int(64), Value::Int(64)]));
+        let want = DriverStats {
+            reads: 64,
+            writes: 64,
+        };
+        assert_eq!(DriverStats::from_value(&stats).unwrap(), want);
     }
 
     #[test]
@@ -340,7 +349,7 @@ mod tests {
             )
             .is_err());
         let stats = driver.invoke("blockdev", "stats", &[]).unwrap();
-        assert_eq!(stats.as_list().unwrap()[1], Value::Int(0));
+        assert_eq!(DriverStats::from_value(&stats).unwrap().writes, 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use bytes::{Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
-use paramecium_obj::{sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{counters, sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
 use crate::vectored::{blockdev_methods, fill, pairs_arg, sectors_arg, txn_verbs, SectorMap};
 
@@ -207,12 +207,23 @@ struct Inner {
     durable_seq: u64,
     /// Commit outcomes for riders whose group append failed.
     failed: HashMap<u64, String>,
-    // Stats.
-    commits: u64,
-    group_appends: u64,
-    appended_records: u64,
-    checkpoints: u64,
-    replayed: u64,
+    stats: JournalStats,
+}
+
+counters! {
+    /// The `journal stats` of a mounted journal.
+    pub struct JournalStats {
+        pub commits: u64,
+        pub group_appends: u64,
+        /// Log sectors.
+        pub appended_records: u64,
+        pub checkpoints: u64,
+        pub replayed: u64,
+        /// Next free log slot now (a gauge `stats` fills in).
+        pub head: u64,
+        /// Committed sectors not yet homed now (a gauge).
+        pub overlay: u64,
+    }
 }
 
 struct JournalShared {
@@ -427,7 +438,7 @@ impl JournalShared {
         inner.epoch += 1;
         inner.head = 0;
         inner.overlay.clear();
-        inner.checkpoints += 1;
+        inner.stats.checkpoints += 1;
         Ok(homed)
     }
 
@@ -476,9 +487,9 @@ impl JournalShared {
                 Ok((records, appends)) => {
                     // Head and overlay were updated per sub-batch inside
                     // append_group; only the counters are left.
-                    inner.commits += group.len() as u64;
-                    inner.group_appends += appends;
-                    inner.appended_records += records;
+                    inner.stats.commits += group.len() as u64;
+                    inner.stats.group_appends += appends;
+                    inner.stats.appended_records += records;
                 }
                 Err(e) => {
                     // The group append failed (e.g. power loss). Nothing
@@ -571,8 +582,7 @@ impl JournalShared {
 ///
 /// Returns an object exporting `blockdev` (see the [crate docs](crate)
 /// for the full method list) plus a `journal` interface:
-/// - `stats() -> [commits, group_appends, appended_records, checkpoints,
-///   replayed, head, overlay]`,
+/// - `stats() -> list`: a [`JournalStats`] block,
 /// - `geometry() -> [data_sectors, log_start, log_len]`,
 /// - `scan() -> int` (read-only committed-transaction count, for tests
 ///   and benches).
@@ -610,11 +620,7 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
             next_seq: 1,
             durable_seq: 0,
             failed: HashMap::new(),
-            commits: 0,
-            group_appends: 0,
-            appended_records: 0,
-            checkpoints: 0,
-            replayed: 0,
+            stats: JournalStats::default(),
         }),
         cv: Condvar::new(),
     });
@@ -646,7 +652,7 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
     {
         let mut inner = shared.inner.lock();
         inner.epoch = epoch;
-        inner.replayed = replayed;
+        inner.stats.replayed = replayed;
     }
     Ok(shared)
 }
@@ -761,16 +767,10 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             let s_geo = s.clone();
             let s_scan = s.clone();
             i.method("stats", &[], TypeTag::List, move |_, _| {
-                let inner = s_stats.inner.lock();
-                Ok(Value::List(vec![
-                    Value::Int(inner.commits as i64),
-                    Value::Int(inner.group_appends as i64),
-                    Value::Int(inner.appended_records as i64),
-                    Value::Int(inner.checkpoints as i64),
-                    Value::Int(inner.replayed as i64),
-                    Value::Int(inner.head),
-                    Value::Int(inner.overlay.len() as i64),
-                ]))
+                let inner = &mut *s_stats.inner.lock();
+                inner.stats.head = inner.head as u64;
+                inner.stats.overlay = inner.overlay.len() as u64;
+                Ok(inner.stats.to_value())
             })
             .method("geometry", &[], TypeTag::List, move |_, _| {
                 Ok(Value::List(vec![
@@ -822,14 +822,8 @@ mod tests {
         Value::Bytes(Bytes::from(vec![byte; SECTOR_SIZE]))
     }
 
-    fn jstats(j: &ObjRef) -> Vec<i64> {
-        j.invoke("journal", "stats", &[])
-            .unwrap()
-            .as_list()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_int().unwrap())
-            .collect()
+    fn jstats(j: &ObjRef) -> JournalStats {
+        JournalStats::from_value(&j.invoke("journal", "stats", &[]).unwrap()).unwrap()
     }
 
     #[test]
@@ -853,8 +847,8 @@ mod tests {
         assert_eq!(v.as_bytes().unwrap()[0], 0xAD);
         // Overlay drained, checkpoint counted.
         let s = jstats(&j);
-        assert_eq!(s[6], 0, "overlay empty after checkpoint");
-        assert_eq!(s[3], 1, "one checkpoint");
+        assert_eq!(s.overlay, 0, "overlay empty after checkpoint");
+        assert_eq!(s.checkpoints, 1, "one checkpoint");
     }
 
     #[test]
@@ -912,7 +906,7 @@ mod tests {
             .build()
             .unwrap();
         let j2 = stack.top;
-        assert_eq!(jstats(&j2)[4], 1, "one transaction replayed");
+        assert_eq!(jstats(&j2).replayed, 1, "one transaction replayed");
         let v = j2.invoke("blockdev", "read", &[Value::Int(11)]).unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 0x5A);
         // And the home location really holds it (not just an overlay).
@@ -937,7 +931,7 @@ mod tests {
             .unwrap();
         }
         let s = jstats(&j);
-        assert!(s[3] >= 2, "inline checkpoints happened: {s:?}");
+        assert!(s.checkpoints >= 2, "inline checkpoints happened: {s:?}");
         j.invoke("blockdev", "flush", &[]).unwrap();
         for sec in 0..8i64 {
             // Last round that wrote this sector.
@@ -1006,7 +1000,7 @@ mod tests {
         assert_eq!(appends, 2, "split into two sequential appends");
         {
             let inner = s.inner.lock();
-            assert_eq!(inner.checkpoints, 1, "inline checkpoint between them");
+            assert_eq!(inner.stats.checkpoints, 1, "inline checkpoint between them");
             assert_eq!(inner.head, 8, "only the third transaction in the new log");
             assert_eq!(inner.overlay.len(), 6);
         }
@@ -1021,7 +1015,7 @@ mod tests {
         // And the third is committed on disk: a fresh mount replays it.
         drop(s);
         let s2 = mount_shared(driver.clone(), cfg).unwrap();
-        assert_eq!(s2.inner.lock().replayed, 1);
+        assert_eq!(s2.inner.lock().stats.replayed, 1);
         for sec in 12..18i64 {
             let v = driver
                 .invoke("blockdev", "read", &[Value::Int(sec)])
@@ -1129,6 +1123,6 @@ mod tests {
         // Nothing leaked to disk or overlay.
         let v = driver.invoke("blockdev", "read", &[Value::Int(0)]).unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 0);
-        assert_eq!(jstats(&j)[6], 0);
+        assert_eq!(jstats(&j).overlay, 0);
     }
 }

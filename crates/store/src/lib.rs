@@ -44,7 +44,7 @@
 //! | `write` | `(sector: int, data: bytes) -> unit` | derived: `write_many` of one pair; durable-by-return under a journal |
 //! | `sectors` | `() -> int` | client-visible device size |
 //! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one atomic unit (answered by the journal and forwarded by the layers above it; a stack without a journal has no such method and is unbounded) |
-//! | `stats` | `() -> list` | `[reads, writes]` of the bottom driver |
+//! | `stats` | `() -> list` | the bottom driver's [`DriverStats`](driver::DriverStats) |
 //! | `flush` | `() -> int` | push all volatile/logged state to home locations (cache writeback, journal checkpoint); returns sectors homed |
 //! | `barrier` | `() -> unit` | ordering point: everything acknowledged before the call is durable when it returns |
 //! | `begin_txn` | `() -> int` | open a transaction, returning its handle |

@@ -34,8 +34,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use paramecium_machine::{cost::Cycles, Machine};
 use paramecium_obj::{
-    delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag,
-    Value,
+    counters, delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder,
+    TypeTag, Value,
 };
 
 use crate::vectored::DATA_PATH;
@@ -64,19 +64,20 @@ impl Default for RetryConfig {
     }
 }
 
-/// Per-error-class counters, exported on the `retry` interface.
-#[derive(Default)]
-struct RetryStats {
-    /// Operations issued (not counting re-issues).
-    ops: u64,
-    /// Re-issues after a transient failure.
-    retries: u64,
-    /// Operations that failed transiently but eventually succeeded.
-    recovered: u64,
-    /// Operations that exhausted every attempt (error surfaced).
-    exhausted: u64,
-    /// Operations that failed permanently (fail-fast passthrough).
-    permanent: u64,
+counters! {
+    /// Per-error-class counters: the `retry stats` block.
+    pub struct RetryStats {
+        /// Operations issued (not counting re-issues).
+        pub ops: u64,
+        /// Re-issues after a transient failure.
+        pub retries: u64,
+        /// Operations that failed transiently but eventually succeeded.
+        pub recovered: u64,
+        /// Operations that exhausted every attempt (error surfaced).
+        pub exhausted: u64,
+        /// Operations that failed permanently (fail-fast passthrough).
+        pub permanent: u64,
+    }
 }
 
 struct RetryState {
@@ -168,31 +169,16 @@ pub fn make_retry(machine: Arc<Mutex<Machine>>, lower: ObjRef, cfg: RetryConfig)
         })
         .interface("retry", |i| {
             i.method("stats", &[], TypeTag::List, |this, _| {
-                this.with_state(|s: &mut RetryState| {
-                    let st = &s.stats;
-                    Ok(Value::List(vec![
-                        Value::Int(st.ops as i64),
-                        Value::Int(st.retries as i64),
-                        Value::Int(st.recovered as i64),
-                        Value::Int(st.exhausted as i64),
-                        Value::Int(st.permanent as i64),
-                    ]))
-                })
+                this.with_state(|s: &mut RetryState| Ok(s.stats.to_value()))
             })
         })
         .build()
 }
 
-/// Indices into the `retry stats` list.
+/// Position of [`RetryStats::ops`] in the `retry stats` list.
 pub const RETRY_STAT_OPS: usize = 0;
-/// Re-issues after transient failures.
+/// Position of [`RetryStats::retries`] in the `retry stats` list.
 pub const RETRY_STAT_RETRIES: usize = 1;
-/// Transient failures that recovered.
-pub const RETRY_STAT_RECOVERED: usize = 2;
-/// Operations that exhausted all attempts.
-pub const RETRY_STAT_EXHAUSTED: usize = 3;
-/// Fail-fast permanent errors.
-pub const RETRY_STAT_PERMANENT: usize = 4;
 
 #[cfg(test)]
 mod tests {
@@ -220,14 +206,8 @@ mod tests {
             .inject_transient_errors(n);
     }
 
-    fn retry_stats(top: &ObjRef) -> Vec<i64> {
-        top.invoke("retry", "stats", &[])
-            .unwrap()
-            .as_list()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_int().unwrap())
-            .collect()
+    fn retry_stats(top: &ObjRef) -> RetryStats {
+        RetryStats::from_value(&top.invoke("retry", "stats", &[]).unwrap()).unwrap()
     }
 
     #[test]
@@ -249,9 +229,9 @@ mod tests {
         let v = top.invoke("blockdev", "read", &[Value::Int(2)]).unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 9);
         let st = retry_stats(&top);
-        assert_eq!(st[RETRY_STAT_RETRIES], 3);
-        assert_eq!(st[RETRY_STAT_RECOVERED], 1);
-        assert_eq!(st[RETRY_STAT_EXHAUSTED], 0);
+        assert_eq!(st.retries, 3);
+        assert_eq!(st.recovered, 1);
+        assert_eq!(st.exhausted, 0);
     }
 
     #[test]
@@ -266,8 +246,8 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("transient"), "{err}");
         let st = retry_stats(&top);
-        assert_eq!(st[RETRY_STAT_RETRIES], 2); // 3 attempts = 2 retries
-        assert_eq!(st[RETRY_STAT_EXHAUSTED], 1);
+        assert_eq!(st.retries, 2); // 3 attempts = 2 retries
+        assert_eq!(st.exhausted, 1);
         // Clear the window: the device still works afterwards.
         machine
             .lock()
@@ -294,8 +274,8 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("power failure"), "{err}");
         let st = retry_stats(&top);
-        assert_eq!(st[RETRY_STAT_RETRIES], 0);
-        assert_eq!(st[RETRY_STAT_PERMANENT], 2);
+        assert_eq!(st.retries, 0);
+        assert_eq!(st.permanent, 2);
     }
 
     #[test]

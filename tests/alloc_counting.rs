@@ -17,6 +17,7 @@
 //! path's budgets.
 
 use paramecium::prelude::*;
+use paramecium::store::cache::CacheStats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -734,33 +735,32 @@ fn store_write_path_meets_its_allocation_budgets() {
     for sec in 41..48 {
         top.invoke("blockdev", "read", &[Value::Int(sec)]).unwrap();
     }
-    let stats = |top: &ObjRef| top.invoke("cache", "stats", &[]).unwrap();
-    let writebacks = |v: &Value| v.as_list().unwrap()[2].as_int().unwrap();
-    let before = writebacks(&stats(&top));
+    let stats =
+        |top: &ObjRef| CacheStats::from_value(&top.invoke("cache", "stats", &[]).unwrap()).unwrap();
+    let before = stats(&top).writebacks;
     let args = [Value::Int(48)];
     let evict = count_allocs(|| {
         top.invoke("blockdev", "read", &args).unwrap();
     });
-    assert_eq!(writebacks(&stats(&top)), before + 1, "one dirty eviction");
+    assert_eq!(stats(&top).writebacks, before + 1, "one dirty eviction");
     assert!(evict <= 6, "one-line dirty eviction: {evict} allocations");
 
     // Lines 41..=48 are resident and clean. A hit and a write to a
     // resident line stay in the cache; a miss whose victim is clean
     // keeps the platter's own buffer and allocates nothing.
-    let hits = |v: &Value| v.as_list().unwrap()[0].as_int().unwrap();
-    let before = hits(&stats(&top));
+    let before = stats(&top).hits;
     assert_eq!(read_allocs(&top, 48), 0, "cache read hit");
-    assert_eq!(hits(&stats(&top)), before + 2);
+    assert_eq!(stats(&top).hits, before + 2);
     let args = [Value::Int(48), Value::Bytes(sector(0x26))];
     let write = count_allocs(|| {
         top.invoke("blockdev", "write", &args).unwrap();
     });
     assert_eq!(write, 0, "cache write to a resident line");
-    let before = writebacks(&stats(&top));
+    let before = stats(&top).writebacks;
     let args = [Value::Int(49)];
     let miss = count_allocs(|| {
         top.invoke("blockdev", "read", &args).unwrap();
     });
-    assert_eq!(writebacks(&stats(&top)), before, "the victim was clean");
+    assert_eq!(stats(&top).writebacks, before, "the victim was clean");
     assert_eq!(miss, 0, "cache read miss");
 }

@@ -35,9 +35,9 @@ use paramecium::chaos::{ChaosController, ChaosPlan, Fault, Supervisor};
 use paramecium::core::domain::KERNEL_DOMAIN;
 use paramecium::core::memsvc::MemService;
 use paramecium::machine::Machine;
-use paramecium::netstack::route::{make_router, RouteIf};
+use paramecium::netstack::route::{make_router, RouteIf, RouterStats};
 use paramecium::netstack::simlink::{make_simlink, LinkConfig};
-use paramecium::netstack::tcp::make_tcp;
+use paramecium::netstack::tcp::{make_tcp, TcpStats};
 use paramecium::obj::{sum64, ObjRef, Value};
 use paramecium::store::{JournalConfig, RetryConfig, StackBuilder, StoreStack};
 
@@ -81,14 +81,8 @@ fn conn_error(obj: &ObjRef, id: i64) -> String {
     v.as_str().unwrap().to_string()
 }
 
-fn stats_of(obj: &ObjRef, iface: &str) -> Vec<i64> {
-    obj.invoke(iface, "stats", &[])
-        .unwrap()
-        .as_list()
-        .unwrap()
-        .iter()
-        .map(|v| v.as_int().unwrap())
-        .collect()
+fn tcp_stats(obj: &ObjRef) -> TcpStats {
+    TcpStats::from_value(&obj.invoke("tcp", "stats", &[]).unwrap()).unwrap()
 }
 
 /// Everything a drill run produces; `PartialEq` so two runs of the same
@@ -101,10 +95,10 @@ struct Report {
     reboots: u64,
     /// Per client connection: (state, error, echoed byte count).
     outcomes: Vec<(String, String, usize)>,
-    stats_a: Vec<i64>,
-    stats_b: Vec<i64>,
-    stats_server: Vec<i64>,
-    route_stats: Vec<i64>,
+    stats_a: TcpStats,
+    stats_b: TcpStats,
+    stats_server: TcpStats,
+    route_stats: RouterStats,
     oracle_sectors: usize,
     store_digest: u64,
 }
@@ -487,13 +481,17 @@ fn run_drill(seed: u64) -> Report {
         "completed connections were fully committed"
     );
 
-    let route_stats = stats_of(&router, "route");
+    let route_stats = router.invoke("route", "stats", &[]).unwrap();
+    let route_stats = RouterStats::from_value(&route_stats).unwrap();
     assert!(
-        route_stats[2] > 0,
+        route_stats.no_route > 0,
         "route flap blackholed traffic (no_route)"
     );
-    let stats_server = stats_of(&server, "tcp");
-    assert!(stats_server[4] > 0, "the storm forced retransmissions");
+    let stats_server = tcp_stats(&server);
+    assert!(
+        stats_server.retransmits > 0,
+        "the storm forced retransmissions"
+    );
 
     Report {
         rounds,
@@ -501,8 +499,8 @@ fn run_drill(seed: u64) -> Report {
         audit_digest: ctl.audit_digest(),
         reboots: sup.reboots(),
         outcomes,
-        stats_a: stats_of(&tcp_a, "tcp"),
-        stats_b: stats_of(&tcp_b, "tcp"),
+        stats_a: tcp_stats(&tcp_a),
+        stats_b: tcp_stats(&tcp_b),
         stats_server,
         route_stats,
         oracle_sectors: oracle.len(),

@@ -22,7 +22,7 @@
 
 use paramecium::machine::Machine;
 use paramecium::netstack::simlink::{make_simlink, LinkConfig};
-use paramecium::netstack::tcp::{make_tcp, BASE_RTO, STAT_RETRANSMITS};
+use paramecium::netstack::tcp::{make_tcp, TcpStats, BASE_RTO};
 use paramecium::prelude::*;
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -39,15 +39,6 @@ fn tcp(ep: &ObjRef, method: &str, args: &[Value]) -> Value {
     ep.invoke("tcp", method, args).unwrap()
 }
 
-fn tcp_stats(ep: &ObjRef) -> Vec<i64> {
-    tcp(ep, "stats", &[])
-        .as_list()
-        .unwrap()
-        .iter()
-        .map(|v| v.as_int().unwrap())
-        .collect()
-}
-
 fn state_of(ep: &ObjRef, id: i64) -> String {
     tcp(ep, "state", &[Value::Int(id)])
         .as_str()
@@ -58,8 +49,8 @@ fn state_of(ep: &ObjRef, id: i64) -> String {
 /// The full observable outcome of a session, compared across replays.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
-    stats_a: Vec<i64>,
-    stats_b: Vec<i64>,
+    stats_a: TcpStats,
+    stats_b: TcpStats,
     delivered_to_b: Vec<Vec<u8>>,
     delivered_to_a: Vec<Vec<u8>>,
 }
@@ -184,8 +175,8 @@ fn run_session(seed: u64) -> Outcome {
     }
 
     Outcome {
-        stats_a: tcp_stats(&a),
-        stats_b: tcp_stats(&b),
+        stats_a: TcpStats::from_value(&tcp(&a, "stats", &[])).unwrap(),
+        stats_b: TcpStats::from_value(&tcp(&b, "stats", &[])).unwrap(),
         delivered_to_b: got_at_b,
         delivered_to_a: got_at_a,
     }
@@ -212,7 +203,7 @@ proptest! {
 #[test]
 fn lossy_link_forces_retransmissions_yet_streams_survive() {
     let outcome = run_session(7);
-    let retransmits = outcome.stats_a[STAT_RETRANSMITS] + outcome.stats_b[STAT_RETRANSMITS];
+    let retransmits = outcome.stats_a.retransmits + outcome.stats_b.retransmits;
     assert!(
         retransmits > 0,
         "a 10% lossy link must force retransmissions, stats: {outcome:?}"

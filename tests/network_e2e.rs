@@ -1,6 +1,8 @@
 //! Integration: the full network scenario — driver, stack, filters,
 //! interposition, placement.
 
+use paramecium::netstack::driver::NicStats;
+use paramecium::netstack::stack::UdpStats;
 use paramecium::netstack::{
     filter::{adapt_bytecode_filter, udp_port_filter_program},
     install_driver, make_network_monitor, make_udp_stack,
@@ -79,9 +81,9 @@ fn certified_bytecode_filter_in_kernel_filters_packets() {
     inject_udp(n, 53, b"dns2");
     stack.invoke("udp", "pump", &[]).unwrap();
     let stats = stack.invoke("udp", "stats", &[]).unwrap();
-    let s = stats.as_list().unwrap().to_vec();
-    assert_eq!(s[0], Value::Int(2), "two DNS packets delivered");
-    assert_eq!(s[2], Value::Int(1), "one HTTP packet filtered");
+    let s = UdpStats::from_value(&stats).unwrap();
+    assert_eq!(s.delivered, 2, "two DNS packets delivered");
+    assert_eq!(s.filtered, 1, "one HTTP packet filtered");
 }
 
 #[test]
@@ -117,7 +119,7 @@ fn user_domain_filter_works_through_proxy_and_costs_more() {
         stack.invoke("udp", "pump", &[]).unwrap();
         let cost = n.now() - t0;
         let stats = stack.invoke("udp", "stats", &[]).unwrap();
-        let delivered = stats.as_list().unwrap()[0].as_int().unwrap() as u64;
+        let delivered = UdpStats::from_value(&stats).unwrap().delivered;
         (cost, delivered)
     };
 
@@ -184,11 +186,10 @@ fn driver_stats_remain_consistent_under_mixed_traffic() {
     }
     stack.invoke("udp", "pump", &[]).unwrap();
     let dstats = dev.invoke("netdev", "stats", &[]).unwrap();
-    let d = dstats.as_list().unwrap().to_vec();
-    assert_eq!(d[0], Value::Int(total as i64), "all frames received");
+    let d = NicStats::from_value(&dstats).unwrap();
+    assert_eq!(d.rx_frames, total as u64, "all frames received");
     let sstats = stack.invoke("udp", "stats", &[]).unwrap();
-    let s = sstats.as_list().unwrap().to_vec();
+    let s = UdpStats::from_value(&sstats).unwrap();
     // Half delivered (port 1), half with no listener (port 2).
-    assert_eq!(s[0], Value::Int(25));
-    assert_eq!(s[1], Value::Int(25));
+    assert_eq!((s.delivered, s.no_listener), (25, 25));
 }

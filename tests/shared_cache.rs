@@ -4,6 +4,8 @@
 
 use paramecium::machine::dev::disk::{SECTOR_SIZE, SECTOR_TRANSFER_COST};
 use paramecium::prelude::*;
+use paramecium::store::cache::CacheStats;
+use paramecium::store::driver::DriverStats;
 use paramecium::store::StackBuilder;
 
 fn sector_of(byte: u8) -> Value {
@@ -56,20 +58,17 @@ fn cache_is_installed_by_interposition_and_shared_across_domains() {
     // and that the disk itself was never touched.
     let shared = n.bind(KERNEL_DOMAIN, "/dev/disk").unwrap();
     let cstats = shared.invoke("cache", "stats", &[]).unwrap();
-    let s = cstats.as_list().unwrap().to_vec();
-    assert_eq!(s[0], Value::Int(1), "Bob's read hit Alice's line");
+    let hits = CacheStats::from_value(&cstats).unwrap().hits;
+    assert_eq!(hits, 1, "Bob's read hit Alice's line");
     let dstats = shared.invoke("blockdev", "stats", &[]).unwrap();
-    assert_eq!(
-        dstats.as_list().unwrap()[1],
-        Value::Int(0),
-        "no disk write yet"
-    );
+    let writes = DriverStats::from_value(&dstats).unwrap().writes;
+    assert_eq!(writes, 0, "no disk write yet");
 
     // Flush persists; the raw driver (still reachable via the cache's
     // backing) confirms.
     shared.invoke("cache", "flush", &[]).unwrap();
     let dstats = shared.invoke("blockdev", "stats", &[]).unwrap();
-    assert_eq!(dstats.as_list().unwrap()[1], Value::Int(1));
+    assert_eq!(DriverStats::from_value(&dstats).unwrap().writes, 1);
 }
 
 #[test]
@@ -106,9 +105,8 @@ fn cache_hides_disk_latency_for_hot_working_sets() {
         "cached {cached} vs uncached {uncached}"
     );
     let stats = cache.invoke("cache", "stats", &[]).unwrap();
-    let s = stats.as_list().unwrap().to_vec();
-    assert_eq!(s[0], Value::Int(80));
-    assert_eq!(s[1], Value::Int(20));
+    let s = CacheStats::from_value(&stats).unwrap();
+    assert_eq!((s.hits, s.misses), (80, 20));
 }
 
 #[test]

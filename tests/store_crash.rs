@@ -45,6 +45,7 @@ use paramecium::core::memsvc::MemService;
 use paramecium::machine::dev::disk::{Disk, SECTOR_SIZE};
 use paramecium::obj::sum64;
 use paramecium::prelude::*;
+use paramecium::store::journal::JournalStats;
 use paramecium::store::vectored::{pairs_arg, sectors_arg, txn_arg, txn_write_args};
 use paramecium::store::{JournalConfig, StackBuilder};
 
@@ -70,14 +71,8 @@ fn sector_of(byte: u8) -> Value {
     Value::Bytes(Bytes::from(vec![byte; SECTOR_SIZE]))
 }
 
-fn jstats(j: &ObjRef) -> Vec<i64> {
-    j.invoke("journal", "stats", &[])
-        .unwrap()
-        .as_list()
-        .unwrap()
-        .iter()
-        .map(|v| v.as_int().unwrap())
-        .collect()
+fn jstats(j: &ObjRef) -> JournalStats {
+    JournalStats::from_value(&j.invoke("journal", "stats", &[]).unwrap()).unwrap()
 }
 
 /// One logical operation of the random sequence. Every variant is
@@ -325,7 +320,11 @@ fn on_disk_format_is_pinned() {
         single(sec, 4);
     }
     let s = jstats(stack.journal.as_ref().unwrap());
-    assert_eq!((s[0], s[3]), (10, 1), "ten commits, one inline checkpoint");
+    assert_eq!(
+        (s.commits, s.checkpoints),
+        (10, 1),
+        "ten commits, one inline checkpoint"
+    );
 
     let mut m = mem.machine().lock();
     let disk = m.device_mut::<Disk>("disk").unwrap();
@@ -379,7 +378,7 @@ fn recovery_is_idempotent_even_when_recovery_crashes() {
     };
     mem.machine().lock().disarm_crash();
     assert!(k > 1, "recovery should charge more than one event");
-    let replayed_once = jstats(recovered.journal.as_ref().unwrap())[4];
+    let replayed_once = jstats(recovered.journal.as_ref().unwrap()).replayed;
     assert_eq!(replayed_once, 6, "all six transactions replayed");
     for sec in 0..6i64 {
         let v = recovered
@@ -396,7 +395,7 @@ fn recovery_is_idempotent_even_when_recovery_crashes() {
         .journal(SMALL_LOG)
         .build()
         .unwrap();
-    assert_eq!(jstats(again.journal.as_ref().unwrap())[4], 0);
+    assert_eq!(jstats(again.journal.as_ref().unwrap()).replayed, 0);
     for sec in 0..6i64 {
         let v = again
             .top
@@ -435,7 +434,7 @@ fn torn_write_at_log_tail_is_detected() {
             .unwrap();
         let j = stack.journal.as_ref().unwrap();
         assert_eq!(
-            jstats(j)[4],
+            jstats(j).replayed,
             1,
             "torn {torn}: only the acknowledged write replays"
         );
@@ -521,7 +520,7 @@ fn flush_homes_cache_dirty_data_before_checkpoint_truncates() {
         .build()
         .unwrap();
     assert_eq!(
-        jstats(stack.journal.as_ref().unwrap())[4],
+        jstats(stack.journal.as_ref().unwrap()).replayed,
         0,
         "nothing to replay"
     );
@@ -688,8 +687,8 @@ fn group_commit_coalesces_concurrent_commits() {
     }
 
     let s = jstats(stack.journal.as_ref().unwrap());
-    let (commits, group_appends) = (s[0], s[1]);
-    assert_eq!(commits, (THREADS * WRITES_PER_THREAD) as i64);
+    let (commits, group_appends) = (s.commits, s.group_appends);
+    assert_eq!(commits, (THREADS * WRITES_PER_THREAD) as u64);
     assert!(
         group_appends < commits,
         "expected coalescing: {commits} commits in {group_appends} appends"

@@ -30,6 +30,8 @@ use paramecium::core::memsvc::MemService;
 use paramecium::machine::dev::disk::{batch_transfer_cost, SECTOR_SIZE, SECTOR_TRANSFER_COST};
 use paramecium::machine::Machine;
 use paramecium::prelude::*;
+use paramecium::store::cache::CacheStats;
+use paramecium::store::driver::DriverStats;
 use paramecium::store::vectored::{pairs_arg, sectors_arg, txn_arg, txn_write_args};
 use paramecium::store::{JournalConfig, RetryConfig, StackBuilder};
 use parking_lot::Mutex;
@@ -50,13 +52,8 @@ fn sector_of(byte: u8) -> Value {
 }
 
 fn resident_of(cache: &ObjRef) -> i64 {
-    cache
-        .invoke("cache", "stats", &[])
-        .unwrap()
-        .as_list()
-        .unwrap()[3]
-        .as_int()
-        .unwrap()
+    let stats = cache.invoke("cache", "stats", &[]).unwrap();
+    CacheStats::from_value(&stats).unwrap().resident as i64
 }
 
 /// A sector no device here has: reads and writes of it must fail.
@@ -254,11 +251,8 @@ fn failed_flush_loses_no_dirty_data() {
             "flush must propagate the backing failure (shards={shards})"
         );
         let dstats = driver.invoke("blockdev", "stats", &[]).unwrap();
-        assert_eq!(
-            dstats.as_list().unwrap()[1],
-            Value::Int(0),
-            "nothing reached the disk"
-        );
+        let writes = DriverStats::from_value(&dstats).unwrap().writes;
+        assert_eq!(writes, 0, "nothing reached the disk");
         // Recovery: disarm and flush again — every dirty line must still
         // be dirty and reach the disk now.
         armed.store(false, Ordering::Relaxed);
@@ -667,22 +661,21 @@ fn multi_client_stress_through_interposition() {
     // consistent image.
     let shared = n.bind(KERNEL_DOMAIN, "/dev/disk").unwrap();
     let stats = shared.invoke("cache", "stats", &[]).unwrap();
-    let s: Vec<i64> = stats
-        .as_list()
-        .unwrap()
-        .iter()
-        .map(|v| v.as_int().unwrap())
-        .collect();
-    let total_ops = writes.load(Ordering::Relaxed) as i64 + 8 * 4 * 16;
-    assert_eq!(s[0] + s[1], total_ops, "hits+misses == every client op");
-    assert!(s[3] <= 32, "resident {} within capacity", s[3]);
+    let s = CacheStats::from_value(&stats).unwrap();
+    let total_ops = writes.load(Ordering::Relaxed) + 8 * 4 * 16;
+    assert_eq!(
+        s.hits + s.misses,
+        total_ops,
+        "hits+misses == every client op"
+    );
+    assert!(s.resident <= 32, "resident {} within capacity", s.resident);
     let shard_stats = shared.invoke("cache", "shard_stats", &[]).unwrap();
     let shard_stats = shard_stats.as_list().unwrap();
     assert_eq!(shard_stats.len(), 4);
     assert!(
         shard_stats
             .iter()
-            .all(|sh| sh.as_list().unwrap()[0].as_int().unwrap() > 0),
+            .all(|sh| CacheStats::from_value(sh).unwrap().hits > 0),
         "traffic reaches every shard"
     );
     shared.invoke("cache", "flush", &[]).unwrap();
