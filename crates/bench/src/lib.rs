@@ -5,6 +5,8 @@
 //! the real code paths; the deterministic simulated-cycle tables come from
 //! `cargo run --release --example experiments` in the root crate.
 
+#![forbid(unsafe_code)]
+
 use paramecium::prelude::*;
 
 /// Builds a counter object used by the invocation benches.

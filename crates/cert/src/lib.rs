@@ -21,6 +21,8 @@
 //! - [`store`] — the kernel-side certificate store with load-time
 //!   validation and an optional validation cache.
 
+#![forbid(unsafe_code)]
+
 pub mod authority;
 pub mod certificate;
 pub mod certifier;

@@ -28,6 +28,8 @@
 //! services are bound, interposed upon and measured with exactly the same
 //! mechanisms as application components.
 
+#![forbid(unsafe_code)]
+
 pub mod certsvc;
 pub mod directory;
 pub mod domain;

@@ -455,7 +455,7 @@ fn events_object(events: &Arc<EventService>) -> ObjRef {
     ObjectBuilder::new("nucleus-events")
         .interface("events", |i| {
             i.method("stats", &[TypeTag::Int], TypeTag::List, move |_, args| {
-                let v = args[0].as_int()? as u32;
+                let v = args[0].as_int_in::<u32>()?;
                 Ok(e1.stats(v).to_value())
             })
             .method(
@@ -463,7 +463,7 @@ fn events_object(events: &Arc<EventService>) -> ObjRef {
                 &[TypeTag::Int],
                 TypeTag::Int,
                 move |_, args| {
-                    let v = args[0].as_int()? as u32;
+                    let v = args[0].as_int_in::<u32>()?;
                     Ok(Value::Int(e2.callback_count(v) as i64))
                 },
             )

@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use paramecium_machine::{mmu::Access, trap::Trap, Machine, MachineError};
 use paramecium_obj::{
     forward::WrapFn, forwarding_interface, Forward, Interface, ObjError, ObjRef, ObjectBuilder,
-    Value,
+    Target, Value,
 };
 
 use crate::{domain::DomainId, events::EventService, memsvc::MemService};
@@ -117,19 +117,18 @@ pub fn make_proxy(
     };
 
     // Every interface entry is a forward with the crossing wrapped around
-    // it: the target's method handle is resolved once per entry and
-    // revalidated against the target's export generation on every
-    // crossing, so a re-export on the target can never reach the
-    // superseded implementation.
+    // it: the call inside the crossing is the target's own `invoke`, so a
+    // re-export on the target takes effect on the next crossing.
     let crossing: WrapFn =
         Arc::new(move |forward: &Forward<'_>, args: &[Value]| cross.invoke(forward, args));
     let mut builder = ObjectBuilder::new(format!("proxy<{}>", target.class()));
-    for desc in target.descriptors() {
-        let target = target.clone();
+    let descriptors = target.descriptors();
+    let target = Target::new(target);
+    for desc in descriptors {
         builder = builder.raw_interface(forwarding_interface(
             Interface::new(desc.interface),
             desc.methods,
-            move |_| Ok(target.clone()),
+            target.clone(),
             |_| Some(crossing.clone()),
         ));
     }
@@ -189,8 +188,7 @@ impl CrossCall {
                 .map_err(|e| ObjError::failed(format!("context switch: {e}")))?;
         }
 
-        // 4. Invoke the actual method in the target's domain, through the
-        //    proxy entry's pinned method handle when it is still current.
+        // 4. Invoke the actual method in the target's domain.
         let result = forward.call(rebuilt.as_deref().unwrap_or(args));
 
         // 5. Marshal the result back and return to the caller's context.

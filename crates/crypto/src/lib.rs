@@ -18,6 +18,8 @@
 //! The reproduction's threat model is the paper's certification
 //! architecture (who signed what), not hardware side channels.
 
+#![forbid(unsafe_code)]
+
 pub mod bignum;
 pub mod encode;
 pub mod keys;

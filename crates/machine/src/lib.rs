@@ -23,6 +23,8 @@
 //! makes every experiment deterministic and single-threaded by
 //! construction.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod dev;
 pub mod io;

@@ -266,7 +266,7 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
         })
         .interface("arp", |i| {
             i.method("resolve", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
-                let ip = args[0].as_int()? as u32;
+                let ip = args[0].as_int_in::<u32>()?;
                 this.with_state(|s: &mut ArpState| {
                     if let Some(mac) = s.cache.get(&ip) {
                         s.stats.hits += 1;
@@ -279,7 +279,7 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
                 })
             })
             .method("lookup", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
-                let ip = args[0].as_int()? as u32;
+                let ip = args[0].as_int_in::<u32>()?;
                 this.with_state(|s: &mut ArpState| {
                     Ok(match s.cache.get(&ip) {
                         Some(mac) => Value::Bytes(bytes::Bytes::copy_from_slice(mac)),
@@ -292,7 +292,7 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
                 &[TypeTag::Int, TypeTag::Bytes],
                 TypeTag::Unit,
                 |this, args| {
-                    let ip = args[0].as_int()? as u32;
+                    let ip = args[0].as_int_in::<u32>()?;
                     let mac_bytes = args[1].as_bytes()?;
                     let mac: Mac = mac_bytes
                         .as_ref()

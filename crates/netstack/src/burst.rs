@@ -100,8 +100,7 @@ where
         });
     }
     i.method("recv_many", &[Int], List, move |this, args| {
-        let max = usize::try_from(args[0].as_int()?)
-            .map_err(|_| ObjError::failed("max must be non-negative"))?;
+        let max = args[0].as_int_in::<usize>()?;
         let mut out = Vec::new();
         rx(this, max, &mut out)?;
         Ok(Value::List(out))

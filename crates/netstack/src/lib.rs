@@ -67,6 +67,8 @@
 //! the device queue and the socket, pinned by an allocation-counting
 //! test (`tests/alloc_counting.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod arp;
 pub mod burst;
 pub mod driver;

@@ -401,7 +401,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                 &[TypeTag::Int, TypeTag::Int, TypeTag::Int],
                 TypeTag::Unit,
                 |this, args| {
-                    let prefix = args[0].as_int()? as u32;
+                    let prefix = args[0].as_int_in::<u32>()?;
                     let len = args[1].as_int()?;
                     let ifindex = args[2].as_int()?;
                     if !(0..=32).contains(&len) {
@@ -442,7 +442,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                 &[TypeTag::Int, TypeTag::Int],
                 TypeTag::Unit,
                 |this, args| {
-                    let prefix = args[0].as_int()? as u32;
+                    let prefix = args[0].as_int_in::<u32>()?;
                     let len = args[1].as_int()?;
                     if !(0..=32).contains(&len) {
                         return Err(ObjError::failed("prefix length must be 0..=32"));
@@ -466,7 +466,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                 },
             )
             .method("lookup", &[TypeTag::Int], TypeTag::Int, |this, args| {
-                let ip = args[0].as_int()? as u32;
+                let ip = args[0].as_int_in::<u32>()?;
                 this.with_state(|s: &mut RouterState| {
                     Ok(Value::Int(match s.lookup(ip) {
                         Some(idx) => s.table[idx].ifindex as i64,

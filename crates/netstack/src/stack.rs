@@ -67,7 +67,7 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
         })
         .interface("udp", |i| {
             i.method("bind", &[TypeTag::Int], TypeTag::Unit, |this, args| {
-                let port = args[0].as_int()? as u16;
+                let port = args[0].as_int_in::<u16>()?;
                 this.with_state(|s: &mut StackState| {
                     s.ports.entry(port).or_default();
                     Ok(Value::Unit)
@@ -78,9 +78,9 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                 &[TypeTag::Int, TypeTag::Int, TypeTag::Int, TypeTag::Bytes],
                 TypeTag::Unit,
                 |this, args| {
-                    let dst_ip = args[0].as_int()? as u32;
-                    let dst_port = args[1].as_int()? as u16;
-                    let src_port = args[2].as_int()? as u16;
+                    let dst_ip = args[0].as_int_in::<u32>()?;
+                    let dst_port = args[1].as_int_in::<u16>()?;
+                    let src_port = args[2].as_int_in::<u16>()?;
                     let payload = args[3].as_bytes()?.clone();
                     let (netdev, frame) = this.with_state(|s: &mut StackState| {
                         let frame = wire::build_udp_frame(
@@ -149,7 +149,7 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                 })
             })
             .method("recv_from", &[TypeTag::Int], TypeTag::List, |this, args| {
-                let port = args[0].as_int()? as u16;
+                let port = args[0].as_int_in::<u16>()?;
                 this.with_state(|s: &mut StackState| {
                     match s.ports.get_mut(&port).and_then(VecDeque::pop_front) {
                         Some(d) => Ok(Value::List(vec![

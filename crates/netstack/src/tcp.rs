@@ -1175,9 +1175,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
         })
         .interface("tcp", |i| {
             i.method("listen", &[TypeTag::Int], TypeTag::Unit, |this, args| {
-                let port = args[0].as_int()?;
-                let port =
-                    u16::try_from(port).map_err(|_| ObjError::failed("port out of range"))?;
+                let port = args[0].as_int_in::<u16>()?;
                 this.with_state(|s: &mut TcpState| {
                     s.listeners.entry(port).or_default();
                     Ok(Value::Unit)
@@ -1188,9 +1186,8 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 &[TypeTag::Int, TypeTag::Int],
                 TypeTag::Int,
                 |this, args| {
-                    let dst_ip = args[0].as_int()? as u32;
-                    let dst_port = u16::try_from(args[1].as_int()?)
-                        .map_err(|_| ObjError::failed("port out of range"))?;
+                    let dst_ip = args[0].as_int_in::<u32>()?;
+                    let dst_port = args[1].as_int_in::<u16>()?;
                     this.with_state(|s: &mut TcpState| {
                         let local_port = s.ephemeral_port(dst_ip, dst_port)?;
                         let id = s.open(dst_ip, dst_port, local_port, State::SynSent);
@@ -1208,8 +1205,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 },
             )
             .method("accept", &[TypeTag::Int], TypeTag::Int, |this, args| {
-                let port = u16::try_from(args[0].as_int()?)
-                    .map_err(|_| ObjError::failed("port out of range"))?;
+                let port = args[0].as_int_in::<u16>()?;
                 this.with_state(|s: &mut TcpState| {
                     let id = s
                         .listeners
@@ -1252,8 +1248,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 TypeTag::Bytes,
                 |this, args| {
                     let id = args[0].as_int()?;
-                    let max = usize::try_from(args[1].as_int()?)
-                        .map_err(|_| ObjError::failed("max must be non-negative"))?;
+                    let max = args[1].as_int_in::<usize>()?;
                     this.with_state(|s: &mut TcpState| {
                         let conn = s.conn_mut(id)?;
                         let take = conn.recv_buf.len().min(max);
@@ -1296,8 +1291,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 TypeTag::Unit,
                 |this, args| {
                     let id = args[0].as_int()?;
-                    let cycles = u64::try_from(args[1].as_int()?)
-                        .map_err(|_| ObjError::failed("timeout must be non-negative"))?;
+                    let cycles = args[1].as_int_in::<u64>()?;
                     this.with_state(|s: &mut TcpState| {
                         let conn = s.conn_event(id)?;
                         conn.user_timeout = cycles;
@@ -1312,8 +1306,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 TypeTag::Unit,
                 |this, args| {
                     let id = args[0].as_int()?;
-                    let interval = u64::try_from(args[1].as_int()?)
-                        .map_err(|_| ObjError::failed("interval must be non-negative"))?;
+                    let interval = args[1].as_int_in::<u64>()?;
                     this.with_state(|s: &mut TcpState| {
                         let now = s.now();
                         let conn = s.conn_event(id)?;
@@ -1332,10 +1325,8 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                 &[TypeTag::Int, TypeTag::Int],
                 TypeTag::Unit,
                 |this, args| {
-                    let port = u16::try_from(args[0].as_int()?)
-                        .map_err(|_| ObjError::failed("port out of range"))?;
-                    let cap = usize::try_from(args[1].as_int()?)
-                        .map_err(|_| ObjError::failed("backlog must be non-negative"))?;
+                    let port = args[0].as_int_in::<u16>()?;
+                    let cap = args[1].as_int_in::<usize>()?;
                     this.with_state(|s: &mut TcpState| {
                         s.listeners.entry(port).or_default().cap = cap;
                         Ok(Value::Unit)

@@ -10,12 +10,12 @@
 //! children can be replaced by new instances at run time without rebinding
 //! the composition's clients.
 
-use std::collections::BTreeMap;
+use std::{collections::BTreeMap, sync::Arc};
 
 use crate::{
     builder::ObjectBuilder,
     error::ObjError,
-    forward::forwarding_interface,
+    forward::{forwarding_interface, Target},
     interface::Interface,
     object::ObjRef,
     typeinfo::{MethodSig, TypeTag},
@@ -23,14 +23,9 @@ use crate::{
     ObjResult,
 };
 
-/// Instance data of a composition object: its children and export table.
-#[derive(Default)]
-struct CompositionState {
-    /// Child instances by local name.
-    children: BTreeMap<String, ObjRef>,
-    /// Which child backs each re-exported interface.
-    exports: BTreeMap<String, String>,
-}
+/// A composition's children by local name, each in the cell its
+/// re-exported interfaces forward through.
+type Children = BTreeMap<String, Arc<Target>>;
 
 /// Name of the administrative interface every composition exports.
 pub const COMPOSITION_IFACE: &str = "composition";
@@ -60,7 +55,10 @@ pub const COMPOSITION_IFACE: &str = "composition";
 /// ```
 pub struct CompositionBuilder {
     class: String,
-    state: CompositionState,
+    /// Child instances by local name.
+    children: BTreeMap<String, ObjRef>,
+    /// Which child backs each re-exported interface.
+    exports: BTreeMap<String, String>,
     errors: Vec<String>,
 }
 
@@ -69,7 +67,8 @@ impl CompositionBuilder {
     pub fn new(class: impl Into<String>) -> Self {
         CompositionBuilder {
             class: class.into(),
-            state: CompositionState::default(),
+            children: BTreeMap::new(),
+            exports: BTreeMap::new(),
             errors: Vec::new(),
         }
     }
@@ -77,7 +76,7 @@ impl CompositionBuilder {
     /// Adds a child instance under a local name.
     pub fn child(mut self, name: impl Into<String>, obj: ObjRef) -> Self {
         let name = name.into();
-        if self.state.children.insert(name.clone(), obj).is_some() {
+        if self.children.insert(name.clone(), obj).is_some() {
             self.errors.push(format!("duplicate child `{name}`"));
         }
         self
@@ -87,9 +86,9 @@ impl CompositionBuilder {
     /// composition itself.
     pub fn export(mut self, interface: impl Into<String>, child: impl Into<String>) -> Self {
         let (interface, child) = (interface.into(), child.into());
-        match self.state.children.get(&child) {
+        match self.children.get(&child) {
             Some(c) if c.has_interface(&interface) => {
-                self.state.exports.insert(interface, child);
+                self.exports.insert(interface, child);
             }
             Some(_) => self.errors.push(format!(
                 "child `{child}` does not export interface `{interface}`"
@@ -105,73 +104,65 @@ impl CompositionBuilder {
             return Err(ObjError::Binding(e.clone()));
         }
         let mut builder = ObjectBuilder::new(self.class);
+        let children: Children = self
+            .children
+            .into_iter()
+            .map(|(name, obj)| (name, Target::new(obj)))
+            .collect();
 
-        // One forwarding interface per export. The current child instance
-        // backs each call so that `replace` (which bumps the composition's
-        // export generation) takes effect for existing clients — this is
-        // the late-binding property.
-        for (iface_name, child_name) in &self.state.exports {
-            let child = &self.state.children[child_name];
-            let sigs = child.interface(iface_name)?.descriptor().methods;
-            let child_name = child_name.clone();
+        // One forwarding interface per export, through its child's cell, so
+        // that `replace` takes effect for existing clients — this is the
+        // late-binding property.
+        for (iface_name, child_name) in &self.exports {
+            let child = &children[child_name];
+            let sigs = child.get().interface(iface_name)?.descriptor().methods;
             builder = builder.raw_interface(forwarding_interface(
                 Interface::new(iface_name.clone()),
                 sigs,
-                move |this| lookup_child(this, &child_name),
+                child.clone(),
                 |_| None,
             ));
         }
 
-        builder = builder.raw_interface(admin_interface());
-        Ok(builder.state(self.state).build())
+        Ok(builder.raw_interface(admin_interface(children)).build())
     }
-}
-
-/// Fetches the current instance of a child from the composition state.
-fn lookup_child(this: &ObjRef, child: &str) -> ObjResult<ObjRef> {
-    this.with_state(|s: &mut CompositionState| {
-        s.children
-            .get(child)
-            .cloned()
-            .ok_or_else(|| ObjError::Binding(format!("composition lost child `{child}`")))
-    })
 }
 
 /// Builds the `composition` administrative interface: listing and replacing
 /// children.
-fn admin_interface() -> Interface {
+fn admin_interface(children: Children) -> Interface {
+    fn child<'a>(children: &'a Children, name: &str) -> ObjResult<&'a Target> {
+        children
+            .get(name)
+            .map(|c| &**c)
+            .ok_or_else(|| ObjError::Binding(format!("no child named `{name}`")))
+    }
+
+    let children = Arc::new(children);
     let mut iface = Interface::new(COMPOSITION_IFACE);
+    let all = children.clone();
     iface.insert_method(
         MethodSig::new("children", &[], TypeTag::List),
-        std::sync::Arc::new(|this: &ObjRef, _args: &[Value]| {
-            this.with_state(|s: &mut CompositionState| {
-                Ok(Value::List(
-                    s.children.keys().map(|k| Value::Str(k.clone())).collect(),
-                ))
-            })
+        Arc::new(move |_: &ObjRef, _: &[Value]| {
+            Ok(Value::List(
+                all.keys().map(|k| Value::Str(k.clone())).collect(),
+            ))
         }),
     );
+    let each = children.clone();
     iface.insert_method(
         MethodSig::new("child", &[TypeTag::Str], TypeTag::Handle),
-        std::sync::Arc::new(|this: &ObjRef, args: &[Value]| {
-            let name = args[0].as_str()?.to_owned();
-            lookup_child(this, &name).map(Value::Handle)
+        Arc::new(move |_: &ObjRef, args: &[Value]| {
+            Ok(Value::Handle(
+                child(&each, args[0].as_str()?)?.get().clone(),
+            ))
         }),
     );
     iface.insert_method(
         MethodSig::new("replace", &[TypeTag::Str, TypeTag::Handle], TypeTag::Handle),
-        std::sync::Arc::new(|this: &ObjRef, args: &[Value]| {
-            let name = args[0].as_str()?.to_owned();
+        Arc::new(move |_: &ObjRef, args: &[Value]| {
             let new = args[1].as_handle()?.clone();
-            let old = this.with_state(|s: &mut CompositionState| {
-                let slot = s.children.get_mut(&name).ok_or_else(|| {
-                    ObjError::Binding(format!("no child named `{name}` to replace"))
-                })?;
-                Ok(std::mem::replace(slot, new.clone()))
-            })?;
-            // Re-point every cached forward at the replacement instance.
-            this.bump_export_generation();
-            Ok(Value::Handle(old))
+            Ok(Value::Handle(child(&children, args[0].as_str()?)?.set(new)))
         }),
     );
     iface
@@ -304,11 +295,11 @@ mod tests {
         let mut extended = Interface::new("val");
         extended.insert_method(
             MethodSig::new("get", &[], TypeTag::Int),
-            std::sync::Arc::new(|_: &ObjRef, _: &[Value]| Ok(Value::Int(5))),
+            Arc::new(|_: &ObjRef, _: &[Value]| Ok(Value::Int(5))),
         );
         extended.insert_method(
             MethodSig::new("twice", &[], TypeTag::Int),
-            std::sync::Arc::new(|_: &ObjRef, _: &[Value]| Ok(Value::Int(10))),
+            Arc::new(|_: &ObjRef, _: &[Value]| Ok(Value::Int(10))),
         );
         child.export_interface(extended);
         assert_eq!(comp.invoke("val", "twice", &[]).unwrap(), Value::Int(10));

@@ -5,7 +5,11 @@
 //! delegate the rest to another object's interface of the same name. Unlike
 //! class inheritance, delegation happens between *instances* at run time.
 
-use crate::{forward::forwarding_interface, interface::Interface, object::ObjRef};
+use crate::{
+    forward::{forwarding_interface, Target},
+    interface::Interface,
+    object::ObjRef,
+};
 
 /// Wires `base` so that any method it does not implement is forwarded to
 /// `target`'s interface of the same name.
@@ -45,7 +49,7 @@ pub fn delegate_interface(base: Interface, target: ObjRef) -> Interface {
         .interface(base.name())
         .map(|i| i.descriptor().methods)
         .unwrap_or_default();
-    forwarding_interface(base, sigs, move |_| Ok(target.clone()), |_| None)
+    forwarding_interface(base, sigs, Target::new(target), |_| None)
 }
 
 #[cfg(test)]

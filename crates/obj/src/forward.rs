@@ -5,22 +5,57 @@
 //! original object" (paper, section 2). Interposers, compositions, method
 //! delegation and cross-domain proxies are all that one sentence with a
 //! different answer to two questions: *which object is the target right
-//! now*, and *what runs around the forwarded call*. [`forwarding_interface`]
-//! is the loop they share; [`Forward`] is the handle the code around a call
-//! uses to make it.
+//! now*, and *what runs around the forwarded call*. A [`Target`] answers the
+//! first; [`forwarding_interface`] is the loop they share; [`Forward`] is
+//! the handle the code around a call uses to make it.
+//!
+//! A forwarded call is an ordinary [`Object::invoke`] on the current
+//! target, so the target's own dispatch cache serves it: there is one
+//! dispatch cache in the object model, not one per forwarding call site.
+//!
+//! [`Object::invoke`]: crate::object::Object::invoke
 
 use std::sync::Arc;
 
 use crate::{
-    interface::{CallCache, Interface},
-    object::ObjRef,
-    typeinfo::MethodSig,
-    value::Value,
+    interface::Interface, object::ObjRef, snapcell::SnapCell, typeinfo::MethodSig, value::Value,
     ObjResult,
 };
 
-/// Finds the object a forwarder currently forwards to, given the forwarder.
-type TargetFn = dyn Fn(&ObjRef) -> ObjResult<ObjRef> + Send + Sync;
+/// The object a forwarder forwards to right now.
+///
+/// Reading it is one atomic load; re-pointing it (`interposer.retarget`,
+/// `composition.replace`) takes effect on the very next forwarded call. A
+/// target that has been replaced stays allocated until the `Target` itself
+/// drops — the publish cell's retention rule — so it lives exactly as long
+/// as the forwarder that once held it.
+pub struct Target(SnapCell<ObjRef>);
+
+impl Target {
+    /// A target pointing at `obj`, to be shared by the forwarder's
+    /// entries and whatever re-points it.
+    pub fn new(obj: ObjRef) -> Arc<Self> {
+        let cell = SnapCell::new();
+        cell.publish(obj);
+        Arc::new(Target(cell))
+    }
+
+    /// The current target.
+    #[inline]
+    pub fn get(&self) -> &ObjRef {
+        self.0
+            .load()
+            .expect("a target is published at construction")
+    }
+
+    /// Re-points the forwarder at `obj`, returning the object it replaced.
+    pub fn set(&self, obj: ObjRef) -> ObjRef {
+        self.0
+            .publish(obj)
+            .expect("a target is published at construction")
+            .clone()
+    }
+}
 
 /// Code run in place of a bare forward: an override, a hook wrapper, a
 /// domain crossing. It decides whether, when and with which arguments the
@@ -28,31 +63,23 @@ type TargetFn = dyn Fn(&ObjRef) -> ObjResult<ObjRef> + Send + Sync;
 pub type WrapFn = Arc<dyn Fn(&Forward<'_>, &[Value]) -> ObjResult<Value> + Send + Sync>;
 
 /// One forwarded call in flight: the method being invoked on the forwarder
-/// and the cached route to the same method on the current target.
+/// and the target the same method is forwarded to.
 pub struct Forward<'a> {
     this: &'a ObjRef,
     interface: &'a str,
     method: &'a str,
-    cache: &'a CallCache,
-    target: &'a TargetFn,
+    target: &'a Target,
 }
 
 impl Forward<'_> {
     /// Invokes the forwarded method on the current target.
     ///
-    /// The resolution is cached per call site and revalidated against the
-    /// forwarder's and the target's export generations, so a retarget, a
-    /// child replacement or a re-export on the target takes effect on the
-    /// very next call; a warm forward takes no lock and allocates nothing.
+    /// It is the target's own `invoke`, so a retarget, a child replacement
+    /// or a re-export on the target takes effect on the very next call, and
+    /// a warm forward takes no lock and allocates nothing.
     #[inline]
     pub fn call(&self, args: &[Value]) -> ObjResult<Value> {
-        self.cache.invoke(
-            self.this,
-            || (self.target)(self.this),
-            self.interface,
-            self.method,
-            args,
-        )
+        self.target.get().invoke(self.interface, self.method, args)
     }
 
     /// The forwarding object the call arrived at (its instance data is
@@ -72,55 +99,46 @@ impl Forward<'_> {
     }
 }
 
-/// Completes `base` into an interface that forwards to another object's
-/// interface of the same name.
+/// Completes `base` into an interface that forwards to `target`'s interface
+/// of the same name.
 ///
 /// Methods `base` already implements are kept. Every other signature in
 /// `sigs` (the target's, so type-aware clients cannot tell the forwarder
-/// from the original) becomes a method with its own forward cache, and one
-/// cached fallback forwards methods the target grows later.
-///
-/// `target` finds the current target from the forwarder; it only runs on a
-/// cache miss. A forwarder whose answer can change bumps its own export
-/// generation when it does ([`Object::bump_export_generation`]).
+/// from the original) becomes a forwarding method, and one fallback
+/// forwards methods the target grows later.
 ///
 /// `wrap` is asked once per installed method (`Some(name)`) and once for
 /// the fallback (`None`) what to run around that forward; `None` installs
 /// the bare forward.
-///
-/// [`Object::bump_export_generation`]: crate::object::Object::bump_export_generation
 pub fn forwarding_interface(
     base: Interface,
     sigs: impl IntoIterator<Item = MethodSig>,
-    target: impl Fn(&ObjRef) -> ObjResult<ObjRef> + Send + Sync + 'static,
+    target: Arc<Target>,
     mut wrap: impl FnMut(Option<&str>) -> Option<WrapFn>,
 ) -> Interface {
-    /// One call site: its own cache, the shared route to the target.
+    /// One forwarding entry: the shared target, what runs around the call.
     fn hop(
         interface: Arc<str>,
-        target: Arc<TargetFn>,
+        target: Arc<Target>,
         wrap: Option<WrapFn>,
     ) -> impl Fn(&ObjRef, &str, &[Value]) -> ObjResult<Value> + Send + Sync {
-        let cache = CallCache::new();
-        move |this, method, args| {
-            let forward = Forward {
-                this,
-                interface: &interface,
-                method,
-                cache: &cache,
-                target: &*target,
-            };
-            match &wrap {
-                // Unwrapped hops skip the indirect call and capture block.
-                None => forward.call(args),
-                Some(wrap) => wrap(&forward, args),
-            }
+        move |this, method, args| match &wrap {
+            // Unwrapped hops skip the indirect call and capture block.
+            None => target.get().invoke(&interface, method, args),
+            Some(wrap) => wrap(
+                &Forward {
+                    this,
+                    interface: &interface,
+                    method,
+                    target: &target,
+                },
+                args,
+            ),
         }
     }
 
     let mut iface = base;
     let name: Arc<str> = iface.name().into();
-    let target: Arc<TargetFn> = Arc::new(target);
     for sig in sigs {
         if iface.has_method(&sig.name) {
             continue;
@@ -134,4 +152,63 @@ pub fn forwarding_interface(
     }
     iface.set_fallback(Arc::new(hop(name, target, wrap(None))));
     iface
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{
+        compose::COMPOSITION_IFACE, interpose::INTERPOSER_IFACE, CompositionBuilder,
+        InterposerBuilder, ObjRef, ObjectBuilder, TypeTag, Value,
+    };
+    use std::sync::Arc;
+
+    fn leaf() -> ObjRef {
+        ObjectBuilder::new("leaf")
+            .interface("val", |i| {
+                i.method("get", &[], TypeTag::Int, |_, _| Ok(Value::Int(1)))
+            })
+            .build()
+    }
+
+    /// A replaced target stays alive while its forwarder does (a reader may
+    /// still be inside it) and is released with the forwarder.
+    #[test]
+    fn forwarders_release_every_target_they_ever_held() {
+        let held: Vec<ObjRef> = (0..4).map(|_| leaf()).collect();
+        let agent = InterposerBuilder::new(held[0].clone()).build();
+        for next in &held[1..] {
+            agent.invoke("val", "get", &[]).unwrap();
+            agent
+                .invoke(INTERPOSER_IFACE, "retarget", &[Value::Handle(next.clone())])
+                .unwrap();
+        }
+        agent.invoke("val", "get", &[]).unwrap();
+        assert!(held.iter().all(|t| Arc::strong_count(t) == 2));
+        drop(agent);
+        assert!(held.iter().all(|t| Arc::strong_count(t) == 1));
+
+        let (first, second) = (leaf(), leaf());
+        let comp = CompositionBuilder::new("comp")
+            .child("c", first.clone())
+            .export("val", "c")
+            .build()
+            .unwrap();
+        comp.invoke("val", "get", &[]).unwrap();
+        comp.invoke(
+            COMPOSITION_IFACE,
+            "replace",
+            &[Value::Str("c".into()), Value::Handle(second.clone())],
+        )
+        .unwrap();
+        comp.invoke("val", "get", &[]).unwrap();
+        assert_eq!(
+            (Arc::strong_count(&first), Arc::strong_count(&second)),
+            (2, 2)
+        );
+        drop(comp);
+        assert_eq!(
+            (Arc::strong_count(&first), Arc::strong_count(&second)),
+            (1, 1)
+        );
+    }
 }

@@ -10,8 +10,7 @@ use std::{collections::BTreeMap, sync::Arc};
 
 use crate::{
     error::ObjError,
-    object::{ObjRef, ResolvedMethod},
-    snapcell::SnapCell,
+    object::ObjRef,
     typeinfo::{InterfaceDescriptor, MethodSig},
     value::Value,
     ObjResult,
@@ -50,8 +49,8 @@ impl Method {
     /// Runs this method on behalf of `this` with full signature checking.
     ///
     /// This is the one dispatch kernel shared by every call path — slow
-    /// lookup, dispatch-cache hit, bound methods and cached forwarders all
-    /// funnel through it, so fast and slow paths cannot drift apart.
+    /// lookup, dispatch-cache hit and bound methods all funnel through it,
+    /// so fast and slow paths cannot drift apart.
     #[inline]
     pub fn call(&self, this: &ObjRef, args: &[Value]) -> ObjResult<Value> {
         self.sig.check_args(args)?;
@@ -63,9 +62,8 @@ impl Method {
 
 /// A named set of methods with type information.
 ///
-/// Methods are stored behind `Arc` so resolved handles can be cached by the
-/// dispatch fast path (per-object caches, the cache behind every
-/// [`Forward`](crate::forward::Forward)) without cloning signatures.
+/// Methods are stored behind `Arc` so the per-object dispatch cache and
+/// bound methods can pin resolved handles without cloning signatures.
 #[derive(Clone)]
 pub struct Interface {
     name: String,
@@ -191,13 +189,6 @@ impl BoundMethod {
         self.method.call(&self.this, args)
     }
 
-    /// Invokes without argument/result type checks — the fully inlined
-    /// variant (the signature was checked when the call site was
-    /// compiled, in the paper's framing).
-    pub fn call_unchecked_types(&self, args: &[Value]) -> ObjResult<Value> {
-        (self.method.imp)(&self.this, args)
-    }
-
     /// The bound signature.
     pub fn signature(&self) -> &MethodSig {
         &self.method.sig
@@ -216,133 +207,6 @@ impl Interface {
             method: m.clone(),
             this: this.clone(),
         })
-    }
-}
-
-/// A small cache for forwarding a call to another object — the per-hop
-/// "run time inline technique" behind every
-/// [`Forward`](crate::forward::Forward).
-///
-/// The cached resolution (target handle + method handle) is revalidated on
-/// every call against two export-generation counters
-/// ([`Object::export_generation`](crate::object::Object::export_generation)):
-///
-/// * the **holder**'s — the forwarding object, whose topology can change
-///   (an interposer being retargeted, a composition child being
-///   replaced); forwarders bump their generation on such changes, and
-/// * the **target**'s — bumped when the target re-exports or revokes an
-///   interface.
-///
-/// A stale entry therefore misses cleanly and re-resolves; it can never
-/// call an outdated implementation. On a hit the forward costs one atomic
-/// snapshot load, two atomic generation loads and a short scan — no lock,
-/// no name-space walk, no state downcast, no method-table lookup, and no
-/// allocation.
-#[derive(Default)]
-pub(crate) struct CallCache {
-    slot: SnapCell<Vec<CachedCall>>,
-}
-
-/// Pinned resolutions a [`CallCache`] holds: enough for a forwarding
-/// fallback alternating between a few hot methods. Fresh entries are never
-/// evicted; call sites spreading over more methods serve the excess
-/// through the target's own dispatch cache instead.
-const CALL_CACHE_SLOTS: usize = 4;
-
-#[derive(Clone)]
-struct CachedCall {
-    holder_gen: u64,
-    method: String,
-    target: ObjRef,
-    resolved: ResolvedMethod,
-}
-
-impl CallCache {
-    /// Creates an empty cache. One `CallCache` serves one forwarding call
-    /// site (a fixed interface; the method varies only in a fallback).
-    pub fn new() -> Self {
-        CallCache::default()
-    }
-
-    /// Forwards `interface::method(args)` to the object produced by
-    /// `resolve_target`, caching the resolution.
-    ///
-    /// `holder` is the forwarder whose generation guards the cached
-    /// *target*. `resolve_target` is only run on a cache miss. Methods
-    /// served by a delegation fallback on the target are forwarded
-    /// uncached — they have no stable handle to pin.
-    #[inline]
-    pub fn invoke(
-        &self,
-        holder: &ObjRef,
-        resolve_target: impl FnOnce() -> ObjResult<ObjRef>,
-        interface: &str,
-        method: &str,
-        args: &[Value],
-    ) -> ObjResult<Value> {
-        let holder_gen = holder.export_generation();
-        // Lock-free fast path: one snapshot load plus generation checks.
-        // The snapshot stays valid for the duration of the call even if a
-        // concurrent miss republishes (see `snapcell`).
-        if let Some(entries) = self.slot.load() {
-            if let Some(c) = entries.iter().find(|c| {
-                c.holder_gen == holder_gen && c.resolved.is_current(&c.target) && c.method == method
-            }) {
-                return c.resolved.call(&c.target, args);
-            }
-        }
-        self.invoke_miss(holder_gen, resolve_target, interface, method, args)
-    }
-
-    /// Slow path of [`CallCache::invoke`]: resolve the current target and
-    /// pin its method handle. Stale entries are dropped on republish;
-    /// fresh ones are never evicted, bounding snapshot churn.
-    #[cold]
-    fn invoke_miss(
-        &self,
-        holder_gen: u64,
-        resolve_target: impl FnOnce() -> ObjResult<ObjRef>,
-        interface: &str,
-        method: &str,
-        args: &[Value],
-    ) -> ObjResult<Value> {
-        let target = resolve_target()?;
-        match target.resolve_method(interface, method) {
-            Some(resolved) => {
-                let fresh = |c: &&CachedCall| {
-                    c.holder_gen == holder_gen && c.resolved.is_current(&c.target)
-                };
-                let mut entries: Vec<CachedCall> = match self.slot.load() {
-                    Some(t) => {
-                        if t.iter().filter(fresh).count() >= CALL_CACHE_SLOTS {
-                            // Full of current resolutions for other
-                            // methods: serve uncached, no churn.
-                            return resolved.call(&target, args);
-                        }
-                        t.iter().filter(fresh).cloned().collect()
-                    }
-                    None => Vec::with_capacity(1),
-                };
-                entries.push(CachedCall {
-                    holder_gen,
-                    method: method.to_owned(),
-                    target: target.clone(),
-                    resolved: resolved.clone(),
-                });
-                self.slot.publish(entries);
-                resolved.call(&target, args)
-            }
-            None => target.invoke(interface, method, args),
-        }
-    }
-}
-
-impl std::fmt::Debug for CallCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let cached = self.slot.load().map_or(0, Vec::len);
-        f.debug_struct("CallCache")
-            .field("cached", &cached)
-            .finish()
     }
 }
 
@@ -443,10 +307,6 @@ mod tests {
         assert_eq!(bound.call(&[Value::Int(5)]).unwrap(), Value::Int(5));
         assert_eq!(bound.call(&[Value::Int(2)]).unwrap(), Value::Int(7));
         assert!(bound.call(&[Value::Str("x".into())]).is_err());
-        assert_eq!(
-            bound.call_unchecked_types(&[Value::Int(1)]).unwrap(),
-            Value::Int(8)
-        );
         assert_eq!(bound.signature().name, "incr");
         // Missing and delegated methods cannot be bound.
         assert!(obj

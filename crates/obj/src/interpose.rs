@@ -35,9 +35,10 @@ use std::{collections::BTreeMap, sync::Arc};
 
 use crate::{
     builder::ObjectBuilder,
-    forward::{forwarding_interface, Forward, WrapFn},
+    forward::{forwarding_interface, Forward, Target, WrapFn},
     interface::Interface,
     object::ObjRef,
+    typeinfo::{MethodSig, TypeTag},
     value::Value,
     ObjResult,
 };
@@ -47,11 +48,6 @@ use crate::{
 /// Receives the interface name, method name and arguments. Hooks are how
 /// monitoring tools (call tracers, packet counters, profilers) are built.
 pub type ObserveFn = Arc<dyn Fn(&str, &str, &[Value]) + Send + Sync>;
-
-/// Instance data of an interposer: the object it wraps.
-struct InterposerState {
-    target: ObjRef,
-}
 
 /// Administrative interface exported by every interposer.
 pub const INTERPOSER_IFACE: &str = "interposer";
@@ -152,9 +148,8 @@ impl InterposerBuilder {
 
     /// Builds the agent object.
     pub fn build(mut self) -> ObjRef {
-        let mut builder = ObjectBuilder::new(self.class).state(InterposerState {
-            target: self.target.clone(),
-        });
+        let mut builder = ObjectBuilder::new(self.class);
+        let target = Target::new(self.target.clone());
         let hooks = (!self.before.is_empty() || !self.after.is_empty())
             .then(|| Arc::new((self.before, self.after)));
 
@@ -162,7 +157,7 @@ impl InterposerBuilder {
             let iface = forwarding_interface(
                 Interface::new(desc.interface.clone()),
                 desc.methods,
-                interposer_target,
+                target.clone(),
                 |method| {
                     let body = method.and_then(|m| {
                         self.overrides
@@ -187,7 +182,7 @@ impl InterposerBuilder {
             builder = builder.raw_interface(iface);
         }
 
-        builder = builder.raw_interface(admin_interface());
+        builder = builder.raw_interface(admin_interface(target));
         builder.build()
     }
 }
@@ -211,32 +206,19 @@ fn hooked(hooks: Arc<(Vec<ObserveFn>, Vec<ObserveFn>)>, body: Option<WrapFn>) ->
     })
 }
 
-/// Returns the object an interposer currently wraps.
-pub fn interposer_target(agent: &ObjRef) -> ObjResult<ObjRef> {
-    agent.with_state(|s: &mut InterposerState| Ok(s.target.clone()))
-}
-
-/// Builds the `interposer` administrative interface (`target`, `retarget`).
-fn admin_interface() -> Interface {
+/// Builds the `interposer` administrative interface (`target`, `retarget`)
+/// over the cell every forwarding entry of the agent reads.
+fn admin_interface(target: Arc<Target>) -> Interface {
     let mut iface = Interface::new(INTERPOSER_IFACE);
+    let current = target.clone();
     iface.insert_method(
-        crate::typeinfo::MethodSig::new("target", &[], crate::typeinfo::TypeTag::Handle),
-        Arc::new(|this: &ObjRef, _: &[Value]| interposer_target(this).map(Value::Handle)),
+        MethodSig::new("target", &[], TypeTag::Handle),
+        Arc::new(move |_: &ObjRef, _: &[Value]| Ok(Value::Handle(current.get().clone()))),
     );
     iface.insert_method(
-        crate::typeinfo::MethodSig::new(
-            "retarget",
-            &[crate::typeinfo::TypeTag::Handle],
-            crate::typeinfo::TypeTag::Handle,
-        ),
-        Arc::new(|this: &ObjRef, args: &[Value]| {
-            let new = args[0].as_handle()?.clone();
-            let old = this
-                .with_state(|s: &mut InterposerState| Ok(std::mem::replace(&mut s.target, new)))?;
-            // Invalidate every per-hop forward cache pointing at the old
-            // target: they revalidate against the agent's generation.
-            this.bump_export_generation();
-            Ok(Value::Handle(old))
+        MethodSig::new("retarget", &[TypeTag::Handle], TypeTag::Handle),
+        Arc::new(move |_: &ObjRef, args: &[Value]| {
+            Ok(Value::Handle(target.set(args[0].as_handle()?.clone())))
         }),
     );
     iface
@@ -245,7 +227,6 @@ fn admin_interface() -> Interface {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{typeinfo::TypeTag, value::Value};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn target() -> ObjRef {

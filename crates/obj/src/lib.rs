@@ -59,10 +59,10 @@ pub use builder::{InterfaceBuilder, ObjectBuilder};
 pub use compose::CompositionBuilder;
 pub use delegate::delegate_interface;
 pub use error::ObjError;
-pub use forward::{forwarding_interface, Forward};
+pub use forward::{forwarding_interface, Forward, Target};
 pub use interface::{BoundMethod, Interface, Method, MethodFn};
 pub use interpose::InterposerBuilder;
-pub use object::{ObjRef, Object, ResolvedMethod};
+pub use object::{ObjRef, Object};
 pub use trylock::{TryLock, TryLockGuard};
 pub use typeinfo::{InterfaceDescriptor, MethodSig, TypeTag};
 pub use value::Value;

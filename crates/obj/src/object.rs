@@ -21,7 +21,7 @@ use crate::{
     interface::{FallbackFn, Interface, Method},
     snapcell::SnapCell,
     trylock::TryLock,
-    typeinfo::{InterfaceDescriptor, MethodSig},
+    typeinfo::InterfaceDescriptor,
     value::Value,
     ObjResult,
 };
@@ -78,9 +78,8 @@ pub struct Object {
     /// Total method invocations through [`Object::invoke`].
     invocations: AtomicU64,
     /// Export generation: bumped whenever the set of exported interfaces
-    /// changes (or a wrapper's forwarding topology changes, see
-    /// [`Object::bump_export_generation`]). Cached method handles carry the
-    /// generation they were resolved at and miss cleanly once it moves.
+    /// changes. Dispatch-cache entries carry the generation they were
+    /// resolved at and miss cleanly once it moves.
     export_gen: AtomicU64,
     /// Pinned method resolutions serving [`Object::invoke`]'s fast path:
     /// an immutable snapshot republished (cold path only) when a
@@ -163,11 +162,6 @@ impl Object {
         f(state)
     }
 
-    /// Replaces the instance state wholesale, returning the old state.
-    pub fn replace_state(&self, new: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
-        std::mem::replace(&mut self.state.lock(), new)
-    }
-
     /// Returns the named interface.
     ///
     /// This is the standard "obtain an interface from a given object handle"
@@ -214,40 +208,17 @@ impl Object {
         removed
     }
 
-    /// The current export generation.
-    ///
-    /// Any cached method handle ([`ResolvedMethod`], a
-    /// [`Forward`](crate::forward::Forward)'s cache, the per-object
-    /// dispatch cache) resolved at an older generation is stale and must
-    /// re-resolve before calling.
+    /// The current export generation. A dispatch-cache entry resolved at an
+    /// older generation is stale and re-resolves before calling.
     #[inline]
     pub fn export_generation(&self) -> u64 {
         self.export_gen.load(Ordering::Acquire)
     }
 
-    /// Invalidates every cached method handle resolved against this object.
-    ///
-    /// Called automatically by [`Object::export_interface`] and
-    /// [`Object::revoke_interface`]. Wrapper objects whose *forwarding
-    /// topology* changes without their interface set changing — an
-    /// interposer being retargeted, a composition child being replaced —
-    /// call this explicitly so per-hop forward caches miss and re-resolve.
-    pub fn bump_export_generation(&self) {
+    /// Invalidates every dispatch-cache entry resolved against this object;
+    /// run by [`Object::export_interface`] and [`Object::revoke_interface`].
+    fn bump_export_generation(&self) {
         self.export_gen.fetch_add(1, Ordering::Release);
-    }
-
-    /// Resolves a directly implemented method to a cacheable handle, or
-    /// `None` if the interface is missing or the method is only reachable
-    /// through a delegation fallback.
-    pub fn resolve_method(&self, interface: &str, method: &str) -> Option<ResolvedMethod> {
-        let gen = self.export_generation();
-        let imp = self
-            .interfaces
-            .read()
-            .get(interface)?
-            .method(method)?
-            .clone();
-        Some(ResolvedMethod { gen, imp })
     }
 
     /// Flattened type information for every exported interface.
@@ -428,58 +399,6 @@ impl Object {
     }
 }
 
-/// A pinned method resolution: the target's `Arc<Method>` plus the export
-/// generation it was resolved at.
-///
-/// Produced by [`Object::resolve_method`] and cached by cross-domain
-/// proxies and per-hop forward caches. Callers must revalidate with
-/// [`ResolvedMethod::is_current`] against the *same object* the handle was
-/// resolved from before each call; a stale handle must be dropped and
-/// re-resolved (it would otherwise pin an implementation the object no
-/// longer exports).
-#[derive(Clone)]
-pub struct ResolvedMethod {
-    gen: u64,
-    imp: Arc<Method>,
-}
-
-impl ResolvedMethod {
-    /// The export generation this handle was resolved at.
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-
-    /// True while `obj` (the object this was resolved from) has not
-    /// re-exported or revoked any interface since resolution.
-    #[inline]
-    pub fn is_current(&self, obj: &Object) -> bool {
-        self.gen == obj.export_generation()
-    }
-
-    /// The resolved method's signature.
-    pub fn signature(&self) -> &MethodSig {
-        &self.imp.sig
-    }
-
-    /// Calls the resolved method on `this` with exactly the semantics of
-    /// [`Object::invoke`]: invocation accounting plus full signature
-    /// checking.
-    #[inline]
-    pub fn call(&self, this: &ObjRef, args: &[Value]) -> ObjResult<Value> {
-        this.note_invocation();
-        self.imp.call(this, args)
-    }
-}
-
-impl std::fmt::Debug for ResolvedMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResolvedMethod")
-            .field("gen", &self.gen)
-            .field("sig", &self.imp.sig)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,14 +495,5 @@ mod tests {
         assert_eq!(c.instance_name(), None);
         c.set_instance_name(Some("/app/counter".into()));
         assert_eq!(c.instance_name().as_deref(), Some("/app/counter"));
-    }
-
-    #[test]
-    fn replace_state_swaps_instance_data() {
-        let c = counter();
-        c.invoke("counter", "incr", &[Value::Int(41)]).unwrap();
-        let old = c.replace_state(Box::new(0i64));
-        assert_eq!(*old.downcast::<i64>().unwrap(), 41);
-        assert_eq!(c.invoke("counter", "get", &[]).unwrap(), Value::Int(0));
     }
 }

@@ -1,13 +1,13 @@
-//! A read-mostly publish cell for the dispatch caches.
+//! A read-mostly publish cell for the dispatch fast path.
 //!
-//! The dispatch fast paths ([`Object::invoke`](crate::object::Object)'s
-//! inline cache and the per-hop [`Forward`](crate::forward::Forward) cache) read their
-//! cached resolutions on every invocation but rewrite them only when a
-//! resolution goes stale — a control-plane event (interface re-export,
-//! interposer retarget, child replacement). Even an uncontended lock costs
-//! an atomic read-modify-write per read; at the measured dispatch budget
-//! that is the single largest line item. `SnapCell` removes it: readers
-//! perform exactly one `Acquire` pointer load.
+//! [`Object::invoke`](crate::object::Object)'s inline cache and every
+//! forwarder's [`Target`](crate::forward::Target) are read on every
+//! invocation but rewritten only on a control-plane event: a resolution
+//! learned or gone stale (interface re-export), an interposer retargeted,
+//! a composition child replaced. Even an uncontended lock costs an atomic
+//! read-modify-write per read; at the measured dispatch budget that is the
+//! single largest line item. `SnapCell` removes it: readers perform
+//! exactly one `Acquire` pointer load.
 //!
 //! # How it stays sound without reader registration
 //!
@@ -20,10 +20,11 @@
 //! there is nothing to tear.
 //!
 //! The price is that retired snapshots accumulate. That is bounded by
-//! design: caches only republish when a resolution is first learned
-//! (bounded by the slot cap) or invalidated by an export-generation bump
-//! (bounded by the number of reconfigurations, which are rare
-//! control-plane operations — never by steady-state call traffic).
+//! design: the dispatch cache only republishes when a resolution is first
+//! learned (bounded by its slot cap) or invalidated by an export-generation
+//! bump, and a forwarding target only when it is re-pointed — both bounded
+//! by the number of reconfigurations, which are rare control-plane
+//! operations, never by steady-state call traffic.
 
 use std::{
     ptr,
@@ -65,24 +66,30 @@ impl<T> SnapCell<T> {
     /// even if a concurrent [`SnapCell::publish`] replaces it.
     #[inline]
     pub(crate) fn load(&self) -> Option<&T> {
-        let p = self.current.load(Ordering::Acquire);
-        if p.is_null() {
-            None
-        } else {
-            // Safety: `p` was published by `publish` (hence points to a
-            // live, fully initialised `Box<T>`), and ownership is only
-            // released in `Drop`, which requires no outstanding borrows.
-            Some(unsafe { &*p })
-        }
+        self.snapshot(self.current.load(Ordering::Acquire))
     }
 
-    /// Publishes a new snapshot, retiring the previous one.
-    pub(crate) fn publish(&self, value: T) {
+    /// Publishes a new snapshot, retiring the previous one, which it
+    /// returns (valid for the borrow, as [`SnapCell::load`]'s is). Each
+    /// of two racing publishes is handed the snapshot its own swap took
+    /// out.
+    pub(crate) fn publish(&self, value: T) -> Option<&T> {
         let new = Box::into_raw(Box::new(value));
         let old = self.current.swap(new, Ordering::AcqRel);
         if !old.is_null() {
             self.retired.lock().push(old);
         }
+        self.snapshot(old)
+    }
+
+    /// The snapshot `p` points at; `p` is null or a pointer this cell holds.
+    #[inline]
+    fn snapshot(&self, p: *mut T) -> Option<&T> {
+        // Safety: a non-null `p` was published by `publish` (hence points
+        // to a live, fully initialised `Box<T>`) and is still owned by this
+        // cell, as `current` or in `retired`; ownership is only released in
+        // `Drop`, which requires no outstanding borrows of the cell.
+        (!p.is_null()).then(|| unsafe { &*p })
     }
 }
 
@@ -116,11 +123,12 @@ mod tests {
     fn empty_then_publish_then_replace() {
         let cell = SnapCell::new();
         assert!(cell.load().is_none());
-        cell.publish(vec![1, 2]);
+        assert!(cell.publish(vec![1, 2]).is_none());
         assert_eq!(cell.load().unwrap(), &[1, 2]);
-        // A reference taken before a republish stays readable.
+        // A reference taken before a republish stays readable, and the
+        // republish hands back the snapshot it retired.
         let before = cell.load().unwrap();
-        cell.publish(vec![3]);
+        assert_eq!(cell.publish(vec![3]), Some(&vec![1, 2]));
         assert_eq!(before, &[1, 2]);
         assert_eq!(cell.load().unwrap(), &[3]);
     }

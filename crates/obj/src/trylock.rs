@@ -1,18 +1,13 @@
-//! A minimal try-only lock for the dispatch fast path.
+//! A minimal spin lock for short, never re-entrant critical sections.
 //!
-//! The dispatch caches ([`Object`](crate::object::Object)'s inline cache
-//! and the per-hop [`Forward`](crate::forward::Forward) cache) are acquired on every
-//! hot invocation, always via *try*-acquire, and never held across a
-//! blocking operation. A full mutex pays for capabilities those caches
-//! never use (blocking, queueing); this lock is the minimum that preserves
-//! their correctness: one atomic `swap` to acquire, one release store to
-//! unlock. Acquisition failure is not an error — callers fall back to the
-//! uncached slow path.
+//! It guards two things that are taken on hot paths and held only briefly:
+//! every object's instance state ([`Object::with_state`]) and each shard
+//! of the sharded store cache. A full mutex pays for capabilities those
+//! sections never use (queueing, parking); this lock is one atomic `swap`
+//! to acquire and one release store to unlock. One lock per shard lets
+//! concurrent worlds hit disjoint shards of the store cache in parallel.
 //!
-//! The lock is public because other hot paths share its profile: the
-//! sharded store cache guards each shard with one, keeping the warmed
-//! single-client hit exactly as cheap as the old exclusive-state design
-//! while letting concurrent worlds hit disjoint shards in parallel.
+//! [`Object::with_state`]: crate::object::Object::with_state
 
 use std::{
     cell::UnsafeCell,
@@ -20,7 +15,7 @@ use std::{
     sync::atomic::{AtomicBool, Ordering},
 };
 
-/// A lock offering only non-blocking acquisition.
+/// A spin lock: a swap to acquire, spinning then yielding while held.
 pub struct TryLock<T> {
     locked: AtomicBool,
     value: UnsafeCell<T>,
@@ -45,7 +40,7 @@ impl<T> TryLock<T> {
     /// Acquires the lock if it is free, returning `None` (immediately,
     /// without spinning) when it is held.
     #[inline]
-    pub fn try_lock(&self) -> Option<TryLockGuard<'_, T>> {
+    fn try_lock(&self) -> Option<TryLockGuard<'_, T>> {
         if self.locked.swap(true, Ordering::Acquire) {
             None
         } else {

@@ -65,6 +65,19 @@ impl Value {
         }
     }
 
+    /// Extracts an integer as a `T` (a port, an address, a count), or
+    /// reports a type mismatch or a value `T` cannot hold: an argument is
+    /// checked where it crosses the object boundary, never truncated.
+    pub fn as_int_in<T: TryFrom<i64>>(&self) -> ObjResult<T> {
+        let i = self.as_int()?;
+        T::try_from(i).map_err(|_| {
+            ObjError::failed(format!(
+                "{i} is out of range for {}",
+                std::any::type_name::<T>()
+            ))
+        })
+    }
+
     /// Extracts a string slice, or reports a type mismatch.
     pub fn as_str(&self) -> ObjResult<&str> {
         match self {
@@ -212,6 +225,21 @@ mod tests {
         assert!(Value::Str("s".into()).as_bytes().is_err());
         assert!(Value::Unit.as_bool().is_err());
         assert!(Value::List(vec![]).as_list().is_ok());
+    }
+
+    #[test]
+    fn narrowed_integers_are_checked_not_truncated() {
+        assert_eq!(Value::Int(53).as_int_in::<u16>(), Ok(53));
+        assert_eq!(Value::Int(65_535).as_int_in::<u16>(), Ok(u16::MAX));
+        let err = Value::Int(65_589).as_int_in::<u16>().unwrap_err();
+        assert_eq!(err, ObjError::failed("65589 is out of range for u16"));
+        assert!(Value::Int(-1).as_int_in::<u32>().is_err());
+        assert!(Value::Int(1 << 32).as_int_in::<u32>().is_err());
+        assert!(Value::Int(-1).as_int_in::<usize>().is_err());
+        assert!(matches!(
+            Value::Str("53".into()).as_int_in::<u16>(),
+            Err(ObjError::TypeMismatch { .. })
+        ));
     }
 
     #[test]

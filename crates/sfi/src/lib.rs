@@ -73,6 +73,8 @@
 //! established by signature at load time, and the simulation-level bounds
 //! checks remain only as the path a trap would take.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod asm;
 pub mod bytecode;

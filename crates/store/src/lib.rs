@@ -69,6 +69,8 @@
 //! in place ([`vectored::view_pairs`]): the list a client built is the
 //! list the driver copies to the platter from.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod driver;
 pub mod journal;

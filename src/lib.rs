@@ -67,6 +67,8 @@
 //! assert_eq!(sum, Value::Int(64));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use paramecium_cert as cert;
 pub use paramecium_core as core;
 pub use paramecium_crypto as crypto;

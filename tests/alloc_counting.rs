@@ -128,10 +128,11 @@ fn bound_method_call_is_zero_alloc() {
 
 #[test]
 fn interposer_hops_are_zero_alloc_once_warm() {
-    // Every forwarded hop goes through a warmed forward cache, whichever
-    // forwarder makes it — a 4-deep hook-free interposer chain, a method
-    // `retry` merely passes through, one `arp` merely passes through. The
-    // budget is zero allocations per call *per hop*.
+    // Every forwarded hop is the target's own warmed `invoke`, whichever
+    // forwarder makes it — a 4-deep hook-free interposer chain, a
+    // composition export, a method `retry` merely passes through, one `arp`
+    // merely passes through. The budget is zero allocations per call *per
+    // hop*.
     use paramecium::netstack::arp::make_arp;
     use paramecium::store::{make_retry, RetryConfig};
 
@@ -153,9 +154,15 @@ fn interposer_hops_are_zero_alloc_once_warm() {
         RetryConfig::default(),
     );
     let arp = make_arp(lower("netdev", "pending"), 0x0A00_0001, [2, 0, 0, 0, 0, 1]);
+    let composed = CompositionBuilder::new("comp")
+        .child("c", counter())
+        .export("ctr", "c")
+        .build()
+        .unwrap();
 
     for (obj, iface, method, args) in [
         (chain, "ctr", "incr", vec![Value::Int(1)]),
+        (composed, "ctr", "incr", vec![Value::Int(1)]),
         (retry, "blockdev", "begin_txn", vec![]),
         (arp, "netdev", "pending", vec![]),
     ] {

@@ -1,11 +1,13 @@
 //! Dispatch conformance suite: fast path ≡ slow path, differentially.
 //!
-//! The invocation stack serves repeated calls from caches — a per-object
-//! inline cache behind `Object::invoke` and a per-hop forward cache inside
-//! every interposer, composition, delegation and cross-domain proxy — all
-//! invalidated by export-generation counters.
-//! Because those caches silently touch every call path, this suite pins
-//! their semantics against the cache-free reference
+//! The invocation stack serves repeated calls from one cache: the
+//! per-object inline cache behind `Object::invoke`, invalidated by the
+//! object's export generation. Every interposer, composition, delegation
+//! and cross-domain proxy forwards through it too — a forwarded call is the
+//! current target's own `invoke` — so a retarget, a child replacement or a
+//! re-export must each take effect on the very next call.
+//! Because that cache silently touches every call path, this suite pins
+//! its semantics against the cache-free reference
 //! (`Object::invoke_uncached`) for every dispatch flavour: twin objects
 //! are built from one factory and driven through the same call script,
 //! one twin through the cached fast path (repeating each call so the warm

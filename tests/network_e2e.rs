@@ -193,3 +193,57 @@ fn driver_stats_remain_consistent_under_mixed_traffic() {
     // Half delivered (port 1), half with no listener (port 2).
     assert_eq!((s.delivered, s.no_listener), (25, 25));
 }
+
+#[test]
+fn out_of_range_arguments_are_refused_not_truncated() {
+    // A port is 16 bits and an address 32; an `Int` argument that does not
+    // fit is an error at the object boundary. Truncated, 65 589 would bind
+    // port 53, -1 would look up 255.255.255.255 and 1 << 32 would teach
+    // ARP a binding for 0.0.0.0.
+    use paramecium::netstack::arp::make_arp;
+    use paramecium::netstack::route::{make_router, RouteIf};
+    use paramecium::netstack::simlink::{make_simlink, LinkConfig};
+    use paramecium::obj::ObjError;
+
+    let machine = std::sync::Arc::new(parking_lot::Mutex::new(Machine::new()));
+    let link = || make_simlink(machine.clone(), LinkConfig::perfect(5)).0;
+    let udp = make_udp_stack(link(), MY_IP, MY_MAC);
+    let arp = make_arp(link(), MY_IP, MY_MAC);
+    let router = make_router(vec![RouteIf {
+        dev: link(),
+        ip: MY_IP,
+        mac: MY_MAC,
+    }]);
+    let mac = Value::Bytes(bytes::Bytes::copy_from_slice(&MY_MAC));
+
+    for (obj, iface, method, args) in [
+        (&udp, "udp", "bind", vec![Value::Int(65_589)]),
+        (&router, "route", "lookup", vec![Value::Int(-1)]),
+        (
+            &arp,
+            "arp",
+            "insert",
+            vec![Value::Int(1 << 32), mac.clone()],
+        ),
+    ] {
+        let r = obj.invoke(iface, method, &args);
+        assert!(
+            matches!(r, Err(ObjError::Failed(ref m)) if m.contains("out of range")),
+            "{iface}.{method}({:?}) answered {r:?}",
+            args[0]
+        );
+    }
+    assert_eq!(
+        arp.invoke("arp", "lookup", &[Value::Int(0)]).unwrap(),
+        Value::Bytes(bytes::Bytes::new()),
+        "the refused insert left no binding behind"
+    );
+
+    // The edges of each range are still accepted.
+    udp.invoke("udp", "bind", &[Value::Int(65_535)]).unwrap();
+    router
+        .invoke("route", "lookup", &[Value::Int(0xFFFF_FFFF)])
+        .unwrap();
+    arp.invoke("arp", "insert", &[Value::Int(0xFFFF_FFFF), mac])
+        .unwrap();
+}
