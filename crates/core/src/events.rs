@@ -248,7 +248,7 @@ mod tests {
     fn dispatch_to_user_domain_pays_context_switch() {
         let es = EventService::new();
         let m = machine();
-        let user_ctx = m.lock().mmu.create_context();
+        let user_ctx = m.lock().mmu.create_context().unwrap();
         es.register(
             TrapKind::Breakpoint.vector(),
             DomainId::from(user_ctx),

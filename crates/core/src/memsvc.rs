@@ -372,7 +372,7 @@ mod tests {
 
     fn svc() -> (MemService, DomainId) {
         let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context());
+        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
         (MemService::new(machine), user)
     }
 
@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn lazy_pages_materialise_on_first_touch() {
         let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context());
+        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
         let svc = Arc::new(MemService::new(machine.clone()));
         let base = svc.alloc_lazy(user, 4, Perms::RW).unwrap();
         // Nothing resident yet.
@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn lazy_pages_respect_permissions() {
         let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context());
+        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
         let svc = Arc::new(MemService::new(machine));
         let base = svc.alloc_lazy(user, 1, Perms::R).unwrap();
         // First touch materialises the page read-only…
@@ -539,7 +539,7 @@ mod tests {
     #[test]
     fn unhandled_fault_still_surfaces() {
         let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context());
+        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
         let svc = Arc::new(MemService::new(machine));
         let mut buf = [0u8; 4];
         assert!(matches!(
@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn notification_only_handler_does_not_spin() {
         let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context());
+        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
         let svc = Arc::new(MemService::new(machine));
         let hits = Arc::new(Mutex::new(0u32));
         let h = hits.clone();
@@ -585,7 +585,7 @@ mod tests {
             4,
             8,
         )));
-        let user = DomainId::from(machine.lock().mmu.create_context());
+        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
         let svc = MemService::new(machine.clone());
         // Ask for more pages than exist: must fail and free everything.
         assert!(svc.alloc(user, 8, Perms::RW).is_err());

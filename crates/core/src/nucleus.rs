@@ -194,7 +194,7 @@ impl Nucleus {
             .ok_or(CoreError::NoSuchDomain(parent.0))?
             .namespace
             .clone();
-        let ctx = self.machine.lock().mmu.create_context();
+        let ctx = self.machine.lock().mmu.create_context()?;
         let id = DomainId::from(ctx);
         let ns = NameSpace::child_of(&parent_ns, overrides);
         let domain = Domain::new(id, name, ns);

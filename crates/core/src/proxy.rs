@@ -299,7 +299,7 @@ mod tests {
     /// normally installs.
     fn world() -> (ProxyCtx, DomainId) {
         let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context());
+        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
         let events = Arc::new(EventService::new());
         let mem = Arc::new(MemService::new(machine.clone()));
         let mem_for_faults = mem.clone();

@@ -51,6 +51,8 @@ pub enum MachineError {
     BadPhysAddr(u64),
     /// The referenced MMU context does not exist.
     NoSuchContext(u16),
+    /// Every MMU context id has been handed out.
+    ContextsExhausted,
     /// A virtual access faulted (not mapped / protection).
     Fault(Fault),
     /// An I/O-space operation failed.
@@ -69,6 +71,7 @@ impl std::fmt::Display for MachineError {
             MachineError::OutOfFrames => write!(f, "out of physical frames"),
             MachineError::BadPhysAddr(a) => write!(f, "bad physical address {a:#x}"),
             MachineError::NoSuchContext(c) => write!(f, "no MMU context {c}"),
+            MachineError::ContextsExhausted => write!(f, "MMU context ids exhausted"),
             MachineError::Fault(fault) => write!(f, "memory fault: {fault}"),
             MachineError::Io(m) => write!(f, "I/O space error: {m}"),
             MachineError::Device(m) => write!(f, "device error: {m}"),

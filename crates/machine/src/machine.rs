@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn virtual_rw_roundtrip_with_page_crossing() {
         let mut m = Machine::new();
-        let ctx = m.mmu.create_context();
+        let ctx = m.mmu.create_context().unwrap();
         let f1 = m.phys.alloc_frame().unwrap();
         let f2 = m.phys.alloc_frame().unwrap();
         m.mmu.map(ctx, 0x10000, f1, Perms::RW).unwrap();
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn unmapped_write_faults_and_charges_nothing_extra() {
         let mut m = Machine::new();
-        let ctx = m.mmu.create_context();
+        let ctx = m.mmu.create_context().unwrap();
         let err = m.write_virt(ctx, 0x5000, &[1, 2, 3]).unwrap_err();
         assert!(matches!(err, MachineError::Fault(_)));
     }
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn context_switch_charges_only_on_change() {
         let mut m = Machine::new();
-        let ctx = m.mmu.create_context();
+        let ctx = m.mmu.create_context().unwrap();
         let t0 = m.now();
         m.switch_context(ctx).unwrap();
         assert_eq!(m.now() - t0, m.cost.context_switch);

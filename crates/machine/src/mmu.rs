@@ -116,7 +116,8 @@ pub struct Translation {
 /// The MMU: a set of numbered contexts, each with its own page table.
 pub struct Mmu {
     contexts: BTreeMap<u16, BTreeMap<u64, PageEntry>>,
-    next_ctx: u16,
+    /// The next id to hand out; past `u16::MAX` the ids are exhausted.
+    next_ctx: u32,
     current: ContextId,
     /// The translation cache (public for stats/ablation access).
     pub tlb: Tlb,
@@ -138,12 +139,14 @@ impl Mmu {
         }
     }
 
-    /// Allocates a fresh context.
-    pub fn create_context(&mut self) -> ContextId {
-        let id = self.next_ctx;
-        self.next_ctx = self.next_ctx.checked_add(1).expect("context ids exhausted");
+    /// Allocates a fresh context, or fails with
+    /// [`MachineError::ContextsExhausted`] once every 16-bit id has been
+    /// handed out.
+    pub fn create_context(&mut self) -> MachineResult<ContextId> {
+        let id = u16::try_from(self.next_ctx).map_err(|_| MachineError::ContextsExhausted)?;
+        self.next_ctx += 1;
         self.contexts.insert(id, BTreeMap::new());
-        ContextId(id)
+        Ok(ContextId(id))
     }
 
     /// Destroys a context, returning the frames that were mapped in it
@@ -310,16 +313,30 @@ mod tests {
     #[test]
     fn create_contexts_are_distinct() {
         let mut m = mmu();
-        let a = m.create_context();
-        let b = m.create_context();
+        let a = m.create_context().unwrap();
+        let b = m.create_context().unwrap();
         assert_ne!(a, b);
         assert!(m.has_context(a) && m.has_context(b));
     }
 
     #[test]
+    fn context_exhaustion_is_a_typed_error() {
+        let mut m = mmu();
+        let first = m.create_context().unwrap();
+        m.map(first, 0x4000, FrameId(3), Perms::R).unwrap();
+        for _ in 1..u16::MAX {
+            m.create_context().unwrap();
+        }
+        assert!(m.has_context(ContextId(u16::MAX)));
+        assert_eq!(m.create_context(), Err(MachineError::ContextsExhausted));
+        let t = m.translate(first, 0x4010, Access::Read).unwrap();
+        assert_eq!(t.paddr, 3 * PAGE_SIZE as u64 + 0x10);
+    }
+
+    #[test]
     fn translate_mapped_page() {
         let mut m = mmu();
-        let ctx = m.create_context();
+        let ctx = m.create_context().unwrap();
         m.map(ctx, 0x4000, FrameId(2), Perms::RW).unwrap();
         let t = m.translate(ctx, 0x4123, Access::Read).unwrap();
         assert_eq!(t.paddr, 2 * PAGE_SIZE as u64 + 0x123);
@@ -332,7 +349,7 @@ mod tests {
     #[test]
     fn unmapped_access_faults() {
         let mut m = mmu();
-        let ctx = m.create_context();
+        let ctx = m.create_context().unwrap();
         let f = m.translate(ctx, 0x9000, Access::Read).unwrap_err();
         assert_eq!(f.kind, FaultKind::NotMapped);
         assert_eq!(f.vaddr, 0x9000);
@@ -342,7 +359,7 @@ mod tests {
     #[test]
     fn protection_fault_on_bad_access() {
         let mut m = mmu();
-        let ctx = m.create_context();
+        let ctx = m.create_context().unwrap();
         m.map(ctx, 0x4000, FrameId(0), Perms::R).unwrap();
         assert!(m.translate(ctx, 0x4000, Access::Read).is_ok());
         let f = m.translate(ctx, 0x4000, Access::Write).unwrap_err();
@@ -354,7 +371,7 @@ mod tests {
     #[test]
     fn protection_fault_even_on_tlb_hit() {
         let mut m = mmu();
-        let ctx = m.create_context();
+        let ctx = m.create_context().unwrap();
         m.map(ctx, 0x4000, FrameId(0), Perms::R).unwrap();
         // Prime the TLB.
         m.translate(ctx, 0x4000, Access::Read).unwrap();
@@ -365,8 +382,8 @@ mod tests {
     #[test]
     fn contexts_are_isolated() {
         let mut m = mmu();
-        let a = m.create_context();
-        let b = m.create_context();
+        let a = m.create_context().unwrap();
+        let b = m.create_context().unwrap();
         m.map(a, 0x4000, FrameId(1), Perms::RW).unwrap();
         assert!(m.translate(a, 0x4000, Access::Read).is_ok());
         assert!(m.translate(b, 0x4000, Access::Read).is_err());
@@ -375,7 +392,7 @@ mod tests {
     #[test]
     fn protect_invalidates_tlb() {
         let mut m = mmu();
-        let ctx = m.create_context();
+        let ctx = m.create_context().unwrap();
         m.map(ctx, 0x4000, FrameId(1), Perms::RW).unwrap();
         m.translate(ctx, 0x4000, Access::Write).unwrap(); // Prime TLB.
         m.protect(ctx, 0x4000, Perms::R).unwrap();
@@ -385,7 +402,7 @@ mod tests {
     #[test]
     fn unmap_invalidates_tlb() {
         let mut m = mmu();
-        let ctx = m.create_context();
+        let ctx = m.create_context().unwrap();
         m.map(ctx, 0x4000, FrameId(1), Perms::RW).unwrap();
         m.translate(ctx, 0x4000, Access::Read).unwrap();
         let old = m.unmap(ctx, 0x4000).unwrap();
@@ -403,7 +420,7 @@ mod tests {
     #[test]
     fn destroy_context_returns_frames_and_flushes() {
         let mut m = mmu();
-        let ctx = m.create_context();
+        let ctx = m.create_context().unwrap();
         m.map(ctx, 0x1000, FrameId(1), Perms::R).unwrap();
         m.map(ctx, 0x2000, FrameId(2), Perms::R).unwrap();
         let mut frames = m.destroy_context(ctx).unwrap();
@@ -416,7 +433,7 @@ mod tests {
     #[test]
     fn switch_context_counts_real_switches() {
         let mut m = mmu();
-        let a = m.create_context();
+        let a = m.create_context().unwrap();
         assert!(m.switch_context(a).unwrap());
         assert!(!m.switch_context(a).unwrap());
         assert!(m.switch_context(KERNEL_CONTEXT).unwrap());
@@ -427,8 +444,8 @@ mod tests {
     #[test]
     fn shared_frame_mappable_in_two_contexts() {
         let mut m = mmu();
-        let a = m.create_context();
-        let b = m.create_context();
+        let a = m.create_context().unwrap();
+        let b = m.create_context().unwrap();
         m.map(a, 0x4000, FrameId(5), Perms::RW).unwrap();
         m.map(b, 0x8000, FrameId(5), Perms::R).unwrap();
         let ta = m.translate(a, 0x4010, Access::Write).unwrap();

@@ -189,17 +189,15 @@ pub fn checksumming_filter_program(port: u16) -> Program {
 /// filters interchangeably.
 pub fn adapt_bytecode_filter(component: ObjRef) -> ObjRef {
     ObjectBuilder::new(format!("filter-adapter<{}>", component.class()))
-        .state(component)
         .interface("filter", |i| {
-            i.method("check", &[TypeTag::Bytes], TypeTag::Bool, |this, args| {
+            let for_stats = component.clone();
+            i.method("check", &[TypeTag::Bytes], TypeTag::Bool, move |_, args| {
                 let frame = args[0].clone();
-                let component = this.with_state(|c: &mut ObjRef| Ok(c.clone()))?;
                 let r = component.invoke("component", "run", &[frame, Value::Int(0)])?;
                 Ok(Value::Bool(r.as_int()? != 0))
             })
-            .method("stats", &[], TypeTag::List, |this, _| {
-                let component = this.with_state(|c: &mut ObjRef| Ok(c.clone()))?;
-                let steps = component.invoke("component", "steps", &[])?.as_int()? as u64;
+            .method("stats", &[], TypeTag::List, move |_, _| {
+                let steps = for_stats.invoke("component", "steps", &[])?.as_int()? as u64;
                 Ok(AdapterStats { steps }.to_value())
             })
         })

@@ -40,6 +40,8 @@
 //! assert_eq!(v.as_int().unwrap(), 5);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod builder;
 pub mod compose;
 pub mod counters;
@@ -49,8 +51,10 @@ pub mod forward;
 pub mod interface;
 pub mod interpose;
 pub mod object;
+#[allow(unsafe_code)]
 pub(crate) mod snapcell;
 pub mod sum64;
+#[allow(unsafe_code)]
 pub mod trylock;
 pub mod typeinfo;
 pub mod value;

@@ -148,7 +148,9 @@ impl Object {
     /// Returns [`ObjError::StateType`] if the state is not a `T`. The state
     /// lock is held for the duration of `f`; methods must not re-enter
     /// `with_state` on the *same* object from within `f` (calls to other
-    /// objects are fine).
+    /// objects are fine). The lock is not re-entrant, so breaking that
+    /// rule livelocks. If `f` panics, the unwind releases the lock and
+    /// the object keeps whatever state `f` left behind.
     pub fn with_state<T: 'static, R>(
         &self,
         f: impl FnOnce(&mut T) -> ObjResult<R>,
@@ -442,6 +444,51 @@ mod tests {
         c.invoke("counter", "incr", &[Value::Int(2)]).unwrap();
         c.invoke("counter", "incr", &[Value::Int(3)]).unwrap();
         assert_eq!(c.invoke("counter", "get", &[]).unwrap(), Value::Int(5));
+    }
+
+    #[test]
+    fn concurrent_increments_are_exact() {
+        let c = counter();
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let (c, start) = (c.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..10_000 {
+                        c.invoke("counter", "incr", &[Value::Int(1)]).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.invoke("counter", "get", &[]).unwrap(), Value::Int(40_000));
+    }
+
+    #[test]
+    fn a_panicking_method_leaves_the_object_usable() {
+        let c = counter();
+        let mut i = Interface::new("faulty");
+        i.insert_method(
+            MethodSig::new("incr_then_panic", &[], TypeTag::Int),
+            crate::interface::method_fn(|this, _| {
+                this.with_state(|n: &mut i64| -> ObjResult<Value> {
+                    *n += 1;
+                    panic!("method body failed mid-update");
+                })
+            }),
+        );
+        c.export_interface(i);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.invoke("faulty", "incr_then_panic", &[])
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(
+            c.invoke("counter", "incr", &[Value::Int(2)]).unwrap(),
+            Value::Int(3)
+        );
     }
 
     #[test]

@@ -44,7 +44,10 @@
 //! same pop-up engine that handles device interrupts, so handler code
 //! cannot tell a remote world from a local device.
 
+#![deny(unsafe_code)]
+
 pub mod am;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod popup;
 pub mod sched;
