@@ -90,9 +90,9 @@ where
     // The scalar `recv`'s list of one, kept between calls so that it
     // costs no more heap traffic than the frame it carries.
     let spare = Mutex::new(Vec::new());
-    for (method, param) in [("send", TypeTag::Bytes), ("send_many", List)] {
+    for (method, params) in [("send", &[TypeTag::Bytes]), ("send_many", &[List])] {
         let tx = tx.clone();
-        i = i.method(method, &[param], Unit, move |this, args| {
+        i = i.method(method, params, Unit, move |this, args| {
             if let Value::List(burst) = &args[0] {
                 burst.iter().try_for_each(|f| f.as_bytes().map(drop))?;
             }

@@ -4,7 +4,8 @@
 //! a proxy to it, or an interposing monitor — they are interchangeable,
 //! which is the point of the architecture). Exports the `udp` interface:
 //!
-//! - `bind(port: int) -> unit` — open a local port queue,
+//! - `bind(port: int) -> unit` — open a local port queue of at most
+//!   [`UDP_QUEUE_MAX`] unread datagrams,
 //! - `send_to(dst_ip: int, dst_port: int, src_port: int, payload: bytes)`,
 //! - `pump() -> int` — drain the device, demultiplex to bound ports
 //!   (running the installed filter first, if any); returns frames
@@ -21,6 +22,11 @@ use paramecium_obj::{ObjRef, ObjectBuilder, TypeTag, Value};
 
 use crate::burst::Drain;
 use crate::wire;
+
+/// Most datagrams a bound port holds unread. Each one pins its whole
+/// received frame, so a datagram arriving at a full queue is dropped and
+/// counted in [`UdpStats::dropped`].
+pub const UDP_QUEUE_MAX: usize = 1024;
 
 /// Queued datagram. The payload is a zero-copy view into the received
 /// frame, which stays alive (refcounted) until the application reads it.
@@ -50,6 +56,8 @@ paramecium_obj::counters! {
         pub no_listener: u64,
         pub filtered: u64,
         pub malformed: u64,
+        /// Datagrams dropped because their port's queue was full.
+        pub dropped: u64,
     }
 }
 
@@ -131,6 +139,7 @@ pub fn make_udp_stack(netdev: ObjRef, ip: u32, mac: wire::Mac) -> ObjRef {
                         }
                         match wire::parse_udp_frame(&frame) {
                             Ok((ip, udp, payload)) => match s.ports.get_mut(&udp.dst_port) {
+                                Some(q) if q.len() >= UDP_QUEUE_MAX => s.stats.dropped += 1,
                                 Some(q) => {
                                     let off = wire::ETH_HLEN + wire::IPV4_HLEN + wire::UDP_HLEN;
                                     q.push_back(Datagram {
@@ -217,6 +226,30 @@ mod tests {
         stack.invoke("udp", "pump", &[]).unwrap();
         let stats = stack.invoke("udp", "stats", &[]).unwrap();
         assert_eq!(UdpStats::from_value(&stats).unwrap().no_listener, 1);
+    }
+
+    #[test]
+    fn a_full_port_queue_drops_and_counts() {
+        let (mem, stack) = setup();
+        stack.invoke("udp", "bind", &[Value::Int(53)]).unwrap();
+        // Pump between injections, so the NIC's own ring never overflows.
+        for k in 0..UDP_QUEUE_MAX + 7 {
+            inject_udp(&mem, 53, &k.to_le_bytes());
+            if k % 32 == 31 {
+                stack.invoke("udp", "pump", &[]).unwrap();
+            }
+        }
+        stack.invoke("udp", "pump", &[]).unwrap();
+        let stats = stack.invoke("udp", "stats", &[]).unwrap();
+        let s = UdpStats::from_value(&stats).unwrap();
+        assert_eq!((s.delivered, s.dropped), (UDP_QUEUE_MAX as u64, 7));
+        for k in 0..UDP_QUEUE_MAX {
+            let d = stack.invoke("udp", "recv_from", &[Value::Int(53)]).unwrap();
+            let payload = d.as_list().unwrap()[2].as_bytes().unwrap().clone();
+            assert_eq!(payload.as_ref(), k.to_le_bytes(), "the oldest are kept");
+        }
+        let d = stack.invoke("udp", "recv_from", &[Value::Int(53)]).unwrap();
+        assert!(d.as_list().unwrap().is_empty());
     }
 
     #[test]

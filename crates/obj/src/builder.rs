@@ -54,7 +54,7 @@ impl ObjectBuilder {
     /// Adds an interface, configured by `f`.
     pub fn interface(
         mut self,
-        name: impl Into<String>,
+        name: &'static str,
         f: impl FnOnce(InterfaceBuilder) -> InterfaceBuilder,
     ) -> Self {
         let b = f(InterfaceBuilder::new(name));
@@ -81,32 +81,25 @@ pub struct InterfaceBuilder {
 
 impl InterfaceBuilder {
     /// Starts an empty interface.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         InterfaceBuilder {
             iface: Interface::new(name),
         }
     }
 
-    /// Adds a method with a fixed signature.
-    pub fn method<F>(mut self, name: &str, params: &[TypeTag], returns: TypeTag, f: F) -> Self
+    /// Adds a method.
+    pub fn method<F>(
+        mut self,
+        name: &'static str,
+        params: &'static [TypeTag],
+        returns: TypeTag,
+        f: F,
+    ) -> Self
     where
         F: Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
     {
         self.iface.insert_method(
             MethodSig::new(name, params, returns),
-            std::sync::Arc::new(f),
-        );
-        self
-    }
-
-    /// Adds a variadic method (any arguments, any result). Used by generic
-    /// forwarders such as proxies and interposers.
-    pub fn variadic_method<F>(mut self, name: &str, f: F) -> Self
-    where
-        F: Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
-    {
-        self.iface.insert_method(
-            MethodSig::variadic(name, TypeTag::Any),
             std::sync::Arc::new(f),
         );
         self
@@ -148,19 +141,5 @@ mod tests {
         assert_eq!(obj.interface_names(), ["a", "b"]);
         assert_eq!(obj.invoke("a", "one", &[]).unwrap(), Value::Int(1));
         assert_eq!(obj.invoke("b", "state", &[]).unwrap(), Value::Int(10));
-    }
-
-    #[test]
-    fn variadic_methods_accept_any_args() {
-        let obj = ObjectBuilder::new("v")
-            .interface("v", |i| {
-                i.variadic_method("count", |_, args| Ok(Value::Int(args.len() as i64)))
-            })
-            .build();
-        assert_eq!(
-            obj.invoke("v", "count", &[Value::Unit, Value::Int(1)])
-                .unwrap(),
-            Value::Int(2)
-        );
     }
 }

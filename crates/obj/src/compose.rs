@@ -115,10 +115,10 @@ impl CompositionBuilder {
         // late-binding property.
         for (iface_name, child_name) in &self.exports {
             let child = &children[child_name];
-            let sigs = child.get().interface(iface_name)?.descriptor().methods;
+            let desc = child.get().interface(iface_name)?.descriptor();
             builder = builder.raw_interface(forwarding_interface(
-                Interface::new(iface_name.clone()),
-                sigs,
+                Interface::new(desc.interface),
+                desc.methods,
                 child.clone(),
                 |_| None,
             ));

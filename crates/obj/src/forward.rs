@@ -66,7 +66,7 @@ pub type WrapFn = Arc<dyn Fn(&Forward<'_>, &[Value]) -> ObjResult<Value> + Send 
 /// and the target the same method is forwarded to.
 pub struct Forward<'a> {
     this: &'a ObjRef,
-    interface: &'a str,
+    interface: &'static str,
     method: &'a str,
     target: &'a Target,
 }
@@ -89,7 +89,7 @@ impl Forward<'_> {
     }
 
     /// Name of the interface being forwarded.
-    pub fn interface(&self) -> &str {
+    pub fn interface(&self) -> &'static str {
         self.interface
     }
 
@@ -114,21 +114,21 @@ pub fn forwarding_interface(
     base: Interface,
     sigs: impl IntoIterator<Item = MethodSig>,
     target: Arc<Target>,
-    mut wrap: impl FnMut(Option<&str>) -> Option<WrapFn>,
+    mut wrap: impl FnMut(Option<&'static str>) -> Option<WrapFn>,
 ) -> Interface {
     /// One forwarding entry: the shared target, what runs around the call.
     fn hop(
-        interface: Arc<str>,
+        interface: &'static str,
         target: Arc<Target>,
         wrap: Option<WrapFn>,
     ) -> impl Fn(&ObjRef, &str, &[Value]) -> ObjResult<Value> + Send + Sync {
         move |this, method, args| match &wrap {
             // Unwrapped hops skip the indirect call and capture block.
-            None => target.get().invoke(&interface, method, args),
+            None => target.get().invoke(interface, method, args),
             Some(wrap) => wrap(
                 &Forward {
                     this,
-                    interface: &interface,
+                    interface,
                     method,
                     target: &target,
                 },
@@ -138,16 +138,15 @@ pub fn forwarding_interface(
     }
 
     let mut iface = base;
-    let name: Arc<str> = iface.name().into();
+    let name = iface.name();
     for sig in sigs {
-        if iface.has_method(&sig.name) {
+        if iface.has_method(sig.name) {
             continue;
         }
-        let forward = hop(name.clone(), target.clone(), wrap(Some(&sig.name)));
-        let method = sig.name.clone();
+        let forward = hop(name, target.clone(), wrap(Some(sig.name)));
         iface.insert_method(
             sig,
-            Arc::new(move |this: &ObjRef, args: &[Value]| forward(this, &method, args)),
+            Arc::new(move |this: &ObjRef, args: &[Value]| forward(this, sig.name, args)),
         );
     }
     iface.set_fallback(Arc::new(hop(name, target, wrap(None))));

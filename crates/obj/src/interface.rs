@@ -66,8 +66,8 @@ impl Method {
 /// bound methods can pin resolved handles without cloning signatures.
 #[derive(Clone)]
 pub struct Interface {
-    name: String,
-    methods: BTreeMap<String, Arc<Method>>,
+    name: &'static str,
+    methods: BTreeMap<&'static str, Arc<Method>>,
     fallback: Option<FallbackFn>,
 }
 
@@ -83,23 +83,22 @@ impl std::fmt::Debug for Interface {
 
 impl Interface {
     /// Creates an empty interface with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         Interface {
-            name: name.into(),
+            name,
             methods: BTreeMap::new(),
             fallback: None,
         }
     }
 
     /// The interface name, unique within its exporting object.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Adds (or replaces) a method.
     pub fn insert_method(&mut self, sig: MethodSig, imp: MethodFn) {
-        self.methods
-            .insert(sig.name.clone(), Arc::new(Method { sig, imp }));
+        self.methods.insert(sig.name, Arc::new(Method { sig, imp }));
     }
 
     /// Returns the directly implemented method `name`, if any. Delegated
@@ -112,15 +111,6 @@ impl Interface {
     /// Sets the delegation fallback, called for any method not present.
     pub fn set_fallback(&mut self, fallback: FallbackFn) {
         self.fallback = Some(fallback);
-    }
-
-    /// Returns the delegation fallback, if any. Interfaces are immutable
-    /// once exported (re-exports replace the whole `Arc<Interface>`), so a
-    /// dispatch cache may pin this handler for methods it has proven
-    /// absent from the method table — valid until the export generation
-    /// moves.
-    pub fn fallback_fn(&self) -> Option<&FallbackFn> {
-        self.fallback.as_ref()
     }
 
     /// Returns true if the interface has its own entry for `method`
@@ -139,11 +129,11 @@ impl Interface {
         self.methods.len()
     }
 
-    /// Flattens this interface into serialisable type information.
+    /// Flattens this interface into its type information.
     pub fn descriptor(&self) -> InterfaceDescriptor {
         InterfaceDescriptor {
-            interface: self.name.clone(),
-            methods: self.methods.values().map(|m| m.sig.clone()).collect(),
+            interface: self.name,
+            methods: self.methods.values().map(|m| m.sig).collect(),
         }
     }
 
@@ -159,7 +149,7 @@ impl Interface {
             None => match &self.fallback {
                 Some(fb) => fb(this, method, args),
                 None => Err(ObjError::NoSuchMethod {
-                    interface: self.name.clone(),
+                    interface: self.name.to_owned(),
                     method: method.to_owned(),
                 }),
             },
@@ -281,7 +271,7 @@ mod tests {
             );
         }
         let d = iface.descriptor();
-        let names: Vec<_> = d.methods.iter().map(|m| m.name.as_str()).collect();
+        let names: Vec<_> = d.methods.iter().map(|m| m.name).collect();
         assert_eq!(names, ["ioctl", "read", "write"]);
     }
 

@@ -82,7 +82,7 @@ pub const INTERPOSER_IFACE: &str = "interposer";
 pub struct InterposerBuilder {
     target: ObjRef,
     class: String,
-    overrides: BTreeMap<(String, String), WrapFn>,
+    overrides: BTreeMap<(&'static str, &'static str), WrapFn>,
     extra: Vec<Interface>,
     before: Vec<ObserveFn>,
     after: Vec<ObserveFn>,
@@ -118,12 +118,11 @@ impl InterposerBuilder {
     ///
     /// [`InterposerBuilder::build`] panics if the target exports no such
     /// method — an override that can never run is a bug at the call site.
-    pub fn override_method<F>(mut self, interface: &str, method: &str, f: F) -> Self
+    pub fn override_method<F>(mut self, interface: &'static str, method: &'static str, f: F) -> Self
     where
         F: Fn(&Forward<'_>, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
     {
-        self.overrides
-            .insert((interface.to_owned(), method.to_owned()), Arc::new(f));
+        self.overrides.insert((interface, method), Arc::new(f));
         self
     }
 
@@ -155,14 +154,11 @@ impl InterposerBuilder {
 
         for desc in self.target.descriptors() {
             let iface = forwarding_interface(
-                Interface::new(desc.interface.clone()),
+                Interface::new(desc.interface),
                 desc.methods,
                 target.clone(),
                 |method| {
-                    let body = method.and_then(|m| {
-                        self.overrides
-                            .remove(&(desc.interface.clone(), m.to_owned()))
-                    });
+                    let body = method.and_then(|m| self.overrides.remove(&(desc.interface, m)));
                     match &hooks {
                         None => body,
                         Some(hooks) => Some(hooked(hooks.clone(), body)),

@@ -12,11 +12,16 @@
 //! interchanged, interposed upon, and moved between protection domains.
 //!
 //! Because the architecture is language independent, method dispatch here is
-//! *dynamic*: methods take and return [`Value`]s and are described by
-//! [`MethodSig`] type information. This is deliberate — it is what makes
-//! generic interposing agents possible (an interposer can forward methods it
-//! has never seen, exactly as the paper requires), and it models the binary
-//! interface-table convention a real Paramecium implementation uses.
+//! *dynamic*: methods take and return [`Value`]s, are called by name, and are
+//! described by [`MethodSig`] type information. That information is fixed
+//! when the code is written, so every interface and method name is a
+//! `&'static str` and every parameter list a `&'static [TypeTag]`. Dynamic
+//! dispatch is what makes generic interposing agents possible: an interposer
+//! copies the signatures of the object it stands for and forwards, through a
+//! delegation fallback, methods it has never seen, exactly as the paper
+//! requires. It also models the binary interface-table convention a real
+//! Paramecium implementation uses; each object pins the methods it
+//! implements directly in a small dispatch cache.
 //!
 //! # Examples
 //!

@@ -18,7 +18,7 @@ use parking_lot::RwLock;
 
 use crate::{
     error::ObjError,
-    interface::{FallbackFn, Interface, Method},
+    interface::{Interface, Method},
     snapcell::SnapCell,
     trylock::TryLock,
     typeinfo::InterfaceDescriptor,
@@ -37,28 +37,16 @@ pub type ObjRef = Arc<Object>;
 /// republishing (see `snapcell`).
 const DISPATCH_CACHE_SLOTS: usize = 8;
 
-/// What a dispatch-cache entry resolved to.
-///
-/// Directly implemented methods pin their `Arc<Method>`. Methods served by
-/// a delegation fallback pin the interface's fallback handler instead:
-/// interfaces are immutable once exported (a re-export swaps the whole
-/// `Arc<Interface>` and bumps the generation), so "absent from the method
-/// table at generation g" is a stable fact — delegated calls stop
-/// re-walking the interface table on every hit.
-#[derive(Clone)]
-enum CachedDispatch {
-    Direct(Arc<Method>),
-    Fallback(FallbackFn),
-}
-
-/// One pinned `(interface, method)` resolution, valid while the object's
-/// export generation still matches `gen`.
+/// One pinned `(interface, method)` resolution of a directly implemented
+/// method, valid while the object's export generation still matches `gen`.
+/// Both names are the resolved interface's and signature's own `'static`
+/// strings, so filling an entry copies no name.
 #[derive(Clone)]
 struct DispatchEntry {
     gen: u64,
-    interface: String,
-    method: String,
-    imp: CachedDispatch,
+    interface: &'static str,
+    method: &'static str,
+    imp: Arc<Method>,
 }
 
 /// An object instance: instance data plus exported interfaces.
@@ -74,7 +62,7 @@ pub struct Object {
     /// state access off the dispatch path's cost ledger.
     state: TryLock<Box<dyn Any + Send>>,
     /// Exported interfaces by name.
-    interfaces: RwLock<BTreeMap<String, Arc<Interface>>>,
+    interfaces: RwLock<BTreeMap<&'static str, Arc<Interface>>>,
     /// Total method invocations through [`Object::invoke`].
     invocations: AtomicU64,
     /// Export generation: bumped whenever the set of exported interfaces
@@ -94,7 +82,7 @@ impl std::fmt::Debug for Object {
             .field("instance_name", &*self.instance_name.read())
             .field(
                 "interfaces",
-                &self.interfaces.read().keys().cloned().collect::<Vec<_>>(),
+                &self.interfaces.read().keys().collect::<Vec<_>>(),
             )
             .finish_non_exhaustive()
     }
@@ -116,7 +104,7 @@ impl Object {
             interfaces: RwLock::new(
                 interfaces
                     .into_iter()
-                    .map(|i| (i.name().to_owned(), Arc::new(i)))
+                    .map(|i| (i.name(), Arc::new(i)))
                     .collect(),
             ),
             invocations: AtomicU64::new(0),
@@ -185,8 +173,8 @@ impl Object {
     }
 
     /// Names of all exported interfaces, sorted.
-    pub fn interface_names(&self) -> Vec<String> {
-        self.interfaces.read().keys().cloned().collect()
+    pub fn interface_names(&self) -> Vec<&'static str> {
+        self.interfaces.read().keys().copied().collect()
     }
 
     /// Adds (or replaces) an exported interface at run time.
@@ -197,7 +185,7 @@ impl Object {
     pub fn export_interface(&self, iface: Interface) {
         self.interfaces
             .write()
-            .insert(iface.name().to_owned(), Arc::new(iface));
+            .insert(iface.name(), Arc::new(iface));
         self.bump_export_generation();
     }
 
@@ -257,7 +245,7 @@ impl Object {
     /// entries are never evicted, so once the cache is full of current
     /// resolutions additional methods stay on the slow path and no
     /// snapshot churn occurs.
-    fn remember_dispatch(&self, gen: u64, interface: &str, method: &str, imp: CachedDispatch) {
+    fn remember_dispatch(&self, gen: u64, interface: &'static str, imp: &Arc<Method>) {
         let mut entries: Vec<DispatchEntry> = match self.dispatch_cache.load() {
             Some(t) => {
                 // Full of current entries (and this pair is not one of
@@ -271,9 +259,9 @@ impl Object {
         };
         entries.push(DispatchEntry {
             gen,
-            interface: interface.to_owned(),
-            method: method.to_owned(),
-            imp,
+            interface,
+            method: imp.sig.name,
+            imp: imp.clone(),
         });
         self.dispatch_cache.publish(entries);
     }
@@ -302,6 +290,12 @@ impl Object {
     /// allocation for flat frames). Any interface re-export or revocation
     /// bumps the generation and sends the next call down the slow path.
     ///
+    /// Only directly implemented methods are pinned. A method an
+    /// interface's delegation fallback serves takes the slow path on every
+    /// call, exactly as [`Object::invoke_uncached`] does: its name need not
+    /// be `'static`, and pinning it would let probes of unbounded method
+    /// names compete for the slots.
+    ///
     /// Fast and slow path run the identical dispatch kernel
     /// ([`Method::call`]) — same signature checks, same invocation
     /// accounting — which `tests/dispatch_conformance.rs` pins
@@ -325,17 +319,17 @@ impl Object {
                 .find(|e| e.gen == gen && e.method == method && e.interface == interface)
             {
                 self.note_invocation();
-                return match &e.imp {
-                    CachedDispatch::Direct(m) => m.call(self, args),
-                    CachedDispatch::Fallback(fb) => fb(self, method, args),
-                };
+                return e.imp.call(self, args);
             }
         }
         self.invoke_slow(interface, method, args)
     }
 
-    /// Slow path: full name-space lookup, then populate the dispatch cache
-    /// for directly implemented methods.
+    /// Slow path: full name-space lookup, pinning the method in the
+    /// dispatch cache if the interface implements it directly. A method
+    /// served by the delegation fallback is not pinned (see
+    /// [`Object::invoke`]); the fallback runs as [`Interface::call`] runs
+    /// it.
     #[cold]
     fn invoke_slow(
         self: &Arc<Self>,
@@ -351,35 +345,10 @@ impl Object {
         self.note_invocation();
         match iface.method(method) {
             Some(m) => {
-                self.remember_dispatch(gen, interface, method, CachedDispatch::Direct(m.clone()));
+                self.remember_dispatch(gen, iface.name(), m);
                 m.call(self, args)
             }
-            None => match iface.fallback_fn() {
-                // Delegated (fallback-served) methods pin the fallback
-                // handler itself: the interface is immutable at this
-                // generation, so the method's absence is stable and the
-                // hot path skips the interface-table walk entirely. Only
-                // *successful* resolutions are pinned — the name space of
-                // failing probes is unbounded, and caching them would let
-                // junk method names fill the slots and push real hot
-                // methods off the fast path.
-                Some(fb) => {
-                    let result = fb(self, method, args);
-                    if result.is_ok() {
-                        self.remember_dispatch(
-                            gen,
-                            interface,
-                            method,
-                            CachedDispatch::Fallback(fb.clone()),
-                        );
-                    }
-                    result
-                }
-                None => Err(ObjError::NoSuchMethod {
-                    interface: iface.name().to_owned(),
-                    method: method.to_owned(),
-                }),
-            },
+            None => iface.call(self, method, args),
         }
     }
 

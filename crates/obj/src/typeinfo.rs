@@ -2,7 +2,9 @@
 //!
 //! Every interface carries *type information* (paper section 2: "an
 //! interface is a set of methods, state pointers and type information").
-//! Signatures are checked on every dynamic invocation, and interface
+//! That information is fixed when the code is written, so names and
+//! parameter lists are `'static` data the signatures borrow, never heap
+//! copies. Signatures are checked on every dynamic invocation, and interface
 //! descriptors are what the directory service uses to synthesise proxies for
 //! objects imported from other protection domains.
 
@@ -25,16 +27,6 @@ pub enum TypeTag {
     Handle,
     /// Heterogeneous list.
     List,
-    /// Matches any value (used by generic forwarders such as interposers).
-    Any,
-}
-
-impl TypeTag {
-    /// Returns true if a value of type `actual` may be passed where `self`
-    /// is expected.
-    pub fn accepts(self, actual: TypeTag) -> bool {
-        self == TypeTag::Any || self == actual
-    }
 }
 
 impl std::fmt::Display for TypeTag {
@@ -47,66 +39,46 @@ impl std::fmt::Display for TypeTag {
             TypeTag::Bytes => "bytes",
             TypeTag::Handle => "handle",
             TypeTag::List => "list",
-            TypeTag::Any => "any",
         };
         f.write_str(s)
     }
 }
 
 /// The signature of one interface method.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MethodSig {
     /// Method name, unique within its interface.
-    pub name: String,
+    pub name: &'static str,
     /// Parameter types, in order.
-    pub params: Vec<TypeTag>,
+    pub params: &'static [TypeTag],
     /// Result type.
     pub returns: TypeTag,
-    /// True if the method accepts any number of trailing arguments.
-    ///
-    /// Generic forwarders (interposers, proxies for unknown interfaces) use
-    /// variadic signatures so they can forward calls they cannot describe.
-    pub variadic: bool,
 }
 
 impl MethodSig {
-    /// Creates a fixed-arity signature.
-    pub fn new(name: impl Into<String>, params: &[TypeTag], returns: TypeTag) -> Self {
+    /// Creates a signature.
+    pub fn new(name: &'static str, params: &'static [TypeTag], returns: TypeTag) -> Self {
         MethodSig {
-            name: name.into(),
-            params: params.to_vec(),
+            name,
+            params,
             returns,
-            variadic: false,
-        }
-    }
-
-    /// Creates a variadic signature that accepts any arguments.
-    pub fn variadic(name: impl Into<String>, returns: TypeTag) -> Self {
-        MethodSig {
-            name: name.into(),
-            params: Vec::new(),
-            returns,
-            variadic: true,
         }
     }
 
     /// Checks `args` against this signature.
     pub fn check_args(&self, args: &[Value]) -> ObjResult<()> {
-        if self.variadic {
-            return Ok(());
-        }
         if args.len() != self.params.len() {
             return Err(ObjError::Arity {
-                method: self.name.clone(),
+                method: self.name.to_owned(),
                 expected: self.params.len(),
                 got: args.len(),
             });
         }
-        for (i, (want, got)) in self.params.iter().zip(args).enumerate() {
-            if !want.accepts(got.tag()) {
+        for (i, (&want, got)) in self.params.iter().zip(args).enumerate() {
+            if want != got.tag() {
                 return Err(ObjError::TypeMismatch {
                     context: format!("argument {i} of `{}`", self.name),
-                    expected: *want,
+                    expected: want,
                     got: got.tag(),
                 });
             }
@@ -116,7 +88,7 @@ impl MethodSig {
 
     /// Checks a returned value against this signature.
     pub fn check_result(&self, result: &Value) -> ObjResult<()> {
-        if self.returns.accepts(result.tag()) {
+        if self.returns == result.tag() {
             Ok(())
         } else {
             Err(ObjError::TypeMismatch {
@@ -130,13 +102,14 @@ impl MethodSig {
 
 /// A flattened description of an interface: its name plus all signatures.
 ///
-/// Descriptors are serialisable metadata. The proxy generator in the nucleus
-/// uses them to build a cross-domain stand-in for an object without access
-/// to its implementation.
+/// Descriptors are borrowed `'static` metadata: building one copies
+/// signatures, never names. The proxy generator in the nucleus uses them to
+/// build a cross-domain stand-in for an object without access to its
+/// implementation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InterfaceDescriptor {
     /// Interface name as exported by the object.
-    pub interface: String,
+    pub interface: &'static str,
     /// Signatures of every method, sorted by name.
     pub methods: Vec<MethodSig>,
 }
@@ -144,24 +117,6 @@ pub struct InterfaceDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn any_accepts_everything() {
-        for t in [
-            TypeTag::Unit,
-            TypeTag::Bool,
-            TypeTag::Int,
-            TypeTag::Str,
-            TypeTag::Bytes,
-            TypeTag::Handle,
-            TypeTag::List,
-            TypeTag::Any,
-        ] {
-            assert!(TypeTag::Any.accepts(t));
-        }
-        assert!(!TypeTag::Int.accepts(TypeTag::Str));
-        assert!(TypeTag::Int.accepts(TypeTag::Int));
-    }
 
     #[test]
     fn check_args_enforces_arity() {
@@ -195,16 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn variadic_accepts_anything() {
-        let sig = MethodSig::variadic("fwd", TypeTag::Any);
-        assert!(sig.check_args(&[]).is_ok());
-        assert!(sig
-            .check_args(&[Value::Int(1), Value::Unit, Value::Bool(true)])
-            .is_ok());
-        assert!(sig.check_result(&Value::Int(1)).is_ok());
-    }
-
-    #[test]
     fn check_result_enforces_return_type() {
         let sig = MethodSig::new("m", &[], TypeTag::Int);
         assert!(sig.check_result(&Value::Int(1)).is_ok());
@@ -214,6 +159,6 @@ mod tests {
     #[test]
     fn display_names_are_stable() {
         assert_eq!(TypeTag::Bytes.to_string(), "bytes");
-        assert_eq!(TypeTag::Any.to_string(), "any");
+        assert_eq!(TypeTag::List.to_string(), "list");
     }
 }

@@ -120,8 +120,9 @@ proptest! {
     /// the cached-method fast path does not change it: a cold (resolving)
     /// crossing and warm (pinned-handle) crossings of a freshly bound
     /// proxy all record that count. The frame mixes flat values, which
-    /// cross as they are, with an arbitrary value tree whose handles make
-    /// the proxy rebuild it.
+    /// cross as they are, with a list holding an arbitrary value tree
+    /// (the echo's last parameter is a `list`), whose handles make the
+    /// proxy rebuild it.
     #[test]
     fn proxy_marshalling_byte_count_parity(
         ints in proptest::collection::vec(any::<i64>(), 0..4),
@@ -135,7 +136,7 @@ proptest! {
             Value::List(ints.iter().map(|&i| Value::Int(i)).collect()),
             Value::Bytes(bytes::Bytes::from(blob.clone())),
             Value::Str(s.clone()),
-            tree,
+            Value::List(vec![tree]),
         ];
         // The echo returns its arguments as one list.
         let frame: usize = args.iter().map(Value::marshalled_size).sum();
@@ -286,9 +287,12 @@ fn shared_proxy_world() -> &'static (std::sync::Arc<Nucleus>, DomainId) {
     CELL.get_or_init(|| {
         let world = World::boot();
         let n = world.nucleus.clone();
+        use TypeTag::{Bytes, List, Str};
         let echo = ObjectBuilder::new("echo")
             .interface("echo", |i| {
-                i.variadic_method("echo", |_, args| Ok(Value::List(args.to_vec())))
+                i.method("echo", &[List, Bytes, Str, List], List, |_, args| {
+                    Ok(Value::List(args.to_vec()))
+                })
             })
             .build();
         n.register(KERNEL_DOMAIN, "/svc/echo", echo).unwrap();
@@ -306,9 +310,12 @@ fn shared_echo_proxy() -> &'static ObjRef {
     CELL.get_or_init(|| {
         let world = World::boot();
         let n = &world.nucleus;
+        use TypeTag::{Bool, Bytes, List, Str, Unit};
         let echo = ObjectBuilder::new("echo")
             .interface("echo", |i| {
-                i.variadic_method("echo", |_, args| Ok(Value::List(args.to_vec())))
+                i.method("echo", &[List, Bytes, Str, Bool, Unit], List, |_, args| {
+                    Ok(Value::List(args.to_vec()))
+                })
             })
             .build();
         n.register(KERNEL_DOMAIN, "/svc/echo", echo).unwrap();
