@@ -21,15 +21,17 @@
 //!     chaos drills' route-flap primitive),
 //!   - `lookup(ip: int) -> int` — matching ifindex, `-1` if none,
 //!   - `probe_window() -> int` / `set_if_up(ifindex, up)` /
-//!     `if_health() -> list` — dead-gateway detection: an interface that
+//!     `if_health() -> list` (one [`IfHealthRow`] per interface) —
+//!     dead-gateway detection: an interface that
 //!     transmits for [`DEAD_AFTER_WINDOWS`] consecutive windows without
 //!     receiving anything is marked dead, traffic fails over to the next
 //!     matching route, and any received frame heals it,
 //!   - `forward() -> int` — transit forwarding: drain every member and
 //!     re-emit frames routed to a *different* interface (TTL decremented,
 //!     IP checksum recomputed, Ethernet rewritten); frames addressed to
-//!     one of the router's own IPs queue for local `recv`. Returns frames
-//!     moved,
+//!     one of the router's own IPs queue for local `recv`, at most
+//!     [`ROUTE_LOCAL_MAX`] of them (the rest are dropped and counted).
+//!     Returns frames moved,
 //!   - `stats() -> list`: a [`RouterStats`] block,
 //!   - `route_stats() -> list`: one [`RouteRow`] per table entry.
 //!
@@ -74,6 +76,11 @@ impl RouteEntry {
         (ip ^ self.prefix) & mask == 0
     }
 }
+
+/// Most frames the `local` queue holds. A frame `forward` would queue
+/// for local `recv` past it is dropped and counted in
+/// [`RouterStats::dropped`].
+pub const ROUTE_LOCAL_MAX: usize = 1024;
 
 /// Consecutive tx-without-rx probe windows before an interface's lower
 /// driver is declared dead and traffic fails over (see `probe_window`).
@@ -128,6 +135,8 @@ counters! {
         pub unreachable: u64,
         /// Times an interface was marked dead.
         pub dead_marks: u64,
+        /// Frames for local `recv` dropped at a full `local` queue.
+        pub dropped: u64,
     }
 
     /// One row of `route route_stats`: a table entry and its traffic.
@@ -137,6 +146,13 @@ counters! {
         pub ifindex: u64,
         pub packets: u64,
         pub bytes: u64,
+    }
+
+    /// One row of `route if_health`: an interface's dead-gateway state.
+    pub struct IfHealthRow {
+        pub ifindex: u64,
+        pub dead: u64,
+        pub misses: u64,
     }
 }
 
@@ -159,6 +175,17 @@ impl RouterState {
 
     fn is_local(&self, ip: u32) -> bool {
         self.ifs.iter().any(|i| i.ip == ip)
+    }
+
+    /// Queues `frame` for local `recv`, or drops and counts it when the
+    /// queue already holds [`ROUTE_LOCAL_MAX`] frames.
+    fn deliver_local(&mut self, frame: bytes::Bytes) {
+        if self.local.len() < ROUTE_LOCAL_MAX {
+            self.local.push_back(Value::Bytes(frame));
+            self.stats.delivered_local += 1;
+        } else {
+            self.stats.dropped += 1;
+        }
     }
 
     /// The egress decision, for `netdev` sends and transit alike: the
@@ -251,8 +278,7 @@ impl RouterState {
         };
         if eth.ethertype != ETHERTYPE_IPV4 {
             // Non-IP (e.g. ARP handled by a layer below) — deliver locally.
-            self.local.push_back(Value::Bytes(frame));
-            self.stats.delivered_local += 1;
+            self.deliver_local(frame);
             return false;
         }
         let Ok((ip, _)) = Ipv4Header::parse(ip_bytes) else {
@@ -260,8 +286,7 @@ impl RouterState {
             return false;
         };
         if self.is_local(ip.dst) {
-            self.local.push_back(Value::Bytes(frame));
-            self.stats.delivered_local += 1;
+            self.deliver_local(frame);
             return false;
         }
         let Some(entry) = self.egress(ip.dst) else {
@@ -540,22 +565,17 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                     })
                 },
             )
-            // Per-interface health rows: `[ifindex, dead, misses]`.
             .method("if_health", &[], TypeTag::List, |this, _| {
                 this.with_state(|s: &mut RouterState| {
-                    Ok(Value::List(
-                        s.health
-                            .iter()
-                            .enumerate()
-                            .map(|(i, h)| {
-                                Value::List(vec![
-                                    Value::Int(i as i64),
-                                    Value::Int(i64::from(h.dead)),
-                                    Value::Int(i64::from(h.misses)),
-                                ])
-                            })
-                            .collect(),
-                    ))
+                    let rows = s.health.iter().enumerate().map(|(i, h)| {
+                        IfHealthRow {
+                            ifindex: i as u64,
+                            dead: h.dead.into(),
+                            misses: h.misses.into(),
+                        }
+                        .to_value()
+                    });
+                    Ok(Value::List(rows.collect()))
                 })
             })
             .method("route_stats", &[], TypeTag::List, |this, _| {
@@ -743,6 +763,25 @@ mod tests {
     }
 
     #[test]
+    fn a_full_local_queue_drops_and_counts() {
+        let (machine, router, far0, _f1) = gateway();
+        let frame = wire::build_udp_frame([9; 6], [2; 6], NET0_HOST, IF0_IP, 5, 6, b"mine");
+        let frame = Value::Bytes(bytes::Bytes::from(frame));
+        let burst = Value::List(vec![frame; ROUTE_LOCAL_MAX + 7]);
+        far0.invoke("netdev", "send_many", &[burst]).unwrap();
+        machine.lock().tick(10);
+        assert_eq!(
+            router.invoke("route", "forward", &[]).unwrap(),
+            Value::Int(0)
+        );
+        let s = router_stats(&router);
+        assert_eq!((s.delivered_local, s.dropped), (ROUTE_LOCAL_MAX as u64, 7));
+        let room = Value::Int(2 * ROUTE_LOCAL_MAX as i64);
+        let got = router.invoke("netdev", "recv_many", &[room]).unwrap();
+        assert_eq!(got.as_list().unwrap().len(), ROUTE_LOCAL_MAX);
+    }
+
+    #[test]
     fn ttl_expiry_and_no_route_are_counted_not_forwarded() {
         let (machine, router, far0, far1) = gateway();
         // TTL 1: must die at the gateway.
@@ -884,7 +923,7 @@ mod tests {
         assert_eq!(s.no_route, 0, "distinct from no_route");
         let health = router.invoke("route", "if_health", &[]).unwrap();
         for row in health.as_list().unwrap() {
-            assert_eq!(row.as_list().unwrap()[1], Value::Int(1), "marked dead");
+            assert_eq!(IfHealthRow::from_value(row).unwrap().dead, 1, "marked dead");
         }
         // set_if_up(true) restores service without probe cycles.
         router

@@ -30,11 +30,11 @@
 //!   body, as are `write` and `write_many` (a scalar call is a burst of
 //!   one); writes make their sectors resident and dirty, and whatever
 //!   needs room — a write, a batch, a read fill — gets it from the one
-//!   eviction routine, `make_room`. A transaction is a buffered batch
-//!   that `commit` writes *through* in one un-split `write_many` (atomic
-//!   and durable-by-return under a journal), refreshing the lines it
-//!   overlaps: transaction data never becomes a cache line, and no
-//!   resident line outlives a commit stale.
+//!   eviction routine, `make_room`. `commit` is the one write the cache
+//!   does not keep: it forwards the caller's list *through* as one
+//!   un-split `write_many` (atomic and durable-by-return under a
+//!   journal), then refreshes the lines it overlaps. Committed data never
+//!   becomes a cache line, and no resident line outlives a commit stale.
 //! - **Coalesced writeback.** Eviction and `flush` gather dirty lines
 //!   into sector-sorted (elevator-order) batches and issue one
 //!   vectorized `write_many` to the backing store, which charges the
@@ -72,7 +72,7 @@ use paramecium_obj::{
 };
 
 use crate::vectored::{
-    blockdev_methods, pairs_arg, sectors_arg, txn_verbs, Pairs, Reads, SectorMap,
+    blockdev_methods, pairs_arg, sectors_arg, view_pairs, Pairs, Reads, SectorMap, DATA_PATH,
 };
 
 /// Sentinel for "no slot" in the intrusive LRU list.
@@ -385,8 +385,8 @@ impl CacheShared {
 /// into sub-batches no larger than the backing's atomic-write limit (see
 /// `CacheShared::write_limit`). Writeback needs every sector durable,
 /// not one atomic unit, so the split never weakens a guarantee —
-/// client-visible atomicity comes from the transaction verbs, which
-/// bypass this path entirely. Against an unbounded backing this is
+/// client-visible atomicity comes from `commit`, which bypasses this
+/// path entirely. Against an unbounded backing this is
 /// exactly one `write_many`.
 fn write_back_chunked<'a>(
     shared: &CacheShared,
@@ -705,7 +705,7 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
 ///   matters: a journal checkpoint below must see these writes in its
 ///   log before it truncates, or "flushed" data would survive only in
 ///   cache memory. A `commit` is written through as one batch
-///   (transaction data never becomes cache lines) and refreshes the
+///   (committed data never becomes cache lines) and refreshes the
 ///   resident copies of the sectors it wrote.
 /// - a `cache` interface:
 ///   - `stats() -> list`: a [`CacheStats`] block, the `merge` of the rows of
@@ -740,9 +740,9 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
         let s_write = shared.clone();
         let s_bd_flush = shared.clone();
         let s_bd_barrier = shared.clone();
-        let s_check = shared.clone();
         let s_commit = shared.clone();
-        let i = blockdev_methods(
+        let [.., (commit, params, returns)] = DATA_PATH;
+        blockdev_methods(
             InterfaceBuilder::new("blockdev"),
             // Inlined with its hit sweep: a scalar hit stays one call deep.
             #[inline(always)]
@@ -773,24 +773,18 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
             // barrier below makes "everything so far" durable.
             cache_flush(&s_bd_barrier)?;
             s_bd_barrier.backing.invoke("blockdev", "barrier", &[])
-        });
-        // A commit is one *un-split* write-through: atomic and
-        // durable-by-return under a journal, which a writeback chunked to
-        // `write_limit` would not be. Transaction data never becomes a
-        // cache line; lines already resident are refreshed.
-        txn_verbs(
-            i,
-            move |_, sector| s_check.check_writable_sector(sector),
-            move |_, writes| {
-                s_commit.backing.invoke(
-                    "blockdev",
-                    "write_many",
-                    &[pairs_arg(writes.iter().cloned())],
-                )?;
-                refresh_clean(&s_commit, writes.iter().map(|(sec, data)| (*sec, data)));
-                Ok(())
-            },
-        )
+        })
+        // A commit is one *un-split* write-through of the caller's own
+        // list: atomic and durable-by-return under a journal, which a
+        // writeback chunked to `write_limit` would not be. The layer
+        // below validates the batch whole; lines already resident are
+        // refreshed once it has landed.
+        .method(commit, params, returns, move |_, args| {
+            let pairs = view_pairs(&args[0])?;
+            s_commit.backing.invoke("blockdev", "write_many", args)?;
+            refresh_clean(&s_commit, pairs.iter());
+            Ok(Value::Int(pairs.len() as i64))
+        })
         .finish()
     };
     ObjectBuilder::new("block-cache")
@@ -1180,12 +1174,11 @@ mod tests {
 
     #[test]
     fn commit_writes_through_and_refreshes_resident_lines() {
-        use crate::vectored::{txn_arg, txn_write_args};
         // Whatever the cache held for sector 4 before the commit — a
         // dirty line (regression: the stale line kept answering, and the
         // next flush wrote it over the committed data), a clean line, or
         // nothing — afterwards the cache and, once flushed, the driver
-        // both answer with the committed bytes, and transaction data
+        // both answer with the committed bytes, and committed data
         // never becomes a cache line of its own.
         for (before, resident_after) in [("dirty", 1), ("clean", 1), ("absent", 0)] {
             let (_mem, driver, cache) = setup(8);
@@ -1200,19 +1193,9 @@ mod tests {
                 }
                 _ => {}
             }
-            let txn = cache
-                .invoke("blockdev", "begin_txn", &[])
-                .unwrap()
-                .as_int()
-                .unwrap();
-            cache
-                .invoke(
-                    "blockdev",
-                    "txn_write",
-                    &txn_write_args(txn, 4, Bytes::from(vec![0x44; SECTOR_SIZE])),
-                )
-                .unwrap();
-            cache.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
+            let batch = pairs_arg([(4, Bytes::from(vec![0x44; SECTOR_SIZE]))]);
+            let n = cache.invoke("blockdev", "commit", &[batch]).unwrap();
+            assert_eq!(n, Value::Int(1), "{before}");
             assert_eq!(cache_stats(&cache).resident, resident_after, "{before}");
             let v = cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
             assert_eq!(

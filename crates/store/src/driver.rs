@@ -3,8 +3,8 @@
 //! Exports the full `blockdev` interface (the canonical method list
 //! lives in the [crate docs](crate)): the vectorized `read_many`/
 //! `write_many` and the single-sector `read`/`write` derived from them,
-//! `sectors`/`stats`, and the durability/transaction surface `flush`/
-//! `barrier`/`begin_txn`/`txn_write`/`commit`/`abort`.
+//! `commit`, `sectors`/`stats`, and the durability surface `flush`/
+//! `barrier`.
 //!
 //! Every data-path request — a scalar call is a burst of one — charges
 //! the amortised
@@ -24,12 +24,9 @@
 //! [`Disk`] and back. Only a torn write, on the crash path, builds a new
 //! buffer.
 //!
-//! The driver's transaction verbs are **volatile**: `commit` applies the
-//! buffered writes as one batch, atomic against validation errors but
-//! *not* against power failure. Crash-atomic commit is the journal
-//! layer's job; the driver implements the verbs so every layer of the
-//! stack speaks the same `blockdev` interface and a journal can be
-//! slotted in (or left out) without changing any client.
+//! A `commit` here is `write_many`: all or nothing against a malformed
+//! batch, but not against power failure. Crash-atomic commit is the
+//! journal's job.
 
 use std::sync::Arc;
 
@@ -45,7 +42,7 @@ use paramecium_machine::{
 };
 use paramecium_obj::{counters, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{blockdev_methods, txn_verbs};
+use crate::vectored::blockdev_methods;
 
 /// Bytes of a sector that still reach the platter when a power failure
 /// interrupts its transfer: the torn-write model (half the sector).
@@ -164,19 +161,6 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
             stats: DriverStats::default(),
         })
         .interface("blockdev", |i| {
-            // Transaction surface (volatile: see the module docs).
-            let i = txn_verbs(
-                i,
-                |this, sector| {
-                    this.with_state(|s: &mut DriverState| {
-                        check_sectors(powered_disk(&mut s.machine.lock())?.0, [sector])
-                    })
-                },
-                |this, writes| {
-                    let batch = writes.iter().map(|(sec, data)| (*sec, data));
-                    this.with_state(|s: &mut DriverState| s.apply(batch))
-                },
-            );
             let i = blockdev_methods(
                 i,
                 |this, reads, out| {

@@ -68,7 +68,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{counters, sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{blockdev_methods, fill, pairs_arg, sectors_arg, txn_verbs, SectorMap};
+use crate::vectored::{blockdev_methods, fill, pairs_arg, sectors_arg, SectorMap};
 
 /// Magic tag of a superblock sector.
 const SB_MAGIC: u64 = 0x504A_5342_4C4B_0002; // "PJSBLK" v2
@@ -669,12 +669,6 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             let s_flush = s.clone();
             let s_barrier = s.clone();
             let geo = s.geo;
-            let s_commit = s.clone();
-            let i = txn_verbs(
-                i,
-                move |_, sector| check_data_sector(&geo, sector),
-                move |_, writes| s_commit.commit_writes(writes),
-            );
             let i = blockdev_methods(
                 i,
                 move |_, reads, out| {
@@ -1103,23 +1097,10 @@ mod tests {
 
     #[test]
     fn oversized_transaction_is_rejected_whole() {
-        use crate::vectored::{txn_arg, txn_write_args};
         let (_mem, driver, j) = setup();
-        let txn = j
-            .invoke("blockdev", "begin_txn", &[])
-            .unwrap()
-            .as_int()
-            .unwrap();
         // 126 log sectors can hold at most ~120 payloads; 200 cannot fit.
-        for sec in 0..200i64 {
-            j.invoke(
-                "blockdev",
-                "txn_write",
-                &txn_write_args(txn, sec, Bytes::from(vec![0xFF; SECTOR_SIZE])),
-            )
-            .unwrap();
-        }
-        assert!(j.invoke("blockdev", "commit", &txn_arg(txn)).is_err());
+        let pairs = (0..200i64).map(|sec| (sec, Bytes::from(vec![0xFF; SECTOR_SIZE])));
+        assert!(j.invoke("blockdev", "commit", &[pairs_arg(pairs)]).is_err());
         // Nothing leaked to disk or overlay.
         let v = driver.invoke("blockdev", "read", &[Value::Int(0)]).unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 0);

@@ -25,8 +25,8 @@
 //!   per-shard locking for concurrent clients,
 //! - [`stack`] — [`StackBuilder`], the one way to assemble the layers
 //!   (each optional, fixed order),
-//! - [`vectored`] — the shared codec for vectorized and transactional
-//!   `blockdev` arguments.
+//! - [`vectored`] — the shared codec for vectorized `blockdev`
+//!   arguments.
 //!
 //! # The `blockdev` interface
 //!
@@ -42,28 +42,26 @@
 //! | `write_many` | `(pairs: list[int, bytes, int, bytes, …]) -> int` | one batched request, one flat list; atomic under a journal |
 //! | `read` | `(sector: int) -> bytes` | derived: `read_many` of one sector |
 //! | `write` | `(sector: int, data: bytes) -> unit` | derived: `write_many` of one pair; durable-by-return under a journal |
+//! | `commit` | `(pairs: list[int, bytes, int, bytes, …]) -> int` | `write_many` that promises the batch atomic and durable by return: crash-atomic under a journal, and written through a cache |
 //! | `sectors` | `() -> int` | client-visible device size |
 //! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one atomic unit (answered by the journal and forwarded by the layers above it; a stack without a journal has no such method and is unbounded) |
 //! | `stats` | `() -> list` | the bottom driver's [`DriverStats`](driver::DriverStats) |
 //! | `flush` | `() -> int` | push all volatile/logged state to home locations (cache writeback, journal checkpoint); returns sectors homed |
 //! | `barrier` | `() -> unit` | ordering point: everything acknowledged before the call is durable when it returns |
-//! | `begin_txn` | `() -> int` | open a transaction, returning its handle |
-//! | `txn_write` | `(txn: int, sector: int, data: bytes) -> unit` | buffer one write into an open transaction |
-//! | `commit` | `(txn: int) -> unit` | apply the transaction atomically (crash-atomic under a journal) |
-//! | `abort` | `(txn: int) -> unit` | drop an open transaction without effects |
 //!
 //! A layer writes one read body and one write body, and
-//! `vectored::blockdev_methods` derives all four data-path methods from
+//! `vectored::blockdev_methods` derives all five data-path methods from
 //! them. The contract: **a scalar call is observably a burst of one** —
 //! the same answer or error, charges and stats — and a malformed burst
 //! is rejected whole, before any of it is applied.
 //!
-//! Only the journal makes `commit` atomic against power failure; the
-//! bare driver's transactions are volatile buffers (atomic against
-//! validation errors only) and the cache commits by write-through: one
-//! un-split `write_many` to the layer below, as atomic as that layer
-//! makes it. Each layer holds at most [`vectored::MAX_OPEN_TXNS`] open
-//! transactions.
+//! A transaction is one `commit` call that carries its whole batch, built
+//! on the client's side: no layer holds a transaction open. Only the
+//! journal makes it atomic against power failure; the bare driver's is
+//! atomic against validation errors only, and the cache commits by
+//! write-through: the caller's list, un-split, as one `write_many` to the
+//! layer below, as atomic as that layer makes it. Through a write-back
+//! cache, `commit` and `flush` are the only writes durable by return.
 //! Encode/decode the arguments with [`vectored`]'s typed helpers — no
 //! hand-rolled packing at call sites. A layer reads a `write_many` batch
 //! in place ([`vectored::view_pairs`]): the list a client built is the

@@ -15,15 +15,14 @@
 //!   loss would only burn the crash budget; retrying a bad address would
 //!   never succeed.
 //!
-//! Only idempotent verbs are retried: `read_many`, `write_many`, `flush`,
-//! `barrier`, and the scalar `read` and `write` too, because a layer
-//! above forwards a call it has nothing to change in as it arrived (a
-//! journal read that misses its overlay reaches retry as `read`). Sector
-//! writes are exactly-once at the device, so re-issuing a failed one is
-//! safe. Everything else is delegated to the lower object untouched —
-//! notably the transaction verbs: a `commit` that consumed its buffered
-//! writes must not be re-driven blindly; crash-atomic commit is the
-//! journal's job, one layer up.
+//! Only idempotent verbs are retried: `read_many`, `write_many`,
+//! `commit`, `flush`, `barrier`, and the scalar `read` and `write` too,
+//! because a layer above forwards a call it has nothing to change in as
+//! it arrived (a journal read that misses its overlay reaches retry as
+//! `read`). Sector writes are exactly-once at the device and a `commit`
+//! carries its whole batch, so re-issuing a failed one has the effect of
+//! issuing it once. Everything else is delegated to the lower object
+//! untouched.
 //!
 //! [`Disk::inject_transient_errors`]: paramecium_machine::dev::disk::Disk::inject_transient_errors
 
@@ -183,6 +182,7 @@ pub const RETRY_STAT_RETRIES: usize = 1;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vectored::{pairs_arg, sectors_arg};
     use crate::StackBuilder;
     use bytes::Bytes;
     use paramecium_core::{domain::KERNEL_DOMAIN, memsvc::MemService};
@@ -232,6 +232,24 @@ mod tests {
         assert_eq!(st.retries, 3);
         assert_eq!(st.recovered, 1);
         assert_eq!(st.exhausted, 0);
+        // A commit carries its whole batch, so it is re-issued like any
+        // other data-path verb.
+        inject(&machine, 2);
+        let batch = pairs_arg([3, 4].map(|sec| (sec, Bytes::from(vec![sec as u8; SECTOR_SIZE]))));
+        let n = top.invoke("blockdev", "commit", &[batch]).unwrap();
+        assert_eq!(n, Value::Int(2));
+        let v = top
+            .invoke("blockdev", "read_many", &[sectors_arg([3, 4])])
+            .unwrap();
+        let got: Vec<u8> = v
+            .as_list()
+            .unwrap()
+            .iter()
+            .map(|b| b.as_bytes().unwrap()[0])
+            .collect();
+        assert_eq!(got, [3, 4]);
+        let st = retry_stats(&top);
+        assert_eq!((st.retries, st.recovered, st.exhausted), (5, 2, 0));
     }
 
     #[test]

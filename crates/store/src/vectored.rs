@@ -1,19 +1,16 @@
-//! Wire helpers for the vectorized and transactional `blockdev`
-//! operations, and the data path built from them.
+//! Wire helpers for the vectorized `blockdev` operations, and the data
+//! path built from them.
 //!
 //! `read_many` takes a list of sector numbers and returns a list of
-//! sector payloads in request order; `write_many` takes one flat list,
-//! `[sector, data, sector, data, …]`. The transaction verbs use a typed
-//! triple (`txn_write(txn, sector, data)`) and a bare transaction handle
-//! (`commit(txn)` / `abort(txn)`). Both sides of the interface (the disk
-//! driver, the journal, the block cache, interposers and tests) build
-//! and parse those values through these helpers so the encoding cannot
-//! drift — no call site hand-rolls argument packing, and this is the
-//! only module that knows the wire form.
+//! sector payloads in request order; `write_many` and `commit` take one
+//! flat list, `[sector, data, sector, data, …]`. Both sides of the
+//! interface (the disk driver, the journal, the block cache, interposers
+//! and tests) build and parse those values through these helpers so the
+//! encoding cannot drift — no call site hand-rolls argument packing, and
+//! this is the only module that knows the wire form.
 //!
 //! The verbs are written here once too: `blockdev_methods` makes the
-//! data path from a layer's read body and write body, and `txn_verbs`
-//! the transaction verbs from its sector check and batch write.
+//! data path from a layer's read body and write body.
 //!
 //! A write batch crosses several objects on its way to the platter, so
 //! a layer reads it in place: [`view_pairs`] validates the whole list
@@ -23,21 +20,20 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{InterfaceBuilder, ObjError, ObjRef, ObjResult, TypeTag, Value};
 
-/// The `blockdev` data path — `read`, `read_many`, `write`, `write_many`
-/// — with the signatures [`blockdev_methods`] installs.
-pub(crate) const DATA_PATH: [(&str, &[TypeTag], TypeTag); 4] = [
+/// The `blockdev` data path — `read`, `read_many`, `write`, `write_many`,
+/// `commit` — with the signatures [`blockdev_methods`] installs.
+pub(crate) const DATA_PATH: [(&str, &[TypeTag], TypeTag); 5] = [
     ("read", &[TypeTag::Int], TypeTag::Bytes),
     ("read_many", &[TypeTag::List], TypeTag::List),
     ("write", &[TypeTag::Int, TypeTag::Bytes], TypeTag::Unit),
     ("write_many", &[TypeTag::List], TypeTag::Int),
+    ("commit", &[TypeTag::List], TypeTag::Int),
 ];
 
 /// Builds the `read_many` argument from sector numbers.
@@ -99,14 +95,16 @@ pub(crate) fn fill(out: &mut [Value], got: Value) -> ObjResult<()> {
 /// requested sector with its payload, `write` applies a batch. `read(s)`
 /// is the read body over one sector and one slot on the stack, `write(s,
 /// d)` the write body over its own arguments, already a one-pair flat
-/// list — so a scalar call is observably a burst of one. A malformed
-/// burst is rejected whole, before the body sees any of it.
+/// list — so a scalar call is observably a burst of one. `commit` is
+/// `write_many` under the name that promises an atomic, durable batch; a
+/// layer whose batch write keeps no such promise replaces it. A
+/// malformed burst is rejected whole, before the body sees any of it.
 pub(crate) fn blockdev_methods<R, W>(mut i: InterfaceBuilder, read: R, write: W) -> InterfaceBuilder
 where
     R: Fn(&ObjRef, Reads<'_>, &mut [Value]) -> ObjResult<()> + Clone + Send + Sync + 'static,
     W: Fn(&ObjRef, Pairs<'_>) -> ObjResult<()> + Clone + Send + Sync + 'static,
 {
-    let [read_one, read_many, write_one, write_many] = DATA_PATH;
+    let [read_one, read_many, write_one, write_many, commit] = DATA_PATH;
     for (method, params, returns) in [read_one, read_many] {
         let read = read.clone();
         i = i.method(method, params, returns, move |this, args| {
@@ -136,7 +134,7 @@ where
             Ok(Value::List(out))
         });
     }
-    for (method, params, returns) in [write_one, write_many] {
+    for (method, params, returns) in [write_one, write_many, commit] {
         let write = write.clone();
         i = i.method(method, params, returns, move |this, args| {
             let [flat] = args else {
@@ -152,7 +150,8 @@ where
     i
 }
 
-/// Builds the `write_many` argument from `(sector, data)` pairs.
+/// Builds the `write_many` and `commit` argument from `(sector, data)`
+/// pairs.
 pub fn pairs_arg(pairs: impl IntoIterator<Item = (i64, Bytes)>) -> Value {
     let pairs = pairs.into_iter();
     let mut flat = Vec::with_capacity(2 * pairs.size_hint().0);
@@ -255,132 +254,6 @@ impl Hasher for SectorHasher {
 /// Every sector-keyed map in the crate.
 pub(crate) type SectorMap<V> = HashMap<i64, V, BuildHasherDefault<SectorHasher>>;
 
-/// Parameter signature of `txn_write(txn, sector, data)`, shared by
-/// every layer that implements the method so the signatures cannot
-/// diverge.
-pub const TXN_WRITE_PARAMS: &[TypeTag] = &[TypeTag::Int, TypeTag::Int, TypeTag::Bytes];
-
-/// Builds the `txn_write` argument vector.
-pub fn txn_write_args(txn: i64, sector: i64, data: Bytes) -> [Value; 3] {
-    [Value::Int(txn), Value::Int(sector), Value::Bytes(data)]
-}
-
-/// Parses the `txn_write` arguments, validating the sector number and
-/// payload size exactly like [`view_pairs`] does for `write_many`.
-pub fn parse_txn_write(args: &[Value]) -> ObjResult<(i64, i64, Bytes)> {
-    if args.len() != 3 {
-        return Err(ObjError::failed("txn_write expects (txn, sector, data)"));
-    }
-    let txn = parse_txn(&args[0])?;
-    let (sector, data) = (args[1].as_int()?, args[2].as_bytes()?);
-    check_write(sector, data)?;
-    Ok((txn, sector, data.clone()))
-}
-
-/// Builds the single-argument vector for `commit(txn)` / `abort(txn)`.
-pub fn txn_arg(txn: i64) -> [Value; 1] {
-    [Value::Int(txn)]
-}
-
-/// Parses a transaction handle, rejecting non-positive ids (handles are
-/// allocated from 1 by `begin_txn`).
-pub fn parse_txn(v: &Value) -> ObjResult<i64> {
-    let txn = v.as_int()?;
-    if txn <= 0 {
-        return Err(ObjError::failed(format!("bad transaction handle {txn}")));
-    }
-    Ok(txn)
-}
-
-/// Most transactions one layer holds open at once. `begin_txn` refuses
-/// past it, so a client that never commits or aborts cannot grow the
-/// table without bound.
-pub const MAX_OPEN_TXNS: usize = 64;
-
-/// Open transactions of one layer: the handle allocator and each
-/// handle's buffered writes, in `txn_write` order.
-struct TxnTable {
-    next: i64,
-    open: HashMap<i64, Vec<(i64, Bytes)>>,
-}
-
-/// Adds `begin_txn`/`txn_write`/`commit`/`abort` to a layer's `blockdev`
-/// interface. A transaction is a buffered batch: `txn_write` admits a
-/// sector through the layer's `check`, and `commit` hands the whole
-/// batch to `apply` — the function the layer's `write_many` runs — so a
-/// commit is exactly as atomic and as durable as the layer's batch
-/// write. The table's lock is never held across `check` or `apply`
-/// (either may invoke the layer below).
-pub(crate) fn txn_verbs(
-    i: InterfaceBuilder,
-    check: impl Fn(&ObjRef, i64) -> ObjResult<()> + Send + Sync + 'static,
-    apply: impl Fn(&ObjRef, Vec<(i64, Bytes)>) -> ObjResult<()> + Send + Sync + 'static,
-) -> InterfaceBuilder {
-    fn no_txn(txn: i64) -> ObjError {
-        ObjError::failed(format!("no open transaction {txn}"))
-    }
-    let table = Arc::new(Mutex::new(TxnTable {
-        next: 1,
-        open: HashMap::new(),
-    }));
-    let (t_begin, t_write, t_commit, t_abort) =
-        (table.clone(), table.clone(), table.clone(), table);
-    i.method("begin_txn", &[], TypeTag::Int, move |_, _| {
-        let mut t = t_begin.lock();
-        if t.open.len() >= MAX_OPEN_TXNS {
-            return Err(ObjError::failed(format!(
-                "too many open transactions (limit {MAX_OPEN_TXNS}): commit or abort one first"
-            )));
-        }
-        let id = t.next;
-        t.next += 1;
-        t.open.insert(id, Vec::new());
-        Ok(Value::Int(id))
-    })
-    .method(
-        "txn_write",
-        TXN_WRITE_PARAMS,
-        TypeTag::Unit,
-        move |this, args| {
-            let (txn, sector, data) = parse_txn_write(args)?;
-            check(this, sector)?;
-            t_write
-                .lock()
-                .open
-                .get_mut(&txn)
-                .ok_or_else(|| no_txn(txn))?
-                .push((sector, data));
-            Ok(Value::Unit)
-        },
-    )
-    .method(
-        "commit",
-        &[TypeTag::Int],
-        TypeTag::Unit,
-        move |this, args| {
-            let txn = parse_txn(&args[0])?;
-            let writes = t_commit
-                .lock()
-                .open
-                .remove(&txn)
-                .ok_or_else(|| no_txn(txn))?;
-            if !writes.is_empty() {
-                apply(this, writes)?;
-            }
-            Ok(Value::Unit)
-        },
-    )
-    .method("abort", &[TypeTag::Int], TypeTag::Unit, move |_, args| {
-        let txn = parse_txn(&args[0])?;
-        t_abort
-            .lock()
-            .open
-            .remove(&txn)
-            .ok_or_else(|| no_txn(txn))?;
-        Ok(Value::Unit)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,38 +310,5 @@ mod tests {
         assert!(view_pairs(&pairs_arg([(-2, data.clone())])).is_err());
         assert!(view_pairs(&Value::List(vec![Value::Int(1)])).is_err());
         assert!(view_pairs(&Value::List(vec![Value::List(vec![Value::Int(1)])])).is_err());
-    }
-
-    #[test]
-    fn txn_codec_roundtrip_and_validate() {
-        let data = Bytes::from(vec![3u8; SECTOR_SIZE]);
-        let args = txn_write_args(7, 12, data.clone());
-        assert_eq!(parse_txn_write(&args).unwrap(), (7, 12, data.clone()));
-        assert_eq!(parse_txn(&txn_arg(7)[0]).unwrap(), 7);
-        // Bad handle, negative sector, short payload, wrong arity.
-        assert!(parse_txn(&Value::Int(0)).is_err());
-        assert!(parse_txn(&Value::Int(-3)).is_err());
-        assert!(parse_txn_write(&txn_write_args(1, -1, data.clone())).is_err());
-        assert!(parse_txn_write(&txn_write_args(1, 0, Bytes::from_static(b"x"))).is_err());
-        assert!(parse_txn_write(&args[..2]).is_err());
-    }
-
-    #[test]
-    fn open_transactions_are_bounded() {
-        use paramecium_core::{domain::KERNEL_DOMAIN, memsvc::MemService};
-        use paramecium_machine::Machine;
-        let mem = Arc::new(MemService::new(Arc::new(Mutex::new(Machine::new()))));
-        let dev = crate::StackBuilder::disk(&mem, KERNEL_DOMAIN)
-            .build()
-            .unwrap()
-            .top;
-        let begin = || dev.invoke("blockdev", "begin_txn", &[]);
-        let handles: Vec<Value> = (0..MAX_OPEN_TXNS).map(|_| begin().unwrap()).collect();
-        let err = begin().unwrap_err().to_string();
-        assert!(err.contains(&format!("limit {MAX_OPEN_TXNS}")), "{err}");
-        // Closing any one makes room for exactly one more.
-        dev.invoke("blockdev", "abort", &handles[7..8]).unwrap();
-        begin().unwrap();
-        assert!(begin().is_err());
     }
 }

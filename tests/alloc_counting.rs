@@ -187,7 +187,7 @@ fn interposer_hops_are_zero_alloc_once_warm() {
     let machine = std::sync::Arc::new(parking_lot::Mutex::new(Machine::new()));
     let retry = make_retry(
         machine,
-        lower("blockdev", "begin_txn"),
+        lower("blockdev", "sectors"),
         RetryConfig::default(),
     );
     let arp = make_arp(lower("netdev", "pending"), 0x0A00_0001, [2, 0, 0, 0, 0, 1]);
@@ -200,7 +200,7 @@ fn interposer_hops_are_zero_alloc_once_warm() {
     for (obj, iface, method, args) in [
         (chain, "ctr", "incr", vec![Value::Int(1)]),
         (composed, "ctr", "incr", vec![Value::Int(1)]),
-        (retry, "blockdev", "begin_txn", vec![]),
+        (retry, "blockdev", "sectors", vec![]),
         (arp, "netdev", "pending", vec![]),
     ] {
         for _ in 0..8 {

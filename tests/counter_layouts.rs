@@ -17,7 +17,7 @@ use paramecium::core::memsvc::MemStats;
 use paramecium::netstack::arp::ArpStats;
 use paramecium::netstack::driver::NicStats;
 use paramecium::netstack::filter::{AdapterStats, FilterStats};
-use paramecium::netstack::route::{RouteRow, RouterStats};
+use paramecium::netstack::route::{IfHealthRow, RouteRow, RouterStats};
 use paramecium::netstack::simlink::LinkStats;
 use paramecium::netstack::stack::UdpStats;
 use paramecium::netstack::tcp::{self, TcpStats};
@@ -136,6 +136,7 @@ fn every_block_round_trips() {
         ArpStats,
         RouterStats,
         RouteRow,
+        IfHealthRow,
         DriverStats,
         JournalStats,
         CacheStats,

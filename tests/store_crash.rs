@@ -15,6 +15,9 @@
 //!   in-memory oracle. The sweep itself is pinned: its charge-step
 //!   count and the outcome at every step are part of the store's
 //!   contract, so a change to how a layer batches or charges shows here.
+//!   It runs twice: over the journal, and through a write-back cache
+//!   above it, where every write is a `commit` — the cache's one
+//!   promise of atomic, durable-by-return writes.
 //! - `on_disk_format_is_pinned`: the raw disk image a fixed script
 //!   leaves behind, summed — the journal's record format and the order
 //!   and content of every home write.
@@ -46,7 +49,7 @@ use paramecium::machine::dev::disk::{Disk, SECTOR_SIZE};
 use paramecium::obj::sum64;
 use paramecium::prelude::*;
 use paramecium::store::journal::JournalStats;
-use paramecium::store::vectored::{pairs_arg, sectors_arg, txn_arg, txn_write_args};
+use paramecium::store::vectored::{pairs_arg, sectors_arg};
 use paramecium::store::{JournalConfig, StackBuilder};
 
 /// Sector range the random sequences write: small enough that sectors
@@ -84,8 +87,8 @@ enum Op {
     Write(i64, u8),
     /// Vectorized batch (one atomic transaction).
     WriteMany(Vec<(i64, u8)>),
-    /// Explicit begin/txn_write*/commit transaction.
-    Txn(Vec<(i64, u8)>),
+    /// One `commit` of the batch: a transaction in one call.
+    Commit(Vec<(i64, u8)>),
     /// Checkpoint: home the overlay, truncate the log.
     Flush,
 }
@@ -107,7 +110,7 @@ fn gen_ops(seed: u64) -> Vec<Op> {
                 let n = rng.gen_range(2..5usize);
                 writes(&mut rng, n)
             }),
-            4 => Op::Txn({
+            4 => Op::Commit({
                 let n = rng.gen_range(2..4usize);
                 writes(&mut rng, n)
             }),
@@ -120,7 +123,7 @@ fn gen_ops(seed: u64) -> Vec<Op> {
 fn apply(oracle: &mut [u8], op: &Op) {
     match op {
         Op::Write(sec, val) => oracle[*sec as usize] = *val,
-        Op::WriteMany(pairs) | Op::Txn(pairs) => {
+        Op::WriteMany(pairs) | Op::Commit(pairs) => {
             for (sec, val) in pairs {
                 oracle[*sec as usize] = *val;
             }
@@ -130,41 +133,37 @@ fn apply(oracle: &mut [u8], op: &Op) {
 }
 
 /// Runs one op through the stack top. The whole op is one atomic unit:
-/// an error anywhere means the op is in flight at the crash.
-fn run_op(top: &ObjRef, op: &Op) -> Result<(), String> {
-    let r = match op {
-        Op::Write(sec, val) => top
-            .invoke("blockdev", "write", &[Value::Int(*sec), sector_of(*val)])
-            .map(|_| ()),
-        Op::WriteMany(pairs) => {
-            let batch: Vec<(i64, Bytes)> = pairs
+/// an error anywhere means the op is in flight at the crash. With
+/// `as_commit`, a `Write` or `WriteMany` is issued as a `commit` of the
+/// same pairs, the only write a write-back cache makes durable by return.
+fn run_op(top: &ObjRef, op: &Op, as_commit: bool) -> Result<(), String> {
+    let batch = |pairs: &[(i64, u8)]| {
+        pairs_arg(
+            pairs
                 .iter()
-                .map(|(sec, val)| (*sec, Bytes::from(vec![*val; SECTOR_SIZE])))
-                .collect();
-            top.invoke("blockdev", "write_many", &[pairs_arg(batch)])
-                .map(|_| ())
-        }
-        Op::Txn(pairs) => (|| {
-            let txn = top.invoke("blockdev", "begin_txn", &[])?.as_int()?;
-            for (sec, val) in pairs {
-                top.invoke(
-                    "blockdev",
-                    "txn_write",
-                    &txn_write_args(txn, *sec, Bytes::from(vec![*val; SECTOR_SIZE])),
-                )?;
-            }
-            top.invoke("blockdev", "commit", &txn_arg(txn)).map(|_| ())
-        })(),
-        Op::Flush => top.invoke("blockdev", "flush", &[]).map(|_| ()),
+                .map(|(sec, val)| (*sec, Bytes::from(vec![*val; SECTOR_SIZE]))),
+        )
     };
-    r.map_err(|e| e.to_string())
+    let r = match op {
+        Op::Write(sec, val) if as_commit => {
+            top.invoke("blockdev", "commit", &[batch(&[(*sec, *val)])])
+        }
+        Op::WriteMany(pairs) if as_commit => top.invoke("blockdev", "commit", &[batch(pairs)]),
+        Op::Write(sec, val) => {
+            top.invoke("blockdev", "write", &[Value::Int(*sec), sector_of(*val)])
+        }
+        Op::WriteMany(pairs) => top.invoke("blockdev", "write_many", &[batch(pairs)]),
+        Op::Commit(pairs) => top.invoke("blockdev", "commit", &[batch(pairs)]),
+        Op::Flush => top.invoke("blockdev", "flush", &[]),
+    };
+    r.map(|_| ()).map_err(|e| e.to_string())
 }
 
 /// Runs ops until the first failure, returning how many were
 /// acknowledged and whether one was in flight when the machine died.
-fn run_until_crash(top: &ObjRef, ops: &[Op]) -> (usize, Option<usize>) {
+fn run_until_crash(top: &ObjRef, ops: &[Op], as_commit: bool) -> (usize, Option<usize>) {
     for (i, op) in ops.iter().enumerate() {
-        if let Err(e) = run_op(top, op) {
+        if let Err(e) = run_op(top, op, as_commit) {
             assert!(
                 e.contains("power failure"),
                 "only power failure may abort a valid op, got: {e}"
@@ -195,78 +194,123 @@ fn matches_oracle(state: &[Bytes], oracle: &[u8]) -> bool {
         .all(|(got, &val)| got.as_ref() == vec![val; SECTOR_SIZE].as_slice())
 }
 
+/// A sweep's `(steps, outcomes)` for seeds 1, 2 and 3.
+type Pins = [(u64, u64); 3];
+
 /// The sweep's shape per seed: how many charge steps the clean run
 /// costs, and the [`sum64`] of `(acked, in-flight op applied?)` over
 /// every crash step. Taken at PR 16; a layer that charges, batches or
 /// orders its writes differently moves one of them.
-const SWEEP_PINS: [(u64, u64); 3] = [
+const SWEEP_PINS: Pins = [
     (47, 0x27D8_3BE5_DECA_F3CE),
     (53, 0xCCC4_E543_09DB_CEF6),
     (49, 0x2A7F_36DB_4C30_116C),
 ];
 
+/// The same sweep through a write-back cache above the journal, every
+/// write issued as a `commit`. The numbers equal [`SWEEP_PINS`]: a commit
+/// passes through the cache as the journal's own batch, adding no charge
+/// step, and leaves no cache line behind whose loss a crash could show.
+const CACHED_SWEEP_PINS: Pins = [
+    (47, 0x27D8_3BE5_DECA_F3CE),
+    (53, 0xCCC4_E543_09DB_CEF6),
+    (49, 0x2A7F_36DB_4C30_116C),
+];
+
+/// A stack shape the sweep builds, the same way at every mount.
+type Shape = fn(StackBuilder) -> StackBuilder;
+
 #[test]
 fn committed_prefix_holds_at_every_crash_point() {
-    for (seed, pin) in [1u64, 2, 3].into_iter().zip(SWEEP_PINS) {
-        let ops = gen_ops(seed);
-
-        // Clean run: count the charge events the sequence costs. Every
-        // one of them is a distinct crash point for the sweep below.
-        let (mem, stack) = fresh();
-        let c0 = mem.machine().lock().charge_events();
-        let (acked, inflight) = run_until_crash(&stack.top, &ops);
-        assert_eq!((acked, inflight), (ops.len(), None), "clean run crashed");
-        let steps = mem.machine().lock().charge_events() - c0;
-        assert!(steps > 20, "sequence too cheap to be interesting: {steps}");
-
-        let mut outcomes = 0u64;
-        for k in 1..=steps {
-            let (mem, stack) = fresh();
-            mem.machine().lock().arm_crash_after(k);
-            let (acked, inflight) = run_until_crash(&stack.top, &ops);
-            assert!(
-                inflight.is_some(),
-                "seed {seed}: crash at step {k} never fired"
-            );
-            drop(stack);
-            {
-                let mut m = mem.machine().lock();
-                m.disarm_crash();
-                m.reboot();
-            }
-            // Remount over the surviving disk: recovery replays the
-            // committed prefix of the log.
-            let stack = StackBuilder::disk(&mem, KERNEL_DOMAIN)
-                .journal(SMALL_LOG)
-                .build()
-                .unwrap();
-            let state = read_all(&stack.top);
-
-            // Exactly two outcomes are legal: the acknowledged prefix,
-            // or the prefix plus the in-flight op applied atomically.
-            let mut without = vec![0u8; RANGE as usize];
-            for op in &ops[..acked] {
-                apply(&mut without, op);
-            }
-            let mut with = without.clone();
-            apply(&mut with, &ops[inflight.unwrap()]);
-            let applied = !matches_oracle(&state, &without);
-            assert!(
-                !applied || matches_oracle(&state, &with),
-                "seed {seed}, crash at step {k}/{steps}: state after recovery \
-                 matches neither acked-prefix nor acked-prefix+in-flight \
-                 (acked {acked} of {} ops: {:?})",
-                ops.len(),
-                ops[..=inflight.unwrap()].last()
-            );
-            outcomes = sum64::fold(outcomes, &[acked as u8, applied as u8]);
+    // Through the cache only `commit` and `flush` are durable by return,
+    // so there every write goes down as a `commit`.
+    let stacks: [(&str, Shape, bool, Pins); 2] = [
+        (
+            "driver → journal",
+            |b| b.journal(SMALL_LOG),
+            false,
+            SWEEP_PINS,
+        ),
+        (
+            "driver → journal → cache",
+            |b| b.journal(SMALL_LOG).cache(8),
+            true,
+            CACHED_SWEEP_PINS,
+        ),
+    ];
+    for (name, shape, as_commit, pins) in stacks {
+        let mut got = Vec::new();
+        for seed in [1u64, 2, 3] {
+            got.push(sweep(seed, shape, as_commit));
         }
         assert_eq!(
-            (steps, outcomes),
-            pin,
-            "seed {seed}: the sweep's step count or per-step outcomes moved"
+            got, pins,
+            "{name}: the sweep's step count or per-step outcomes moved"
         );
     }
+}
+
+/// Replays `gen_ops(seed)` on `shape` with a crash at every charge step,
+/// checks each recovered state against the oracle and returns the
+/// sweep's `(steps, outcomes)`.
+fn sweep(seed: u64, shape: Shape, as_commit: bool) -> (u64, u64) {
+    let build = |mem: &Arc<MemService>| shape(StackBuilder::disk(mem, KERNEL_DOMAIN)).build();
+    let boot = || {
+        let mem = Arc::new(MemService::new(Arc::new(Mutex::new(Machine::new()))));
+        let stack = build(&mem).unwrap();
+        (mem, stack)
+    };
+    let ops = gen_ops(seed);
+
+    // Clean run: count the charge events the sequence costs. Every
+    // one of them is a distinct crash point for the sweep below.
+    let (mem, stack) = boot();
+    let c0 = mem.machine().lock().charge_events();
+    let (acked, inflight) = run_until_crash(&stack.top, &ops, as_commit);
+    assert_eq!((acked, inflight), (ops.len(), None), "clean run crashed");
+    let steps = mem.machine().lock().charge_events() - c0;
+    assert!(steps > 20, "sequence too cheap to be interesting: {steps}");
+
+    let mut outcomes = 0u64;
+    for k in 1..=steps {
+        let (mem, stack) = boot();
+        mem.machine().lock().arm_crash_after(k);
+        let (acked, inflight) = run_until_crash(&stack.top, &ops, as_commit);
+        assert!(
+            inflight.is_some(),
+            "seed {seed}: crash at step {k} never fired"
+        );
+        drop(stack);
+        {
+            let mut m = mem.machine().lock();
+            m.disarm_crash();
+            m.reboot();
+        }
+        // Remount over the surviving disk: recovery replays the
+        // committed prefix of the log.
+        let stack = build(&mem).unwrap();
+        let state = read_all(&stack.top);
+
+        // Exactly two outcomes are legal: the acknowledged prefix,
+        // or the prefix plus the in-flight op applied atomically.
+        let mut without = vec![0u8; RANGE as usize];
+        for op in &ops[..acked] {
+            apply(&mut without, op);
+        }
+        let mut with = without.clone();
+        apply(&mut with, &ops[inflight.unwrap()]);
+        let applied = !matches_oracle(&state, &without);
+        assert!(
+            !applied || matches_oracle(&state, &with),
+            "seed {seed}, crash at step {k}/{steps}: state after recovery \
+             matches neither acked-prefix nor acked-prefix+in-flight \
+             (acked {acked} of {} ops: {:?})",
+            ops.len(),
+            ops[..=inflight.unwrap()].last()
+        );
+        outcomes = sum64::fold(outcomes, &[acked as u8, applied as u8]);
+    }
+    (steps, outcomes)
 }
 
 #[test]
@@ -303,19 +347,14 @@ fn on_disk_format_is_pinned() {
     let batch = [40, 41, 9, 3, 42, 43, 44, 8000].map(|sec| (sec, payload(sec, 2)));
     top.invoke("blockdev", "write_many", &[pairs_arg(batch)])
         .unwrap();
-    let txn = top.invoke("blockdev", "begin_txn", &[]).unwrap();
-    let txn = txn.as_int().unwrap();
-    for k in 0..100i64 {
-        // Descending, with sector 7 written twice: last writer wins.
-        let sec = if k == 60 { 7 } else { 1000 - 3 * k };
-        top.invoke(
-            "blockdev",
-            "txn_write",
-            &txn_write_args(txn, sec, payload(sec, 3)),
-        )
-        .unwrap();
-    }
-    top.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
+    // Descending, with sector 7 written twice: last writer wins.
+    let txn = (0..100i64).map(|k| if k == 60 { 7 } else { 1000 - 3 * k });
+    top.invoke(
+        "blockdev",
+        "commit",
+        &[pairs_arg(txn.map(|sec| (sec, payload(sec, 3))))],
+    )
+    .unwrap();
     for sec in [12, 5, 1000] {
         single(sec, 4);
     }

@@ -14,7 +14,8 @@
 //! - Stress: several non-cooperating domains hammer one shared cache
 //!   installed by interposition.
 //! - Transactions: one script over every stack shape — a transaction is
-//!   the same buffered batch whichever layers it passes through.
+//!   one `commit` of its whole batch, the same whichever layers it
+//!   passes through.
 //!
 //! Profiles: the cache invariants (evict-before-insert, clean only after
 //! the write) are `debug_assert`-checked, so the debug run (tier-1) is the
@@ -32,7 +33,7 @@ use paramecium::machine::Machine;
 use paramecium::prelude::*;
 use paramecium::store::cache::CacheStats;
 use paramecium::store::driver::DriverStats;
-use paramecium::store::vectored::{pairs_arg, sectors_arg, txn_arg, txn_write_args};
+use paramecium::store::vectored::{pairs_arg, sectors_arg};
 use paramecium::store::{JournalConfig, RetryConfig, StackBuilder};
 use parking_lot::Mutex;
 
@@ -490,51 +491,31 @@ fn transactions_behave_identically_on_every_stack() {
             seen.push(format!("{step}: {outcome}"));
         };
         let read = |sec: i64| top.invoke("blockdev", "read", &[Value::Int(sec)]);
-        let begin = || top.invoke("blockdev", "begin_txn", &[]);
-        let txn_write = |txn: i64, sec: i64, d: bytes::Bytes| {
-            top.invoke("blockdev", "txn_write", &txn_write_args(txn, sec, d))
+        let commit = |pairs: &[(i64, bytes::Bytes)]| {
+            top.invoke("blockdev", "commit", &[pairs_arg(pairs.to_vec())])
         };
-        let commit = |txn: i64| top.invoke("blockdev", "commit", &txn_arg(txn));
-        let abort = |txn: i64| top.invoke("blockdev", "abort", &txn_arg(txn));
 
-        // Invisible until commit, visible after.
+        // Visible once committed, and a re-sent commit changes nothing.
         say(
             "write 2",
             top.invoke("blockdev", "write", &[Value::Int(2), sector_of(0x10)]),
         );
-        say("begin", begin());
-        say("txn_write 2", txn_write(1, 2, data(0xA2)));
-        say("txn_write 3", txn_write(1, 3, data(0xA3)));
-        say("read 2 before commit", read(2));
-        say("read 3 before commit", read(3));
-        say("commit", commit(1));
+        let batch = [(2, data(0xA2)), (3, data(0xA3))];
+        say("commit", commit(&batch));
         say("read 2 after commit", read(2));
         say("read 3 after commit", read(3));
-        // A closed handle is gone, for commit and abort alike.
-        say("commit again", commit(1));
-        say("abort after commit", abort(1));
-        // Abort leaves nothing behind.
-        say("begin", begin());
-        say("txn_write 5", txn_write(2, 5, data(0xB5)));
-        say("abort", abort(2));
-        say("read 5 after abort", read(5));
-        say("commit after abort", commit(2));
-        // Handles nobody was given.
-        say("commit unknown", commit(99));
-        say("abort unknown", abort(99));
-        say("txn_write unknown", txn_write(99, 1, data(1)));
-        say("commit 0", commit(0));
-        say("abort negative", abort(-3));
-        say("txn_write 0", txn_write(0, 1, data(1)));
-        // Bad writes are refused at `txn_write`, not at commit.
-        say("begin", begin());
-        say("txn_write past the end", txn_write(3, total, data(1)));
-        say("txn_write negative", txn_write(3, -1, data(1)));
-        say(
-            "txn_write short",
-            txn_write(3, 1, bytes::Bytes::from_static(b"short")),
-        );
-        say("commit empty", commit(3));
+        say("commit again", commit(&batch));
+        say("read 3 after commit again", read(3));
+        // A batch with one bad write is refused whole.
+        for (what, bad) in [
+            ("past the end", (total, data(1))),
+            ("negative", (-1, data(1))),
+            ("short", (1, bytes::Bytes::from_static(b"short"))),
+        ] {
+            say(&format!("commit {what}"), commit(&[(5, data(0xB5)), bad]));
+        }
+        say("read 5 after refused commits", read(5));
+        say("commit empty", commit(&[]));
         say("read 1 after empty commit", read(1));
         // Nothing volatile is left after a flush; the committed data is
         // at its home on the disk.
@@ -547,35 +528,31 @@ fn transactions_behave_identically_on_every_stack() {
         );
 
         // Under a journal a transaction larger than one log record can
-        // carry is rejected whole, wherever in the stack it was begun.
+        // carry is rejected whole, whichever layer it was sent to.
         let oversized = top
             .invoke("blockdev", "write_limit", &[])
             .ok()
             .map(|limit| {
                 let limit = limit.as_int().unwrap();
-                let txn = begin().unwrap().as_int().unwrap();
-                for sec in 0..=limit {
-                    txn_write(txn, 8 + sec, data(0xEE)).unwrap();
-                }
-                let err = commit(txn).unwrap_err().to_string();
+                let batch: Vec<_> = (0..=limit).map(|sec| (8 + sec, data(0xEE))).collect();
+                let err = commit(&batch).unwrap_err().to_string();
                 for sec in 0..=limit {
                     let v = read(8 + sec).unwrap();
                     assert_eq!(v.as_bytes().unwrap()[0], 0, "{name}: sector {sec} leaked");
                 }
-                assert!(commit(txn).is_err(), "{name}: rejected handle is closed");
                 err
             });
         transcripts.push((name, seen, oversized));
     }
 
     let (_, reference, _) = &transcripts[0];
-    assert_eq!(reference[1], "begin: Int(1)");
-    assert_eq!(reference[4], "read 2 before commit: 0x10");
-    assert_eq!(reference[7], "read 2 after commit: 0xa2");
+    assert_eq!(reference[1], "commit: Int(2)");
+    assert_eq!(reference[2], "read 2 after commit: 0xa2");
     assert_eq!(
-        reference[9],
-        "commit again: error: method failed: no open transaction 1"
+        reference[6],
+        "commit past the end: error: method failed: sector N out of range (device has N)"
     );
+    assert_eq!(reference[9], "read 5 after refused commits: 0x00");
     assert_eq!(reference.last().unwrap(), "driver read 3: 0xa3");
     for (name, seen, oversized) in &transcripts {
         assert_eq!(seen, reference, "{name} differs from the bare driver");
