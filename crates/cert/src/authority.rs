@@ -53,7 +53,7 @@ impl Authority {
     }
 
     /// This principal's key fingerprint.
-    pub fn fingerprint(&self) -> String {
+    pub fn fingerprint(&self) -> &str {
         self.keys.public.fingerprint()
     }
 
@@ -113,28 +113,27 @@ pub fn validate_chain(
     cert: &Certificate,
 ) -> Result<u32, CertError> {
     let mut sig_checks = 0u32;
-    let mut signer_key = root.clone();
+    let mut signer_key = root;
     // The root may grant anything.
-    let mut signer_powers: Option<Vec<Right>> = None;
+    let mut signer_powers: Option<&[Right]> = None;
 
     for (i, link) in chain.iter().enumerate() {
-        link.verify_signature(&signer_key)?;
+        link.verify_signature(signer_key)?;
         sig_checks += 1;
-        if let Some(powers) = &signer_powers {
-            if let Some(escalated) = link.powers.iter().find(|p| !powers.contains(p)) {
-                let _ = escalated;
+        if let Some(powers) = signer_powers {
+            if link.powers.iter().any(|p| !powers.contains(p)) {
                 return Err(CertError::RightsEscalation {
                     at: format!("link {i} (`{}`)", link.subject_name),
                 });
             }
         }
-        signer_powers = Some(link.powers.clone());
-        signer_key = link.subject_key.clone();
+        signer_powers = Some(&link.powers);
+        signer_key = &link.subject_key;
     }
 
-    cert.verify_signature(&signer_key)?;
+    cert.verify_signature(signer_key)?;
     sig_checks += 1;
-    if let Some(powers) = &signer_powers {
+    if let Some(powers) = signer_powers {
         if let Some(r) = cert.rights.iter().find(|r| !powers.contains(r)) {
             return Err(CertError::InsufficientRights(*r));
         }

@@ -95,7 +95,7 @@ impl Certificate {
             digest: sha256(image),
             rights,
             method,
-            issuer: issuer_public.fingerprint(),
+            issuer: issuer_public.fingerprint().to_owned(),
             signature: Vec::new(),
         };
         let tbs = cert.to_be_signed();
@@ -180,7 +180,7 @@ impl DelegationCert {
             subject_name: subject_name.into(),
             subject_key,
             powers,
-            issuer: issuer_public.fingerprint(),
+            issuer: issuer_public.fingerprint().to_owned(),
             signature: Vec::new(),
         };
         let tbs = d.to_be_signed();

@@ -78,13 +78,29 @@ impl CertStore {
         self.entries.get(&sha256(image)).map(|(c, _)| c)
     }
 
+    /// True if the store holds a certificate for the image digesting to
+    /// `digest`.
+    pub fn holds(&self, digest: &Digest) -> bool {
+        self.entries.contains_key(digest)
+    }
+
     /// Performs the load-time check: the image must have a certificate
     /// whose digest matches, whose chain validates to the root, and which
     /// grants `right`.
     ///
     /// Returns the validated certificate on success.
     pub fn validate_for(&mut self, image: &[u8], right: Right) -> Result<Certificate, CertError> {
-        let digest = sha256(image);
+        self.validate_digest(&sha256(image), right)
+    }
+
+    /// [`CertStore::validate_for`] for the image digesting to `digest`,
+    /// for a caller that has digested it already.
+    pub fn validate_digest(
+        &mut self,
+        digest: &Digest,
+        right: Right,
+    ) -> Result<Certificate, CertError> {
+        let digest = *digest;
         let (cert, chain) = self.entries.get(&digest).ok_or(CertError::NotCertified)?;
         // Digest equality is implied by the map key, but re-check against
         // the certificate explicitly — the store contents are data, not

@@ -13,12 +13,13 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use paramecium_cert::{
     certificate::{Certificate, DelegationCert, Right},
     store::{CertStore, StoreStats},
 };
+use paramecium_crypto::sha256::{sha256, Digest};
 use paramecium_machine::{cost::Cycles, Machine};
 
 use crate::CoreResult;
@@ -83,15 +84,45 @@ impl CertService {
     /// Validates `image` for `right`, charging digest and signature costs
     /// to simulated time. This is the load-time check.
     pub fn validate_for(&self, image: &[u8], right: Right) -> CoreResult<Certificate> {
-        let before = self.store.lock().stats();
-        let result = self.store.lock().validate_for(image, right);
-        let after = self.store.lock().stats();
+        let digest = sha256(image);
+        self.validate_held(self.store.lock(), image.len(), &digest, right)
+    }
+
+    /// [`CertService::validate_for`] when the store holds a certificate
+    /// for `image`; `None`, charging nothing, when it holds none. One
+    /// digest and one store lock answer both questions.
+    pub(crate) fn validate_if_certified(
+        &self,
+        image: &[u8],
+        right: Right,
+    ) -> Option<CoreResult<Certificate>> {
+        let digest = sha256(image);
+        let store = self.store.lock();
+        store
+            .holds(&digest)
+            .then(|| self.validate_held(store, image.len(), &digest, right))
+    }
+
+    /// Validates the image of `len` bytes digesting to `digest` under the
+    /// held store lock, so the signature checks charged are this
+    /// validation's own and no concurrent one's, then charges them and the
+    /// digest.
+    fn validate_held(
+        &self,
+        mut store: MutexGuard<'_, CertStore>,
+        len: usize,
+        digest: &Digest,
+        right: Right,
+    ) -> CoreResult<Certificate> {
+        let before = store.stats().signature_checks;
+        let result = store.validate_digest(digest, right);
+        let checks = store.stats().signature_checks - before;
+        drop(store);
         let mut m = self.machine.lock();
         // Digesting the image happens on every validation (cached or not —
         // the digest is how we look the certificate up).
-        m.charge((image.len() as Cycles * DIGEST_COST_PER_BYTE_NUM).max(1));
-        let new_checks = after.signature_checks - before.signature_checks;
-        m.charge(new_checks * self.sig_check_cost);
+        m.charge((len as Cycles * DIGEST_COST_PER_BYTE_NUM).max(1));
+        m.charge(checks * self.sig_check_cost);
         Ok(result?)
     }
 
@@ -153,5 +184,65 @@ mod tests {
         let svc = service_with(b"known", vec![Right::RunKernel]);
         assert!(!svc.is_certified(b"unknown"));
         assert!(svc.validate_for(b"unknown", Right::RunKernel).is_err());
+    }
+
+    #[test]
+    fn validate_if_certified_charges_only_a_certified_image() {
+        let image = b"component image";
+        let svc = service_with(image, vec![Right::RunKernel]);
+        let before = svc.machine.lock().now();
+        assert!(svc
+            .validate_if_certified(b"unknown", Right::RunKernel)
+            .is_none());
+        assert_eq!(svc.machine.lock().now(), before);
+        let cert = svc.validate_if_certified(image, Right::RunKernel);
+        assert!(matches!(cert, Some(Ok(_))));
+        let digest_cost = image.len() as Cycles * DIGEST_COST_PER_BYTE_NUM;
+        assert_eq!(
+            svc.machine.lock().now() - before,
+            digest_cost + DEFAULT_SIG_CHECK_COST
+        );
+        // Certified, but not for this right: validated and charged, then
+        // refused.
+        assert!(matches!(
+            svc.validate_if_certified(image, Right::RunUser),
+            Some(Err(_))
+        ));
+    }
+
+    #[test]
+    fn concurrent_validations_are_each_charged_their_own_checks() {
+        // With the cache off every validation checks the root's signature
+        // once. Reading the check count around the validation under one
+        // store lock charges each exactly that, however the threads
+        // interleave.
+        const THREADS: u64 = 4;
+        const EACH: u64 = 25;
+        let image = b"component image";
+        let svc = Arc::new(service_with(image, vec![Right::RunKernel]));
+        svc.set_cache_enabled(false);
+        let before = svc.machine.lock().now();
+        let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (svc, start) = (svc.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..EACH {
+                        svc.validate_for(image, Right::RunKernel).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let checks = svc.stats().signature_checks;
+        assert_eq!(checks, THREADS * EACH);
+        let digest_cost = image.len() as Cycles * DIGEST_COST_PER_BYTE_NUM;
+        assert_eq!(
+            svc.machine.lock().now() - before,
+            THREADS * EACH * digest_cost + checks * DEFAULT_SIG_CHECK_COST
+        );
     }
 }

@@ -8,10 +8,26 @@
 //! Call-backs registered for a non-kernel domain incur the context-switch
 //! cost when dispatched — exactly the cost the thread package's proto-
 //! thread machinery amortises.
+//!
+//! A delivery takes the machine for its trap steps and lets go of it for
+//! each call-back: `EventService::deliver_held` is handed the machine
+//! already locked by whoever raised the trap, charges the entry and the
+//! switch into the call-back's domain, releases the machine while the
+//! call-back runs (a call-back may re-enter — a page-fault handler may
+//! make a nested cross-domain call, which takes the machine itself), and
+//! hands it back, retaken, after charging the exit. A proxy crossing thus
+//! locks the machine once for "fault, enter, switch" and once for "exit,
+//! marshal, switch" instead of once per step. [`EventService::deliver`]
+//! is the same delivery for a caller that holds nothing. Delivery counts
+//! are relaxed atomics, so the delivery path takes no lock of its own
+//! beyond the registrations' read lock.
 
-use std::sync::Arc;
+use std::sync::{
+    atomic::{AtomicU64, Ordering},
+    Arc,
+};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use paramecium_machine::{
     trap::{Trap, NUM_VECTORS},
@@ -44,13 +60,20 @@ paramecium_obj::counters! {
     }
 }
 
+/// One vector's [`EventStats`], counted without a lock.
+#[derive(Default)]
+struct VectorCounts {
+    delivered: AtomicU64,
+    unhandled: AtomicU64,
+}
+
 /// The processor event service.
 pub struct EventService {
     /// Per vector, its registrations in order. Registering or unregistering
     /// replaces the list; a delivery holds the one it found, so delivering
     /// allocates nothing and a call-back may re-enter the service.
     vectors: Vec<RwLock<Arc<[Registration]>>>,
-    stats: Vec<Mutex<EventStats>>,
+    stats: Vec<VectorCounts>,
     next_id: Mutex<u64>,
 }
 
@@ -62,9 +85,7 @@ impl EventService {
             vectors: (0..NUM_VECTORS)
                 .map(|_| RwLock::new(empty.clone()))
                 .collect(),
-            stats: (0..NUM_VECTORS)
-                .map(|_| Mutex::new(EventStats::default()))
-                .collect(),
+            stats: (0..NUM_VECTORS).map(|_| VectorCounts::default()).collect(),
             next_id: Mutex::new(0),
         }
     }
@@ -119,44 +140,52 @@ impl EventService {
     ///
     /// Returns the number of call-backs run.
     pub fn deliver(&self, machine: &Mutex<Machine>, trap: &Trap) -> usize {
+        self.deliver_held(machine, machine.lock(), trap).1
+    }
+
+    /// [`EventService::deliver`] for a caller already holding `machine`
+    /// (`held` is its guard): the entry charge and the switch into the
+    /// first call-back's domain join the caller's lock scope, the machine
+    /// is released around each call-back (which may re-enter the service
+    /// or take the machine itself), and the guard is handed back, retaken
+    /// after the last call-back and the exit charge, with the number of
+    /// call-backs run.
+    pub(crate) fn deliver_held<'m>(
+        &self,
+        machine: &'m Mutex<Machine>,
+        mut held: MutexGuard<'m, Machine>,
+        trap: &Trap,
+    ) -> (MutexGuard<'m, Machine>, usize) {
         let vector = trap.vector as usize;
         let Some(slot) = self.vectors.get(vector) else {
-            return 0;
+            return (held, 0);
         };
         // Take the list under the lock, run it outside: call-backs may
         // re-enter the event service (e.g. a fault handler making a
         // nested cross-domain call).
         let regs = slot.read().clone();
 
-        {
-            let mut m = machine.lock();
-            let cost = m.cost.trap_enter;
-            m.charge(cost);
-        }
-
-        if regs.is_empty() {
-            self.stats[vector].lock().unhandled += 1;
+        let cost = held.cost.trap_enter;
+        held.charge(cost);
+        let counts = &self.stats[vector];
+        let counter = if regs.is_empty() {
+            &counts.unhandled
         } else {
-            self.stats[vector].lock().delivered += 1;
-        }
+            &counts.delivered
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
 
-        let mut ran = 0;
         for reg in regs.iter() {
-            {
-                let mut m = machine.lock();
-                // Dispatching into a non-current context pays the switch.
-                let _ = m.switch_context(reg.domain.context());
-            }
+            // Dispatching into a non-current context pays the switch.
+            let _ = held.switch_context(reg.domain.context());
+            drop(held);
             (reg.callback)(trap);
-            ran += 1;
+            held = machine.lock();
         }
 
-        {
-            let mut m = machine.lock();
-            let cost = m.cost.trap_exit;
-            m.charge(cost);
-        }
-        ran
+        let cost = held.cost.trap_exit;
+        held.charge(cost);
+        (held, regs.len())
     }
 
     /// Polls the interrupt controller and delivers every pending
@@ -185,7 +214,10 @@ impl EventService {
     pub fn stats(&self, vector: u32) -> EventStats {
         self.stats
             .get(vector as usize)
-            .map(|s| *s.lock())
+            .map(|c| EventStats {
+                delivered: c.delivered.load(Ordering::Relaxed),
+                unhandled: c.unhandled.load(Ordering::Relaxed),
+            })
             .unwrap_or_default()
     }
 }
@@ -201,7 +233,6 @@ mod tests {
     use super::*;
     use crate::domain::KERNEL_DOMAIN;
     use paramecium_machine::{dev::Nic, trap::TrapKind};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn machine() -> Mutex<Machine> {
         Mutex::new(Machine::new())

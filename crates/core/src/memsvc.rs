@@ -6,7 +6,13 @@
 //! have fault call-backs associated with them. … The memory management
 //! service also provides I/O space allocation." (paper, section 3).
 
-use std::{collections::HashMap, sync::Arc};
+use std::{
+    collections::HashMap,
+    sync::{
+        atomic::{AtomicU64, Ordering},
+        Arc,
+    },
+};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -40,6 +46,20 @@ paramecium_obj::counters! {
     }
 }
 
+/// [`MemStats`] counted without a lock, so routing a fault takes none
+/// beyond the handler table's read lock.
+#[derive(Default)]
+struct MemCounts {
+    pages_allocated: AtomicU64,
+    pages_shared: AtomicU64,
+    faults_handled: AtomicU64,
+    faults_unhandled: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
 /// The memory service.
 pub struct MemService {
     machine: Arc<Mutex<Machine>>,
@@ -48,7 +68,7 @@ pub struct MemService {
     /// domains' pages).
     frame_refs: Mutex<HashMap<FrameId, usize>>,
     fault_handlers: RwLock<HashMap<(u16, u64), FaultHandler>>,
-    stats: Mutex<MemStats>,
+    stats: MemCounts,
 }
 
 impl MemService {
@@ -59,7 +79,7 @@ impl MemService {
             next_vaddr: Mutex::new(HashMap::new()),
             frame_refs: Mutex::new(HashMap::new()),
             fault_handlers: RwLock::new(HashMap::new()),
-            stats: Mutex::new(MemStats::default()),
+            stats: MemCounts::default(),
         }
     }
 
@@ -109,7 +129,7 @@ impl MemService {
         for (_, f) in &mapped {
             refs.insert(*f, 1);
         }
-        self.stats.lock().pages_allocated += pages as u64;
+        bump(&self.stats.pages_allocated, pages as u64);
         Ok(base)
     }
 
@@ -151,7 +171,7 @@ impl MemService {
         for f in &frames {
             *refs.entry(*f).or_insert(0) += 1;
         }
-        self.stats.lock().pages_shared += pages as u64;
+        bump(&self.stats.pages_shared, pages as u64);
         Ok(dst_base)
     }
 
@@ -201,12 +221,12 @@ impl MemService {
         let handler = self.fault_handlers.read().get(&key).cloned();
         match handler {
             Some(h) => {
-                self.stats.lock().faults_handled += 1;
+                bump(&self.stats.faults_handled, 1);
                 h(fault);
                 true
             }
             None => {
-                self.stats.lock().faults_unhandled += 1;
+                bump(&self.stats.faults_unhandled, 1);
                 false
             }
         }
@@ -306,7 +326,7 @@ impl MemService {
                     }
                     drop(m);
                     svc.frame_refs.lock().insert(frame, 1);
-                    svc.stats.lock().pages_allocated += 1;
+                    bump(&svc.stats.pages_allocated, 1);
                     // The page is now resident; the handler stays
                     // registered but will not fire again for it.
                 }),
@@ -360,7 +380,13 @@ impl MemService {
 
     /// Service statistics.
     pub fn stats(&self) -> MemStats {
-        *self.stats.lock()
+        let c = &self.stats;
+        MemStats {
+            pages_allocated: c.pages_allocated.load(Ordering::Relaxed),
+            pages_shared: c.pages_shared.load(Ordering::Relaxed),
+            faults_handled: c.faults_handled.load(Ordering::Relaxed),
+            faults_unhandled: c.faults_unhandled.load(Ordering::Relaxed),
+        }
     }
 }
 

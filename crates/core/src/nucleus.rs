@@ -359,10 +359,10 @@ impl Nucleus {
                     // missing or insufficient one falls through to on-line
                     // certification, then software protection. Strict mode
                     // surfaces the certificate error instead.
-                    let cert_check = if !options.force_sandbox && self.certsvc.is_certified(&bc) {
-                        Some(self.certsvc.validate_for(&bc, Right::RunKernel))
-                    } else {
+                    let cert_check = if options.force_sandbox {
                         None
+                    } else {
+                        self.certsvc.validate_if_certified(&bc, Right::RunKernel)
                     };
                     let (program, protection) = if options.force_sandbox {
                         let (rewritten, cost) = sandbox(&program);

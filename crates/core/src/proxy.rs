@@ -16,6 +16,26 @@
 //! through the event service (trap costs), marshals arguments (copy costs,
 //! with object handles translated into nested proxies), switches context,
 //! invokes the target, and marshals the result back.
+//!
+//! # Lock scopes
+//!
+//! A crossing takes the machine lock three times, each scope running a
+//! run of trap steps back to back:
+//!
+//! 1. the fault, the trap entry and the switch into the fault call-back's
+//!    domain;
+//! 2. the trap exit, marshalling the arguments and the switch into the
+//!    target's domain;
+//! 3. marshalling the result back and the switch into the caller's domain.
+//!
+//! The event service hands the held machine through the delivery
+//! (`EventService::deliver_held`) and releases it while the fault
+//! call-back runs, and the target runs between scopes 2 and 3: both may
+//! make nested crossings of their own, which take the machine themselves.
+//! Marshalling charges page mapping on the held machine, and building a
+//! nested proxy for a handle ([`make_proxy`]) never locks the machine, so
+//! it is safe under the lock. Every charge is issued in the order the
+//! steps run.
 
 use std::sync::{
     atomic::{AtomicU64, Ordering},
@@ -89,7 +109,8 @@ impl Clone for ProxyCtx {
 /// `target_domain`.
 ///
 /// The proxy exports exactly the same interfaces as the target (including
-/// a forwarding fallback for methods added later).
+/// a forwarding fallback for methods added later). Building one never
+/// locks the machine, so a crossing builds nested proxies under its lock.
 pub fn make_proxy(
     ctx: &ProxyCtx,
     target: ObjRef,
@@ -150,59 +171,59 @@ impl CrossCall {
 
     /// Performs one cross-domain invocation.
     fn invoke(&self, forward: &Forward<'_>, args: &[Value]) -> Result<Value, ObjError> {
+        let machine = &*self.ctx.machine;
         // 1. Reference the fault page: a genuine MMU fault in the caller's
-        //    context.
-        let fault = {
-            let mut m = self.ctx.machine.lock();
-            // The caller runs in its own context when it touches the proxy.
-            let _ = m.switch_context(self.caller.context());
-            match m.translate(self.caller.context(), self.fault_vaddr, Access::Exec) {
-                Err(MachineError::Fault(f)) => f,
-                Err(e) => return Err(ObjError::failed(format!("proxy fault setup: {e}"))),
-                Ok(_) => {
-                    return Err(ObjError::failed(
-                        "proxy fault page unexpectedly mapped".to_owned(),
-                    ))
-                }
+        //    context. The caller runs in its own context when it touches
+        //    the proxy.
+        let mut m = machine.lock();
+        let _ = m.switch_context(self.caller.context());
+        let fault = match m.translate(self.caller.context(), self.fault_vaddr, Access::Exec) {
+            Err(MachineError::Fault(f)) => f,
+            Err(e) => return Err(ObjError::failed(format!("proxy fault setup: {e}"))),
+            Ok(_) => {
+                return Err(ObjError::failed(
+                    "proxy fault page unexpectedly mapped".to_owned(),
+                ))
             }
         };
 
         // 2. Deliver the trap: event service charges trap costs and runs
         //    the nucleus's page-fault call-back, which routes to our
-        //    per-page handler.
-        self.ctx
+        //    per-page handler. The machine comes back held.
+        let (mut m, _) = self
+            .ctx
             .events
-            .deliver(&self.ctx.machine, &Trap::page_fault(fault));
+            .deliver_held(machine, m, &Trap::page_fault(fault));
 
         // 3. Map in (marshal) the arguments and switch to the target's
         //    context. Values are immutable, so a frame with no handle in it
         //    crosses as the caller's own slice; only a frame carrying a
         //    handle is rebuilt, around its nested proxies.
         let mut bytes = 0usize;
-        let rebuilt = self.translate_frame(args, self.caller, self.target_domain, &mut bytes);
-        {
-            let mut m = self.ctx.machine.lock();
-            let cost = m.cost.copy_cost(bytes);
-            m.charge(cost);
-            m.switch_context(self.target_domain.context())
-                .map_err(|e| ObjError::failed(format!("context switch: {e}")))?;
-        }
+        let rebuilt =
+            self.translate_frame(&mut m, args, self.caller, self.target_domain, &mut bytes);
+        let cost = m.cost.copy_cost(bytes);
+        m.charge(cost);
+        let entered = m
+            .switch_context(self.target_domain.context())
+            .map_err(|e| ObjError::failed(format!("context switch: {e}")));
+        drop(m);
 
-        // 4. Invoke the actual method in the target's domain.
-        let result = forward.call(rebuilt.as_deref().unwrap_or(args));
+        // 4. Invoke the actual method in the target's domain. A failed
+        //    switch is the call's result, and returns like any failure.
+        let result = entered.and_then(|()| forward.call(rebuilt.as_deref().unwrap_or(args)));
 
         // 5. Marshal the result back and return to the caller's context.
+        let mut m = machine.lock();
         let back = result.map(|v| {
-            self.translate_value(&v, self.target_domain, self.caller, &mut bytes)
+            self.translate_value(&mut m, &v, self.target_domain, self.caller, &mut bytes)
                 .unwrap_or(v)
         });
-        {
-            let mut m = self.ctx.machine.lock();
-            let ret_bytes = if back.is_ok() { bytes } else { 0 };
-            let cost = m.cost.copy_cost(ret_bytes);
-            m.charge(cost);
-            let _ = m.switch_context(self.caller.context());
-        }
+        let ret_bytes = if back.is_ok() { bytes } else { 0 };
+        let cost = m.cost.copy_cost(ret_bytes);
+        m.charge(cost);
+        let _ = m.switch_context(self.caller.context());
+        drop(m);
         self.ctx
             .stats
             .bytes_marshalled
@@ -210,12 +231,13 @@ impl CrossCall {
         back
     }
 
-    /// Marshals a frame of values across the boundary, in order, adding
-    /// what it costs to `bytes`. Returns the frame to send in its place
-    /// only when some value in it holds a handle; `None` means the values
-    /// cross as they are.
+    /// Marshals a frame of values across the boundary, in order, on the
+    /// held machine `m`, adding what it costs to `bytes`. Returns the
+    /// frame to send in its place only when some value in it holds a
+    /// handle; `None` means the values cross as they are.
     fn translate_frame(
         &self,
+        m: &mut Machine,
         values: &[Value],
         from: DomainId,
         to: DomainId,
@@ -223,7 +245,7 @@ impl CrossCall {
     ) -> Option<Vec<Value>> {
         let mut rebuilt: Option<Vec<Value>> = None;
         for (i, v) in values.iter().enumerate() {
-            let translated = self.translate_value(v, from, to, bytes);
+            let translated = self.translate_value(m, v, from, to, bytes);
             match (&mut rebuilt, translated) {
                 (Some(out), t) => out.push(t.unwrap_or_else(|| v.clone())),
                 (None, Some(t)) => {
@@ -238,13 +260,14 @@ impl CrossCall {
         rebuilt
     }
 
-    /// Marshals one value across the boundary, adding its
-    /// `marshalled_size` to `bytes`: values are immutable, so a flat one is
-    /// the callee's as it is, and only handles — at any depth of a list —
-    /// become nested proxies pointing back at `from`. Returns the value to
-    /// send in `v`'s place when it holds a handle.
+    /// Marshals one value across the boundary on the held machine `m`,
+    /// adding its `marshalled_size` to `bytes`: values are immutable, so a
+    /// flat one is the callee's as it is, and only handles — at any depth
+    /// of a list — become nested proxies pointing back at `from`. Returns
+    /// the value to send in `v`'s place when it holds a handle.
     fn translate_value(
         &self,
+        m: &mut Machine,
         v: &Value,
         from: DomainId,
         to: DomainId,
@@ -261,7 +284,7 @@ impl CrossCall {
             }
             Value::List(items) => {
                 *bytes += 5; // List framing.
-                self.translate_frame(items, from, to, bytes)
+                self.translate_frame(m, items, from, to, bytes)
                     .map(Value::List)
             }
             Value::Bytes(b) if self.map_threshold() > 0 && b.len() >= self.map_threshold() => {
@@ -269,10 +292,8 @@ impl CrossCall {
                 // The page-table writes are charged here; the byte count
                 // recorded is 0 because no bytes move.
                 let pages = b.len().div_ceil(paramecium_machine::PAGE_SIZE) as u64;
-                let mut m = self.ctx.machine.lock();
                 let cost = pages * m.cost.page_map;
                 m.charge(cost);
-                drop(m);
                 self.ctx.stats.args_mapped.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -565,6 +586,115 @@ mod tests {
             .invoke("math", "add", &[Value::Int(1), Value::Int(2)])
             .unwrap();
         assert_eq!(ctx.machine.lock().mmu.current_context(), user.context());
+    }
+
+    #[test]
+    fn caller_context_is_restored_after_a_failed_switch() {
+        let (ctx, user) = world();
+        let server = DomainId::from(ctx.machine.lock().mmu.create_context().unwrap());
+        let proxy = make_proxy(&ctx, adder(), server, user);
+        ctx.machine
+            .lock()
+            .mmu
+            .destroy_context(server.context())
+            .unwrap();
+        let switches = ctx.machine.lock().mmu.switch_count();
+        let r = proxy.invoke("math", "add", &[Value::Int(1), Value::Int(2)]);
+        assert!(
+            matches!(&r, Err(ObjError::Failed(msg)) if msg.starts_with("context switch")),
+            "{r:?}"
+        );
+        let m = ctx.machine.lock();
+        assert_eq!(m.mmu.current_context(), user.context());
+        // Into the caller to touch the fault page (the machine boots in the
+        // kernel), into the kernel for the fault call-back, and back.
+        assert_eq!(m.mmu.switch_count() - switches, 3);
+    }
+
+    #[test]
+    fn a_fault_call_back_can_make_a_nested_crossing() {
+        // A second page-fault call-back crosses into the kernel itself the
+        // first time it runs. Delivery must have let go of the machine
+        // before running it, or the nested crossing would block on it.
+        let (ctx, user) = world();
+        let inner: Arc<std::sync::OnceLock<ObjRef>> = Arc::default();
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let inner_result = Arc::new(Mutex::new(None));
+        {
+            let (inner, armed, inner_result) = (inner.clone(), armed.clone(), inner_result.clone());
+            ctx.events
+                .register(
+                    TrapKind::PageFault.vector(),
+                    KERNEL_DOMAIN,
+                    Arc::new(move |_: &Trap| {
+                        if armed.swap(false, Ordering::Relaxed) {
+                            let r = inner.get().expect("set before the first crossing").invoke(
+                                "math",
+                                "add",
+                                &[Value::Int(20), Value::Int(22)],
+                            );
+                            *inner_result.lock() = Some(r);
+                        }
+                    }),
+                )
+                .unwrap();
+        }
+        let _ = inner.set(make_proxy(&ctx, adder(), KERNEL_DOMAIN, user));
+        let outer = make_proxy(&ctx, adder(), KERNEL_DOMAIN, user);
+        let r = outer
+            .invoke("math", "add", &[Value::Int(1), Value::Int(2)])
+            .unwrap();
+        assert_eq!(r, Value::Int(3));
+        assert_eq!(inner_result.lock().take(), Some(Ok(Value::Int(42))));
+        assert_eq!(ctx.stats.crossings(), 2);
+        assert_eq!(ctx.events.stats(TrapKind::PageFault.vector()).delivered, 2);
+        assert_eq!(ctx.machine.lock().mmu.current_context(), user.context());
+    }
+
+    #[test]
+    fn a_crossing_with_a_handle_and_a_mapped_payload_costs_what_it_did() {
+        // A kernel service that calls back into the handle it is given and
+        // echoes the payload: the outer crossing maps 8 KiB each way and
+        // builds a nested proxy, whose call-back crosses back to the user.
+        let (ctx, user) = world();
+        let service = ObjectBuilder::new("service")
+            .interface("run", |i| {
+                i.method(
+                    "call",
+                    &[TypeTag::Handle, TypeTag::Bytes],
+                    TypeTag::Bytes,
+                    |_, args| {
+                        let h = args[0].as_handle()?;
+                        h.invoke("math", "add", &[Value::Int(20), Value::Int(22)])?;
+                        Ok(args[1].clone())
+                    },
+                )
+            })
+            .build();
+        let proxy = make_proxy(&ctx, service, KERNEL_DOMAIN, user);
+        ctx.stats.map_threshold.store(4096, Ordering::Relaxed);
+        let payload = Value::Bytes(bytes::Bytes::from(vec![3u8; 8192]));
+        let (cycles, events, switches) = {
+            let m = ctx.machine.lock();
+            (m.now(), m.charge_events(), m.mmu.switch_count())
+        };
+        let out = proxy
+            .invoke("run", "call", &[Value::Handle(adder()), payload.clone()])
+            .unwrap();
+        assert_eq!(out, payload);
+        let m = ctx.machine.lock();
+        // Pinned: the values the six-lock crossing gave. Taking the machine
+        // in three scopes moves no charge.
+        assert_eq!(
+            (
+                m.now() - cycles,
+                m.charge_events() - events,
+                m.mmu.switch_count() - switches
+            ),
+            (2948, 17, 5)
+        );
+        assert_eq!(ctx.stats.crossings(), 2);
+        assert_eq!(ctx.stats.args_mapped.load(Ordering::Relaxed), 2);
     }
 
     #[test]

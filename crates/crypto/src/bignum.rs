@@ -32,6 +32,11 @@
 //! square-and-multiply, since 14 precomputation multiplies would dominate.
 //! The pre-Montgomery path survives as [`Ubig::modpow_schoolbook`]: it
 //! handles even moduli and serves as the differential-testing oracle.
+//!
+//! Building a context costs two long divisions (`R mod n`, `R² mod n`),
+//! which [`Ubig::modpow`] pays on every call. Building it once per modulus
+//! is the keys' job: an RSA key holds the contexts of its moduli, so
+//! signing and verifying pay only the multiplies.
 
 use std::cmp::Ordering;
 
@@ -487,9 +492,10 @@ impl Ubig {
 ///
 /// Construction pays one `R mod n` / `R² mod n` setup division; every
 /// subsequent multiplication is a division-free CIOS reduction. Callers
-/// that perform many multiplications under one modulus (modular
-/// exponentiation, Miller–Rabin witnesses) should build the context once
-/// and reuse it.
+/// that perform many multiplications under one modulus should build the
+/// context once and reuse it: an RSA key builds the contexts of its moduli
+/// when it is built (`crate::keys`), and Miller–Rabin builds one per
+/// candidate for all its witnesses. [`Ubig::modpow`] builds one per call.
 pub struct Montgomery {
     /// Modulus limbs (little-endian, exactly `k` limbs, top limb nonzero).
     n: Vec<u64>,

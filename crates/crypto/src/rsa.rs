@@ -13,12 +13,16 @@
 //! recombines with Garner's formula `s = m₂ + q · (q⁻¹(m₁ − m₂) mod p)`.
 //! Keys deserialised without factors fall back to the plain exponentiation,
 //! which remains the differential-testing oracle for the CRT path.
+//!
+//! Both exponentiations run in the Montgomery contexts the key built
+//! (`crate::keys`): signing in those of `p` and `q`, verifying in that of
+//! `n`, so no signature re-derives a context by long division.
 
 use rand::Rng;
 
 use crate::{
     bignum::Ubig,
-    keys::{CrtParams, KeyPair, PrivateKey, PublicKey},
+    keys::{pow_mod, Crt, CrtParams, KeyPair, PrivateKey, PublicKey},
     prime::gen_prime,
     sha256::{Digest, DIGEST_LEN},
     CryptoError,
@@ -70,21 +74,22 @@ pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> KeyPair {
             q_inv,
         };
         return KeyPair {
-            public: PublicKey { n: n.clone(), e },
-            private: PrivateKey {
-                n,
-                d,
-                crt: Some(crt),
-            },
+            public: PublicKey::new(n.clone(), e),
+            private: PrivateKey::new(n, d, Some(crt)),
         };
     }
 }
 
 /// `m^d mod n` via the CRT split: half-width exponentiations mod `p` and
-/// `q`, recombined with Garner's formula.
-fn crt_modpow(m: &Ubig, crt: &CrtParams) -> Ubig {
-    let m1 = m.modpow(&crt.d_p, &crt.p);
-    let m2 = m.modpow(&crt.d_q, &crt.q);
+/// `q`, each in its factor's context, recombined with Garner's formula.
+fn crt_modpow(m: &Ubig, crt: &Crt) -> Ubig {
+    let Crt {
+        params: crt,
+        mont_p,
+        mont_q,
+    } = crt;
+    let m1 = pow_mod(mont_p.as_ref(), m, &crt.d_p, &crt.p);
+    let m2 = pow_mod(mont_q.as_ref(), m, &crt.d_q, &crt.q);
     // h = q_inv · (m1 − m2) mod p, with the subtraction lifted into [0, p).
     let m2_mod_p = m2.rem(&crt.p);
     let diff = if m1 >= m2_mod_p {
@@ -119,13 +124,13 @@ fn pad_digest(digest: &Digest, modulus_len: usize) -> Result<Vec<u8>, CryptoErro
 /// Signs a digest with the private key, returning a signature of exactly
 /// the modulus length.
 pub fn sign(key: &PrivateKey, digest: &Digest) -> Result<Vec<u8>, CryptoError> {
-    let modulus_len = (key.n.bit_len() as usize).div_ceil(8);
+    let modulus_len = (key.n().bit_len() as usize).div_ceil(8);
     let padded = pad_digest(digest, modulus_len)?;
     let m = Ubig::from_bytes_be(&padded);
-    debug_assert!(m < key.n, "padded representative exceeds modulus");
-    let s = match &key.crt {
+    debug_assert!(&m < key.n(), "padded representative exceeds modulus");
+    let s = match key.crt_contexts() {
         Some(crt) => crt_modpow(&m, crt),
-        None => m.modpow(&key.d, &key.n),
+        None => m.modpow(key.d(), key.n()),
     };
     s.to_bytes_be_padded(modulus_len)
         .ok_or_else(|| CryptoError::InvalidInput("signature exceeds modulus length".into()))
@@ -138,10 +143,10 @@ pub fn verify(key: &PublicKey, digest: &Digest, signature: &[u8]) -> Result<(), 
         return Err(CryptoError::BadSignature);
     }
     let s = Ubig::from_bytes_be(signature);
-    if s >= key.n {
+    if &s >= key.n() {
         return Err(CryptoError::BadSignature);
     }
-    let m = s.modpow(&key.e, &key.n);
+    let m = key.raise(&s);
     let recovered = m
         .to_bytes_be_padded(modulus_len)
         .ok_or(CryptoError::BadSignature)?;
@@ -235,7 +240,7 @@ mod tests {
         // A signature numerically >= n must be rejected before exponentiation.
         let too_big = kp
             .public
-            .n
+            .n()
             .to_bytes_be_padded(kp.public.modulus_len())
             .unwrap();
         assert_eq!(
@@ -254,7 +259,7 @@ mod tests {
     #[test]
     fn keygen_respects_bit_length() {
         let kp = keypair();
-        assert_eq!(kp.public.n.bit_len(), 512);
+        assert_eq!(kp.public.n().bit_len(), 512);
         assert_eq!(kp.public.modulus_len(), 64);
     }
 
@@ -277,19 +282,15 @@ mod tests {
     #[test]
     fn generated_keys_carry_crt_params() {
         let kp = keypair();
-        let crt = kp.private.crt.as_ref().expect("generate fills CRT");
-        assert_eq!(crt.p.mul(&crt.q), kp.private.n);
+        let crt = kp.private.crt().expect("generate fills CRT");
+        assert_eq!(&crt.p.mul(&crt.q), kp.private.n());
         assert_eq!(crt.q.modmul(&crt.q_inv, &crt.p), Ubig::one());
     }
 
     #[test]
     fn key_without_crt_params_signs_identically() {
         let kp = keypair();
-        let stripped = PrivateKey {
-            n: kp.private.n.clone(),
-            d: kp.private.d.clone(),
-            crt: None,
-        };
+        let stripped = PrivateKey::new(kp.private.n().clone(), kp.private.d().clone(), None);
         let digest = sha256(b"component");
         assert_eq!(
             sign(&kp.private, &digest).unwrap(),
@@ -317,9 +318,16 @@ mod tests {
             // exponent, no CRT involved.
             let modulus_len = kp.public.modulus_len();
             let m = Ubig::from_bytes_be(&pad_digest(&digest, modulus_len).unwrap());
-            let plain = m.modpow(&kp.private.d, &kp.private.n);
+            let plain = m.modpow(kp.private.d(), kp.private.n());
             prop_assert_eq!(&sig, &plain.to_bytes_be_padded(modulus_len).unwrap());
-            prop_assert_eq!(&plain, &m.modpow_schoolbook(&kp.private.d, &kp.private.n));
+            prop_assert_eq!(&plain, &m.modpow_schoolbook(kp.private.d(), kp.private.n()));
+            // Verifying raises through the context the public key built:
+            // it must agree with the division-per-step oracle and give the
+            // padded representative back.
+            let s = Ubig::from_bytes_be(&sig);
+            let raised = kp.public.raise(&s);
+            prop_assert_eq!(&raised, &s.modpow_schoolbook(kp.public.e(), kp.public.n()));
+            prop_assert_eq!(&raised, &m);
             prop_assert!(verify(&kp.public, &digest, &sig).is_ok());
         }
     }
