@@ -27,15 +27,6 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The cache-free reference path, recorded so the JSON trajectory shows
-    // what the inline cache buys on this machine.
-    g.bench_function("interface_dispatch_uncached", |b| {
-        b.iter(|| {
-            obj.invoke_uncached("ctr", "incr", std::hint::black_box(&args))
-                .unwrap()
-        })
-    });
-
     // The paper's "run time inline technique": a pre-bound method handle.
     let bound = obj
         .interface("ctr")

@@ -138,8 +138,7 @@ pub fn make_proxy(
     };
 
     // Every interface entry is a forward with the crossing wrapped around
-    // it: the call inside the crossing is the target's own `invoke`, so a
-    // re-export on the target takes effect on the next crossing.
+    // it: the call inside the crossing is the target's own `invoke`.
     let crossing: WrapFn =
         Arc::new(move |forward: &Forward<'_>, args: &[Value]| cross.invoke(forward, args));
     let mut builder = ObjectBuilder::new(format!("proxy<{}>", target.class()));

@@ -24,8 +24,9 @@ use crate::{
 };
 
 /// A composition's children by local name, each in the cell its
-/// re-exported interfaces forward through.
-type Children = BTreeMap<String, Arc<Target>>;
+/// re-exported interfaces forward through, with the names of those
+/// interfaces.
+type Children = BTreeMap<String, (Arc<Target>, Vec<&'static str>)>;
 
 /// Name of the administrative interface every composition exports.
 pub const COMPOSITION_IFACE: &str = "composition";
@@ -104,18 +105,19 @@ impl CompositionBuilder {
             return Err(ObjError::Binding(e.clone()));
         }
         let mut builder = ObjectBuilder::new(self.class);
-        let children: Children = self
+        let mut children: Children = self
             .children
             .into_iter()
-            .map(|(name, obj)| (name, Target::new(obj)))
+            .map(|(name, obj)| (name, (Target::new(obj), Vec::new())))
             .collect();
 
         // One forwarding interface per export, through its child's cell, so
         // that `replace` takes effect for existing clients — this is the
         // late-binding property.
         for (iface_name, child_name) in &self.exports {
-            let child = &children[child_name];
+            let (child, exported) = children.get_mut(child_name).expect("checked by `export`");
             let desc = child.get().interface(iface_name)?.descriptor();
+            exported.push(desc.interface);
             builder = builder.raw_interface(forwarding_interface(
                 Interface::new(desc.interface),
                 desc.methods,
@@ -131,10 +133,12 @@ impl CompositionBuilder {
 /// Builds the `composition` administrative interface: listing and replacing
 /// children.
 fn admin_interface(children: Children) -> Interface {
-    fn child<'a>(children: &'a Children, name: &str) -> ObjResult<&'a Target> {
+    fn child<'a>(
+        children: &'a Children,
+        name: &str,
+    ) -> ObjResult<&'a (Arc<Target>, Vec<&'static str>)> {
         children
             .get(name)
-            .map(|c| &**c)
             .ok_or_else(|| ObjError::Binding(format!("no child named `{name}`")))
     }
 
@@ -154,15 +158,16 @@ fn admin_interface(children: Children) -> Interface {
         MethodSig::new("child", &[TypeTag::Str], TypeTag::Handle),
         Arc::new(move |_: &ObjRef, args: &[Value]| {
             Ok(Value::Handle(
-                child(&each, args[0].as_str()?)?.get().clone(),
+                child(&each, args[0].as_str()?)?.0.get().clone(),
             ))
         }),
     );
     iface.insert_method(
         MethodSig::new("replace", &[TypeTag::Str, TypeTag::Handle], TypeTag::Handle),
         Arc::new(move |_: &ObjRef, args: &[Value]| {
+            let (target, exported) = child(&children, args[0].as_str()?)?;
             let new = args[1].as_handle()?.clone();
-            Ok(Value::Handle(child(&children, args[0].as_str()?)?.set(new)))
+            Ok(Value::Handle(target.set(new, exported)?))
         }),
     );
     iface
@@ -285,23 +290,25 @@ mod tests {
 
     #[test]
     fn fallback_covers_methods_added_after_composition() {
-        let child = named_const("c", 5);
         let comp = CompositionBuilder::new("comp")
-            .child("c", child.clone())
+            .child("c", named_const("c", 5))
             .export("val", "c")
             .build()
             .unwrap();
-        // Extend the child's interface after the composition was built.
-        let mut extended = Interface::new("val");
-        extended.insert_method(
-            MethodSig::new("get", &[], TypeTag::Int),
-            Arc::new(|_: &ObjRef, _: &[Value]| Ok(Value::Int(5))),
-        );
-        extended.insert_method(
-            MethodSig::new("twice", &[], TypeTag::Int),
-            Arc::new(|_: &ObjRef, _: &[Value]| Ok(Value::Int(10))),
-        );
-        child.export_interface(extended);
+        // Replace the child with one whose interface has a method the
+        // first child lacked.
+        let grown = ObjectBuilder::new("c2")
+            .interface("val", |i| {
+                i.method("get", &[], TypeTag::Int, |_, _| Ok(Value::Int(5)))
+                    .method("twice", &[], TypeTag::Int, |_, _| Ok(Value::Int(10)))
+            })
+            .build();
+        comp.invoke(
+            COMPOSITION_IFACE,
+            "replace",
+            &[Value::Str("c".into()), Value::Handle(grown)],
+        )
+        .unwrap();
         assert_eq!(comp.invoke("val", "twice", &[]).unwrap(), Value::Int(10));
     }
 }

@@ -18,8 +18,8 @@ use crate::{
 /// methods operate on the target's instance data — this is delegation, not
 /// inheritance. Methods the target exports now are installed under the
 /// target's own signatures, so the delegating object describes and
-/// type-checks like the target; methods the target grows later are reached
-/// all the same.
+/// type-checks like the target; methods the target's interface serves
+/// through a fallback of its own are reached all the same.
 ///
 /// # Examples
 ///

@@ -10,16 +10,17 @@
 //! the handle the code around a call uses to make it.
 //!
 //! A forwarded call is an ordinary [`Object::invoke`] on the current
-//! target, so the target's own dispatch cache serves it: there is one
-//! dispatch cache in the object model, not one per forwarding call site.
+//! target: the forwarder keeps no lookup of its own. An object's interfaces
+//! are fixed when it is built, so a target that exports every forwarded
+//! interface when it is installed exports them for as long as it stays.
 //!
 //! [`Object::invoke`]: crate::object::Object::invoke
 
 use std::sync::Arc;
 
 use crate::{
-    interface::Interface, object::ObjRef, snapcell::SnapCell, typeinfo::MethodSig, value::Value,
-    ObjResult,
+    error::ObjError, interface::Interface, object::ObjRef, snapcell::SnapCell, typeinfo::MethodSig,
+    value::Value, ObjResult,
 };
 
 /// The object a forwarder forwards to right now.
@@ -49,11 +50,22 @@ impl Target {
     }
 
     /// Re-points the forwarder at `obj`, returning the object it replaced.
-    pub fn set(&self, obj: ObjRef) -> ObjRef {
-        self.0
+    ///
+    /// `obj` must export every interface in `forwarded`, the ones the
+    /// forwarder sends to this target; if one is missing the swap is
+    /// refused with [`ObjError::Binding`] and the old target stays.
+    pub fn set(&self, obj: ObjRef, forwarded: &[&'static str]) -> ObjResult<ObjRef> {
+        if let Some(missing) = forwarded.iter().find(|i| !obj.has_interface(i)) {
+            return Err(ObjError::Binding(format!(
+                "`{}` does not export interface `{missing}`",
+                obj.class()
+            )));
+        }
+        Ok(self
+            .0
             .publish(obj)
             .expect("a target is published at construction")
-            .clone()
+            .clone())
     }
 }
 
@@ -74,9 +86,9 @@ pub struct Forward<'a> {
 impl Forward<'_> {
     /// Invokes the forwarded method on the current target.
     ///
-    /// It is the target's own `invoke`, so a retarget, a child replacement
-    /// or a re-export on the target takes effect on the very next call, and
-    /// a warm forward takes no lock and allocates nothing.
+    /// It is the current target's own `invoke`, so a retarget or a child
+    /// replacement takes effect on the very next call, and a forward takes
+    /// no lock and allocates nothing.
     #[inline]
     pub fn call(&self, args: &[Value]) -> ObjResult<Value> {
         self.target.get().invoke(self.interface, self.method, args)
@@ -105,7 +117,8 @@ impl Forward<'_> {
 /// Methods `base` already implements are kept. Every other signature in
 /// `sigs` (the target's, so type-aware clients cannot tell the forwarder
 /// from the original) becomes a forwarding method, and one fallback
-/// forwards methods the target grows later.
+/// forwards the rest: methods a later target has, or ones the target's own
+/// interface serves through a fallback of its own.
 ///
 /// `wrap` is asked once per installed method (`Some(name)`) and once for
 /// the fallback (`None`) what to run around that forward; `None` installs
@@ -209,5 +222,45 @@ mod tests {
             (Arc::strong_count(&first), Arc::strong_count(&second)),
             (1, 1)
         );
+    }
+
+    /// An object's interfaces never change, so a swap to a target that
+    /// lacks a forwarded interface could only fail every later call: it is
+    /// refused, and the old target keeps serving.
+    #[test]
+    fn a_swap_to_a_target_without_a_forwarded_interface_is_refused() {
+        let empty = || Value::Handle(ObjectBuilder::new("empty").build());
+        let refused = |r: crate::ObjResult<Value>| match r {
+            Err(crate::ObjError::Binding(m)) => assert!(m.contains("`val`"), "{m}"),
+            other => panic!("swap accepted: {other:?}"),
+        };
+
+        let agent = InterposerBuilder::new(leaf()).build();
+        refused(agent.invoke(INTERPOSER_IFACE, "retarget", &[empty()]));
+        assert_eq!(agent.invoke("val", "get", &[]).unwrap(), Value::Int(1));
+
+        let comp = CompositionBuilder::new("comp")
+            .child("c", leaf())
+            .export("val", "c")
+            .build()
+            .unwrap();
+        refused(comp.invoke(
+            COMPOSITION_IFACE,
+            "replace",
+            &[Value::Str("c".into()), empty()],
+        ));
+        assert_eq!(comp.invoke("val", "get", &[]).unwrap(), Value::Int(1));
+    }
+
+    /// A stacked agent forwards the inner agent's `interposer` interface
+    /// only until its own replaces it, so it does not ask a new target
+    /// for one.
+    #[test]
+    fn a_stacked_agent_retargets_onto_a_plain_object() {
+        let outer = InterposerBuilder::new(InterposerBuilder::new(leaf()).build()).build();
+        outer
+            .invoke(INTERPOSER_IFACE, "retarget", &[Value::Handle(leaf())])
+            .unwrap();
+        assert_eq!(outer.invoke("val", "get", &[]).unwrap(), Value::Int(1));
     }
 }

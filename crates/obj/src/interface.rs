@@ -6,7 +6,7 @@
 //! evolve: adding a `measurement` interface to an RPC object does not change
 //! the `rpc` interface its existing users bound to.
 
-use std::{collections::BTreeMap, sync::Arc};
+use std::sync::Arc;
 
 use crate::{
     error::ObjError,
@@ -48,9 +48,9 @@ impl std::fmt::Debug for Method {
 impl Method {
     /// Runs this method on behalf of `this` with full signature checking.
     ///
-    /// This is the one dispatch kernel shared by every call path — slow
-    /// lookup, dispatch-cache hit and bound methods all funnel through it,
-    /// so fast and slow paths cannot drift apart.
+    /// Both ways of calling a method end here — [`Interface::call`] (and
+    /// so every [`Object::invoke`](crate::Object::invoke)) and
+    /// [`BoundMethod::call`] — so they check the same things.
     #[inline]
     pub fn call(&self, this: &ObjRef, args: &[Value]) -> ObjResult<Value> {
         self.sig.check_args(args)?;
@@ -62,12 +62,12 @@ impl Method {
 
 /// A named set of methods with type information.
 ///
-/// Methods are stored behind `Arc` so the per-object dispatch cache and
-/// bound methods can pin resolved handles without cloning signatures.
+/// Methods are kept sorted by name, one per name, behind `Arc` so bound
+/// methods can pin one without cloning its signature.
 #[derive(Clone)]
 pub struct Interface {
     name: &'static str,
-    methods: BTreeMap<&'static str, Arc<Method>>,
+    methods: Vec<Arc<Method>>,
     fallback: Option<FallbackFn>,
 }
 
@@ -75,7 +75,10 @@ impl std::fmt::Debug for Interface {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Interface")
             .field("name", &self.name)
-            .field("methods", &self.methods.keys().collect::<Vec<_>>())
+            .field(
+                "methods",
+                &self.methods.iter().map(|m| m.sig.name).collect::<Vec<_>>(),
+            )
             .field("has_fallback", &self.fallback.is_some())
             .finish()
     }
@@ -86,7 +89,7 @@ impl Interface {
     pub fn new(name: &'static str) -> Self {
         Interface {
             name,
-            methods: BTreeMap::new(),
+            methods: Vec::new(),
             fallback: None,
         }
     }
@@ -98,14 +101,19 @@ impl Interface {
 
     /// Adds (or replaces) a method.
     pub fn insert_method(&mut self, sig: MethodSig, imp: MethodFn) {
-        self.methods.insert(sig.name, Arc::new(Method { sig, imp }));
+        let method = Arc::new(Method { sig, imp });
+        match self.methods.binary_search_by(|m| m.sig.name.cmp(sig.name)) {
+            Ok(at) => self.methods[at] = method,
+            Err(at) => self.methods.insert(at, method),
+        }
     }
 
     /// Returns the directly implemented method `name`, if any. Delegated
     /// (fallback-only) methods are not returned — they have no resolvable
     /// handle.
+    #[inline]
     pub fn method(&self, name: &str) -> Option<&Arc<Method>> {
-        self.methods.get(name)
+        self.methods.iter().find(|m| m.sig.name == name)
     }
 
     /// Sets the delegation fallback, called for any method not present.
@@ -116,12 +124,12 @@ impl Interface {
     /// Returns true if the interface has its own entry for `method`
     /// (delegated methods do not count).
     pub fn has_method(&self, method: &str) -> bool {
-        self.methods.contains_key(method)
+        self.method(method).is_some()
     }
 
     /// Returns the signature of `method`, if implemented directly.
     pub fn signature(&self, method: &str) -> Option<&MethodSig> {
-        self.methods.get(method).map(|m| &m.sig)
+        self.method(method).map(|m| &m.sig)
     }
 
     /// Number of directly implemented methods.
@@ -133,7 +141,7 @@ impl Interface {
     pub fn descriptor(&self) -> InterfaceDescriptor {
         InterfaceDescriptor {
             interface: self.name,
-            methods: self.methods.values().map(|m| m.sig).collect(),
+            methods: self.methods.iter().map(|m| m.sig).collect(),
         }
     }
 
@@ -143,8 +151,9 @@ impl Interface {
     ///
     /// Arguments are passed through borrowed (`&[Value]`) end to end: no
     /// hop in the dispatch stack re-collects them into a fresh `Vec`.
+    #[inline]
     pub fn call(&self, this: &ObjRef, method: &str, args: &[Value]) -> ObjResult<Value> {
-        match self.methods.get(method) {
+        match self.method(method) {
             Some(m) => m.call(this, args),
             None => match &self.fallback {
                 Some(fb) => fb(this, method, args),
@@ -160,12 +169,16 @@ impl Interface {
 /// A pre-resolved method: the paper's "run time inline techniques"
 /// (section 2) for when dispatch overhead matters.
 ///
-/// Binding snapshots the method's signature and implementation, skipping
-/// both interface and method-table lookups on every call. The trade-off
-/// is explicit: a bound method does **not** observe later replacement of
-/// the method on the interface — callers give up one step of late binding
-/// for speed, which is why this is an opt-in fast path and not the
-/// default.
+/// Binding pins the method's signature and implementation together with
+/// the object it was bound against, skipping both interface and
+/// method-table lookups on every call. An object's interfaces never
+/// change, so a bound method runs what `invoke` on that object would. The
+/// trade-off is explicit: it keeps calling that *instance* — it does
+/// **not** follow a later replacement of the instance (a composition's
+/// `replace`, a new handle in the name space) and does not count towards
+/// the object's invocation statistic. Callers give up one step of late
+/// binding for speed, which is why this is an opt-in fast path and not
+/// the default.
 #[derive(Clone)]
 pub struct BoundMethod {
     method: Arc<Method>,
@@ -193,7 +206,7 @@ impl Interface {
     /// Binding shares the interface's `Arc<Method>` entry; nothing is
     /// cloned beyond two reference counts.
     pub fn bind_method(&self, this: &ObjRef, method: &str) -> Option<BoundMethod> {
-        self.methods.get(method).map(|m| BoundMethod {
+        self.method(method).map(|m| BoundMethod {
             method: m.clone(),
             this: this.clone(),
         })
@@ -308,24 +321,34 @@ mod tests {
 
     #[test]
     fn bound_method_does_not_see_later_replacement() {
-        // The documented trade-off: binding freezes the implementation.
-        let obj = crate::ObjectBuilder::new("v")
-            .interface("v", |i| {
-                i.method("get", &[], TypeTag::Int, |_, _| Ok(Value::Int(1)))
-            })
-            .build();
-        let bound = obj
+        // The documented trade-off: binding freezes the instance. A
+        // composition's clients follow a replaced child; a method bound
+        // on the child itself keeps calling it.
+        let version = |v: i64| {
+            crate::ObjectBuilder::new("v")
+                .interface("v", |i| {
+                    i.method("get", &[], TypeTag::Int, move |_, _| Ok(Value::Int(v)))
+                })
+                .build()
+        };
+        let first = version(1);
+        let comp = crate::CompositionBuilder::new("comp")
+            .child("c", first.clone())
+            .export("v", "c")
+            .build()
+            .unwrap();
+        let bound = first
             .interface("v")
             .unwrap()
-            .bind_method(&obj, "get")
+            .bind_method(&first, "get")
             .unwrap();
-        let mut replacement = Interface::new("v");
-        replacement.insert_method(
-            MethodSig::new("get", &[], TypeTag::Int),
-            method_fn(|_, _| Ok(Value::Int(2))),
-        );
-        obj.export_interface(replacement);
-        assert_eq!(obj.invoke("v", "get", &[]).unwrap(), Value::Int(2));
+        comp.invoke(
+            crate::compose::COMPOSITION_IFACE,
+            "replace",
+            &[Value::Str("c".into()), Value::Handle(version(2))],
+        )
+        .unwrap();
+        assert_eq!(comp.invoke("v", "get", &[]).unwrap(), Value::Int(2));
         assert_eq!(bound.call(&[]).unwrap(), Value::Int(1));
     }
 

@@ -174,11 +174,19 @@ impl InterposerBuilder {
             );
         }
 
+        // What a new target must export: every interface still forwarded
+        // once the extra ones and the admin interface have replaced theirs.
+        let forwarded = self
+            .target
+            .interface_names()
+            .into_iter()
+            .filter(|&n| n != INTERPOSER_IFACE && self.extra.iter().all(|e| e.name() != n))
+            .collect();
         for iface in self.extra {
             builder = builder.raw_interface(iface);
         }
 
-        builder = builder.raw_interface(admin_interface(target));
+        builder = builder.raw_interface(admin_interface(target, forwarded));
         builder.build()
     }
 }
@@ -203,8 +211,9 @@ fn hooked(hooks: Arc<(Vec<ObserveFn>, Vec<ObserveFn>)>, body: Option<WrapFn>) ->
 }
 
 /// Builds the `interposer` administrative interface (`target`, `retarget`)
-/// over the cell every forwarding entry of the agent reads.
-fn admin_interface(target: Arc<Target>) -> Interface {
+/// over the cell every forwarding entry of the agent reads; `forwarded`
+/// names the interfaces a new target must export.
+fn admin_interface(target: Arc<Target>, forwarded: Vec<&'static str>) -> Interface {
     let mut iface = Interface::new(INTERPOSER_IFACE);
     let current = target.clone();
     iface.insert_method(
@@ -214,7 +223,9 @@ fn admin_interface(target: Arc<Target>) -> Interface {
     iface.insert_method(
         MethodSig::new("retarget", &[TypeTag::Handle], TypeTag::Handle),
         Arc::new(move |_: &ObjRef, args: &[Value]| {
-            Ok(Value::Handle(target.set(args[0].as_handle()?.clone())))
+            Ok(Value::Handle(
+                target.set(args[0].as_handle()?.clone(), &forwarded)?,
+            ))
         }),
     );
     iface

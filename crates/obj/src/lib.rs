@@ -20,8 +20,10 @@
 //! copies the signatures of the object it stands for and forwards, through a
 //! delegation fallback, methods it has never seen, exactly as the paper
 //! requires. It also models the binary interface-table convention a real
-//! Paramecium implementation uses; each object pins the methods it
-//! implements directly in a small dispatch cache.
+//! Paramecium implementation uses: an object's interfaces, and each
+//! interface's methods, are fixed when it is built, so [`Object::invoke`]
+//! is two short scans of tables that never change — no lock, no cache. A
+//! service changes by interposition, not by editing a live object.
 //!
 //! # Examples
 //!

@@ -4,10 +4,14 @@
 //! (paper, section 2). Objects are coarse grained — a scheduler, an IP
 //! layer, a device driver, a memory allocator — and are always manipulated
 //! through the named interfaces they export.
+//!
+//! The set of interfaces is fixed when the object is built. A service
+//! changes by interposition instead: build an object that exports a
+//! superset of the original's interfaces and replace the handle in the
+//! name space.
 
 use std::{
     any::Any,
-    collections::BTreeMap,
     sync::{
         atomic::{AtomicU64, Ordering},
         Arc,
@@ -17,37 +21,12 @@ use std::{
 use parking_lot::RwLock;
 
 use crate::{
-    error::ObjError,
-    interface::{Interface, Method},
-    snapcell::SnapCell,
-    trylock::TryLock,
-    typeinfo::InterfaceDescriptor,
-    value::Value,
-    ObjResult,
+    error::ObjError, interface::Interface, trylock::TryLock, typeinfo::InterfaceDescriptor,
+    value::Value, ObjResult,
 };
 
 /// A shared reference to an object instance — the paper's "object handle".
 pub type ObjRef = Arc<Object>;
-
-/// Slots in the per-object dispatch cache. Eight covers every hot loop in
-/// the tree (most call sites hammer one or two methods per object) while
-/// keeping the linear revalidation scan trivially cheap. Objects invoking
-/// more distinct methods than this serve the excess from the slow path —
-/// the cache never evicts a fresh entry, which also bounds snapshot
-/// republishing (see `snapcell`).
-const DISPATCH_CACHE_SLOTS: usize = 8;
-
-/// One pinned `(interface, method)` resolution of a directly implemented
-/// method, valid while the object's export generation still matches `gen`.
-/// Both names are the resolved interface's and signature's own `'static`
-/// strings, so filling an entry copies no name.
-#[derive(Clone)]
-struct DispatchEntry {
-    gen: u64,
-    interface: &'static str,
-    method: &'static str,
-    imp: Arc<Method>,
-}
 
 /// An object instance: instance data plus exported interfaces.
 pub struct Object {
@@ -61,18 +40,10 @@ pub struct Object {
     /// in the deterministic simulation, so the single-swap acquire keeps
     /// state access off the dispatch path's cost ledger.
     state: TryLock<Box<dyn Any + Send>>,
-    /// Exported interfaces by name.
-    interfaces: RwLock<BTreeMap<&'static str, Arc<Interface>>>,
+    /// Exported interfaces, sorted by name, one per name.
+    interfaces: Box<[Interface]>,
     /// Total method invocations through [`Object::invoke`].
     invocations: AtomicU64,
-    /// Export generation: bumped whenever the set of exported interfaces
-    /// changes. Dispatch-cache entries carry the generation they were
-    /// resolved at and miss cleanly once it moves.
-    export_gen: AtomicU64,
-    /// Pinned method resolutions serving [`Object::invoke`]'s fast path:
-    /// an immutable snapshot republished (cold path only) when a
-    /// resolution is learned or invalidated. Readers pay one atomic load.
-    dispatch_cache: SnapCell<Vec<DispatchEntry>>,
 }
 
 impl std::fmt::Debug for Object {
@@ -80,36 +51,34 @@ impl std::fmt::Debug for Object {
         f.debug_struct("Object")
             .field("class", &self.class)
             .field("instance_name", &*self.instance_name.read())
-            .field(
-                "interfaces",
-                &self.interfaces.read().keys().collect::<Vec<_>>(),
-            )
+            .field("interfaces", &self.interface_names())
             .finish_non_exhaustive()
     }
 }
 
 impl Object {
     /// Creates an object with the given class name, instance state and
-    /// interfaces. Most callers use [`ObjectBuilder`](crate::ObjectBuilder)
-    /// instead.
+    /// interfaces; of two interfaces with one name, the later wins. Most
+    /// callers use [`ObjectBuilder`](crate::ObjectBuilder) instead.
     pub fn new(
         class: impl Into<String>,
         state: Box<dyn Any + Send>,
         interfaces: impl IntoIterator<Item = Interface>,
     ) -> ObjRef {
+        let interfaces = interfaces.into_iter();
+        let mut table: Vec<Interface> = Vec::with_capacity(interfaces.size_hint().0);
+        for iface in interfaces {
+            match table.binary_search_by(|i| i.name().cmp(iface.name())) {
+                Ok(at) => table[at] = iface,
+                Err(at) => table.insert(at, iface),
+            }
+        }
         Arc::new(Object {
             class: class.into(),
             instance_name: RwLock::new(None),
             state: TryLock::new(state),
-            interfaces: RwLock::new(
-                interfaces
-                    .into_iter()
-                    .map(|i| (i.name(), Arc::new(i)))
-                    .collect(),
-            ),
+            interfaces: table.into_boxed_slice(),
             invocations: AtomicU64::new(0),
-            export_gen: AtomicU64::new(0),
-            dispatch_cache: SnapCell::new(),
         })
     }
 
@@ -156,11 +125,11 @@ impl Object {
     ///
     /// This is the standard "obtain an interface from a given object handle"
     /// operation of the architecture.
-    pub fn interface(&self, name: &str) -> ObjResult<Arc<Interface>> {
+    #[inline]
+    pub fn interface(&self, name: &str) -> ObjResult<&Interface> {
         self.interfaces
-            .read()
-            .get(name)
-            .cloned()
+            .iter()
+            .find(|i| i.name() == name)
             .ok_or_else(|| ObjError::NoSuchInterface {
                 class: self.class.clone(),
                 interface: name.to_owned(),
@@ -169,55 +138,17 @@ impl Object {
 
     /// True if the object exports an interface named `name`.
     pub fn has_interface(&self, name: &str) -> bool {
-        self.interfaces.read().contains_key(name)
+        self.interfaces.iter().any(|i| i.name() == name)
     }
 
     /// Names of all exported interfaces, sorted.
     pub fn interface_names(&self) -> Vec<&'static str> {
-        self.interfaces.read().keys().copied().collect()
-    }
-
-    /// Adds (or replaces) an exported interface at run time.
-    ///
-    /// Interface *addition* is the paper's evolution story: new named
-    /// interfaces can appear on an object without recompiling users of the
-    /// existing ones.
-    pub fn export_interface(&self, iface: Interface) {
-        self.interfaces
-            .write()
-            .insert(iface.name(), Arc::new(iface));
-        self.bump_export_generation();
-    }
-
-    /// Removes an exported interface, returning whether it existed.
-    pub fn revoke_interface(&self, name: &str) -> bool {
-        let removed = self.interfaces.write().remove(name).is_some();
-        if removed {
-            self.bump_export_generation();
-        }
-        removed
-    }
-
-    /// The current export generation. A dispatch-cache entry resolved at an
-    /// older generation is stale and re-resolves before calling.
-    #[inline]
-    pub fn export_generation(&self) -> u64 {
-        self.export_gen.load(Ordering::Acquire)
-    }
-
-    /// Invalidates every dispatch-cache entry resolved against this object;
-    /// run by [`Object::export_interface`] and [`Object::revoke_interface`].
-    fn bump_export_generation(&self) {
-        self.export_gen.fetch_add(1, Ordering::Release);
+        self.interfaces.iter().map(Interface::name).collect()
     }
 
     /// Flattened type information for every exported interface.
     pub fn descriptors(&self) -> Vec<InterfaceDescriptor> {
-        self.interfaces
-            .read()
-            .values()
-            .map(|i| i.descriptor())
-            .collect()
+        self.interfaces.iter().map(Interface::descriptor).collect()
     }
 
     /// Total method invocations through [`Object::invoke`].
@@ -229,7 +160,7 @@ impl Object {
     ///
     /// Deliberately a plain load/store rather than an atomic RMW: the
     /// counter is a monitoring statistic on the dispatch hot path, and a
-    /// locked `fetch_add` costs more than the rest of the fast path
+    /// locked `fetch_add` costs more than the rest of the dispatch path
     /// combined on some hosts. Racing writers may drop a count; the value
     /// is exact in the deterministic single-threaded simulation.
     #[inline]
@@ -238,32 +169,6 @@ impl Object {
             self.invocations.load(Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-    }
-
-    /// Records a resolution in the dispatch cache by republishing a new
-    /// snapshot. Stale entries (older generation) are dropped; fresh
-    /// entries are never evicted, so once the cache is full of current
-    /// resolutions additional methods stay on the slow path and no
-    /// snapshot churn occurs.
-    fn remember_dispatch(&self, gen: u64, interface: &'static str, imp: &Arc<Method>) {
-        let mut entries: Vec<DispatchEntry> = match self.dispatch_cache.load() {
-            Some(t) => {
-                // Full of current entries (and this pair is not one of
-                // them, else we would have hit): leave the cache alone.
-                if t.iter().filter(|e| e.gen == gen).count() >= DISPATCH_CACHE_SLOTS {
-                    return;
-                }
-                t.iter().filter(|e| e.gen == gen).cloned().collect()
-            }
-            None => Vec::with_capacity(1),
-        };
-        entries.push(DispatchEntry {
-            gen,
-            interface,
-            method: imp.sig.name,
-            imp: imp.clone(),
-        });
-        self.dispatch_cache.publish(entries);
     }
 }
 
@@ -283,82 +188,14 @@ impl Invoke for ObjRef {
 impl Object {
     /// Invokes `interface::method(args)` on this object.
     ///
-    /// The common case is served by a per-object inline cache: a pinned
-    /// `Arc<Method>` handle revalidated against the export generation, so
-    /// repeated calls skip the interface-table and method-table lookups
-    /// entirely and the arguments stay borrowed end to end (no clone, no
-    /// allocation for flat frames). Any interface re-export or revocation
-    /// bumps the generation and sends the next call down the slow path.
-    ///
-    /// Only directly implemented methods are pinned. A method an
-    /// interface's delegation fallback serves takes the slow path on every
-    /// call, exactly as [`Object::invoke_uncached`] does: its name need not
-    /// be `'static`, and pinning it would let probes of unbounded method
-    /// names compete for the slots.
-    ///
-    /// Fast and slow path run the identical dispatch kernel
-    /// ([`Method::call`]) — same signature checks, same invocation
-    /// accounting — which `tests/dispatch_conformance.rs` pins
-    /// differentially against [`Object::invoke_uncached`].
+    /// Finds the interface by name, counts the invocation and hands the
+    /// call to [`Interface::call`], which runs the method or the
+    /// interface's delegation fallback. The interface table never changes
+    /// after the object is built, so the lookup takes no lock and the
+    /// arguments stay borrowed end to end (no clone, no allocation for
+    /// flat frames).
     #[inline]
     pub fn invoke(
-        self: &Arc<Self>,
-        interface: &str,
-        method: &str,
-        args: &[Value],
-    ) -> ObjResult<Value> {
-        // Lock-free fast path: one atomic load of the current snapshot,
-        // one of the generation, then a short scan. The snapshot reference
-        // stays valid for the whole call even if a concurrent re-export
-        // republishes (see `snapcell`), and the generation check rejects
-        // anything stale.
-        if let Some(entries) = self.dispatch_cache.load() {
-            let gen = self.export_gen.load(Ordering::Acquire);
-            if let Some(e) = entries
-                .iter()
-                .find(|e| e.gen == gen && e.method == method && e.interface == interface)
-            {
-                self.note_invocation();
-                return e.imp.call(self, args);
-            }
-        }
-        self.invoke_slow(interface, method, args)
-    }
-
-    /// Slow path: full name-space lookup, pinning the method in the
-    /// dispatch cache if the interface implements it directly. A method
-    /// served by the delegation fallback is not pinned (see
-    /// [`Object::invoke`]); the fallback runs as [`Interface::call`] runs
-    /// it.
-    #[cold]
-    fn invoke_slow(
-        self: &Arc<Self>,
-        interface: &str,
-        method: &str,
-        args: &[Value],
-    ) -> ObjResult<Value> {
-        // Generation is sampled *before* the interface read so a racing
-        // re-export can only make the recorded entry stale, never wrongly
-        // fresh.
-        let gen = self.export_generation();
-        let iface = self.interface(interface)?;
-        self.note_invocation();
-        match iface.method(method) {
-            Some(m) => {
-                self.remember_dispatch(gen, iface.name(), m);
-                m.call(self, args)
-            }
-            None => iface.call(self, method, args),
-        }
-    }
-
-    /// Invokes `interface::method(args)` bypassing every dispatch cache —
-    /// the reference slow path.
-    ///
-    /// Semantically identical to [`Object::invoke`] (same lookups, checks
-    /// and accounting); it only skips cache consultation and population.
-    /// The dispatch conformance suite drives both and asserts equivalence.
-    pub fn invoke_uncached(
         self: &Arc<Self>,
         interface: &str,
         method: &str,
@@ -373,10 +210,7 @@ impl Object {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        builder::ObjectBuilder,
-        typeinfo::{MethodSig, TypeTag},
-    };
+    use crate::{builder::ObjectBuilder, typeinfo::TypeTag};
 
     /// Objects are shared across OS threads by the world pool (e.g. one
     /// sharded block cache serving many worlds), so `Object` must stay
@@ -389,22 +223,28 @@ mod tests {
         assert_send_sync::<ObjRef>();
     }
 
-    fn counter() -> ObjRef {
-        ObjectBuilder::new("counter")
-            .state(0i64)
-            .interface("counter", |i| {
-                i.method("incr", &[TypeTag::Int], TypeTag::Int, |this, args| {
-                    let by = args[0].as_int()?;
-                    this.with_state(|n: &mut i64| {
-                        *n += by;
-                        Ok(Value::Int(*n))
+    fn counter_with(extra: impl FnOnce(ObjectBuilder) -> ObjectBuilder) -> ObjRef {
+        extra(
+            ObjectBuilder::new("counter")
+                .state(0i64)
+                .interface("counter", |i| {
+                    i.method("incr", &[TypeTag::Int], TypeTag::Int, |this, args| {
+                        let by = args[0].as_int()?;
+                        this.with_state(|n: &mut i64| {
+                            *n += by;
+                            Ok(Value::Int(*n))
+                        })
                     })
-                })
-                .method("get", &[], TypeTag::Int, |this, _| {
-                    this.with_state(|n: &mut i64| Ok(Value::Int(*n)))
-                })
-            })
-            .build()
+                    .method("get", &[], TypeTag::Int, |this, _| {
+                        this.with_state(|n: &mut i64| Ok(Value::Int(*n)))
+                    })
+                }),
+        )
+        .build()
+    }
+
+    fn counter() -> ObjRef {
+        counter_with(|b| b)
     }
 
     #[test]
@@ -438,18 +278,16 @@ mod tests {
 
     #[test]
     fn a_panicking_method_leaves_the_object_usable() {
-        let c = counter();
-        let mut i = Interface::new("faulty");
-        i.insert_method(
-            MethodSig::new("incr_then_panic", &[], TypeTag::Int),
-            crate::interface::method_fn(|this, _| {
-                this.with_state(|n: &mut i64| -> ObjResult<Value> {
-                    *n += 1;
-                    panic!("method body failed mid-update");
+        let c = counter_with(|b| {
+            b.interface("faulty", |i| {
+                i.method("incr_then_panic", &[], TypeTag::Int, |this, _| {
+                    this.with_state(|n: &mut i64| -> ObjResult<Value> {
+                        *n += 1;
+                        panic!("method body failed mid-update");
+                    })
                 })
-            }),
-        );
-        c.export_interface(i);
+            })
+        });
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.invoke("faulty", "incr_then_panic", &[])
         }));
@@ -487,22 +325,19 @@ mod tests {
     }
 
     #[test]
-    fn interfaces_can_be_added_and_revoked_at_runtime() {
-        let c = counter();
-        assert!(!c.has_interface("measurement"));
-        let mut m = Interface::new("measurement");
-        m.insert_method(
-            MethodSig::new("calls", &[], TypeTag::Int),
-            crate::interface::method_fn(|this, _| Ok(Value::Int(this.invocation_count() as i64))),
-        );
-        c.export_interface(m);
-        assert!(c.has_interface("measurement"));
-        // Existing interface still works — evolution without recompilation.
-        c.invoke("counter", "incr", &[Value::Int(1)]).unwrap();
-        let calls = c.invoke("measurement", "calls", &[]).unwrap();
-        assert_eq!(calls, Value::Int(2));
-        assert!(c.revoke_interface("measurement"));
-        assert!(!c.has_interface("measurement"));
+    fn a_later_interface_of_the_same_name_wins() {
+        let c = counter_with(|b| {
+            b.interface("counter", |i| {
+                i.method("get", &[], TypeTag::Int, |_, _| Ok(Value::Int(-1)))
+            })
+            .interface("a", |i| i)
+        });
+        assert_eq!(c.interface_names(), ["a", "counter"]);
+        assert_eq!(c.invoke("counter", "get", &[]).unwrap(), Value::Int(-1));
+        assert!(matches!(
+            c.invoke("counter", "incr", &[Value::Int(1)]),
+            Err(ObjError::NoSuchMethod { .. })
+        ));
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! A read-mostly publish cell for the dispatch fast path.
+//! A read-mostly publish cell for the forwarding fast path.
 //!
-//! [`Object::invoke`](crate::object::Object)'s inline cache and every
-//! forwarder's [`Target`](crate::forward::Target) are read on every
-//! invocation but rewritten only on a control-plane event: a resolution
-//! learned or gone stale (interface re-export), an interposer retargeted,
-//! a composition child replaced. Even an uncontended lock costs an atomic
-//! read-modify-write per read; at the measured dispatch budget that is the
-//! single largest line item. `SnapCell` removes it: readers perform
-//! exactly one `Acquire` pointer load.
+//! Every forwarder's [`Target`](crate::forward::Target) is read on every
+//! forwarded call but rewritten only on a control-plane event: an
+//! interposer retargeted, a composition child replaced. Even an
+//! uncontended lock costs an atomic read-modify-write per read; at the
+//! measured dispatch budget that is the single largest line item.
+//! `SnapCell` removes it: readers perform exactly one `Acquire` pointer
+//! load.
 //!
 //! # How it stays sound without reader registration
 //!
@@ -19,12 +18,10 @@
 //! races the reader mid-call. Snapshots are immutable after publication;
 //! there is nothing to tear.
 //!
-//! The price is that retired snapshots accumulate. That is bounded by
-//! design: the dispatch cache only republishes when a resolution is first
-//! learned (bounded by its slot cap) or invalidated by an export-generation
-//! bump, and a forwarding target only when it is re-pointed — both bounded
-//! by the number of reconfigurations, which are rare control-plane
-//! operations, never by steady-state call traffic.
+//! The price is that retired snapshots accumulate: a target holds every
+//! object it was ever pointed at until the forwarder drops. That is
+//! bounded by the number of retargets and replacements, which are rare
+//! control-plane operations, never by steady-state call traffic.
 
 use std::{
     ptr,

@@ -16,6 +16,7 @@
 //! iterator size hints and inlining decide several of the store write
 //! path's budgets.
 
+use paramecium::obj::interpose::INTERPOSER_IFACE;
 use paramecium::prelude::*;
 use paramecium::store::cache::CacheStats;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -94,28 +95,22 @@ const CALLS: u64 = 1_000;
 
 #[test]
 fn object_model_set_up_meets_its_allocation_budgets() {
-    // Names are `'static`: building an object, an interposer over it, its
-    // descriptors or a dispatch-cache entry copies no name, only tables.
-    // Budgets are the larger of the debug and release counts.
+    // Names are `'static`: building an object, an interposer over it or
+    // its descriptors copies no name, only tables, and an invoke has
+    // nothing to fill. Budgets are the larger of the debug and release
+    // counts.
     let mut obj = None;
     let build = count_allocs(|| obj = Some(counter()));
     assert!(
-        build <= 12,
+        build <= 10,
         "building the two-method counter: {build} allocations"
     );
     let obj = obj.unwrap();
     let args = [Value::Int(1)];
-    let cold = count_allocs(|| {
+    let first = count_allocs(|| {
         obj.invoke("ctr", "incr", &args).unwrap();
     });
-    assert!(
-        cold <= 2,
-        "a cold invoke (the cache fill): {cold} allocations"
-    );
-    let warm = count_allocs(|| {
-        obj.invoke("ctr", "incr", &args).unwrap();
-    });
-    assert_eq!(warm, 0, "a warm invoke");
+    assert_eq!(first, 0, "a first invoke");
     let descriptors = count_allocs(|| {
         obj.descriptors();
     });
@@ -123,17 +118,13 @@ fn object_model_set_up_meets_its_allocation_budgets() {
     let interpose = count_allocs(|| {
         InterposerBuilder::new(obj.clone()).build();
     });
-    assert!(interpose <= 22, "an interposer: {interpose} allocations");
+    assert!(interpose <= 20, "an interposer: {interpose} allocations");
 }
 
 #[test]
 fn flat_args_dispatch_fast_path_is_zero_alloc() {
     let obj = counter();
     let args = [Value::Int(1)];
-    // Warm: first call resolves and publishes the cache snapshot.
-    for _ in 0..8 {
-        obj.invoke("ctr", "incr", &args).unwrap();
-    }
     let allocs = count_allocs(|| {
         for _ in 0..CALLS {
             obj.invoke("ctr", "incr", &args).unwrap();
@@ -251,18 +242,21 @@ fn delegated_dispatch_has_bounded_allocations() {
     // A delegated method is a forward like any other hop; the budget
     // pins it so regressions (e.g. a per-call argument clone) cannot
     // hide: zero allocations per call. That holds for a method the
-    // delegation installed a forward for, and for one its fallback serves
-    // because the target exported it later: a fallback-served method is
-    // never pinned, so it takes the slow path on every call.
+    // delegation installed a forward for, and for one the forwarder's
+    // fallback serves because only a later target has it.
     let delegate = |base: ObjRef| {
         let iface = paramecium::obj::InterfaceBuilder::new("ctr").finish();
         ObjectBuilder::new("child")
             .raw_interface(paramecium::obj::delegate_interface(iface, base))
             .build()
     };
-    let late = ObjectBuilder::new("counter").state(0i64).build();
-    let fallback_served = delegate(late.clone());
-    late.export_interface(counter().interface("ctr").unwrap().as_ref().clone());
+    let narrow = ObjectBuilder::new("counter")
+        .interface("ctr", |i| i)
+        .build();
+    let fallback_served = InterposerBuilder::new(narrow).build();
+    fallback_served
+        .invoke(INTERPOSER_IFACE, "retarget", &[Value::Handle(counter())])
+        .unwrap();
     let args = [Value::Int(1)];
     for (how, child) in [
         ("forwarded", delegate(counter())),
@@ -315,7 +309,7 @@ fn zero_copy_frame_path_is_alloc_free_once_warm() {
         }
     };
 
-    // Warm: dispatch caches publish, device queues reach steady capacity.
+    // Warm: device queues reach steady capacity.
     for _ in 0..8 {
         roundtrip(true);
     }
@@ -710,7 +704,7 @@ fn store_write_path_meets_its_allocation_budgets() {
     let batch = |round: u8| [pairs_arg((0..8).map(|sec| (sec, sector(round))))];
     let single = |round: u8| [Value::Int(9), Value::Bytes(sector(round))];
     // Warm past the first inline checkpoint, so the overlay map, the
-    // commit queue and every dispatch cache have reached their size.
+    // commit queue and the cache have reached their size.
     for round in 0..16 {
         top.invoke("blockdev", "write_many", &batch(round)).unwrap();
         top.invoke("blockdev", "write", &single(round)).unwrap();

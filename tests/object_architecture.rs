@@ -33,26 +33,38 @@ fn interface_evolution_does_not_disturb_existing_bindings() {
         .invoke("rpc", "call", &[Value::Str("a".into())])
         .unwrap();
 
-    // Later, a measurement interface is added to the *live instance*.
+    // Later, a measurement interface is added the paper's way: an agent
+    // that exports a superset of the live instance's interfaces replaces
+    // its handle in the name space.
     let live = n.bind(KERNEL_DOMAIN, "/svc/rpc").unwrap();
-    let mut measurement = paramecium::obj::Interface::new("measurement");
-    measurement.insert_method(
-        paramecium::obj::MethodSig::new("calls", &[], TypeTag::Int),
-        std::sync::Arc::new(|this: &ObjRef, _: &[Value]| {
-            this.with_state(|calls: &mut i64| Ok(Value::Int(*calls)))
-        }),
-    );
-    live.export_interface(measurement);
+    let measured = live.clone();
+    let measurement = InterfaceBuilder::new("measurement")
+        .method("calls", &[], TypeTag::Int, move |_, _| {
+            measured.with_state(|calls: &mut i64| Ok(Value::Int(*calls)))
+        })
+        .finish();
+    let agent = InterposerBuilder::new(live)
+        .extra_interface(measurement)
+        .build();
+    n.interpose(KERNEL_DOMAIN, "/svc/rpc", agent).unwrap();
 
     // The old client keeps working through its existing handle…
     old_client
         .invoke("rpc", "call", &[Value::Str("b".into())])
         .unwrap();
-    // …and a monitoring tool reads the new interface off the same name.
+    // …and a monitoring tool reads the new interface off the same name,
+    // where the old one still answers too.
     let monitor = n.bind(KERNEL_DOMAIN, "/svc/rpc").unwrap();
     assert_eq!(
         monitor.invoke("measurement", "calls", &[]).unwrap(),
         Value::Int(2)
+    );
+    monitor
+        .invoke("rpc", "call", &[Value::Str("c".into())])
+        .unwrap();
+    assert_eq!(
+        monitor.invoke("measurement", "calls", &[]).unwrap(),
+        Value::Int(3)
     );
 }
 

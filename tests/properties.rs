@@ -117,9 +117,8 @@ proptest! {
 
     /// A crossing records exactly the marshalled size of what crosses — Σ
     /// `marshalled_size` of the arguments plus that of the result — and
-    /// the cached-method fast path does not change it: a cold (resolving)
-    /// crossing and warm (pinned-handle) crossings of a freshly bound
-    /// proxy all record that count. The frame mixes flat values, which
+    /// the first crossing of a freshly bound proxy records the same count
+    /// as every later one. The frame mixes flat values, which
     /// cross as they are, with a list holding an arbitrary value tree
     /// (the echo's last parameter is a `list`), whose handles make the
     /// proxy rebuild it.
