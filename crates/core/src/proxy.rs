@@ -37,6 +37,7 @@
 //! it is safe under the lock. Every charge is issued in the order the
 //! steps run.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{
     atomic::{AtomicU64, Ordering},
     Arc,
@@ -68,6 +69,9 @@ pub struct ProxyStats {
     /// fault handler "will map in arguments into the object's protection
     /// domain" — this knob lets experiments compare both transports.
     pub map_threshold: AtomicU64,
+    /// Crossings whose callee panicked: each returned
+    /// [`ObjError::DomainFault`] to its caller.
+    pub faults: AtomicU64,
 }
 
 impl ProxyStats {
@@ -209,8 +213,20 @@ impl CrossCall {
         drop(m);
 
         // 4. Invoke the actual method in the target's domain. A failed
-        //    switch is the call's result, and returns like any failure.
-        let result = entered.and_then(|()| forward.call(rebuilt.as_deref().unwrap_or(args)));
+        //    switch is the call's result, and returns like any failure. A
+        //    panic in the callee stops at the domain's boundary as a typed
+        //    fault, and the return below still runs.
+        let result = entered.and_then(|()| {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                forward.call(rebuilt.as_deref().unwrap_or(args))
+            }))
+            .unwrap_or_else(|_| {
+                self.ctx.stats.faults.fetch_add(1, Ordering::Relaxed);
+                Err(ObjError::DomainFault {
+                    domain: self.target_domain.0,
+                })
+            })
+        });
 
         // 5. Marshal the result back and return to the caller's context.
         let mut m = machine.lock();
@@ -585,6 +601,53 @@ mod tests {
             .invoke("math", "add", &[Value::Int(1), Value::Int(2)])
             .unwrap();
         assert_eq!(ctx.machine.lock().mmu.current_context(), user.context());
+    }
+
+    #[test]
+    fn a_panicking_callee_faults_its_domain_and_the_crossing_returns() {
+        let (ctx, user) = world();
+        let server = DomainId::from(ctx.machine.lock().mmu.create_context().unwrap());
+        let bomb = ObjectBuilder::new("bomb")
+            .interface("math", |i| {
+                i.method(
+                    "add",
+                    &[TypeTag::Int, TypeTag::Int],
+                    TypeTag::Int,
+                    |_, _| panic!("a buggy extension"),
+                )
+            })
+            .build();
+        let bomb = make_proxy(&ctx, bomb, server, user);
+        let sound = make_proxy(&ctx, adder(), server, user);
+        let args = [Value::Int(1), Value::Int(2)];
+        let switches = |ctx: &ProxyCtx| ctx.machine.lock().mmu.switch_count();
+
+        // The machine boots in the kernel's context: the first call also
+        // switches into the caller's.
+        sound.invoke("math", "add", &args).unwrap();
+        let before = switches(&ctx);
+        sound.invoke("math", "add", &args).unwrap();
+        let per_call = switches(&ctx) - before;
+
+        let before = switches(&ctx);
+        let bytes = ctx.stats.bytes();
+        let r = bomb.invoke("math", "add", &args);
+        assert_eq!(r, Err(ObjError::DomainFault { domain: server.0 }));
+        assert_eq!(
+            ctx.machine.lock().mmu.current_context(),
+            user.context(),
+            "the caller runs in its own context again"
+        );
+        // The return ran: it switched back like any call, and the
+        // arguments' bytes were counted (a fault marshals no result).
+        assert_eq!(switches(&ctx) - before, per_call);
+        assert_eq!(ctx.stats.bytes() - bytes, 9 + 9);
+        assert_eq!(ctx.stats.faults.load(Ordering::Relaxed), 1);
+
+        // Neither the caller nor the server domain is left broken.
+        assert_eq!(sound.invoke("math", "add", &args).unwrap(), Value::Int(3));
+        assert!(bomb.invoke("math", "add", &args).is_err());
+        assert_eq!(ctx.stats.faults.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -46,6 +46,32 @@
 //! done on unsigned 64-bit *stream offsets* relative to the ISS/IRS, so
 //! 32-bit wire wrap-around cannot corrupt the state machine.
 //!
+//! An ACK that data can carry is not sent on its own:
+//!
+//! - **A lone segment's ACK waits one pump** (the delayed ACK of RFC 1122
+//!   §4.2.3.2). A segment that advances the stream in order, when no ACK
+//!   is owed yet and nothing is held out of order, leaves its ACK held:
+//!   the connection goes back on the ready list for the next pump. Data
+//!   or a FIN that leaves before that next visit carries the ACK (any
+//!   segment's header acknowledges everything received); otherwise that
+//!   visit sends it alone. The delay is bounded by one pump, with no
+//!   timer. So an endpoint that receives data must pump again within the
+//!   peer's retransmission timeout; if it does not, the peer retransmits
+//!   once, exactly as a delayed-ACK timer longer than its RTO would make
+//!   it do.
+//! - **Everything else is acknowledged at the visit of the pump that
+//!   received it**: a second segment in the same pump, out-of-order data,
+//!   a duplicate (a keepalive probe's byte included), a SYN, a FIN and
+//!   the handshake.
+//! - **`recv` owes a window update only when it opens the advertised
+//!   right edge by at least `min(TCP_MSS, RECV_WND / 2)`** (receiver-side
+//!   silly-window avoidance, RFC 9293 §3.8.6.2.2). A smaller read rides
+//!   on the next segment out, or on the answer to the peer's zero-window
+//!   probe.
+//!
+//! `acks_tx` and `acks_delayed` in [`TcpStats`] count the pure ACKs sent
+//! and the held ACKs that then rode on another segment.
+//!
 //! Every transmitted and received frame is folded, whole, into a running
 //! [`sum64`] digest exposed through `stats`, which is what the
 //! determinism tests compare across replays.
@@ -157,7 +183,11 @@ struct Conn {
     /// Offset of the peer's FIN, once seen.
     peer_fin: Option<u64>,
     peer_fin_rcvd: bool,
-    ack_pending: bool,
+    /// What the peer is owed in acknowledgement.
+    ack: Ack,
+    /// Right edge of the receive window last advertised, as a stream
+    /// offset: `recv` owes an update only when it opens this far enough.
+    adv_edge: u64,
     rto: u64,
     rtx_at: Option<u64>,
     retries: u32,
@@ -204,7 +234,8 @@ impl Conn {
             ooo: BTreeMap::new(),
             peer_fin: None,
             peer_fin_rcvd: false,
-            ack_pending: false,
+            ack: Ack::None,
+            adv_edge: 0,
             rto: BASE_RTO,
             rtx_at: None,
             retries: 0,
@@ -290,10 +321,17 @@ impl Conn {
         RECV_WND.saturating_sub(used).min(usize::from(u16::MAX)) as u16
     }
 
+    /// An ACK is owed at this visit: on data if any leaves, else alone.
+    fn ack_due(&self) -> bool {
+        matches!(self.ack, Ack::Waited | Ack::Owed)
+    }
+
     /// Header of the segment about to leave with `flags` at `seq`. It
     /// carries the current ack and window, so no separate ACK is owed.
     fn header(&mut self, flags: u8, seq: u32) -> TcpHeader {
-        self.ack_pending = false;
+        self.ack = Ack::None;
+        let window = self.adv_window();
+        self.adv_edge = self.rcv_nxt + u64::from(window);
         TcpHeader {
             src_port: self.local_port,
             dst_port: self.peer_port,
@@ -304,9 +342,24 @@ impl Conn {
                 0
             },
             flags,
-            window: self.adv_window(),
+            window,
         }
     }
+}
+
+/// Where a connection stands on acknowledging what it has received.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ack {
+    /// Nothing is owed: the last segment sent acknowledged everything.
+    None,
+    /// A lone in-order segment's ACK, held through the visit of the pump
+    /// that received it in case data leaves to carry it.
+    Held,
+    /// A held ACK no segment carried at that visit: the next visit, one
+    /// pump later, sends it on data or alone.
+    Waited,
+    /// Owed at the next visit.
+    Owed,
 }
 
 paramecium_obj::counters! {
@@ -329,6 +382,11 @@ paramecium_obj::counters! {
         pub serviced: u64,
         /// Segments dropped from a full output queue.
         pub tx_dropped: u64,
+        /// Pure ACKs sent: segments with no data, no SYN and no FIN.
+        pub acks_tx: u64,
+        /// Held ACKs that waited a pump and then rode on a segment
+        /// carrying data or a FIN: the pure ACKs the delay saved.
+        pub acks_delayed: u64,
     }
 }
 
@@ -518,9 +576,15 @@ impl TcpState {
     fn emit(&mut self, id: i64, flags: u8, seq: u32, payload: &[u8]) -> Result<(), ObjError> {
         let dst_mac = self.dst_mac(id)?;
         let conn = slot(&mut self.conns, id);
+        let waited = conn.ack == Ack::Waited;
         let hdr = conn.header(flags, seq);
         let frame = wire::build_tcp_frame(self.mac, dst_mac, self.ip, conn.peer_ip, &hdr, payload);
         self.transmit(frame, payload.len());
+        if flags == tcp_flags::ACK && payload.is_empty() {
+            self.stats.acks_tx += 1;
+        } else {
+            self.stats.acks_delayed += u64::from(waited);
+        }
         Ok(())
     }
 
@@ -529,6 +593,7 @@ impl TcpState {
     fn emit_data(&mut self, id: i64, seq: u32, range: Range<usize>) -> Result<(), ObjError> {
         let dst_mac = self.dst_mac(id)?;
         let conn = slot(&mut self.conns, id);
+        self.stats.acks_delayed += u64::from(conn.ack == Ack::Waited);
         let hdr = conn.header(tcp_flags::ACK | tcp_flags::PSH, seq);
         let len = range.len();
         let frame = wire::build_tcp_frame_parts(
@@ -703,7 +768,7 @@ impl TcpState {
                     conn.rcv_nxt = 0;
                     conn.peer_wnd_edge = u64::from(hdr.window);
                     conn.state = State::Established;
-                    conn.ack_pending = true;
+                    conn.ack = Ack::Owed;
                     conn.rtx_at = None;
                     conn.rto = BASE_RTO;
                     conn.retries = 0;
@@ -750,7 +815,7 @@ impl TcpState {
 
         // A retransmitted SYN/SYN-ACK means our ACK was lost: re-ack.
         if hdr.flags & tcp_flags::SYN != 0 {
-            conn.ack_pending = true;
+            conn.ack = Ack::Owed;
         }
 
         // ACK processing: advance snd_una, free send buffer, reset RTO.
@@ -787,11 +852,16 @@ impl TcpState {
         // Payload processing: in-order append, out-of-order buffering,
         // duplicate trimming — all within our advertised window.
         if !payload.is_empty() {
+            // Only a lone segment's ACK may wait: none is owed yet and
+            // nothing is held out of order.
+            let lone = conn.ack == Ack::None && conn.ooo.is_empty();
+            let mut in_order = false;
             if let Some(off) = conn.seq_to_off(hdr.seq) {
                 let limit = conn.rcv_nxt + (RECV_WND - conn.recv_buf.len()) as u64;
                 let end = (off + payload.len() as u64).min(limit);
                 if end > conn.rcv_nxt && off < limit {
                     if off <= conn.rcv_nxt {
+                        in_order = off == conn.rcv_nxt;
                         // Overlaps the expected offset: take the new part.
                         let skip = (conn.rcv_nxt - off) as usize;
                         let take = (end - conn.rcv_nxt) as usize;
@@ -819,7 +889,13 @@ impl TcpState {
                 }
             }
             // Data (new, duplicate or out of order) always provokes an ACK.
-            conn.ack_pending = true;
+            // A lone in-order segment's waits one pump for data to carry
+            // it; every other is owed at this pump's visit.
+            conn.ack = if lone && in_order {
+                Ack::Held
+            } else {
+                Ack::Owed
+            };
             self.stats.bytes_rx += payload.len() as u64;
         }
 
@@ -834,11 +910,11 @@ impl TcpState {
         if let Some(fin_off) = conn.peer_fin {
             if !conn.peer_fin_rcvd && conn.rcv_nxt == fin_off {
                 conn.rcv_nxt = fin_off + 1;
-                conn.ack_pending = true;
+                conn.ack = Ack::Owed;
                 peer_fin_now = true;
             } else if conn.peer_fin_rcvd && hdr.flags & tcp_flags::FIN != 0 {
                 // Retransmitted FIN: our final ACK was lost — re-ack.
-                conn.ack_pending = true;
+                conn.ack = Ack::Owed;
             }
         }
 
@@ -1001,7 +1077,7 @@ impl TcpState {
             }
             if conn.state == State::TimeWait {
                 // Only re-acks (e.g. for a retransmitted FIN) leave here.
-                if conn.ack_pending {
+                if conn.ack_due() {
                     let seq = conn.wire_seq(conn.snd_nxt);
                     self.emit(id, tcp_flags::ACK, seq, &[])?;
                     sent += 1;
@@ -1041,7 +1117,7 @@ impl TcpState {
             if conn.snd_nxt == conn.snd_una && !conn.send_buf.is_empty() && conn.rtx_at.is_none() {
                 conn.rtx_at = Some(now + conn.rto);
             }
-            if conn.ack_pending {
+            if conn.ack_due() {
                 let seq = conn.wire_seq(conn.snd_nxt);
                 self.emit(id, tcp_flags::ACK, seq, &[])?;
                 sent += 1;
@@ -1052,13 +1128,18 @@ impl TcpState {
     }
 
     /// One visit: timer pass, output pass, then re-index the
-    /// connection's next wake-up, which either pass may have moved.
+    /// connection's next wake-up, which either pass may have moved. A
+    /// held ACK that no segment carried waits for the next pump's visit.
     fn service(&mut self, id: i64, now: u64) -> Result<i64, ObjError> {
         self.pump_timer(id, now)?;
         let sent = self.pump_tx(id, now)?;
         self.stats.serviced += 1;
         let conn = slot(&mut self.conns, id);
-        conn.queued = conn.stall_unlatched();
+        let held = conn.ack == Ack::Held;
+        if held {
+            conn.ack = Ack::Waited;
+        }
+        conn.queued = held || conn.stall_unlatched();
         if conn.queued {
             self.ready.push(id);
         }
@@ -1254,9 +1335,11 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         let take = conn.recv_buf.len().min(max);
                         let out = ring_range(&conn.recv_buf, 0..take).concat();
                         conn.recv_buf.drain(..take);
-                        if take > 0 {
-                            // Freed window: owe the peer an update.
-                            conn.ack_pending = true;
+                        // Freed window is worth an update of its own only
+                        // once it opens the advertised edge far enough.
+                        let edge = conn.rcv_nxt + u64::from(conn.adv_window());
+                        if edge >= conn.adv_edge + TCP_MSS.min(RECV_WND / 2) as u64 {
+                            conn.ack = Ack::Owed;
                             s.mark_ready(id);
                         }
                         Ok(Value::Bytes(bytes::Bytes::from(out)))

@@ -48,6 +48,13 @@ pub enum ObjError {
     Failed(String),
     /// The operation is not permitted in the calling domain.
     Denied(String),
+    /// The callee of a cross-domain call panicked. The fault stayed in
+    /// its domain: the call returned, and the caller runs in its own
+    /// context again.
+    DomainFault {
+        /// Id of the protection domain the callee ran in.
+        domain: u16,
+    },
 }
 
 impl ObjError {
@@ -102,6 +109,7 @@ impl std::fmt::Display for ObjError {
             ObjError::Binding(m) => write!(f, "binding error: {m}"),
             ObjError::Failed(m) => write!(f, "method failed: {m}"),
             ObjError::Denied(m) => write!(f, "permission denied: {m}"),
+            ObjError::DomainFault { domain } => write!(f, "domain {domain} faulted"),
         }
     }
 }

@@ -8,7 +8,9 @@
 //! - `every_block_round_trips`: for every block, `from_value(to_value(x))
 //!   == x`, the list is the one `to_value` always built (field order,
 //!   `Value::Int(field as i64)`), and a short list, a long list, a list
-//!   holding a non-`Int` and a non-list all come back as typed errors.
+//!   holding a non-`Int` and a non-list all come back as typed errors;
+//!   the TCP block's newest counters (`acks_tx`, `acks_delayed`) are its
+//!   last fields.
 
 use paramecium::cert::store::StoreStats;
 use paramecium::core::certsvc::CertStats;
@@ -144,6 +146,17 @@ fn every_block_round_trips() {
         EventStats,
         MemStats,
         CertStats,
+    );
+
+    // The TCP endpoint's ACK counters came last, so no position the
+    // ledger reads moved; each decodes from its own entry.
+    let n = TcpStats::FIELDS.len();
+    assert_eq!(TcpStats::FIELDS[n - 2..], ["acks_tx", "acks_delayed"]);
+    let list = Value::List((0..n).map(|i| Value::Int(entry(i))).collect());
+    let x = TcpStats::from_value(&list).unwrap();
+    assert_eq!(
+        (x.acks_tx, x.acks_delayed),
+        (entry(n - 2) as u64, entry(n - 1) as u64)
     );
 }
 

@@ -18,11 +18,16 @@
 //! Profiles: debug (tier-1) and release (CI's workspace step) both matter —
 //! the retransmission timing paths exercise optimised arithmetic.
 //!
+//! The ACK-policy cases at the end count what each pump sends on a
+//! perfect link: a lone in-order segment's ACK waits one pump for data to
+//! carry it, everything else is acknowledged at the pump that received
+//! it, and `recv` owes a window update only once it frees an MSS.
+//!
 //! [`simlink`]: paramecium::netstack::simlink
 
 use paramecium::machine::Machine;
 use paramecium::netstack::simlink::{make_simlink, LinkConfig};
-use paramecium::netstack::tcp::{make_tcp, TcpStats, BASE_RTO};
+use paramecium::netstack::tcp::{make_tcp, TcpStats, BASE_RTO, RECV_WND, TCP_MSS};
 use paramecium::prelude::*;
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -228,4 +233,291 @@ fn different_seeds_diverge() {
         (b.stats_a, b.stats_b),
         "distinct seeds should produce distinct segment traces"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The ACK policy, pinned by the segments each pump sends.
+// ---------------------------------------------------------------------------
+
+/// Two endpoints on a perfect link, `a` the client and `b` the server.
+struct Wire {
+    machine: Arc<Mutex<Machine>>,
+    a: ObjRef,
+    b: ObjRef,
+    end_a: ObjRef,
+}
+
+impl Wire {
+    fn new(seed: u64) -> Wire {
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(seed));
+        let a = make_tcp(machine.clone(), end_a.clone(), IP_A, MAC_A);
+        let b = make_tcp(machine.clone(), end_b, IP_B, MAC_B);
+        tcp(&b, "listen", &[Value::Int(PORT)]);
+        Wire {
+            machine,
+            a,
+            b,
+            end_a,
+        }
+    }
+
+    /// A wire with one established connection: `(client id, server id)`.
+    /// The handshake is acknowledged in the pump that receives each step.
+    fn with_conn(seed: u64) -> (Wire, i64, i64) {
+        let w = Wire::new(seed);
+        let ia = tcp(
+            &w.a,
+            "connect",
+            &[Value::Int(IP_B as i64), Value::Int(PORT)],
+        )
+        .as_int()
+        .unwrap();
+        assert_eq!(w.pump(&w.b), 1, "the SYN is answered at once");
+        assert_eq!(w.pump(&w.a), 1, "the SYN-ACK is acknowledged at once");
+        assert_eq!(w.pump(&w.b), 0);
+        let ib = tcp(&w.b, "accept", &[Value::Int(PORT)]).as_int().unwrap();
+        assert!(ib > 0, "handshake completes");
+        assert_eq!((w.pump(&w.a), w.pump(&w.b)), (0, 0), "both sides idle");
+        (w, ia, ib)
+    }
+
+    /// Ticks the clock a little, pumps `ep` once and returns the segments
+    /// that pump sent.
+    fn pump(&self, ep: &ObjRef) -> u64 {
+        self.machine.lock().tick(BASE_RTO / 8);
+        let before = stats(ep).segs_tx;
+        tcp(ep, "pump", &[]);
+        stats(ep).segs_tx - before
+    }
+}
+
+fn stats(ep: &ObjRef) -> TcpStats {
+    TcpStats::from_value(&tcp(ep, "stats", &[])).unwrap()
+}
+
+fn send(ep: &ObjRef, id: i64, data: &[u8]) {
+    let n = tcp(
+        ep,
+        "send",
+        &[Value::Int(id), Value::Bytes(data.to_vec().into())],
+    );
+    assert_eq!(n, Value::Int(data.len() as i64));
+}
+
+fn recv(ep: &ObjRef, id: i64, max: usize) -> Vec<u8> {
+    tcp(ep, "recv", &[Value::Int(id), Value::Int(max as i64)])
+        .as_bytes()
+        .unwrap()
+        .to_vec()
+}
+
+/// `(acks_tx, acks_delayed)` of `ep`.
+fn acks(ep: &ObjRef) -> (u64, u64) {
+    let s = stats(ep);
+    (s.acks_tx, s.acks_delayed)
+}
+
+#[test]
+fn a_lone_segment_answered_before_the_next_pump_has_its_ack_ride_on_the_reply() {
+    let (w, ia, ib) = Wire::with_conn(1);
+    send(&w.a, ia, &[1; 100]);
+    assert_eq!(w.pump(&w.a), 1);
+    assert_eq!(w.pump(&w.b), 0, "the ACK waits for data");
+    assert_eq!(recv(&w.b, ib, 1 << 16), [1; 100]);
+    send(&w.b, ib, &[2; 100]);
+    assert_eq!(w.pump(&w.b), 1, "the reply carries the ACK");
+    assert_eq!(w.pump(&w.b), 0, "and no pure ACK follows it");
+    assert_eq!(acks(&w.b), (0, 1));
+    // The client's side of the exchange is the same lone segment.
+    assert_eq!(w.pump(&w.a), 0);
+    assert_eq!(recv(&w.a, ia, 1 << 16), [2; 100]);
+    assert_eq!(w.pump(&w.a), 1, "nothing to carry it: the ACK goes alone");
+    assert_eq!(acks(&w.a), (2, 0), "the handshake's ACK and this one");
+    assert_eq!(stats(&w.a).retransmits + stats(&w.b).retransmits, 0);
+}
+
+#[test]
+fn an_unanswered_lone_segment_is_acknowledged_at_the_next_pump() {
+    let (w, ia, _) = Wire::with_conn(2);
+    send(&w.a, ia, &[1; 100]);
+    assert_eq!(w.pump(&w.a), 1);
+    assert_eq!(w.pump(&w.b), 0, "no ACK in the pump that received it");
+    assert_eq!(w.pump(&w.b), 1, "one pure ACK at the next");
+    assert_eq!(w.pump(&w.b), 0);
+    assert_eq!(acks(&w.b), (1, 0));
+    assert_eq!(w.pump(&w.a), 0, "the sender has nothing to retransmit");
+    assert_eq!(stats(&w.a).retransmits, 0);
+}
+
+#[test]
+fn two_segments_in_one_pump_are_acknowledged_in_that_pump() {
+    let (w, ia, _) = Wire::with_conn(3);
+    send(&w.a, ia, &[1; 2 * TCP_MSS]);
+    assert_eq!(w.pump(&w.a), 2);
+    assert_eq!(w.pump(&w.b), 1);
+    assert_eq!(w.pump(&w.b), 0);
+    assert_eq!(acks(&w.b), (1, 0));
+}
+
+#[test]
+fn out_of_order_data_is_acknowledged_in_the_same_pump() {
+    let (w, ia, ib) = Wire::with_conn(4);
+    send(&w.a, ia, &[1; TCP_MSS]);
+    set_drop(&w.end_a, 1000);
+    assert_eq!(w.pump(&w.a), 1, "lost on the wire");
+    set_drop(&w.end_a, 0);
+    send(&w.a, ia, &[2; 100]);
+    assert_eq!(w.pump(&w.a), 1);
+    assert_eq!(w.pump(&w.b), 1, "a hole is reported at once");
+    // The retransmission fills the hole: also acknowledged at once.
+    let mut rounds = 0;
+    while stats(&w.a).retransmits == 0 {
+        assert_eq!(w.pump(&w.b), 0);
+        w.pump(&w.a);
+        rounds += 1;
+        assert!(rounds < 20, "the sender retransmits");
+    }
+    assert_eq!(w.pump(&w.b), 1);
+    let got = recv(&w.b, ib, 1 << 16);
+    assert_eq!(got, [vec![1; TCP_MSS], vec![2; 100]].concat());
+}
+
+#[test]
+fn a_duplicate_keepalive_probe_is_acknowledged_in_the_same_pump() {
+    let (w, ia, _) = Wire::with_conn(5);
+    tcp(&w.a, "set_keepalive", &[Value::Int(ia), Value::Int(10_000)]);
+    assert_eq!(w.pump(&w.a), 1, "the probe");
+    assert_eq!(
+        w.pump(&w.b),
+        1,
+        "its byte is a duplicate, acknowledged at once"
+    );
+    assert_eq!(acks(&w.b), (1, 0));
+}
+
+#[test]
+fn a_fin_is_acknowledged_in_the_same_pump() {
+    let (w, ia, ib) = Wire::with_conn(6);
+    tcp(&w.a, "close", &[Value::Int(ia)]);
+    assert_eq!(w.pump(&w.a), 1, "the FIN");
+    assert_eq!(w.pump(&w.b), 1);
+    assert_eq!(state_of(&w.b, ib), "close-wait");
+    assert_eq!(acks(&w.b), (1, 0));
+}
+
+#[test]
+fn a_recv_owes_a_window_update_only_once_it_frees_an_mss() {
+    let (w, ia, ib) = Wire::with_conn(7);
+    send(&w.a, ia, &[1; 3 * TCP_MSS]);
+    assert_eq!(w.pump(&w.a), 3);
+    assert_eq!(w.pump(&w.b), 1);
+    assert_eq!(recv(&w.b, ib, TCP_MSS - 1).len(), TCP_MSS - 1);
+    assert_eq!(w.pump(&w.b), 0, "a read of less than an MSS owes nothing");
+    assert_eq!(recv(&w.b, ib, 1).len(), 1);
+    assert_eq!(w.pump(&w.b), 1, "an MSS freed since the last advertisement");
+    assert_eq!(recv(&w.b, ib, TCP_MSS).len(), TCP_MSS);
+    assert_eq!(w.pump(&w.b), 1, "a read of an MSS owes one");
+    assert_eq!(acks(&w.b), (3, 0));
+}
+
+#[test]
+fn a_filled_window_drained_in_small_reads_gets_the_stream_moving() {
+    let (w, ia, ib) = Wire::with_conn(8);
+    let data: Vec<u8> = (0..2 * RECV_WND + 500).map(|i| i as u8).collect();
+    send(&w.a, ia, &data);
+    for _ in 0..6 {
+        w.pump(&w.a);
+        w.pump(&w.b);
+    }
+    let mut got = Vec::new();
+    for _ in 0..2_000 {
+        got.extend(recv(&w.b, ib, 300));
+        if got.len() == data.len() {
+            break;
+        }
+        w.pump(&w.a);
+        w.pump(&w.b);
+    }
+    assert_eq!(got.len(), data.len(), "the whole stream arrives");
+    assert!(got == data, "in order");
+}
+
+#[test]
+fn idle_connections_echoing_once_each_never_retransmit() {
+    // `req_many`'s shape: many open connections, a few active at a time,
+    // one echo each, then silence until the next lap.
+    const CONNS: usize = 64;
+    const ACTIVE: usize = 8;
+    let w = Wire::new(9);
+    let ids: Vec<i64> = (0..CONNS)
+        .map(|_| {
+            tcp(
+                &w.a,
+                "connect",
+                &[Value::Int(IP_B as i64), Value::Int(PORT)],
+            )
+            .as_int()
+            .unwrap()
+        })
+        .collect();
+    let mut sids = Vec::new();
+    for _ in 0..10 {
+        w.pump(&w.b);
+        w.pump(&w.a);
+        w.pump(&w.b);
+        loop {
+            let sid = tcp(&w.b, "accept", &[Value::Int(PORT)]).as_int().unwrap();
+            if sid < 0 {
+                break;
+            }
+            sids.push(sid);
+        }
+    }
+    assert_eq!(sids.len(), CONNS, "every handshake completes");
+    let segs = |w: &Wire| stats(&w.a).segs_tx + stats(&w.b).segs_tx;
+    let before = segs(&w);
+    for lap in 0..2u8 {
+        for batch in (0..CONNS).step_by(ACTIVE) {
+            let conns = batch..batch + ACTIVE;
+            for k in conns.clone() {
+                send(&w.a, ids[k], &[lap ^ k as u8; 256]);
+            }
+            w.pump(&w.a);
+            w.pump(&w.b);
+            for k in conns.clone() {
+                let request = recv(&w.b, sids[k], 1 << 16);
+                assert_eq!(request, [lap ^ k as u8; 256]);
+                send(&w.b, sids[k], &request);
+            }
+            w.pump(&w.b);
+            w.pump(&w.a);
+            for k in conns {
+                assert_eq!(recv(&w.a, ids[k], 1 << 16), [lap ^ k as u8; 256]);
+            }
+        }
+    }
+    w.pump(&w.a);
+    assert_eq!(
+        segs(&w) - before,
+        3 * 2 * CONNS as u64,
+        "request, echo and the echo's delayed ACK"
+    );
+    assert_eq!(stats(&w.a).retransmits + stats(&w.b).retransmits, 0);
+    for ep in [&w.a, &w.b] {
+        assert_eq!(w.pump(ep), 0, "nothing is left owed");
+    }
+}
+
+/// Sets the drop rate of `end`'s transmit direction.
+fn set_drop(end: &ObjRef, permille: i64) {
+    let mut knobs = end
+        .invoke("link", "config", &[])
+        .unwrap()
+        .as_list()
+        .unwrap()
+        .to_vec();
+    knobs[0] = Value::Int(permille);
+    end.invoke("link", "set_config", &[Value::List(knobs)])
+        .unwrap();
 }
