@@ -98,6 +98,18 @@ impl From<MachineError> for CoreError {
     }
 }
 
+/// For a native component's factory: an object or machine error passes
+/// up as it is, any other keeps its text.
+impl From<CoreError> for ObjError {
+    fn from(e: CoreError) -> Self {
+        match e {
+            CoreError::Obj(e) => e,
+            CoreError::Machine(e) => e.into(),
+            e => ObjError::failed(e.to_string()),
+        }
+    }
+}
+
 impl From<CertError> for CoreError {
     fn from(e: CertError) -> Self {
         CoreError::Cert(e)

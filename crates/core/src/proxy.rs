@@ -182,12 +182,8 @@ impl CrossCall {
         let _ = m.switch_context(self.caller.context());
         let fault = match m.translate(self.caller.context(), self.fault_vaddr, Access::Exec) {
             Err(MachineError::Fault(f)) => f,
-            Err(e) => return Err(ObjError::failed(format!("proxy fault setup: {e}"))),
-            Ok(_) => {
-                return Err(ObjError::failed(
-                    "proxy fault page unexpectedly mapped".to_owned(),
-                ))
-            }
+            Err(e) => return Err(e.into()),
+            Ok(_) => return Err(ObjError::failed("proxy fault page unexpectedly mapped")),
         };
 
         // 2. Deliver the trap: event service charges trap costs and runs
@@ -207,16 +203,14 @@ impl CrossCall {
             self.translate_frame(&mut m, args, self.caller, self.target_domain, &mut bytes);
         let cost = m.cost.copy_cost(bytes);
         m.charge(cost);
-        let entered = m
-            .switch_context(self.target_domain.context())
-            .map_err(|e| ObjError::failed(format!("context switch: {e}")));
+        let entered = m.switch_context(self.target_domain.context());
         drop(m);
 
         // 4. Invoke the actual method in the target's domain. A failed
         //    switch is the call's result, and returns like any failure. A
         //    panic in the callee stops at the domain's boundary as a typed
         //    fault, and the return below still runs.
-        let result = entered.and_then(|()| {
+        let result = entered.map_err(ObjError::from).and_then(|()| {
             panic::catch_unwind(AssertUnwindSafe(|| {
                 forward.call(rebuilt.as_deref().unwrap_or(args))
             }))
@@ -662,9 +656,9 @@ mod tests {
             .unwrap();
         let switches = ctx.machine.lock().mmu.switch_count();
         let r = proxy.invoke("math", "add", &[Value::Int(1), Value::Int(2)]);
-        assert!(
-            matches!(&r, Err(ObjError::Failed(msg)) if msg.starts_with("context switch")),
-            "{r:?}"
+        assert_eq!(
+            r,
+            Err(ObjError::Machine(MachineError::NoSuchContext(server.0)))
         );
         let m = ctx.machine.lock();
         assert_eq!(m.mmu.current_context(), user.context());

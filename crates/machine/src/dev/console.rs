@@ -44,9 +44,7 @@ impl Device for Console {
         match offset {
             regs::COUNT => Ok(self.buf.len() as u32),
             regs::PUTC => Err(MachineError::Device("console: PUTC is write-only".into())),
-            _ => Err(MachineError::Device(format!(
-                "console: bad register {offset:#x}"
-            ))),
+            _ => Err(MachineError::BadRegister("console", offset)),
         }
     }
 
@@ -56,9 +54,7 @@ impl Device for Console {
                 self.buf.push(value as u8);
                 Ok(())
             }
-            _ => Err(MachineError::Device(format!(
-                "console: bad register {offset:#x}"
-            ))),
+            _ => Err(MachineError::BadRegister("console", offset)),
         }
     }
 

@@ -115,9 +115,9 @@ impl Disk {
     }
 
     /// Arms a transient-fault window: the next `n` sector reads/writes
-    /// fail with an error whose message contains `"transient"` (the class
-    /// `store::retry` retries). Torn crash writes are unaffected — a
-    /// power failure is not a transient condition.
+    /// fail with [`MachineError::Transient`] (the class `store::retry`
+    /// retries). Torn crash writes are unaffected — a power failure is
+    /// not a transient condition.
     pub fn inject_transient_errors(&mut self, n: u64) {
         self.transient_errors = n;
     }
@@ -154,14 +154,12 @@ impl Disk {
         self.transient_fired
     }
 
-    /// Consumes one armed transient fault, if any.
+    /// Consumes one armed transient fault, if any, as a [`MachineError::Transient`].
     fn fault_check(&mut self) -> MachineResult<()> {
         if self.transient_errors > 0 {
             self.transient_errors -= 1;
             self.transient_fired += 1;
-            return Err(MachineError::Device(
-                "disk: transient I/O error (injected)".into(),
-            ));
+            return Err(MachineError::Transient("disk"));
         }
         Ok(())
     }
@@ -269,9 +267,7 @@ impl Device for Disk {
             regs::SECTOR_COUNT => Ok(self.sectors() as u32),
             regs::READS => Ok(self.reads as u32),
             regs::WRITES => Ok(self.writes as u32),
-            _ => Err(MachineError::Device(format!(
-                "disk: bad register {offset:#x}"
-            ))),
+            _ => Err(MachineError::BadRegister("disk", offset)),
         }
     }
 
@@ -389,7 +385,11 @@ mod tests {
         let mut d = Disk::new(4);
         d.inject_transient_errors(2);
         let e = d.read_sector(0).unwrap_err();
-        assert!(e.to_string().contains("transient"), "{e}");
+        assert_eq!(e, MachineError::Transient("disk"));
+        assert_eq!(
+            e.to_string(),
+            "device error: disk: transient I/O error (injected)"
+        );
         assert!(d.write_sector(0, sector_of(0)).is_err());
         // Window exhausted: back to normal.
         d.read_sector(0).unwrap();
@@ -413,5 +413,8 @@ mod tests {
         assert_eq!(d.read_reg(regs::SECTOR_COUNT).unwrap(), 16);
         assert_eq!(d.read_reg(regs::READS).unwrap(), 1);
         assert!(d.write_reg(regs::READS, 9).is_err());
+        let e = d.read_reg(0x40).unwrap_err();
+        assert_eq!(e, MachineError::BadRegister("disk", 0x40));
+        assert_eq!(e.to_string(), "device error: disk: bad register 0x40");
     }
 }

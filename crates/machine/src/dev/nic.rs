@@ -174,9 +174,7 @@ impl Device for Nic {
             regs::RX_DROPPED => Ok(self.rx_dropped as u32),
             regs::TX_TOTAL => Ok(self.tx_total as u32),
             regs::IRQ_ENABLE => Ok(u32::from(self.irq_enable)),
-            _ => Err(MachineError::Device(format!(
-                "nic: bad register {offset:#x}"
-            ))),
+            _ => Err(MachineError::BadRegister("nic", offset)),
         }
     }
 
@@ -191,9 +189,7 @@ impl Device for Nic {
             | regs::RX_TOTAL
             | regs::RX_DROPPED
             | regs::TX_TOTAL => Err(MachineError::Device("nic: register is read-only".into())),
-            _ => Err(MachineError::Device(format!(
-                "nic: bad register {offset:#x}"
-            ))),
+            _ => Err(MachineError::BadRegister("nic", offset)),
         }
     }
 

@@ -58,9 +58,7 @@ impl Device for Timer {
             regs::PERIOD => Ok(self.period as u32),
             regs::FIRE_COUNT => Ok(self.fires as u32),
             regs::CTRL => Ok(u32::from(self.running)),
-            _ => Err(MachineError::Device(format!(
-                "timer: bad register {offset:#x}"
-            ))),
+            _ => Err(MachineError::BadRegister("timer", offset)),
         }
     }
 
@@ -82,9 +80,7 @@ impl Device for Timer {
             regs::FIRE_COUNT => Err(MachineError::Device(
                 "timer: FIRE_COUNT is read-only".into(),
             )),
-            _ => Err(MachineError::Device(format!(
-                "timer: bad register {offset:#x}"
-            ))),
+            _ => Err(MachineError::BadRegister("timer", offset)),
         }
     }
 

@@ -59,6 +59,17 @@ pub enum MachineError {
     Io(String),
     /// A device reported an error.
     Device(String),
+    /// The device named has no register at the offset given.
+    BadRegister(&'static str, u64),
+    /// A device operation failed for a passing reason (a media or bus
+    /// hiccup) and may succeed if issued again. Carries the device's
+    /// name; [`dev::disk::Disk::inject_transient_errors`] arms these.
+    Transient(&'static str),
+    /// A block request named a sector at or past `sectors`, the size of
+    /// the device or of the area a layer exposes.
+    SectorOutOfRange { sector: i64, sectors: i64 },
+    /// A block request named a negative sector.
+    NegativeSector,
     /// The simulated machine lost power (crash injection): the current
     /// operation did not complete and no further operation will until
     /// [`Machine::reboot`](machine::Machine::reboot).
@@ -75,6 +86,16 @@ impl std::fmt::Display for MachineError {
             MachineError::Fault(fault) => write!(f, "memory fault: {fault}"),
             MachineError::Io(m) => write!(f, "I/O space error: {m}"),
             MachineError::Device(m) => write!(f, "device error: {m}"),
+            MachineError::BadRegister(dev, offset) => {
+                write!(f, "device error: {dev}: bad register {offset:#x}")
+            }
+            MachineError::Transient(dev) => {
+                write!(f, "device error: {dev}: transient I/O error (injected)")
+            }
+            MachineError::SectorOutOfRange { sector, sectors } => {
+                write!(f, "sector {sector} out of range (device has {sectors})")
+            }
+            MachineError::NegativeSector => write!(f, "negative sector"),
             MachineError::PowerFailure => write!(f, "simulated power failure"),
         }
     }

@@ -128,8 +128,7 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
                             m.charge(cost);
                             m.device_mut::<Nic>(&s.nic)
                                 .ok_or_else(|| ObjError::failed("nic device missing"))?
-                                .tx(frame.clone())
-                                .map_err(|e| ObjError::failed(e.to_string()))?;
+                                .tx(frame.clone())?;
                             s.stats.tx_frames += 1;
                             s.stats.tx_bytes += frame.len() as u64;
                         }
@@ -164,16 +163,14 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
                 this.with_state(|s: &mut DriverState| {
                     s.check_claim()?;
                     let mut m = s.machine.lock();
-                    let avail = m
-                        .io_read(&s.nic, nic::regs::RX_AVAIL)
-                        .map_err(|e| ObjError::failed(e.to_string()))?;
+                    let avail = m.io_read(&s.nic, nic::regs::RX_AVAIL)?;
                     Ok(Value::Int(i64::from(avail)))
                 })
             })
             .method("stats", &[], TypeTag::List, |this, _| {
                 this.with_state(|s: &mut DriverState| {
-                    let dropped = s.machine.lock().io_read(&s.nic, nic::regs::RX_DROPPED);
-                    s.stats.dropped = dropped.map_err(|e| ObjError::failed(e.to_string()))?.into();
+                    let dropped = s.machine.lock().io_read(&s.nic, nic::regs::RX_DROPPED)?;
+                    s.stats.dropped = dropped.into();
                     Ok(s.stats.to_value())
                 })
             })

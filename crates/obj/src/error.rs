@@ -1,6 +1,10 @@
-//! Errors produced by the object model.
+//! Errors produced by the object model. A caller that acts on a failure
+//! matches its variant, never its text; a machine error keeps its type on
+//! its way up ([`ObjError::Machine`]).
 
-use crate::typeinfo::TypeTag;
+use paramecium_machine::MachineError;
+
+use crate::typeinfo::{TypeSite, TypeTag};
 
 /// Errors returned by object-model operations and method invocations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,7 +26,7 @@ pub enum ObjError {
     /// Wrong number of arguments.
     Arity {
         /// Method whose signature was violated.
-        method: String,
+        method: &'static str,
         /// Number of parameters the signature declares.
         expected: usize,
         /// Number of arguments supplied.
@@ -30,8 +34,8 @@ pub enum ObjError {
     },
     /// An argument or result had the wrong type.
     TypeMismatch {
-        /// Human-readable position, e.g. `argument 0 of \`read\``.
-        context: String,
+        /// Where the value was met.
+        site: TypeSite,
         /// Declared type.
         expected: TypeTag,
         /// Supplied type.
@@ -44,8 +48,12 @@ pub enum ObjError {
     },
     /// A name-space or binding operation failed.
     Binding(String),
-    /// The method itself failed; carries a component-defined message.
+    /// The method itself failed; carries a component-defined message
+    /// that no caller acts on.
     Failed(String),
+    /// The machine under the method failed: a device fault, a refused
+    /// sector, a power failure. Prints `method failed: ` and its text.
+    Machine(MachineError),
     /// The operation is not permitted in the calling domain.
     Denied(String),
     /// The callee of a cross-domain call panicked. The fault stayed in
@@ -58,11 +66,10 @@ pub enum ObjError {
 }
 
 impl ObjError {
-    /// Shorthand constructor for a [`ObjError::TypeMismatch`] without
-    /// positional context.
+    /// Shorthand for a [`ObjError::TypeMismatch`] of a value outside any signature.
     pub fn type_mismatch(expected: TypeTag, got: TypeTag) -> Self {
         ObjError::TypeMismatch {
-            context: "value".into(),
+            site: TypeSite::Value,
             expected,
             got,
         }
@@ -94,20 +101,18 @@ impl std::fmt::Display for ObjError {
                 write!(f, "method `{method}` takes {expected} arguments, got {got}")
             }
             ObjError::TypeMismatch {
-                context,
+                site,
                 expected,
                 got,
             } => {
-                write!(
-                    f,
-                    "type mismatch in {context}: expected {expected}, got {got}"
-                )
+                write!(f, "type mismatch in {site}: expected {expected}, got {got}")
             }
             ObjError::StateType { class } => {
                 write!(f, "instance state of `{class}` has unexpected type")
             }
             ObjError::Binding(m) => write!(f, "binding error: {m}"),
             ObjError::Failed(m) => write!(f, "method failed: {m}"),
+            ObjError::Machine(e) => write!(f, "method failed: {e}"),
             ObjError::Denied(m) => write!(f, "permission denied: {m}"),
             ObjError::DomainFault { domain } => write!(f, "domain {domain} faulted"),
         }
@@ -115,6 +120,12 @@ impl std::fmt::Display for ObjError {
 }
 
 impl std::error::Error for ObjError {}
+
+impl From<MachineError> for ObjError {
+    fn from(e: MachineError) -> Self {
+        ObjError::Machine(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -130,11 +141,17 @@ mod tests {
         assert!(s.contains("nic") && s.contains("stats"));
 
         let e = ObjError::Arity {
-            method: "send".into(),
+            method: "send",
             expected: 2,
             got: 0,
         };
         assert!(e.to_string().contains("takes 2 arguments"));
+
+        // A machine error prints as the message it used to be turned into.
+        for m in [MachineError::PowerFailure, MachineError::Transient("disk")] {
+            let want = ObjError::failed(m.to_string()).to_string();
+            assert_eq!(ObjError::from(m).to_string(), want);
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use interface::{BoundMethod, Interface, Method, MethodFn};
 pub use interpose::InterposerBuilder;
 pub use object::{ObjRef, Object};
 pub use trylock::{TryLock, TryLockGuard};
-pub use typeinfo::{InterfaceDescriptor, MethodSig, TypeTag};
+pub use typeinfo::{InterfaceDescriptor, MethodSig, TypeSite, TypeTag};
 pub use value::Value;
 
 /// Convenient result alias used throughout the object model.

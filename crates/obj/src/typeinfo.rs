@@ -44,6 +44,28 @@ impl std::fmt::Display for TypeTag {
     }
 }
 
+/// Where a value of the wrong type was met, for an
+/// [`ObjError::TypeMismatch`]: the signature's own `'static` name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TypeSite {
+    /// A value outside any signature (an entry of a list, say).
+    Value,
+    /// Argument `.1` (from 0) of the method named.
+    Argument(&'static str, usize),
+    /// The result of the method named.
+    Result(&'static str),
+}
+
+impl std::fmt::Display for TypeSite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TypeSite::Value => f.write_str("value"),
+            TypeSite::Argument(method, i) => write!(f, "argument {i} of `{method}`"),
+            TypeSite::Result(method) => write!(f, "result of `{method}`"),
+        }
+    }
+}
+
 /// The signature of one interface method.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MethodSig {
@@ -69,7 +91,7 @@ impl MethodSig {
     pub fn check_args(&self, args: &[Value]) -> ObjResult<()> {
         if args.len() != self.params.len() {
             return Err(ObjError::Arity {
-                method: self.name.to_owned(),
+                method: self.name,
                 expected: self.params.len(),
                 got: args.len(),
             });
@@ -77,7 +99,7 @@ impl MethodSig {
         for (i, (&want, got)) in self.params.iter().zip(args).enumerate() {
             if want != got.tag() {
                 return Err(ObjError::TypeMismatch {
-                    context: format!("argument {i} of `{}`", self.name),
+                    site: TypeSite::Argument(self.name, i),
                     expected: want,
                     got: got.tag(),
                 });
@@ -92,7 +114,7 @@ impl MethodSig {
             Ok(())
         } else {
             Err(ObjError::TypeMismatch {
-                context: format!("result of `{}`", self.name),
+                site: TypeSite::Result(self.name),
                 expected: self.returns,
                 got: result.tag(),
             })
@@ -153,7 +175,16 @@ mod tests {
     fn check_result_enforces_return_type() {
         let sig = MethodSig::new("m", &[], TypeTag::Int);
         assert!(sig.check_result(&Value::Int(1)).is_ok());
-        assert!(sig.check_result(&Value::Unit).is_err());
+        let err = sig.check_result(&Value::Unit).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type mismatch in result of `m`: expected int, got unit"
+        );
+        let err = ObjError::type_mismatch(TypeTag::Int, TypeTag::Str);
+        assert_eq!(
+            err.to_string(),
+            "type mismatch in value: expected int, got str"
+        );
     }
 
     #[test]

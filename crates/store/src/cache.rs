@@ -72,7 +72,8 @@ use paramecium_obj::{
 };
 
 use crate::vectored::{
-    blockdev_methods, pairs_arg, sectors_arg, view_pairs, Pairs, Reads, SectorMap, DATA_PATH,
+    blockdev_methods, check_sectors, pairs_arg, sectors_arg, view_pairs, Pairs, Reads, SectorMap,
+    DATA_PATH,
 };
 
 /// Sentinel for "no slot" in the intrusive LRU list.
@@ -363,20 +364,6 @@ impl CacheShared {
         // A racing fetch computed the same value; first writer wins.
         let _ = self.total_sectors.set(n);
         Ok(n)
-    }
-
-    /// Rejects sectors the backing store could never write back.
-    fn check_writable_sector(&self, sector: i64) -> ObjResult<()> {
-        if sector < 0 {
-            return Err(ObjError::failed("negative sector"));
-        }
-        let total = self.backing_sectors()?;
-        if sector >= total {
-            return Err(ObjError::failed(format!(
-                "sector {sector} out of range (device has {total})"
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -750,9 +737,8 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
             move |_, pairs| {
                 // Validate the whole batch before caching any of it,
                 // matching the driver's no-partial-effects contract.
-                for (sector, _) in pairs.iter() {
-                    s_write.check_writable_sector(sector)?;
-                }
+                let total = s_write.backing_sectors()?;
+                check_sectors(pairs.iter().map(|(sec, _)| sec), total)?;
                 cache_write_many(&s_write, pairs)
             },
         )

@@ -42,7 +42,7 @@ use paramecium_machine::{
 };
 use paramecium_obj::{counters, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::blockdev_methods;
+use crate::vectored::{blockdev_methods, check_sectors};
 
 /// Bytes of a sector that still reach the platter when a power failure
 /// interrupts its transfer: the torn-write model (half the sector).
@@ -79,35 +79,28 @@ impl DriverState {
     ) -> ObjResult<()> {
         let mut m = self.machine.lock();
         let (disk, meter) = powered_disk(&mut m)?;
-        check_sectors(disk, batch.clone().map(|(sec, _)| sec))?;
+        check_sectors(batch.clone().map(|(sec, _)| sec), disk.sectors() as i64)?;
         let sectors = batch.len() as u64;
         for (k, (sec, data)) in batch.enumerate() {
             charge_transfer(disk, meter, k);
             if meter.check_power().is_err() {
                 // Power died during this sector's transfer: only a prefix
                 // reaches the platter.
-                disk.write_sector_prefix(sec as u64, data, TORN_WRITE_PREFIX)
-                    .map_err(dev_err)?;
-                return Err(dev_err(MachineError::PowerFailure));
+                disk.write_sector_prefix(sec as u64, data, TORN_WRITE_PREFIX)?;
+                return Err(MachineError::PowerFailure.into());
             }
-            disk.write_sector(sec as u64, data.clone())
-                .map_err(dev_err)?;
+            disk.write_sector(sec as u64, data.clone())?;
         }
         self.stats.writes += sectors;
         Ok(())
     }
 }
 
-/// Converts machine errors, keeping the power-failure case recognisable.
-fn dev_err(e: MachineError) -> ObjError {
-    ObjError::failed(e.to_string())
-}
-
 /// The disk and the charge meter in one borrow of the machine — found
 /// once per request, not per sector. Fails (without charging) when the
 /// machine has lost power.
 fn powered_disk(m: &mut Machine) -> ObjResult<(&mut Disk, &mut ChargeMeter)> {
-    m.check_power().map_err(dev_err)?;
+    m.check_power()?;
     m.device_and_meter("disk")
         .ok_or_else(|| ObjError::failed("disk device missing"))
 }
@@ -122,19 +115,6 @@ fn charge_transfer(disk: &mut Disk, meter: &mut ChargeMeter, k: usize) {
         SECTOR_STREAM_COST
     };
     meter.charge(cost + disk.take_op_latency());
-}
-
-/// Rejects any of `sectors` outside the device bounds.
-fn check_sectors(disk: &Disk, sectors: impl IntoIterator<Item = i64>) -> ObjResult<()> {
-    let total = disk.sectors() as i64;
-    for sec in sectors {
-        if sec < 0 || sec >= total {
-            return Err(ObjError::failed(format!(
-                "sector {sec} out of range (device has {total})"
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Builds the disk driver for `domain`, claiming the disk's register
@@ -168,11 +148,11 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                         let mut m = s.machine.lock();
                         let (disk, meter) = powered_disk(&mut m)?;
                         // Validate the whole request before charging.
-                        check_sectors(disk, reads.sectors())?;
+                        check_sectors(reads.sectors(), disk.sectors() as i64)?;
                         for (k, (sec, slot)) in reads.sectors().zip(out.iter_mut()).enumerate() {
                             charge_transfer(disk, meter, k);
-                            meter.check_power().map_err(dev_err)?;
-                            *slot = Value::Bytes(disk.read_sector(sec as u64).map_err(dev_err)?);
+                            meter.check_power()?;
+                            *slot = Value::Bytes(disk.read_sector(sec as u64)?);
                         }
                         s.stats.reads += out.len() as u64;
                         Ok(())
@@ -195,13 +175,13 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
             // the machine is alive.
             .method("flush", &[], TypeTag::Int, |this, _| {
                 this.with_state(|s: &mut DriverState| {
-                    s.machine.lock().check_power().map_err(dev_err)?;
+                    s.machine.lock().check_power()?;
                     Ok(Value::Int(0))
                 })
             })
             .method("barrier", &[], TypeTag::Unit, |this, _| {
                 this.with_state(|s: &mut DriverState| {
-                    s.machine.lock().check_power().map_err(dev_err)?;
+                    s.machine.lock().check_power()?;
                     Ok(Value::Unit)
                 })
             })
@@ -254,9 +234,10 @@ mod tests {
             &[Value::Int(0), Value::Bytes(Bytes::from_static(b"short"))],
         );
         assert!(r.is_err());
-        assert!(driver
-            .invoke("blockdev", "read", &[Value::Int(-1)])
-            .is_err());
+        assert_eq!(
+            driver.invoke("blockdev", "read", &[Value::Int(-1)]),
+            Err(MachineError::NegativeSector.into())
+        );
     }
 
     #[test]
@@ -267,9 +248,18 @@ mod tests {
             .unwrap()
             .as_int()
             .unwrap();
-        assert!(driver
+        let err = driver
             .invoke("blockdev", "read", &[Value::Int(sectors)])
-            .is_err());
+            .unwrap_err();
+        let want = MachineError::SectorOutOfRange {
+            sector: sectors,
+            sectors,
+        };
+        assert_eq!(err, want.into());
+        assert_eq!(
+            err.to_string(),
+            format!("method failed: sector {sectors} out of range (device has {sectors})")
+        );
     }
 
     #[test]
@@ -348,7 +338,7 @@ mod tests {
         let err = driver
             .invoke("blockdev", "write_many", &[pairs_arg(pairs)])
             .unwrap_err();
-        assert!(err.to_string().contains("power failure"), "{err}");
+        assert_eq!(err, ObjError::Machine(MachineError::PowerFailure));
         // Everything fails until reboot.
         assert!(driver.invoke("blockdev", "read", &[Value::Int(0)]).is_err());
         mem.machine().lock().reboot();

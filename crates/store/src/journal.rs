@@ -68,7 +68,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{counters, sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{blockdev_methods, fill, pairs_arg, sectors_arg, SectorMap};
+use crate::vectored::{blockdev_methods, check_sectors, fill, pairs_arg, sectors_arg, SectorMap};
 
 /// Magic tag of a superblock sector.
 const SB_MAGIC: u64 = 0x504A_5342_4C4B_0002; // "PJSBLK" v2
@@ -205,8 +205,8 @@ struct Inner {
     waiters: usize,
     next_seq: u64,
     durable_seq: u64,
-    /// Commit outcomes for riders whose group append failed.
-    failed: HashMap<u64, String>,
+    /// The append's own error, for each rider whose group append failed.
+    failed: HashMap<u64, ObjError>,
     stats: JournalStats,
 }
 
@@ -467,10 +467,7 @@ impl JournalShared {
         loop {
             let mut inner = self.inner.lock();
             if inner.durable_seq >= my_seq && inner.pending.iter().all(|p| p.seq != my_seq) {
-                return match inner.failed.remove(&my_seq) {
-                    None => Ok(()),
-                    Some(msg) => Err(ObjError::failed(msg)),
-                };
+                return inner.failed.remove(&my_seq).map_or(Ok(()), Err);
             }
             if inner.flushing {
                 self.wait(&mut inner);
@@ -497,7 +494,7 @@ impl JournalShared {
                     // have committed on disk, which recovery surfaces as
                     // whole transactions — never partial ones.
                     for p in &group {
-                        inner.failed.insert(p.seq, e.to_string());
+                        inner.failed.insert(p.seq, e.clone());
                     }
                 }
             }
@@ -672,9 +669,7 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             let i = blockdev_methods(
                 i,
                 move |_, reads, out| {
-                    for sec in reads.sectors() {
-                        check_data_sector(&geo, sec)?;
-                    }
+                    check_sectors(reads.sectors(), geo.data_sectors)?;
                     // Serve overlay hits in place; what misses comes from
                     // below in one request.
                     let inner = s_read.inner.lock();
@@ -703,9 +698,7 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                     )
                 },
                 move |_, pairs| {
-                    for (sec, _) in pairs.iter() {
-                        check_data_sector(&geo, sec)?;
-                    }
+                    check_sectors(pairs.iter().map(|(sec, _)| sec), geo.data_sectors)?;
                     if pairs.is_empty() {
                         return Ok(());
                     }
@@ -780,18 +773,6 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             })
         })
         .build()
-}
-
-/// Rejects sectors outside the client-visible data area (negative or
-/// inside the reserved journal region).
-fn check_data_sector(geo: &Geometry, sector: i64) -> ObjResult<()> {
-    if sector < 0 || sector >= geo.data_sectors {
-        return Err(ObjError::failed(format!(
-            "sector {sector} out of range (device has {})",
-            geo.data_sectors
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

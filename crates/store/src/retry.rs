@@ -4,16 +4,17 @@
 //! Sits between the raw disk driver and the journal (see
 //! [`crate::StackBuilder::retry`]) and re-issues failed operations with
 //! bounded exponential backoff plus seeded jitter, advancing the virtual
-//! clock while it waits so drills stay deterministic. Error classes:
+//! clock while it waits so drills stay deterministic. An error's class
+//! is its variant:
 //!
-//! - **transient** — the error message contains `"transient"` (the class
+//! - **transient** — [`MachineError::Transient`] (what
 //!   [`Disk::inject_transient_errors`] arms): retried up to
 //!   [`RetryConfig::max_attempts`] total attempts; if every attempt
 //!   fails, the *last* error surfaces unchanged.
-//! - **permanent** — everything else, notably power failure and
-//!   out-of-range sectors: fails fast, zero retries. Retrying a power
-//!   loss would only burn the crash budget; retrying a bad address would
-//!   never succeed.
+//! - **permanent** — every other error, notably a power failure, a sector
+//!   out of range and any [`ObjError::Failed`] whatever its text: fails
+//!   fast, zero retries. Retrying a power loss would only burn the crash
+//!   budget; retrying a bad address would never succeed.
 //!
 //! Only idempotent verbs are retried: `read_many`, `write_many`,
 //! `commit`, `flush`, `barrier`, and the scalar `read` and `write` too,
@@ -31,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use paramecium_machine::{cost::Cycles, Machine};
+use paramecium_machine::{cost::Cycles, Machine, MachineError};
 use paramecium_obj::{
     counters, delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder,
     TypeTag, Value,
@@ -87,12 +88,9 @@ struct RetryState {
     stats: RetryStats,
 }
 
-/// Transient faults are self-identifying by message; see the module docs
-/// for why classification is textual (the `blockdev` interface has one
-/// error type for every layer).
+/// Whether `e` is the one class worth re-issuing (see the module docs).
 fn is_transient(e: &ObjError) -> bool {
-    let msg = e.to_string();
-    msg.contains("transient") && !msg.contains("power failure")
+    matches!(e, ObjError::Machine(MachineError::Transient(_)))
 }
 
 impl RetryState {
@@ -187,6 +185,7 @@ mod tests {
     use bytes::Bytes;
     use paramecium_core::{domain::KERNEL_DOMAIN, memsvc::MemService};
     use paramecium_machine::dev::disk::{Disk, SECTOR_SIZE, SECTOR_TRANSFER_COST};
+    use paramecium_obj::InterposerBuilder;
 
     fn setup(cfg: RetryConfig) -> (Arc<Mutex<Machine>>, ObjRef) {
         let machine = Arc::new(Mutex::new(Machine::new()));
@@ -262,7 +261,7 @@ mod tests {
         let err = top
             .invoke("blockdev", "read", &[Value::Int(0)])
             .unwrap_err();
-        assert!(err.to_string().contains("transient"), "{err}");
+        assert_eq!(err, MachineError::Transient("disk").into());
         let st = retry_stats(&top);
         assert_eq!(st.retries, 2); // 3 attempts = 2 retries
         assert_eq!(st.exhausted, 1);
@@ -281,19 +280,79 @@ mod tests {
         // Out of range: no retry (the single attempt's transfer charge is
         // the only time that passes — no backoff sleeps).
         let t0 = machine.lock().now();
-        assert!(top
+        let err = top
             .invoke("blockdev", "read", &[Value::Int(1 << 40)])
-            .is_err());
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ObjError::Machine(MachineError::SectorOutOfRange {
+                    sector: 0x100_0000_0000,
+                    ..
+                })
+            ),
+            "{err}"
+        );
         assert!(machine.lock().now() - t0 <= SECTOR_TRANSFER_COST);
         // Power failure: fail fast too (retrying would burn crash state).
         machine.lock().arm_crash_after(1);
         let err = top
             .invoke("blockdev", "read", &[Value::Int(0)])
             .unwrap_err();
-        assert!(err.to_string().contains("power failure"), "{err}");
+        assert_eq!(err, MachineError::PowerFailure.into());
         let st = retry_stats(&top);
         assert_eq!(st.retries, 0);
         assert_eq!(st.permanent, 2);
+    }
+
+    #[test]
+    fn errors_are_classified_by_variant_not_by_text() {
+        // Under retry, a driver whose `read` fails with a message that
+        // reads like a disk transient but is only text.
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let mem = Arc::new(MemService::new(machine.clone()));
+        let driver = StackBuilder::disk(&mem, KERNEL_DOMAIN).build().unwrap();
+        let worded = InterposerBuilder::new(driver.top)
+            .override_method("blockdev", "read", |_, _| {
+                Err(ObjError::failed("disk: transient I/O error (injected)"))
+            })
+            .build();
+        let top = make_retry(machine.clone(), worded, RetryConfig::default());
+        let write = |sec: i64| {
+            let data = Value::Bytes(Bytes::from(vec![7; SECTOR_SIZE]));
+            top.invoke("blockdev", "write", &[Value::Int(sec), data])
+        };
+        let stats = || {
+            let st = retry_stats(&top);
+            (st.retries, st.recovered, st.permanent)
+        };
+
+        // The text is not the variant: permanent, not retried.
+        let err = top
+            .invoke("blockdev", "read", &[Value::Int(0)])
+            .unwrap_err();
+        assert!(matches!(err, ObjError::Failed(_)), "{err}");
+        assert_eq!(stats(), (0, 0, 1));
+
+        // A power failure is permanent by its type.
+        machine.lock().arm_crash_after(1);
+        assert_eq!(write(0), Err(MachineError::PowerFailure.into()));
+        assert_eq!(stats(), (0, 0, 2));
+        {
+            let mut m = machine.lock();
+            m.disarm_crash();
+            m.reboot();
+        }
+
+        // The disk's own transient is retried, and the write lands.
+        inject(&machine, 2);
+        write(1).unwrap();
+        assert_eq!(stats(), (2, 1, 2));
+
+        // A result carries its error inline: the machine's error widens
+        // neither an error nor a result on the hit path.
+        assert_eq!(std::mem::size_of::<ObjError>(), 56);
+        assert_eq!(std::mem::size_of::<ObjResult<Value>>(), 56);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::Bytes;
 
-use paramecium_machine::dev::disk::SECTOR_SIZE;
+use paramecium_machine::{dev::disk::SECTOR_SIZE, MachineError, MachineResult};
 use paramecium_obj::{InterfaceBuilder, ObjError, ObjRef, ObjResult, TypeTag, Value};
 
 /// The `blockdev` data path — `read`, `read_many`, `write`, `write_many`,
@@ -115,7 +115,7 @@ where
             for s in sectors {
                 match s {
                     Value::Int(sec) if *sec >= 0 => {}
-                    Value::Int(_) => return Err(ObjError::failed("negative sector")),
+                    Value::Int(_) => return Err(MachineError::NegativeSector.into()),
                     other => return Err(ObjError::type_mismatch(TypeTag::Int, other.tag())),
                 }
             }
@@ -180,11 +180,22 @@ pub fn view_pairs(v: &Value) -> ObjResult<Pairs<'_>> {
     Ok(Pairs(flat))
 }
 
+/// Refuses the first sector of `batch` outside `0..sectors`, the size of
+/// the device or of the area a layer exposes.
+pub(crate) fn check_sectors(batch: impl Iterator<Item = i64>, sectors: i64) -> MachineResult<()> {
+    for sector in batch {
+        if !(0..sectors).contains(&sector) {
+            return Err(MachineError::SectorOutOfRange { sector, sectors });
+        }
+    }
+    Ok(())
+}
+
 /// What every write must satisfy before a layer looks at it: a sector
 /// number that is not negative and a payload of exactly one sector.
 pub(crate) fn check_write(sector: i64, data: &Bytes) -> ObjResult<()> {
     if sector < 0 {
-        return Err(ObjError::failed("negative sector"));
+        return Err(MachineError::NegativeSector.into());
     }
     if data.len() != SECTOR_SIZE {
         return Err(ObjError::failed(format!(

@@ -137,6 +137,79 @@ fn flat_args_dispatch_fast_path_is_zero_alloc() {
 }
 
 #[test]
+fn refusals_and_absorbed_transients_are_zero_alloc() {
+    // An error is a value built from `'static` names and the machine's
+    // own error, not a message: a call refused for its arity or an
+    // argument's type, and a disk transient that `retry` re-issues and
+    // absorbs, each touch the heap zero times.
+    use paramecium::core::memsvc::MemService;
+    use paramecium::machine::dev::disk::Disk;
+    use paramecium::obj::{ObjError, TypeSite};
+    use paramecium::store::{retry::RetryStats, RetryConfig, StackBuilder};
+    use std::sync::Arc;
+
+    let obj = counter();
+    let no_args: [Value; 0] = [];
+    let wrong_type = [Value::Unit];
+    for (how, args) in [("arity", &no_args[..]), ("type", &wrong_type[..])] {
+        let allocs = count_allocs(|| {
+            for _ in 0..CALLS {
+                obj.invoke("ctr", "incr", args).unwrap_err();
+            }
+        });
+        assert_eq!(allocs, 0, "a call refused for its {how}: {allocs} allocs");
+    }
+    let err = obj.invoke("ctr", "incr", &wrong_type).unwrap_err();
+    assert!(matches!(
+        err,
+        ObjError::TypeMismatch {
+            site: TypeSite::Argument("incr", 0),
+            ..
+        }
+    ));
+    assert_eq!(
+        err.to_string(),
+        "type mismatch in argument 0 of `incr`: expected int, got unit"
+    );
+    let err = obj.invoke("ctr", "incr", &no_args).unwrap_err();
+    assert_eq!(err.to_string(), "method `incr` takes 1 arguments, got 0");
+
+    let machine = Arc::new(parking_lot::Mutex::new(Machine::new()));
+    let mem = Arc::new(MemService::new(machine.clone()));
+    let stack = StackBuilder::disk(&mem, KERNEL_DOMAIN)
+        .retry(RetryConfig::default())
+        .build()
+        .unwrap();
+    let read = [Value::Int(0)];
+    let retries = || {
+        let stats = stack.retry.as_ref().unwrap().invoke("retry", "stats", &[]);
+        RetryStats::from_value(&stats.unwrap()).unwrap().retries
+    };
+    let absorb_one = || {
+        let mut m = machine.lock();
+        m.device_mut::<Disk>("disk")
+            .unwrap()
+            .inject_transient_errors(1);
+        drop(m);
+        stack.top.invoke("blockdev", "read", &read).unwrap();
+    };
+    for _ in 0..8 {
+        absorb_one();
+    }
+    let before = retries();
+    let allocs = count_allocs(|| {
+        for _ in 0..CALLS {
+            absorb_one();
+        }
+    });
+    assert_eq!(retries() - before, CALLS);
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations in {CALLS} reads that each absorbed a disk transient"
+    );
+}
+
+#[test]
 fn bound_method_call_is_zero_alloc() {
     let obj = counter();
     let bound = obj

@@ -20,12 +20,7 @@ fn cache_is_installed_by_interposition_and_shared_across_domains() {
     // The disk driver is a certified native toolbox component.
     n.repository.add_native("disk-driver", "1.0", {
         let mem = n.mem.clone();
-        std::sync::Arc::new(move || {
-            StackBuilder::disk(&mem, KERNEL_DOMAIN)
-                .build()
-                .map(|stack| stack.top)
-                .map_err(|e| paramecium::obj::ObjError::failed(e.to_string()))
-        })
+        std::sync::Arc::new(move || Ok(StackBuilder::disk(&mem, KERNEL_DOMAIN).build()?.top))
     });
     world
         .certify_by_root("disk-driver", &[Right::RunKernel, Right::DeviceAccess])
@@ -119,9 +114,7 @@ fn uncertified_cache_cannot_be_loaded_into_the_kernel() {
     n.repository.add_native("rogue-cache", "0.1", {
         let mem = n.mem.clone();
         std::sync::Arc::new(move || {
-            let raw = StackBuilder::disk(&mem, KERNEL_DOMAIN)
-                .build()
-                .map_err(|e| paramecium::obj::ObjError::failed(e.to_string()))?;
+            let raw = StackBuilder::disk(&mem, KERNEL_DOMAIN).build()?;
             Ok(StackBuilder::on(raw.top)
                 .cache(8)
                 .build()

@@ -46,7 +46,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use paramecium::core::memsvc::MemService;
 use paramecium::machine::dev::disk::{Disk, SECTOR_SIZE};
-use paramecium::obj::sum64;
+use paramecium::machine::MachineError;
+use paramecium::obj::{sum64, ObjError};
 use paramecium::prelude::*;
 use paramecium::store::journal::JournalStats;
 use paramecium::store::vectored::{pairs_arg, sectors_arg};
@@ -136,7 +137,7 @@ fn apply(oracle: &mut [u8], op: &Op) {
 /// an error anywhere means the op is in flight at the crash. With
 /// `as_commit`, a `Write` or `WriteMany` is issued as a `commit` of the
 /// same pairs, the only write a write-back cache makes durable by return.
-fn run_op(top: &ObjRef, op: &Op, as_commit: bool) -> Result<(), String> {
+fn run_op(top: &ObjRef, op: &Op, as_commit: bool) -> Result<(), ObjError> {
     let batch = |pairs: &[(i64, u8)]| {
         pairs_arg(
             pairs
@@ -156,7 +157,7 @@ fn run_op(top: &ObjRef, op: &Op, as_commit: bool) -> Result<(), String> {
         Op::Commit(pairs) => top.invoke("blockdev", "commit", &[batch(pairs)]),
         Op::Flush => top.invoke("blockdev", "flush", &[]),
     };
-    r.map(|_| ()).map_err(|e| e.to_string())
+    r.map(|_| ())
 }
 
 /// Runs ops until the first failure, returning how many were
@@ -164,9 +165,10 @@ fn run_op(top: &ObjRef, op: &Op, as_commit: bool) -> Result<(), String> {
 fn run_until_crash(top: &ObjRef, ops: &[Op], as_commit: bool) -> (usize, Option<usize>) {
     for (i, op) in ops.iter().enumerate() {
         if let Err(e) = run_op(top, op, as_commit) {
-            assert!(
-                e.contains("power failure"),
-                "only power failure may abort a valid op, got: {e}"
+            assert_eq!(
+                e,
+                ObjError::Machine(MachineError::PowerFailure),
+                "only power failure may abort a valid op"
             );
             return (i, Some(i));
         }
@@ -460,7 +462,8 @@ fn torn_write_at_log_tail_is_detected() {
             .top
             .invoke("blockdev", "write", &[Value::Int(1), sector_of(0xB2)])
             .unwrap_err();
-        assert!(err.to_string().contains("power failure"), "{err}");
+        // The journal hands its caller the driver's own error.
+        assert_eq!(err, ObjError::Machine(MachineError::PowerFailure));
         drop(stack);
         {
             let mut m = mem.machine().lock();

@@ -580,12 +580,7 @@ fn multi_client_stress_through_interposition() {
     let n = &world.nucleus;
     n.repository.add_native("disk-driver", "1.0", {
         let mem = n.mem.clone();
-        Arc::new(move || {
-            StackBuilder::disk(&mem, KERNEL_DOMAIN)
-                .build()
-                .map(|stack| stack.top)
-                .map_err(|e| paramecium::obj::ObjError::failed(e.to_string()))
-        })
+        Arc::new(move || Ok(StackBuilder::disk(&mem, KERNEL_DOMAIN).build()?.top))
     });
     world
         .certify_by_root("disk-driver", &[Right::RunKernel, Right::DeviceAccess])
