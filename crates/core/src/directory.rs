@@ -126,6 +126,10 @@ impl NameSpace {
     ///
     /// The replacement happens in the name space that actually holds the
     /// binding (possibly a parent), so it is visible to every inheritor.
+    /// An agent that cannot [stand in] for the bound object is refused,
+    /// and the old binding stays.
+    ///
+    /// [stand in]: paramecium_obj::Object::stands_in_for
     pub fn replace(&self, path: &str, entry: NsEntry) -> CoreResult<NsEntry> {
         check_path(path)?;
         let mut ns = self;
@@ -133,6 +137,7 @@ impl NameSpace {
             {
                 let mut entries = ns.entries.write();
                 if let Some(slot) = entries.get_mut(path) {
+                    entry.obj.stands_in_for(&slot.obj)?;
                     entry.obj.set_instance_name(Some(path.to_owned()));
                     return Ok(std::mem::replace(slot, entry));
                 }

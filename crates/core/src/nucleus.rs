@@ -248,7 +248,8 @@ impl Nucleus {
 
     /// Replaces the binding at `path` with an interposing agent living in
     /// `agent_home`. Returns the previous object handle (which the agent
-    /// typically wraps).
+    /// typically wraps); one it cannot stand in for is refused (see
+    /// [`NameSpace::replace`](crate::NameSpace::replace)).
     pub fn interpose(&self, agent_home: DomainId, path: &str, agent: ObjRef) -> CoreResult<ObjRef> {
         let d = self
             .domain(agent_home)

@@ -112,8 +112,8 @@ impl Clone for ProxyCtx {
 /// Builds a proxy in `caller` domain standing for `target` living in
 /// `target_domain`.
 ///
-/// The proxy exports exactly the same interfaces as the target (including
-/// a forwarding fallback for methods added later). Building one never
+/// The proxy exports exactly the same interfaces as the target, under the
+/// same signatures, and answers exactly their methods. Building one never
 /// locks the machine, so a crossing builds nested proxies under its lock.
 pub fn make_proxy(
     ctx: &ProxyCtx,
@@ -570,10 +570,13 @@ mod tests {
     fn errors_propagate_across_domains() {
         let (ctx, user) = world();
         let proxy = make_proxy(&ctx, adder(), KERNEL_DOMAIN, user);
+        // A method the interface lacks is refused by the proxy itself,
+        // before any crossing.
         assert!(matches!(
             proxy.invoke("math", "nope", &[]),
             Err(ObjError::NoSuchMethod { .. })
         ));
+        assert_eq!(ctx.stats.crossings(), 0);
         assert!(matches!(
             proxy.invoke("nope", "add", &[]),
             Err(ObjError::NoSuchInterface { .. })

@@ -43,7 +43,6 @@ impl Device for Console {
     fn read_reg(&mut self, offset: u64) -> MachineResult<u32> {
         match offset {
             regs::COUNT => Ok(self.buf.len() as u32),
-            regs::PUTC => Err(MachineError::Device("console: PUTC is write-only".into())),
             _ => Err(MachineError::BadRegister("console", offset)),
         }
     }

@@ -174,7 +174,10 @@ impl Disk {
         usize::try_from(idx)
             .ok()
             .filter(|&i| i < self.sectors)
-            .ok_or_else(|| MachineError::Device(format!("disk: sector {idx} out of range")))
+            .ok_or(MachineError::SectorOutOfRange {
+                sector: i64::try_from(idx).unwrap_or(i64::MAX),
+                sectors: self.sectors as i64,
+            })
     }
 
     /// What sector `i` holds: the buffer last written there, or the
@@ -272,9 +275,7 @@ impl Device for Disk {
     }
 
     fn write_reg(&mut self, offset: u64, _value: u32) -> MachineResult<()> {
-        Err(MachineError::Device(format!(
-            "disk: register {offset:#x} is read-only"
-        )))
+        Err(MachineError::BadRegister("disk", offset))
     }
 
     fn tick(&mut self, _now: Cycles, _irq: &mut IrqController) {}

@@ -184,11 +184,6 @@ impl Device for Nic {
                 self.irq_enable = value & 1 == 1;
                 Ok(())
             }
-            regs::RX_AVAIL
-            | regs::RX_HEAD_LEN
-            | regs::RX_TOTAL
-            | regs::RX_DROPPED
-            | regs::TX_TOTAL => Err(MachineError::Device("nic: register is read-only".into())),
             _ => Err(MachineError::BadRegister("nic", offset)),
         }
     }

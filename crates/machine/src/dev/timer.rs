@@ -77,9 +77,6 @@ impl Device for Timer {
                 }
                 Ok(())
             }
-            regs::FIRE_COUNT => Err(MachineError::Device(
-                "timer: FIRE_COUNT is read-only".into(),
-            )),
             _ => Err(MachineError::BadRegister("timer", offset)),
         }
     }

@@ -59,7 +59,8 @@ pub enum MachineError {
     Io(String),
     /// A device reported an error.
     Device(String),
-    /// The device named has no register at the offset given.
+    /// The device named has no such register for this access: none at
+    /// the offset given, or one that cannot be read (or written) there.
     BadRegister(&'static str, u64),
     /// A device operation failed for a passing reason (a media or bus
     /// hiccup) and may succeed if issued again. Carries the device's

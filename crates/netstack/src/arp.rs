@@ -39,7 +39,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use paramecium_obj::{
-    counters, delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjectBuilder, TypeTag, Value,
+    counters, delegate_interface, ObjError, ObjRef, ObjectBuilder, TypeTag, Value,
 };
 
 use crate::burst::{self, netdev_methods, Drain};
@@ -204,7 +204,6 @@ impl ArpState {
 /// hardware address `mac`.
 pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
     let netdev = netdev_methods(
-        InterfaceBuilder::new("netdev"),
         |this, tx| {
             this.with_state(|s: &mut ArpState| {
                 // The common case, a burst already all unicast: the list
@@ -243,7 +242,7 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
             })
         },
     )
-    .method("pending", &[], TypeTag::Int, |this, _| {
+    .provide("pending", |this, _| {
         this.with_state(|s: &mut ArpState| {
             let below = s.lower.invoke("netdev", "pending", &[])?.as_int()?;
             Ok(Value::Int(below + s.rx.held() as i64))

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use paramecium_obj::{InterfaceBuilder, ObjError, ObjRef, ObjResult, TypeTag, Value};
+use paramecium_obj::{InterfaceBuilder, MethodSig, ObjError, ObjRef, ObjResult, TypeTag, Value};
 
 /// Most frames pulled from a lower `netdev` in one call.
 const RX_BURST: usize = 64;
@@ -74,38 +74,50 @@ pub fn send_many(lower: &ObjRef, frames: &mut Vec<Value>) -> ObjResult<()> {
     sent.map(drop)
 }
 
-/// Adds `send_many` / `recv_many` and the `send` / `recv` derived from
-/// them to a `netdev` interface. `tx` applies a whole, validated burst;
-/// `rx` appends up to `max` frames to a list that is empty when it is
-/// called, and on an error keeps whatever it had pulled (see
-/// [`Drain::unread`]) rather than leave it in the list.
-pub fn netdev_methods<T, R>(mut i: InterfaceBuilder, tx: T, rx: R) -> InterfaceBuilder
+/// The `netdev` interface, sorted by name: its only declaration. Every
+/// layer exports exactly this set; `pending` counts the frames a `recv`
+/// would find, `stats` is the device's counter block.
+pub const NETDEV: &[MethodSig] = &[
+    MethodSig::new("pending", &[], TypeTag::Int),
+    MethodSig::new("recv", &[], TypeTag::Bytes),
+    MethodSig::new("recv_many", &[TypeTag::Int], TypeTag::List),
+    MethodSig::new("send", &[TypeTag::Bytes], TypeTag::Unit),
+    MethodSig::new("send_many", &[TypeTag::List], TypeTag::Unit),
+    MethodSig::new("stats", &[], TypeTag::List),
+];
+
+/// Starts a layer's `netdev` ([`NETDEV`]) with `send_many` / `recv_many`
+/// and the `send` / `recv` derived from them. `tx` applies a whole,
+/// validated burst; `rx` appends up to `max` frames to a list that is
+/// empty when it is called, and on an error keeps whatever it had pulled
+/// (see [`Drain::unread`]) rather than leave it in the list.
+pub fn netdev_methods<T, R>(tx: T, rx: R) -> InterfaceBuilder
 where
     T: Fn(&ObjRef, Tx<'_>) -> ObjResult<()> + Send + Sync + 'static,
     R: Fn(&ObjRef, usize, &mut Vec<Value>) -> ObjResult<()> + Send + Sync + 'static,
 {
-    use TypeTag::{Int, List, Unit};
+    let mut i = InterfaceBuilder::declared("netdev", NETDEV);
     let (tx, rx) = (Arc::new(tx), Arc::new(rx));
     let rx_one = rx.clone();
     // The scalar `recv`'s list of one, kept between calls so that it
     // costs no more heap traffic than the frame it carries.
     let spare = Mutex::new(Vec::new());
-    for (method, params) in [("send", &[TypeTag::Bytes]), ("send_many", &[List])] {
+    for method in ["send", "send_many"] {
         let tx = tx.clone();
-        i = i.method(method, params, Unit, move |this, args| {
+        i = i.provide(method, move |this, args| {
             if let Value::List(burst) = &args[0] {
                 burst.iter().try_for_each(|f| f.as_bytes().map(drop))?;
             }
             tx(this, Tx { method, args }).map(|()| Value::Unit)
         });
     }
-    i.method("recv_many", &[Int], List, move |this, args| {
+    i.provide("recv_many", move |this, args| {
         let max = args[0].as_int_in::<usize>()?;
         let mut out = Vec::new();
         rx(this, max, &mut out)?;
         Ok(Value::List(out))
     })
-    .method("recv", &[], TypeTag::Bytes, move |this, _| {
+    .provide("recv", move |this, _| {
         let mut out = spare.lock();
         out.clear();
         let pulled = rx_one(this, 1, &mut out);
@@ -205,7 +217,6 @@ pub(crate) mod fakes {
         let (tx_inner, tx_blown) = (inner.clone(), blown.clone());
         let rx_inner = inner.clone();
         let netdev = netdev_methods(
-            InterfaceBuilder::new("netdev"),
             move |_, tx| match tx_blown.tx.load(Ordering::Relaxed) {
                 true => down(),
                 false => tx.forward(&tx_inner),

@@ -26,7 +26,7 @@ use paramecium_machine::{
     io::{IoRegionId, IoSharing},
     Machine,
 };
-use paramecium_obj::{ObjError, ObjRef, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{ObjError, ObjRef, ObjectBuilder, Value};
 
 use crate::burst::netdev_methods;
 
@@ -110,11 +110,10 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
 
     Ok(ObjectBuilder::new("nic-driver")
         .state(state)
-        .interface("netdev", |i| {
+        .raw_interface({
             // Per frame a burst charges what the scalar call charges:
             // one I/O access per take attempt, the copy per frame moved.
             netdev_methods(
-                i,
                 |this, tx| {
                     this.with_state(|s: &mut DriverState| {
                         s.check_claim()?;
@@ -159,7 +158,7 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
                     })
                 },
             )
-            .method("pending", &[], TypeTag::Int, |this, _| {
+            .provide("pending", |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     s.check_claim()?;
                     let mut m = s.machine.lock();
@@ -167,13 +166,14 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
                     Ok(Value::Int(i64::from(avail)))
                 })
             })
-            .method("stats", &[], TypeTag::List, |this, _| {
+            .provide("stats", |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     let dropped = s.machine.lock().io_read(&s.nic, nic::regs::RX_DROPPED)?;
                     s.stats.dropped = dropped.into();
                     Ok(s.stats.to_value())
                 })
             })
+            .finish()
         })
         .build())
 }

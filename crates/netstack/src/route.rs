@@ -362,9 +362,8 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
             next_if: 0,
             stats: RouterStats::default(),
         })
-        .interface("netdev", |i| {
+        .raw_interface(
             netdev_methods(
-                i,
                 // One LPM per frame, one `send_many` per egress interface.
                 |this, tx| {
                     this.with_state(|s: &mut RouterState| {
@@ -392,7 +391,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                     })
                 },
             )
-            .method("pending", &[], TypeTag::Int, |this, _| {
+            .provide("pending", |this, _| {
                 this.with_state(|s: &mut RouterState| {
                     let mut total = s.local.len() as i64;
                     for (rif, held) in s.ifs.iter().zip(&s.rx) {
@@ -402,7 +401,7 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                     Ok(Value::Int(total))
                 })
             })
-            .method("stats", &[], TypeTag::List, |this, _| {
+            .provide("stats", |this, _| {
                 // Aggregate member stats element-wise: members of one
                 // kind share a shape (a NIC driver's is `NicStats`).
                 this.with_state(|s: &mut RouterState| {
@@ -419,7 +418,8 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                     Ok(Value::List(agg.into_iter().map(Value::Int).collect()))
                 })
             })
-        })
+            .finish(),
+        )
         .interface("route", |i| {
             i.method(
                 "add_route",

@@ -296,11 +296,10 @@ fn make_endpoint(
             machine,
             tx_dir,
         })
-        .interface("netdev", |i| {
+        .raw_interface({
             // One state lock, one clock read and one link lock per
             // burst; each frame meets the wire's RNG in burst order.
             netdev_methods(
-                i,
                 |this, tx| {
                     this.with_state(|s: &mut EndpointState| {
                         let now = s.now();
@@ -325,19 +324,20 @@ fn make_endpoint(
                     })
                 },
             )
-            .method("pending", &[], TypeTag::Int, |this, _| {
+            .provide("pending", |this, _| {
                 this.with_state(|s: &mut EndpointState| {
                     let now = s.now();
                     let core = s.core.lock();
                     Ok(Value::Int(core.dirs[1 - s.tx_dir].deliverable(now) as i64))
                 })
             })
-            .method("stats", &[], TypeTag::List, |this, _| {
+            .provide("stats", |this, _| {
                 this.with_state(|s: &mut EndpointState| {
                     let core = s.core.lock();
                     Ok(core.dirs[s.tx_dir].stats.to_value())
                 })
             })
+            .finish()
         })
         // Runtime impairment control over this endpoint's *transmit*
         // direction. The RNG stream is untouched by reconfig, so a drill

@@ -595,7 +595,6 @@ fn recv_many_of_one_is_recv_and_of_none_consumes_nothing() {
 fn scalarized(inner: ObjRef) -> ObjRef {
     let (tx_inner, rx_inner) = (inner.clone(), inner.clone());
     let netdev = netdev_methods(
-        InterfaceBuilder::new("netdev"),
         move |_, tx| {
             tx.frames().try_for_each(|f| {
                 tx_inner

@@ -77,14 +77,35 @@ impl ObjectBuilder {
 /// Builds one [`Interface`].
 pub struct InterfaceBuilder {
     iface: Interface,
+    declared: &'static [MethodSig],
 }
 
 impl InterfaceBuilder {
     /// Starts an empty interface.
     pub fn new(name: &'static str) -> Self {
+        Self::declared(name, &[])
+    }
+
+    /// Starts an empty interface that many objects export, declared once
+    /// as `decl`; [`InterfaceBuilder::provide`] takes signatures from it.
+    pub fn declared(name: &'static str, decl: &'static [MethodSig]) -> Self {
         InterfaceBuilder {
             iface: Interface::new(name),
+            declared: decl,
         }
+    }
+
+    /// Adds the declared method `name` under its declared signature.
+    /// Panics if the declaration has no such method.
+    pub fn provide<F>(mut self, name: &str, f: F) -> Self
+    where
+        F: Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
+    {
+        let Some(&sig) = self.declared.iter().find(|s| s.name == name) else {
+            panic!("`{}` declares no method `{name}`", self.iface.name());
+        };
+        self.iface.insert_method(sig, std::sync::Arc::new(f));
+        self
     }
 
     /// Adds a method.
@@ -102,15 +123,6 @@ impl InterfaceBuilder {
             MethodSig::new(name, params, returns),
             std::sync::Arc::new(f),
         );
-        self
-    }
-
-    /// Installs the delegation fallback.
-    pub fn fallback(
-        mut self,
-        f: impl Fn(&ObjRef, &str, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
-    ) -> Self {
-        self.iface.set_fallback(std::sync::Arc::new(f));
         self
     }
 

@@ -13,20 +13,20 @@
 use std::{collections::BTreeMap, sync::Arc};
 
 use crate::{
-    builder::ObjectBuilder,
+    builder::{InterfaceBuilder, ObjectBuilder},
     error::ObjError,
     forward::{forwarding_interface, Target},
     interface::Interface,
     object::ObjRef,
-    typeinfo::{MethodSig, TypeTag},
+    typeinfo::{InterfaceDescriptor, TypeTag},
     value::Value,
     ObjResult,
 };
 
 /// A composition's children by local name, each in the cell its
-/// re-exported interfaces forward through, with the names of those
-/// interfaces.
-type Children = BTreeMap<String, (Arc<Target>, Vec<&'static str>)>;
+/// re-exported interfaces forward through, with the type of each of
+/// those interfaces.
+type Children = BTreeMap<String, (Arc<Target>, Vec<InterfaceDescriptor>)>;
 
 /// Name of the administrative interface every composition exports.
 pub const COMPOSITION_IFACE: &str = "composition";
@@ -117,13 +117,13 @@ impl CompositionBuilder {
         for (iface_name, child_name) in &self.exports {
             let (child, exported) = children.get_mut(child_name).expect("checked by `export`");
             let desc = child.get().interface(iface_name)?.descriptor();
-            exported.push(desc.interface);
             builder = builder.raw_interface(forwarding_interface(
                 Interface::new(desc.interface),
-                desc.methods,
+                desc.methods.iter().copied(),
                 child.clone(),
                 |_| None,
             ));
+            exported.push(desc);
         }
 
         Ok(builder.raw_interface(admin_interface(children)).build())
@@ -136,41 +136,37 @@ fn admin_interface(children: Children) -> Interface {
     fn child<'a>(
         children: &'a Children,
         name: &str,
-    ) -> ObjResult<&'a (Arc<Target>, Vec<&'static str>)> {
+    ) -> ObjResult<&'a (Arc<Target>, Vec<InterfaceDescriptor>)> {
         children
             .get(name)
             .ok_or_else(|| ObjError::Binding(format!("no child named `{name}`")))
     }
 
     let children = Arc::new(children);
-    let mut iface = Interface::new(COMPOSITION_IFACE);
-    let all = children.clone();
-    iface.insert_method(
-        MethodSig::new("children", &[], TypeTag::List),
-        Arc::new(move |_: &ObjRef, _: &[Value]| {
+    let (all, each) = (children.clone(), children.clone());
+    InterfaceBuilder::new(COMPOSITION_IFACE)
+        .method("children", &[], TypeTag::List, move |_, _| {
             Ok(Value::List(
                 all.keys().map(|k| Value::Str(k.clone())).collect(),
             ))
-        }),
-    );
-    let each = children.clone();
-    iface.insert_method(
-        MethodSig::new("child", &[TypeTag::Str], TypeTag::Handle),
-        Arc::new(move |_: &ObjRef, args: &[Value]| {
+        })
+        .method("child", &[TypeTag::Str], TypeTag::Handle, move |_, args| {
             Ok(Value::Handle(
                 child(&each, args[0].as_str()?)?.0.get().clone(),
             ))
-        }),
-    );
-    iface.insert_method(
-        MethodSig::new("replace", &[TypeTag::Str, TypeTag::Handle], TypeTag::Handle),
-        Arc::new(move |_: &ObjRef, args: &[Value]| {
-            let (target, exported) = child(&children, args[0].as_str()?)?;
-            let new = args[1].as_handle()?.clone();
-            Ok(Value::Handle(target.set(new, exported)?))
-        }),
-    );
-    iface
+        })
+        .method(
+            "replace",
+            &[TypeTag::Str, TypeTag::Handle],
+            TypeTag::Handle,
+            move |_, args| {
+                let (target, exported) = child(&children, args[0].as_str()?)?;
+                Ok(Value::Handle(
+                    target.set(args[1].as_handle()?.clone(), exported)?,
+                ))
+            },
+        )
+        .finish()
 }
 
 #[cfg(test)]
@@ -289,26 +285,35 @@ mod tests {
     }
 
     #[test]
-    fn fallback_covers_methods_added_after_composition() {
+    fn replacing_with_another_type_under_the_same_name_is_refused() {
         let comp = CompositionBuilder::new("comp")
             .child("c", named_const("c", 5))
             .export("val", "c")
             .build()
             .unwrap();
-        // Replace the child with one whose interface has a method the
-        // first child lacked.
+        // A child whose `val` has a method the first child's lacks is
+        // another type: its clients were written against `get` alone.
         let grown = ObjectBuilder::new("c2")
             .interface("val", |i| {
                 i.method("get", &[], TypeTag::Int, |_, _| Ok(Value::Int(5)))
                     .method("twice", &[], TypeTag::Int, |_, _| Ok(Value::Int(10)))
             })
             .build();
-        comp.invoke(
+        let r = comp.invoke(
             COMPOSITION_IFACE,
             "replace",
             &[Value::Str("c".into()), Value::Handle(grown)],
-        )
-        .unwrap();
-        assert_eq!(comp.invoke("val", "twice", &[]).unwrap(), Value::Int(10));
+        );
+        assert!(matches!(r, Err(ObjError::Binding(_))), "{r:?}");
+        // The composition still answers only `val`'s own methods, from
+        // the child it kept.
+        assert_eq!(comp.invoke("val", "get", &[]).unwrap(), Value::Int(5));
+        assert_eq!(
+            comp.invoke("val", "twice", &[]),
+            Err(ObjError::NoSuchMethod {
+                interface: "val".into(),
+                method: "twice".into()
+            })
+        );
     }
 }

@@ -11,15 +11,14 @@ use crate::{
     object::ObjRef,
 };
 
-/// Wires `base` so that any method it does not implement is forwarded to
-/// `target`'s interface of the same name.
+/// Wires `base` so that every method of `target`'s interface of the same
+/// name that `base` does not implement is forwarded to it.
 ///
 /// The receiver seen by the delegated method is `target`, so delegated
 /// methods operate on the target's instance data — this is delegation, not
-/// inheritance. Methods the target exports now are installed under the
-/// target's own signatures, so the delegating object describes and
-/// type-checks like the target; methods the target's interface serves
-/// through a fallback of its own are reached all the same.
+/// inheritance. Each forward is installed under the target's own
+/// signature, so the delegating object describes and type-checks like the
+/// target, and answers exactly the methods the two have between them.
 ///
 /// # Examples
 ///

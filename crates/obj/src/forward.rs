@@ -10,17 +10,19 @@
 //! the handle the code around a call uses to make it.
 //!
 //! A forwarded call is an ordinary [`Object::invoke`] on the current
-//! target: the forwarder keeps no lookup of its own. An object's interfaces
-//! are fixed when it is built, so a target that exports every forwarded
-//! interface when it is installed exports them for as long as it stays.
+//! target: the forwarder keeps no lookup of its own. A forwarder answers
+//! exactly the methods of the interfaces it was built over, and an
+//! interface name fixes its signatures: a new target is type-checked when
+//! it is installed ([`Target::set`]), so it serves every forwarded method
+//! for as long as it stays, and nothing is left for a catch-all to serve.
 //!
 //! [`Object::invoke`]: crate::object::Object::invoke
 
 use std::sync::Arc;
 
 use crate::{
-    error::ObjError, interface::Interface, object::ObjRef, snapcell::SnapCell, typeinfo::MethodSig,
-    value::Value, ObjResult,
+    interface::Interface, object::ObjRef, snapcell::SnapCell, typeinfo::MethodSig, value::Value,
+    InterfaceDescriptor, ObjResult,
 };
 
 /// The object a forwarder forwards to right now.
@@ -51,15 +53,17 @@ impl Target {
 
     /// Re-points the forwarder at `obj`, returning the object it replaced.
     ///
-    /// `obj` must export every interface in `forwarded`, the ones the
-    /// forwarder sends to this target; if one is missing the swap is
-    /// refused with [`ObjError::Binding`] and the old target stays.
-    pub fn set(&self, obj: ObjRef, forwarded: &[&'static str]) -> ObjResult<ObjRef> {
-        if let Some(missing) = forwarded.iter().find(|i| !obj.has_interface(i)) {
-            return Err(ObjError::Binding(format!(
-                "`{}` does not export interface `{missing}`",
-                obj.class()
-            )));
+    /// `forwarded` is the type of every interface the forwarder sends to
+    /// this target, as recorded when it was built. `obj` must export each
+    /// with exactly those signatures ([`Object::conforms`]); if one is
+    /// missing or differs, the swap is refused with
+    /// [`ObjError::Binding`](crate::ObjError::Binding) and the old target
+    /// stays.
+    ///
+    /// [`Object::conforms`]: crate::object::Object::conforms
+    pub fn set(&self, obj: ObjRef, forwarded: &[InterfaceDescriptor]) -> ObjResult<ObjRef> {
+        for d in forwarded {
+            obj.conforms(d.interface, &d.methods)?;
         }
         Ok(self
             .0
@@ -77,9 +81,8 @@ pub type WrapFn = Arc<dyn Fn(&Forward<'_>, &[Value]) -> ObjResult<Value> + Send 
 /// One forwarded call in flight: the method being invoked on the forwarder
 /// and the target the same method is forwarded to.
 pub struct Forward<'a> {
-    this: &'a ObjRef,
     interface: &'static str,
-    method: &'a str,
+    method: &'static str,
     target: &'a Target,
 }
 
@@ -94,19 +97,13 @@ impl Forward<'_> {
         self.target.get().invoke(self.interface, self.method, args)
     }
 
-    /// The forwarding object the call arrived at (its instance data is
-    /// where an override keeps state).
-    pub fn this(&self) -> &ObjRef {
-        self.this
-    }
-
     /// Name of the interface being forwarded.
     pub fn interface(&self) -> &'static str {
         self.interface
     }
 
     /// Name of the method being forwarded.
-    pub fn method(&self) -> &str {
+    pub fn method(&self) -> &'static str {
         self.method
     }
 }
@@ -116,53 +113,42 @@ impl Forward<'_> {
 ///
 /// Methods `base` already implements are kept. Every other signature in
 /// `sigs` (the target's, so type-aware clients cannot tell the forwarder
-/// from the original) becomes a forwarding method, and one fallback
-/// forwards the rest: methods a later target has, or ones the target's own
-/// interface serves through a fallback of its own.
+/// from the original) becomes a forwarding method. A method in neither is
+/// refused by the forwarder itself, with the same
+/// [`ObjError::NoSuchMethod`](crate::ObjError::NoSuchMethod) the target
+/// would give.
 ///
-/// `wrap` is asked once per installed method (`Some(name)`) and once for
-/// the fallback (`None`) what to run around that forward; `None` installs
-/// the bare forward.
+/// `wrap` is asked once per installed method what to run around that
+/// forward; `None` installs the bare forward.
 pub fn forwarding_interface(
     base: Interface,
     sigs: impl IntoIterator<Item = MethodSig>,
     target: Arc<Target>,
-    mut wrap: impl FnMut(Option<&'static str>) -> Option<WrapFn>,
+    mut wrap: impl FnMut(&'static str) -> Option<WrapFn>,
 ) -> Interface {
-    /// One forwarding entry: the shared target, what runs around the call.
-    fn hop(
-        interface: &'static str,
-        target: Arc<Target>,
-        wrap: Option<WrapFn>,
-    ) -> impl Fn(&ObjRef, &str, &[Value]) -> ObjResult<Value> + Send + Sync {
-        move |this, method, args| match &wrap {
-            // Unwrapped hops skip the indirect call and capture block.
-            None => target.get().invoke(interface, method, args),
-            Some(wrap) => wrap(
-                &Forward {
-                    this,
+    let mut iface = base;
+    let interface = iface.name();
+    for sig in sigs {
+        if iface.method(sig.name).is_some() {
+            continue;
+        }
+        let (method, target) = (sig.name, target.clone());
+        let forward: crate::MethodFn = match wrap(method) {
+            // Unwrapped forwards skip the indirect call and capture block.
+            None => Arc::new(move |_: &ObjRef, args: &[Value]| {
+                target.get().invoke(interface, method, args)
+            }),
+            Some(wrap) => Arc::new(move |_: &ObjRef, args: &[Value]| {
+                let forward = Forward {
                     interface,
                     method,
                     target: &target,
-                },
-                args,
-            ),
-        }
+                };
+                wrap(&forward, args)
+            }),
+        };
+        iface.insert_method(sig, forward);
     }
-
-    let mut iface = base;
-    let name = iface.name();
-    for sig in sigs {
-        if iface.has_method(sig.name) {
-            continue;
-        }
-        let forward = hop(name, target.clone(), wrap(Some(sig.name)));
-        iface.insert_method(
-            sig,
-            Arc::new(move |this: &ObjRef, args: &[Value]| forward(this, sig.name, args)),
-        );
-    }
-    iface.set_fallback(Arc::new(hop(name, target, wrap(None))));
     iface
 }
 

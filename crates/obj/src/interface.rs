@@ -22,12 +22,6 @@ use crate::{
 /// in the paper's terms); the slice carries the type-checked arguments.
 pub type MethodFn = Arc<dyn Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync>;
 
-/// A fallback handler invoked when a named method is not present.
-///
-/// This is the mechanism behind *method delegation* (paper section 2): an
-/// interface may delegate methods it does not implement to another object.
-pub type FallbackFn = Arc<dyn Fn(&ObjRef, &str, &[Value]) -> ObjResult<Value> + Send + Sync>;
-
 /// One entry of an interface: signature plus implementation.
 #[derive(Clone)]
 pub struct Method {
@@ -63,12 +57,12 @@ impl Method {
 /// A named set of methods with type information.
 ///
 /// Methods are kept sorted by name, one per name, behind `Arc` so bound
-/// methods can pin one without cloning its signature.
+/// methods can pin one without cloning its signature. An interface
+/// answers exactly the methods it lists: its signatures are its type.
 #[derive(Clone)]
 pub struct Interface {
     name: &'static str,
     methods: Vec<Arc<Method>>,
-    fallback: Option<FallbackFn>,
 }
 
 impl std::fmt::Debug for Interface {
@@ -79,7 +73,6 @@ impl std::fmt::Debug for Interface {
                 "methods",
                 &self.methods.iter().map(|m| m.sig.name).collect::<Vec<_>>(),
             )
-            .field("has_fallback", &self.fallback.is_some())
             .finish()
     }
 }
@@ -90,7 +83,6 @@ impl Interface {
         Interface {
             name,
             methods: Vec::new(),
-            fallback: None,
         }
     }
 
@@ -108,46 +100,43 @@ impl Interface {
         }
     }
 
-    /// Returns the directly implemented method `name`, if any. Delegated
-    /// (fallback-only) methods are not returned — they have no resolvable
-    /// handle.
+    /// Returns the method `name`, if the interface has it.
     #[inline]
     pub fn method(&self, name: &str) -> Option<&Arc<Method>> {
         self.methods.iter().find(|m| m.sig.name == name)
     }
 
-    /// Sets the delegation fallback, called for any method not present.
-    pub fn set_fallback(&mut self, fallback: FallbackFn) {
-        self.fallback = Some(fallback);
-    }
-
-    /// Returns true if the interface has its own entry for `method`
-    /// (delegated methods do not count).
-    pub fn has_method(&self, method: &str) -> bool {
-        self.method(method).is_some()
-    }
-
-    /// Returns the signature of `method`, if implemented directly.
-    pub fn signature(&self, method: &str) -> Option<&MethodSig> {
-        self.method(method).map(|m| &m.sig)
-    }
-
-    /// Number of directly implemented methods.
-    pub fn method_count(&self) -> usize {
-        self.methods.len()
+    /// The signatures of every method, sorted by name: the interface's
+    /// type, which two interfaces of one name compare to be substitutable.
+    pub fn signatures(&self) -> impl ExactSizeIterator<Item = &MethodSig> {
+        self.methods.iter().map(|m| &m.sig)
     }
 
     /// Flattens this interface into its type information.
     pub fn descriptor(&self) -> InterfaceDescriptor {
         InterfaceDescriptor {
             interface: self.name,
-            methods: self.methods.iter().map(|m| m.sig).collect(),
+            methods: self.signatures().copied().collect(),
         }
     }
 
+    /// Pre-resolves `method` against `this`, returning the inline-call
+    /// handle, or `None` if the interface has no such method. A forwarded
+    /// method binds like any other: the handle runs its forward, which
+    /// still follows the forwarder's target.
+    ///
+    /// Binding shares the interface's `Arc<Method>` entry; nothing is
+    /// cloned beyond two reference counts.
+    pub fn bind_method(&self, this: &ObjRef, method: &str) -> Option<BoundMethod> {
+        self.method(method).map(|m| BoundMethod {
+            method: m.clone(),
+            this: this.clone(),
+        })
+    }
+
     /// Invokes `method` on behalf of `this`, checking arguments and result
-    /// against the method signature. Falls back to the delegation handler
-    /// when the method is not directly implemented.
+    /// against the method signature; a method the interface lacks is
+    /// [`ObjError::NoSuchMethod`].
     ///
     /// Arguments are passed through borrowed (`&[Value]`) end to end: no
     /// hop in the dispatch stack re-collects them into a fresh `Vec`.
@@ -155,13 +144,10 @@ impl Interface {
     pub fn call(&self, this: &ObjRef, method: &str, args: &[Value]) -> ObjResult<Value> {
         match self.method(method) {
             Some(m) => m.call(this, args),
-            None => match &self.fallback {
-                Some(fb) => fb(this, method, args),
-                None => Err(ObjError::NoSuchMethod {
-                    interface: self.name.to_owned(),
-                    method: method.to_owned(),
-                }),
-            },
+            None => Err(ObjError::NoSuchMethod {
+                interface: self.name.to_owned(),
+                method: method.to_owned(),
+            }),
         }
     }
 }
@@ -198,34 +184,16 @@ impl BoundMethod {
     }
 }
 
-impl Interface {
-    /// Pre-resolves `method` against `this`, returning the inline-call
-    /// handle. Returns `None` for delegated (fallback-only) methods —
-    /// those cannot be snapshotted without freezing the delegation target.
-    ///
-    /// Binding shares the interface's `Arc<Method>` entry; nothing is
-    /// cloned beyond two reference counts.
-    pub fn bind_method(&self, this: &ObjRef, method: &str) -> Option<BoundMethod> {
-        self.method(method).map(|m| BoundMethod {
-            method: m.clone(),
-            this: this.clone(),
-        })
-    }
-}
-
-/// Builds a [`MethodFn`] from a plain closure, for use outside the
-/// [`ObjectBuilder`](crate::ObjectBuilder) fluent API.
-pub fn method_fn<F>(f: F) -> MethodFn
-where
-    F: Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
-{
-    Arc::new(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ObjectBuilder, TypeTag};
+
+    fn method_fn(
+        f: impl Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
+    ) -> MethodFn {
+        Arc::new(f)
+    }
 
     fn dummy() -> ObjRef {
         ObjectBuilder::new("dummy").build()
@@ -265,16 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_handles_missing_methods() {
-        let mut iface = Interface::new("fwd");
-        iface.set_fallback(Arc::new(|_, method, _| Ok(Value::Str(method.to_owned()))));
-        assert_eq!(
-            iface.call(&dummy(), "anything", &[]).unwrap(),
-            Value::Str("anything".into())
-        );
-    }
-
-    #[test]
     fn descriptor_lists_sorted_methods() {
         let mut iface = Interface::new("dev");
         for name in ["write", "read", "ioctl"] {
@@ -311,7 +269,7 @@ mod tests {
         assert_eq!(bound.call(&[Value::Int(2)]).unwrap(), Value::Int(7));
         assert!(bound.call(&[Value::Str("x".into())]).is_err());
         assert_eq!(bound.signature().name, "incr");
-        // Missing and delegated methods cannot be bound.
+        // A missing method cannot be bound.
         assert!(obj
             .interface("ctr")
             .unwrap()
@@ -363,7 +321,7 @@ mod tests {
             MethodSig::new("get", &[], TypeTag::Int),
             method_fn(|_, _| Ok(Value::Int(2))),
         );
-        assert_eq!(iface.method_count(), 1);
+        assert_eq!(iface.signatures().len(), 1);
         assert_eq!(iface.call(&dummy(), "get", &[]).unwrap(), Value::Int(2));
     }
 }

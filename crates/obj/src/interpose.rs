@@ -34,11 +34,11 @@
 use std::{collections::BTreeMap, sync::Arc};
 
 use crate::{
-    builder::ObjectBuilder,
+    builder::{InterfaceBuilder, ObjectBuilder},
     forward::{forwarding_interface, Forward, Target, WrapFn},
     interface::Interface,
     object::ObjRef,
-    typeinfo::{MethodSig, TypeTag},
+    typeinfo::{InterfaceDescriptor, TypeTag},
     value::Value,
     ObjResult,
 };
@@ -111,8 +111,8 @@ impl InterposerBuilder {
     /// Reimplements one method of one interface.
     ///
     /// `f` receives the [`Forward`] of the method it replaces: call it to
-    /// modify-and-forward (it follows `retarget`), ignore it to answer
-    /// alone; [`Forward::this`] is the *interposer*.
+    /// modify-and-forward (it follows `retarget`), or ignore it to answer
+    /// alone.
     ///
     /// # Panics
     ///
@@ -152,13 +152,17 @@ impl InterposerBuilder {
         let hooks = (!self.before.is_empty() || !self.after.is_empty())
             .then(|| Arc::new((self.before, self.after)));
 
+        // What a new target must export: the type of every interface
+        // still forwarded once the extra ones and the admin interface
+        // have replaced theirs.
+        let mut forwarded = Vec::new();
         for desc in self.target.descriptors() {
             let iface = forwarding_interface(
                 Interface::new(desc.interface),
-                desc.methods,
+                desc.methods.iter().copied(),
                 target.clone(),
                 |method| {
-                    let body = method.and_then(|m| self.overrides.remove(&(desc.interface, m)));
+                    let body = self.overrides.remove(&(desc.interface, method));
                     match &hooks {
                         None => body,
                         Some(hooks) => Some(hooked(hooks.clone(), body)),
@@ -166,6 +170,11 @@ impl InterposerBuilder {
                 },
             );
             builder = builder.raw_interface(iface);
+            if desc.interface != INTERPOSER_IFACE
+                && self.extra.iter().all(|e| e.name() != desc.interface)
+            {
+                forwarded.push(desc);
+            }
         }
         if let Some((interface, method)) = self.overrides.keys().next() {
             panic!(
@@ -173,15 +182,6 @@ impl InterposerBuilder {
                 self.target.class()
             );
         }
-
-        // What a new target must export: every interface still forwarded
-        // once the extra ones and the admin interface have replaced theirs.
-        let forwarded = self
-            .target
-            .interface_names()
-            .into_iter()
-            .filter(|&n| n != INTERPOSER_IFACE && self.extra.iter().all(|e| e.name() != n))
-            .collect();
         for iface in self.extra {
             builder = builder.raw_interface(iface);
         }
@@ -212,23 +212,24 @@ fn hooked(hooks: Arc<(Vec<ObserveFn>, Vec<ObserveFn>)>, body: Option<WrapFn>) ->
 
 /// Builds the `interposer` administrative interface (`target`, `retarget`)
 /// over the cell every forwarding entry of the agent reads; `forwarded`
-/// names the interfaces a new target must export.
-fn admin_interface(target: Arc<Target>, forwarded: Vec<&'static str>) -> Interface {
-    let mut iface = Interface::new(INTERPOSER_IFACE);
+/// is the type of each interface a new target must export.
+fn admin_interface(target: Arc<Target>, forwarded: Vec<InterfaceDescriptor>) -> Interface {
     let current = target.clone();
-    iface.insert_method(
-        MethodSig::new("target", &[], TypeTag::Handle),
-        Arc::new(move |_: &ObjRef, _: &[Value]| Ok(Value::Handle(current.get().clone()))),
-    );
-    iface.insert_method(
-        MethodSig::new("retarget", &[TypeTag::Handle], TypeTag::Handle),
-        Arc::new(move |_: &ObjRef, args: &[Value]| {
-            Ok(Value::Handle(
-                target.set(args[0].as_handle()?.clone(), &forwarded)?,
-            ))
-        }),
-    );
-    iface
+    InterfaceBuilder::new(INTERPOSER_IFACE)
+        .method("target", &[], TypeTag::Handle, move |_, _| {
+            Ok(Value::Handle(current.get().clone()))
+        })
+        .method(
+            "retarget",
+            &[TypeTag::Handle],
+            TypeTag::Handle,
+            move |_, args| {
+                Ok(Value::Handle(
+                    target.set(args[0].as_handle()?.clone(), &forwarded)?,
+                ))
+            },
+        )
+        .finish()
 }
 
 #[cfg(test)]

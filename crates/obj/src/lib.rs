@@ -17,9 +17,12 @@
 //! when the code is written, so every interface and method name is a
 //! `&'static str` and every parameter list a `&'static [TypeTag]`. Dynamic
 //! dispatch is what makes generic interposing agents possible: an interposer
-//! copies the signatures of the object it stands for and forwards, through a
-//! delegation fallback, methods it has never seen, exactly as the paper
-//! requires. It also models the binary interface-table convention a real
+//! copies the signatures of the object it stands for and forwards every
+//! method it does not reimplement, exactly as the paper requires. An
+//! interface name fixes its signature set, so a swap is type-checked where
+//! objects are joined — `retarget`, `replace`, interposition in the name
+//! space — by comparing signatures ([`Object::conforms`]), and a call never
+//! meets a method its target lacks. It also models the binary interface-table convention a real
 //! Paramecium implementation uses: an object's interfaces, and each
 //! interface's methods, are fixed when it is built, so [`Object::invoke`]
 //! is two short scans of tables that never change — no lock, no cache. A

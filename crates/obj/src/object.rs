@@ -22,7 +22,7 @@ use parking_lot::RwLock;
 
 use crate::{
     error::ObjError, interface::Interface, trylock::TryLock, typeinfo::InterfaceDescriptor,
-    value::Value, ObjResult,
+    value::Value, MethodSig, ObjResult,
 };
 
 /// A shared reference to an object instance — the paper's "object handle".
@@ -146,6 +146,34 @@ impl Object {
         self.interfaces.iter().map(Interface::name).collect()
     }
 
+    /// Checks that this object exports interface `name` under exactly the
+    /// signatures `sigs` (sorted by name), or refuses with
+    /// [`ObjError::Binding`]: where objects are joined, a name fixes a type.
+    pub fn conforms<'a>(
+        &self,
+        name: &str,
+        sigs: impl IntoIterator<Item = &'a MethodSig>,
+    ) -> ObjResult<()> {
+        match self.interface(name) {
+            Ok(i) if i.signatures().eq(sigs) => Ok(()),
+            _ => Err(ObjError::Binding(format!(
+                "`{}` does not export `{name}` with the signatures required",
+                self.class
+            ))),
+        }
+    }
+
+    /// Checks that this object can stand in for `old`: it [conforms] to
+    /// every interface of `old`; more are allowed (an interposer exports
+    /// a superset).
+    ///
+    /// [conforms]: Object::conforms
+    pub fn stands_in_for(&self, old: &Object) -> ObjResult<()> {
+        old.interfaces
+            .iter()
+            .try_for_each(|i| self.conforms(i.name(), i.signatures()))
+    }
+
     /// Flattened type information for every exported interface.
     pub fn descriptors(&self) -> Vec<InterfaceDescriptor> {
         self.interfaces.iter().map(Interface::descriptor).collect()
@@ -170,27 +198,12 @@ impl Object {
             Ordering::Relaxed,
         );
     }
-}
 
-/// Extension trait providing invocation on `ObjRef` (methods need the `Arc`
-/// so they can hand out `self` references).
-pub trait Invoke {
-    /// Invokes `interface::method(args)` on this object.
-    fn invoke(&self, interface: &str, method: &str, args: &[Value]) -> ObjResult<Value>;
-}
-
-impl Invoke for ObjRef {
-    fn invoke(&self, interface: &str, method: &str, args: &[Value]) -> ObjResult<Value> {
-        Object::invoke(self, interface, method, args)
-    }
-}
-
-impl Object {
     /// Invokes `interface::method(args)` on this object.
     ///
     /// Finds the interface by name, counts the invocation and hands the
-    /// call to [`Interface::call`], which runs the method or the
-    /// interface's delegation fallback. The interface table never changes
+    /// call to [`Interface::call`], which runs the method or answers
+    /// [`ObjError::NoSuchMethod`]. The interface table never changes
     /// after the object is built, so the lookup takes no lock and the
     /// arguments stay borrowed end to end (no clone, no allocation for
     /// flat frames).

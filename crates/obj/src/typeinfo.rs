@@ -79,7 +79,7 @@ pub struct MethodSig {
 
 impl MethodSig {
     /// Creates a signature.
-    pub fn new(name: &'static str, params: &'static [TypeTag], returns: TypeTag) -> Self {
+    pub const fn new(name: &'static str, params: &'static [TypeTag], returns: TypeTag) -> Self {
         MethodSig {
             name,
             params,

@@ -67,13 +67,12 @@ use bytes::Bytes;
 
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{
-    counters, delegate_interface, InterfaceBuilder, ObjError, ObjRef, ObjResult, ObjectBuilder,
-    TryLock, TryLockGuard, TypeTag, Value,
+    counters, delegate_interface, ObjError, ObjRef, ObjResult, ObjectBuilder, TryLock,
+    TryLockGuard, TypeTag, Value,
 };
 
 use crate::vectored::{
     blockdev_methods, check_sectors, pairs_arg, sectors_arg, view_pairs, Pairs, Reads, SectorMap,
-    DATA_PATH,
 };
 
 /// Sentinel for "no slot" in the intrusive LRU list.
@@ -302,10 +301,9 @@ struct CacheShared {
     /// Per-shard line capacity (uniform across shards), readable without
     /// any lock for batch planning.
     per_shard: usize,
-    /// Largest batch the backing store accepts as one `write_many` —
-    /// a journal below bounds it by its log capacity (its `write_limit`
-    /// method); a backing without the method is unbounded
-    /// (`usize::MAX`). Probed once at build time. Every internal
+    /// Largest batch the backing store accepts as one `write_many`: its
+    /// `write_limit` — a journal's log capacity, or a bare driver's
+    /// `i64::MAX`. Probed once at build time. Every internal
     /// writeback path chunks to this, so a flush of more dirty lines
     /// than one journal transaction can carry degrades into several
     /// transactions instead of an unservable oversized one that would
@@ -699,19 +697,17 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
 ///   - `shard_stats() -> list`: one [`CacheStats`] per shard,
 ///   - `shards() -> int`,
 ///   - `flush() -> int` (write-backs performed, batched in elevator order).
-pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards: usize) -> ObjRef {
+pub(crate) fn build_sharded_block_cache(
+    backing: ObjRef,
+    capacity: usize,
+    shards: usize,
+) -> ObjResult<ObjRef> {
     let nshards = shards.max(1).next_power_of_two();
     let per_shard = capacity.max(1).div_ceil(nshards);
     // One build-time probe (not per flush, so invocation-counting tests
-    // and benches see only the writebacks themselves): a backing that
-    // does not export `write_limit` takes unbounded batches.
-    let write_limit = backing
-        .invoke("blockdev", "write_limit", &[])
-        .ok()
-        .and_then(|v| v.as_int().ok())
-        .filter(|&n| n > 0)
-        .map(|n| n as usize)
-        .unwrap_or(usize::MAX);
+    // and benches see only the writebacks themselves).
+    let write_limit = backing.invoke("blockdev", "write_limit", &[])?;
+    let write_limit = write_limit.as_int_in::<usize>()?.max(1);
     let shared = Arc::new(CacheShared {
         backing,
         shards: (0..nshards)
@@ -728,9 +724,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
         let s_bd_flush = shared.clone();
         let s_bd_barrier = shared.clone();
         let s_commit = shared.clone();
-        let [.., (commit, params, returns)] = DATA_PATH;
         blockdev_methods(
-            InterfaceBuilder::new("blockdev"),
             // Inlined with its hit sweep: a scalar hit stays one call deep.
             #[inline(always)]
             move |_, reads, out| cache_read_many(&s_read, reads, out),
@@ -742,7 +736,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                 cache_write_many(&s_write, pairs)
             },
         )
-        .method("flush", &[], TypeTag::Int, move |_, _| {
+        .provide("flush", move |_, _| {
             // Own dirty lines first, then the layer below — a
             // journal checkpoint must find these writes in its log
             // before it truncates (see the builder docs).
@@ -753,7 +747,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                 .as_int()?;
             Ok(Value::Int(own + below))
         })
-        .method("barrier", &[], TypeTag::Unit, move |_, _| {
+        .provide("barrier", move |_, _| {
             // Same ordering as flush: acknowledged writes living as
             // dirty lines must reach the backing store before the
             // barrier below makes "everything so far" durable.
@@ -765,7 +759,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
         // writeback chunked to `write_limit` would not be. The layer
         // below validates the batch whole; lines already resident are
         // refreshed once it has landed.
-        .method(commit, params, returns, move |_, args| {
+        .provide("commit", move |_, args| {
             let pairs = view_pairs(&args[0])?;
             s_commit.backing.invoke("blockdev", "write_many", args)?;
             refresh_clean(&s_commit, pairs.iter());
@@ -773,7 +767,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
         })
         .finish()
     };
-    ObjectBuilder::new("block-cache")
+    Ok(ObjectBuilder::new("block-cache")
         // What the cache does not reimplement (`sectors`, `stats`,
         // `write_limit`, ...) is the backing store's to answer.
         .raw_interface(delegate_interface(blockdev, shared.backing.clone()))
@@ -798,7 +792,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                 cache_flush(&s_flush)
             })
         })
-        .build()
+        .build())
 }
 
 #[cfg(test)]

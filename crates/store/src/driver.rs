@@ -1,9 +1,10 @@
 //! The disk driver object — the bottom layer of the store stack.
 //!
-//! Exports the full `blockdev` interface (the canonical method list
-//! lives in the [crate docs](crate)): the vectorized `read_many`/
-//! `write_many` and the single-sector `read`/`write` derived from them,
-//! `commit`, `sectors`/`stats`, and the durability surface `flush`/
+//! Exports the full `blockdev` interface
+//! ([`BLOCKDEV`](crate::vectored::BLOCKDEV); the [crate docs](crate) say
+//! what each method does): the vectorized `read_many`/`write_many` and the
+//! single-sector `read`/`write` derived from them, `commit`,
+//! `sectors`/`write_limit`/`stats`, and the durability surface `flush`/
 //! `barrier`.
 //!
 //! Every data-path request — a scalar call is a burst of one — charges
@@ -40,7 +41,7 @@ use paramecium_machine::{
     machine::ChargeMeter,
     Machine, MachineError,
 };
-use paramecium_obj::{counters, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
+use paramecium_obj::{counters, ObjError, ObjRef, ObjResult, ObjectBuilder, Value};
 
 use crate::vectored::{blockdev_methods, check_sectors};
 
@@ -140,9 +141,8 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
             machine: mem.machine().clone(),
             stats: DriverStats::default(),
         })
-        .interface("blockdev", |i| {
-            let i = blockdev_methods(
-                i,
+        .raw_interface(
+            blockdev_methods(
                 |this, reads, out| {
                     this.with_state(|s: &mut DriverState| {
                         let mut m = s.machine.lock();
@@ -159,33 +159,36 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                     })
                 },
                 |this, pairs| this.with_state(|s: &mut DriverState| s.apply(pairs.iter())),
-            );
-            i.method("sectors", &[], TypeTag::Int, |this, _| {
+            )
+            .provide("sectors", |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     let sectors = powered_disk(&mut s.machine.lock())?.0.sectors();
                     Ok(Value::Int(sectors as i64))
                 })
             })
-            .method("stats", &[], TypeTag::List, |this, _| {
+            // The driver applies a batch of any size in one request.
+            .provide("write_limit", |_, _| Ok(Value::Int(i64::MAX)))
+            .provide("stats", |this, _| {
                 this.with_state(|s: &mut DriverState| Ok(s.stats.to_value()))
             })
             // Durability surface. The raw driver has no volatile write
             // state of its own (every acked write reached the platter),
             // so `flush` has nothing to do and `barrier` only verifies
             // the machine is alive.
-            .method("flush", &[], TypeTag::Int, |this, _| {
+            .provide("flush", |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     s.machine.lock().check_power()?;
                     Ok(Value::Int(0))
                 })
             })
-            .method("barrier", &[], TypeTag::Unit, |this, _| {
+            .provide("barrier", |this, _| {
                 this.with_state(|s: &mut DriverState| {
                     s.machine.lock().check_power()?;
                     Ok(Value::Unit)
                 })
             })
-        })
+            .finish(),
+        )
         .build())
 }
 

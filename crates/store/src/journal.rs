@@ -657,7 +657,7 @@ fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalSha
 /// Wraps a mounted journal in its `blockdev` + `journal` object.
 fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
     ObjectBuilder::new("journal")
-        .interface("blockdev", |i| {
+        .raw_interface({
             let s_read = s.clone();
             let s_write = s.clone();
             let s_sectors = s.clone();
@@ -666,8 +666,7 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             let s_flush = s.clone();
             let s_barrier = s.clone();
             let geo = s.geo;
-            let i = blockdev_methods(
-                i,
+            blockdev_methods(
                 move |_, reads, out| {
                     check_sectors(reads.sectors(), geo.data_sectors)?;
                     // Serve overlay hits in place; what misses comes from
@@ -708,20 +707,20 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                     // is visible or none is.
                     s_write.commit_writes(pairs.to_vec())
                 },
-            );
-            i.method("sectors", &[], TypeTag::Int, move |_, _| {
+            )
+            .provide("sectors", move |_, _| {
                 Ok(Value::Int(s_sectors.geo.data_sectors))
             })
-            .method("write_limit", &[], TypeTag::Int, move |_, _| {
+            .provide("write_limit", move |_, _| {
                 // Largest write_many batch (= transaction payload) the
                 // log can hold as one atomic record. Upper layers chunk
                 // their non-atomic writeback batches to this.
                 Ok(Value::Int(s_limit.txn_capacity()))
             })
-            .method("stats", &[], TypeTag::List, move |_, _| {
+            .provide("stats", move |_, _| {
                 s_stats.backing.invoke("blockdev", "stats", &[])
             })
-            .method("flush", &[], TypeTag::Int, move |_, _| {
+            .provide("flush", move |_, _| {
                 // Checkpoint: home every committed payload, truncate the
                 // log. Returns the number of sectors homed.
                 s_flush.acquire_flush_token();
@@ -731,15 +730,9 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 // buffer) drain too.
                 let below = s_flush.backing.invoke("blockdev", "flush", &[]);
                 let homed = result?;
-                let below = match below {
-                    Ok(v) => v.as_int()?,
-                    // A minimal backing may have nothing to flush.
-                    Err(ObjError::NoSuchMethod { .. }) => 0,
-                    Err(e) => return Err(e),
-                };
-                Ok(Value::Int(homed + below))
+                Ok(Value::Int(homed + below?.as_int()?))
             })
-            .method("barrier", &[], TypeTag::Unit, move |_, _| {
+            .provide("barrier", move |_, _| {
                 // Every acknowledged commit is already durable (commit
                 // returns only after its group append lands), so a
                 // barrier only needs to wait out any in-flight append
@@ -748,6 +741,7 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 s_barrier.release_flush_token();
                 s_barrier.backing.invoke("blockdev", "barrier", &[])
             })
+            .finish()
         })
         .interface("journal", |i| {
             let s_stats = s.clone();
@@ -827,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_reports_a_failed_layer_below_but_tolerates_one_without_flush() {
+    fn flush_reports_a_failed_or_missing_flush_below() {
         use paramecium_obj::{InterfaceBuilder, InterposerBuilder};
         // A backing whose flush fails (a cache whose writeback failed, a
         // dead machine): the journal's own checkpoint succeeded, but
@@ -844,8 +838,9 @@ mod tests {
         let err = j.invoke("blockdev", "flush", &[]).unwrap_err();
         assert!(err.to_string().contains("injected flush failure"), "{err}");
 
-        // A backing that exports only what the journal needs and has no
-        // `flush` at all: the journal still answers with its own count.
+        // A backing that is not a whole `blockdev` and has no `flush`:
+        // the journal's checkpoint still homes its log, and the missing
+        // method is reported, not taken for "nothing to flush".
         let (_mem, driver, _j) = setup();
         let mut bare = InterfaceBuilder::new("blockdev");
         for (verb, params, returns) in [
@@ -865,7 +860,14 @@ mod tests {
         let j = mount_journal(bare, JournalConfig::default()).unwrap();
         j.invoke("blockdev", "write", &[Value::Int(3), sector_of(0xAE)])
             .unwrap();
-        assert_eq!(j.invoke("blockdev", "flush", &[]).unwrap(), Value::Int(1));
+        assert!(matches!(
+            j.invoke("blockdev", "flush", &[]),
+            Err(ObjError::NoSuchMethod { method, .. }) if method == "flush"
+        ));
+        assert_eq!(
+            driver.invoke("blockdev", "read", &[Value::Int(3)]).unwrap(),
+            sector_of(0xAE)
+        );
     }
 
     #[test]

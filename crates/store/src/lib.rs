@@ -32,7 +32,9 @@
 //!
 //! Every layer exports the same interface, which is what lets any of
 //! them interpose on any other; a layer forwards every method it does
-//! not reimplement to the layer below. Each layer has one read path and
+//! not reimplement to the layer below. The name fixes the signatures:
+//! [`vectored::BLOCKDEV`] declares them once, and a swap onto a
+//! `blockdev` that differs is refused. Each layer has one read path and
 //! one write path; `write`, `write_many` and `commit` are three ways to
 //! hand it a batch. The full method set:
 //!
@@ -44,7 +46,7 @@
 //! | `write` | `(sector: int, data: bytes) -> unit` | derived: `write_many` of one pair; durable-by-return under a journal |
 //! | `commit` | `(pairs: list[int, bytes, int, bytes, …]) -> int` | `write_many` that promises the batch atomic and durable by return: crash-atomic under a journal, and written through a cache |
 //! | `sectors` | `() -> int` | client-visible device size |
-//! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one atomic unit (answered by the journal and forwarded by the layers above it; a stack without a journal has no such method and is unbounded) |
+//! | `write_limit` | `() -> int` | largest `write_many` batch accepted as one request: the journal's transaction capacity, forwarded by the layers above it; the bare driver answers `i64::MAX` (it applies a batch of any size in one request) |
 //! | `stats` | `() -> list` | the bottom driver's [`DriverStats`](driver::DriverStats) |
 //! | `flush` | `() -> int` | push all volatile/logged state to home locations (cache writeback, journal checkpoint); returns sectors homed |
 //! | `barrier` | `() -> unit` | ordering point: everything acknowledged before the call is durable when it returns |

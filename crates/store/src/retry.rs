@@ -38,7 +38,7 @@ use paramecium_obj::{
     TypeTag, Value,
 };
 
-use crate::vectored::DATA_PATH;
+use crate::vectored::BLOCKDEV;
 
 /// Retry policy for the interposer.
 #[derive(Debug, Clone, Copy)]
@@ -143,15 +143,12 @@ impl RetryState {
 pub fn make_retry(machine: Arc<Mutex<Machine>>, lower: ObjRef, cfg: RetryConfig) -> ObjRef {
     assert!(cfg.max_attempts >= 1, "retry needs at least one attempt");
     let rng = StdRng::seed_from_u64(cfg.seed);
-    // The verbs worth re-issuing; every other `blockdev` method is
-    // delegated to the lower object untouched.
-    let durability: [(_, &[TypeTag], _); 2] = [
-        ("flush", &[], TypeTag::Int),
-        ("barrier", &[], TypeTag::Unit),
-    ];
-    let mut blockdev = InterfaceBuilder::new("blockdev");
-    for (verb, params, returns) in DATA_PATH.into_iter().chain(durability) {
-        blockdev = blockdev.method(verb, params, returns, move |this, args| {
+    // The verbs worth re-issuing; `sectors`, `stats` and `write_limit`
+    // are delegated to the lower object untouched.
+    let mut blockdev = InterfaceBuilder::declared("blockdev", BLOCKDEV);
+    let verbs = BLOCKDEV.iter().map(|sig| sig.name);
+    for verb in verbs.filter(|v| !matches!(*v, "sectors" | "stats" | "write_limit")) {
+        blockdev = blockdev.provide(verb, move |this, args| {
             this.with_state(|s: &mut RetryState| s.drive(verb, args))
         });
     }

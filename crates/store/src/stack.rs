@@ -36,6 +36,7 @@ use crate::cache::build_sharded_block_cache;
 use crate::driver::build_disk_driver;
 use crate::journal::{mount_journal, JournalConfig};
 use crate::retry::{make_retry, RetryConfig};
+use crate::vectored::BLOCKDEV;
 
 /// What the stack stands on.
 enum Base {
@@ -88,7 +89,8 @@ impl StackBuilder {
         }
     }
 
-    /// Starts a stack on an existing `blockdev` object.
+    /// Starts a stack on an existing `blockdev` object; `build` refuses
+    /// one whose `blockdev` is not [`BLOCKDEV`].
     pub fn on(base: ObjRef) -> Self {
         StackBuilder {
             base: Base::Object(base),
@@ -133,7 +135,10 @@ impl StackBuilder {
                 let machine = mem.machine().clone();
                 (build_disk_driver(&mem, domain)?, Some(machine))
             }
-            Base::Object(obj) => (obj, None),
+            Base::Object(obj) => {
+                obj.conforms("blockdev", BLOCKDEV)?;
+                (obj, None)
+            }
         };
         let mut top = driver.clone();
         let retry = match self.retry {
@@ -157,11 +162,11 @@ impl StackBuilder {
             }
             None => None,
         };
-        let cache = self.cache.map(|(capacity, shards)| {
-            let c = build_sharded_block_cache(top.clone(), capacity, shards);
-            top = c.clone();
-            c
-        });
+        let cache = self
+            .cache
+            .map(|(capacity, shards)| build_sharded_block_cache(top.clone(), capacity, shards));
+        let cache = cache.transpose()?;
+        top = cache.clone().unwrap_or(top);
         Ok(StoreStack {
             top,
             driver,

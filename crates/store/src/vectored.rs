@@ -9,8 +9,9 @@
 //! encoding cannot drift — no call site hand-rolls argument packing, and
 //! this is the only module that knows the wire form.
 //!
-//! The verbs are written here once too: `blockdev_methods` makes the
-//! data path from a layer's read body and write body.
+//! The interface ([`BLOCKDEV`]) and its verbs are written here once too:
+//! `blockdev_methods` makes the data path from a layer's read body and
+//! write body.
 //!
 //! A write batch crosses several objects on its way to the platter, so
 //! a layer reads it in place: [`view_pairs`] validates the whole list
@@ -24,16 +25,22 @@ use std::hash::{BuildHasherDefault, Hasher};
 use bytes::Bytes;
 
 use paramecium_machine::{dev::disk::SECTOR_SIZE, MachineError, MachineResult};
-use paramecium_obj::{InterfaceBuilder, ObjError, ObjRef, ObjResult, TypeTag, Value};
+use paramecium_obj::{InterfaceBuilder, MethodSig, ObjError, ObjRef, ObjResult, TypeTag, Value};
 
-/// The `blockdev` data path — `read`, `read_many`, `write`, `write_many`,
-/// `commit` — with the signatures [`blockdev_methods`] installs.
-pub(crate) const DATA_PATH: [(&str, &[TypeTag], TypeTag); 5] = [
-    ("read", &[TypeTag::Int], TypeTag::Bytes),
-    ("read_many", &[TypeTag::List], TypeTag::List),
-    ("write", &[TypeTag::Int, TypeTag::Bytes], TypeTag::Unit),
-    ("write_many", &[TypeTag::List], TypeTag::Int),
-    ("commit", &[TypeTag::List], TypeTag::Int),
+/// The `blockdev` interface, sorted by name: its only declaration. Every
+/// layer exports exactly this set; the [crate docs](crate) say what each
+/// method does.
+pub const BLOCKDEV: &[MethodSig] = &[
+    MethodSig::new("barrier", &[], TypeTag::Unit),
+    MethodSig::new("commit", &[TypeTag::List], TypeTag::Int),
+    MethodSig::new("flush", &[], TypeTag::Int),
+    MethodSig::new("read", &[TypeTag::Int], TypeTag::Bytes),
+    MethodSig::new("read_many", &[TypeTag::List], TypeTag::List),
+    MethodSig::new("sectors", &[], TypeTag::Int),
+    MethodSig::new("stats", &[], TypeTag::List),
+    MethodSig::new("write", &[TypeTag::Int, TypeTag::Bytes], TypeTag::Unit),
+    MethodSig::new("write_limit", &[], TypeTag::Int),
+    MethodSig::new("write_many", &[TypeTag::List], TypeTag::Int),
 ];
 
 /// Builds the `read_many` argument from sector numbers.
@@ -90,8 +97,8 @@ pub(crate) fn fill(out: &mut [Value], got: Value) -> ObjResult<()> {
     Ok(())
 }
 
-/// Adds the data path ([`DATA_PATH`]) to a layer's `blockdev` interface
-/// from one body per direction: `read` fills one `Unit` slot per
+/// Starts a layer's `blockdev` ([`BLOCKDEV`]) with the data path from
+/// one body per direction: `read` fills one `Unit` slot per
 /// requested sector with its payload, `write` applies a batch. `read(s)`
 /// is the read body over one sector and one slot on the stack, `write(s,
 /// d)` the write body over its own arguments, already a one-pair flat
@@ -99,15 +106,15 @@ pub(crate) fn fill(out: &mut [Value], got: Value) -> ObjResult<()> {
 /// `write_many` under the name that promises an atomic, durable batch; a
 /// layer whose batch write keeps no such promise replaces it. A
 /// malformed burst is rejected whole, before the body sees any of it.
-pub(crate) fn blockdev_methods<R, W>(mut i: InterfaceBuilder, read: R, write: W) -> InterfaceBuilder
+pub(crate) fn blockdev_methods<R, W>(read: R, write: W) -> InterfaceBuilder
 where
     R: Fn(&ObjRef, Reads<'_>, &mut [Value]) -> ObjResult<()> + Clone + Send + Sync + 'static,
     W: Fn(&ObjRef, Pairs<'_>) -> ObjResult<()> + Clone + Send + Sync + 'static,
 {
-    let [read_one, read_many, write_one, write_many, commit] = DATA_PATH;
-    for (method, params, returns) in [read_one, read_many] {
+    let mut i = InterfaceBuilder::declared("blockdev", BLOCKDEV);
+    for method in ["read", "read_many"] {
         let read = read.clone();
-        i = i.method(method, params, returns, move |this, args| {
+        i = i.provide(method, move |this, args| {
             let sectors = match &args[0] {
                 Value::List(list) => list.as_slice(),
                 _ => args,
@@ -134,9 +141,9 @@ where
             Ok(Value::List(out))
         });
     }
-    for (method, params, returns) in [write_one, write_many, commit] {
+    for method in ["write", "write_many", "commit"] {
         let write = write.clone();
-        i = i.method(method, params, returns, move |this, args| {
+        i = i.provide(method, move |this, args| {
             let [flat] = args else {
                 check_write(args[0].as_int()?, args[1].as_bytes()?)?;
                 write(this, Pairs(args))?;
@@ -274,7 +281,6 @@ mod tests {
         use paramecium_obj::ObjectBuilder;
         // A layer whose read body answers each sector with its number.
         let numbers = blockdev_methods(
-            InterfaceBuilder::new("blockdev"),
             |_, reads, out| {
                 for (sec, slot) in reads.sectors().zip(out) {
                     *slot = Value::Bytes(Bytes::from(vec![sec as u8]));

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Lines of non-test code, per crate and in total.
 #
-#   scripts/loc.sh        the worktree
-#   scripts/loc.sh REV    a git revision (a hash, a tag, HEAD~1, ...)
+#   scripts/loc.sh             the worktree
+#   scripts/loc.sh REV         a git revision (a hash, a tag, HEAD~1, ...)
+#   scripts/loc.sh BASE HEAD   both revisions: each crate's lines before
+#                              and after, and the change, plus the total
 #
 # Counts every line — code, comments and blank lines alike — of each
 # `crates/*/src` and of `src/` that lies outside a `#[cfg(test)]` item.
@@ -15,13 +17,11 @@
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-root=.
-if (($#)); then
-    root="$(mktemp -d)"
-    trap 'rm -rf "$root"' EXIT
-    git archive "$1" -- crates src | tar -x -C "$root"
-fi
 
+# Prints `<unit> <lines>` for every crate and `src`, then `total <lines>`,
+# for the tree at $1.
+count() {
+    local root=$1
 # One pass over every file prints `lines <n> <file>` and, for each
 # test-only `mod name;`, `testmod <file>` for both places its file may lie.
 find "$root/crates"/*/src "$root/src" -name '*.rs' | LC_ALL=C sort | xargs awk '
@@ -100,3 +100,39 @@ END {
     printf "%-10s %7d\n", "total", total
 }
 '
+}
+
+# Extracts revision $1 into a fresh directory under $tmp and prints its path.
+extract() {
+    local dir
+    dir="$(mktemp -d -p "$tmp")"
+    git archive "$1" -- crates src | tar -x -C "$dir"
+    echo "$dir"
+}
+
+if (($# == 0)); then
+    count .
+    exit
+fi
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+if (($# == 1)); then
+    count "$(extract "$1")"
+    exit
+fi
+count "$(extract "$1")" >"$tmp/before"
+count "$(extract "$2")" >"$tmp/after"
+# A crate present on one side only counts 0 lines on the other.
+awk '
+NR == FNR { before[$1] = $2; seen[$1] = 1; next }
+{ after[$1] = $2; seen[$1] = 1 }
+END {
+    printf "%-10s %7s %7s %7s\n", "crate", "before", "after", "delta"
+    for (u in seen) if (u != "total") row(u, "LC_ALL=C sort")
+    close("LC_ALL=C sort")
+    row("total", "cat")
+}
+function row(u, out) {
+    printf "%-10s %7d %7d %+7d\n", u, before[u], after[u], after[u] - before[u] | out
+}
+' "$tmp/before" "$tmp/after"

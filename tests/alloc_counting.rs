@@ -16,7 +16,6 @@
 //! iterator size hints and inlining decide several of the store write
 //! path's budgets.
 
-use paramecium::obj::interpose::INTERPOSER_IFACE;
 use paramecium::prelude::*;
 use paramecium::store::cache::CacheStats;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -314,40 +313,24 @@ fn hooked_interposer_hops_have_bounded_allocations() {
 fn delegated_dispatch_has_bounded_allocations() {
     // A delegated method is a forward like any other hop; the budget
     // pins it so regressions (e.g. a per-call argument clone) cannot
-    // hide: zero allocations per call. That holds for a method the
-    // delegation installed a forward for, and for one the forwarder's
-    // fallback serves because only a later target has it.
-    let delegate = |base: ObjRef| {
-        let iface = paramecium::obj::InterfaceBuilder::new("ctr").finish();
-        ObjectBuilder::new("child")
-            .raw_interface(paramecium::obj::delegate_interface(iface, base))
-            .build()
-    };
-    let narrow = ObjectBuilder::new("counter")
-        .interface("ctr", |i| i)
+    // hide: zero allocations per call.
+    let iface = paramecium::obj::InterfaceBuilder::new("ctr").finish();
+    let child = ObjectBuilder::new("child")
+        .raw_interface(paramecium::obj::delegate_interface(iface, counter()))
         .build();
-    let fallback_served = InterposerBuilder::new(narrow).build();
-    fallback_served
-        .invoke(INTERPOSER_IFACE, "retarget", &[Value::Handle(counter())])
-        .unwrap();
     let args = [Value::Int(1)];
-    for (how, child) in [
-        ("forwarded", delegate(counter())),
-        ("fallback-served", fallback_served),
-    ] {
-        for _ in 0..8 {
+    for _ in 0..8 {
+        child.invoke("ctr", "incr", &args).unwrap();
+    }
+    let allocs = count_allocs(|| {
+        for _ in 0..CALLS {
             child.invoke("ctr", "incr", &args).unwrap();
         }
-        let allocs = count_allocs(|| {
-            for _ in 0..CALLS {
-                child.invoke("ctr", "incr", &args).unwrap();
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "warmed {how} delegated dispatch must not touch the heap ({allocs} allocs / {CALLS} calls)"
-        );
-    }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warmed delegated dispatch must not touch the heap ({allocs} allocs / {CALLS} calls)"
+    );
 }
 
 #[test]

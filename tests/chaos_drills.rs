@@ -39,6 +39,7 @@ use paramecium::netstack::route::{make_router, RouteIf, RouterStats};
 use paramecium::netstack::simlink::{make_simlink, LinkConfig};
 use paramecium::netstack::tcp::{make_tcp, TcpStats};
 use paramecium::obj::{sum64, ObjRef, Value};
+use paramecium::store::retry::RetryStats;
 use paramecium::store::{JournalConfig, RetryConfig, StackBuilder, StoreStack};
 
 const SERVER_IP: u32 = 0x0A00_0001; // 10.0.0.1 (router if0, server TCP)
@@ -101,6 +102,15 @@ struct Report {
     route_stats: RouterStats,
     oracle_sectors: usize,
     store_digest: u64,
+    /// The store's `retry stats`, one per stack generation: the stack
+    /// the power cut killed, then each one the supervisor rebuilt.
+    retry: Vec<RetryStats>,
+}
+
+/// The `retry stats` of a stack built with a retry layer.
+fn retry_stats(stack: &StoreStack) -> RetryStats {
+    let retry = stack.retry.as_ref().expect("the drill's stacks retry");
+    RetryStats::from_value(&retry.invoke("retry", "stats", &[]).unwrap()).unwrap()
 }
 
 /// One client-side connection under drill.
@@ -299,10 +309,12 @@ fn run_drill(seed: u64) -> Report {
     let mut served: Vec<Served> = Vec::new();
     let mut oracle: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
     let mut rounds = 0;
+    let mut retry = Vec::new();
     for round in 0..MAX_ROUNDS {
         rounds = round + 1;
         ctl.poll().unwrap();
         if let Some(fresh) = sup.ensure_up().unwrap() {
+            retry.push(retry_stats(&stack));
             stack = fresh;
         }
 
@@ -505,6 +517,7 @@ fn run_drill(seed: u64) -> Report {
         route_stats,
         oracle_sectors: oracle.len(),
         store_digest,
+        retry: [retry, vec![retry_stats(&stack)]].concat(),
     }
 }
 
@@ -516,6 +529,12 @@ fn chaos_storm_heals_and_loses_nothing() {
     assert_eq!(r.reboots, 1);
     assert_eq!(r.audit.len(), 9);
     assert!(r.oracle_sectors >= 24 && r.oracle_sectors <= 32);
+    // The three armed disk transients fall on the stack the power cut
+    // kills: retry re-issues through all three and none is exhausted
+    // (the power failure itself is not retried). The rebuilt stack
+    // sees none.
+    let counts: Vec<_> = r.retry.iter().map(|s| (s.retries, s.exhausted)).collect();
+    assert_eq!(counts, [(3, 0), (0, 0)], "{:?}", r.retry);
 }
 
 #[test]

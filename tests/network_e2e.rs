@@ -1,6 +1,7 @@
 //! Integration: the full network scenario — driver, stack, filters,
 //! interposition, placement.
 
+use paramecium::core::CoreError;
 use paramecium::netstack::driver::NicStats;
 use paramecium::netstack::stack::UdpStats;
 use paramecium::netstack::{
@@ -9,6 +10,7 @@ use paramecium::netstack::{
     testkit::{self, MY_IP, MY_MAC, PEER_IP, PEER_PORT},
     wire,
 };
+use paramecium::obj::ObjError;
 use paramecium::prelude::*;
 
 fn inject_udp(n: &paramecium::core::Nucleus, dst_port: u16, payload: &[u8]) {
@@ -159,9 +161,17 @@ fn interposed_monitor_sees_traffic_of_existing_and_new_clients() {
     assert_eq!(stats.rx_frames.load(Ordering::Relaxed), 1);
     assert!(stats.rx_bytes.load(Ordering::Relaxed) > 42);
 
-    // De-interpose: put the original driver back; traffic is no longer
-    // counted.
-    n.interpose(KERNEL_DOMAIN, "/shared/network", old).unwrap();
+    // The driver cannot interpose on the agent: it lacks the agent's
+    // `netmon`, which a client of the path may have bound.
+    let refused = n.interpose(KERNEL_DOMAIN, "/shared/network", old.clone());
+    assert!(matches!(refused, Err(CoreError::Obj(ObjError::Binding(_)))));
+
+    // De-interpose in the name space: unbind the agent and bind the
+    // original driver again; traffic is no longer counted.
+    let ns = &n.domain(KERNEL_DOMAIN).unwrap().namespace;
+    let agent = ns.unregister("/shared/network").unwrap();
+    assert_eq!(agent.obj.class(), "netmon-agent");
+    n.register(KERNEL_DOMAIN, "/shared/network", old).unwrap();
     let dev2 = n.bind(KERNEL_DOMAIN, "/shared/network").unwrap();
     assert_eq!(dev2.class(), "nic-driver");
     let stack2 = make_udp_stack(dev2, MY_IP, MY_MAC);

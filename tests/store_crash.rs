@@ -667,38 +667,12 @@ fn group_commit_coalesces_concurrent_commits() {
 
     // A slow backing store: every append sleeps, so commits issued while
     // the leader's append is in flight pile up and ride the next group.
-    let slow = {
-        let inner = driver.clone();
-        let i_read = inner.clone();
-        let i_read_many = inner.clone();
-        let i_write_many = inner.clone();
-        let i_sectors = inner.clone();
-        ObjectBuilder::new("slow-disk")
-            .interface("blockdev", |i| {
-                i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
-                    i_read.invoke("blockdev", "read", args)
-                })
-                .method(
-                    "read_many",
-                    &[TypeTag::List],
-                    TypeTag::List,
-                    move |_, args| i_read_many.invoke("blockdev", "read_many", args),
-                )
-                .method(
-                    "write_many",
-                    &[TypeTag::List],
-                    TypeTag::Int,
-                    move |_, args| {
-                        std::thread::sleep(std::time::Duration::from_millis(3));
-                        i_write_many.invoke("blockdev", "write_many", args)
-                    },
-                )
-                .method("sectors", &[], TypeTag::Int, move |_, _| {
-                    i_sectors.invoke("blockdev", "sectors", &[])
-                })
-            })
-            .build()
-    };
+    let slow = InterposerBuilder::new(driver)
+        .override_method("blockdev", "write_many", |forward, args| {
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            forward.call(args)
+        })
+        .build();
     let stack = StackBuilder::on(slow)
         .journal(JournalConfig::default())
         .build()

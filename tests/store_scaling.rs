@@ -528,20 +528,19 @@ fn transactions_behave_identically_on_every_stack() {
         );
 
         // Under a journal a transaction larger than one log record can
-        // carry is rejected whole, whichever layer it was sent to.
-        let oversized = top
-            .invoke("blockdev", "write_limit", &[])
-            .ok()
-            .map(|limit| {
-                let limit = limit.as_int().unwrap();
-                let batch: Vec<_> = (0..=limit).map(|sec| (8 + sec, data(0xEE))).collect();
-                let err = commit(&batch).unwrap_err().to_string();
-                for sec in 0..=limit {
-                    let v = read(8 + sec).unwrap();
-                    assert_eq!(v.as_bytes().unwrap()[0], 0, "{name}: sector {sec} leaked");
-                }
-                err
-            });
+        // carry is rejected whole, whichever layer it was sent to; a
+        // stack without one takes a batch of any size.
+        let limit = top.invoke("blockdev", "write_limit", &[]).unwrap();
+        let limit = limit.as_int().unwrap();
+        let oversized = (limit < i64::MAX).then(|| {
+            let batch: Vec<_> = (0..=limit).map(|sec| (8 + sec, data(0xEE))).collect();
+            let err = commit(&batch).unwrap_err().to_string();
+            for sec in 0..=limit {
+                let v = read(8 + sec).unwrap();
+                assert_eq!(v.as_bytes().unwrap()[0], 0, "{name}: sector {sec} leaked");
+            }
+            err
+        });
         transcripts.push((name, seen, oversized));
     }
 
