@@ -40,7 +40,8 @@ impl Authority {
     /// Creates an authority around an existing key pair (shared or cached
     /// key material — key generation dominates everything else an
     /// authority does).
-    pub fn from_keys(name: impl Into<String>, keys: KeyPair) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_keys(name: impl Into<String>, keys: KeyPair) -> Self {
         Authority {
             name: name.into(),
             keys,

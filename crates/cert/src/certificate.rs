@@ -105,7 +105,7 @@ impl Certificate {
     }
 
     /// The deterministic byte encoding covered by the signature.
-    pub fn to_be_signed(&self) -> Vec<u8> {
+    pub(crate) fn to_be_signed(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.component.len());
         out.extend_from_slice(b"CERT");
         out.extend_from_slice(&(self.component.len() as u32).to_le_bytes());
@@ -123,7 +123,7 @@ impl Certificate {
 
     /// Verifies the signature with the (separately authenticated) issuer
     /// key, and that the key matches the recorded fingerprint.
-    pub fn verify_signature(&self, issuer_key: &PublicKey) -> Result<(), CertError> {
+    pub(crate) fn verify_signature(&self, issuer_key: &PublicKey) -> Result<(), CertError> {
         if issuer_key.fingerprint() != self.issuer {
             return Err(CertError::BadSignature(format!(
                 "certificate for `{}`: issuer key mismatch",
@@ -135,7 +135,7 @@ impl Certificate {
     }
 
     /// True if the certificate grants `right`.
-    pub fn grants(&self, right: Right) -> bool {
+    pub(crate) fn grants(&self, right: Right) -> bool {
         self.rights.contains(&right)
     }
 
@@ -190,7 +190,7 @@ impl DelegationCert {
     }
 
     /// The deterministic byte encoding covered by the signature.
-    pub fn to_be_signed(&self) -> Vec<u8> {
+    pub(crate) fn to_be_signed(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"DELE");
         out.extend_from_slice(&(self.subject_name.len() as u32).to_le_bytes());
@@ -208,7 +208,7 @@ impl DelegationCert {
     }
 
     /// Verifies the issuer's signature.
-    pub fn verify_signature(&self, issuer_key: &PublicKey) -> Result<(), CertError> {
+    pub(crate) fn verify_signature(&self, issuer_key: &PublicKey) -> Result<(), CertError> {
         if issuer_key.fingerprint() != self.issuer {
             return Err(CertError::BadSignature(format!(
                 "delegation to `{}`: issuer key mismatch",

@@ -58,7 +58,7 @@ pub struct NameSpace {
 }
 
 /// Checks and canonicalises a path: absolute, no empty or dot segments.
-pub fn check_path(path: &str) -> CoreResult<&str> {
+pub(crate) fn check_path(path: &str) -> CoreResult<&str> {
     if !path.starts_with('/') || path.len() < 2 {
         return Err(CoreError::Name(format!(
             "path `{path}` must be absolute and non-root"
@@ -93,7 +93,7 @@ impl NameSpace {
     /// `overrides` — the paper's mechanism for an object to "locally
     /// reconfigure its name space: that is, control the child objects it
     /// will import".
-    pub fn child_of(
+    pub(crate) fn child_of(
         parent: &Arc<NameSpace>,
         overrides: impl IntoIterator<Item = (String, NsEntry)>,
     ) -> Arc<Self> {

@@ -27,7 +27,7 @@ impl DomainId {
     }
 
     /// True for the kernel domain.
-    pub fn is_kernel(self) -> bool {
+    pub(crate) fn is_kernel(self) -> bool {
         self == KERNEL_DOMAIN
     }
 }
@@ -65,16 +65,11 @@ impl Domain {
     /// Records that a component instance was loaded here. A path loaded
     /// again (after an unregister) is recorded once: a kernel that cycles
     /// extensions through the same paths must not grow by a string a load.
-    pub fn note_loaded(&self, path: &str) {
+    pub(crate) fn note_loaded(&self, path: &str) {
         let mut loaded = self.loaded.write();
         if !loaded.contains(path) {
             loaded.insert(path.to_owned());
         }
-    }
-
-    /// Instance paths loaded into this domain, in path order.
-    pub fn loaded_paths(&self) -> Vec<String> {
-        self.loaded.read().iter().cloned().collect()
     }
 }
 
@@ -105,6 +100,7 @@ mod tests {
         d.note_loaded("/app/fft");
         d.note_loaded("/app/alloc");
         d.note_loaded("/app/fft");
-        assert_eq!(d.loaded_paths(), vec!["/app/alloc", "/app/fft"]);
+        let loaded: Vec<_> = d.loaded.read().iter().cloned().collect();
+        assert_eq!(loaded, ["/app/alloc", "/app/fft"]);
     }
 }

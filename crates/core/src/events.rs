@@ -128,7 +128,7 @@ impl EventService {
     }
 
     /// Number of call-backs on a vector.
-    pub fn callback_count(&self, vector: u32) -> usize {
+    pub(crate) fn callback_count(&self, vector: u32) -> usize {
         self.vectors
             .get(vector as usize)
             .map_or(0, |v| v.read().len())

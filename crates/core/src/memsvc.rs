@@ -89,7 +89,7 @@ impl MemService {
     }
 
     /// Reserves a contiguous virtual range in `domain` without mapping it.
-    pub fn reserve_vaddr(&self, domain: DomainId, pages: usize) -> u64 {
+    pub(crate) fn reserve_vaddr(&self, domain: DomainId, pages: usize) -> u64 {
         let mut next = self.next_vaddr.lock();
         let slot = next.entry(domain.0).or_insert(USER_VADDR_BASE);
         let base = *slot;
@@ -200,23 +200,15 @@ impl MemService {
     /// Associates a fault call-back with the page containing `vaddr` in
     /// `domain`. The page need not be mapped — fault-on-access pages are
     /// the cross-domain invocation mechanism.
-    pub fn set_fault_handler(&self, domain: DomainId, vaddr: u64, handler: FaultHandler) {
+    pub(crate) fn set_fault_handler(&self, domain: DomainId, vaddr: u64, handler: FaultHandler) {
         self.fault_handlers
             .write()
             .insert((domain.0, vaddr / PAGE_SIZE as u64), handler);
     }
 
-    /// Removes a fault call-back. Returns true if one existed.
-    pub fn clear_fault_handler(&self, domain: DomainId, vaddr: u64) -> bool {
-        self.fault_handlers
-            .write()
-            .remove(&(domain.0, vaddr / PAGE_SIZE as u64))
-            .is_some()
-    }
-
     /// Routes a fault to its per-page handler. Returns true if a handler
     /// ran.
-    pub fn handle_fault(&self, fault: &Fault) -> bool {
+    pub(crate) fn handle_fault(&self, fault: &Fault) -> bool {
         let key = (fault.ctx.0, fault.vaddr / PAGE_SIZE as u64);
         let handler = self.fault_handlers.read().get(&key).cloned();
         match handler {
@@ -285,54 +277,6 @@ impl MemService {
     /// before touching registers.
     pub fn io_is_claimant(&self, domain: DomainId, region: IoRegionId) -> bool {
         self.machine.lock().io.is_claimant(region, domain.context())
-    }
-
-    /// Allocates `pages` *lazy* (demand-zero) pages in `domain`: no frames
-    /// are consumed until a page is first touched, at which point its
-    /// per-page fault call-back allocates and maps a zeroed frame.
-    ///
-    /// This is the paper's "individual virtual pages can have fault
-    /// call-backs associated with them" put to its classic use.
-    pub fn alloc_lazy(
-        self: &Arc<Self>,
-        domain: DomainId,
-        pages: usize,
-        perms: Perms,
-    ) -> CoreResult<u64> {
-        if pages == 0 {
-            return Err(CoreError::Policy("zero-page allocation".into()));
-        }
-        if !self.machine.lock().mmu.has_context(domain.context()) {
-            return Err(CoreError::NoSuchDomain(domain.0));
-        }
-        let base = self.reserve_vaddr(domain, pages);
-        for i in 0..pages {
-            let va = base + (i as u64) * PAGE_SIZE as u64;
-            let svc = self.clone();
-            self.set_fault_handler(
-                domain,
-                va,
-                Arc::new(move |fault: &Fault| {
-                    let mut m = svc.machine.lock();
-                    let Ok(frame) = m.phys.alloc_frame() else {
-                        // Out of memory at fault time: leave the page
-                        // unmapped; the retry loop will surface the fault.
-                        return;
-                    };
-                    let page_va = fault.vaddr - fault.vaddr % PAGE_SIZE as u64;
-                    if m.mmu.map(fault.ctx, page_va, frame, perms).is_err() {
-                        m.phys.free_frame(frame);
-                        return;
-                    }
-                    drop(m);
-                    svc.frame_refs.lock().insert(frame, 1);
-                    bump(&svc.stats.pages_allocated, 1);
-                    // The page is now resident; the handler stays
-                    // registered but will not fire again for it.
-                }),
-            );
-        }
-        Ok(base)
     }
 
     /// Reads virtual memory of a domain. A fault with a registered
@@ -499,14 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_fault_handler_works() {
-        let (svc, user) = svc();
-        svc.set_fault_handler(user, 0x1000, Arc::new(|_| {}));
-        assert!(svc.clear_fault_handler(user, 0x1000));
-        assert!(!svc.clear_fault_handler(user, 0x1000));
-    }
-
-    #[test]
     fn io_claims_enforce_exclusivity() {
         let (svc, user) = svc();
         let regs = svc.io_allocate("nic", 64, IoSharing::Exclusive).unwrap();
@@ -522,44 +458,24 @@ mod tests {
     }
 
     #[test]
-    fn lazy_pages_materialise_on_first_touch() {
-        let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
-        let svc = Arc::new(MemService::new(machine.clone()));
-        let base = svc.alloc_lazy(user, 4, Perms::RW).unwrap();
-        // Nothing resident yet.
-        assert_eq!(machine.lock().phys.allocated_frames(), 0);
-        // Touch page 2: exactly one frame appears, zeroed, then usable.
-        svc.write(user, base + 2 * PAGE_SIZE as u64 + 100, b"lazy!")
-            .unwrap();
-        assert_eq!(machine.lock().phys.allocated_frames(), 1);
-        let mut buf = [0u8; 5];
-        svc.read(user, base + 2 * PAGE_SIZE as u64 + 100, &mut buf)
-            .unwrap();
-        assert_eq!(&buf, b"lazy!");
-        // A read touching two further pages faults them both in.
-        let mut big = vec![0u8; PAGE_SIZE + 10];
-        svc.read(user, base, &mut big).unwrap();
-        assert_eq!(machine.lock().phys.allocated_frames(), 3);
-        assert!(
-            big.iter().all(|&b| b == 0),
-            "demand-zero pages read as zero"
+    fn a_handler_that_maps_the_page_resolves_the_access() {
+        let (svc, user) = svc();
+        let machine = svc.machine().clone();
+        let vaddr = 0x40_0000u64;
+        svc.set_fault_handler(
+            user,
+            vaddr,
+            Arc::new(move |f: &Fault| {
+                let mut m = machine.lock();
+                let frame = m.phys.alloc_frame().unwrap();
+                m.mmu.map(f.ctx, vaddr, frame, Perms::RW).unwrap();
+            }),
         );
-        assert_eq!(svc.stats().faults_handled, 3);
-    }
-
-    #[test]
-    fn lazy_pages_respect_permissions() {
-        let machine = Arc::new(Mutex::new(Machine::new()));
-        let user = DomainId::from(machine.lock().mmu.create_context().unwrap());
-        let svc = Arc::new(MemService::new(machine));
-        let base = svc.alloc_lazy(user, 1, Perms::R).unwrap();
-        // First touch materialises the page read-only…
-        let mut buf = [0u8; 4];
-        svc.read(user, base, &mut buf).unwrap();
-        // …so writes still fault, and the handler cannot fix a protection
-        // fault (the page is already mapped): the error surfaces.
-        assert!(svc.write(user, base, b"nope").is_err());
+        svc.write(user, vaddr + 8, b"paged").unwrap();
+        let mut buf = [0u8; 5];
+        svc.read(user, vaddr + 8, &mut buf).unwrap();
+        assert_eq!(&buf, b"paged");
+        assert_eq!(svc.stats().faults_handled, 1);
     }
 
     #[test]

@@ -57,16 +57,6 @@ pub struct Nucleus {
     pub kernel_object: ObjRef,
     /// Step budget applied to loaded bytecode components.
     pub step_budget: u64,
-    /// On-line certifier, if enabled (paper §4: "this does not exclude
-    /// on-line certification by the kernel").
-    online: RwLock<Option<OnlineCertifier>>,
-}
-
-/// A certifier resident in the kernel, minting certificates at load time
-/// for components that arrive without one.
-struct OnlineCertifier {
-    certifier: Box<dyn paramecium_cert::Certifier>,
-    chain: Vec<paramecium_cert::DelegationCert>,
 }
 
 impl Nucleus {
@@ -111,7 +101,6 @@ impl Nucleus {
             proxy_stats: Arc::new(ProxyStats::default()),
             kernel_object: kernel_object.clone(),
             step_budget: DEFAULT_STEP_BUDGET,
-            online: RwLock::new(None),
         });
 
         // The kernel domain sees the root name space directly.
@@ -285,45 +274,8 @@ impl Nucleus {
         }
     }
 
-    /// Installs an on-line certifier: a certifier resident in the kernel
-    /// that is consulted at load time for kernel-bound bytecode arriving
-    /// without a certificate. Its key must be empowered by `chain`
-    /// (delegations from the root). The certification *effort* is charged
-    /// to simulated time — on-line certification happens on the kernel's
-    /// clock, unlike the usual off-line flow.
-    pub fn enable_online_certification(
-        &self,
-        certifier: Box<dyn paramecium_cert::Certifier>,
-        chain: Vec<paramecium_cert::DelegationCert>,
-    ) {
-        *self.online.write() = Some(OnlineCertifier { certifier, chain });
-    }
-
-    /// Disables on-line certification.
-    pub fn disable_online_certification(&self) {
-        *self.online.write() = None;
-    }
-
-    /// Attempts on-line certification of `image`, charging the effort.
-    fn try_online_certify(
-        &self,
-        component: &str,
-        image: &[u8],
-    ) -> Option<paramecium_cert::Certificate> {
-        let guard = self.online.read();
-        let online = guard.as_ref()?;
-        let outcome = online
-            .certifier
-            .try_certify(component, image, &[Right::RunKernel]);
-        self.machine.lock().charge(online.certifier.last_effort());
-        match outcome {
-            paramecium_cert::CertifyOutcome::Certified(cert) => Some(cert),
-            paramecium_cert::CertifyOutcome::Declined { .. } => None,
-        }
-    }
-
     /// The context bundle proxies need.
-    pub fn proxy_ctx(&self) -> ProxyCtx {
+    pub(crate) fn proxy_ctx(&self) -> ProxyCtx {
         ProxyCtx {
             machine: self.machine.clone(),
             events: self.events.clone(),
@@ -357,9 +309,9 @@ impl Nucleus {
                     let program = Program::decode(&bc)
                         .map_err(|e| CoreError::Policy(format!("bad image: {e}")))?;
                     // A certificate that validates for RunKernel wins; a
-                    // missing or insufficient one falls through to on-line
-                    // certification, then software protection. Strict mode
-                    // surfaces the certificate error instead.
+                    // missing or insufficient one falls through to software
+                    // protection. Strict mode surfaces the certificate
+                    // error instead.
                     let cert_check = if options.force_sandbox {
                         None
                     } else {
@@ -371,30 +323,17 @@ impl Nucleus {
                         (rewritten, Protection::Sandboxed)
                     } else if matches!(cert_check, Some(Ok(_))) {
                         (program, Protection::CertifiedNative)
-                    } else if !options.allow_software_protection && self.online.read().is_none() {
+                    } else if !options.allow_software_protection {
                         // Strict: report the precise certificate problem.
                         return Err(match cert_check {
                             Some(Err(e)) => e,
                             _ => CoreError::Cert(paramecium_cert::CertError::NotCertified),
                         });
-                    } else if let Some(cert) = self.try_online_certify(component, &bc) {
-                        // The kernel certified it on-line: install the
-                        // minted certificate and run native. Subsequent
-                        // loads of the same image hit the normal
-                        // (cached) certificate path.
-                        self.certsvc.install(
-                            cert,
-                            self.online.read().as_ref().expect("set").chain.clone(),
-                        );
-                        self.certsvc.validate_for(&bc, Right::RunKernel)?;
-                        (program, Protection::CertifiedNative)
-                    } else if options.allow_software_protection {
+                    } else {
                         let cost_model = self.machine.lock().cost.clone();
                         let (program, protection, cost) = soften(program, &cost_model);
                         self.machine.lock().charge(cost);
                         (program, protection)
-                    } else {
-                        return Err(CoreError::Cert(paramecium_cert::CertError::NotCertified));
                     };
                     (KERNEL_DOMAIN, protection, Body::Bytecode(program))
                 }
@@ -676,55 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn online_certification_mints_and_caches_certificates() {
-        let (n, root) = booted();
-        // The kernel hosts a compiler certifier empowered by the root.
-        let online_authority =
-            paramecium_cert::Authority::new("kernel-online", &mut StdRng::seed_from_u64(33), 512);
-        let chain = vec![root
-            .delegate(
-                "kernel-online",
-                online_authority.public(),
-                vec![Right::RunKernel],
-            )
-            .unwrap()];
-        n.enable_online_certification(
-            Box::new(paramecium_cert::CompilerCertifier::new(
-                online_authority,
-                n.machine().lock().cost.analysis_eval,
-            )),
-            chain,
-        );
-
-        // Verifiable code arrives uncertified: the kernel certifies it
-        // on-line and runs it native.
-        n.repository
-            .add_bytecode("hot", &workloads::checksum_loop_verified(64, 1));
-        let report = n.load("hot", &LoadOptions::kernel("/kernel/hot")).unwrap();
-        assert_eq!(report.protection, Protection::CertifiedNative);
-        let first_cost = report.load_cycles;
-
-        // A second load of the same image hits the certificate cache.
-        let report = n.load("hot", &LoadOptions::kernel("/kernel/hot2")).unwrap();
-        assert_eq!(report.protection, Protection::CertifiedNative);
-        assert!(report.load_cycles < first_cost);
-
-        // Unverifiable code is declined on-line and falls back to SFI.
-        n.repository
-            .add_bytecode("raw", &workloads::checksum_loop(64, 1));
-        let report = n.load("raw", &LoadOptions::kernel("/kernel/raw")).unwrap();
-        assert_eq!(report.protection, Protection::Sandboxed);
-
-        n.disable_online_certification();
-        n.repository
-            .add_bytecode("later", &workloads::checksum_loop_verified(128, 1));
-        let report = n
-            .load("later", &LoadOptions::kernel("/kernel/later"))
-            .unwrap();
-        assert_eq!(report.protection, Protection::Verified);
-    }
-
-    #[test]
     fn strict_kernel_load_requires_certificate() {
         let (n, _) = booted();
         n.repository
@@ -762,7 +652,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.protection, Protection::Hardware);
         assert_eq!(report.domain, app.id);
-        assert_eq!(app.loaded_paths(), vec!["/app/raw"]);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! call-back runs, and the target runs between scopes 2 and 3: both may
 //! make nested crossings of their own, which take the machine themselves.
 //! Marshalling charges page mapping on the held machine, and building a
-//! nested proxy for a handle ([`make_proxy`]) never locks the machine, so
+//! nested proxy for a handle (`make_proxy`) never locks the machine, so
 //! it is safe under the lock. Every charge is issued in the order the
 //! steps run.
 
@@ -115,7 +115,7 @@ impl Clone for ProxyCtx {
 /// The proxy exports exactly the same interfaces as the target, under the
 /// same signatures, and answers exactly their methods. Building one never
 /// locks the machine, so a crossing builds nested proxies under its lock.
-pub fn make_proxy(
+pub(crate) fn make_proxy(
     ctx: &ProxyCtx,
     target: ObjRef,
     target_domain: DomainId,

@@ -30,7 +30,7 @@
 //! on top of the Montgomery savings. Exponents of 64 bits or fewer (e.g.
 //! the public exponent 65537) skip the table and use plain
 //! square-and-multiply, since 14 precomputation multiplies would dominate.
-//! The pre-Montgomery path survives as [`Ubig::modpow_schoolbook`]: it
+//! The pre-Montgomery path survives as `Ubig::modpow_schoolbook`: it
 //! handles even moduli and serves as the differential-testing oracle.
 //!
 //! Building a context costs two long divisions (`R mod n`, `R² mod n`),
@@ -66,11 +66,6 @@ impl Ubig {
         Ubig { limbs }
     }
 
-    /// Exposes the little-endian limbs (no trailing zeros).
-    pub fn limbs(&self) -> &[u64] {
-        &self.limbs
-    }
-
     /// Builds from a big-endian byte string (as found in keys and
     /// signatures). Leading zero bytes are permitted.
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
@@ -94,7 +89,7 @@ impl Ubig {
 
     /// Serialises to a big-endian byte string with no leading zeros
     /// (empty for zero).
-    pub fn to_bytes_be(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes_be(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.limbs.len() * 8);
         for (i, limb) in self.limbs.iter().enumerate().rev() {
             let bytes = limb.to_be_bytes();
@@ -111,7 +106,7 @@ impl Ubig {
 
     /// Serialises to exactly `len` big-endian bytes, left-padded with
     /// zeros. Returns `None` if the value does not fit.
-    pub fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
+    pub(crate) fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
         let raw = self.to_bytes_be();
         if raw.len() > len {
             return None;
@@ -122,22 +117,22 @@ impl Ubig {
     }
 
     /// True if the value is 0.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
     /// True if the value is 1.
-    pub fn is_one(&self) -> bool {
+    pub(crate) fn is_one(&self) -> bool {
         self.limbs == [1]
     }
 
     /// True if the value is even (0 is even).
-    pub fn is_even(&self) -> bool {
+    pub(crate) fn is_even(&self) -> bool {
         self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
     /// Number of significant bits (0 for zero).
-    pub fn bit_len(&self) -> u32 {
+    pub(crate) fn bit_len(&self) -> u32 {
         match self.limbs.last() {
             None => 0,
             Some(top) => self.limbs.len() as u32 * 64 - top.leading_zeros(),
@@ -154,7 +149,7 @@ impl Ubig {
     }
 
     /// The low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
+    pub(crate) fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
     }
 
@@ -181,7 +176,7 @@ impl Ubig {
     }
 
     /// Adds a small value.
-    pub fn add_u64(&self, v: u64) -> Ubig {
+    pub(crate) fn add_u64(&self, v: u64) -> Ubig {
         self.add(&Ubig::from(v))
     }
 
@@ -266,7 +261,7 @@ impl Ubig {
     }
 
     /// Right shift by `s` bits.
-    pub fn shr_bits(&self, s: u32) -> Ubig {
+    pub(crate) fn shr_bits(&self, s: u32) -> Ubig {
         let limb_shift = (s / 64) as usize;
         if limb_shift >= self.limbs.len() {
             return Ubig::zero();
@@ -376,7 +371,7 @@ impl Ubig {
     /// # Panics
     ///
     /// Panics if `d` is zero.
-    pub fn rem_u64(&self, d: u64) -> u64 {
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
         assert!(d != 0, "division by zero");
         let mut rem: u128 = 0;
         for &limb in self.limbs.iter().rev() {
@@ -413,7 +408,7 @@ impl Ubig {
     ///
     /// Odd moduli (the only kind RSA and Miller–Rabin ever present) take
     /// the Montgomery-form windowed path; even moduli fall back to
-    /// [`Ubig::modpow_schoolbook`]. See the module docs for the cost model.
+    /// `Ubig::modpow_schoolbook`. See the module docs for the cost model.
     ///
     /// # Panics
     ///
@@ -437,7 +432,7 @@ impl Ubig {
     /// # Panics
     ///
     /// Panics if `m` is zero.
-    pub fn modpow_schoolbook(&self, exp: &Ubig, m: &Ubig) -> Ubig {
+    pub(crate) fn modpow_schoolbook(&self, exp: &Ubig, m: &Ubig) -> Ubig {
         assert!(!m.is_zero(), "modpow with zero modulus");
         if m.is_one() {
             return Ubig::zero();
@@ -455,19 +450,8 @@ impl Ubig {
         result
     }
 
-    /// Greatest common divisor (Euclid).
-    pub fn gcd(&self, other: &Ubig) -> Ubig {
-        let (mut a, mut b) = (self.clone(), other.clone());
-        while !b.is_zero() {
-            let r = a.rem(&b);
-            a = b;
-            b = r;
-        }
-        a
-    }
-
     /// Modular inverse: the `x` with `self * x ≡ 1 (mod m)`, if it exists.
-    pub fn modinv(&self, m: &Ubig) -> Option<Ubig> {
+    pub(crate) fn modinv(&self, m: &Ubig) -> Option<Ubig> {
         if m.is_zero() || m.is_one() {
             return None;
         }
@@ -554,7 +538,7 @@ impl Montgomery {
     }
 
     /// Converts `a` into Montgomery form (reducing mod `n` first if needed).
-    pub fn to_mont(&self, a: &Ubig) -> MontElem {
+    pub(crate) fn to_mont(&self, a: &Ubig) -> MontElem {
         let oversized =
             a.limbs.len() > self.k || (a.limbs.len() == self.k && !limbs_lt(&a.limbs, &self.n));
         let reduced;
@@ -570,7 +554,7 @@ impl Montgomery {
     }
 
     /// Converts back out of Montgomery form.
-    pub fn from_mont(&self, a: &MontElem) -> Ubig {
+    pub(crate) fn out_of_mont(&self, a: &MontElem) -> Ubig {
         let mut one = vec![0u64; self.k];
         one[0] = 1;
         Ubig::from_limbs(self.mul_limbs(&a.limbs, &one))
@@ -588,7 +572,7 @@ impl Montgomery {
         if exp.is_zero() {
             return Ubig::one();
         }
-        self.from_mont(&self.pow_elem(&self.to_mont(base), exp))
+        self.out_of_mont(&self.pow_elem(&self.to_mont(base), exp))
     }
 
     /// `base^exp` on a residue already in Montgomery form.
@@ -597,7 +581,7 @@ impl Montgomery {
     /// table, 4 squarings + at most one table multiply per window); shorter
     /// exponents use plain square-and-multiply, for which the table
     /// precomputation would not pay for itself.
-    pub fn pow_elem(&self, base: &MontElem, exp: &Ubig) -> MontElem {
+    pub(crate) fn pow_elem(&self, base: &MontElem, exp: &Ubig) -> MontElem {
         let k = self.k;
         let bits = exp.bit_len();
         // Two buffers swapped after every multiply serve the whole
@@ -1059,21 +1043,17 @@ mod tests {
 
         #[test]
         fn prop_modinv_is_inverse(a in 1u64.., m in 2u64..) {
+            let (mut x, mut y) = (a, m);
+            while y != 0 {
+                (x, y) = (y, x % y);
+            }
             let (a, m) = (Ubig::from(a), Ubig::from(m));
             if let Some(inv) = a.modinv(&m) {
                 prop_assert!(inv < m);
                 prop_assert_eq!(a.modmul(&inv, &m), Ubig::one());
             } else {
-                prop_assert!(!a.gcd(&m).is_one());
+                prop_assert!(x != 1, "no inverse although gcd(a, m) = 1");
             }
-        }
-
-        #[test]
-        fn prop_gcd_divides(a in 1u64.., b in 1u64..) {
-            let g = Ubig::from(a).gcd(&Ubig::from(b));
-            prop_assert!(!g.is_zero());
-            prop_assert!(Ubig::from(a).rem(&g).is_zero());
-            prop_assert!(Ubig::from(b).rem(&g).is_zero());
         }
 
         #[test]
@@ -1126,9 +1106,9 @@ mod tests {
             prop_assume!(!m.is_one());
             let mont = Montgomery::new(&m).expect("odd modulus > 1");
             let (am, bm) = (mont.to_mont(&a), mont.to_mont(&b));
-            prop_assert_eq!(mont.from_mont(&am), a.rem(&m));
+            prop_assert_eq!(mont.out_of_mont(&am), a.rem(&m));
             prop_assert_eq!(
-                mont.from_mont(&mont.mul(&am, &bm)),
+                mont.out_of_mont(&mont.mul(&am, &bm)),
                 a.modmul(&b, &m)
             );
         }
@@ -1148,7 +1128,7 @@ mod tests {
         let mont = Montgomery::new(&m).unwrap();
         let x = mont.to_mont(&Ubig::from(123_456u64));
         assert_eq!(mont.mul(&x, &mont.one()), x);
-        assert_eq!(mont.from_mont(&mont.one()), Ubig::one());
+        assert_eq!(mont.out_of_mont(&mont.one()), Ubig::one());
     }
 
     /// Moduli of 1 to 17 limbs: the widths `mul_into` has a constant for

@@ -1,7 +1,5 @@
 //! Hex encoding for digests and fingerprints.
 
-use crate::CryptoError;
-
 /// Encodes bytes as lowercase hex.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
@@ -12,53 +10,13 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Decodes lowercase or uppercase hex.
-pub fn from_hex(s: &str) -> Result<Vec<u8>, CryptoError> {
-    if !s.len().is_multiple_of(2) {
-        return Err(CryptoError::InvalidInput("odd-length hex string".into()));
-    }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let nibble = |c: u8| -> Result<u8, CryptoError> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(CryptoError::InvalidInput(format!(
-                "invalid hex character {:?}",
-                c as char
-            ))),
-        }
-    };
-    for pair in bytes.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn known_values() {
         assert_eq!(to_hex(&[]), "");
         assert_eq!(to_hex(&[0x00, 0xff, 0x1a]), "00ff1a");
-        assert_eq!(from_hex("00ff1a").unwrap(), vec![0x00, 0xff, 0x1a]);
-        assert_eq!(from_hex("00FF1A").unwrap(), vec![0x00, 0xff, 0x1a]);
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(from_hex("a").is_err());
-        assert!(from_hex("zz").is_err());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-            prop_assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
-        }
     }
 }

@@ -175,7 +175,7 @@ impl PublicKey {
     }
 
     /// Modulus size in whole bytes (the signature length).
-    pub fn modulus_len(&self) -> usize {
+    pub(crate) fn modulus_len(&self) -> usize {
         (self.n().bit_len() as usize).div_ceil(8)
     }
 
@@ -227,7 +227,7 @@ impl PrivateKey {
 
     /// CRT precomputation (`None` for keys imported without factors; such
     /// keys sign via the plain full-width exponentiation).
-    pub fn crt(&self) -> Option<&CrtParams> {
+    pub(crate) fn crt(&self) -> Option<&CrtParams> {
         self.0.crt.as_ref().map(|c| &c.params)
     }
 

@@ -4,7 +4,7 @@
 //! small-prime sieve so that most composite candidates are rejected cheaply
 //! during key generation.
 //!
-//! Trial division uses single-limb remainders ([`Ubig::rem_u64`], no
+//! Trial division uses single-limb remainders (`Ubig::rem_u64`, no
 //! allocation) and the Miller–Rabin loop builds one [`Montgomery`] context
 //! per candidate: every witness exponentiation and every squaring in the
 //! `x² ≡ ±1` chain then runs division-free in Montgomery form, which is
@@ -27,7 +27,7 @@ const SMALL_PRIMES: [u64; 54] = [
 
 /// Draws a uniformly random value with exactly `bits` significant bits
 /// (top bit set).
-pub fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Ubig {
+pub(crate) fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Ubig {
     assert!(bits > 0, "cannot draw a 0-bit number");
     let nlimbs = bits.div_ceil(64) as usize;
     let mut limbs: Vec<u64> = (0..nlimbs).map(|_| rng.gen()).collect();
@@ -41,7 +41,7 @@ pub fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Ubig {
 }
 
 /// Draws a uniformly random value in `[low, high)` by rejection sampling.
-pub fn random_below<R: Rng + ?Sized>(rng: &mut R, low: &Ubig, high: &Ubig) -> Ubig {
+pub(crate) fn random_below<R: Rng + ?Sized>(rng: &mut R, low: &Ubig, high: &Ubig) -> Ubig {
     assert!(low < high, "empty range");
     let span = high.sub(low);
     let bits = span.bit_len().max(1);
@@ -61,7 +61,7 @@ pub fn random_below<R: Rng + ?Sized>(rng: &mut R, low: &Ubig, high: &Ubig) -> Ub
 }
 
 /// Miller–Rabin probable-prime test with `MR_ROUNDS` random bases.
-pub fn is_probable_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
+pub(crate) fn is_probable_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
     if n < &Ubig::from(2u64) {
         return false;
     }
@@ -106,7 +106,7 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &Ubig, rng: &mut R) -> bool {
 }
 
 /// Generates a random probable prime with exactly `bits` bits.
-pub fn gen_prime<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Ubig {
+pub(crate) fn gen_prime<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Ubig {
     assert!(bits >= 2, "primes need at least 2 bits");
     loop {
         let mut cand = random_bits(rng, bits);

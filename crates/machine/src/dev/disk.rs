@@ -96,7 +96,6 @@ pub struct Disk {
     latency_extra: Cycles,
     /// ...for this many more transfers.
     latency_ops: u64,
-    transient_fired: u64,
 }
 
 impl Disk {
@@ -110,7 +109,6 @@ impl Disk {
             transient_errors: 0,
             latency_extra: 0,
             latency_ops: 0,
-            transient_fired: 0,
         }
     }
 
@@ -149,16 +147,10 @@ impl Disk {
         self.latency_extra
     }
 
-    /// Transient errors injected so far (fired, not armed).
-    pub fn transient_fired(&self) -> u64 {
-        self.transient_fired
-    }
-
     /// Consumes one armed transient fault, if any, as a [`MachineError::Transient`].
     fn fault_check(&mut self) -> MachineResult<()> {
         if self.transient_errors > 0 {
             self.transient_errors -= 1;
-            self.transient_fired += 1;
             return Err(MachineError::Transient("disk"));
         }
         Ok(())
@@ -249,11 +241,6 @@ impl Disk {
         Ok(())
     }
 
-    /// Completed read count.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
     /// Completed write count.
     pub fn write_count(&self) -> u64 {
         self.writes
@@ -306,7 +293,7 @@ mod tests {
         let got = d.read_sector(3).unwrap();
         assert_eq!(got, buf);
         assert_eq!(got.as_ptr(), buf.as_ptr());
-        assert_eq!((d.read_count(), d.write_count()), (1, 1));
+        assert_eq!((d.reads, d.write_count()), (1, 1));
     }
 
     #[test]
@@ -346,7 +333,7 @@ mod tests {
         assert!(d.write_sector(4, sector_of(0)).is_err());
         assert!(d.write_sector(u64::MAX, sector_of(0)).is_err());
         assert!(d.write_sector_prefix(4, &sector_of(0), 1).is_err());
-        assert_eq!((d.read_count(), d.write_count()), (0, 0));
+        assert_eq!((d.reads, d.write_count()), (0, 0));
     }
 
     #[test]
@@ -394,7 +381,6 @@ mod tests {
         assert!(d.write_sector(0, sector_of(0)).is_err());
         // Window exhausted: back to normal.
         d.read_sector(0).unwrap();
-        assert_eq!(d.transient_fired(), 2);
         // Torn crash writes bypass the transient window entirely.
         d.inject_transient_errors(1);
         d.write_sector_prefix(1, &sector_of(0xCC), 8).unwrap();

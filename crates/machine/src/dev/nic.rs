@@ -150,11 +150,6 @@ impl Nic {
         self.tx_log.pop_front()
     }
 
-    /// Frames waiting in the RX ring.
-    pub fn rx_pending(&self) -> usize {
-        self.rx.len()
-    }
-
     /// Total frames dropped due to ring overflow.
     pub fn dropped(&self) -> u64 {
         self.rx_dropped
@@ -224,9 +219,9 @@ mod tests {
         nic.write_reg(regs::IRQ_ENABLE, 0).unwrap();
         nic.inject_rx(vec![0u8; 10]);
         nic.tick(0, &mut irq);
-        assert!(!irq.has_pending());
+        assert_eq!(irq.peek(), None);
         // The frame is still there for a polling driver.
-        assert_eq!(nic.rx_pending(), 1);
+        assert_eq!(nic.rx.len(), 1);
     }
 
     #[test]
@@ -235,7 +230,7 @@ mod tests {
         for i in 0..(RX_RING + 5) {
             nic.inject_rx(vec![i as u8]);
         }
-        assert_eq!(nic.rx_pending(), RX_RING);
+        assert_eq!(nic.rx.len(), RX_RING);
         assert_eq!(nic.dropped(), 5);
         assert_eq!(nic.read_reg(regs::RX_DROPPED).unwrap(), 5);
     }
@@ -251,7 +246,7 @@ mod tests {
         assert_eq!(nic.tx_take(), None);
         assert_eq!(nic.tx_dropped(), 1);
         assert!(!nic.inject_rx(vec![2u8; 8]));
-        assert_eq!(nic.rx_pending(), 0);
+        assert_eq!(nic.rx.len(), 0);
         // Carrier restored: traffic flows again.
         nic.set_link_up(true);
         nic.tx(vec![3u8; 8]).unwrap();

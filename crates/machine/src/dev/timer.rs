@@ -41,11 +41,6 @@ impl Timer {
             fires: 0,
         }
     }
-
-    /// Times the timer has fired.
-    pub fn fire_count(&self) -> u64 {
-        self.fires
-    }
 }
 
 impl Device for Timer {
@@ -113,11 +108,11 @@ mod tests {
         t.write_reg(regs::CTRL, 1).unwrap();
         t.tick(0, &mut irq); // Arms at 100.
         t.tick(50, &mut irq);
-        assert!(!irq.has_pending());
+        assert_eq!(irq.peek(), None);
         t.tick(100, &mut irq);
         assert_eq!(irq.acknowledge(), Some(TIMER_IRQ));
         t.tick(350, &mut irq); // Catches up: fires at 200 and 300.
-        assert_eq!(t.fire_count(), 3);
+        assert_eq!(t.fires, 3);
     }
 
     #[test]
@@ -127,8 +122,8 @@ mod tests {
         t.write_reg(regs::PERIOD, 10).unwrap();
         t.tick(0, &mut irq);
         t.tick(1000, &mut irq);
-        assert!(!irq.has_pending());
-        assert_eq!(t.fire_count(), 0);
+        assert_eq!(irq.peek(), None);
+        assert_eq!(t.fires, 0);
     }
 
     #[test]

@@ -149,13 +149,6 @@ impl IoSpace {
         self.regions.get(&id)
     }
 
-    /// Finds the region containing bus address `addr`.
-    pub fn region_at(&self, addr: u64) -> Option<&IoRegion> {
-        self.regions
-            .values()
-            .find(|r| addr >= r.base && addr < r.base + r.len as u64)
-    }
-
     /// All regions belonging to `device`.
     pub fn regions_of(&self, device: &str) -> Vec<&IoRegion> {
         self.regions
@@ -207,16 +200,6 @@ mod tests {
         let mut io = IoSpace::new();
         let id = io.allocate("dev", 8, IoSharing::Shared).unwrap();
         assert!(io.release(id, ContextId(9)).is_err());
-    }
-
-    #[test]
-    fn region_at_finds_containing_region() {
-        let mut io = IoSpace::new();
-        let a = io.allocate("x", 64, IoSharing::Exclusive).unwrap();
-        let base = io.region(a).unwrap().base;
-        assert_eq!(io.region_at(base + 10).unwrap().id, a);
-        assert!(io.region_at(base + 64).is_none());
-        assert!(io.region_at(0).is_none());
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub const NUM_IRQ_LINES: u32 = 16;
 pub struct IrqController {
     pending: u32,
     masked: u32,
-    /// Count of raises per line (telemetry).
-    raised: [u64; NUM_IRQ_LINES as usize],
     /// Raises that were latched while already pending (coalesced).
     coalesced: u64,
 }
@@ -31,7 +29,6 @@ impl IrqController {
         IrqController {
             pending: 0,
             masked: 0,
-            raised: [0; NUM_IRQ_LINES as usize],
             coalesced: 0,
         }
     }
@@ -45,19 +42,12 @@ impl IrqController {
             self.coalesced += 1;
         }
         self.pending |= bit;
-        self.raised[line as usize] += 1;
     }
 
     /// Masks a line: it stays latched but is not delivered.
     pub fn mask(&mut self, line: u32) {
         assert!(line < NUM_IRQ_LINES);
         self.masked |= 1 << line;
-    }
-
-    /// Unmasks a line.
-    pub fn unmask(&mut self, line: u32) {
-        assert!(line < NUM_IRQ_LINES);
-        self.masked &= !(1 << line);
     }
 
     /// The highest-priority (lowest-numbered) deliverable line, if any,
@@ -78,16 +68,6 @@ impl IrqController {
         Some(line)
     }
 
-    /// True if any unmasked interrupt is pending.
-    pub fn has_pending(&self) -> bool {
-        self.peek().is_some()
-    }
-
-    /// Number of times `line` has been raised.
-    pub fn raise_count(&self, line: u32) -> u64 {
-        self.raised[line as usize]
-    }
-
     /// Number of raises that coalesced into an already-pending line.
     pub fn coalesced_count(&self) -> u64 {
         self.coalesced
@@ -103,9 +83,9 @@ mod tests {
         let mut c = IrqController::new();
         assert_eq!(c.acknowledge(), None);
         c.raise(3);
-        assert!(c.has_pending());
+        assert_eq!(c.peek(), Some(3));
         assert_eq!(c.acknowledge(), Some(3));
-        assert!(!c.has_pending());
+        assert_eq!(c.peek(), None);
     }
 
     #[test]
@@ -125,9 +105,9 @@ mod tests {
         let mut c = IrqController::new();
         c.mask(2);
         c.raise(2);
-        assert!(!c.has_pending());
         assert_eq!(c.peek(), None);
-        c.unmask(2);
+        // The line stays latched: clearing the mask delivers it.
+        c.masked = 0;
         assert_eq!(c.acknowledge(), Some(2));
     }
 
@@ -137,7 +117,6 @@ mod tests {
         c.raise(4);
         c.raise(4);
         c.raise(4);
-        assert_eq!(c.raise_count(4), 3);
         assert_eq!(c.coalesced_count(), 2);
         // Only one delivery results.
         assert_eq!(c.acknowledge(), Some(4));

@@ -3,7 +3,7 @@
 //! Protection domains in Paramecium are MMU contexts. "Objects can be
 //! placed in separate MMU contexts. This is useful for isolating faults …"
 //! (paper, section 3). The nucleus's memory service builds on the
-//! operations here: map/unmap/protect pages, translate accesses, take
+//! operations here: map/unmap pages, translate accesses, take
 //! faults.
 
 use std::collections::BTreeMap;
@@ -223,24 +223,6 @@ impl Mmu {
         Ok(old)
     }
 
-    /// Changes the permissions of a mapped page.
-    pub fn protect(&mut self, ctx: ContextId, vaddr: u64, perms: Perms) -> MachineResult<()> {
-        let vpn = vaddr / PAGE_SIZE as u64;
-        let table = self
-            .contexts
-            .get_mut(&ctx.0)
-            .ok_or(MachineError::NoSuchContext(ctx.0))?;
-        let entry = table.get_mut(&vpn).ok_or(MachineError::Fault(Fault {
-            ctx,
-            vaddr,
-            access: Access::Read,
-            kind: FaultKind::NotMapped,
-        }))?;
-        entry.perms = perms;
-        self.tlb.invalidate(ctx, vpn);
-        Ok(())
-    }
-
     /// Looks up the page-table entry for `vaddr` without touching the TLB.
     pub fn entry(&self, ctx: ContextId, vaddr: u64) -> Option<PageEntry> {
         self.contexts
@@ -387,16 +369,6 @@ mod tests {
         m.map(a, 0x4000, FrameId(1), Perms::RW).unwrap();
         assert!(m.translate(a, 0x4000, Access::Read).is_ok());
         assert!(m.translate(b, 0x4000, Access::Read).is_err());
-    }
-
-    #[test]
-    fn protect_invalidates_tlb() {
-        let mut m = mmu();
-        let ctx = m.create_context().unwrap();
-        m.map(ctx, 0x4000, FrameId(1), Perms::RW).unwrap();
-        m.translate(ctx, 0x4000, Access::Write).unwrap(); // Prime TLB.
-        m.protect(ctx, 0x4000, Perms::R).unwrap();
-        assert!(m.translate(ctx, 0x4000, Access::Write).is_err());
     }
 
     #[test]

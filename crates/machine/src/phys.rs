@@ -71,11 +71,6 @@ impl PhysMem {
         self.allocated -= 1;
     }
 
-    /// True if `frame` is currently allocated.
-    pub fn is_allocated(&self, frame: FrameId) -> bool {
-        self.used.get(frame.0 as usize).copied().unwrap_or(false)
-    }
-
     /// Reads `buf.len()` bytes starting at physical address `paddr`.
     pub fn read(&self, paddr: u64, buf: &mut [u8]) -> MachineResult<()> {
         let start = self.start_of(paddr, buf.len())?;
@@ -109,11 +104,6 @@ impl PhysMem {
             _ => Err(MachineError::BadPhysAddr(paddr)),
         }
     }
-
-    /// Physical byte address of the start of `frame`.
-    pub fn frame_base(&self, frame: FrameId) -> u64 {
-        u64::from(frame.0) * PAGE_SIZE as u64
-    }
 }
 
 /// Splits `len` bytes from byte index `start` at frame boundaries: per
@@ -133,6 +123,10 @@ fn pieces(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, Range
 mod tests {
     use super::*;
 
+    fn frame_base(frame: FrameId) -> u64 {
+        u64::from(frame.0) * PAGE_SIZE as u64
+    }
+
     #[test]
     fn alloc_free_cycle() {
         let mut pm = PhysMem::new(4);
@@ -142,8 +136,8 @@ mod tests {
         assert_eq!(pm.allocated_frames(), 2);
         pm.free_frame(a);
         assert_eq!(pm.allocated_frames(), 1);
-        assert!(!pm.is_allocated(a));
-        assert!(pm.is_allocated(b));
+        assert!(!pm.used[a.0 as usize]);
+        assert!(pm.used[b.0 as usize]);
     }
 
     #[test]
@@ -167,11 +161,11 @@ mod tests {
     fn frames_are_zeroed_on_alloc() {
         let mut pm = PhysMem::new(1);
         let a = pm.alloc_frame().unwrap();
-        pm.write(pm.frame_base(a), &[0xAB; 16]).unwrap();
+        pm.write(frame_base(a), &[0xAB; 16]).unwrap();
         pm.free_frame(a);
         let b = pm.alloc_frame().unwrap();
         let mut buf = [0xFFu8; 16];
-        pm.read(pm.frame_base(b), &mut buf).unwrap();
+        pm.read(frame_base(b), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 16]);
     }
 
@@ -188,7 +182,7 @@ mod tests {
     fn read_write_roundtrip() {
         let mut pm = PhysMem::new(2);
         let f = pm.alloc_frame().unwrap();
-        let base = pm.frame_base(f);
+        let base = frame_base(f);
         pm.write(base + 100, b"hello").unwrap();
         let mut buf = [0u8; 5];
         pm.read(base + 100, &mut buf).unwrap();
@@ -210,7 +204,7 @@ mod tests {
         let mut pm = PhysMem::new(2);
         let f = pm.alloc_frame().unwrap();
         let mut buf = [0xFFu8; PAGE_SIZE];
-        pm.read(pm.frame_base(f), &mut buf).unwrap();
+        pm.read(frame_base(f), &mut buf).unwrap();
         assert_eq!(buf, [0u8; PAGE_SIZE]);
         assert!(pm.pages.iter().all(Option::is_none));
     }

@@ -93,7 +93,7 @@ impl Tlb {
     }
 
     /// Invalidates the entry for one page of one context.
-    pub fn invalidate(&mut self, ctx: ContextId, vpn: u64) {
+    pub(crate) fn invalidate(&mut self, ctx: ContextId, vpn: u64) {
         for e in self.entries.iter_mut() {
             if matches!(e, Some(entry) if entry.ctx == ctx && entry.vpn == vpn) {
                 *e = None;
@@ -102,7 +102,7 @@ impl Tlb {
     }
 
     /// Invalidates every entry of one context (context teardown).
-    pub fn flush_context(&mut self, ctx: ContextId) {
+    pub(crate) fn flush_context(&mut self, ctx: ContextId) {
         for e in self.entries.iter_mut() {
             if matches!(e, Some(entry) if entry.ctx == ctx) {
                 *e = None;
@@ -111,7 +111,7 @@ impl Tlb {
     }
 
     /// Invalidates everything.
-    pub fn flush_all(&mut self) {
+    pub(crate) fn flush_all(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = None);
     }
 

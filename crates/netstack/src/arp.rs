@@ -327,7 +327,7 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
 /// Resolves `ip` through an object exporting `arp`, returning the MAC to
 /// address a frame to: the cached binding, or broadcast while resolution
 /// is still in flight. Shared by the UDP and TCP layers.
-pub fn resolve_or_broadcast(arp: &ObjRef, ip: u32) -> Result<Mac, ObjError> {
+pub(crate) fn resolve_or_broadcast(arp: &ObjRef, ip: u32) -> Result<Mac, ObjError> {
     let mac = arp.invoke("arp", "resolve", &[Value::Int(i64::from(ip))])?;
     let mac = mac.as_bytes()?;
     Ok(match mac.as_ref().try_into() {

@@ -90,7 +90,7 @@ pub const NETDEV: &[MethodSig] = &[
 /// and the `send` / `recv` derived from them. `tx` applies a whole,
 /// validated burst; `rx` appends up to `max` frames to a list that is
 /// empty when it is called, and on an error keeps whatever it had pulled
-/// (see [`Drain::unread`]) rather than leave it in the list.
+/// (see `Drain::unread`) rather than leave it in the list.
 pub fn netdev_methods<T, R>(tx: T, rx: R) -> InterfaceBuilder
 where
     T: Fn(&ObjRef, Tx<'_>) -> ObjResult<()> + Send + Sync + 'static,
@@ -184,13 +184,13 @@ impl Drain {
     }
 
     /// Nothing held and nothing more to pull in this call.
-    pub fn is_dry(&self) -> bool {
+    pub(crate) fn is_dry(&self) -> bool {
         self.dry && self.held.len() == 0
     }
 
     /// Takes back frames already moved to `out`, in front of what is
     /// held: how a layer that fails mid-burst keeps what it had pulled.
-    pub fn unread(&mut self, out: &mut Vec<Value>) {
+    pub(crate) fn unread(&mut self, out: &mut Vec<Value>) {
         out.extend(self.held.by_ref());
         self.held = std::mem::take(out).into_iter();
     }
@@ -212,7 +212,7 @@ pub(crate) mod fakes {
 
     /// A `netdev` that passes everything to `inner` — until a direction
     /// is blown, when that direction fails with "link down".
-    pub fn fuse(inner: ObjRef, blown: Arc<Blown>) -> ObjRef {
+    pub(crate) fn fuse(inner: ObjRef, blown: Arc<Blown>) -> ObjRef {
         let down = || Err(ObjError::failed("link down"));
         let (tx_inner, tx_blown) = (inner.clone(), blown.clone());
         let rx_inner = inner.clone();

@@ -77,7 +77,11 @@ pub fn make_driver(mem: &Arc<MemService>, domain: DomainId) -> CoreResult<ObjRef
 /// Builds a NIC driver object for `domain` over the named NIC device,
 /// allocating and claiming its I/O regions. Multi-homed machines register
 /// extra [`Nic`]s under their own names and run one driver per device.
-pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> CoreResult<ObjRef> {
+pub(crate) fn make_driver_on(
+    mem: &Arc<MemService>,
+    domain: DomainId,
+    nic: &str,
+) -> CoreResult<ObjRef> {
     // The NIC's regions exist once per device: reuse them if an earlier
     // driver instance allocated them, so exclusivity is actually contended.
     let existing: Vec<(IoRegionId, IoSharing)> = {

@@ -51,20 +51,6 @@ pub fn make_native_port_filter(port: u16) -> ObjRef {
     })
 }
 
-/// Builds a native filter accepting TCP segments *or* UDP datagrams to
-/// `port`. Like the bytecode filter it reads the headers at fixed
-/// offsets (both L4 protocols keep the destination port at the same
-/// place), so it is cheap enough to sit in front of a TCP endpoint's
-/// receive path.
-pub fn make_l4_port_filter(port: u16) -> ObjRef {
-    make_port_filter("l4-port-filter", port, |frame, port| {
-        frame.len() >= DST_PORT_OFF as usize + 2
-            && frame[12..14] == wire::ETHERTYPE_IPV4.to_be_bytes()
-            && matches!(frame[23], wire::IPPROTO_TCP | wire::IPPROTO_UDP)
-            && frame[DST_PORT_OFF as usize..DST_PORT_OFF as usize + 2] == port.to_be_bytes()
-    })
-}
-
 /// The native filter object: counts what it checks and what `accepts`
 /// (a predicate over the frame and the port) lets through.
 fn make_port_filter(

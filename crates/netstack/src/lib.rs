@@ -81,7 +81,7 @@ pub mod tcp;
 pub mod testkit;
 pub mod wire;
 
-pub use driver::{install_driver, make_driver, make_driver_on};
-pub use filter::{make_l4_port_filter, make_native_port_filter, udp_port_filter_program};
+pub use driver::{install_driver, make_driver};
+pub use filter::{make_native_port_filter, udp_port_filter_program};
 pub use monitor::make_network_monitor;
 pub use stack::make_udp_stack;

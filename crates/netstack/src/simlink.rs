@@ -114,7 +114,7 @@ impl LinkConfig {
     /// list: `[drop, dup, reorder, corrupt, delay_min, delay_max]`. The
     /// seed is deliberately absent — a live link's RNG stream never
     /// restarts, so replays stay bit-identical across reconfigs.
-    pub fn to_knobs(&self) -> Vec<Value> {
+    pub(crate) fn to_knobs(self) -> Vec<Value> {
         vec![
             Value::Int(i64::from(self.drop_permille)),
             Value::Int(i64::from(self.dup_permille)),

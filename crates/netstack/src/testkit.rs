@@ -32,7 +32,7 @@ pub const PEER_MAC: Mac = [2, 0, 0, 0, 0, 9];
 pub const PEER_PORT: u16 = 4444;
 
 /// A booted machine wrapped for sharing.
-pub fn test_machine() -> Arc<Mutex<Machine>> {
+pub(crate) fn test_machine() -> Arc<Mutex<Machine>> {
     Arc::new(Mutex::new(Machine::new()))
 }
 
@@ -55,7 +55,7 @@ pub fn inject_frame(machine: &Arc<Mutex<Machine>>, frame: Vec<u8>) {
 }
 
 /// Builds the canonical UDP test frame: `PEER -> MY_IP:dst_port`.
-pub fn udp_frame_to(dst_port: u16, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn udp_frame_to(dst_port: u16, payload: &[u8]) -> Vec<u8> {
     wire::build_udp_frame(
         PEER_MAC, MY_MAC, PEER_IP, MY_IP, PEER_PORT, dst_port, payload,
     )

@@ -466,7 +466,7 @@ pub fn build_tcp_frame(
 /// [`build_tcp_frame`] for a payload that lies in pieces (the halves of
 /// a ring buffer): every byte is written once, into the one buffer the
 /// frame leaves in.
-pub fn build_tcp_frame_parts(
+pub(crate) fn build_tcp_frame_parts(
     src_mac: Mac,
     dst_mac: Mac,
     src_ip: u32,

@@ -142,7 +142,7 @@ impl Object {
     }
 
     /// Names of all exported interfaces, sorted.
-    pub fn interface_names(&self) -> Vec<&'static str> {
+    pub(crate) fn interface_names(&self) -> Vec<&'static str> {
         self.interfaces.iter().map(Interface::name).collect()
     }
 

@@ -88,7 +88,7 @@ impl MethodSig {
     }
 
     /// Checks `args` against this signature.
-    pub fn check_args(&self, args: &[Value]) -> ObjResult<()> {
+    pub(crate) fn check_args(&self, args: &[Value]) -> ObjResult<()> {
         if args.len() != self.params.len() {
             return Err(ObjError::Arity {
                 method: self.name,
@@ -109,7 +109,7 @@ impl MethodSig {
     }
 
     /// Checks a returned value against this signature.
-    pub fn check_result(&self, result: &Value) -> ObjResult<()> {
+    pub(crate) fn check_result(&self, result: &Value) -> ObjResult<()> {
         if self.returns == result.tag() {
             Ok(())
         } else {

@@ -34,7 +34,7 @@ pub struct Cfg {
 }
 
 /// True for instructions that end a basic block.
-pub fn is_terminator(insn: &Insn) -> bool {
+pub(crate) fn is_terminator(insn: &Insn) -> bool {
     matches!(
         insn,
         Insn::Beq { .. }
@@ -163,7 +163,7 @@ impl Cfg {
 
     /// True if `block` has an incoming back edge (a predecessor that does
     /// not strictly precede it in layout order) — the widening points.
-    pub fn is_loop_head(&self, block: u32) -> bool {
+    pub(crate) fn is_loop_head(&self, block: u32) -> bool {
         self.blocks[block as usize]
             .preds
             .iter()
@@ -172,7 +172,7 @@ impl Cfg {
 
     /// Iterates the instruction indices of reachable blocks in layout
     /// order.
-    pub fn reachable_pcs(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn reachable_pcs(&self) -> impl Iterator<Item = u32> + '_ {
         self.blocks
             .iter()
             .enumerate()

@@ -158,7 +158,11 @@ fn loop_nest(spec: &[u8]) -> Program {
                 }
                 4 => {
                     a.li(r(13), i64::from(s[3] % 9));
-                    a.shl(acc, acc, r(13));
+                    a.raw(Insn::Shl {
+                        rd: acc,
+                        rs1: acc,
+                        rs2: r(13),
+                    });
                 }
                 5 => {
                     a.mov(r(10), acc).mask_data(r(10));

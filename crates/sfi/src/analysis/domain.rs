@@ -4,7 +4,7 @@
 //! may hold: every member `v` satisfies `lo <= v <= hi`, `v & zeros == 0`
 //! and `v & ones == ones`. The two views reinforce each other — a
 //! mask-then-align idiom is exact in the bits view, a `MaskData` guard is
-//! exact in the interval view, and [`AbsVal::normalize`] moves information
+//! exact in the interval view, and `AbsVal::normalize` moves information
 //! between them (e.g. rounding `hi` down to the known alignment).
 //!
 //! This replaces the seed's five-value lattice (`Known`/`Masked`/
@@ -63,7 +63,7 @@ impl AbsVal {
     }
 
     /// True if this is a single known constant.
-    pub fn as_const(&self) -> Option<u64> {
+    pub(crate) fn as_const(&self) -> Option<u64> {
         (self.lo == self.hi).then_some(self.lo)
     }
 
@@ -77,7 +77,7 @@ impl AbsVal {
     /// Sound only on non-empty inputs (which is all the analysis ever
     /// produces: transfer functions over-approximate reachable states).
     #[must_use]
-    pub fn normalize(mut self) -> AbsVal {
+    pub(crate) fn normalize(mut self) -> AbsVal {
         // Bits above the range's most significant bit are zero.
         self.zeros |= !low_mask(64 - self.hi.leading_zeros());
         // Bits bound the range.
@@ -128,7 +128,7 @@ impl AbsVal {
     /// those the widened `hi` implies. Bits below the moving ones — the
     /// alignment of a strided pointer — survive.
     #[must_use]
-    pub fn widen(self, next: AbsVal, thresholds: &[u64]) -> AbsVal {
+    pub(crate) fn widen(self, next: AbsVal, thresholds: &[u64]) -> AbsVal {
         let joined = self.join(next);
         let lost = (self.zeros & !joined.zeros) | (self.ones & !joined.ones);
         let stable = low_mask(lost.trailing_zeros());
@@ -210,7 +210,7 @@ impl AbsVal {
     /// `a / b` — the abstract result *assuming the division executed*
     /// (a zero divisor traps in the interpreter and produces no value).
     #[must_use]
-    pub fn divu(self, rhs: AbsVal) -> AbsVal {
+    pub(crate) fn divu(self, rhs: AbsVal) -> AbsVal {
         let div_lo = rhs.lo.max(1);
         let div_hi = rhs.hi.max(1);
         AbsVal::range(self.lo / div_hi, self.hi / div_lo)
@@ -242,7 +242,7 @@ impl AbsVal {
 
     /// `a ^ b`.
     #[must_use]
-    pub fn xor(self, rhs: AbsVal) -> AbsVal {
+    pub(crate) fn xor(self, rhs: AbsVal) -> AbsVal {
         AbsVal {
             lo: 0,
             hi: ones_envelope(self.hi) | ones_envelope(rhs.hi),
@@ -254,7 +254,7 @@ impl AbsVal {
 
     /// `a << (b & 63)`.
     #[must_use]
-    pub fn shl(self, rhs: AbsVal) -> AbsVal {
+    pub(crate) fn shl(self, rhs: AbsVal) -> AbsVal {
         match rhs.as_const() {
             Some(k) => {
                 let k = (k & 63) as u32;
@@ -276,7 +276,7 @@ impl AbsVal {
 
     /// `a >> (b & 63)` (logical).
     #[must_use]
-    pub fn shr(self, rhs: AbsVal) -> AbsVal {
+    pub(crate) fn shr(self, rhs: AbsVal) -> AbsVal {
         match rhs.as_const() {
             Some(k) => {
                 let k = (k & 63) as u32;

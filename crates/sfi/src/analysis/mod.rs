@@ -9,7 +9,7 @@
 //!    reachability;
 //! 2. a worklist fixpoint over [`domain::AbsVal`] states (intervals +
 //!    known bits per register). Both views are widened at loop heads
-//!    ([`domain::AbsVal::widen`]), so a loop costs a few visits per nesting
+//!    (`domain::AbsVal::widen`), so a loop costs a few visits per nesting
 //!    level rather than one per bit of its widest accumulator: every
 //!    program in the tree converges in under a quarter of the
 //!    `TooComplex` budget, which the `convergence` test pins;
@@ -19,55 +19,40 @@
 //!    in-range, branches proven one-sided, instructions proven
 //!    unreachable or proven to always trap.
 //!
-//! The [`crate::verifier`] turns missing proofs into load-time rejection
-//! and [`lint`] turns the same facts into diagnostics. The executor does
-//! not consume them: [`crate::lower`] keeps every run-time check.
+//! The [`crate::verifier`] turns missing proofs into load-time rejection.
+//! The executor does not consume them: [`crate::lower`] keeps every
+//! run-time check.
 
 pub mod cfg;
 #[cfg(test)]
 mod convergence;
 pub mod domain;
-pub mod lint;
 
 use crate::bytecode::{Insn, Program, Reg, NUM_REGS};
 use crate::verifier::{VerifyError, VerifyReport};
 use cfg::Cfg;
 use domain::AbsVal;
 
-/// Definition-site lattice value: which pc last wrote a register.
-pub const DEF_ENTRY: u32 = u32::MAX;
-/// Several different pcs may have written the register.
-pub const DEF_MANY: u32 = u32::MAX - 1;
-
-/// Abstract machine state: one [`AbsVal`] and one definition site per
-/// register.
+/// Abstract machine state: one [`AbsVal`] per register.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AbsState {
     /// Per-register abstract value.
     pub regs: [AbsVal; NUM_REGS],
-    /// Per-register definition site (`DEF_ENTRY`, `DEF_MANY`, or a pc).
-    pub defs: [u32; NUM_REGS],
 }
 
 impl AbsState {
     fn entry() -> AbsState {
         AbsState {
             regs: [AbsVal::TOP; NUM_REGS],
-            defs: [DEF_ENTRY; NUM_REGS],
         }
     }
 
     /// Merges `other` into `self` register by register: `merge_val` is
-    /// the value lattice's join or widening; definition sites join.
+    /// the value lattice's join or widening.
     fn merge(&self, other: &AbsState, merge_val: impl Fn(AbsVal, AbsVal) -> AbsVal) -> AbsState {
         let mut out = *self;
         for i in 0..NUM_REGS {
             out.regs[i] = merge_val(self.regs[i], other.regs[i]);
-            out.defs[i] = if self.defs[i] == other.defs[i] {
-                self.defs[i]
-            } else {
-                DEF_MANY
-            };
         }
         out
     }
@@ -150,18 +135,12 @@ pub struct Analysis {
     /// Load-time cost statistics.
     pub report: VerifyReport,
     data_len: u32,
-    code_len: u32,
 }
 
 impl Analysis {
     /// Declared data-segment size of the analyzed program.
     pub fn data_len(&self) -> u32 {
         self.data_len
-    }
-
-    /// Instruction count of the analyzed program.
-    pub fn code_len(&self) -> u32 {
-        self.code_len
     }
 
     /// The verifier's accept/reject decision over the proof map: every
@@ -297,12 +276,9 @@ fn decide_branch(insn: &Insn, state: &AbsState) -> Option<bool> {
 }
 
 /// Applies one instruction's abstract transfer to `state`.
-fn transfer(insn: &Insn, pc: u32, state: &mut AbsState, data_len: u64, code_len: u64) {
+fn transfer(insn: &Insn, state: &mut AbsState, data_len: u64, code_len: u64) {
     let get = |state: &AbsState, r: Reg| state.regs[r.0 as usize];
-    let set = |state: &mut AbsState, r: Reg, v: AbsVal| {
-        state.regs[r.0 as usize] = v;
-        state.defs[r.0 as usize] = pc;
-    };
+    let set = |state: &mut AbsState, r: Reg, v: AbsVal| state.regs[r.0 as usize] = v;
     match *insn {
         Insn::Li { rd, imm } => set(state, rd, AbsVal::constant(imm as u64)),
         Insn::Mov { rd, rs } => {
@@ -431,7 +407,7 @@ pub fn default_budget(program: &Program) -> u64 {
 }
 
 /// [`analyze`] with an explicit evaluation budget (exposed for tests).
-pub fn analyze_with_budget(program: &Program, budget: u64) -> Result<Analysis, VerifyError> {
+pub(crate) fn analyze_with_budget(program: &Program, budget: u64) -> Result<Analysis, VerifyError> {
     analyze_widening(program, budget, AbsVal::widen)
 }
 
@@ -467,7 +443,6 @@ fn analyze_widening(
             pc_states: Vec::new(),
             report,
             data_len: program.data_len,
-            code_len,
         });
     }
 
@@ -508,7 +483,7 @@ fn analyze_widening(
             if pc + 1 == block.end {
                 decided = decide_branch(insn, &state);
             }
-            transfer(insn, pc, &mut state, data_len, u64::from(code_len));
+            transfer(insn, &mut state, data_len, u64::from(code_len));
         }
 
         // Propagate along live edges: all of them, or the one a decided
@@ -553,7 +528,7 @@ fn analyze_widening(
             let insn = &code[pc as usize];
             facts[pc as usize] = facts_for(insn, &state, data_len, u64::from(code_len));
             pc_states[pc as usize] = Some(state);
-            transfer(insn, pc, &mut state, data_len, u64::from(code_len));
+            transfer(insn, &mut state, data_len, u64::from(code_len));
         }
     }
 
@@ -563,7 +538,6 @@ fn analyze_widening(
         pc_states,
         report,
         data_len: program.data_len,
-        code_len,
     })
 }
 
@@ -636,6 +610,65 @@ mod tests {
     }
 
     #[test]
+    fn each_fixture_carries_and_lacks_its_facts() {
+        let mut div_zero = Asm::new(0);
+        div_zero.li(r(1), 9).li(r(2), 0);
+        div_zero.raw(Insn::Divu {
+            rd: r(0),
+            rs1: r(1),
+            rs2: r(2),
+        });
+        div_zero.halt();
+        let mut dead_tail = Asm::new(0);
+        dead_tail.li(r(0), 1).halt();
+        dead_tail.li(r(0), 2).li(r(0), 3).halt();
+        let mut jr_input = Asm::new(0);
+        jr_input.jr(r(3)).halt();
+        // r2 = byte + byte lies in [0, 510], past the program's end.
+        let mut jr_sum = Asm::new(64);
+        jr_sum.ld(r(2), r(1), 0).mask_data(r(1)).ldb(r(2), r(1), 0);
+        jr_sum.add(r(2), r(2), r(2)).jr(r(2)).halt();
+        // (fixture, pcs, facts each pc has, a fact none of them has)
+        let rows: [(&str, Program, &[u32], Facts, Facts); 4] = [
+            (
+                "divide by constant zero",
+                div_zero.finish().unwrap(),
+                &[2],
+                Facts::ALWAYS_TRAPS,
+                Facts::DIV_NONZERO,
+            ),
+            (
+                "code after halt",
+                dead_tail.finish().unwrap(),
+                &[2, 3, 4],
+                Facts::default(),
+                Facts::REACHABLE,
+            ),
+            (
+                "jump through an input",
+                jr_input.finish().unwrap(),
+                &[0],
+                Facts::REACHABLE,
+                Facts::JUMP_SAFE,
+            ),
+            (
+                "jump through an unbounded sum",
+                jr_sum.finish().unwrap(),
+                &[4],
+                Facts::REACHABLE,
+                Facts::JUMP_SAFE,
+            ),
+        ];
+        for (name, p, pcs, has, lacks) in rows {
+            let a = analyze(&p).unwrap();
+            for &pc in pcs {
+                let f = a.proofs.at(pc);
+                assert!(f.has(has) && !f.has(lacks), "{name}, pc {pc}: {f:?}");
+            }
+        }
+    }
+
+    #[test]
     fn access_whose_end_wraps_the_address_space_is_not_proven() {
         // `base - 1 + 8` overflows u64: in a release build the sum used to
         // wrap to 6, inside the segment, and earn the load a MEM_SAFE.
@@ -656,22 +689,5 @@ mod tests {
             VerifyError::TooComplex { evaluations, .. } => assert_eq!(evaluations, 4),
             other => panic!("expected TooComplex, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn defs_track_single_and_multiple_writers() {
-        let mut asm = Asm::new(0);
-        asm.li(r(1), 1); // pc 0
-        asm.beq(r(0), r(0), "b"); // always taken, but r0 is top: not decided
-        asm.li(r(1), 2); // pc 2
-        asm.label("b");
-        asm.mov(r(2), r(1)); // pc 3: r1 def is MANY (pc 0 or pc 2)
-        asm.halt();
-        let p = asm.finish().unwrap();
-        let a = analyze(&p).unwrap();
-        let st = a.pc_states[3].unwrap();
-        assert_eq!(st.defs[1], DEF_MANY);
-        let st0 = a.pc_states[1].unwrap();
-        assert_eq!(st0.defs[1], 0);
     }
 }

@@ -105,17 +105,12 @@ impl Asm {
     }
 
     /// `rd <- rs1 ^ rs2`
-    pub fn xor(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
+    pub(crate) fn xor(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
         self.raw(Insn::Xor { rd, rs1, rs2 })
     }
 
-    /// `rd <- rs1 << (rs2 & 63)`
-    pub fn shl(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
-        self.raw(Insn::Shl { rd, rs1, rs2 })
-    }
-
     /// `rd <- rs1 >> (rs2 & 63)` (logical)
-    pub fn shr(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
+    pub(crate) fn shr(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
         self.raw(Insn::Shr { rd, rs1, rs2 })
     }
 
@@ -182,7 +177,7 @@ impl Asm {
     }
 
     /// Unconditional jump.
-    pub fn jmp(&mut self, label: &str) -> &mut Self {
+    pub(crate) fn jmp(&mut self, label: &str) -> &mut Self {
         self.branch(Insn::Jmp { target: u32::MAX }, label)
     }
 

@@ -64,10 +64,6 @@
 //!    sits on a pc where the oracle traps (the gate a facts-driven opcode
 //!    would have to pass before one is added).
 //!
-//! [`analysis::lint`] reuses stages 2–3 for diagnostics instead of speed:
-//! unreachable code, dead stores, always-trapping instructions, and
-//! unguarded-indirect-jump explanations with register provenance.
-//!
 //! Certified-native execution (the Paramecium path) runs the *original*
 //! program, lowered as is with no analysis at all: the trust was
 //! established by signature at load time, and the simulation-level bounds

@@ -87,7 +87,7 @@ pub struct VerifyReport {
 ///
 /// Equivalent to [`analysis::analyze`] followed by
 /// [`analysis::Analysis::verdict`]; use the analysis directly when the
-/// [`analysis::ProofMap`] itself is wanted (linting).
+/// [`analysis::ProofMap`] itself is wanted.
 pub fn verify(program: &Program) -> Result<VerifyReport, VerifyError> {
     let a = analysis::analyze(program)?;
     a.verdict(program)?;

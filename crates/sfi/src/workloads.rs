@@ -138,7 +138,7 @@ pub fn table_fill(data_len: u32, iterations: u32) -> Program {
 /// of the segment. Exercises constant-address and bounded-base-plus-offset
 /// accesses — idioms only the interval analysis can prove. The 256-byte
 /// layout: `[len:8][payload:240][result:8]`.
-pub fn header_parse_verified() -> Program {
+pub(crate) fn header_parse_verified() -> Program {
     let mut a = Asm::new(256);
     a.li(r(9), 0);
     a.ld(r(1), r(9), 0); // Length word at offset 0: constant address.
@@ -202,9 +202,8 @@ pub fn bloom_insert_verified(iterations: u32) -> Program {
 }
 
 /// The benign workload suite: every program a well-behaved "trusted
-/// compiler" would emit — each one verifies, runs without trapping, and is
-/// lint-clean. CI runs the lint pass over this suite expecting zero
-/// diagnostics; the `b12_sfi` bench runs it through both interpreters.
+/// compiler" would emit — each one verifies and runs without trapping.
+/// The `b12_sfi` bench runs it through both interpreters.
 pub fn benign_suite() -> Vec<(&'static str, Program)> {
     vec![
         ("checksum_bytes", checksum_loop_verified(64, 2)),

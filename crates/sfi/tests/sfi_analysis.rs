@@ -672,15 +672,6 @@ proptest! {
 }
 
 #[test]
-fn benign_suite_is_lint_clean() {
-    for (name, program) in workloads::benign_suite() {
-        let diags = analysis::lint::lint(&program)
-            .unwrap_or_else(|e| panic!("{name} failed analysis: {e}"));
-        assert!(diags.is_empty(), "{name} has diagnostics: {diags:?}");
-    }
-}
-
-#[test]
 fn analysis_discharges_checks_on_the_benign_suite() {
     // What facts-driven opcodes would have to work with: on every benign
     // program that has checkable instructions, the proof map discharges

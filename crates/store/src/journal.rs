@@ -68,7 +68,9 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{counters, sum64, ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{blockdev_methods, check_sectors, fill, pairs_arg, sectors_arg, SectorMap};
+use crate::vectored::{
+    blockdev_methods, check_sectors, fill, pairs_arg, sectors_arg, SectorMap, BLOCKDEV,
+};
 
 /// Magic tag of a superblock sector.
 const SB_MAGIC: u64 = 0x504A_5342_4C4B_0002; // "PJSBLK" v2
@@ -576,6 +578,8 @@ impl JournalShared {
 /// (formatting a fresh device), replays committed transactions to their
 /// home locations, and truncates the log. Mount is idempotent — a crash
 /// anywhere during recovery replays the same committed prefix next time.
+/// A backing that does not export `blockdev` as [`BLOCKDEV`] declares it
+/// is refused with [`ObjError::Binding`] before anything is read.
 ///
 /// Returns an object exporting `blockdev` (see the [crate docs](crate)
 /// for the full method list) plus a `journal` interface:
@@ -592,6 +596,7 @@ pub fn mount_journal(backing: ObjRef, cfg: JournalConfig) -> ObjResult<ObjRef> {
 /// truncation — without the object wrapper, so unit tests can reach the
 /// internal state machine ([`JournalShared::append_group`] and friends).
 fn mount_shared(backing: ObjRef, cfg: JournalConfig) -> ObjResult<Arc<JournalShared>> {
+    backing.conforms("blockdev", BLOCKDEV)?;
     let total = backing.invoke("blockdev", "sectors", &[])?.as_int()?;
     let log_len = cfg.log_sectors;
     if log_len < 4 || log_len + 2 >= total {
@@ -838,9 +843,8 @@ mod tests {
         let err = j.invoke("blockdev", "flush", &[]).unwrap_err();
         assert!(err.to_string().contains("injected flush failure"), "{err}");
 
-        // A backing that is not a whole `blockdev` and has no `flush`:
-        // the journal's checkpoint still homes its log, and the missing
-        // method is reported, not taken for "nothing to flush".
+        // A backing that is not a whole `blockdev` and has no `flush` is
+        // refused at mount, not when the missing method is first called.
         let (_mem, driver, _j) = setup();
         let mut bare = InterfaceBuilder::new("blockdev");
         for (verb, params, returns) in [
@@ -857,17 +861,10 @@ mod tests {
         let bare = ObjectBuilder::new("bare-blockdev")
             .raw_interface(bare.finish())
             .build();
-        let j = mount_journal(bare, JournalConfig::default()).unwrap();
-        j.invoke("blockdev", "write", &[Value::Int(3), sector_of(0xAE)])
-            .unwrap();
         assert!(matches!(
-            j.invoke("blockdev", "flush", &[]),
-            Err(ObjError::NoSuchMethod { method, .. }) if method == "flush"
+            mount_journal(bare, JournalConfig::default()),
+            Err(ObjError::Binding(_))
         ));
-        assert_eq!(
-            driver.invoke("blockdev", "read", &[Value::Int(3)]).unwrap(),
-            sector_of(0xAE)
-        );
     }
 
     #[test]

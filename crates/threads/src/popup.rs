@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 10);
         assert_eq!(engine.stats().fast_path, 10);
         assert_eq!(engine.stats().promotions, 0);
-        assert_eq!(scheduler.thread_count(), 0);
+        assert_eq!(scheduler.stats().spawned, 0);
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl Scheduler {
 
     /// Spawns with explicit kind and optional cost charging (the pop-up
     /// engine charges its own, different costs).
-    pub fn spawn_kind(
+    pub(crate) fn spawn_kind(
         &self,
         name: impl Into<String>,
         body: ThreadBody,
@@ -127,7 +127,7 @@ impl Scheduler {
 
     /// Runs one scheduling slice. Returns false if the ready queue was
     /// empty.
-    pub fn run_slice(&self) -> bool {
+    pub(crate) fn run_slice(&self) -> bool {
         let Some(tid) = self.core.ready.lock().pop_front() else {
             return false;
         };
@@ -194,19 +194,6 @@ impl Scheduler {
     /// The scheduling state of a thread, if it exists.
     pub fn state(&self, tid: Tid) -> Option<TState> {
         self.core.tcbs.lock().get(&tid).map(|t| t.state)
-    }
-
-    /// Removes finished TCBs, returning how many were reaped.
-    pub fn reap(&self) -> usize {
-        let mut tcbs = self.core.tcbs.lock();
-        let before = tcbs.len();
-        tcbs.retain(|_, t| t.state != TState::Finished);
-        before - tcbs.len()
-    }
-
-    /// Live (unreaped) thread count.
-    pub fn thread_count(&self) -> usize {
-        self.core.tcbs.lock().len()
     }
 
     /// Statistics snapshot.
@@ -283,19 +270,6 @@ mod tests {
         s.run_until_idle(10);
         let cost = s.core().machine().lock().cost.schedule;
         assert_eq!(s.core().machine().lock().now() - before, cost);
-    }
-
-    #[test]
-    fn reap_clears_finished() {
-        let s = sched();
-        s.spawn("t1", Box::new(|_| Step::Done));
-        let spinner = s.spawn("t2", Box::new(|_| Step::Yield));
-        s.run_until_idle(10);
-        assert_eq!(s.thread_count(), 2);
-        // t2 yields forever; cap slices. t1 finished.
-        assert_eq!(s.reap(), 1);
-        assert_eq!(s.thread_count(), 1);
-        assert_eq!(s.state(spinner), Some(TState::Ready));
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl Semaphore {
     pub fn permits(&self) -> i64 {
         self.inner.state.lock().permits
     }
-
-    /// Number of parked threads.
-    pub fn waiter_count(&self) -> usize {
-        self.inner.state.lock().waiters.len()
-    }
 }
 
 /// A mutex for simulated threads: a binary semaphore.
@@ -264,7 +259,7 @@ mod tests {
 
         s.run_until_idle(10);
         assert_eq!(s.state(waiter), Some(crate::tcb::TState::Blocked));
-        assert_eq!(sem.waiter_count(), 1);
+        assert_eq!(sem.inner.state.lock().waiters.len(), 1);
 
         sem.release();
         s.run_until_idle(10);

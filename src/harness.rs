@@ -8,9 +8,7 @@
 //! The four 512-bit RSA authorities are generated **once per process**
 //! (they are deterministic, so every boot would produce the same keys
 //! anyway) and shared by all [`World::boot`] calls; key generation used to
-//! dominate every test binary's wall clock. Tests that need key material
-//! distinct from the shared set boot via
-//! [`World::boot_with_fresh_keys`].
+//! dominate every test binary's wall clock.
 
 use std::sync::{Arc, OnceLock};
 
@@ -77,15 +75,6 @@ impl World {
     /// Boots with an explicit cost model (ablations).
     pub fn boot_with_cost(cost: CostModel) -> World {
         Self::assemble(cost, HarnessAuthorities::shared())
-    }
-
-    /// Boots with authority keys generated from `seed` instead of the
-    /// shared process-wide set — the escape hatch for tests that need key
-    /// material isolated from (or distinct from) every other boot. Any
-    /// seed other than `0x50AE_C1A0` yields keys distinct from the shared
-    /// set.
-    pub fn boot_with_fresh_keys(seed: u64) -> World {
-        Self::assemble(CostModel::default(), &HarnessAuthorities::generate(seed))
     }
 
     fn assemble(cost: CostModel, auth: &HarnessAuthorities) -> World {
@@ -220,8 +209,8 @@ mod tests {
         let b = World::boot();
         // Same shared authority set: byte-identical public keys.
         assert_eq!(a.root.public(), b.root.public());
-        // The escape hatch mints a distinct key universe per seed…
-        let fresh = World::boot_with_fresh_keys(42);
+        // Keys from another seed are a distinct key universe…
+        let fresh = World::assemble(CostModel::default(), &HarnessAuthorities::generate(42));
         assert_ne!(fresh.root.public(), a.root.public());
         // …whose certificates the shared-key nucleus must reject.
         let bytecode = workloads::checksum_loop_verified(64, 1);

@@ -164,7 +164,7 @@ impl WorldPool {
     }
 
     /// Boots with an explicit per-world AM queue capacity.
-    pub fn boot_with_capacity(worlds: usize, seed: u64, am_capacity: usize) -> WorldPool {
+    pub(crate) fn boot_with_capacity(worlds: usize, seed: u64, am_capacity: usize) -> WorldPool {
         assert!(worlds > 0, "a pool needs at least one world");
         let bus = CrossBus::new(worlds);
         let worlds = (0..worlds)
