@@ -609,63 +609,62 @@ mod tests {
         assert!(a.verdict(&p).is_err());
     }
 
+    /// Asserts that each of `pcs` has every fact of `has` and no fact of
+    /// `lacks`.
+    fn assert_facts(p: &Program, pcs: &[u32], has: Facts, lacks: Facts) {
+        let a = analyze(p).unwrap();
+        for &pc in pcs {
+            let f = a.proofs.at(pc);
+            assert!(f.has(has) && !f.has(lacks), "pc {pc}: {f:?}");
+        }
+    }
+
     #[test]
-    fn each_fixture_carries_and_lacks_its_facts() {
-        let mut div_zero = Asm::new(0);
-        div_zero.li(r(1), 9).li(r(2), 0);
-        div_zero.raw(Insn::Divu {
+    fn wild_writer_traps_only_at_its_wild_store() {
+        let p = crate::workloads::wild_writer();
+        let a = analyze(&p).unwrap();
+        let trapping: Vec<usize> = (0..a.proofs.len())
+            .filter(|&pc| a.proofs.at(pc as u32).has(Facts::ALWAYS_TRAPS))
+            .collect();
+        assert_eq!(trapping, [2]);
+    }
+
+    #[test]
+    fn divide_by_constant_zero_always_traps() {
+        let mut asm = Asm::new(0);
+        asm.li(r(1), 9).li(r(2), 0);
+        asm.raw(Insn::Divu {
             rd: r(0),
             rs1: r(1),
             rs2: r(2),
         });
-        div_zero.halt();
-        let mut dead_tail = Asm::new(0);
-        dead_tail.li(r(0), 1).halt();
-        dead_tail.li(r(0), 2).li(r(0), 3).halt();
-        let mut jr_input = Asm::new(0);
-        jr_input.jr(r(3)).halt();
+        asm.halt();
+        let p = asm.finish().unwrap();
+        assert_facts(&p, &[2], Facts::ALWAYS_TRAPS, Facts::DIV_NONZERO);
+    }
+
+    #[test]
+    fn code_after_halt_is_unreachable() {
+        let mut asm = Asm::new(0);
+        asm.li(r(0), 1).halt();
+        asm.li(r(0), 2).li(r(0), 3).halt();
+        let p = asm.finish().unwrap();
+        assert_facts(&p, &[2, 3, 4], Facts::default(), Facts::REACHABLE);
+    }
+
+    #[test]
+    fn unguarded_jumps_are_not_jump_safe() {
+        // Through an input register.
+        let mut asm = Asm::new(0);
+        asm.jr(r(3)).halt();
+        let p = asm.finish().unwrap();
+        assert_facts(&p, &[0], Facts::REACHABLE, Facts::JUMP_SAFE);
         // r2 = byte + byte lies in [0, 510], past the program's end.
-        let mut jr_sum = Asm::new(64);
-        jr_sum.ld(r(2), r(1), 0).mask_data(r(1)).ldb(r(2), r(1), 0);
-        jr_sum.add(r(2), r(2), r(2)).jr(r(2)).halt();
-        // (fixture, pcs, facts each pc has, a fact none of them has)
-        let rows: [(&str, Program, &[u32], Facts, Facts); 4] = [
-            (
-                "divide by constant zero",
-                div_zero.finish().unwrap(),
-                &[2],
-                Facts::ALWAYS_TRAPS,
-                Facts::DIV_NONZERO,
-            ),
-            (
-                "code after halt",
-                dead_tail.finish().unwrap(),
-                &[2, 3, 4],
-                Facts::default(),
-                Facts::REACHABLE,
-            ),
-            (
-                "jump through an input",
-                jr_input.finish().unwrap(),
-                &[0],
-                Facts::REACHABLE,
-                Facts::JUMP_SAFE,
-            ),
-            (
-                "jump through an unbounded sum",
-                jr_sum.finish().unwrap(),
-                &[4],
-                Facts::REACHABLE,
-                Facts::JUMP_SAFE,
-            ),
-        ];
-        for (name, p, pcs, has, lacks) in rows {
-            let a = analyze(&p).unwrap();
-            for &pc in pcs {
-                let f = a.proofs.at(pc);
-                assert!(f.has(has) && !f.has(lacks), "{name}, pc {pc}: {f:?}");
-            }
-        }
+        let mut asm = Asm::new(64);
+        asm.ld(r(2), r(1), 0).mask_data(r(1)).ldb(r(2), r(1), 0);
+        asm.add(r(2), r(2), r(2)).jr(r(2)).halt();
+        let p = asm.finish().unwrap();
+        assert_facts(&p, &[4], Facts::REACHABLE, Facts::JUMP_SAFE);
     }
 
     #[test]
