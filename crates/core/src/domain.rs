@@ -3,10 +3,7 @@
 //! A protection domain *is* an MMU context plus a name-space view. The
 //! nucleus's four services all use the domain as their unit of granularity.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use paramecium_machine::mmu::ContextId;
 
@@ -38,7 +35,7 @@ impl From<ContextId> for DomainId {
     }
 }
 
-/// A protection domain: context, name-space view, and bookkeeping.
+/// A protection domain: a context and a name-space view.
 pub struct Domain {
     /// Domain identifier (== MMU context).
     pub id: DomainId,
@@ -47,8 +44,6 @@ pub struct Domain {
     /// The domain's view of the object name space (possibly with local
     /// overrides; inherited from the creating domain).
     pub namespace: Arc<NameSpace>,
-    /// Instance paths of components loaded into this domain.
-    pub loaded: RwLock<BTreeSet<String>>,
 }
 
 impl Domain {
@@ -58,18 +53,7 @@ impl Domain {
             id,
             name: name.into(),
             namespace,
-            loaded: RwLock::new(BTreeSet::new()),
         })
-    }
-
-    /// Records that a component instance was loaded here. A path loaded
-    /// again (after an unregister) is recorded once: a kernel that cycles
-    /// extensions through the same paths must not grow by a string a load.
-    pub(crate) fn note_loaded(&self, path: &str) {
-        let mut loaded = self.loaded.write();
-        if !loaded.contains(path) {
-            loaded.insert(path.to_owned());
-        }
     }
 }
 
@@ -92,15 +76,5 @@ mod tests {
         assert_eq!(DomainId::from(ContextId(7)), DomainId(7));
         assert!(KERNEL_DOMAIN.is_kernel());
         assert!(!DomainId(1).is_kernel());
-    }
-
-    #[test]
-    fn loaded_paths_accumulate() {
-        let d = Domain::new(DomainId(1), "app", NameSpace::root());
-        d.note_loaded("/app/fft");
-        d.note_loaded("/app/alloc");
-        d.note_loaded("/app/fft");
-        let loaded: Vec<_> = d.loaded.read().iter().cloned().collect();
-        assert_eq!(loaded, ["/app/alloc", "/app/fft"]);
     }
 }

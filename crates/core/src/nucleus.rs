@@ -36,8 +36,8 @@ use crate::{
     CoreError, CoreResult,
 };
 
-/// Default VM step budget for loaded bytecode components.
-pub const DEFAULT_STEP_BUDGET: u64 = 1 << 28;
+/// VM step budget for loaded bytecode components.
+const DEFAULT_STEP_BUDGET: u64 = 1 << 28;
 
 /// The assembled Paramecium nucleus.
 pub struct Nucleus {
@@ -55,8 +55,6 @@ pub struct Nucleus {
     proxy_stats: Arc<ProxyStats>,
     /// The kernel composition object (also at `/nucleus`).
     pub kernel_object: ObjRef,
-    /// Step budget applied to loaded bytecode components.
-    pub step_budget: u64,
 }
 
 impl Nucleus {
@@ -100,7 +98,6 @@ impl Nucleus {
             domains: RwLock::new(BTreeMap::new()),
             proxy_stats: Arc::new(ProxyStats::default()),
             kernel_object: kernel_object.clone(),
-            step_budget: DEFAULT_STEP_BUDGET,
         });
 
         // The kernel domain sees the root name space directly.
@@ -363,14 +360,11 @@ impl Nucleus {
                 program,
                 protection,
                 self.machine.clone(),
-                self.step_budget,
+                DEFAULT_STEP_BUDGET,
             ),
         };
 
         self.register(domain, &options.register_as, obj)?;
-        if let Some(d) = self.domain(domain) {
-            d.note_loaded(&options.register_as);
-        }
         Ok(LoadReport {
             path: options.register_as.clone(),
             domain,

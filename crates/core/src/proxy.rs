@@ -87,6 +87,7 @@ impl ProxyStats {
 }
 
 /// Everything a proxy needs to perform a crossing.
+#[derive(Clone)]
 pub struct ProxyCtx {
     /// The machine (for faults, context switches and cycle accounting).
     pub machine: Arc<Mutex<Machine>>,
@@ -96,17 +97,6 @@ pub struct ProxyCtx {
     pub mem: Arc<MemService>,
     /// Shared traffic counters.
     pub stats: Arc<ProxyStats>,
-}
-
-impl Clone for ProxyCtx {
-    fn clone(&self) -> Self {
-        ProxyCtx {
-            machine: self.machine.clone(),
-            events: self.events.clone(),
-            mem: self.mem.clone(),
-            stats: self.stats.clone(),
-        }
-    }
 }
 
 /// Builds a proxy in `caller` domain standing for `target` living in
@@ -146,12 +136,10 @@ pub(crate) fn make_proxy(
     let crossing: WrapFn =
         Arc::new(move |forward: &Forward<'_>, args: &[Value]| cross.invoke(forward, args));
     let mut builder = ObjectBuilder::new(format!("proxy<{}>", target.class()));
-    let descriptors = target.descriptors();
-    let target = Target::new(target);
-    for desc in descriptors {
+    let target = Target::new(target.clone(), target.interface_names().collect());
+    for &name in target.forwarded() {
         builder = builder.raw_interface(forwarding_interface(
-            Interface::new(desc.interface),
-            desc.methods,
+            Interface::new(name),
             target.clone(),
             |_| Some(crossing.clone()),
         ));

@@ -150,7 +150,7 @@ mod tests {
                     })
             })
             .build();
-        assert_eq!(obj.interface_names(), ["a", "b"]);
+        assert!(obj.interface_names().eq(["a", "b"]));
         assert_eq!(obj.invoke("a", "one", &[]).unwrap(), Value::Int(1));
         assert_eq!(obj.invoke("b", "state", &[]).unwrap(), Value::Int(10));
     }

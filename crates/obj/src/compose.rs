@@ -18,15 +18,14 @@ use crate::{
     forward::{forwarding_interface, Target},
     interface::Interface,
     object::ObjRef,
-    typeinfo::{InterfaceDescriptor, TypeTag},
+    typeinfo::TypeTag,
     value::Value,
     ObjResult,
 };
 
-/// A composition's children by local name, each in the cell its
-/// re-exported interfaces forward through, with the type of each of
-/// those interfaces.
-type Children = BTreeMap<String, (Arc<Target>, Vec<InterfaceDescriptor>)>;
+/// A composition's children by local name, each in the target its
+/// re-exported interfaces forward through.
+type Children = BTreeMap<String, Arc<Target>>;
 
 /// Name of the administrative interface every composition exports.
 pub const COMPOSITION_IFACE: &str = "composition";
@@ -56,10 +55,8 @@ pub const COMPOSITION_IFACE: &str = "composition";
 /// ```
 pub struct CompositionBuilder {
     class: String,
-    /// Child instances by local name.
-    children: BTreeMap<String, ObjRef>,
-    /// Which child backs each re-exported interface.
-    exports: BTreeMap<String, String>,
+    /// Child instances by local name, each with the interfaces it backs.
+    children: BTreeMap<String, (ObjRef, Vec<&'static str>)>,
     errors: Vec<String>,
 }
 
@@ -69,32 +66,38 @@ impl CompositionBuilder {
         CompositionBuilder {
             class: class.into(),
             children: BTreeMap::new(),
-            exports: BTreeMap::new(),
             errors: Vec::new(),
         }
     }
 
     /// Adds a child instance under a local name.
     pub fn child(mut self, name: impl Into<String>, obj: ObjRef) -> Self {
-        let name = name.into();
-        if self.children.insert(name.clone(), obj).is_some() {
+        let (name, backed) = (name.into(), Vec::new());
+        if self.children.insert(name.clone(), (obj, backed)).is_some() {
             self.errors.push(format!("duplicate child `{name}`"));
         }
         self
     }
 
     /// Re-exports `interface` of child `child` as an interface of the
-    /// composition itself.
+    /// composition itself; of two exports of one name, the later wins.
     pub fn export(mut self, interface: impl Into<String>, child: impl Into<String>) -> Self {
         let (interface, child) = (interface.into(), child.into());
-        match self.children.get(&child) {
-            Some(c) if c.has_interface(&interface) => {
-                self.exports.insert(interface, child);
-            }
-            Some(_) => self.errors.push(format!(
+        let Some((obj, _)) = self.children.get(&child) else {
+            self.errors.push(format!("no child named `{child}`"));
+            return self;
+        };
+        let Ok(name) = obj.interface(&interface).map(Interface::name) else {
+            self.errors.push(format!(
                 "child `{child}` does not export interface `{interface}`"
-            )),
-            None => self.errors.push(format!("no child named `{child}`")),
+            ));
+            return self;
+        };
+        for (at, (_, backed)) in self.children.iter_mut() {
+            backed.retain(|&n| n != name);
+            if *at == child {
+                backed.push(name);
+            }
         }
         self
     }
@@ -105,25 +108,23 @@ impl CompositionBuilder {
             return Err(ObjError::Binding(e.clone()));
         }
         let mut builder = ObjectBuilder::new(self.class);
-        let mut children: Children = self
+        let children: Children = self
             .children
             .into_iter()
-            .map(|(name, obj)| (name, (Target::new(obj), Vec::new())))
+            .map(|(name, (obj, backed))| (name, Target::new(obj, backed)))
             .collect();
 
-        // One forwarding interface per export, through its child's cell, so
-        // that `replace` takes effect for existing clients — this is the
+        // One forwarding interface per export, through its child's target,
+        // so that `replace` takes effect for existing clients — this is the
         // late-binding property.
-        for (iface_name, child_name) in &self.exports {
-            let (child, exported) = children.get_mut(child_name).expect("checked by `export`");
-            let desc = child.get().interface(iface_name)?.descriptor();
-            builder = builder.raw_interface(forwarding_interface(
-                Interface::new(desc.interface),
-                desc.methods.iter().copied(),
-                child.clone(),
-                |_| None,
-            ));
-            exported.push(desc);
+        for child in children.values() {
+            for &name in child.forwarded() {
+                builder = builder.raw_interface(forwarding_interface(
+                    Interface::new(name),
+                    child.clone(),
+                    |_| None,
+                ));
+            }
         }
 
         Ok(builder.raw_interface(admin_interface(children)).build())
@@ -133,10 +134,7 @@ impl CompositionBuilder {
 /// Builds the `composition` administrative interface: listing and replacing
 /// children.
 fn admin_interface(children: Children) -> Interface {
-    fn child<'a>(
-        children: &'a Children,
-        name: &str,
-    ) -> ObjResult<&'a (Arc<Target>, Vec<InterfaceDescriptor>)> {
+    fn child<'a>(children: &'a Children, name: &str) -> ObjResult<&'a Arc<Target>> {
         children
             .get(name)
             .ok_or_else(|| ObjError::Binding(format!("no child named `{name}`")))
@@ -152,7 +150,7 @@ fn admin_interface(children: Children) -> Interface {
         })
         .method("child", &[TypeTag::Str], TypeTag::Handle, move |_, args| {
             Ok(Value::Handle(
-                child(&each, args[0].as_str()?)?.0.get().clone(),
+                child(&each, args[0].as_str()?)?.get().clone(),
             ))
         })
         .method(
@@ -160,10 +158,8 @@ fn admin_interface(children: Children) -> Interface {
             &[TypeTag::Str, TypeTag::Handle],
             TypeTag::Handle,
             move |_, args| {
-                let (target, exported) = child(&children, args[0].as_str()?)?;
-                Ok(Value::Handle(
-                    target.set(args[1].as_handle()?.clone(), exported)?,
-                ))
+                let target = child(&children, args[0].as_str()?)?;
+                Ok(Value::Handle(target.set(args[1].as_handle()?.clone())?))
             },
         )
         .finish()

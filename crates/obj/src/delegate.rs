@@ -44,11 +44,8 @@ use crate::{
 /// assert_eq!(specialised.invoke("io", "read", &[]).unwrap(), Value::Str("base-read".into()));
 /// ```
 pub fn delegate_interface(base: Interface, target: ObjRef) -> Interface {
-    let sigs = target
-        .interface(base.name())
-        .map(|i| i.descriptor().methods)
-        .unwrap_or_default();
-    forwarding_interface(base, sigs, Target::new(target), |_| None)
+    // A delegate is never re-pointed, so its target needs no type.
+    forwarding_interface(base, Target::new(target, Vec::new()), |_| None)
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use crate::{
     forward::{forwarding_interface, Forward, Target, WrapFn},
     interface::Interface,
     object::ObjRef,
-    typeinfo::{InterfaceDescriptor, TypeTag},
+    typeinfo::TypeTag,
     value::Value,
     ObjResult,
 };
@@ -116,8 +116,10 @@ impl InterposerBuilder {
     ///
     /// # Panics
     ///
-    /// [`InterposerBuilder::build`] panics if the target exports no such
-    /// method — an override that can never run is a bug at the call site.
+    /// [`InterposerBuilder::build`] panics if the agent forwards no such
+    /// method (the target lacks it, or an extra or the admin interface
+    /// replaces its interface) — an override that can never run is a bug
+    /// at the call site.
     pub fn override_method<F>(mut self, interface: &'static str, method: &'static str, f: F) -> Self
     where
         F: Fn(&Forward<'_>, &[Value]) -> ObjResult<Value> + Send + Sync + 'static,
@@ -148,37 +150,33 @@ impl InterposerBuilder {
     /// Builds the agent object.
     pub fn build(mut self) -> ObjRef {
         let mut builder = ObjectBuilder::new(self.class);
-        let target = Target::new(self.target.clone());
+        // Every interface of the target except those the extra ones and
+        // the admin interface replace: what a new target must export.
+        let forwarded = self
+            .target
+            .interface_names()
+            .filter(|&name| name != INTERPOSER_IFACE && self.extra.iter().all(|e| e.name() != name))
+            .collect();
+        let target = Target::new(self.target.clone(), forwarded);
         let hooks = (!self.before.is_empty() || !self.after.is_empty())
             .then(|| Arc::new((self.before, self.after)));
 
-        // What a new target must export: the type of every interface
-        // still forwarded once the extra ones and the admin interface
-        // have replaced theirs.
-        let mut forwarded = Vec::new();
-        for desc in self.target.descriptors() {
-            let iface = forwarding_interface(
-                Interface::new(desc.interface),
-                desc.methods.iter().copied(),
+        for &name in target.forwarded() {
+            builder = builder.raw_interface(forwarding_interface(
+                Interface::new(name),
                 target.clone(),
                 |method| {
-                    let body = self.overrides.remove(&(desc.interface, method));
+                    let body = self.overrides.remove(&(name, method));
                     match &hooks {
                         None => body,
                         Some(hooks) => Some(hooked(hooks.clone(), body)),
                     }
                 },
-            );
-            builder = builder.raw_interface(iface);
-            if desc.interface != INTERPOSER_IFACE
-                && self.extra.iter().all(|e| e.name() != desc.interface)
-            {
-                forwarded.push(desc);
-            }
+            ));
         }
         if let Some((interface, method)) = self.overrides.keys().next() {
             panic!(
-                "override_method(\"{interface}\", \"{method}\"): `{}` exports no such method",
+                "override_method(\"{interface}\", \"{method}\"): an agent over `{}` forwards no such method",
                 self.target.class()
             );
         }
@@ -186,7 +184,7 @@ impl InterposerBuilder {
             builder = builder.raw_interface(iface);
         }
 
-        builder = builder.raw_interface(admin_interface(target, forwarded));
+        builder = builder.raw_interface(admin_interface(target));
         builder.build()
     }
 }
@@ -211,9 +209,8 @@ fn hooked(hooks: Arc<(Vec<ObserveFn>, Vec<ObserveFn>)>, body: Option<WrapFn>) ->
 }
 
 /// Builds the `interposer` administrative interface (`target`, `retarget`)
-/// over the cell every forwarding entry of the agent reads; `forwarded`
-/// is the type of each interface a new target must export.
-fn admin_interface(target: Arc<Target>, forwarded: Vec<InterfaceDescriptor>) -> Interface {
+/// over the target every forwarding entry of the agent reads.
+fn admin_interface(target: Arc<Target>) -> Interface {
     let current = target.clone();
     InterfaceBuilder::new(INTERPOSER_IFACE)
         .method("target", &[], TypeTag::Handle, move |_, _| {
@@ -223,11 +220,7 @@ fn admin_interface(target: Arc<Target>, forwarded: Vec<InterfaceDescriptor>) -> 
             "retarget",
             &[TypeTag::Handle],
             TypeTag::Handle,
-            move |_, args| {
-                Ok(Value::Handle(
-                    target.set(args[0].as_handle()?.clone(), &forwarded)?,
-                ))
-            },
+            move |_, args| Ok(Value::Handle(target.set(args[0].as_handle()?.clone())?)),
         )
         .finish()
 }

@@ -61,8 +61,6 @@ pub mod forward;
 pub mod interface;
 pub mod interpose;
 pub mod object;
-#[allow(unsafe_code)]
-pub(crate) mod snapcell;
 pub mod sum64;
 #[allow(unsafe_code)]
 pub mod trylock;

@@ -51,7 +51,7 @@ impl std::fmt::Debug for Object {
         f.debug_struct("Object")
             .field("class", &self.class)
             .field("instance_name", &*self.instance_name.read())
-            .field("interfaces", &self.interface_names())
+            .field("interfaces", &self.interface_names().collect::<Vec<_>>())
             .finish_non_exhaustive()
     }
 }
@@ -142,8 +142,8 @@ impl Object {
     }
 
     /// Names of all exported interfaces, sorted.
-    pub(crate) fn interface_names(&self) -> Vec<&'static str> {
-        self.interfaces.iter().map(Interface::name).collect()
+    pub fn interface_names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.interfaces.iter().map(Interface::name)
     }
 
     /// Checks that this object exports interface `name` under exactly the
@@ -345,7 +345,7 @@ mod tests {
             })
             .interface("a", |i| i)
         });
-        assert_eq!(c.interface_names(), ["a", "counter"]);
+        assert!(c.interface_names().eq(["a", "counter"]));
         assert_eq!(c.invoke("counter", "get", &[]).unwrap(), Value::Int(-1));
         assert!(matches!(
             c.invoke("counter", "incr", &[Value::Int(1)]),

@@ -4,9 +4,9 @@
 //! interface is a set of methods, state pointers and type information").
 //! That information is fixed when the code is written, so names and
 //! parameter lists are `'static` data the signatures borrow, never heap
-//! copies. Signatures are checked on every dynamic invocation, and interface
-//! descriptors are what the directory service uses to synthesise proxies for
-//! objects imported from other protection domains.
+//! copies. Signatures are checked on every dynamic invocation, and a
+//! forwarder (interposer, composition, delegate or proxy) installs each
+//! forward under its target's own signature.
 
 use crate::{error::ObjError, value::Value, ObjResult};
 
@@ -125,9 +125,7 @@ impl MethodSig {
 /// A flattened description of an interface: its name plus all signatures.
 ///
 /// Descriptors are borrowed `'static` metadata: building one copies
-/// signatures, never names. The proxy generator in the nucleus uses them to
-/// build a cross-domain stand-in for an object without access to its
-/// implementation.
+/// signatures, never names.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InterfaceDescriptor {
     /// Interface name as exported by the object.

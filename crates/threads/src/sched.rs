@@ -173,8 +173,7 @@ impl Scheduler {
                 waitable.park(tid);
             }
             Step::Done => {
-                tcb.state = TState::Finished;
-                tcb.body = None;
+                tcbs.remove(&tid);
                 self.core.stats.lock().completed += 1;
             }
         }
@@ -191,7 +190,8 @@ impl Scheduler {
         n
     }
 
-    /// The scheduling state of a thread, if it exists.
+    /// The scheduling state of a thread, or `None` once it has finished
+    /// (a finished thread leaves the scheduler).
     pub fn state(&self, tid: Tid) -> Option<TState> {
         self.core.tcbs.lock().get(&tid).map(|t| t.state)
     }
@@ -270,6 +270,18 @@ mod tests {
         s.run_until_idle(10);
         let cost = s.core().machine().lock().cost.schedule;
         assert_eq!(s.core().machine().lock().now() - before, cost);
+    }
+
+    #[test]
+    fn finished_threads_leave_the_scheduler() {
+        let s = sched();
+        let tids: Vec<Tid> = (0..1000)
+            .map(|_| s.spawn("t", Box::new(|_| Step::Done)))
+            .collect();
+        s.run_until_idle(u64::MAX);
+        assert!(tids.iter().all(|&tid| s.state(tid).is_none()));
+        assert_eq!(s.stats().completed, 1000);
+        assert!(s.core().tcbs.lock().is_empty());
     }
 
     #[test]

@@ -264,7 +264,8 @@ mod tests {
         sem.release();
         s.run_until_idle(10);
         assert_eq!(got.load(Ordering::Relaxed), 1);
-        assert_eq!(s.state(waiter), Some(crate::tcb::TState::Finished));
+        assert_eq!(s.state(waiter), None);
+        assert_eq!(s.stats().completed, 1);
     }
 
     #[test]

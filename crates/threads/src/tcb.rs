@@ -62,8 +62,6 @@ pub enum TState {
     Running,
     /// Parked on a waitable.
     Blocked,
-    /// Completed; TCB retained until reaped.
-    Finished,
 }
 
 /// How the thread came to exist (for statistics).
@@ -85,7 +83,7 @@ pub struct Tcb {
     pub name: String,
     /// Scheduling state.
     pub state: TState,
-    /// The body; taken out while running, `None` once finished.
+    /// The body; taken out while running.
     pub body: Option<ThreadBody>,
     /// Provenance.
     pub kind: ThreadKind,

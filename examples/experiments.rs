@@ -3,14 +3,18 @@
 //! The paper (a HotOS position paper) has no tables or figures, so the
 //! experiment set is derived from its quantitative *claims*; each
 //! table's heading names the section of the paper it tests. Every number
-//! is a count of the machine's virtual cycles, VM steps or events, so two
-//! runs print the same bytes (CI compares them). Host-clock figures are
-//! not printed here: dispatch, interposition and crypto timings are the
-//! criterion targets `b1`/`b6`/`b9` and the ledger's `obj.*`/`crypto.*`
-//! probes (`bench-records/README.md`), which is why there is no E2 or E9.
+//! is a count of the machine's virtual cycles, VM steps or events, so
+//! every run prints the same bytes. CI diffs a fresh run against the
+//! pinned `examples/experiments.expected`; a change that moves a number
+//! re-pins that file, and the diff is its explanation. Host-clock
+//! figures are not printed here: dispatch, interposition and crypto
+//! timings are the criterion targets `b1`/`b6`/`b9` and the ledger's
+//! `obj.*`/`crypto.*` probes (`bench-records/README.md`), which is why
+//! there is no E2 or E9.
 //!
 //! ```text
 //! cargo run --release --example experiments
+//! cargo run --release --example experiments > examples/experiments.expected   # re-pin
 //! ```
 
 use std::sync::Arc;
