@@ -5,6 +5,11 @@
 //! advantage of using a name space for object instances is its ability to
 //! be reconfigured." (paper, section 2).
 //!
+//! The name space holds an object's instance name: the path is the key
+//! its handle is bound under, and the object keeps no copy. One object
+//! may be bound under several paths, each its own name. A lookup takes
+//! only read locks and writes nothing.
+//!
 //! Name spaces form a tree: a child inherits everything from its parent
 //! but may carry *overrides* — local bindings consulted before the parent
 //! — which is how an application controls exactly which component
@@ -12,7 +17,10 @@
 //! replaces the entry in the name space where it was registered, affecting
 //! every future lookup.
 
-use std::{collections::BTreeMap, sync::Arc};
+use std::{
+    collections::{BTreeMap, BTreeSet},
+    sync::Arc,
+};
 
 use parking_lot::RwLock;
 
@@ -39,22 +47,10 @@ impl std::fmt::Debug for NsEntry {
     }
 }
 
-/// Lookup statistics (for the name-space experiment).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NsStats {
-    /// Lookups answered by a local entry or override.
-    pub local_hits: u64,
-    /// Lookups that walked to a parent.
-    pub parent_walks: u64,
-    /// Failed lookups.
-    pub misses: u64,
-}
-
 /// A (possibly child) name space.
 pub struct NameSpace {
     parent: Option<Arc<NameSpace>>,
     entries: RwLock<BTreeMap<String, NsEntry>>,
-    stats: RwLock<NsStats>,
 }
 
 /// Checks and canonicalises a path: absolute, no empty or dot segments.
@@ -85,7 +81,6 @@ impl NameSpace {
         Arc::new(NameSpace {
             parent: None,
             entries: RwLock::new(BTreeMap::new()),
-            stats: RwLock::new(NsStats::default()),
         })
     }
 
@@ -100,7 +95,6 @@ impl NameSpace {
         Arc::new(NameSpace {
             parent: Some(parent.clone()),
             entries: RwLock::new(overrides.into_iter().collect()),
-            stats: RwLock::new(NsStats::default()),
         })
     }
 
@@ -114,7 +108,6 @@ impl NameSpace {
         if entries.contains_key(path) {
             return Err(CoreError::Name(format!("`{path}` is already registered")));
         }
-        entry.obj.set_instance_name(Some(path.to_owned()));
         entries.insert(path.to_owned(), entry);
         Ok(())
     }
@@ -138,7 +131,6 @@ impl NameSpace {
                 let mut entries = ns.entries.write();
                 if let Some(slot) = entries.get_mut(path) {
                     entry.obj.stands_in_for(&slot.obj)?;
-                    entry.obj.set_instance_name(Some(path.to_owned()));
                     return Ok(std::mem::replace(slot, entry));
                 }
             }
@@ -152,68 +144,46 @@ impl NameSpace {
     /// Removes the binding at `path` from this name space (not parents).
     pub fn unregister(&self, path: &str) -> CoreResult<NsEntry> {
         check_path(path)?;
-        let entry = self
-            .entries
+        self.entries
             .write()
             .remove(path)
-            .ok_or_else(|| CoreError::Name(format!("`{path}` is not registered here")))?;
-        entry.obj.set_instance_name(None);
-        Ok(entry)
+            .ok_or_else(|| CoreError::Name(format!("`{path}` is not registered here")))
     }
 
     /// Looks up `path`, consulting local entries (overrides) first, then
     /// the parent chain.
     pub fn lookup(&self, path: &str) -> CoreResult<NsEntry> {
         check_path(path)?;
-        let mut walked = false;
         let mut ns = self;
         loop {
             if let Some(e) = ns.entries.read().get(path) {
-                let mut stats = self.stats.write();
-                if walked {
-                    stats.parent_walks += 1;
-                } else {
-                    stats.local_hits += 1;
-                }
                 return Ok(e.clone());
             }
             match &ns.parent {
-                Some(p) => {
-                    walked = true;
-                    ns = p;
-                }
-                None => {
-                    self.stats.write().misses += 1;
-                    return Err(CoreError::Name(format!("`{path}` not found")));
-                }
+                Some(p) => ns = p,
+                None => return Err(CoreError::Name(format!("`{path}` not found"))),
             }
         }
     }
 
-    /// Lists all paths visible from this name space under `prefix`
-    /// (child entries shadow parent entries with the same path).
+    /// Lists all paths visible from this name space under `prefix`: the
+    /// path `prefix` itself and every path that continues it with `/`
+    /// (`/dev` lists `/dev/nic`, not `/device`; `/` lists everything).
+    /// A path bound both here and in a parent is listed once.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut seen = BTreeMap::new();
-        let mut chain = Vec::new();
+        let prefix = prefix.trim_end_matches('/');
+        let mut seen = BTreeSet::new();
         let mut ns = Some(self);
         while let Some(n) = ns {
-            chain.push(n);
-            ns = n.parent.as_deref();
-        }
-        // Parents first so children shadow.
-        for n in chain.iter().rev() {
-            for (path, entry) in n.entries.read().iter() {
-                if path.starts_with(prefix) {
-                    seen.insert(path.clone(), entry.home);
+            for path in n.entries.read().keys() {
+                let rest = path.strip_prefix(prefix);
+                if rest.is_some_and(|rest| rest.is_empty() || rest.starts_with('/')) {
+                    seen.insert(path.clone());
                 }
             }
+            ns = n.parent.as_deref();
         }
-        seen.into_keys().collect()
-    }
-
-    /// Lookup statistics for *this* name space.
-    pub fn stats(&self) -> NsStats {
-        *self.stats.read()
+        seen.into_iter().collect()
     }
 
     /// Number of entries bound directly in this name space.
@@ -254,7 +224,6 @@ mod tests {
         ns.register("/dev/nic", entry("nic")).unwrap();
         let e = ns.lookup("/dev/nic").unwrap();
         assert_eq!(e.obj.class(), "nic");
-        assert_eq!(e.obj.instance_name().as_deref(), Some("/dev/nic"));
     }
 
     #[test]
@@ -277,8 +246,7 @@ mod tests {
     fn unregister_removes_and_clears_name() {
         let ns = NameSpace::root();
         ns.register("/svc", entry("s")).unwrap();
-        let e = ns.unregister("/svc").unwrap();
-        assert_eq!(e.obj.instance_name(), None);
+        assert_eq!(ns.unregister("/svc").unwrap().obj.class(), "s");
         assert!(ns.lookup("/svc").is_err());
         assert!(ns.unregister("/svc").is_err());
     }
@@ -289,9 +257,6 @@ mod tests {
         root.register("/shared/network", entry("nic")).unwrap();
         let child = NameSpace::child_of(&root, []);
         assert_eq!(child.lookup("/shared/network").unwrap().obj.class(), "nic");
-        let s = child.stats();
-        assert_eq!(s.parent_walks, 1);
-        assert_eq!(s.local_hits, 0);
     }
 
     #[test]
@@ -375,10 +340,14 @@ mod tests {
     }
 
     #[test]
-    fn miss_statistics_count() {
+    fn list_matches_whole_segments() {
         let ns = NameSpace::root();
-        assert!(ns.lookup("/nope").is_err());
-        assert_eq!(ns.stats().misses, 1);
+        for path in ["/dev/nic", "/device/x", "/dev"] {
+            ns.register(path, entry("x")).unwrap();
+        }
+        assert_eq!(ns.list("/dev"), vec!["/dev", "/dev/nic"]);
+        assert_eq!(ns.list("/dev/nic"), vec!["/dev/nic"]);
+        assert_eq!(ns.list("/"), vec!["/dev", "/dev/nic", "/device/x"]);
     }
 
     #[test]

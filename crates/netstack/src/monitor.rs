@@ -16,9 +16,7 @@ use std::sync::{
     Arc,
 };
 
-use paramecium_obj::{
-    interface::Interface, interpose::InterposerBuilder, typeinfo::MethodSig, ObjRef, TypeTag, Value,
-};
+use paramecium_obj::{interpose::InterposerBuilder, InterfaceBuilder, ObjRef, TypeTag, Value};
 
 use crate::burst;
 
@@ -81,10 +79,8 @@ pub fn make_network_monitor(target: ObjRef) -> (ObjRef, Arc<NetMonStats>) {
 
     // The extra `netmon` interface (the superset part).
     let mon_stats = stats.clone();
-    let mut netmon = Interface::new("netmon");
-    netmon.insert_method(
-        MethodSig::new("stats", &[], TypeTag::List),
-        Arc::new(move |_: &ObjRef, _: &[Value]| {
+    let netmon =
+        InterfaceBuilder::new("netmon").method("stats", &[], TypeTag::List, move |_, _| {
             Ok(Value::List(vec![
                 Value::Int(mon_stats.tx_frames.load(Ordering::Relaxed) as i64),
                 Value::Int(mon_stats.tx_bytes.load(Ordering::Relaxed) as i64),
@@ -98,8 +94,7 @@ pub fn make_network_monitor(target: ObjRef) -> (ObjRef, Arc<NetMonStats>) {
                         .collect(),
                 ),
             ]))
-        }),
-    );
+        });
 
     // Both forms of each direction count through the same function, so
     // traffic is seen whether a client speaks bursts or single frames.
@@ -126,7 +121,7 @@ pub fn make_network_monitor(target: ObjRef) -> (ObjRef, Arc<NetMonStats>) {
             Ok(result)
         });
     }
-    let agent = agent.extra_interface(netmon).build();
+    let agent = agent.extra_interface(netmon.finish()).build();
 
     (agent, stats)
 }

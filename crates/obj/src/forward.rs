@@ -177,7 +177,7 @@ pub fn forwarding_interface(
             continue;
         }
         let (method, target) = (sig.name, target.clone());
-        let forward: crate::MethodFn = match wrap(method) {
+        let forward: crate::interface::MethodFn = match wrap(method) {
             // Unwrapped forwards skip the indirect call and capture block.
             None => Arc::new(move |_: &ObjRef, args: &[Value]| {
                 target.get().invoke(interface, method, args)

@@ -8,35 +8,21 @@
 
 use std::sync::Arc;
 
-use crate::{
-    error::ObjError,
-    object::ObjRef,
-    typeinfo::{InterfaceDescriptor, MethodSig},
-    value::Value,
-    ObjResult,
-};
+use crate::{error::ObjError, object::ObjRef, typeinfo::MethodSig, value::Value, ObjResult};
 
 /// The implementation of one method.
 ///
 /// The first argument is the receiving object instance (its "state pointer"
 /// in the paper's terms); the slice carries the type-checked arguments.
-pub type MethodFn = Arc<dyn Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync>;
+pub(crate) type MethodFn = Arc<dyn Fn(&ObjRef, &[Value]) -> ObjResult<Value> + Send + Sync>;
 
 /// One entry of an interface: signature plus implementation.
 #[derive(Clone)]
-pub struct Method {
+pub(crate) struct Method {
     /// Type information for the method.
-    pub sig: MethodSig,
+    sig: MethodSig,
     /// The code to run.
-    pub imp: MethodFn,
-}
-
-impl std::fmt::Debug for Method {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Method")
-            .field("sig", &self.sig)
-            .finish_non_exhaustive()
-    }
+    imp: MethodFn,
 }
 
 impl Method {
@@ -46,7 +32,7 @@ impl Method {
     /// so every [`Object::invoke`](crate::Object::invoke)) and
     /// [`BoundMethod::call`] — so they check the same things.
     #[inline]
-    pub fn call(&self, this: &ObjRef, args: &[Value]) -> ObjResult<Value> {
+    fn call(&self, this: &ObjRef, args: &[Value]) -> ObjResult<Value> {
         self.sig.check_args(args)?;
         let result = (self.imp)(this, args)?;
         self.sig.check_result(&result)?;
@@ -56,13 +42,12 @@ impl Method {
 
 /// A named set of methods with type information.
 ///
-/// Methods are kept sorted by name, one per name, behind `Arc` so bound
-/// methods can pin one without cloning its signature. An interface
-/// answers exactly the methods it lists: its signatures are its type.
-#[derive(Clone)]
+/// Methods are kept inline, sorted by name, one per name; a method's
+/// only allocation is its implementation. An interface answers exactly
+/// the methods it lists: its signatures are its type.
 pub struct Interface {
     name: &'static str,
-    methods: Vec<Arc<Method>>,
+    methods: Vec<Method>,
 }
 
 impl std::fmt::Debug for Interface {
@@ -92,8 +77,8 @@ impl Interface {
     }
 
     /// Adds (or replaces) a method.
-    pub fn insert_method(&mut self, sig: MethodSig, imp: MethodFn) {
-        let method = Arc::new(Method { sig, imp });
+    pub(crate) fn insert_method(&mut self, sig: MethodSig, imp: MethodFn) {
+        let method = Method { sig, imp };
         match self.methods.binary_search_by(|m| m.sig.name.cmp(sig.name)) {
             Ok(at) => self.methods[at] = method,
             Err(at) => self.methods.insert(at, method),
@@ -102,7 +87,7 @@ impl Interface {
 
     /// Returns the method `name`, if the interface has it.
     #[inline]
-    pub fn method(&self, name: &str) -> Option<&Arc<Method>> {
+    pub(crate) fn method(&self, name: &str) -> Option<&Method> {
         self.methods.iter().find(|m| m.sig.name == name)
     }
 
@@ -112,21 +97,13 @@ impl Interface {
         self.methods.iter().map(|m| &m.sig)
     }
 
-    /// Flattens this interface into its type information.
-    pub fn descriptor(&self) -> InterfaceDescriptor {
-        InterfaceDescriptor {
-            interface: self.name,
-            methods: self.signatures().copied().collect(),
-        }
-    }
-
     /// Pre-resolves `method` against `this`, returning the inline-call
     /// handle, or `None` if the interface has no such method. A forwarded
     /// method binds like any other: the handle runs its forward, which
     /// still follows the forwarder's target.
     ///
-    /// Binding shares the interface's `Arc<Method>` entry; nothing is
-    /// cloned beyond two reference counts.
+    /// Binding copies the method's signature and shares its
+    /// implementation; nothing is allocated.
     pub fn bind_method(&self, this: &ObjRef, method: &str) -> Option<BoundMethod> {
         self.method(method).map(|m| BoundMethod {
             method: m.clone(),
@@ -155,19 +132,18 @@ impl Interface {
 /// A pre-resolved method: the paper's "run time inline techniques"
 /// (section 2) for when dispatch overhead matters.
 ///
-/// Binding pins the method's signature and implementation together with
-/// the object it was bound against, skipping both interface and
-/// method-table lookups on every call. An object's interfaces never
-/// change, so a bound method runs what `invoke` on that object would. The
-/// trade-off is explicit: it keeps calling that *instance* — it does
-/// **not** follow a later replacement of the instance (a composition's
-/// `replace`, a new handle in the name space) and does not count towards
-/// the object's invocation statistic. Callers give up one step of late
-/// binding for speed, which is why this is an opt-in fast path and not
-/// the default.
+/// Binding pins the method's signature (a copy) and implementation (a
+/// shared reference) together with the object it was bound against,
+/// skipping both interface and method-table lookups on every call. An
+/// object's interfaces never change, so a bound method runs what `invoke`
+/// on that object would. The trade-off is explicit: it keeps calling that
+/// *instance* — it does **not** follow a later replacement of the
+/// instance (a composition's `replace`, a new handle in the name space).
+/// Callers give up one step of late binding for speed, which is why this
+/// is an opt-in fast path and not the default.
 #[derive(Clone)]
 pub struct BoundMethod {
-    method: Arc<Method>,
+    method: Method,
     this: ObjRef,
 }
 
@@ -233,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_lists_sorted_methods() {
+    fn signatures_list_sorted_methods() {
         let mut iface = Interface::new("dev");
         for name in ["write", "read", "ioctl"] {
             iface.insert_method(
@@ -241,9 +217,10 @@ mod tests {
                 method_fn(|_, _| Ok(Value::Unit)),
             );
         }
-        let d = iface.descriptor();
-        let names: Vec<_> = d.methods.iter().map(|m| m.name).collect();
-        assert_eq!(names, ["ioctl", "read", "write"]);
+        assert!(iface
+            .signatures()
+            .map(|s| s.name)
+            .eq(["ioctl", "read", "write"]));
     }
 
     #[test]

@@ -30,6 +30,13 @@
 //!
 //! Both are [`forwarding_interface`] underneath, as are compositions and
 //! cross-domain proxies.
+//!
+//! # Counting calls
+//!
+//! An object keeps no call statistics of its own. Counting the calls that
+//! reach an object is an interposer with a
+//! [`before`](InterposerBuilder::before) hook that bumps a counter, and
+//! only the objects someone watches pay for it.
 
 use std::{collections::BTreeMap, sync::Arc};
 

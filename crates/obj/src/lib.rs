@@ -72,11 +72,11 @@ pub use compose::CompositionBuilder;
 pub use delegate::delegate_interface;
 pub use error::ObjError;
 pub use forward::{forwarding_interface, Forward, Target};
-pub use interface::{BoundMethod, Interface, Method, MethodFn};
+pub use interface::{BoundMethod, Interface};
 pub use interpose::InterposerBuilder;
 pub use object::{ObjRef, Object};
 pub use trylock::{TryLock, TryLockGuard};
-pub use typeinfo::{InterfaceDescriptor, MethodSig, TypeSite, TypeTag};
+pub use typeinfo::{MethodSig, TypeSite, TypeTag};
 pub use value::Value;
 
 /// Convenient result alias used throughout the object model.

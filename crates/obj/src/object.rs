@@ -10,30 +10,21 @@
 //! superset of the original's interfaces and replace the handle in the
 //! name space.
 
-use std::{
-    any::Any,
-    sync::{
-        atomic::{AtomicU64, Ordering},
-        Arc,
-    },
-};
-
-use parking_lot::RwLock;
+use std::{any::Any, sync::Arc};
 
 use crate::{
-    error::ObjError, interface::Interface, trylock::TryLock, typeinfo::InterfaceDescriptor,
-    value::Value, MethodSig, ObjResult,
+    error::ObjError, interface::Interface, trylock::TryLock, value::Value, MethodSig, ObjResult,
 };
 
 /// A shared reference to an object instance — the paper's "object handle".
 pub type ObjRef = Arc<Object>;
 
-/// An object instance: instance data plus exported interfaces.
+/// An object instance: its class, instance data and exported interfaces.
+/// Its instance name is the path a name space binds it under; the object
+/// does not keep a copy.
 pub struct Object {
     /// Class (component) name, e.g. `"nic-driver"`. Not unique.
     class: String,
-    /// Instance name assigned when registered in a name space, if any.
-    instance_name: RwLock<Option<String>>,
     /// Instance data. Methods downcast it via [`Object::with_state`].
     /// Guarded by a spin lock: state critical sections are short, never
     /// re-entrant (see [`Object::with_state`]) and effectively uncontended
@@ -42,15 +33,12 @@ pub struct Object {
     state: TryLock<Box<dyn Any + Send>>,
     /// Exported interfaces, sorted by name, one per name.
     interfaces: Box<[Interface]>,
-    /// Total method invocations through [`Object::invoke`].
-    invocations: AtomicU64,
 }
 
 impl std::fmt::Debug for Object {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Object")
             .field("class", &self.class)
-            .field("instance_name", &*self.instance_name.read())
             .field("interfaces", &self.interface_names().collect::<Vec<_>>())
             .finish_non_exhaustive()
     }
@@ -58,9 +46,9 @@ impl std::fmt::Debug for Object {
 
 impl Object {
     /// Creates an object with the given class name, instance state and
-    /// interfaces; of two interfaces with one name, the later wins. Most
-    /// callers use [`ObjectBuilder`](crate::ObjectBuilder) instead.
-    pub fn new(
+    /// interfaces; of two interfaces with one name, the later wins.
+    /// [`ObjectBuilder`](crate::ObjectBuilder) is the way in from outside.
+    pub(crate) fn new(
         class: impl Into<String>,
         state: Box<dyn Any + Send>,
         interfaces: impl IntoIterator<Item = Interface>,
@@ -75,28 +63,14 @@ impl Object {
         }
         Arc::new(Object {
             class: class.into(),
-            instance_name: RwLock::new(None),
             state: TryLock::new(state),
             interfaces: table.into_boxed_slice(),
-            invocations: AtomicU64::new(0),
         })
     }
 
     /// The class (component type) name.
     pub fn class(&self) -> &str {
         &self.class
-    }
-
-    /// The instance name under which this object was last registered,
-    /// if any.
-    pub fn instance_name(&self) -> Option<String> {
-        self.instance_name.read().clone()
-    }
-
-    /// Records the instance name. Called by the directory service when the
-    /// object is registered in a name space.
-    pub fn set_instance_name(&self, name: Option<String>) {
-        *self.instance_name.write() = name;
     }
 
     /// Runs `f` with exclusive access to the instance state, downcast to
@@ -174,39 +148,15 @@ impl Object {
             .try_for_each(|i| self.conforms(i.name(), i.signatures()))
     }
 
-    /// Flattened type information for every exported interface.
-    pub fn descriptors(&self) -> Vec<InterfaceDescriptor> {
-        self.interfaces.iter().map(Interface::descriptor).collect()
-    }
-
-    /// Total method invocations through [`Object::invoke`].
-    pub fn invocation_count(&self) -> u64 {
-        self.invocations.load(Ordering::Relaxed)
-    }
-
-    /// Bumps the invocation statistic.
-    ///
-    /// Deliberately a plain load/store rather than an atomic RMW: the
-    /// counter is a monitoring statistic on the dispatch hot path, and a
-    /// locked `fetch_add` costs more than the rest of the dispatch path
-    /// combined on some hosts. Racing writers may drop a count; the value
-    /// is exact in the deterministic single-threaded simulation.
-    #[inline]
-    pub(crate) fn note_invocation(&self) {
-        self.invocations.store(
-            self.invocations.load(Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-    }
-
     /// Invokes `interface::method(args)` on this object.
     ///
-    /// Finds the interface by name, counts the invocation and hands the
-    /// call to [`Interface::call`], which runs the method or answers
+    /// Finds the interface by name and hands the call to
+    /// [`Interface::call`], which runs the method or answers
     /// [`ObjError::NoSuchMethod`]. The interface table never changes
-    /// after the object is built, so the lookup takes no lock and the
-    /// arguments stay borrowed end to end (no clone, no allocation for
-    /// flat frames).
+    /// after the object is built, so the lookup takes no lock, writes
+    /// nothing to the object, and the arguments stay borrowed end to end
+    /// (no clone, no allocation for flat frames). Counting calls is an
+    /// interposer's `before` hook, paid only where one is installed.
     #[inline]
     pub fn invoke(
         self: &Arc<Self>,
@@ -214,9 +164,7 @@ impl Object {
         method: &str,
         args: &[Value],
     ) -> ObjResult<Value> {
-        let iface = self.interface(interface)?;
-        self.note_invocation();
-        iface.call(self, method, args)
+        self.interface(interface)?.call(self, method, args)
     }
 }
 
@@ -328,16 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn invocation_count_tracks_calls() {
-        let c = counter();
-        assert_eq!(c.invocation_count(), 0);
-        for _ in 0..7 {
-            c.invoke("counter", "get", &[]).unwrap();
-        }
-        assert_eq!(c.invocation_count(), 7);
-    }
-
-    #[test]
     fn a_later_interface_of_the_same_name_wins() {
         let c = counter_with(|b| {
             b.interface("counter", |i| {
@@ -351,13 +289,5 @@ mod tests {
             c.invoke("counter", "incr", &[Value::Int(1)]),
             Err(ObjError::NoSuchMethod { .. })
         ));
-    }
-
-    #[test]
-    fn instance_name_roundtrips() {
-        let c = counter();
-        assert_eq!(c.instance_name(), None);
-        c.set_instance_name(Some("/app/counter".into()));
-        assert_eq!(c.instance_name().as_deref(), Some("/app/counter"));
     }
 }

@@ -122,18 +122,6 @@ impl MethodSig {
     }
 }
 
-/// A flattened description of an interface: its name plus all signatures.
-///
-/// Descriptors are borrowed `'static` metadata: building one copies
-/// signatures, never names.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InterfaceDescriptor {
-    /// Interface name as exported by the object.
-    pub interface: &'static str,
-    /// Signatures of every method, sorted by name.
-    pub methods: Vec<MethodSig>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

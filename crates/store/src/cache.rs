@@ -804,8 +804,12 @@ mod tests {
     use paramecium_core::{domain::KERNEL_DOMAIN, memsvc::MemService};
     use paramecium_machine::dev::disk::SECTOR_TRANSFER_COST;
     use paramecium_machine::Machine;
+    use paramecium_obj::InterposerBuilder;
     use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{
+        atomic::{AtomicU64, Ordering},
+        Arc,
+    };
 
     fn setup(capacity: usize) -> (Arc<MemService>, ObjRef, ObjRef) {
         setup_sharded(capacity, 1)
@@ -819,6 +823,28 @@ mod tests {
             .build()
             .unwrap();
         (mem, stack.driver, stack.top)
+    }
+
+    /// A `capacity`-sector cache over a driver it reaches through an
+    /// interposer whose `before` hook counts the calls that reach the
+    /// driver. Returns the driver, the count and the cache.
+    fn setup_counted(capacity: usize) -> (ObjRef, Arc<AtomicU64>, ObjRef) {
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let mem = Arc::new(MemService::new(machine));
+        let driver = StackBuilder::disk(&mem, KERNEL_DOMAIN).build().unwrap().top;
+        let calls = Arc::new(AtomicU64::new(0));
+        let count = calls.clone();
+        let counted = InterposerBuilder::new(driver.clone())
+            .before(move |_, _, _| {
+                count.fetch_add(1, Ordering::Relaxed);
+            })
+            .build();
+        let cache = StackBuilder::on(counted)
+            .cache(capacity)
+            .build()
+            .unwrap()
+            .top;
+        (driver, calls, cache)
     }
 
     fn sector_of(byte: u8) -> Value {
@@ -932,19 +958,19 @@ mod tests {
 
     #[test]
     fn flush_batches_into_one_backing_invocation() {
-        let (_mem, driver, cache) = setup(512);
+        let (_driver, calls, cache) = setup_counted(512);
         for sec in 0..256i64 {
             cache
                 .invoke("blockdev", "write", &[Value::Int(sec), sector_of(1)])
                 .unwrap();
         }
-        let before = driver.invocation_count();
+        let before = calls.load(Ordering::Relaxed);
         assert_eq!(
             cache.invoke("cache", "flush", &[]).unwrap(),
             Value::Int(256)
         );
         // 256 dirty sectors, ONE vectorized backing call.
-        assert_eq!(driver.invocation_count() - before, 1);
+        assert_eq!(calls.load(Ordering::Relaxed) - before, 1);
     }
 
     #[test]
@@ -1036,7 +1062,7 @@ mod tests {
 
     #[test]
     fn vectorized_reads_hit_and_batch_fill() {
-        let (_mem, driver, cache) = setup(16);
+        let (driver, calls, cache) = setup_counted(16);
         for sec in 0..6i64 {
             driver
                 .invoke(
@@ -1049,7 +1075,7 @@ mod tests {
         // Warm two of six.
         cache.invoke("blockdev", "read", &[Value::Int(1)]).unwrap();
         cache.invoke("blockdev", "read", &[Value::Int(4)]).unwrap();
-        let before = driver.invocation_count();
+        let before = calls.load(Ordering::Relaxed);
         let out = cache
             .invoke(
                 "blockdev",
@@ -1063,13 +1089,13 @@ mod tests {
             assert_eq!(v.as_bytes().unwrap()[0], 0x10 + sec as u8);
         }
         // The four distinct misses were fetched in ONE backing call.
-        assert_eq!(driver.invocation_count() - before, 1);
+        assert_eq!(calls.load(Ordering::Relaxed) - before, 1);
         // Everything resident now: a repeat is pure hits, zero backing.
-        let before = driver.invocation_count();
+        let before = calls.load(Ordering::Relaxed);
         cache
             .invoke("blockdev", "read_many", &[sectors_arg(0..6)])
             .unwrap();
-        assert_eq!(driver.invocation_count(), before);
+        assert_eq!(calls.load(Ordering::Relaxed), before);
     }
 
     #[test]
@@ -1269,18 +1295,18 @@ mod tests {
         // Capacity 4, all dirty; one more write evicts the LRU victim and
         // takes the other dirty lines (≤ batch limit) with it in a single
         // backing invocation.
-        let (_mem, driver, cache) = setup(4);
+        let (driver, calls, cache) = setup_counted(4);
         for sec in 0..4i64 {
             cache
                 .invoke("blockdev", "write", &[Value::Int(sec), sector_of(9)])
                 .unwrap();
         }
-        let before = driver.invocation_count();
+        let before = calls.load(Ordering::Relaxed);
         cache
             .invoke("blockdev", "write", &[Value::Int(4), sector_of(9)])
             .unwrap();
         assert_eq!(
-            driver.invocation_count() - before,
+            calls.load(Ordering::Relaxed) - before,
             1,
             "victim + coalesced extras must share one backing call"
         );

@@ -32,7 +32,7 @@ use paramecium_machine::{trap::Trap, Machine};
 
 use crate::{
     sched::Scheduler,
-    tcb::{Step, ThreadBody, ThreadCtx, ThreadKind},
+    tcb::{Step, ThreadBody, ThreadCtx},
 };
 
 /// Creation strategy for pop-up threads.
@@ -163,12 +163,7 @@ impl PopupEngine {
                     }
                 });
                 // Promotion pays the *promotion* cost, not full creation.
-                self.scheduler.spawn_kind(
-                    format!("popup:v{}", trap.vector),
-                    wrapped,
-                    ThreadKind::PromotedPopup,
-                    false,
-                );
+                self.scheduler.spawn_with_cost(wrapped, false);
             }
         }
     }
@@ -177,12 +172,7 @@ impl PopupEngine {
         self.eager.fetch_add(1, Ordering::Relaxed);
         let body = factory(trap);
         // Full creation cost, and the handler waits for the scheduler.
-        self.scheduler.spawn_kind(
-            format!("popup:v{}", trap.vector),
-            body,
-            ThreadKind::EagerPopup,
-            true,
-        );
+        self.scheduler.spawn_with_cost(body, true);
     }
 
     /// Statistics snapshot.

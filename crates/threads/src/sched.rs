@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use paramecium_machine::Machine;
 
-use crate::tcb::{Step, TState, Tcb, ThreadBody, ThreadCtx, ThreadKind, Tid};
+use crate::tcb::{Step, TState, Tcb, ThreadBody, ThreadCtx, Tid};
 
 /// Scheduler statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,19 +85,13 @@ impl Scheduler {
 
     /// Spawns a regular thread, charging the creation cost. Returns its
     /// id.
-    pub fn spawn(&self, name: impl Into<String>, body: ThreadBody) -> Tid {
-        self.spawn_kind(name, body, ThreadKind::Regular, true)
+    pub fn spawn(&self, body: ThreadBody) -> Tid {
+        self.spawn_with_cost(body, true)
     }
 
-    /// Spawns with explicit kind and optional cost charging (the pop-up
-    /// engine charges its own, different costs).
-    pub(crate) fn spawn_kind(
-        &self,
-        name: impl Into<String>,
-        body: ThreadBody,
-        kind: ThreadKind,
-        charge_create: bool,
-    ) -> Tid {
+    /// Spawns with optional cost charging (the pop-up engine charges its
+    /// own, different costs).
+    pub(crate) fn spawn_with_cost(&self, body: ThreadBody, charge_create: bool) -> Tid {
         let tid = {
             let mut next = self.core.next_tid.lock();
             let t = *next;
@@ -112,11 +106,8 @@ impl Scheduler {
         self.core.tcbs.lock().insert(
             tid,
             Tcb {
-                tid,
-                name: name.into(),
                 state: TState::Ready,
                 body: Some(body),
-                kind,
                 entries: 0,
             },
         );
@@ -217,13 +208,10 @@ mod tests {
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..3 {
             let h = hits.clone();
-            s.spawn(
-                "worker",
-                Box::new(move |_| {
-                    h.fetch_add(1, Ordering::Relaxed);
-                    Step::Done
-                }),
-            );
+            s.spawn(Box::new(move |_| {
+                h.fetch_add(1, Ordering::Relaxed);
+                Step::Done
+            }));
         }
         assert_eq!(s.run_until_idle(100), 3);
         assert_eq!(hits.load(Ordering::Relaxed), 3);
@@ -237,17 +225,14 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         for name in [1i32, 2] {
             let l = log.clone();
-            s.spawn(
-                format!("t{name}"),
-                Box::new(move |ctx| {
-                    l.lock().push(name);
-                    if ctx.entries < 3 {
-                        Step::Yield
-                    } else {
-                        Step::Done
-                    }
-                }),
-            );
+            s.spawn(Box::new(move |ctx| {
+                l.lock().push(name);
+                if ctx.entries < 3 {
+                    Step::Yield
+                } else {
+                    Step::Done
+                }
+            }));
         }
         s.run_until_idle(100);
         assert_eq!(*log.lock(), vec![1, 2, 1, 2, 1, 2]);
@@ -257,7 +242,7 @@ mod tests {
     fn spawn_charges_thread_create() {
         let s = sched();
         let before = s.core().machine().lock().now();
-        s.spawn("t", Box::new(|_| Step::Done));
+        s.spawn(Box::new(|_| Step::Done));
         let cost = s.core().machine().lock().cost.thread_create;
         assert_eq!(s.core().machine().lock().now() - before, cost);
     }
@@ -265,7 +250,7 @@ mod tests {
     #[test]
     fn slices_charge_schedule_cost() {
         let s = sched();
-        s.spawn("t", Box::new(|_| Step::Done));
+        s.spawn(Box::new(|_| Step::Done));
         let before = s.core().machine().lock().now();
         s.run_until_idle(10);
         let cost = s.core().machine().lock().cost.schedule;
@@ -276,7 +261,7 @@ mod tests {
     fn finished_threads_leave_the_scheduler() {
         let s = sched();
         let tids: Vec<Tid> = (0..1000)
-            .map(|_| s.spawn("t", Box::new(|_| Step::Done)))
+            .map(|_| s.spawn(Box::new(|_| Step::Done)))
             .collect();
         s.run_until_idle(u64::MAX);
         assert!(tids.iter().all(|&tid| s.state(tid).is_none()));
@@ -287,7 +272,7 @@ mod tests {
     #[test]
     fn run_until_idle_respects_cap() {
         let s = sched();
-        s.spawn("spin", Box::new(|_| Step::Yield));
+        s.spawn(Box::new(|_| Step::Yield));
         assert_eq!(s.run_until_idle(7), 7);
     }
 }

@@ -245,17 +245,14 @@ mod tests {
         let got = Arc::new(AtomicU64::new(0));
 
         let (sem_c, got_c) = (sem.clone(), got.clone());
-        let waiter = s.spawn(
-            "waiter",
-            Box::new(move |_| {
-                if sem_c.try_acquire() {
-                    got_c.fetch_add(1, Ordering::Relaxed);
-                    Step::Done
-                } else {
-                    Step::Block(sem_c.waitable())
-                }
-            }),
-        );
+        let waiter = s.spawn(Box::new(move |_| {
+            if sem_c.try_acquire() {
+                got_c.fetch_add(1, Ordering::Relaxed);
+                Step::Done
+            } else {
+                Step::Block(sem_c.waitable())
+            }
+        }));
 
         s.run_until_idle(10);
         assert_eq!(s.state(waiter), Some(crate::tcb::TState::Blocked));
@@ -277,19 +274,16 @@ mod tests {
         let done = Arc::new(AtomicU64::new(0));
         let (sem_c, done_c) = (sem.clone(), done.clone());
         let sem_racer = sem.clone();
-        s.spawn(
-            "waiter",
-            Box::new(move |_| {
-                if sem_c.try_acquire() {
-                    done_c.fetch_add(1, Ordering::Relaxed);
-                    Step::Done
-                } else {
-                    // The "interrupt" fires right here, before we park.
-                    sem_racer.release();
-                    Step::Block(sem_c.waitable())
-                }
-            }),
-        );
+        s.spawn(Box::new(move |_| {
+            if sem_c.try_acquire() {
+                done_c.fetch_add(1, Ordering::Relaxed);
+                Step::Done
+            } else {
+                // The "interrupt" fires right here, before we park.
+                sem_racer.release();
+                Step::Block(sem_c.waitable())
+            }
+        }));
         s.run_until_idle(10);
         assert_eq!(done.load(Ordering::Relaxed), 1);
     }
@@ -301,38 +295,35 @@ mod tests {
         let in_critical = Arc::new(AtomicU64::new(0));
         let max_seen = Arc::new(AtomicU64::new(0));
 
-        for i in 0..4 {
+        for _ in 0..4 {
             let (m, ic, ms) = (mutex.clone(), in_critical.clone(), max_seen.clone());
-            s.spawn(
-                format!("t{i}"),
-                Box::new(move |ctx| {
-                    match ctx.entries {
-                        1 => {
-                            if m.try_lock() {
-                                let now = ic.fetch_add(1, Ordering::Relaxed) + 1;
-                                ms.fetch_max(now, Ordering::Relaxed);
-                                Step::Yield // Hold the lock across a slice.
-                            } else {
-                                // Re-enter at entries=1 semantics: use Block.
-                                Step::Block(m.waitable())
-                            }
-                        }
-                        _ => {
-                            if ic.load(Ordering::Relaxed) > 0 {
-                                ic.fetch_sub(1, Ordering::Relaxed);
-                                m.unlock();
-                                Step::Done
-                            } else if m.try_lock() {
-                                let now = ic.fetch_add(1, Ordering::Relaxed) + 1;
-                                ms.fetch_max(now, Ordering::Relaxed);
-                                Step::Yield
-                            } else {
-                                Step::Block(m.waitable())
-                            }
+            s.spawn(Box::new(move |ctx| {
+                match ctx.entries {
+                    1 => {
+                        if m.try_lock() {
+                            let now = ic.fetch_add(1, Ordering::Relaxed) + 1;
+                            ms.fetch_max(now, Ordering::Relaxed);
+                            Step::Yield // Hold the lock across a slice.
+                        } else {
+                            // Re-enter at entries=1 semantics: use Block.
+                            Step::Block(m.waitable())
                         }
                     }
-                }),
-            );
+                    _ => {
+                        if ic.load(Ordering::Relaxed) > 0 {
+                            ic.fetch_sub(1, Ordering::Relaxed);
+                            m.unlock();
+                            Step::Done
+                        } else if m.try_lock() {
+                            let now = ic.fetch_add(1, Ordering::Relaxed) + 1;
+                            ms.fetch_max(now, Ordering::Relaxed);
+                            Step::Yield
+                        } else {
+                            Step::Block(m.waitable())
+                        }
+                    }
+                }
+            }));
         }
         s.run_until_idle(200);
         assert_eq!(
@@ -369,16 +360,13 @@ mod tests {
         let chan: Arc<Channel<i32>> = Channel::new(s.core().clone(), 8);
         let got = Arc::new(AtomicU64::new(0));
         let (c, g) = (chan.clone(), got.clone());
-        s.spawn(
-            "rx",
-            Box::new(move |_| match c.try_recv() {
-                Some(v) => {
-                    g.store(v as u64, Ordering::Relaxed);
-                    Step::Done
-                }
-                None => Step::Block(c.waitable()),
-            }),
-        );
+        s.spawn(Box::new(move |_| match c.try_recv() {
+            Some(v) => {
+                g.store(v as u64, Ordering::Relaxed);
+                Step::Done
+            }
+            None => Step::Block(c.waitable()),
+        }));
         s.run_until_idle(10);
         assert_eq!(got.load(Ordering::Relaxed), 0);
         chan.try_send(42);

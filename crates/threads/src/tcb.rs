@@ -64,29 +64,12 @@ pub enum TState {
     Blocked,
 }
 
-/// How the thread came to exist (for statistics).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ThreadKind {
-    /// Ordinary spawned thread.
-    Regular,
-    /// A pop-up thread promoted from a proto-thread.
-    PromotedPopup,
-    /// An eagerly created pop-up thread (the unoptimised baseline).
-    EagerPopup,
-}
-
 /// A thread control block.
 pub struct Tcb {
-    /// Thread id.
-    pub tid: Tid,
-    /// Debug name.
-    pub name: String,
     /// Scheduling state.
     pub state: TState,
     /// The body; taken out while running.
     pub body: Option<ThreadBody>,
-    /// Provenance.
-    pub kind: ThreadKind,
     /// Times the body has been entered.
     pub entries: u64,
 }

@@ -65,28 +65,25 @@ fn main() {
         let mem = nucleus.mem.clone();
         let (done_c, total_c) = (done.clone(), total.clone());
         let id = domain.id;
-        scheduler.spawn(
-            format!("dot{w}"),
-            Box::new(move |ctx| {
-                // Each worker reads its slice out of the shared pages.
-                let chunk = VECTOR_LEN / WORKERS;
-                let (lo, hi) = (w * chunk, (w + 1) * chunk);
-                let mut sum = 0i64;
-                let mut buf = [0u8; 8];
-                for i in lo..hi {
-                    mem.read(id, wbase + (i * 8) as u64, &mut buf).unwrap();
-                    let ai = i64::from_le_bytes(buf);
-                    mem.read(id, wbase + ((VECTOR_LEN + i) * 8) as u64, &mut buf)
-                        .unwrap();
-                    let bi = i64::from_le_bytes(buf);
-                    sum += ai * bi;
-                }
-                ctx.work(2 * (hi - lo) as u64); // The multiply-adds.
-                total_c.fetch_add(sum, Ordering::Relaxed);
-                done_c.release();
-                Step::Done
-            }),
-        );
+        scheduler.spawn(Box::new(move |ctx| {
+            // Each worker reads its slice out of the shared pages.
+            let chunk = VECTOR_LEN / WORKERS;
+            let (lo, hi) = (w * chunk, (w + 1) * chunk);
+            let mut sum = 0i64;
+            let mut buf = [0u8; 8];
+            for i in lo..hi {
+                mem.read(id, wbase + (i * 8) as u64, &mut buf).unwrap();
+                let ai = i64::from_le_bytes(buf);
+                mem.read(id, wbase + ((VECTOR_LEN + i) * 8) as u64, &mut buf)
+                    .unwrap();
+                let bi = i64::from_le_bytes(buf);
+                sum += ai * bi;
+            }
+            ctx.work(2 * (hi - lo) as u64); // The multiply-adds.
+            total_c.fetch_add(sum, Ordering::Relaxed);
+            done_c.release();
+            Step::Done
+        }));
     }
 
     // Also demonstrate the interrupt path: "work arrived" breakpoint traps

@@ -14,10 +14,15 @@
 # first in odd pairs and change first in even ones, so a drifting host
 # does not favour one side, and prints one row per end-to-end metric of
 # BENCHMARK.json: both medians, the parent's inter-quartile range, the
-# ratio change/parent and how many pairs the change won (did better in,
-# by the metric's own direction). Each run's result line and its standard
-# error are kept in target/pairs/runs/WORKLOAD-sSEED/. Nothing under
-# benchmark/ changes.
+# ratio of the two medians, how many pairs the change won (did better in,
+# by the metric's own direction), and the median of the per-pair ratios
+# change/parent with its sign-test interval: the k-th smallest to the
+# k-th largest ratio, for the largest k whose coverage is at least 95 %
+# (2nd to 9th of 10 pairs, all of 8; `n/a` below 6 pairs). A pair's ratio
+# cancels the drift both runs of the pair shared, which the ratio of the
+# side medians does not. Each run's result line and its standard error are
+# kept in target/pairs/runs/WORKLOAD-sSEED/. Nothing under benchmark/
+# changes.
 # Needs only git, tar, awk and the Rust toolchain.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -86,7 +91,8 @@ value() {
 }
 
 echo "$workload, seed $seed: $pairs pairs of ${seconds} s, parent $sha vs the checkout"
-printf '%-14s %14s %14s %12s %8s %6s\n' metric parent_median change_median parent_iqr ratio won
+printf '%-14s %14s %14s %12s %8s %6s %8s %18s\n' metric parent_median change_median \
+    parent_iqr med_ratio won pair_med 'pair_95%_interval'
 while read -r name better; do
     for ((i = 1; i <= pairs; i++)); do
         echo "$(value "$name" "$runs/parent-$i.json") $(value "$name" "$runs/change-$i.json")"
@@ -102,15 +108,29 @@ while read -r name better; do
                     t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
                 }
         }
+        # P(X <= k) for X ~ Binomial(n, 1/2).
+        function binom_cdf(n, k,    i, term, sum) {
+            term = 1
+            for (i = 0; i <= k; i++) {
+                sum += term
+                term = term * (n - i) / (i + 1)
+            }
+            return sum / 2 ^ n
+        }
         {
             p[NR - 1] = $1; c[NR - 1] = $2
+            r[NR - 1] = $1 ? $2 / $1 : 0
             won += better == "higher" ? $2 > $1 : $2 < $1
         }
         END {
             n = NR
-            sort(p, n); sort(c, n)
+            sort(p, n); sort(c, n); sort(r, n)
             pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
             iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
-            printf "%-14s %14.6g %14.6g %12.4g %8.4f %3d/%d\n", name, pm, cm, iqr, pm ? cm / pm : 0, won, pairs
+            # [r_(k), r_(n+1-k)] covers the median with 1 - 2 P(X <= k-1).
+            for (k = 0; 2 * binom_cdf(n, k) <= 0.05; k++) {}
+            interval = k ? sprintf("[%.4f, %.4f]", r[k - 1], r[n - k]) : "n/a"
+            printf "%-14s %14.6g %14.6g %12.4g %8.4f %3d/%d %8.4f %18s\n", name, pm, cm, iqr,
+                pm ? cm / pm : 0, won, pairs, quantile(r, n, 0.5), interval
         }'
 done <<<"$metrics"

@@ -94,14 +94,14 @@ const CALLS: u64 = 1_000;
 
 #[test]
 fn object_model_set_up_meets_its_allocation_budgets() {
-    // Names are `'static`: building an object, an interposer over it or
-    // its descriptors copies no name, only tables, and an invoke has
-    // nothing to fill. Budgets are the larger of the debug and release
-    // counts.
+    // Names are `'static`: building an object or an interposer over it
+    // copies no name, only tables; a method is one allocation (its
+    // implementation), and an invoke has nothing to fill. Budgets are the
+    // larger of the debug and release counts.
     let mut obj = None;
     let build = count_allocs(|| obj = Some(counter()));
     assert!(
-        build <= 10,
+        build <= 8,
         "building the two-method counter: {build} allocations"
     );
     let obj = obj.unwrap();
@@ -110,14 +110,28 @@ fn object_model_set_up_meets_its_allocation_budgets() {
         obj.invoke("ctr", "incr", &args).unwrap();
     });
     assert_eq!(first, 0, "a first invoke");
-    let descriptors = count_allocs(|| {
-        obj.descriptors();
-    });
-    assert!(descriptors <= 2, "descriptors(): {descriptors} allocations");
     let interpose = count_allocs(|| {
         InterposerBuilder::new(obj.clone()).build();
     });
-    assert!(interpose <= 20, "an interposer: {interpose} allocations");
+    assert!(interpose <= 12, "an interposer: {interpose} allocations");
+}
+
+#[test]
+fn interposing_on_a_bound_path_is_zero_alloc() {
+    // The name space is the only record of where an object is bound:
+    // swapping a type-checked agent in at a path writes one map slot and
+    // copies no name.
+    let world = World::boot();
+    let n = &world.nucleus;
+    n.register(KERNEL_DOMAIN, "/svc/counter", counter())
+        .unwrap();
+    let agent = InterposerBuilder::new(counter()).build();
+    let mut old = None;
+    let allocs = count_allocs(|| {
+        old = Some(n.interpose(KERNEL_DOMAIN, "/svc/counter", agent).unwrap());
+    });
+    assert_eq!(old.unwrap().class(), "counter");
+    assert_eq!(allocs, 0, "Nucleus::interpose: {allocs} allocations");
 }
 
 #[test]

@@ -308,14 +308,17 @@ fn every_forwarder_is_transparent_late_bound_and_follows_its_target() {
     for (name, iface, build) in &table {
         let lower = probe(iface, 7);
         let layer = build(lower.clone());
-        assert_eq!(
-            layer.interface(iface).unwrap().descriptor().methods,
-            declared(iface),
+        assert!(
+            layer
+                .interface(iface)
+                .unwrap()
+                .signatures()
+                .eq(declared(iface)),
             "{name}: {iface} is its declaration"
         );
 
         // Every method below is a method above, with the same answer.
-        // (Descriptor order is sorted, so `flush` runs before any write
+        // (Signature order is sorted, so `flush` runs before any write
         // could leave the cache a dirty line of its own to count.)
         let twin = probe(iface, 7);
         for sig in declared(iface) {
@@ -457,8 +460,8 @@ fn every_store_layer_is_a_blockdev_and_answers_write_limit() {
             if name == "journal" {
                 limit = 14;
             }
-            let blockdev = layer.interface("blockdev").unwrap().descriptor();
-            assert_eq!(blockdev.methods, BLOCKDEV, "shape {shape}: {name}");
+            let blockdev = layer.interface("blockdev").unwrap().signatures();
+            assert!(blockdev.eq(BLOCKDEV), "shape {shape}: {name}");
             assert_eq!(
                 layer.invoke("blockdev", "write_limit", &[]),
                 Ok(Value::Int(limit)),
@@ -497,7 +500,7 @@ fn every_netdev_layer_is_a_netdev() {
         ("network monitor", make_network_monitor(nic).0),
     ];
     for (name, layer) in layers {
-        let netdev = layer.interface("netdev").unwrap().descriptor();
-        assert_eq!(netdev.methods, NETDEV, "{name}");
+        let netdev = layer.interface("netdev").unwrap().signatures();
+        assert!(netdev.eq(NETDEV), "{name}");
     }
 }

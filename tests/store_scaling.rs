@@ -48,6 +48,19 @@ fn fresh_driver() -> (Arc<MemService>, ObjRef) {
     (mem, driver)
 }
 
+/// Stands an interposer over `driver` whose `before` hook counts every
+/// call that reaches the driver through it.
+fn counted(driver: &ObjRef) -> (ObjRef, Arc<AtomicU64>) {
+    let calls = Arc::new(AtomicU64::new(0));
+    let count = calls.clone();
+    let agent = InterposerBuilder::new(driver.clone())
+        .before(move |_, _, _| {
+            count.fetch_add(1, Ordering::Relaxed);
+        })
+        .build();
+    (agent, calls)
+}
+
 fn sector_of(byte: u8) -> Value {
     Value::Bytes(bytes::Bytes::from(vec![byte; SECTOR_SIZE]))
 }
@@ -372,15 +385,12 @@ fn oversized_write_many_streams_through_in_one_backing_call() {
     // A batch larger than the cache bypasses it as one vectorized
     // write-through instead of thrashing every line.
     let (_mem, driver) = fresh_driver();
-    let cache = StackBuilder::on(driver.clone())
-        .cache(8)
-        .build()
-        .unwrap()
-        .top;
+    let (counted, calls) = counted(&driver);
+    let cache = StackBuilder::on(counted).cache(8).build().unwrap().top;
     cache
         .invoke("blockdev", "write", &[Value::Int(0), sector_of(0x01)])
         .unwrap();
-    let before = driver.invocation_count();
+    let before = calls.load(Ordering::Relaxed);
     let pairs: Vec<(i64, bytes::Bytes)> = (0..64i64)
         .map(|sec| (sec, bytes::Bytes::from(vec![0x40 + sec as u8; SECTOR_SIZE])))
         .collect();
@@ -389,7 +399,7 @@ fn oversized_write_many_streams_through_in_one_backing_call() {
         .unwrap();
     assert_eq!(n, Value::Int(64));
     assert_eq!(
-        driver.invocation_count() - before,
+        calls.load(Ordering::Relaxed) - before,
         1,
         "streaming write-through issues one backing call"
     );
@@ -412,19 +422,21 @@ fn batched_flush_beats_per_sector_writes_on_invocations_and_cost() {
     const N: i64 = 256;
     // Per-sector: 256 individual driver writes.
     let (mem_a, driver_a) = fresh_driver();
+    let (counted_a, calls_a) = counted(&driver_a);
     let t0 = mem_a.machine().lock().now();
-    let inv0 = driver_a.invocation_count();
+    let inv0 = calls_a.load(Ordering::Relaxed);
     for sec in 0..N {
-        driver_a
+        counted_a
             .invoke("blockdev", "write", &[Value::Int(sec), sector_of(1)])
             .unwrap();
     }
     let per_sector_cost = mem_a.machine().lock().now() - t0;
-    let per_sector_invocations = driver_a.invocation_count() - inv0;
+    let per_sector_invocations = calls_a.load(Ordering::Relaxed) - inv0;
 
     // Batched: 256 dirty lines, one coalesced flush.
     let (mem_b, driver_b) = fresh_driver();
-    let cache = StackBuilder::on(driver_b.clone())
+    let (counted_b, calls_b) = counted(&driver_b);
+    let cache = StackBuilder::on(counted_b)
         .sharded_cache(512, 8)
         .build()
         .unwrap()
@@ -435,10 +447,10 @@ fn batched_flush_beats_per_sector_writes_on_invocations_and_cost() {
             .unwrap();
     }
     let t0 = mem_b.machine().lock().now();
-    let inv0 = driver_b.invocation_count();
+    let inv0 = calls_b.load(Ordering::Relaxed);
     assert_eq!(cache.invoke("cache", "flush", &[]).unwrap(), Value::Int(N));
     let batched_cost = mem_b.machine().lock().now() - t0;
-    let batched_invocations = driver_b.invocation_count() - inv0;
+    let batched_invocations = calls_b.load(Ordering::Relaxed) - inv0;
 
     assert_eq!(per_sector_invocations, N as u64);
     assert_eq!(batched_invocations, 1, "one vectorized backing call");

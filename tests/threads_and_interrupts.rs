@@ -103,16 +103,13 @@ fn blocking_consumer_thread_wakes_on_channel_data_from_interrupts() {
     let consumed = Arc::new(AtomicU64::new(0));
     {
         let (chan, consumed) = (chan.clone(), consumed.clone());
-        scheduler.spawn(
-            "consumer",
-            Box::new(move |_ctx| match chan.try_recv() {
-                Some(v) => {
-                    consumed.fetch_add(u64::from(v), Ordering::Relaxed);
-                    Step::Yield
-                }
-                None => Step::Block(chan.waitable()),
-            }),
-        );
+        scheduler.spawn(Box::new(move |_ctx| match chan.try_recv() {
+            Some(v) => {
+                consumed.fetch_add(u64::from(v), Ordering::Relaxed);
+                Step::Yield
+            }
+            None => Step::Block(chan.waitable()),
+        }));
     }
 
     let factory: PopupFactory = {
