@@ -15,13 +15,7 @@
 //! crossing — exactly the trade-off the paper's placement argument is
 //! about.
 
-use std::{
-    collections::VecDeque,
-    sync::{
-        atomic::{AtomicU64, Ordering},
-        Arc,
-    },
-};
+use std::{collections::VecDeque, sync::Arc};
 
 use parking_lot::Mutex;
 
@@ -53,17 +47,26 @@ pub type AmCompletion = (u64, ObjResult<Value>);
 pub struct AmEndpoint {
     machine: Arc<Mutex<Machine>>,
     irq_line: u32,
-    queue: Mutex<VecDeque<(u64, ActiveMsg)>>,
-    completions: Mutex<Vec<AmCompletion>>,
-    next_id: AtomicU64,
-    /// Messages dropped because the queue was full.
-    dropped: AtomicU64,
+    /// Bound of both the message queue and the completions.
     capacity: usize,
+    state: Mutex<AmState>,
+}
+
+struct AmState {
+    queue: VecDeque<(u64, ActiveMsg)>,
+    completions: Vec<AmCompletion>,
+    next_id: u64,
+    /// Messages refused because the queue was full.
+    dropped: u64,
+    /// Completions not kept because `completions` was full.
+    shed: u64,
 }
 
 impl AmEndpoint {
     /// Creates an endpoint on `irq_line` and attaches its dispatcher to
     /// the event service through `engine` (pop-up threads in `domain`).
+    /// `capacity` bounds both the queued messages and the completions
+    /// kept for [`AmEndpoint::take_completions`].
     pub fn install(
         events: &EventService,
         engine: &Arc<PopupEngine>,
@@ -75,21 +78,25 @@ impl AmEndpoint {
         let endpoint = Arc::new(AmEndpoint {
             machine,
             irq_line,
-            queue: Mutex::new(VecDeque::new()),
-            completions: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             capacity: capacity.max(1),
+            state: Mutex::new(AmState {
+                queue: VecDeque::new(),
+                completions: Vec::new(),
+                next_id: 1,
+                dropped: 0,
+                shed: 0,
+            }),
         });
         let ep = endpoint.clone();
         let factory: PopupFactory = Arc::new(move |_trap| {
             let ep = ep.clone();
             Box::new(move |_ctx| {
                 // Drain everything pending: interrupts coalesce, so one
-                // pop-up may serve several messages.
+                // pop-up may serve several messages. The handler runs with
+                // no endpoint lock held: it may post to this endpoint.
                 while let Some((id, msg)) = ep.take_next() {
                     let result = msg.target.invoke(&msg.interface, &msg.method, &msg.args);
-                    ep.completions.lock().push((id, result));
+                    ep.complete(id, result);
                 }
                 Step::Done
             })
@@ -102,37 +109,55 @@ impl AmEndpoint {
     /// Returns the message id, or `None` if the queue was full (the
     /// sender's problem, as with any network).
     pub fn post(&self, msg: ActiveMsg) -> Option<u64> {
-        {
-            let mut q = self.queue.lock();
-            if q.len() >= self.capacity {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+        let id = {
+            let mut st = self.state.lock();
+            if st.queue.len() >= self.capacity {
+                st.dropped += 1;
                 return None;
             }
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            q.push_back((id, msg));
-            let mut m = self.machine.lock();
-            m.irq.raise(self.irq_line);
-            Some(id)
-        }
+            let id = st.next_id;
+            st.next_id += 1;
+            st.queue.push_back((id, msg));
+            id
+        };
+        self.machine.lock().irq.raise(self.irq_line);
+        Some(id)
     }
 
     fn take_next(&self) -> Option<(u64, ActiveMsg)> {
-        self.queue.lock().pop_front()
+        self.state.lock().queue.pop_front()
+    }
+
+    /// Keeps a handler's result for `take_completions`, or counts it as
+    /// shed once `capacity` results are waiting there.
+    fn complete(&self, id: u64, result: ObjResult<Value>) {
+        let mut st = self.state.lock();
+        if st.completions.len() >= self.capacity {
+            st.shed += 1;
+        } else {
+            st.completions.push((id, result));
+        }
     }
 
     /// Drains the accumulated completions.
     pub fn take_completions(&self) -> Vec<AmCompletion> {
-        std::mem::take(&mut self.completions.lock())
+        std::mem::take(&mut self.state.lock().completions)
     }
 
     /// Messages rejected because the queue was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.state.lock().dropped
+    }
+
+    /// Completions not kept because `capacity` of them were waiting to be
+    /// taken.
+    pub fn shed(&self) -> u64 {
+        self.state.lock().shed
     }
 
     /// Messages currently queued.
     pub fn pending(&self) -> usize {
-        self.queue.lock().len()
+        self.state.lock().queue.len()
     }
 }
 
@@ -264,7 +289,19 @@ mod tests {
         assert!(r.endpoint.post(msg(3)).is_none());
         assert_eq!(r.endpoint.dropped(), 1);
         pump(&r);
-        assert_eq!(r.endpoint.take_completions().len(), 2);
+        // Two more, and nobody takes the first two completions: the
+        // completions are full, so the new ones are shed and counted.
+        assert!(r.endpoint.post(msg(4)).is_some());
+        assert!(r.endpoint.post(msg(5)).is_some());
+        pump(&r);
+        assert_eq!((r.endpoint.dropped(), r.endpoint.shed()), (1, 2));
+        let ids: Vec<u64> = r.endpoint.take_completions().iter().map(|c| c.0).collect();
+        assert_eq!(ids, vec![1, 2]);
+        // Taking them makes room again.
+        r.endpoint.post(msg(6)).unwrap();
+        pump(&r);
+        assert_eq!(r.endpoint.take_completions().len(), 1);
+        assert_eq!(r.endpoint.shed(), 2);
     }
 
     // Cross-domain active messages (handler behind a proxy) are exercised

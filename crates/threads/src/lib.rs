@@ -6,7 +6,8 @@
 //!
 //! - [`tcb`] — thread control blocks and the step-based thread body model,
 //! - [`sched`] — a round-robin scheduler with cycle accounting,
-//! - [`sync`] — semaphores, mutexes and channels for simulated threads,
+//! - [`sync`] — semaphores (a mutex is one with a single permit) and
+//!   channels for simulated threads,
 //! - [`popup`] — pop-up threads for interrupts with the *proto-thread*
 //!   optimisation: "we delay the actual creation of the pop-up thread by
 //!   creating a proto-thread. Only when the proto-thread is about to block
@@ -58,5 +59,5 @@ pub use am::{ActiveMsg, AmEndpoint};
 pub use pool::{CrossBus, CrossEndpoint, CrossMsg, CrossStats, Mailbox, RoundBarrier};
 pub use popup::{PopupEngine, PopupMode, PopupStats};
 pub use sched::{SchedStats, Scheduler};
-pub use sync::{Channel, Semaphore, SimMutex};
+pub use sync::{Channel, Semaphore};
 pub use tcb::{Step, ThreadBody, ThreadCtx, Tid};

@@ -16,7 +16,9 @@
 //!   context*. If the handler completes without blocking — the common case
 //!   for well-written handlers — no thread ever exists. If it blocks or
 //!   yields, the engine *promotes*: pays the promotion cost and hands the
-//!   half-run body to the scheduler with full thread semantics.
+//!   body to the scheduler in the state its proto run ended in — queued
+//!   if it yielded, parked on its waitable if it blocked — as a thread
+//!   that has had one slice.
 //! - **Eager mode** (the baseline): always pays full thread creation and
 //!   queues the handler for the scheduler.
 
@@ -25,10 +27,8 @@ use std::sync::{
     Arc,
 };
 
-use parking_lot::Mutex;
-
 use paramecium_core::{domain::DomainId, events::EventService};
-use paramecium_machine::{trap::Trap, Machine};
+use paramecium_machine::trap::Trap;
 
 use crate::{
     sched::Scheduler,
@@ -55,15 +55,15 @@ pub struct PopupStats {
     pub eager_creations: u64,
 }
 
-/// A factory producing one handler body per event. The body is the
-/// handler's *continuation*: it is entered once in interrupt context and,
-/// if it does not finish, re-entered later with thread semantics.
+/// A factory producing one handler body per event. In proto mode the
+/// body is entered first in interrupt context (`entries == 1`) and, if it
+/// does not finish, re-entered later with thread semantics from
+/// `entries == 2` on.
 pub type PopupFactory = Arc<dyn Fn(&Trap) -> ThreadBody + Send + Sync>;
 
 /// The pop-up thread engine.
 pub struct PopupEngine {
     scheduler: Scheduler,
-    machine: Arc<Mutex<Machine>>,
     mode: PopupMode,
     fast_path: AtomicU64,
     promotions: AtomicU64,
@@ -73,10 +73,8 @@ pub struct PopupEngine {
 impl PopupEngine {
     /// Creates an engine in the given mode.
     pub fn new(scheduler: Scheduler, mode: PopupMode) -> Arc<Self> {
-        let machine = scheduler.core().machine().clone();
         Arc::new(PopupEngine {
             scheduler,
-            machine,
             mode,
             fast_path: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
@@ -113,66 +111,29 @@ impl PopupEngine {
 
     fn handle_proto(&self, trap: &Trap, factory: &PopupFactory) {
         // Proto-thread: borrowed stack, no TCB — just the cheap setup cost.
-        {
-            let mut m = self.machine.lock();
-            let cost = m.cost.proto_thread_create;
-            m.charge(cost);
-        }
+        self.scheduler.charge(|c| c.proto_thread_create);
         let mut body = factory(trap);
         // Run immediately, in interrupt context.
-        let mut ctx = ThreadCtx {
-            tid: 0, // Proto-threads have no identity yet.
-            machine: self.machine.clone(),
+        let step = body(&mut ThreadCtx {
+            machine: self.scheduler.machine(),
             entries: 1,
-        };
-        match body(&mut ctx) {
-            Step::Done => {
-                // Fast path: handled to completion, no thread was created.
-                self.fast_path.fetch_add(1, Ordering::Relaxed);
-            }
-            step => {
-                // About to block or be rescheduled: promote to a real
-                // thread now.
-                {
-                    let mut m = self.machine.lock();
-                    let cost = m.cost.proto_thread_promote;
-                    m.charge(cost);
-                }
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                let resumed = Mutex::new(Some((step, body)));
-                // The promoted body must first honour the step the proto
-                // run ended with (e.g. actually park on the waitable).
-                let wrapped: ThreadBody = Box::new(move |ctx| {
-                    let mut slot = resumed.lock();
-                    match slot.take() {
-                        Some((pending, body)) => {
-                            *slot = Some((Step::Yield, body));
-                            match pending {
-                                Step::Block(w) => Step::Block(w),
-                                _ => {
-                                    // Proto run asked to be rescheduled;
-                                    // continue the body on this entry.
-                                    let (_, mut body) = slot.take().expect("just stored");
-                                    let s = body(ctx);
-                                    *slot = Some((Step::Yield, body));
-                                    s
-                                }
-                            }
-                        }
-                        None => Step::Done,
-                    }
-                });
-                // Promotion pays the *promotion* cost, not full creation.
-                self.scheduler.spawn_with_cost(wrapped, false);
-            }
+        });
+        if let Step::Done = step {
+            // Fast path: handled to completion, no thread was created.
+            self.fast_path.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        // About to block or be rescheduled: promote to a real thread now,
+        // paying the *promotion* cost, not full creation.
+        self.scheduler.charge(|c| c.proto_thread_promote);
+        self.promotions.fetch_add(1, Ordering::Relaxed);
+        self.scheduler.admit(body, 1, step);
     }
 
     fn handle_eager(&self, trap: &Trap, factory: &PopupFactory) {
         self.eager.fetch_add(1, Ordering::Relaxed);
-        let body = factory(trap);
         // Full creation cost, and the handler waits for the scheduler.
-        self.scheduler.spawn_with_cost(body, true);
+        self.scheduler.spawn(factory(trap));
     }
 
     /// Statistics snapshot.
@@ -190,7 +151,8 @@ mod tests {
     use super::*;
     use crate::sync::Semaphore;
     use paramecium_core::domain::KERNEL_DOMAIN;
-    use paramecium_machine::trap::TrapKind;
+    use paramecium_machine::{trap::TrapKind, Machine};
+    use parking_lot::Mutex;
 
     fn setup(
         mode: PopupMode,
@@ -304,7 +266,7 @@ mod tests {
     #[test]
     fn blocking_handler_is_promoted_with_correct_semantics() {
         let (engine, scheduler, events, machine) = setup(PopupMode::Proto);
-        let sem = Semaphore::new(scheduler.core().clone(), 0);
+        let sem = Semaphore::new(&scheduler, 0);
         let done = Arc::new(AtomicU64::new(0));
 
         let (sem_f, done_f) = (sem.clone(), done.clone());
@@ -316,7 +278,7 @@ mod tests {
                     if sem.try_acquire() {
                         acquired = true;
                     } else {
-                        return Step::Block(sem.waitable());
+                        return Step::Block(sem.clone());
                     }
                 }
                 done.fetch_add(1, Ordering::Relaxed);
@@ -345,6 +307,88 @@ mod tests {
         assert_eq!(done.load(Ordering::Relaxed), 1);
     }
 
+    /// Delivers one breakpoint trap to a fresh engine in `mode` whose
+    /// handler logs `ctx.entries`, yields on its first entry and finishes
+    /// on its second; returns the log once the scheduler is idle.
+    fn entries_of_a_handler_that_yields_once(mode: PopupMode) -> Vec<u64> {
+        let (engine, scheduler, events, machine) = setup(mode);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let log_f = log.clone();
+        let factory: PopupFactory = Arc::new(move |_trap| {
+            let log = log_f.clone();
+            Box::new(move |ctx| {
+                log.lock().push(ctx.entries);
+                if ctx.entries == 1 {
+                    Step::Yield
+                } else {
+                    Step::Done
+                }
+            })
+        });
+        engine
+            .attach(
+                &events,
+                TrapKind::Breakpoint.vector(),
+                KERNEL_DOMAIN,
+                factory,
+            )
+            .unwrap();
+        events.deliver(&machine, &Trap::exception(TrapKind::Breakpoint));
+        scheduler.run_until_idle(10);
+        let entries = log.lock().clone();
+        entries
+    }
+
+    #[test]
+    fn a_promoted_handler_continues_from_its_proto_entry() {
+        // The proto run is the body's first entry; its first slice as a
+        // thread is the second, as for an eagerly created thread.
+        assert_eq!(
+            entries_of_a_handler_that_yields_once(PopupMode::Proto),
+            vec![1, 2]
+        );
+        assert_eq!(
+            entries_of_a_handler_that_yields_once(PopupMode::Eager),
+            vec![1, 2]
+        );
+    }
+
+    #[test]
+    fn a_blocked_promotion_runs_no_slice_before_its_release() {
+        let (engine, scheduler, events, machine) = setup(PopupMode::Proto);
+        let sem = Semaphore::new(&scheduler, 0);
+        let sem_f = sem.clone();
+        let factory: PopupFactory = Arc::new(move |_trap| {
+            let sem = sem_f.clone();
+            Box::new(move |_ctx| {
+                if sem.try_acquire() {
+                    Step::Done
+                } else {
+                    Step::Block(sem.clone())
+                }
+            })
+        });
+        engine
+            .attach(
+                &events,
+                TrapKind::Breakpoint.vector(),
+                KERNEL_DOMAIN,
+                factory,
+            )
+            .unwrap();
+
+        events.deliver(&machine, &Trap::exception(TrapKind::Breakpoint));
+        // Promoted straight onto the semaphore: nothing is ready to run.
+        assert_eq!(scheduler.run_until_idle(10), 0);
+        let st = scheduler.stats();
+        assert_eq!((st.spawned, st.slices, st.blocks), (1, 0, 1));
+
+        sem.release();
+        assert_eq!(scheduler.run_until_idle(10), 1);
+        let st = scheduler.stats();
+        assert_eq!((st.slices, st.wakes, st.completed), (1, 1, 1));
+    }
+
     #[test]
     fn promotion_charges_less_than_creation_on_fast_path_mix() {
         // With a 10% blocking rate, proto mode should beat eager mode.
@@ -352,7 +396,7 @@ mod tests {
 
         let run = |mode: PopupMode| -> u64 {
             let (engine, scheduler, events, machine) = setup(mode);
-            let sem = Semaphore::new(scheduler.core().clone(), 0);
+            let sem = Semaphore::new(&scheduler, 0);
             let counter = Arc::new(AtomicU64::new(0));
             let (sem_f, ctr) = (sem.clone(), counter.clone());
             let factory: PopupFactory = Arc::new(move |_| {
@@ -363,7 +407,7 @@ mod tests {
                     if n % block_every == 0 && !waited {
                         waited = true;
                         if !sem.try_acquire() {
-                            return Step::Block(sem.waitable());
+                            return Step::Block(sem.clone());
                         }
                     }
                     Step::Done

@@ -4,12 +4,19 @@
 //! ready queue, enters the thread body, and acts on the returned
 //! [`Step`]. Every scheduling decision charges the machine's `schedule`
 //! cost; thread creation charges `thread_create`.
+//!
+//! The scheduler's state — the next thread id, the TCB map, the ready
+//! queue and the statistics — sits behind one lock, and a slice takes it
+//! twice: to pick the thread and to file the step it returned. That lock
+//! is never held while a body runs, while a waitable parks (a `park` may
+//! call the scheduler's `wake`, and the lock is not re-entrant), or while
+//! the machine is charged.
 
 use std::{collections::HashMap, collections::VecDeque, sync::Arc};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use paramecium_machine::Machine;
+use paramecium_machine::{CostModel, Cycles, Machine};
 
 use crate::tcb::{Step, TState, Tcb, ThreadBody, ThreadCtx, Tid};
 
@@ -28,146 +35,142 @@ pub struct SchedStats {
     pub wakes: u64,
 }
 
-/// Shared scheduler core (cloned into sync primitives so they can wake
-/// threads).
-pub struct SchedCore {
-    machine: Arc<Mutex<Machine>>,
-    tcbs: Mutex<HashMap<Tid, Tcb>>,
-    ready: Mutex<VecDeque<Tid>>,
-    next_tid: Mutex<Tid>,
-    stats: Mutex<SchedStats>,
+struct SchedState {
+    next_tid: Tid,
+    tcbs: HashMap<Tid, Tcb>,
+    ready: VecDeque<Tid>,
+    stats: SchedStats,
 }
 
-impl SchedCore {
-    /// Moves a blocked thread to the ready queue (called by sync
-    /// primitives on signal).
-    pub fn wake(&self, tid: Tid) {
-        let mut tcbs = self.tcbs.lock();
-        if let Some(tcb) = tcbs.get_mut(&tid) {
-            if tcb.state == TState::Blocked {
-                tcb.state = TState::Ready;
-                self.ready.lock().push_back(tid);
-                self.stats.lock().wakes += 1;
-            }
-        }
-    }
-
-    /// The machine handle.
-    pub fn machine(&self) -> &Arc<Mutex<Machine>> {
-        &self.machine
-    }
-}
-
-/// The thread scheduler.
+/// The thread scheduler. Clones are handles on one scheduler; the sync
+/// primitives keep one to wake the threads they park.
 #[derive(Clone)]
 pub struct Scheduler {
-    core: Arc<SchedCore>,
+    machine: Arc<Mutex<Machine>>,
+    state: Arc<Mutex<SchedState>>,
 }
 
 impl Scheduler {
     /// Creates a scheduler over a machine.
     pub fn new(machine: Arc<Mutex<Machine>>) -> Self {
         Scheduler {
-            core: Arc::new(SchedCore {
-                machine,
-                tcbs: Mutex::new(HashMap::new()),
-                ready: Mutex::new(VecDeque::new()),
-                next_tid: Mutex::new(1),
-                stats: Mutex::new(SchedStats::default()),
-            }),
+            machine,
+            state: Arc::new(Mutex::new(SchedState {
+                next_tid: 1,
+                tcbs: HashMap::new(),
+                ready: VecDeque::new(),
+                stats: SchedStats::default(),
+            })),
         }
     }
 
-    /// The shared core (for sync primitives and the pop-up engine).
-    pub fn core(&self) -> &Arc<SchedCore> {
-        &self.core
+    /// The machine the scheduler charges.
+    pub(crate) fn machine(&self) -> &Mutex<Machine> {
+        &self.machine
+    }
+
+    /// Charges the machine the cost `pick` selects.
+    pub(crate) fn charge(&self, pick: fn(&CostModel) -> Cycles) {
+        let mut m = self.machine.lock();
+        let cost = pick(&m.cost);
+        m.charge(cost);
     }
 
     /// Spawns a regular thread, charging the creation cost. Returns its
     /// id.
     pub fn spawn(&self, body: ThreadBody) -> Tid {
-        self.spawn_with_cost(body, true)
+        self.charge(|c| c.thread_create);
+        self.admit(body, 0, Step::Yield)
     }
 
-    /// Spawns with optional cost charging (the pop-up engine charges its
-    /// own, different costs).
-    pub(crate) fn spawn_with_cost(&self, body: ThreadBody, charge_create: bool) -> Tid {
-        let tid = {
-            let mut next = self.core.next_tid.lock();
-            let t = *next;
-            *next += 1;
-            t
+    /// Gives `body` a thread id and files it by `step`, as if it had just
+    /// returned `step` from its `entries`-th slice: the pop-up engine
+    /// hands over a promoted proto-thread this way, in the state its proto
+    /// run ended in.
+    pub(crate) fn admit(&self, body: ThreadBody, entries: u64, step: Step) -> Tid {
+        let mut st = self.state.lock();
+        let tid = st.next_tid;
+        st.next_tid += 1;
+        st.stats.spawned += 1;
+        Self::settle(st, tid, body, entries, step);
+        tid
+    }
+
+    /// Files thread `tid` by the step its body returned: `Yield` queues
+    /// it, `Block` parks it on the waitable, `Done` removes it. Releases
+    /// the lock before parking.
+    fn settle(
+        mut st: MutexGuard<'_, SchedState>,
+        tid: Tid,
+        body: ThreadBody,
+        entries: u64,
+        step: Step,
+    ) {
+        let state = match step {
+            Step::Done => {
+                st.tcbs.remove(&tid);
+                st.stats.completed += 1;
+                return;
+            }
+            Step::Yield => {
+                st.ready.push_back(tid);
+                TState::Ready
+            }
+            Step::Block(_) => {
+                st.stats.blocks += 1;
+                TState::Blocked
+            }
         };
-        if charge_create {
-            let mut m = self.core.machine.lock();
-            let cost = m.cost.thread_create;
-            m.charge(cost);
-        }
-        self.core.tcbs.lock().insert(
+        st.tcbs.insert(
             tid,
             Tcb {
-                state: TState::Ready,
+                state,
                 body: Some(body),
-                entries: 0,
+                entries,
             },
         );
-        self.core.ready.lock().push_back(tid);
-        self.core.stats.lock().spawned += 1;
-        tid
+        drop(st);
+        if let Step::Block(w) = step {
+            w.park(tid);
+        }
+    }
+
+    /// Moves a blocked thread to the ready queue (called by the sync
+    /// primitives on release).
+    pub(crate) fn wake(&self, tid: Tid) {
+        let mut st = self.state.lock();
+        let st = &mut *st;
+        if let Some(tcb) = st.tcbs.get_mut(&tid) {
+            if tcb.state == TState::Blocked {
+                tcb.state = TState::Ready;
+                st.ready.push_back(tid);
+                st.stats.wakes += 1;
+            }
+        }
     }
 
     /// Runs one scheduling slice. Returns false if the ready queue was
     /// empty.
-    pub(crate) fn run_slice(&self) -> bool {
-        let Some(tid) = self.core.ready.lock().pop_front() else {
-            return false;
-        };
-        // Charge the scheduling decision.
-        {
-            let mut m = self.core.machine.lock();
-            let cost = m.cost.schedule;
-            m.charge(cost);
-        }
-        // Take the body out so the TCB lock is not held while running.
-        let (mut body, entries) = {
-            let mut tcbs = self.core.tcbs.lock();
-            let tcb = tcbs.get_mut(&tid).expect("ready thread has a TCB");
+    fn run_slice(&self) -> bool {
+        // Take the body out so the lock is not held while it runs.
+        let (tid, mut body, entries) = {
+            let mut st = self.state.lock();
+            let Some(tid) = st.ready.pop_front() else {
+                return false;
+            };
+            st.stats.slices += 1;
+            let tcb = st.tcbs.get_mut(&tid).expect("ready thread has a TCB");
             tcb.state = TState::Running;
             tcb.entries += 1;
-            (
-                tcb.body.take().expect("ready thread has a body"),
-                tcb.entries,
-            )
+            let body = tcb.body.take().expect("ready thread has a body");
+            (tid, body, tcb.entries)
         };
-        self.core.stats.lock().slices += 1;
-
-        let mut ctx = ThreadCtx {
-            tid,
-            machine: self.core.machine.clone(),
+        self.charge(|c| c.schedule);
+        let step = body(&mut ThreadCtx {
+            machine: self.machine(),
             entries,
-        };
-        let step = body(&mut ctx);
-
-        let mut tcbs = self.core.tcbs.lock();
-        let tcb = tcbs.get_mut(&tid).expect("running thread has a TCB");
-        match step {
-            Step::Yield => {
-                tcb.state = TState::Ready;
-                tcb.body = Some(body);
-                self.core.ready.lock().push_back(tid);
-            }
-            Step::Block(waitable) => {
-                tcb.state = TState::Blocked;
-                tcb.body = Some(body);
-                self.core.stats.lock().blocks += 1;
-                drop(tcbs); // `park` may immediately wake us (lost-signal safety).
-                waitable.park(tid);
-            }
-            Step::Done => {
-                tcbs.remove(&tid);
-                self.core.stats.lock().completed += 1;
-            }
-        }
+        });
+        Self::settle(self.state.lock(), tid, body, entries, step);
         true
     }
 
@@ -184,12 +187,12 @@ impl Scheduler {
     /// The scheduling state of a thread, or `None` once it has finished
     /// (a finished thread leaves the scheduler).
     pub fn state(&self, tid: Tid) -> Option<TState> {
-        self.core.tcbs.lock().get(&tid).map(|t| t.state)
+        self.state.lock().tcbs.get(&tid).map(|t| t.state)
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> SchedStats {
-        *self.core.stats.lock()
+        self.state.lock().stats
     }
 }
 
@@ -241,20 +244,20 @@ mod tests {
     #[test]
     fn spawn_charges_thread_create() {
         let s = sched();
-        let before = s.core().machine().lock().now();
+        let before = s.machine().lock().now();
         s.spawn(Box::new(|_| Step::Done));
-        let cost = s.core().machine().lock().cost.thread_create;
-        assert_eq!(s.core().machine().lock().now() - before, cost);
+        let cost = s.machine().lock().cost.thread_create;
+        assert_eq!(s.machine().lock().now() - before, cost);
     }
 
     #[test]
     fn slices_charge_schedule_cost() {
         let s = sched();
         s.spawn(Box::new(|_| Step::Done));
-        let before = s.core().machine().lock().now();
+        let before = s.machine().lock().now();
         s.run_until_idle(10);
-        let cost = s.core().machine().lock().cost.schedule;
-        assert_eq!(s.core().machine().lock().now() - before, cost);
+        let cost = s.machine().lock().cost.schedule;
+        assert_eq!(s.machine().lock().now() - before, cost);
     }
 
     #[test]
@@ -266,7 +269,7 @@ mod tests {
         s.run_until_idle(u64::MAX);
         assert!(tids.iter().all(|&tid| s.state(tid).is_none()));
         assert_eq!(s.stats().completed, 1000);
-        assert!(s.core().tcbs.lock().is_empty());
+        assert!(s.state.lock().tcbs.is_empty());
     }
 
     #[test]

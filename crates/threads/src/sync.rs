@@ -1,29 +1,28 @@
 //! Synchronisation primitives for simulated threads.
 //!
-//! Each primitive holds a reference to the scheduler core so a release can
-//! move parked threads back to the ready queue. The usage idiom inside a
-//! thread body is *try, then block*:
+//! Each primitive keeps a handle on the scheduler so a release can move
+//! parked threads back to the ready queue, and each is itself the
+//! [`Waitable`] a thread blocks on. The usage idiom inside a thread body
+//! is *try, then block*:
 //!
 //! ```text
-//! if sem.try_acquire() { …proceed… } else { return Step::Block(sem.waitable()) }
+//! if sem.try_acquire() { …proceed… } else { return Step::Block(sem.clone()) }
 //! ```
+//!
+//! A mutex is a semaphore with one permit: `Semaphore::new(&sched, 1)`.
 
 use std::{collections::VecDeque, sync::Arc};
 
 use parking_lot::Mutex;
 
 use crate::{
-    sched::SchedCore,
+    sched::Scheduler,
     tcb::{Tid, Waitable},
 };
 
 /// A counting semaphore.
 pub struct Semaphore {
-    core: Arc<SchedCore>,
-    inner: Arc<SemInner>,
-}
-
-struct SemInner {
+    sched: Scheduler,
     state: Mutex<SemState>,
 }
 
@@ -32,49 +31,36 @@ struct SemState {
     waiters: VecDeque<Tid>,
 }
 
-/// The waitable half of a semaphore (what thread bodies block on).
-pub struct SemWait {
-    inner: Arc<SemInner>,
-    core: Arc<SchedCore>,
-}
-
-impl Waitable for SemWait {
+impl Waitable for Semaphore {
     fn park(&self, tid: Tid) {
-        let wake_now = {
-            let mut st = self.inner.state.lock();
-            if st.permits > 0 {
-                // A release raced in between the failed try and the park:
-                // wake immediately so the thread re-tries (Mesa
-                // semantics — the permit stays up for grabs).
-                true
-            } else {
-                st.waiters.push_back(tid);
-                false
-            }
-        };
-        if wake_now {
-            self.core.wake(tid);
+        let mut st = self.state.lock();
+        if st.permits > 0 {
+            // A release raced in between the failed try and the park:
+            // wake immediately so the thread re-tries (Mesa semantics —
+            // the permit stays up for grabs).
+            drop(st);
+            self.sched.wake(tid);
+        } else {
+            st.waiters.push_back(tid);
         }
     }
 }
 
 impl Semaphore {
     /// Creates a semaphore with `permits` initial permits.
-    pub fn new(core: Arc<SchedCore>, permits: i64) -> Arc<Self> {
+    pub fn new(sched: &Scheduler, permits: i64) -> Arc<Self> {
         Arc::new(Semaphore {
-            core,
-            inner: Arc::new(SemInner {
-                state: Mutex::new(SemState {
-                    permits,
-                    waiters: VecDeque::new(),
-                }),
+            sched: sched.clone(),
+            state: Mutex::new(SemState {
+                permits,
+                waiters: VecDeque::new(),
             }),
         })
     }
 
     /// Attempts to take a permit without blocking.
     pub fn try_acquire(&self) -> bool {
-        let mut st = self.inner.state.lock();
+        let mut st = self.state.lock();
         if st.permits > 0 {
             st.permits -= 1;
             true
@@ -83,67 +69,24 @@ impl Semaphore {
         }
     }
 
-    /// Returns the waitable to block on after a failed
-    /// [`Semaphore::try_acquire`].
-    pub fn waitable(&self) -> Arc<dyn Waitable> {
-        Arc::new(SemWait {
-            inner: self.inner.clone(),
-            core: self.core.clone(),
-        })
-    }
-
     /// Releases a permit, waking one waiter if any. Mesa semantics: the
     /// permit is made available and the waiter re-tries — it is not handed
     /// the permit directly, so a third party may race for it.
     pub fn release(&self) {
         let woken = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.state.lock();
             st.permits += 1;
             st.waiters.pop_front()
         };
         if let Some(tid) = woken {
-            self.core.wake(tid);
+            self.sched.wake(tid);
         }
-    }
-
-    /// Current permit count (for tests).
-    pub fn permits(&self) -> i64 {
-        self.inner.state.lock().permits
-    }
-}
-
-/// A mutex for simulated threads: a binary semaphore.
-pub struct SimMutex {
-    sem: Arc<Semaphore>,
-}
-
-impl SimMutex {
-    /// Creates an unlocked mutex.
-    pub fn new(core: Arc<SchedCore>) -> Arc<Self> {
-        Arc::new(SimMutex {
-            sem: Semaphore::new(core, 1),
-        })
-    }
-
-    /// Attempts to lock without blocking.
-    pub fn try_lock(&self) -> bool {
-        self.sem.try_acquire()
-    }
-
-    /// The waitable to block on when locked.
-    pub fn waitable(&self) -> Arc<dyn Waitable> {
-        self.sem.waitable()
-    }
-
-    /// Unlocks.
-    pub fn unlock(&self) {
-        self.sem.release();
     }
 }
 
 /// A bounded FIFO channel of dynamic values, usable from thread bodies.
-pub struct Channel<T: Send> {
-    core: Arc<SchedCore>,
+pub struct Channel<T> {
+    sched: Scheduler,
     state: Mutex<ChanState<T>>,
     capacity: usize,
 }
@@ -153,33 +96,23 @@ struct ChanState<T> {
     recv_waiters: VecDeque<Tid>,
 }
 
-/// The waitable half of a channel receive.
-pub struct ChanWait<T: Send + 'static> {
-    chan: Arc<Channel<T>>,
-}
-
-impl<T: Send + 'static> Waitable for ChanWait<T> {
+impl<T: Send> Waitable for Channel<T> {
     fn park(&self, tid: Tid) {
-        let wake_now = {
-            let mut st = self.chan.state.lock();
-            if st.queue.is_empty() {
-                st.recv_waiters.push_back(tid);
-                false
-            } else {
-                true
-            }
-        };
-        if wake_now {
-            self.chan.core.wake(tid);
+        let mut st = self.state.lock();
+        if st.queue.is_empty() {
+            st.recv_waiters.push_back(tid);
+        } else {
+            drop(st);
+            self.sched.wake(tid);
         }
     }
 }
 
-impl<T: Send + 'static> Channel<T> {
+impl<T: Send> Channel<T> {
     /// Creates a channel with the given capacity.
-    pub fn new(core: Arc<SchedCore>, capacity: usize) -> Arc<Self> {
+    pub fn new(sched: &Scheduler, capacity: usize) -> Arc<Self> {
         Arc::new(Channel {
-            core,
+            sched: sched.clone(),
             state: Mutex::new(ChanState {
                 queue: VecDeque::new(),
                 recv_waiters: VecDeque::new(),
@@ -191,7 +124,7 @@ impl<T: Send + 'static> Channel<T> {
     /// Sends without blocking. Returns `false` (dropping the value is the
     /// caller's choice) when full — senders in this system are interrupt
     /// handlers, which must never block.
-    pub fn try_send(self: &Arc<Self>, value: T) -> bool {
+    pub fn try_send(&self, value: T) -> bool {
         let woken = {
             let mut st = self.state.lock();
             if st.queue.len() >= self.capacity {
@@ -201,28 +134,23 @@ impl<T: Send + 'static> Channel<T> {
             st.recv_waiters.pop_front()
         };
         if let Some(tid) = woken {
-            self.core.wake(tid);
+            self.sched.wake(tid);
         }
         true
     }
 
     /// Receives without blocking.
-    pub fn try_recv(self: &Arc<Self>) -> Option<T> {
+    pub fn try_recv(&self) -> Option<T> {
         self.state.lock().queue.pop_front()
     }
 
-    /// The waitable to block on when empty.
-    pub fn waitable(self: &Arc<Self>) -> Arc<dyn Waitable> {
-        Arc::new(ChanWait { chan: self.clone() })
-    }
-
     /// Queue length.
-    pub fn len(self: &Arc<Self>) -> usize {
+    pub fn len(&self) -> usize {
         self.state.lock().queue.len()
     }
 
     /// True if empty.
-    pub fn is_empty(self: &Arc<Self>) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -241,7 +169,7 @@ mod tests {
     #[test]
     fn semaphore_blocks_and_wakes() {
         let s = sched();
-        let sem = Semaphore::new(s.core().clone(), 0);
+        let sem = Semaphore::new(&s, 0);
         let got = Arc::new(AtomicU64::new(0));
 
         let (sem_c, got_c) = (sem.clone(), got.clone());
@@ -250,13 +178,13 @@ mod tests {
                 got_c.fetch_add(1, Ordering::Relaxed);
                 Step::Done
             } else {
-                Step::Block(sem_c.waitable())
+                Step::Block(sem_c.clone())
             }
         }));
 
         s.run_until_idle(10);
         assert_eq!(s.state(waiter), Some(crate::tcb::TState::Blocked));
-        assert_eq!(sem.inner.state.lock().waiters.len(), 1);
+        assert_eq!(sem.state.lock().waiters.len(), 1);
 
         sem.release();
         s.run_until_idle(10);
@@ -270,7 +198,7 @@ mod tests {
         // Release lands after the failed try_acquire but before park: the
         // park must observe the permit and self-wake.
         let s = sched();
-        let sem = Semaphore::new(s.core().clone(), 0);
+        let sem = Semaphore::new(&s, 0);
         let done = Arc::new(AtomicU64::new(0));
         let (sem_c, done_c) = (sem.clone(), done.clone());
         let sem_racer = sem.clone();
@@ -281,7 +209,7 @@ mod tests {
             } else {
                 // The "interrupt" fires right here, before we park.
                 sem_racer.release();
-                Step::Block(sem_c.waitable())
+                Step::Block(sem_c.clone())
             }
         }));
         s.run_until_idle(10);
@@ -291,7 +219,7 @@ mod tests {
     #[test]
     fn mutex_provides_mutual_exclusion() {
         let s = sched();
-        let mutex = SimMutex::new(s.core().clone());
+        let mutex = Semaphore::new(&s, 1);
         let in_critical = Arc::new(AtomicU64::new(0));
         let max_seen = Arc::new(AtomicU64::new(0));
 
@@ -300,26 +228,26 @@ mod tests {
             s.spawn(Box::new(move |ctx| {
                 match ctx.entries {
                     1 => {
-                        if m.try_lock() {
+                        if m.try_acquire() {
                             let now = ic.fetch_add(1, Ordering::Relaxed) + 1;
                             ms.fetch_max(now, Ordering::Relaxed);
                             Step::Yield // Hold the lock across a slice.
                         } else {
                             // Re-enter at entries=1 semantics: use Block.
-                            Step::Block(m.waitable())
+                            Step::Block(m.clone())
                         }
                     }
                     _ => {
                         if ic.load(Ordering::Relaxed) > 0 {
                             ic.fetch_sub(1, Ordering::Relaxed);
-                            m.unlock();
+                            m.release();
                             Step::Done
-                        } else if m.try_lock() {
+                        } else if m.try_acquire() {
                             let now = ic.fetch_add(1, Ordering::Relaxed) + 1;
                             ms.fetch_max(now, Ordering::Relaxed);
                             Step::Yield
                         } else {
-                            Step::Block(m.waitable())
+                            Step::Block(m.clone())
                         }
                     }
                 }
@@ -336,7 +264,7 @@ mod tests {
     #[test]
     fn channel_send_recv_fifo() {
         let s = sched();
-        let chan: Arc<Channel<i32>> = Channel::new(s.core().clone(), 8);
+        let chan: Arc<Channel<i32>> = Channel::new(&s, 8);
         chan.try_send(1);
         chan.try_send(2);
         assert_eq!(chan.try_recv(), Some(1));
@@ -347,7 +275,7 @@ mod tests {
     #[test]
     fn channel_capacity_drops_excess() {
         let s = sched();
-        let chan: Arc<Channel<i32>> = Channel::new(s.core().clone(), 2);
+        let chan: Arc<Channel<i32>> = Channel::new(&s, 2);
         assert!(chan.try_send(1));
         assert!(chan.try_send(2));
         assert!(!chan.try_send(3));
@@ -357,7 +285,7 @@ mod tests {
     #[test]
     fn channel_wakes_blocked_receiver() {
         let s = sched();
-        let chan: Arc<Channel<i32>> = Channel::new(s.core().clone(), 8);
+        let chan: Arc<Channel<i32>> = Channel::new(&s, 8);
         let got = Arc::new(AtomicU64::new(0));
         let (c, g) = (chan.clone(), got.clone());
         s.spawn(Box::new(move |_| match c.try_recv() {
@@ -365,7 +293,7 @@ mod tests {
                 g.store(v as u64, Ordering::Relaxed);
                 Step::Done
             }
-            None => Step::Block(c.waitable()),
+            None => Step::Block(c.clone()),
         }));
         s.run_until_idle(10);
         assert_eq!(got.load(Ordering::Relaxed), 0);

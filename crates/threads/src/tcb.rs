@@ -32,24 +32,17 @@ pub trait Waitable: Send + Sync {
 pub type ThreadBody = Box<dyn FnMut(&mut ThreadCtx) -> Step + Send>;
 
 /// Execution context handed to a running thread body.
-pub struct ThreadCtx {
-    /// The running thread's id.
-    pub tid: Tid,
-    /// Machine handle for charging simulated work.
-    pub machine: Arc<Mutex<Machine>>,
+pub struct ThreadCtx<'a> {
+    /// The machine, for charging simulated work.
+    pub machine: &'a Mutex<Machine>,
     /// Slice counter: how many times this body has been entered.
     pub entries: u64,
 }
 
-impl ThreadCtx {
+impl ThreadCtx<'_> {
     /// Charges `cycles` of simulated work to the machine.
     pub fn work(&self, cycles: Cycles) {
         self.machine.lock().charge(cycles);
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Cycles {
-        self.machine.lock().now()
     }
 }
 
@@ -80,13 +73,12 @@ mod tests {
 
     #[test]
     fn thread_ctx_charges_machine() {
-        let machine = Arc::new(Mutex::new(Machine::new()));
+        let machine = Mutex::new(Machine::new());
         let ctx = ThreadCtx {
-            tid: 1,
-            machine: machine.clone(),
+            machine: &machine,
             entries: 0,
         };
         ctx.work(123);
-        assert_eq!(ctx.now(), 123);
+        assert_eq!(machine.lock().now(), 123);
     }
 }

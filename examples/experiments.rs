@@ -317,7 +317,7 @@ fn e5_popup() {
             }
             Some(m) => {
                 let engine = PopupEngine::new(scheduler.clone(), m);
-                let sem = Semaphore::new(scheduler.core().clone(), 0);
+                let sem = Semaphore::new(&scheduler, 0);
                 let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
                 let factory: PopupFactory = Arc::new({
                     let (sem, counter) = (sem.clone(), counter.clone());
@@ -333,7 +333,7 @@ fn e5_popup() {
                                 if sem.try_acquire() {
                                     waited = true;
                                 } else {
-                                    return Step::Block(sem.waitable());
+                                    return Step::Block(sem.clone());
                                 }
                             }
                             Step::Done

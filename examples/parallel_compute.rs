@@ -51,7 +51,7 @@ fn main() {
 
     // Worker domains, each seeing the pages read-only at its own address.
     let scheduler = Scheduler::new(machine.clone());
-    let done = Semaphore::new(scheduler.core().clone(), 0);
+    let done = Semaphore::new(&scheduler, 0);
     let total = Arc::new(AtomicI64::new(0));
 
     for w in 0..WORKERS {

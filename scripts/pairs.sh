@@ -20,9 +20,12 @@
 # k-th largest ratio, for the largest k whose coverage is at least 95 %
 # (2nd to 9th of 10 pairs, all of 8; `n/a` below 6 pairs). A pair's ratio
 # cancels the drift both runs of the pair shared, which the ratio of the
-# side medians does not. Each run's result line and its standard error are
-# kept in target/pairs/runs/WORKLOAD-sSEED/. Nothing under benchmark/
-# changes.
+# side medians does not. After the table it names every run that is more
+# than 10 % off its own side's median on one of those metrics (side, pair,
+# metric, value and its ratio to that median): a run the host disturbed,
+# which the table shows only as a wider interval. Each run's result line
+# and its standard error are kept in target/pairs/runs/WORKLOAD-sSEED/.
+# Nothing under benchmark/ changes.
 # Needs only git, tar, awk and the Rust toolchain.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -85,6 +88,22 @@ metrics=$(awk -F'"' '
     e && $2 == "better" { print name, $4 }
 ' BENCHMARK.json)
 
+# Sorting and interpolated quantiles of a 0-based awk array, for the table
+# and the outlier list below.
+stats_awk='
+    function quantile(sorted, n, q,    at, lo) {
+        at = (n - 1) * q
+        lo = int(at)
+        return lo + 1 < n ? sorted[lo] + (at - lo) * (sorted[lo + 1] - sorted[lo]) : sorted[lo]
+    }
+    function sort(v, n,    i, j, t) {
+        for (i = 1; i < n; i++)
+            for (j = i; j > 0 && v[j - 1] > v[j]; j--) {
+                t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+            }
+    }
+'
+
 # The value of metric $1 in result line $2.
 value() {
     grep -o "\"$1\": {\"value\": [^,}]*" "$2" | awk '{ print $NF }'
@@ -96,18 +115,7 @@ printf '%-14s %14s %14s %12s %8s %6s %8s %18s\n' metric parent_median change_med
 while read -r name better; do
     for ((i = 1; i <= pairs; i++)); do
         echo "$(value "$name" "$runs/parent-$i.json") $(value "$name" "$runs/change-$i.json")"
-    done | awk -v name="$name" -v better="$better" -v pairs="$pairs" '
-        function quantile(sorted, n, q,    at, lo) {
-            at = (n - 1) * q
-            lo = int(at)
-            return lo + 1 < n ? sorted[lo] + (at - lo) * (sorted[lo + 1] - sorted[lo]) : sorted[lo]
-        }
-        function sort(v, n,    i, j, t) {
-            for (i = 1; i < n; i++)
-                for (j = i; j > 0 && v[j - 1] > v[j]; j--) {
-                    t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
-                }
-        }
+    done | awk -v name="$name" -v better="$better" -v pairs="$pairs" "$stats_awk"'
         # P(X <= k) for X ~ Binomial(n, 1/2).
         function binom_cdf(n, k,    i, term, sum) {
             term = 1
@@ -134,3 +142,23 @@ while read -r name better; do
                 pm ? cm / pm : 0, won, pairs, quantile(r, n, 0.5), interval
         }'
 done <<<"$metrics"
+
+# Every run more than 10 % off its own side's median on a metric: a run the
+# host disturbed, named, where the table above only shows a wider interval.
+echo
+while read -r name _; do
+    for side in parent change; do
+        for ((i = 1; i <= pairs; i++)); do
+            value "$name" "$runs/$side-$i.json"
+        done | awk -v name="$name" -v side="$side" "$stats_awk"'
+            { v[NR] = $1; s[NR - 1] = $1 }
+            END {
+                sort(s, NR)
+                med = quantile(s, NR, 0.5)
+                for (i = 1; i <= NR; i++)
+                    if (med && (v[i] > 1.1 * med || v[i] < 0.9 * med))
+                        printf "outlier: %s pair %d %s %.6g (%.4f of the %s median)\n",
+                            side, i, name, v[i], v[i] / med, side
+            }'
+    done
+done <<<"$metrics" | { grep . || echo "no run is more than 10 % off its side's median"; }

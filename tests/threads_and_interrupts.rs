@@ -98,7 +98,7 @@ fn blocking_consumer_thread_wakes_on_channel_data_from_interrupts() {
     let machine = n.machine().clone();
     let scheduler = Scheduler::new(machine.clone());
     let engine = PopupEngine::new(scheduler.clone(), PopupMode::Proto);
-    let chan: Arc<Channel<u32>> = Channel::new(scheduler.core().clone(), 64);
+    let chan: Arc<Channel<u32>> = Channel::new(&scheduler, 64);
 
     let consumed = Arc::new(AtomicU64::new(0));
     {
@@ -108,7 +108,7 @@ fn blocking_consumer_thread_wakes_on_channel_data_from_interrupts() {
                 consumed.fetch_add(u64::from(v), Ordering::Relaxed);
                 Step::Yield
             }
-            None => Step::Block(chan.waitable()),
+            None => Step::Block(chan.clone()),
         }));
     }
 
